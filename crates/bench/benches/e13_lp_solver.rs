@@ -1,6 +1,6 @@
 //! E13 kernels: the LP-solver overhaul.
 //!
-//! Three comparisons across n ∈ {50, 200, 800, 2000}:
+//! Two comparisons across n ∈ {50, 200, 800, 2000}:
 //!
 //! * `dense` vs the **pricing × basis engine grid** — one-shot solves of
 //!   random sparse packing LPs (the shape of relaxations (1)/(4)) under
@@ -16,18 +16,11 @@
 //!   master re-solve from scratch vs warm-started from the previous
 //!   round's optimal basis (the PR 1 warm-start win, kept as a regression
 //!   guard).
-//! * `cg_warm_k8` vs `cg_batched_k8` — eight identical knapsack channels
-//!   (the symmetric-channel E12 shape at k = 8) solved as eight
-//!   independent warm-started column-generation runs (the PR 1 baseline)
-//!   vs one [`BatchedMasters`] context sharing a column pool and
-//!   cross-seeded warm bases.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ssa_lp::column_generation::{
-    BatchedMasters, ColumnGeneration, ColumnSource, GeneratedColumn, MasterProblem,
-};
+use ssa_lp::column_generation::{ColumnGeneration, GeneratedColumn, MasterProblem};
 use ssa_lp::{
     dense, solve, BasisKind, LinearProgram, LpStatus, PricingRule, Relation, Sense, SimplexOptions,
 };
@@ -137,29 +130,6 @@ impl KnapsackInstance {
                 return solution.objective;
             }
         }
-    }
-
-    /// `k` identical channels as independent warm-started runs (the PR 1
-    /// baseline for per-channel masters). Returns the summed optima.
-    fn run_independent_channels(&self, k: usize) -> f64 {
-        (0..k).map(|_| self.run_warm()).sum()
-    }
-
-    /// `k` identical channels through one batched context: shared column
-    /// pool + cross-seeded warm bases. Returns the summed optima.
-    fn run_batched_channels(&self, k: usize) -> f64 {
-        let cg = ColumnGeneration::default();
-        let masters: Vec<MasterProblem> = (0..k).map(|_| self.master()).collect();
-        let mut batched = BatchedMasters::new(masters);
-        let mut sources: Vec<_> = (0..k)
-            .map(|_| |duals: &[f64]| self.best_column(duals))
-            .collect();
-        let mut refs: Vec<&mut dyn ColumnSource> = sources
-            .iter_mut()
-            .map(|s| s as &mut dyn ColumnSource)
-            .collect();
-        let result = batched.run(&cg, &mut refs).expect("batched cg failed");
-        result.channels.iter().map(|c| c.solution.objective).sum()
     }
 }
 
@@ -272,7 +242,7 @@ fn bench_e13(c: &mut Criterion) {
         });
 
         if n >= 2000 {
-            // The column-generation and batched-master comparisons stay at
+            // The column-generation comparison stays at
             // the PR 1 sizes: a cold cg run at n = 2000 re-solves a growing
             // master thousands of times and would dominate the bench without
             // adding information (the warm-vs-cold ratio is size-stable).
@@ -291,21 +261,6 @@ fn bench_e13(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("cg_warm", n), &knapsack, |b, k| {
             b.iter(|| k.run_warm())
-        });
-
-        // batched cross-channel masters at the E12 channel count (k = 8)
-        let k_channels = 8;
-        let independent = knapsack.run_independent_channels(k_channels);
-        let batched = knapsack.run_batched_channels(k_channels);
-        assert!(
-            (independent - batched).abs() < 1e-5 * (1.0 + independent.abs()),
-            "independent {independent} vs batched {batched} at n = {n}"
-        );
-        group.bench_with_input(BenchmarkId::new("cg_warm_k8", n), &knapsack, |b, k| {
-            b.iter(|| k.run_independent_channels(k_channels))
-        });
-        group.bench_with_input(BenchmarkId::new("cg_batched_k8", n), &knapsack, |b, k| {
-            b.iter(|| k.run_batched_channels(k_channels))
         });
     }
     group.finish();

@@ -11,7 +11,7 @@ use ssa_core::edge_lp::edge_lp_baseline;
 use ssa_core::exact::solve_exact_default;
 use ssa_core::greedy::{greedy_by_bundle_value, greedy_channel_by_channel};
 use ssa_core::hardness::{theorem_18_instance, theorem_18_optimum};
-use ssa_core::lp_formulation::{solve_relaxation_decomposed, solve_relaxation_oracle};
+use ssa_core::lp_formulation::solve_relaxation_oracle;
 use ssa_core::rounding::{round_binary, RoundingOptions};
 use ssa_core::solver::{guarantee_factor, SolverOptions, SpectrumAuctionSolver};
 use ssa_geometry::{CivilizedLayout, LinkMetric};
@@ -592,7 +592,6 @@ pub fn e12_scalability(quick: bool) -> Table {
             "n",
             "k",
             "LP solve (ms)",
-            "LP DW (ms)",
             "LP columns",
             "rounding (ms)",
             "total (ms)",
@@ -623,17 +622,6 @@ pub fn e12_scalability(quick: bool) -> Table {
         let t0 = Instant::now();
         let fractional = solve_relaxation_oracle(instance);
         let lp_ms = t0.elapsed().as_secs_f64() * 1000.0;
-        // The same LP stage under the Dantzig–Wolfe decomposed master: both
-        // modes provably reach the same optimum, so the column is a pure
-        // wall-clock comparison of the two solver paths.
-        let t_dw = Instant::now();
-        let fractional_dw = solve_relaxation_decomposed(instance);
-        let dw_ms = t_dw.elapsed().as_secs_f64() * 1000.0;
-        debug_assert!(
-            (fractional_dw.objective - fractional.objective).abs()
-                < 1e-4 * (1.0 + fractional.objective.abs()),
-            "master modes disagree at n = {n}, k = {k}"
-        );
         let t1 = Instant::now();
         let outcome = round_binary(
             instance,
@@ -648,7 +636,6 @@ pub fn e12_scalability(quick: bool) -> Table {
             n.to_string(),
             k.to_string(),
             fmt(lp_ms),
-            fmt(dw_ms),
             fractional.num_columns.to_string(),
             fmt(round_ms),
             fmt(lp_ms + round_ms),

@@ -14,10 +14,10 @@
 //! on a persistent work-stealing pool (the `pool` module): long-lived workers with
 //! per-worker chunk deques, spawned lazily once and reused by every call
 //! site. Each call still splits its index range into ~4 chunks per worker
-//! (claimed dynamically, so uneven workloads — the k per-channel
-//! Dantzig–Wolfe pricing subproblems, whose channel sizes can differ wildly
-//! — don't serialize behind the largest item) and always collects results
-//! in input order, preserving determinism.
+//! (claimed dynamically, so uneven workloads — shards of a multi-market
+//! drain, whose markets can differ wildly in size — don't serialize behind
+//! the largest item) and always collects results in input order,
+//! preserving determinism.
 //!
 //! **Sequential fast path:** inputs shorter than twice the minimum chunk
 //! length (32 items by default) run inline on the calling thread without

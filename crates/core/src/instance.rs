@@ -203,21 +203,6 @@ impl AuctionInstance {
         self.bidders.iter().map(|b| b.max_value()).sum()
     }
 
-    /// Fraction of realized conflict pairs on channel 0 (directed
-    /// interaction count over `n(n−1)`) — the density coordinate of the
-    /// master-mode crossover table
-    /// ([`crate::lp_formulation::select_master_mode`]). Channel 0 stands
-    /// in for all channels on asymmetric instances; the table is far too
-    /// coarse for per-channel distinctions to matter.
-    pub fn conflict_density(&self) -> f64 {
-        let n = self.num_bidders();
-        if n < 2 {
-            return 0.0;
-        }
-        let interactions: usize = (0..n).map(|v| self.conflicts.interacting(v, 0).len()).sum();
-        interactions as f64 / (n * (n - 1)) as f64
-    }
-
     /// The bidders `u` that list `v` in their backward neighborhood on
     /// channel `j` — i.e. the rows (u, j) of constraint (1b)/(4b) in which a
     /// column of bidder `v` appears — together with the coefficient

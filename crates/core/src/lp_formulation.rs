@@ -26,9 +26,8 @@ use crate::instance::AuctionInstance;
 use crate::solver::SolveError;
 use serde::{Deserialize, Serialize};
 use ssa_lp::{
-    is_native_tag, BasisKind, ColumnGeneration, ColumnSource, DantzigWolfeError,
-    DantzigWolfeOptions, DecomposedLp, DwStats, GeneratedColumn, LinearProgram, LpStatus,
-    MasterMode, MasterProblem, PricingRule, Relation, Sense, SimplexOptions, Subproblem,
+    is_native_tag, BasisKind, ColumnGeneration, ColumnSource, GeneratedColumn, LpStatus,
+    MasterProblem, PricingRule, Relation, Sense, SimplexOptions,
 };
 
 /// One non-zero variable `x_{v,T}` of the fractional solution.
@@ -52,25 +51,21 @@ pub struct RelaxationInfo {
     pub pricing: PricingRule,
     /// Basis factorization of the simplex engine.
     pub basis: BasisKind,
-    /// How the master was solved (monolithic vs Dantzig–Wolfe).
-    pub mode: MasterMode,
-    /// Master pricing rounds — of the column-generation loop (1 for the
-    /// explicit enumeration path) or of the Dantzig–Wolfe loop.
+    /// Master pricing rounds of the column-generation loop (1 for the
+    /// explicit enumeration path).
     pub rounds: usize,
-    /// Bundle columns in the final restricted master (Dantzig–Wolfe's block
-    /// extreme-point columns are not counted — they are solver artifacts,
-    /// not assignments).
+    /// Bundle columns in the final restricted master (solver-internal
+    /// relief and dead columns are not counted).
     pub num_columns: usize,
     /// Simplex pivots across every master re-solve.
     pub simplex_iterations: usize,
     /// Pivots of each master re-solve in order (the warm-start win is the
     /// drop after round 0). Capped to the most recent
-    /// [`ssa_lp::ROUND_SERIES_CAP`] entries by the CG/DW layers.
+    /// [`ssa_lp::ROUND_SERIES_CAP`] entries by the column-generation loop.
     pub per_round_iterations: Vec<usize>,
     /// Oracle pricing rounds (columns actually asked for — excludes the
     /// final empty round that certifies optimality only when the master
-    /// converged in round one). On the Dantzig–Wolfe path this counts
-    /// block+source pricing passes at distinct duals.
+    /// converged in round one).
     pub pricing_rounds: usize,
     /// Columns adopted by the master in each pricing round, in order
     /// (same [`ssa_lp::ROUND_SERIES_CAP`] cap as `per_round_iterations`) —
@@ -79,11 +74,6 @@ pub struct RelaxationInfo {
     pub columns_per_round: Vec<usize>,
     /// Total columns adopted by the master across all pricing rounds.
     pub columns_generated: usize,
-    /// Stabilization mispricing events: rounds where the smoothed/boxed
-    /// duals priced nothing but the exactness guard found work at the true
-    /// duals (or the box machinery was still active at a no-progress
-    /// round). Always 0 with [`ssa_lp::Stabilization::Off`].
-    pub stabilization_misprices: usize,
     /// Columns this solve adopted from the session's managed
     /// [`ssa_lp::ColumnPool`] (0 on cold one-shot solves, which have no
     /// pool).
@@ -99,9 +89,6 @@ pub struct RelaxationInfo {
     pub forced_refactorizations: usize,
     /// Degenerate pivots across every master re-solve.
     pub degenerate_pivots: usize,
-    /// Simplex pivots across the per-channel Dantzig–Wolfe pricing
-    /// subproblems (0 on the monolithic path).
-    pub subproblem_pivots: usize,
     /// Dual-simplex reoptimization pivots spent absorbing row additions
     /// into the master (0 unless rows were added mid-run).
     pub dual_pivots: usize,
@@ -132,7 +119,6 @@ impl Default for RelaxationInfo {
         RelaxationInfo {
             pricing: options.pricing,
             basis: options.basis,
-            mode: MasterMode::Monolithic,
             rounds: 0,
             num_columns: 0,
             simplex_iterations: 0,
@@ -140,13 +126,11 @@ impl Default for RelaxationInfo {
             pricing_rounds: 0,
             columns_per_round: Vec::new(),
             columns_generated: 0,
-            stabilization_misprices: 0,
             pool_hits: 0,
             pool_evictions: 0,
             refactorizations: 0,
             forced_refactorizations: 0,
             degenerate_pivots: 0,
-            subproblem_pivots: 0,
             dual_pivots: 0,
             rows_deactivated: 0,
             compactions: 0,
@@ -164,7 +148,6 @@ impl RelaxationInfo {
         RelaxationInfo {
             pricing: solution.stats.pricing,
             basis: solution.stats.basis,
-            mode: MasterMode::Monolithic,
             rounds,
             num_columns,
             simplex_iterations: solution.iterations,
@@ -172,13 +155,11 @@ impl RelaxationInfo {
             pricing_rounds: 0,
             columns_per_round: Vec::new(),
             columns_generated: 0,
-            stabilization_misprices: 0,
             pool_hits: 0,
             pool_evictions: 0,
             refactorizations: solution.stats.refactorizations,
             forced_refactorizations: solution.stats.forced_refactorizations,
             degenerate_pivots: solution.stats.degenerate_pivots,
-            subproblem_pivots: 0,
             dual_pivots: solution.stats.dual_pivots,
             rows_deactivated: 0,
             compactions: 0,
@@ -190,14 +171,13 @@ impl RelaxationInfo {
         }
     }
 
-    /// Attribution of a column-generation run over a monolithic master —
-    /// shared by the cold path ([`solve_relaxation`]) and the session's
-    /// warm paths so the two cannot drift when stats fields change.
+    /// Attribution of a column-generation run — shared by the cold path
+    /// ([`solve_relaxation`]) and the session's warm paths so the two
+    /// cannot drift when stats fields change.
     pub(crate) fn from_cg(result: &ssa_lp::ColumnGenerationResult, num_columns: usize) -> Self {
         RelaxationInfo {
             pricing: result.solution.stats.pricing,
             basis: result.solution.stats.basis,
-            mode: MasterMode::Monolithic,
             rounds: result.rounds,
             num_columns,
             simplex_iterations: result.simplex_iterations,
@@ -205,13 +185,11 @@ impl RelaxationInfo {
             pricing_rounds: result.pricing_rounds,
             columns_per_round: result.columns_per_round.recorded().to_vec(),
             columns_generated: result.columns_generated,
-            stabilization_misprices: result.stabilization_misprices,
             pool_hits: 0,
             pool_evictions: 0,
             refactorizations: result.refactorizations,
             forced_refactorizations: result.forced_refactorizations,
             degenerate_pivots: result.degenerate_pivots,
-            subproblem_pivots: 0,
             dual_pivots: result.dual_pivots,
             rows_deactivated: 0,
             compactions: 0,
@@ -220,42 +198,6 @@ impl RelaxationInfo {
             btran_sparse_hits: result.btran_sparse_hits,
             btran_dense_fallbacks: result.btran_dense_fallbacks,
             avg_result_density: result.avg_result_density,
-        }
-    }
-
-    fn from_dw(solution: &ssa_lp::LpSolution, stats: &DwStats, num_columns: usize) -> Self {
-        RelaxationInfo {
-            pricing: solution.stats.pricing,
-            basis: solution.stats.basis,
-            mode: MasterMode::DantzigWolfe,
-            rounds: stats.master_rounds,
-            num_columns,
-            simplex_iterations: stats.master_iterations,
-            per_round_iterations: stats.master_per_round.recorded().to_vec(),
-            pricing_rounds: stats.pricing_rounds,
-            columns_per_round: stats.columns_per_round.recorded().to_vec(),
-            columns_generated: stats.columns_from_blocks + stats.columns_from_source,
-            stabilization_misprices: stats.stabilization_misprices,
-            pool_hits: 0,
-            pool_evictions: 0,
-            refactorizations: stats.refactorizations,
-            forced_refactorizations: stats.forced_refactorizations,
-            degenerate_pivots: stats.degenerate_pivots,
-            subproblem_pivots: stats.subproblem_pivots,
-            dual_pivots: stats.dual_pivots,
-            rows_deactivated: 0,
-            compactions: 0,
-            ftran_sparse_hits: stats.ftran_sparse_hits,
-            ftran_dense_fallbacks: stats.ftran_dense_fallbacks,
-            btran_sparse_hits: stats.btran_sparse_hits,
-            btran_dense_fallbacks: stats.btran_dense_fallbacks,
-            // DwStats leaves the density at 0.0 when nothing was tracked;
-            // map that onto this struct's 1.0 "no data" convention.
-            avg_result_density: if stats.tracked_solves() == 0 {
-                1.0
-            } else {
-                stats.avg_result_density
-            },
         }
     }
 }
@@ -318,28 +260,11 @@ impl FractionalAssignment {
 #[derive(Clone, Debug)]
 pub struct LpFormulationOptions {
     /// Column-generation driver settings (master simplex options, round
-    /// limit, reduced-cost tolerance) — shared by both master modes.
+    /// limit, reduced-cost tolerance).
     pub column_generation: ColumnGeneration,
-    /// How the relaxation master is solved: one monolithic LP, or the
-    /// Dantzig–Wolfe decomposition with per-channel pricing subproblems.
-    pub master_mode: MasterMode,
-    /// When `true` (the default) **and** `master_mode` is still the
-    /// default [`MasterMode::Monolithic`], the mode is re-derived per
-    /// instance from `(n, k, density)` against the e14-measured crossover
-    /// table ([`select_master_mode`]). Setting a mode explicitly — via
-    /// [`LpFormulationOptions::with_master_mode`] or
-    /// [`crate::solver::SolverBuilder::master_mode`], or any non-default
-    /// `master_mode` in a struct literal — always wins over the table.
-    pub auto_master_mode: bool,
-    /// Demand oracles return up to this many improving bundles per bidder
-    /// per pricing round ([`crate::valuation::Valuation::demand_top`]).
-    /// `1` (the default) reproduces classic single-column pricing;
-    /// structured valuations (XOR, tabular) can serve larger `p` for free
-    /// and cut the round count on oscillation-prone instances.
-    pub multi_column_pricing: usize,
     /// Each bidder's top `seed_top_bundles` zero-price bundles are seeded
-    /// into the initial restricted master (on every path: cold,
-    /// Dantzig–Wolfe, session rebuild). The default of `4` is the
+    /// into the initial restricted master (on every path: cold solve and
+    /// session rebuild). The default of `4` is the
     /// E12-measured sweet spot: a seed-depth sweep at n ∈ {200, 800, 2000}
     /// showed depth 4 puts the optimum's support in the initial master and
     /// collapses the pricing loop to a single round at every scale
@@ -361,14 +286,6 @@ pub struct LpFormulationOptions {
     /// Entries with `x` below this threshold are dropped from the reported
     /// solution.
     pub support_tolerance: f64,
-    /// Dantzig–Wolfe only: materialize `(v, j)` usage rows lazily — the
-    /// master starts with just the rows touched by the seeded columns and
-    /// activates newly referenced rows through the dual-simplex
-    /// row-addition path as the demand oracle proposes bundles, instead of
-    /// eagerly building all `n·k + n + k` rows (most never touched by any
-    /// generated bundle). Exact either way; `false` recovers the PR 3 eager
-    /// master for comparison.
-    pub dw_lazy_rows: bool,
     /// Session masters compact (physically remove deactivated rows and
     /// dead columns, remapping the warm basis) once the deadweight fraction
     /// reaches this threshold. `1.0` effectively disables compaction.
@@ -398,14 +315,10 @@ impl Default for LpFormulationOptions {
     fn default() -> Self {
         LpFormulationOptions {
             column_generation: ColumnGeneration::default(),
-            master_mode: MasterMode::Monolithic,
-            auto_master_mode: true,
-            multi_column_pricing: 1,
             seed_top_bundles: 4,
             column_pool_capacity: 8192,
             enumerate_all_bundles: false,
             support_tolerance: 1e-9,
-            dw_lazy_rows: true,
             compaction_threshold: 0.25,
             deep_batch_rows: 4096,
         }
@@ -419,62 +332,12 @@ impl LpFormulationOptions {
         self.column_generation.simplex = self.column_generation.simplex.with_engine(pricing, basis);
         self
     }
-
-    /// Selects how the relaxation master is solved (monolithic vs
-    /// Dantzig–Wolfe) — the pipeline-level decomposition switch. An
-    /// explicit choice disables the `(n, k, density)` auto-select.
-    pub fn with_master_mode(mut self, mode: MasterMode) -> Self {
-        self.master_mode = mode;
-        self.auto_master_mode = false;
-        self
-    }
-
-    /// Selects the dual-stabilization policy of the pricing loop
-    /// ([`ssa_lp::Stabilization`]) — applied by both master modes.
-    pub fn with_stabilization(mut self, stabilization: ssa_lp::Stabilization) -> Self {
-        self.column_generation.stabilization = stabilization;
-        self
-    }
-
-    /// The master mode this instance will actually be solved with:
-    /// the explicit `master_mode` unless auto-select is live (see
-    /// [`LpFormulationOptions::auto_master_mode`]), in which case the
-    /// measured crossover table decides.
-    pub fn resolved_master_mode(&self, instance: &AuctionInstance) -> MasterMode {
-        if !self.auto_master_mode || self.master_mode != MasterMode::Monolithic {
-            return self.master_mode;
-        }
-        let n = instance.num_bidders();
-        let k = instance.num_channels;
-        let density = instance.conflict_density();
-        select_master_mode(n, k, density)
-    }
-}
-
-/// The data-driven master-mode choice for an instance shape, backed by the
-/// e14 crossover sweep (multi-seed medians, stabilization on and off,
-/// n ∈ {50, 200} × k ∈ {8, 16, 32} auction instances plus generic
-/// block-angular LPs to k = 64 blocks; see
-/// `crates/bench/benches/e14_decomposition.rs` and `BENCH_e14.json`).
-///
-/// **Measured verdict (this hardware, PR 10):** the monolithic master wins
-/// at every measured `(n, k, density)` cell, by 3–7× (e.g. 8.8 ms vs
-/// 63 ms at `(200, 8)`, 41 ms vs 119 ms at `(200, 32)`) — Dantzig–Wolfe's
-/// per-round masters are individually cheap, but the decomposition pays
-/// for `k` subproblem re-solves per round and converges through more
-/// rounds, and stabilization narrows but does not close the gap. There is
-/// **no measured crossover**, so this table honestly returns
-/// [`MasterMode::Monolithic`] everywhere; it exists so the decision is a
-/// single data-backed function the next sweep can overwrite, not folklore
-/// spread across call sites.
-pub fn select_master_mode(_n: usize, _k: usize, _density: f64) -> MasterMode {
-    MasterMode::Monolithic
 }
 
 /// Packs `(bidder, bundle)` into the 64-bit column tag every master uses
 /// for column identity (bidder in the high 32 bits, bundle bits low — the
-/// source of the `k ≤ 32` limit). The session's pool, the monolithic and
-/// decomposed masters and the extraction all share this one encoding.
+/// source of the `k ≤ 32` limit). The session's pool, the master and the
+/// extraction all share this one encoding.
 pub(crate) fn column_tag(bidder: usize, bundle: ChannelSet) -> u64 {
     ((bidder as u64) << 32) | bundle.bits()
 }
@@ -517,33 +380,40 @@ pub(crate) fn column_for(
 }
 
 /// Utility slack a demanded bundle must have over the bidder's dual `z_v`
-/// before it enters the master as a new column (shared by both master
-/// modes' oracles).
+/// before it enters the master as a new column.
 const ORACLE_UTILITY_TOLERANCE: f64 = 1e-9;
 
-/// The demand-oracle pricing loop shared by the monolithic and
-/// Dantzig–Wolfe masters: for each bidder, derive its channel prices from
-/// the master duals (`prices_for` is the only step the two modes disagree
-/// on — the monolithic master sums neighborhood row duals, the decomposed
-/// master reads its usage-row duals directly), query the demand oracle for
-/// its `top` best bundles ([`Valuation::demand_top`]), and emit a column
-/// for each bundle whose utility beats the bidder's dual.
+/// The demand-oracle pricing loop shared by the cold master and the
+/// session's master, which differ only in where a `(v, j)` or bidder row
+/// sits (`row_vj` and `bidder_dual_row` map a constraint to its master
+/// row): for each bidder, sum the duals of the rows its bundle would load
+/// into channel prices `p_{v,j} = Σ w̄ · y`, query the demand oracle
+/// ([`Valuation::demand_top`]), and emit a column for the demanded bundle
+/// when its utility beats the bidder's dual.
 ///
 /// [`Valuation::demand_top`]: crate::valuation::Valuation::demand_top
 pub(crate) fn demand_oracle_columns(
     instance: &AuctionInstance,
     duals: &[f64],
-    top: usize,
-    prices_for: impl Fn(usize) -> Vec<f64>,
+    row_vj: impl Fn(usize, usize) -> usize,
     bidder_dual_row: impl Fn(usize) -> usize,
     column_of: impl Fn(usize, ChannelSet) -> GeneratedColumn,
 ) -> Vec<GeneratedColumn> {
     let n = instance.num_bidders();
+    let k = instance.num_channels;
     let mut columns = Vec::new();
     for bidder in 0..n {
-        let prices = prices_for(bidder);
+        let prices: Vec<f64> = (0..k)
+            .map(|j| {
+                instance
+                    .forward_rows(bidder, j)
+                    .into_iter()
+                    .map(|(v, w)| w * duals[row_vj(v, j)])
+                    .sum()
+            })
+            .collect();
         let z_v = duals[bidder_dual_row(bidder)];
-        for bundle in instance.bidders[bidder].demand_top(&prices, top.max(1)) {
+        for bundle in instance.bidders[bidder].demand_top(&prices, 1) {
             if bundle.is_empty() {
                 continue;
             }
@@ -559,10 +429,9 @@ pub(crate) fn demand_oracle_columns(
 /// The demand-oracle pricing source for the column-generation loop.
 struct DemandOraclePricing<'a> {
     instance: &'a AuctionInstance,
-    top: usize,
 }
 
-impl<'a> ColumnSource for DemandOraclePricing<'a> {
+impl ColumnSource for DemandOraclePricing<'_> {
     fn generate(&mut self, duals: &[f64]) -> Vec<GeneratedColumn> {
         let instance = self.instance;
         let k = instance.num_channels;
@@ -570,20 +439,7 @@ impl<'a> ColumnSource for DemandOraclePricing<'a> {
         demand_oracle_columns(
             instance,
             duals,
-            self.top,
-            // bidder-specific channel prices from the duals of the (v, j)
-            // rows of the monolithic master
-            |bidder| {
-                (0..k)
-                    .map(|j| {
-                        instance
-                            .forward_rows(bidder, j)
-                            .into_iter()
-                            .map(|(v, w)| w * duals[row_of(v, j, k)])
-                            .sum()
-                    })
-                    .collect()
-            },
+            |v, j| row_of(v, j, k),
             |bidder| bidder_row(bidder, n, k),
             |bidder, bundle| column_for(instance, bidder, bundle),
         )
@@ -674,7 +530,7 @@ pub(crate) fn strict_status_error(
 /// Offers the shared master seed set to `add`: the caller's column pool
 /// (re-priced at the current valuations) followed by each bidder's top
 /// `seed_top` zero-price bundles, with one positive-value filter — so the
-/// cold, Dantzig–Wolfe and session-rebuild paths seed identically.
+/// cold and session-rebuild paths seed identically.
 ///
 /// `seed_top` is the E12-measured lever against pricing-loop degeneracy:
 /// with only the single favorite seeded (`seed_top = 1`), the first
@@ -715,9 +571,6 @@ fn solve_relaxation_inner(
         instance.num_channels <= 32,
         "the LP formulation packs bundles into 32-bit column tags (k ≤ 32)"
     );
-    if options.resolved_master_mode(instance) == MasterMode::DantzigWolfe {
-        return solve_relaxation_dw(instance, options, pool, strict);
-    }
     let mut master = MasterProblem::new(Sense::Maximize, master_rows(instance));
 
     if options.enumerate_all_bundles {
@@ -760,10 +613,7 @@ fn solve_relaxation_inner(
         },
     );
 
-    let mut pricing = DemandOraclePricing {
-        instance,
-        top: options.multi_column_pricing,
-    };
+    let mut pricing = DemandOraclePricing { instance };
     // An iteration-limited master is surfaced as a proper error by the LP
     // layer. On the lenient (legacy) path the pipeline degrades gracefully:
     // the partial solution is used but explicitly marked non-converged (its
@@ -805,10 +655,9 @@ pub(crate) fn extract(
     if solution.status == LpStatus::Optimal || solution.status == LpStatus::IterationLimit {
         for (idx, col) in master.columns().iter().enumerate() {
             if !is_native_tag(col.tag) {
-                // Solver-internal columns assign nothing: Dantzig–Wolfe
-                // extreme points certify channel feasibility, relief
-                // columns carry deactivated rows, dead tombstones are
-                // departed bidders' retired bundles.
+                // Solver-internal columns assign nothing: relief columns
+                // carry deactivated rows, dead tombstones are departed
+                // bidders' retired bundles.
                 continue;
             }
             let x = solution.x.get(idx).copied().unwrap_or(0.0);
@@ -835,205 +684,6 @@ pub(crate) fn extract(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Dantzig–Wolfe decomposed relaxation
-// ---------------------------------------------------------------------------
-
-/// The bundle column of `(bidder, bundle)` in the **decomposed** master,
-/// whose interference side consists of per-bidder channel-usage rows: the
-/// column simply marks its own usage (`+1` on row `(bidder, j)` for every
-/// `j ∈ bundle`) — much sparser than the monolithic column, which spreads
-/// the conflict-weighted load over every backward neighbor's row.
-pub(crate) fn dw_column_for(
-    instance: &AuctionInstance,
-    bidder: usize,
-    bundle: ChannelSet,
-) -> GeneratedColumn {
-    let k = instance.num_channels;
-    let n = instance.num_bidders();
-    let mut coeffs: Vec<(usize, f64)> =
-        bundle.iter().map(|j| (row_of(bidder, j, k), 1.0)).collect();
-    coeffs.push((bidder_row(bidder, n, k), 1.0));
-    GeneratedColumn {
-        objective: instance.value(bidder, bundle),
-        coeffs,
-        tag: column_tag(bidder, bundle),
-    }
-}
-
-/// Channel `j`'s pricing subproblem: the fractional interference polytope
-/// `P_j = { y ∈ [0, 1]^n : Σ_{u ∈ Γπ(v)} w̄(u, v) · y_u ≤ ρ  ∀v }` over the
-/// per-bidder channel-`j` allocations, linked to the master's usage rows
-/// `(u, j)` with coefficient −1 (a master column of this block *supplies*
-/// usage capacity). `P_j` is down-closed with `0 ∈ P_j`, which is exactly
-/// what makes the decomposition reach the monolithic optimum: demanding the
-/// usage vector to be dominated by a convex combination of points of `P_j`
-/// is the same as demanding it to lie in `P_j`.
-fn channel_block(instance: &AuctionInstance, j: usize) -> Subproblem {
-    let n = instance.num_bidders();
-    let k = instance.num_channels;
-    let mut local = LinearProgram::new(Sense::Maximize);
-    for _ in 0..n {
-        local.add_variable(0.0);
-    }
-    let mut interference: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-    for u in 0..n {
-        for (v, w) in instance.forward_rows(u, j) {
-            interference[v].push((u, w));
-        }
-    }
-    for coeffs in interference {
-        if !coeffs.is_empty() {
-            local.add_constraint(coeffs, Relation::Le, instance.rho);
-        }
-    }
-    for u in 0..n {
-        local.add_constraint(vec![(u, 1.0)], Relation::Le, 1.0);
-    }
-    let linking = (0..n).map(|u| vec![(row_of(u, j, k), -1.0)]).collect();
-    Subproblem::new(local, linking)
-}
-
-/// The demand-oracle pricing source against the decomposed master's duals:
-/// bidder `u`'s price for channel `j` is simply the dual of its usage row
-/// `(u, j)` (the decomposition already aggregated the neighborhood sums the
-/// monolithic oracle computes by hand).
-struct DwDemandOraclePricing<'a> {
-    instance: &'a AuctionInstance,
-    top: usize,
-}
-
-impl ColumnSource for DwDemandOraclePricing<'_> {
-    fn generate(&mut self, duals: &[f64]) -> Vec<GeneratedColumn> {
-        let instance = self.instance;
-        let k = instance.num_channels;
-        let n = instance.num_bidders();
-        demand_oracle_columns(
-            instance,
-            duals,
-            self.top,
-            |bidder| (0..k).map(|j| duals[row_of(bidder, j, k)]).collect(),
-            |bidder| bidder_row(bidder, n, k),
-            |bidder, bundle| dw_column_for(instance, bidder, bundle),
-        )
-    }
-}
-
-/// Solves the relaxation through the Dantzig–Wolfe decomposition: a master
-/// over per-bidder usage rows (`Σ_{T ∋ j} x_{v,T} ≤` channel-`j` supply) and
-/// bidder rows, with the `k` channel polytopes priced as independent
-/// subproblems in parallel. Reaches the same optimum as the monolithic
-/// master (see [`channel_block`] for why), with the LP work split into a
-/// small coordinating master plus `k` per-channel LPs that warm-start
-/// across rounds.
-fn solve_relaxation_dw(
-    instance: &AuctionInstance,
-    options: &LpFormulationOptions,
-    pool: &[(usize, ChannelSet)],
-    strict: bool,
-) -> Result<FractionalAssignment, SolveError> {
-    let n = instance.num_bidders();
-    let k = instance.num_channels;
-    let mut coupling: Vec<(Relation, f64)> = Vec::with_capacity(n * k + n);
-    for _ in 0..n * k {
-        // usage row (v, j): Σ_{T ∋ j} x_{v,T} − (channel-j supply) ≤ 0
-        coupling.push((Relation::Le, 0.0));
-    }
-    for _ in 0..n {
-        coupling.push((Relation::Le, 1.0));
-    }
-    let blocks: Vec<Subproblem> = (0..k).map(|j| channel_block(instance, j)).collect();
-    // Lazy mode starts the master at the seeded-bundle support (usage rows
-    // are supply-side, so dormant rows cannot bind) and activates newly
-    // referenced rows through the dual-simplex path; eager mode is the
-    // PR 3 full-row master, kept selectable for the e14 comparison.
-    let mut dw = if options.dw_lazy_rows {
-        DecomposedLp::new_lazy(coupling, blocks)
-    } else {
-        DecomposedLp::new(coupling, blocks)
-    };
-
-    let dw_options = DantzigWolfeOptions {
-        master_simplex: options.column_generation.simplex,
-        subproblem_simplex: options.column_generation.simplex,
-        max_rounds: options.column_generation.max_rounds,
-        tolerance: options.column_generation.reduced_cost_tolerance,
-        stabilization: options.column_generation.stabilization,
-    };
-
-    if options.enumerate_all_bundles {
-        for bidder in 0..n {
-            for bundle in ChannelSet::all_bundles(k) {
-                if !bundle.is_empty() && instance.value(bidder, bundle) > 0.0 {
-                    dw.add_native_column(dw_column_for(instance, bidder, bundle));
-                }
-            }
-        }
-    } else {
-        // Seed with the caller's column pool (the session's warm-from-pool
-        // path), then with each bidder's top zero-price bundles so the
-        // first duals are meaningful (mirrors the monolithic path).
-        seed_columns(
-            instance,
-            pool,
-            options.seed_top_bundles,
-            |bidder, bundle| {
-                dw.add_native_column(dw_column_for(instance, bidder, bundle));
-            },
-        );
-    }
-
-    // Prime each channel block with its maximal fractional allocation (the
-    // extreme point at unit usage prices): the first master solve then has
-    // supply columns to pivot against instead of discovering the channel
-    // polytopes through several expensive near-cold re-solves.
-    let mut priming_duals = vec![0.0f64; n * k + n + k];
-    for d in priming_duals.iter_mut().take(n * k) {
-        *d = 1.0;
-    }
-    dw.prime_blocks(&priming_duals, &dw_options);
-
-    let mut no_oracle = |_: &[f64]| Vec::new();
-    let mut oracle = DwDemandOraclePricing {
-        instance,
-        top: options.multi_column_pricing,
-    };
-    let source: &mut dyn ColumnSource = if options.enumerate_all_bundles {
-        &mut no_oracle
-    } else {
-        &mut oracle
-    };
-    let (solution, converged, stats) = match dw.solve(source, &dw_options) {
-        Ok(result) => (result.solution, result.converged, result.stats),
-        // Same graceful degradation as the monolithic path: the partial
-        // solution is used but marked non-converged (the strict path turns
-        // it into a typed error below, via the solution status).
-        Err(DantzigWolfeError::MasterIterationLimit { partial, stats }) => {
-            (*partial, false, *stats)
-        }
-    };
-    let status = solution.status;
-    let native_columns = dw
-        .master()
-        .columns()
-        .iter()
-        .filter(|c| is_native_tag(c.tag))
-        .count();
-    let info = RelaxationInfo::from_dw(&solution, &stats, native_columns);
-    let fractional = extract(
-        instance,
-        dw.master(),
-        solution,
-        converged,
-        info,
-        options.support_tolerance,
-    );
-    if strict {
-        strict_status_error(status, &fractional)?;
-    }
-    Ok(fractional)
-}
-
 /// Convenience: solve the relaxation with exhaustive bundle enumeration
 /// (exact LP optimum; exponential in `k`).
 pub fn solve_relaxation_explicit(instance: &AuctionInstance) -> FractionalAssignment {
@@ -1047,12 +697,6 @@ pub fn solve_relaxation_explicit(instance: &AuctionInstance) -> FractionalAssign
 /// Convenience: default column-generation solve.
 pub fn solve_relaxation_oracle(instance: &AuctionInstance) -> FractionalAssignment {
     solve_relaxation(instance, &LpFormulationOptions::default())
-}
-
-/// Convenience: Dantzig–Wolfe decomposed solve with default engine options.
-pub fn solve_relaxation_decomposed(instance: &AuctionInstance) -> FractionalAssignment {
-    let options = LpFormulationOptions::default().with_master_mode(MasterMode::DantzigWolfe);
-    solve_relaxation(instance, &options)
 }
 
 /// Returns simplex options tuned for larger masters (looser tolerance, more
@@ -1112,105 +756,6 @@ mod tests {
             frac.objective
         );
         assert!(frac.satisfies_constraints(&inst, 1e-7));
-    }
-
-    /// Mixed-valuation path instance shared by the Dantzig–Wolfe
-    /// equivalence tests.
-    fn dw_test_instance() -> AuctionInstance {
-        let g = ConflictGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)]);
-        let bidders: Vec<Arc<dyn Valuation>> = vec![
-            xor_bidder(3, vec![(vec![0], 3.0), (vec![0, 1], 5.0)]),
-            Arc::new(AdditiveValuation::new(vec![2.0, 2.5, 1.0])),
-            xor_bidder(3, vec![(vec![1], 4.0), (vec![2], 2.0)]),
-            Arc::new(TabularValuation::new(
-                3,
-                vec![
-                    (ChannelSet::from_channels([0]), 1.5),
-                    (ChannelSet::from_channels([0, 2]), 6.0),
-                ],
-            )),
-            xor_bidder(3, vec![(vec![0, 1, 2], 7.0)]),
-        ];
-        AuctionInstance::new(
-            3,
-            bidders,
-            ConflictStructure::Binary(g),
-            VertexOrdering::identity(5),
-            1.0,
-        )
-    }
-
-    #[test]
-    fn dantzig_wolfe_reaches_the_monolithic_optimum() {
-        let inst = dw_test_instance();
-        let monolithic = solve_relaxation_oracle(&inst);
-        let dw = solve_relaxation_decomposed(&inst);
-        assert!(monolithic.converged);
-        assert!(dw.converged);
-        assert!(
-            (dw.objective - monolithic.objective).abs() < 1e-5 * (1.0 + monolithic.objective),
-            "dw {} vs monolithic {}",
-            dw.objective,
-            monolithic.objective
-        );
-        assert!(dw.satisfies_constraints(&inst, 1e-6));
-        assert_eq!(dw.info.mode, MasterMode::DantzigWolfe);
-        assert_eq!(monolithic.info.mode, MasterMode::Monolithic);
-        assert!(dw.info.subproblem_pivots > 0, "blocks must have priced");
-        assert_eq!(
-            dw.info.per_round_iterations.iter().sum::<usize>(),
-            dw.info.simplex_iterations
-        );
-    }
-
-    #[test]
-    fn dantzig_wolfe_matches_explicit_enumeration() {
-        let inst = dw_test_instance();
-        let explicit = solve_relaxation_explicit(&inst);
-        let options = LpFormulationOptions {
-            enumerate_all_bundles: true,
-            ..Default::default()
-        }
-        .with_master_mode(MasterMode::DantzigWolfe);
-        let dw = solve_relaxation(&inst, &options);
-        assert!(
-            (dw.objective - explicit.objective).abs() < 1e-5 * (1.0 + explicit.objective),
-            "dw-explicit {} vs explicit {}",
-            dw.objective,
-            explicit.objective
-        );
-        assert!(dw.satisfies_constraints(&inst, 1e-6));
-    }
-
-    #[test]
-    fn dantzig_wolfe_agrees_on_weighted_conflicts() {
-        let mut g = WeightedConflictGraph::new(3);
-        g.set_weight(0, 1, 0.6);
-        g.set_weight(1, 0, 0.6);
-        g.set_weight(1, 2, 0.5);
-        g.set_weight(2, 1, 0.5);
-        let bidders = vec![
-            xor_bidder(2, vec![(vec![0], 2.0), (vec![0, 1], 3.0)]),
-            xor_bidder(2, vec![(vec![0], 1.5), (vec![1], 2.5)]),
-            xor_bidder(2, vec![(vec![1], 2.0)]),
-        ];
-        let inst = AuctionInstance::new(
-            2,
-            bidders,
-            ConflictStructure::Weighted(g),
-            VertexOrdering::identity(3),
-            1.0,
-        );
-        let monolithic = solve_relaxation_oracle(&inst);
-        let dw = solve_relaxation_decomposed(&inst);
-        assert!(dw.converged);
-        assert!(
-            (dw.objective - monolithic.objective).abs() < 1e-5 * (1.0 + monolithic.objective),
-            "dw {} vs monolithic {}",
-            dw.objective,
-            monolithic.objective
-        );
-        assert!(dw.satisfies_constraints(&inst, 1e-6));
     }
 
     #[test]
@@ -1296,6 +841,37 @@ mod tests {
         let frac = solve_relaxation_oracle(&inst);
         assert!((frac.objective - 2.0).abs() < 1e-6);
         assert!(frac.satisfies_constraints(&inst, 1e-7));
+    }
+
+    #[test]
+    fn oracle_and_explicit_formulations_agree_on_weighted_conflicts() {
+        let mut g = WeightedConflictGraph::new(3);
+        g.set_weight(0, 1, 0.6);
+        g.set_weight(1, 0, 0.6);
+        g.set_weight(1, 2, 0.5);
+        g.set_weight(2, 1, 0.5);
+        let bidders = vec![
+            xor_bidder(2, vec![(vec![0], 2.0), (vec![0, 1], 3.0)]),
+            xor_bidder(2, vec![(vec![0], 1.5), (vec![1], 2.5)]),
+            xor_bidder(2, vec![(vec![1], 2.0)]),
+        ];
+        let inst = AuctionInstance::new(
+            2,
+            bidders,
+            ConflictStructure::Weighted(g),
+            VertexOrdering::identity(3),
+            1.0,
+        );
+        let explicit = solve_relaxation_explicit(&inst);
+        let oracle = solve_relaxation_oracle(&inst);
+        assert!(oracle.converged);
+        assert!(
+            (oracle.objective - explicit.objective).abs() < 1e-5 * (1.0 + explicit.objective),
+            "oracle {} vs explicit {}",
+            oracle.objective,
+            explicit.objective
+        );
+        assert!(oracle.satisfies_constraints(&inst, 1e-6));
     }
 
     #[test]

@@ -53,8 +53,8 @@ use crate::valuation::Valuation;
 use serde::{Deserialize, Serialize};
 use ssa_conflict_graph::{ConflictGraph, VertexOrdering, WeightedConflictGraph};
 use ssa_lp::{
-    is_native_tag, ColumnGenerationError, ColumnPool, ColumnSource, GeneratedColumn, MasterMode,
-    MasterProblem, Relation, Sense,
+    is_native_tag, ColumnGenerationError, ColumnPool, ColumnSource, GeneratedColumn, MasterProblem,
+    Relation, Sense,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -179,8 +179,8 @@ pub struct SessionStats {
     /// Resolves answered from the cached fractional solution (no pending
     /// mutations).
     pub cached_resolves: usize,
-    /// Resolves that rebuilt the master (first solve, departures, ρ/channel
-    /// changes, and every Dantzig–Wolfe resolve) — warm-from-pool, not from
+    /// Resolves that rebuilt the master (first solve, ρ/channel changes, and
+    /// every resolve with bundle enumeration on) — warm-from-pool, not from
     /// a recorded basis.
     pub cold_resolves: usize,
     /// Resolves that absorbed appended bidder rows through the dual-simplex
@@ -314,7 +314,7 @@ enum Staleness {
     Rebuild,
 }
 
-/// The monolithic-master column of `(bidder, bundle)` under the session's
+/// The master column of `(bidder, bundle)` under the session's
 /// row layout (which may differ from the canonical `v·k + j` layout once
 /// bidders have been appended mid-session).
 fn session_column_for(
@@ -345,28 +345,15 @@ struct SessionOracle<'a> {
     instance: &'a AuctionInstance,
     row_vj: &'a [Vec<usize>],
     row_bidder: &'a [usize],
-    top: usize,
 }
 
 impl ColumnSource for SessionOracle<'_> {
     fn generate(&mut self, duals: &[f64]) -> Vec<GeneratedColumn> {
         let instance = self.instance;
-        let k = instance.num_channels;
         demand_oracle_columns(
             instance,
             duals,
-            self.top,
-            |bidder| {
-                (0..k)
-                    .map(|j| {
-                        instance
-                            .forward_rows(bidder, j)
-                            .into_iter()
-                            .map(|(v, w)| w * duals[self.row_vj[v][j]])
-                            .sum()
-                    })
-                    .collect()
-            },
+            |v, j| self.row_vj[v][j],
             |bidder| self.row_bidder[bidder],
             |bidder, bundle| {
                 session_column_for(instance, bidder, bundle, self.row_vj, self.row_bidder)
@@ -392,9 +379,8 @@ pub struct AuctionSession {
     /// `LpFormulationOptions::column_pool_capacity` with
     /// LRU-by-usefulness eviction.
     pool: ColumnPool,
-    /// The cached restricted master (monolithic mode only) with its warm
-    /// basis, or `None` before the first resolve / after a structural
-    /// mutation.
+    /// The cached restricted master with its warm basis, or `None` before
+    /// the first resolve / after a structural mutation.
     master: Option<MasterProblem>,
     /// Session row layout: `row_vj[v][j]` is the master row of constraint
     /// `(v, j)`, `row_bidder[v]` the bidder-`v` row. Canonical after a
@@ -422,8 +408,8 @@ pub struct AuctionSession {
     /// clean re-resolve skips the (deterministic) rounding stage too.
     last_outcome: Option<AuctionOutcome>,
     /// Canonical-layout duals of the most recent converged resolve (see
-    /// [`DualCertificate`]); `None` on the Dantzig–Wolfe / enumerated paths
-    /// and after failed solves.
+    /// [`DualCertificate`]); `None` on the enumerated path and after failed
+    /// solves.
     last_certificate: Option<DualCertificate>,
     /// Raw master-row duals captured inside the most recent
     /// column-generation run, remapped into `last_certificate` by
@@ -444,12 +430,6 @@ impl AuctionSession {
             instance.num_channels <= 32,
             "the LP formulation packs bundles into 32-bit column tags (k ≤ 32)"
         );
-        let mut options = options;
-        // Sessions pin the master mode once, at the opening instance's
-        // shape: auto-select flipping modes mid-session would discard the
-        // cached master exactly when it is most valuable.
-        options.lp.master_mode = options.lp.resolved_master_mode(&instance);
-        options.lp.auto_master_mode = false;
         let pool = ColumnPool::with_capacity(options.lp.column_pool_capacity);
         AuctionSession {
             instance,
@@ -494,9 +474,8 @@ impl AuctionSession {
 
     /// Canonical-layout dual prices of the most recent resolve — valid only
     /// while the session is clean (no mutations since). `None` on the
-    /// Dantzig–Wolfe and enumerate-all-bundles paths, where the session
-    /// holds no monolithic master to read duals from; auditors fall back to
-    /// a re-solve there.
+    /// enumerate-all-bundles path, where the session holds no master to
+    /// read duals from; auditors fall back to a re-solve there.
     pub fn last_certificate(&self) -> Option<&DualCertificate> {
         if self.staleness == Staleness::Clean {
             self.last_certificate.as_ref()
@@ -562,8 +541,7 @@ impl AuctionSession {
     }
 
     fn can_grow_incrementally(&self) -> bool {
-        self.options.lp.master_mode == MasterMode::Monolithic
-            && !self.options.lp.enumerate_all_bundles
+        !self.options.lp.enumerate_all_bundles
             && self.staleness != Staleness::Rebuild
             && self.master.is_some()
     }
@@ -575,7 +553,7 @@ impl AuctionSession {
     /// the newcomer's constraint rows see all of its conflicting
     /// predecessors). Returns the new bidder's index.
     ///
-    /// On the monolithic warm path the newcomer's `k` interference rows and
+    /// On the warm path the newcomer's `k` interference rows and
     /// bidder row are appended to the cached master via
     /// [`MasterProblem::add_row`]; the next [`resolve`](Self::resolve)
     /// absorbs them with a dual-simplex reoptimization instead of a cold
@@ -672,7 +650,7 @@ impl AuctionSession {
 
     /// A bidder departs; bidders above it shift down by one.
     ///
-    /// On the monolithic warm path the departure is absorbed **in place** —
+    /// On the warm path the departure is absorbed **in place** —
     /// the basis-preserving removal: the departed bidder's columns are
     /// fixed at zero, its `k + 1` rows are deactivated behind relief
     /// columns ([`MasterProblem::deactivate_rows`]), and surviving columns
@@ -681,8 +659,8 @@ impl AuctionSession {
     /// [`resolve`](Self::resolve) resumes with ordinary primal pivots —
     /// departures take the cheap re-pricing shape instead of a
     /// warm-from-pool rebuild. Deadweight is compacted away once it passes
-    /// `LpFormulationOptions::compaction_threshold`. Other configurations
-    /// (Dantzig–Wolfe, enumerated masters) still rebuild from the pool.
+    /// `LpFormulationOptions::compaction_threshold`. Sessions that enumerate
+    /// every bundle still rebuild from the pool.
     ///
     /// # Panics
     /// Panics if `bidder` is out of range or it is the last bidder left.
@@ -771,8 +749,8 @@ impl AuctionSession {
         }
     }
 
-    /// A bidder re-bids: its valuation is replaced. On the monolithic warm
-    /// path the bidder's pool columns are **re-priced in place** (the
+    /// A bidder re-bids: its valuation is replaced. On the warm path the
+    /// bidder's pool columns are **re-priced in place** (the
     /// recorded basis stays primal feasible — only objective coefficients
     /// move), so the next resolve resumes with ordinary primal pivots; the
     /// demand oracle is then consulted as usual for genuinely new bundles.
@@ -1001,13 +979,10 @@ impl AuctionSession {
         // accounting the tests and the e15 bench assert on.
         let pool_hits_before = self.pool.hits();
         let pool_evictions_before = self.pool.evictions();
-        let (mut fractional, path_counter) = if self.options.lp.master_mode
-            == MasterMode::DantzigWolfe
-            || self.options.lp.enumerate_all_bundles
-        {
-            // No incremental path for the decomposed / enumerated masters
-            // yet: every resolve is a pool-seeded from-scratch solve. No
-            // monolithic master means no duals to certify with either.
+        let (mut fractional, path_counter) = if self.options.lp.enumerate_all_bundles {
+            // No incremental path for the enumerated master: every resolve
+            // is a pool-seeded from-scratch solve. No cached master means
+            // no duals to certify with either.
             self.pending_duals = None;
             let fractional = try_solve_relaxation_with_pool(
                 &self.instance,
@@ -1222,7 +1197,6 @@ impl AuctionSession {
             instance: &self.instance,
             row_vj: &self.row_vj,
             row_bidder: &self.row_bidder,
-            top: self.options.lp.multi_column_pricing,
         };
         let cg = &self.options.lp.column_generation;
         let support_tolerance = self.options.lp.support_tolerance;
@@ -1313,7 +1287,7 @@ impl AuctionSession {
                 insert(bidder, bundle);
             }
         } else {
-            // Dantzig–Wolfe / enumerated path: absorb the support.
+            // Enumerated path: absorb the support.
             for e in &fractional.entries {
                 insert(e.bidder, e.bundle);
             }
@@ -1672,9 +1646,9 @@ mod tests {
     }
 
     #[test]
-    fn dantzig_wolfe_sessions_solve_pool_seeded() {
+    fn enumerated_sessions_solve_pool_seeded() {
         let mut session = SolverBuilder::new()
-            .master_mode(MasterMode::DantzigWolfe)
+            .enumerate_all_bundles(true)
             .session(path_instance(5, 2));
         assert_matches_scratch(&mut session);
         session.update_valuation(1, xor_bidder(2, vec![(vec![0], 12.0)]));
@@ -1684,8 +1658,10 @@ mod tests {
             BidderConflicts::Binary(vec![0, 2]),
         );
         assert_matches_scratch(&mut session);
-        // every DW resolve is pool-seeded cold
+        // every enumerated resolve is pool-seeded cold and carries no
+        // certificate (there is no cached master to read duals from)
         assert_eq!(session.stats().cold_resolves, 3);
+        assert!(session.last_certificate().is_none());
     }
 
     #[test]
@@ -1753,7 +1729,7 @@ mod tests {
             let fractional = session.resolve_relaxation().expect("resolve failed");
             let cert = session
                 .last_certificate()
-                .expect("monolithic converged resolve must carry a certificate");
+                .expect("a converged resolve must carry a certificate");
             let n = session.instance().num_bidders();
             let k = session.instance().num_channels;
             assert_eq!(cert.vj.len(), n * k);

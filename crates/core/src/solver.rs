@@ -24,7 +24,7 @@ use crate::lp_formulation::{
 use crate::rounding::{round_binary, round_weighted_partial, RoundingOptions, RoundingStats};
 use crate::session::AuctionSession;
 use serde::{Deserialize, Serialize};
-use ssa_lp::{BasisKind, MasterMode, PricingRule};
+use ssa_lp::{BasisKind, PricingRule};
 
 /// Typed failure of the solving pipeline, returned by the fallible entry
 /// points ([`SpectrumAuctionSolver::try_solve`],
@@ -98,13 +98,8 @@ impl std::error::Error for SolveError {}
 ///
 /// ```
 /// use ssa_core::solver::SolverBuilder;
-/// use ssa_core::{BasisKind, MasterMode, PricingRule};
 ///
-/// let solver = SolverBuilder::new()
-///     .engine(PricingRule::Devex, BasisKind::SparseLu)
-///     .master_mode(MasterMode::Monolithic)
-///     .rounding(7, 32)
-///     .build();
+/// let solver = SolverBuilder::new().seed_top_bundles(4).rounding(7, 32).build();
 /// # let _ = solver;
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -122,19 +117,12 @@ impl SolverOptions {
         self.lp = self.lp.with_engine(pricing, basis);
         self
     }
-
-    /// Selects how the relaxation master is solved (monolithic vs
-    /// Dantzig–Wolfe decomposition) at the pipeline level.
-    pub fn with_master_mode(mut self, mode: MasterMode) -> Self {
-        self.lp = self.lp.with_master_mode(mode);
-        self
-    }
 }
 
 /// The one way to configure the pipeline: a fluent builder covering the LP
-/// engine, the master decomposition mode, column generation and the
-/// rounding stage, producing either a one-shot [`SpectrumAuctionSolver`] or
-/// a long-lived incremental [`AuctionSession`].
+/// engine, column generation and the rounding stage, producing either a
+/// one-shot [`SpectrumAuctionSolver`] or a long-lived incremental
+/// [`AuctionSession`].
 ///
 /// Replaces the former `SolverOptions` → `LpFormulationOptions` →
 /// `SimplexOptions` → `RoundingOptions` nesting (each with its own `with_*`
@@ -147,8 +135,7 @@ pub struct SolverBuilder {
 
 impl SolverBuilder {
     /// Starts from the default configuration (steepest-edge pricing ×
-    /// Forrest–Tomlin LU, monolithic master, 16 rounding trials with
-    /// seed 1).
+    /// Forrest–Tomlin LU, top-4 seeding, 16 rounding trials with seed 1).
     pub fn new() -> Self {
         SolverBuilder::default()
     }
@@ -175,42 +162,6 @@ impl SolverBuilder {
     ///   the engine already falls back to it automatically after stalls.
     pub fn engine(mut self, pricing: PricingRule, basis: BasisKind) -> Self {
         self.options.lp = self.options.lp.with_engine(pricing, basis);
-        self
-    }
-
-    /// Selects how the relaxation master is solved: one monolithic LP or
-    /// the Dantzig–Wolfe decomposition with per-channel subproblems.
-    pub fn master_mode(mut self, mode: MasterMode) -> Self {
-        self.options.lp = self.options.lp.with_master_mode(mode);
-        self
-    }
-
-    /// Selects the dual-stabilization policy of the column-generation
-    /// pricing trajectory ([`ssa_lp::Stabilization`]), applied by both
-    /// master modes:
-    ///
-    /// * `Off` — price at the raw master duals (the classic loop).
-    /// * `Smoothing { alpha }` — price at a convex combination of a
-    ///   running stability center and the current duals (Neame-style
-    ///   in-out pricing). Damps the dual oscillation that degenerate /
-    ///   alternate-optima masters induce, usually cutting both the round
-    ///   count and the generated-column count; an exactness guard
-    ///   re-prices at the true duals before optimality is declared, so
-    ///   the optimum is unchanged.
-    /// * `BoxStep { penalty, width }` — du Merle-style soft dual boxes
-    ///   around the incumbent duals, shrinking on mispricing (maximize
-    ///   masters only).
-    pub fn stabilization(mut self, stabilization: ssa_lp::Stabilization) -> Self {
-        self.options.lp = self.options.lp.with_stabilization(stabilization);
-        self
-    }
-
-    /// Lets demand oracles return up to `p` improving bundles per bidder
-    /// per pricing round
-    /// ([`crate::valuation::Valuation::demand_top`]); `1` is classic
-    /// single-column pricing.
-    pub fn multi_column_pricing(mut self, p: usize) -> Self {
-        self.options.lp.multi_column_pricing = p.max(1);
         self
     }
 
@@ -465,21 +416,17 @@ pub struct OutcomeSummary {
     pub pricing: PricingRule,
     /// Basis factorization of the simplex engine.
     pub basis: BasisKind,
-    /// How the relaxation master was solved (monolithic vs Dantzig–Wolfe).
-    pub master_mode: MasterMode,
     /// Whether column generation converged (the LP value is the optimum).
     pub lp_converged: bool,
     /// Column-generation pricing rounds.
     pub lp_rounds: usize,
-    /// Oracle pricing rounds (see `RelaxationInfo::pricing_rounds` — on
-    /// the Dantzig–Wolfe path this was previously accumulated but never
-    /// surfaced here).
+    /// Oracle pricing rounds (see `RelaxationInfo::pricing_rounds`).
     pub pricing_rounds: usize,
     /// Simplex pivots across every master re-solve.
     pub simplex_iterations: usize,
     /// Pivots of each master re-solve in order (capped to the most recent
-    /// `ssa_lp::ROUND_SERIES_CAP` rounds) — the per-round trajectory both
-    /// master modes record, so a serialized snapshot shows *where* the
+    /// `ssa_lp::ROUND_SERIES_CAP` rounds) — the per-round trajectory, so a
+    /// serialized snapshot shows *where* the
     /// pivots went without a bench rerun.
     pub per_round_master_iterations: Vec<usize>,
     /// Columns the master adopted in each pricing round, in order (same
@@ -487,8 +434,6 @@ pub struct OutcomeSummary {
     pub columns_per_round: Vec<usize>,
     /// Total columns adopted across all pricing rounds.
     pub columns_generated: usize,
-    /// Stabilization mispricing events (0 when stabilization is off).
-    pub stabilization_misprices: usize,
     /// Columns adopted from the session's managed column pool (0 on
     /// one-shot solves).
     pub pool_hits: usize,
@@ -502,8 +447,6 @@ pub struct OutcomeSummary {
     pub forced_refactorizations: usize,
     /// Dual-simplex reoptimization pivots (row-addition repairs).
     pub dual_pivots: usize,
-    /// Pivots inside Dantzig–Wolfe pricing subproblems (0 when monolithic).
-    pub subproblem_pivots: usize,
     /// Master rows deactivated in place (session departures absorbed on the
     /// basis-preserving path; 0 on one-shot solves). Lets serialized
     /// snapshots attribute churn-path regressions without re-running.
@@ -528,7 +471,7 @@ impl OutcomeSummary {
     /// attribution fields are copied from [`AuctionOutcome::lp_info`], so a
     /// serialized snapshot records *which* engine configuration produced the
     /// numbers — perf regressions in `BENCH_e12.json`-style tables can then
-    /// be attributed (mode switch? pivot blow-up? lost convergence?) without
+    /// be attributed (engine switch? pivot blow-up? lost convergence?) without
     /// re-running the bench.
     pub fn new(instance: &AuctionInstance, outcome: &AuctionOutcome) -> Self {
         OutcomeSummary {
@@ -542,7 +485,6 @@ impl OutcomeSummary {
             num_served: outcome.allocation.num_served(),
             pricing: outcome.lp_info.pricing,
             basis: outcome.lp_info.basis,
-            master_mode: outcome.lp_info.mode,
             lp_converged: outcome.lp_converged,
             lp_rounds: outcome.lp_info.rounds,
             pricing_rounds: outcome.lp_info.pricing_rounds,
@@ -550,13 +492,11 @@ impl OutcomeSummary {
             per_round_master_iterations: outcome.lp_info.per_round_iterations.clone(),
             columns_per_round: outcome.lp_info.columns_per_round.clone(),
             columns_generated: outcome.lp_info.columns_generated,
-            stabilization_misprices: outcome.lp_info.stabilization_misprices,
             pool_hits: outcome.lp_info.pool_hits,
             pool_evictions: outcome.lp_info.pool_evictions,
             refactorizations: outcome.lp_info.refactorizations,
             forced_refactorizations: outcome.lp_info.forced_refactorizations,
             dual_pivots: outcome.lp_info.dual_pivots,
-            subproblem_pivots: outcome.lp_info.subproblem_pivots,
             rows_deactivated: outcome.lp_info.rows_deactivated,
             compactions: outcome.lp_info.compactions,
             ftran_sparse_hits: outcome.lp_info.ftran_sparse_hits,

@@ -58,16 +58,16 @@ pub trait Valuation: Send + Sync {
         best
     }
 
-    /// Multi-column demand oracle: up to `p` **distinct** bundles in
+    /// Top-`p` demand oracle: up to `p` **distinct** bundles in
     /// non-increasing utility order, each with strictly positive utility
-    /// at `prices`, led by the [`Valuation::demand`] bundle. Column
-    /// generation uses this to pull several improving columns per pricing
-    /// round ([`crate::lp_formulation::LpFormulationOptions::multi_column_pricing`]),
-    /// shrinking the round count without changing the optimum.
+    /// at `prices`, led by the [`Valuation::demand`] bundle. The master is
+    /// seeded with each bidder's top bundles at zero prices
+    /// ([`crate::lp_formulation::LpFormulationOptions::seed_top_bundles`]);
+    /// the pricing loop asks for `p = 1`.
     ///
-    /// The default returns just the demand bundle (so `p = 1` reproduces
-    /// single-column pricing exactly); structured bidding languages
-    /// override it where runner-up bundles are cheap to enumerate.
+    /// The default returns just the demand bundle; structured bidding
+    /// languages override it where runner-up bundles are cheap to
+    /// enumerate.
     fn demand_top(&self, prices: &[f64], p: usize) -> Vec<ChannelSet> {
         let best = self.demand(prices);
         if p == 0 || best.is_empty() {

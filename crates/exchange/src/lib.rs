@@ -190,9 +190,6 @@ pub struct LpActivity {
     pub pricing_rounds: usize,
     /// Columns adopted by the masters across every pricing round.
     pub columns_generated: usize,
-    /// Stabilization mispricing events (smoothed/boxed duals priced
-    /// nothing, the true-dual guard found work); 0 with stabilization off.
-    pub stabilization_misprices: usize,
     /// Columns adopted from the sessions' managed column pools.
     pub pool_hits: usize,
     /// Pool entries evicted by the capacity bound.
@@ -205,8 +202,6 @@ pub struct LpActivity {
     pub forced_refactorizations: usize,
     /// Dual-simplex row-repair pivots (the arrival-absorption path).
     pub dual_pivots: usize,
-    /// Dantzig–Wolfe pricing-subproblem pivots.
-    pub subproblem_pivots: usize,
     /// Master rows deactivated in place (departure path); lifetime gauge
     /// deltas summed across shards.
     pub rows_deactivated: usize,
@@ -360,7 +355,7 @@ impl ExchangeBuilder {
     }
 
     /// Configures the per-market sessions through a [`SolverBuilder`]
-    /// (engine, master mode, rounding, …).
+    /// (engine, seed depth, rounding, …).
     pub fn solver(mut self, builder: SolverBuilder) -> Self {
         self.options = builder.options();
         self
@@ -793,14 +788,12 @@ fn accumulate_lp(into: &mut LpActivity, from: &LpActivity) {
     into.rounds += from.rounds;
     into.pricing_rounds += from.pricing_rounds;
     into.columns_generated += from.columns_generated;
-    into.stabilization_misprices += from.stabilization_misprices;
     into.pool_hits += from.pool_hits;
     into.pool_evictions += from.pool_evictions;
     into.simplex_iterations += from.simplex_iterations;
     into.refactorizations += from.refactorizations;
     into.forced_refactorizations += from.forced_refactorizations;
     into.dual_pivots += from.dual_pivots;
-    into.subproblem_pivots += from.subproblem_pivots;
     into.rows_deactivated += from.rows_deactivated;
     into.compactions += from.compactions;
     into.absorb_sparsity(
@@ -875,14 +868,12 @@ fn accumulate_info(
     lp.rounds += info.rounds;
     lp.pricing_rounds += info.pricing_rounds;
     lp.columns_generated += info.columns_generated;
-    lp.stabilization_misprices += info.stabilization_misprices;
     lp.pool_hits += info.pool_hits;
     lp.pool_evictions += info.pool_evictions;
     lp.simplex_iterations += info.simplex_iterations;
     lp.refactorizations += info.refactorizations;
     lp.forced_refactorizations += info.forced_refactorizations;
     lp.dual_pivots += info.dual_pivots;
-    lp.subproblem_pivots += info.subproblem_pivots;
     lp.rows_deactivated += info
         .rows_deactivated
         .saturating_sub(shard.seen_rows_deactivated);
@@ -1063,6 +1054,43 @@ mod tests {
             5,
             "net mutation is empty"
         );
+    }
+
+    /// A drain whose net mutation replaces every original bidder: the
+    /// coalesced emission must not empty the session on the way.
+    #[test]
+    fn coalesced_drain_that_replaces_every_bidder_resolves() {
+        let resolve = |coalescing: bool| {
+            let mut ex = SpectrumExchange::builder().coalescing(coalescing).build();
+            ex.open_market(MarketId(0), instance(2, 7)).unwrap();
+            let events = vec![
+                MarketEvent::Arrival {
+                    valuation: val(5.0),
+                    neighbors: vec![0],
+                },
+                MarketEvent::Departure { bidder: 1 },
+                MarketEvent::Departure { bidder: 0 },
+            ];
+            for event in events {
+                ex.submit(MarketId(0), event).unwrap();
+            }
+            let report = ex.resolve_dirty().unwrap();
+            assert_eq!(report.resolves.len(), 1);
+            let outcome = report.resolves[0].outcome.clone();
+            let bidders = ex
+                .with_session(MarketId(0), |s| s.instance().num_bidders())
+                .unwrap();
+            (outcome, bidders)
+        };
+        let (coalesced, bidders) = resolve(true);
+        let (sequential, _) = resolve(false);
+        assert_eq!(bidders, 1, "only the newcomer remains");
+        assert!(coalesced.lp_converged);
+        assert_eq!(
+            coalesced.allocation.bundles(),
+            sequential.allocation.bundles()
+        );
+        assert!((coalesced.welfare - sequential.welfare).abs() < 1e-9);
     }
 
     #[test]

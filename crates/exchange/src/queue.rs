@@ -24,6 +24,12 @@
 //! order followed by the surviving arrivals in arrival order, with exactly
 //! the recorded conflicts among survivors — under both orders.
 //!
+//! One exception keeps the session non-empty: when every original bidder
+//! departs and some arrival survives, the departure of bidder 0 is held
+//! back until the first surviving arrival is in. That arrival has no
+//! surviving neighbors (all of them departed or were cancelled), and the
+//! held departure shifts it to index 0, its final position.
+//!
 //! The emitted arrivals are additionally split into **waves** capped below
 //! the session's deep-batch wall (`LpFormulationOptions::deep_batch_rows`):
 //! each arrival materializes `k + 1` master rows at the next resolve, so a
@@ -157,24 +163,23 @@ impl Coalescer {
         Ok(())
     }
 
-    /// Emits the net mutation: `(prelude, arrivals)` where the prelude is
-    /// re-bids followed by descending departures, and arrivals are in
-    /// arrival order with final-roster neighbor indices.
-    fn emit(mut self) -> (Vec<MarketEvent>, Vec<MarketEvent>, CoalesceCounters) {
-        let mut prelude = Vec::with_capacity(self.rebids.len() + self.departed.len());
+    /// Emits the net mutation as one event sequence: re-bids, descending
+    /// departures, then arrivals in arrival order with final-roster
+    /// neighbor indices (see the module docs for the held-back departure
+    /// that keeps the session non-empty).
+    fn emit(mut self) -> (Vec<MarketEvent>, CoalesceCounters) {
+        let mut events =
+            Vec::with_capacity(self.rebids.len() + self.departed.len() + self.arrivals.len());
         let mut rebid_ids: Vec<usize> = self.rebids.keys().copied().collect();
         rebid_ids.sort_unstable();
         for id in rebid_ids {
             let valuation = self.rebids.remove(&id).expect("key just listed");
-            prelude.push(MarketEvent::Rebid {
+            events.push(MarketEvent::Rebid {
                 bidder: id,
                 valuation,
             });
         }
         self.departed.sort_unstable();
-        for &id in self.departed.iter().rev() {
-            prelude.push(MarketEvent::Departure { bidder: id });
-        }
 
         // Final index of every surviving virtual id: original bidders keep
         // their order (shifted down past departures), arrivals append.
@@ -192,7 +197,7 @@ impl Coalescer {
                 next += 1;
             }
         }
-        let arrivals = self
+        let mut arrivals = self
             .arrivals
             .into_iter()
             .flatten()
@@ -204,10 +209,45 @@ impl Coalescer {
                     .filter_map(|id| final_index.get(id).copied())
                     .collect(),
             })
-            .collect::<Vec<_>>();
-        self.counters.applied = prelude.len() + arrivals.len();
-        (prelude, arrivals, self.counters)
+            .peekable();
+
+        let empties_market = !self.departed.is_empty()
+            && self.departed.len() == self.base
+            && arrivals.peek().is_some();
+        let held = usize::from(empties_market);
+        for &id in self.departed[held..].iter().rev() {
+            events.push(MarketEvent::Departure { bidder: id });
+        }
+        if empties_market {
+            events.extend(arrivals.next());
+            events.push(MarketEvent::Departure { bidder: 0 });
+        }
+        events.extend(arrivals);
+        self.counters.applied = events.len();
+        (events, self.counters)
     }
+}
+
+/// Splits an event sequence into waves of at most `max_arrivals` arrivals
+/// each; non-arrival events ride in the wave they follow.
+fn split_waves(events: Vec<MarketEvent>, max_arrivals: usize) -> Vec<Vec<MarketEvent>> {
+    let mut waves: Vec<Vec<MarketEvent>> = Vec::new();
+    let mut wave: Vec<MarketEvent> = Vec::new();
+    let mut wave_arrivals = 0usize;
+    for event in events {
+        if matches!(event, MarketEvent::Arrival { .. }) {
+            if wave_arrivals == max_arrivals {
+                waves.push(std::mem::take(&mut wave));
+                wave_arrivals = 0;
+            }
+            wave_arrivals += 1;
+        }
+        wave.push(event);
+    }
+    if !wave.is_empty() {
+        waves.push(wave);
+    }
+    waves
 }
 
 /// The pending mutations of one market between drains.
@@ -290,56 +330,22 @@ impl PendingQueue {
         &mut self,
         max_arrivals: usize,
     ) -> (Vec<Vec<MarketEvent>>, CoalesceCounters) {
-        let max_arrivals = max_arrivals.max(1);
-        match self {
-            PendingQueue::Raw { events, present } => {
+        let (events, counters) = match self {
+            PendingQueue::Raw { events, .. } => {
                 let events = std::mem::take(events);
-                let mut counters = CoalesceCounters {
+                let counters = CoalesceCounters {
                     submitted: events.len(),
                     applied: events.len(),
                     ..CoalesceCounters::default()
                 };
-                let _ = present;
-                let mut waves: Vec<Vec<MarketEvent>> = Vec::new();
-                let mut wave: Vec<MarketEvent> = Vec::new();
-                let mut wave_arrivals = 0usize;
-                for event in events {
-                    if matches!(event, MarketEvent::Arrival { .. }) {
-                        if wave_arrivals == max_arrivals {
-                            waves.push(std::mem::take(&mut wave));
-                            wave_arrivals = 0;
-                        }
-                        wave_arrivals += 1;
-                    }
-                    wave.push(event);
-                }
-                if !wave.is_empty() {
-                    waves.push(wave);
-                }
-                counters.applied = waves.iter().map(|w| w.len()).sum();
-                (waves, counters)
+                (events, counters)
             }
             PendingQueue::Coalesced(c) => {
                 let present_after = c.roster.len();
-                let coalescer = std::mem::replace(c, Coalescer::new(present_after));
-                let (prelude, arrivals, counters) = coalescer.emit();
-                let mut waves: Vec<Vec<MarketEvent>> = Vec::new();
-                let mut first = prelude;
-                let mut arrivals = arrivals.into_iter();
-                first.extend(arrivals.by_ref().take(max_arrivals));
-                if !first.is_empty() {
-                    waves.push(first);
-                }
-                loop {
-                    let wave: Vec<MarketEvent> = arrivals.by_ref().take(max_arrivals).collect();
-                    if wave.is_empty() {
-                        break;
-                    }
-                    waves.push(wave);
-                }
-                (waves, counters)
+                std::mem::replace(c, Coalescer::new(present_after)).emit()
             }
-        }
+        };
+        (split_waves(events, max_arrivals.max(1)), counters)
     }
 }
 
@@ -552,6 +558,37 @@ mod tests {
         assert_eq!(counters.submitted, 3);
         assert_eq!(counters.applied, 3);
         assert_eq!(counters.rebids_collapsed, 0);
+    }
+
+    #[test]
+    fn draining_every_original_bidder_keeps_the_market_non_empty() {
+        let mut q = PendingQueue::new(true, 2);
+        q.push(MarketEvent::Arrival {
+            valuation: val(5.0),
+            neighbors: vec![0],
+        })
+        .unwrap();
+        q.push(MarketEvent::Departure { bidder: 1 }).unwrap();
+        q.push(MarketEvent::Departure { bidder: 0 }).unwrap();
+        let (waves, counters) = q.take_waves(64);
+        assert_eq!(waves.len(), 1);
+        let wave = &waves[0];
+        assert_eq!(wave.len(), 3);
+        // departure of 1, then the arrival (its only neighbor departs),
+        // then the held-back departure of 0
+        match &wave[0] {
+            MarketEvent::Departure { bidder } => assert_eq!(*bidder, 1),
+            other => panic!("expected departure of 1, got {other:?}"),
+        }
+        match &wave[1] {
+            MarketEvent::Arrival { neighbors, .. } => assert!(neighbors.is_empty()),
+            other => panic!("expected the arrival, got {other:?}"),
+        }
+        match &wave[2] {
+            MarketEvent::Departure { bidder } => assert_eq!(*bidder, 0),
+            other => panic!("expected departure of 0, got {other:?}"),
+        }
+        assert_eq!(counters.applied, 3);
     }
 
     #[test]

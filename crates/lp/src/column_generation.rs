@@ -1,5 +1,4 @@
-//! Column generation (restricted master + pricing oracle), single and
-//! batched.
+//! Column generation: a restricted master plus a pricing oracle.
 //!
 //! The paper's LP relaxations (1) and (4) have one variable `x_{v,T}` per
 //! bidder `v` and channel bundle `T ⊆ [k]` — exponentially many. Section 2.2
@@ -11,22 +10,11 @@
 //! at the bidder-specific channel prices `p_{v,j} = Σ_{u : v ∈ Γπ(u)} y_{u,j}`
 //! derived from the dual (2) of the paper.
 //!
-//! Besides the single-master loop ([`ColumnGeneration::run`]) there is a
-//! **batched cross-channel context** ([`BatchedMasters`]): a family of
-//! related masters — in the auction, one per channel — that share
-//!
-//! * a **column pool**: every column any oracle generates is offered to the
-//!   sibling masters (tested against *their* duals) before their oracles
-//!   are queried again, so one channel's discovery saves the others a
-//!   pricing round, and
-//! * **warm-start seeding**: a master with no recorded basis clones the
-//!   basis of an already-solved sibling with identical rows, so only the
-//!   first channel pays the cold start (the engine validates the seed and
-//!   silently falls back to a cold start when it does not fit).
-//!
-//! The same machinery drives the Lavi–Swamy decomposition (Section 5), whose
-//! master is a covering LP and whose pricing oracle is the approximation
-//! algorithm itself.
+//! The same loop ([`ColumnGeneration::run`]) drives the Lavi–Swamy
+//! decomposition (Section 5), whose master is a covering LP and whose
+//! pricing oracle is the approximation algorithm itself. A managed
+//! [`ColumnPool`] remembers discovered columns across solves (the auction
+//! session seeds rebuilt masters from it).
 //!
 //! **Row lifecycle.** Masters are no longer append-only:
 //! [`MasterProblem::deactivate_rows`] relaxes rows in place (each gains a
@@ -55,24 +43,16 @@ use serde::{Deserialize, Serialize};
 /// | range | meaning |
 /// |---|---|
 /// | `[0, 1<<62)` | native columns (caller tags) |
-/// | `[1<<62, 1<<63)` | dead columns — fixed at zero, tag tombstoned so the original native tag can be re-used |
-/// | `[1<<63, 3<<62)` | Dantzig–Wolfe block extreme points ([`crate::decomposition`]) |
-/// | `[3<<62, 7<<61)` | row-relief columns of deactivated rows |
-/// | `[7<<61, 2⁶⁴)` | dual-stabilization penalty columns ([`Stabilization::BoxStep`]) |
+/// | `[1<<62, 3<<62)` | dead columns — fixed at zero, tag tombstoned so the original native tag can be re-used |
+/// | `[3<<62, 2⁶⁴)` | row-relief columns of deactivated rows |
 pub const DEAD_COLUMN_TAG_BASE: u64 = 1 << 62;
 
 /// First tag of the row-relief range (see [`DEAD_COLUMN_TAG_BASE`]).
 pub const ROW_RELIEF_TAG_BASE: u64 = 0xC000_0000_0000_0000;
 
-/// First tag of the dual-stabilization range (see
-/// [`DEAD_COLUMN_TAG_BASE`]): box-step penalty columns installed by a
-/// stabilized pricing loop live here so extraction and relief-column
-/// invariants can tell them apart from row relief.
-pub const STABILIZATION_TAG_BASE: u64 = 0xE000_0000_0000_0000;
-
 /// Whether a master column tag is a native caller tag (as opposed to a
-/// solver-internal dead / block / relief / stabilization column).
-/// Extraction and column scans up the stack must skip non-native tags.
+/// solver-internal dead or relief column). Extraction and column scans up
+/// the stack must skip non-native tags.
 pub fn is_native_tag(tag: u64) -> bool {
     tag < DEAD_COLUMN_TAG_BASE
 }
@@ -80,85 +60,8 @@ pub fn is_native_tag(tag: u64) -> bool {
 /// Whether a master column tag marks a row-relief column of a deactivated
 /// row.
 pub fn is_relief_tag(tag: u64) -> bool {
-    (ROW_RELIEF_TAG_BASE..STABILIZATION_TAG_BASE).contains(&tag)
+    tag >= ROW_RELIEF_TAG_BASE
 }
-
-/// Whether a master column tag marks a box-step stabilization penalty
-/// column.
-pub fn is_stabilization_tag(tag: u64) -> bool {
-    tag >= STABILIZATION_TAG_BASE
-}
-
-/// Dual-stabilization policy for the pricing loops
-/// ([`ColumnGeneration::run`] and the Dantzig–Wolfe driver in
-/// [`crate::decomposition`]).
-///
-/// Alternate optima in the master make the duals oscillate between pricing
-/// rounds, and an oracle chasing the oscillation generates columns that a
-/// steadier dual trajectory would never have asked for. Both policies damp
-/// the trajectory while keeping the final answer **exact**:
-///
-/// * [`Smoothing`](Stabilization::Smoothing) prices the oracle at a convex
-///   combination of the incumbent stability center and the current duals
-///   (Neame-style smoothing): `ŷ ← α·ŷ + (1 − α)·y`. A round whose smoothed
-///   duals find nothing is **re-priced at the true duals** before
-///   optimality may be declared (the exactness guard); such a round counts
-///   as a *misprice* and resets the center to the true duals.
-/// * [`BoxStep`](Stabilization::BoxStep) augments the master with paired
-///   penalty columns that confine the duals to a soft box
-///   `[ŷ − width, ŷ + width]` around the center (du Merle-style, with one
-///   shared overflow budget row whose right-hand side is `penalty`). A
-///   converged round whose penalty machinery is still active is a
-///   misprice: the box **shrinks** (halved width, re-centered on the
-///   incumbent duals) and after [`MAX_BOX_SHRINKS`] shrinks it retires
-///   entirely, so the final rounds always run — and certify — against the
-///   unstabilized master.
-///
-/// `Off` is bitwise-identical to the historical loop.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub enum Stabilization {
-    /// No stabilization: price at the true master duals every round.
-    #[default]
-    Off,
-    /// Neame dual smoothing with factor `alpha` ∈ \[0, 1): 0 is equivalent
-    /// to `Off`, values near 1 trust the incumbent center almost entirely.
-    Smoothing {
-        /// Weight of the incumbent stability center in the convex
-        /// combination.
-        alpha: f64,
-    },
-    /// du Merle soft dual boxes: the duals pay to leave
-    /// `[center − width, center + width]`, with a shared overflow budget of
-    /// `penalty` units.
-    BoxStep {
-        /// Right-hand side of the shared overflow budget row (how much box
-        /// violation the master may buy in total).
-        penalty: f64,
-        /// Half-width of the dual box around the stability center.
-        width: f64,
-    },
-}
-
-impl Stabilization {
-    /// Short label for tables and logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stabilization::Off => "off",
-            Stabilization::Smoothing { .. } => "smoothing",
-            Stabilization::BoxStep { .. } => "box-step",
-        }
-    }
-
-    /// Whether this policy is [`Stabilization::Off`].
-    pub fn is_off(self) -> bool {
-        matches!(self, Stabilization::Off)
-    }
-}
-
-/// Box shrinks a [`Stabilization::BoxStep`] run performs before retiring
-/// the box entirely (a hard ceiling: retirement re-establishes the
-/// unstabilized loop's termination proof).
-pub const MAX_BOX_SHRINKS: usize = 8;
 
 /// Entries kept by a [`RoundSeries`] (the most recent ones win).
 pub const ROUND_SERIES_CAP: usize = 512;
@@ -321,8 +224,6 @@ pub struct MasterProblem {
     next_dead_tag: u64,
     /// Next tag for row-relief columns ([`ROW_RELIEF_TAG_BASE`]).
     next_relief_tag: u64,
-    /// Next tag for box-step penalty columns ([`STABILIZATION_TAG_BASE`]).
-    next_stab_tag: u64,
     /// Lifetime count of rows deactivated on this master (survives
     /// compaction — it is churn attribution, not a size).
     rows_deactivated: usize,
@@ -332,8 +233,8 @@ pub struct MasterProblem {
 
 /// Index maps returned by [`MasterProblem::compact`]: `None` marks a
 /// removed row / column, `Some(new)` the post-compaction index. Callers
-/// that track master row or column indices (the session's row layout, a
-/// decomposition's row map) must remap through this.
+/// that track master row or column indices (the session's row layout)
+/// must remap through this.
 #[derive(Clone, Debug)]
 pub struct CompactionReport {
     /// Old master row index → new master row index.
@@ -363,7 +264,6 @@ impl MasterProblem {
             last_dual_pivots: 0,
             next_dead_tag: DEAD_COLUMN_TAG_BASE,
             next_relief_tag: ROW_RELIEF_TAG_BASE,
-            next_stab_tag: STABILIZATION_TAG_BASE,
             rows_deactivated: 0,
             compactions: 0,
         }
@@ -530,7 +430,7 @@ impl MasterProblem {
         for &idx in cols {
             let col = &mut self.columns[idx];
             if col.tag >= DEAD_COLUMN_TAG_BASE {
-                continue; // already tombstoned (or a block column: keep)
+                continue; // already tombstoned
             }
             self.seen_tags.remove(&col.tag);
             col.objective = 0.0;
@@ -742,219 +642,9 @@ impl MasterProblem {
         self.warm.as_ref()
     }
 
-    /// Seeds the next solve with a basis recorded by a *different* master
-    /// over the same rows (cross-channel warm-start sharing). Only the
-    /// basis carries over — the donor's factorization was computed from a
-    /// different column set, so the engine refactorizes from *this*
-    /// master's columns. An unsuitable seed is harmless: the engine
-    /// validates it and falls back to a cold start.
-    pub fn seed_warm_start(&mut self, warm: WarmStart) {
-        self.warm = Some(warm.into_basis_only());
-    }
-
     /// Drops the recorded warm-start basis (the next solve is cold).
     pub fn reset_warm_start(&mut self) {
         self.warm = None;
-    }
-
-    /// Allocates a fresh tag in the stabilization range (monotone across
-    /// installs, so re-stabilizing a long-lived master never collides with
-    /// the retired columns of an earlier box).
-    fn alloc_stabilization_tag(&mut self) -> u64 {
-        let tag = self.next_stab_tag;
-        self.next_stab_tag += 1;
-        tag
-    }
-}
-
-/// Neame dual smoothing state: an exponentially smoothed stability center.
-/// See [`Stabilization::Smoothing`].
-#[derive(Clone, Debug)]
-pub(crate) struct DualSmoother {
-    alpha: f64,
-    center: Option<Vec<f64>>,
-}
-
-impl DualSmoother {
-    pub(crate) fn new(alpha: f64) -> Self {
-        DualSmoother {
-            alpha: alpha.clamp(0.0, 0.999),
-            center: None,
-        }
-    }
-
-    /// Advances the center toward `duals` and returns the smoothed pricing
-    /// point, or `None` when there is no established center yet (first
-    /// round, or the dual dimension changed under us — e.g. rows appended
-    /// mid-run): the caller then prices at the true duals.
-    pub(crate) fn advance(&mut self, duals: &[f64]) -> Option<Vec<f64>> {
-        if self.alpha <= 0.0 {
-            return None;
-        }
-        match &mut self.center {
-            Some(c) if c.len() == duals.len() => {
-                for (ci, &d) in c.iter_mut().zip(duals) {
-                    *ci = self.alpha * *ci + (1.0 - self.alpha) * d;
-                }
-                Some(c.clone())
-            }
-            _ => {
-                self.center = Some(duals.to_vec());
-                None
-            }
-        }
-    }
-
-    /// Resets the center to the given (true) duals — called after a
-    /// misprice so the next round starts from reality, not from the stale
-    /// trajectory that just mispriced.
-    pub(crate) fn reset_to(&mut self, duals: &[f64]) {
-        self.center = Some(duals.to_vec());
-    }
-}
-
-/// du Merle soft dual boxes installed on a master — the
-/// [`Stabilization::BoxStep`] machinery. See the enum docs for the model;
-/// the implementation detail worth knowing is the **shared overflow
-/// budget**: instead of bounding every penalty column individually (which
-/// would double the row count), one `Σ(gᵣ + hᵣ) ≤ penalty` row bounds the
-/// total box violation the master may buy, so the whole box costs one row
-/// and `2·m` columns.
-///
-/// Only **maximization** masters are stabilized this way (the auction's
-/// packing masters and the Dantzig–Wolfe master): on a minimization
-/// master the penalty columns would *relax* covering rows, which can make
-/// the augmented LP unbounded. `install` on a minimization master returns
-/// a retired (no-op) stabilizer.
-#[derive(Clone, Debug)]
-pub(crate) struct BoxStabilizer {
-    budget_row: usize,
-    boxed_rows: Vec<usize>,
-    lift: Vec<usize>,
-    cap: Vec<usize>,
-    width: f64,
-    shrinks: usize,
-    retired: bool,
-}
-
-impl BoxStabilizer {
-    /// Installs the box on every currently active master row, centered at
-    /// `duals` (the incumbent optimal duals). Appends one budget row and
-    /// two columns per boxed row; the next `solve_warm` goes through the
-    /// row-addition path.
-    pub(crate) fn install(
-        master: &mut MasterProblem,
-        duals: &[f64],
-        penalty: f64,
-        width: f64,
-    ) -> Self {
-        if master.lp.sense() != Sense::Maximize {
-            return BoxStabilizer {
-                budget_row: 0,
-                boxed_rows: Vec::new(),
-                lift: Vec::new(),
-                cap: Vec::new(),
-                width,
-                shrinks: 0,
-                retired: true,
-            };
-        }
-        let rows_before = master.num_rows().min(duals.len());
-        let budget_row = master.add_row(Relation::Le, penalty.max(0.0), Vec::new());
-        let mut boxed_rows = Vec::new();
-        let mut lift = Vec::new();
-        let mut cap = Vec::new();
-        for (r, &dual) in duals.iter().enumerate().take(rows_before) {
-            if !master.is_row_active(r) {
-                continue;
-            }
-            let lo = (dual - width).max(0.0);
-            let hi = dual + width;
-            let lift_idx = master.num_columns();
-            let tag = master.alloc_stabilization_tag();
-            master.add_column(GeneratedColumn {
-                objective: lo,
-                coeffs: vec![(r, 1.0), (budget_row, 1.0)],
-                tag,
-            });
-            let cap_idx = master.num_columns();
-            let tag = master.alloc_stabilization_tag();
-            master.add_column(GeneratedColumn {
-                objective: -hi,
-                coeffs: vec![(r, -1.0), (budget_row, 1.0)],
-                tag,
-            });
-            boxed_rows.push(r);
-            lift.push(lift_idx);
-            cap.push(cap_idx);
-        }
-        BoxStabilizer {
-            budget_row,
-            boxed_rows,
-            lift,
-            cap,
-            width,
-            shrinks: 0,
-            retired: false,
-        }
-    }
-
-    pub(crate) fn is_active(&self) -> bool {
-        !self.retired
-    }
-
-    /// Whether the box machinery is inactive in this solution: every
-    /// penalty column at (numerical) zero and the budget row's dual at
-    /// zero. Only then do the master's duals certify the *unstabilized*
-    /// optimum (see the termination argument in the enum docs).
-    pub(crate) fn clean(&self, solution: &LpSolution, tolerance: f64) -> bool {
-        if self.retired {
-            return true;
-        }
-        let value_of = |idx: usize| solution.x.get(idx).copied().unwrap_or(0.0);
-        let columns_clean = self
-            .lift
-            .iter()
-            .chain(self.cap.iter())
-            .all(|&idx| value_of(idx).abs() <= tolerance);
-        let budget_dual = solution.duals.get(self.budget_row).copied().unwrap_or(0.0);
-        columns_clean && budget_dual.abs() <= tolerance
-    }
-
-    /// Misprice response: re-center on the incumbent duals with half the
-    /// width, or retire entirely after [`MAX_BOX_SHRINKS`] shrinks.
-    /// Objective-only updates — the recorded basis stays valid.
-    pub(crate) fn shrink(&mut self, master: &mut MasterProblem, duals: &[f64]) {
-        if self.retired {
-            return;
-        }
-        self.shrinks += 1;
-        if self.shrinks > MAX_BOX_SHRINKS {
-            self.retire(master);
-            return;
-        }
-        self.width *= 0.5;
-        for (i, &r) in self.boxed_rows.iter().enumerate() {
-            let center = duals.get(r).copied().unwrap_or(0.0);
-            let lo = (center - self.width).max(0.0);
-            let hi = center + self.width;
-            master.set_column_objective(self.lift[i], lo);
-            master.set_column_objective(self.cap[i], -hi);
-        }
-    }
-
-    /// Removes the box from play: the penalty columns are fixed at zero
-    /// (barred from every future basis). The budget row stays behind but
-    /// only ever constrains the fixed columns, so it is permanently slack.
-    pub(crate) fn retire(&mut self, master: &mut MasterProblem) {
-        if self.retired {
-            return;
-        }
-        let cols: Vec<usize> = self.lift.iter().chain(self.cap.iter()).copied().collect();
-        if !cols.is_empty() {
-            master.fix_columns(&cols);
-        }
-        self.retired = true;
     }
 }
 
@@ -975,19 +665,14 @@ pub struct ColumnGenerationResult {
     /// sessions don't grow it without bound.
     pub per_round_iterations: RoundSeries,
     /// Columns adopted per pricing round (same capping) — the trajectory
-    /// observable: a healthy stabilized run adopts steadily and then dries
-    /// up, an oscillating one keeps re-discovering.
+    /// observable: a healthy run adopts steadily and then dries up, an
+    /// oscillating one keeps re-discovering.
     pub columns_per_round: RoundSeries,
     /// Rounds in which the pricing oracle was actually queried (the final
-    /// confirming round included; master-only rounds such as box-step
-    /// shrink re-solves are not).
+    /// confirming round included).
     pub pricing_rounds: usize,
     /// Total columns adopted by the master during this run.
     pub columns_generated: usize,
-    /// Rounds where pricing at the stabilized duals found nothing but the
-    /// exactness guard's true-dual re-price (or box-shrink re-solve) kept
-    /// the loop going. Always 0 when stabilization is off.
-    pub stabilization_misprices: usize,
     /// Basis refactorizations across every master re-solve.
     pub refactorizations: usize,
     /// The subset of [`refactorizations`](Self::refactorizations) forced by
@@ -1027,7 +712,6 @@ impl ColumnGenerationResult {
             columns_per_round: RoundSeries::new(),
             pricing_rounds: 0,
             columns_generated: 0,
-            stabilization_misprices: 0,
             refactorizations: stats.refactorizations,
             forced_refactorizations: stats.forced_refactorizations,
             degenerate_pivots: stats.degenerate_pivots,
@@ -1112,20 +796,6 @@ pub struct ColumnGeneration {
     /// Reduced-cost tolerance below which a column is not considered
     /// improving.
     pub reduced_cost_tolerance: f64,
-    /// Dual-trajectory stabilization policy (see [`Stabilization`]). The
-    /// exactness guard makes every policy reach the same optimum as
-    /// [`Stabilization::Off`]; only the trajectory (rounds, columns
-    /// generated) differs.
-    pub stabilization: Stabilization,
-    /// At most this many columns are adopted per pricing round, keeping
-    /// the most improving by |reduced cost| (`0` = unbounded). On wide
-    /// masters a single round can return one improving column per
-    /// subproblem — hundreds at once — and the re-solve then fights
-    /// through their mutual degeneracy pivot by pivot; adopting only the
-    /// strongest candidates keeps each re-solve cheap. Exactness is
-    /// unaffected: a capped round still adopts at least one column, so
-    /// convergence is only ever declared on a genuinely empty round.
-    pub max_columns_per_round: usize,
 }
 
 impl Default for ColumnGeneration {
@@ -1134,35 +804,22 @@ impl Default for ColumnGeneration {
             simplex: SimplexOptions::default(),
             max_rounds: 200,
             reduced_cost_tolerance: 1e-7,
-            stabilization: Stabilization::default(),
-            max_columns_per_round: 0,
         }
     }
 }
 
-/// Filters `cols` to the improving ones and adds at most `cap` of them
-/// (the most improving by |reduced cost|; `0` = all) to the master.
-/// Returns how many the master actually adopted.
+/// Adds the improving columns among `cols` to the master. Returns how many
+/// the master actually adopted.
 fn adopt_improving(
     master: &mut MasterProblem,
-    mut cols: Vec<GeneratedColumn>,
+    cols: Vec<GeneratedColumn>,
     duals: &[f64],
     sense: Sense,
     tolerance: f64,
-    cap: usize,
 ) -> usize {
-    cols.retain(|c| c.is_improving(duals, sense, tolerance));
-    if cap != 0 && cols.len() > cap {
-        cols.sort_by(|a, b| {
-            let ra = a.reduced_cost(duals).abs();
-            let rb = b.reduced_cost(duals).abs();
-            rb.partial_cmp(&ra).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        cols.truncate(cap);
-    }
     let mut added = 0usize;
     for col in cols {
-        if master.add_column(col) {
+        if col.is_improving(duals, sense, tolerance) && master.add_column(col) {
             added += 1;
         }
     }
@@ -1175,12 +832,6 @@ impl ColumnGeneration {
     /// duals to `source`, and add every returned column that has improving
     /// reduced cost. Terminates when no new improving column arrives or
     /// `max_rounds` is reached.
-    ///
-    /// With [`Stabilization`] enabled the oracle is priced at the
-    /// stabilized duals instead; a stabilized round that finds nothing is
-    /// re-priced at the **true** duals (smoothing) or answered with a box
-    /// shrink (box-step) before optimality may be declared, so `Ok` with
-    /// `converged == true` means the genuine optimum under every policy.
     ///
     /// # Errors
     /// Returns [`ColumnGenerationError::IterationLimit`] when a master
@@ -1196,16 +847,10 @@ impl ColumnGeneration {
         let mut rounds = 0usize;
         let mut pricing_rounds = 0usize;
         let mut columns_generated = 0usize;
-        let mut misprices = 0usize;
         let mut columns_per_round = RoundSeries::new();
         let mut tally: Option<ColumnGenerationResult> = None;
-        let mut smoother = match self.stabilization {
-            Stabilization::Smoothing { alpha } => Some(DualSmoother::new(alpha)),
-            _ => None,
-        };
-        let mut boxer: Option<BoxStabilizer> = None;
-        // `Ok(converged)` breaks the loop; the tally is finished (and the
-        // box retired) on the single exit path below.
+        // `Ok(converged)` breaks the loop; the tally is finished on the
+        // single exit path below.
         let outcome: Result<bool, ()> = loop {
             let solution = master.solve_warm(&self.simplex);
             rounds += 1;
@@ -1235,85 +880,25 @@ impl ColumnGeneration {
             if solution.status != LpStatus::Optimal {
                 break Ok(false);
             }
-            // Box-step: the first optimal solve of a non-empty master
-            // centers and installs the box; the appended rows/columns
-            // re-solve on the next round (pricing this round still sees
-            // the true, unboxed duals). An empty master's duals are all
-            // zero — no trajectory worth boxing yet.
-            if let Stabilization::BoxStep { penalty, width } = self.stabilization {
-                if boxer.is_none() && master.num_columns() > 0 {
-                    boxer = Some(BoxStabilizer::install(
-                        master,
-                        &solution.duals,
-                        penalty,
-                        width,
-                    ));
-                }
-            }
-            // Price at the stabilized duals when a trajectory is
-            // established; the very first round (and any round after a
-            // dimension change) prices at the true duals.
-            let smoothed = smoother.as_mut().and_then(|s| s.advance(&solution.duals));
-            let pricing_duals: &[f64] = smoothed.as_deref().unwrap_or(&solution.duals);
             pricing_rounds += 1;
-            let mut added = adopt_improving(
+            let added = adopt_improving(
                 master,
-                source.generate(pricing_duals),
-                pricing_duals,
+                source.generate(&solution.duals),
+                &solution.duals,
                 sense,
                 self.reduced_cost_tolerance,
-                self.max_columns_per_round,
             );
-            if added == 0 && smoothed.is_some() {
-                // Exactness guard: the smoothed round found nothing, which
-                // proves nothing about the true duals. Re-price at them
-                // before convergence may be declared.
-                added = adopt_improving(
-                    master,
-                    source.generate(&solution.duals),
-                    &solution.duals,
-                    sense,
-                    self.reduced_cost_tolerance,
-                    self.max_columns_per_round,
-                );
-                if added > 0 {
-                    misprices += 1;
-                    if let Some(s) = &mut smoother {
-                        s.reset_to(&solution.duals);
-                    }
-                }
-            }
             columns_per_round.push(added);
             columns_generated += added;
-            if added > 0 {
-                continue;
+            if added == 0 {
+                break Ok(true);
             }
-            // Nothing prices out. Under box-step the duals only certify
-            // optimality once the box machinery is inactive; otherwise
-            // this is a misprice and the box shrinks (retiring after
-            // MAX_BOX_SHRINKS), forcing another master round.
-            if let Some(b) = &mut boxer {
-                if b.is_active() && !b.clean(&solution, self.reduced_cost_tolerance.max(1e-9)) {
-                    misprices += 1;
-                    b.shrink(master, &solution.duals);
-                    continue;
-                }
-            }
-            break Ok(true);
         };
-        // Leave the master unstabilized for whoever reuses it (sessions):
-        // penalty columns are fixed at zero, which keeps the recorded
-        // basis valid and never disturbs the final solution (their values
-        // are zero in any converged answer by the guard above).
-        if let Some(b) = &mut boxer {
-            b.retire(master);
-        }
         let mut t = tally.take().expect("at least one master solve ran");
         t.rounds = rounds;
         t.pricing_rounds = pricing_rounds;
         t.columns_per_round = columns_per_round;
         t.columns_generated = columns_generated;
-        t.stabilization_misprices = misprices;
         match outcome {
             Ok(converged) => {
                 t.converged = converged;
@@ -1338,9 +923,8 @@ pub struct PooledColumn {
     /// The column itself (its coefficients are meaningful only relative to
     /// the origin master's rows).
     pub column: GeneratedColumn,
-    /// Caller-defined origin id (in [`BatchedMasters`]: the index of the
-    /// master whose oracle produced it; pool sharing only offers a column
-    /// to masters whose rows equal the origin's).
+    /// Caller-defined origin id (in the auction session: the bidder whose
+    /// bundle this is).
     pub origin: usize,
     /// Pool scan clock at insertion.
     pub born_scan: u64,
@@ -1359,11 +943,8 @@ pub struct PooledColumn {
 /// and LRU-by-usefulness eviction (fewest hits first, least-recently-hit
 /// among ties).
 ///
-/// This promotes what used to be three parallel `Vec`/`HashSet` fields
-/// inside [`BatchedMasters`] (and the ad-hoc `(bidder, bundle)` list in
-/// the auction session) into one reusable structure with observable
-/// counters: [`hits`](Self::hits), [`evictions`](Self::evictions),
-/// [`insertions`](Self::insertions).
+/// Its counters are observable: [`hits`](Self::hits),
+/// [`evictions`](Self::evictions), [`insertions`](Self::insertions).
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ColumnPool {
     entries: Vec<PooledColumn>,
@@ -1529,280 +1110,6 @@ impl ColumnPool {
             }
         }
         self.entries = kept;
-    }
-}
-
-/// Per-channel statistics of a [`BatchedMasters`] run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct ChannelRunStats {
-    /// Pricing rounds this channel's master was re-solved.
-    pub rounds: usize,
-    /// Simplex pivots across this channel's master re-solves.
-    pub simplex_iterations: usize,
-    /// Columns this channel adopted from the shared pool (discovered by a
-    /// sibling's oracle).
-    pub columns_from_pool: usize,
-    /// Columns this channel's own oracle contributed.
-    pub columns_from_oracle: usize,
-    /// Whether this channel reached proven optimality.
-    pub converged: bool,
-}
-
-/// Result of a batched cross-channel column-generation run.
-#[derive(Clone, Debug)]
-pub struct BatchedResult {
-    /// Per-channel results (same order as the masters).
-    pub channels: Vec<ColumnGenerationResult>,
-    /// Per-channel iteration/adoption statistics — the measurable batching
-    /// win (satellite: per-channel counts instead of a single global total).
-    pub per_channel: Vec<ChannelRunStats>,
-    /// Size of the shared column pool at the end of the run.
-    pub pool_size: usize,
-    /// Pool adoptions recorded across the run ([`ColumnPool::hits`]).
-    pub pool_hits: usize,
-    /// Pool evictions across the run ([`ColumnPool::evictions`]).
-    pub pool_evictions: usize,
-    /// Round-robin sweeps performed.
-    pub sweeps: usize,
-}
-
-/// A family of related restricted masters (in the auction: one per channel)
-/// sharing one batched solve context — a common column pool and cross-seeded
-/// basis warm starts — instead of independent re-solves.
-#[derive(Clone, Debug)]
-pub struct BatchedMasters {
-    masters: Vec<MasterProblem>,
-    /// The managed shared pool: every column any oracle has generated,
-    /// with usefulness metadata and bounded LRU-by-usefulness eviction.
-    /// A pooled column records the master whose oracle produced it as its
-    /// origin and is only offered to masters whose rows equal the
-    /// origin's — row *indices* alone are not identity (a coefficient on
-    /// "row 0" means something else under a different rhs or relation).
-    pool: ColumnPool,
-    /// Per master: [`ColumnPool::insertions`] watermark at its last visit
-    /// (the has-the-pool-grown-since signal; `len` would regress under
-    /// eviction).
-    offered: Vec<usize>,
-}
-
-impl BatchedMasters {
-    /// Wraps the given masters in a shared context with a
-    /// [`DEFAULT_POOL_CAPACITY`]-bounded pool. The masters may have
-    /// different rows — both pool sharing and warm-start seeding then only
-    /// happen between masters with identical rows.
-    pub fn new(masters: Vec<MasterProblem>) -> Self {
-        Self::with_pool_capacity(masters, DEFAULT_POOL_CAPACITY)
-    }
-
-    /// Like [`new`](Self::new) with an explicit pool capacity
-    /// (0 = unbounded).
-    pub fn with_pool_capacity(masters: Vec<MasterProblem>, capacity: usize) -> Self {
-        let offered = vec![0; masters.len()];
-        BatchedMasters {
-            masters,
-            pool: ColumnPool::with_capacity(capacity),
-            offered,
-        }
-    }
-
-    /// The shared column pool (read-only; adds go through
-    /// [`add_column`](Self::add_column)).
-    pub fn pool(&self) -> &ColumnPool {
-        &self.pool
-    }
-
-    /// Number of masters in the context.
-    pub fn num_masters(&self) -> usize {
-        self.masters.len()
-    }
-
-    /// The masters (channel order preserved).
-    pub fn masters(&self) -> &[MasterProblem] {
-        &self.masters
-    }
-
-    /// Mutable access to one master (e.g. to seed initial columns).
-    pub fn master_mut(&mut self, c: usize) -> &mut MasterProblem {
-        &mut self.masters[c]
-    }
-
-    /// Adds a column to master `c` **and** publishes it to the shared pool
-    /// (for siblings whose rows equal `c`'s).
-    pub fn add_column(&mut self, c: usize, column: GeneratedColumn) -> bool {
-        let added = self.masters[c].add_column(column.clone());
-        self.pool.offer(column, c);
-        added
-    }
-
-    /// Seeds master `c`'s warm start from an already-solved sibling with
-    /// identical rows, so only the first channel of a family pays the cold
-    /// start. No-op when `c` already has a basis or no sibling fits.
-    fn seed_from_sibling(&mut self, c: usize) {
-        if self.masters[c].warm_start().is_some() {
-            return;
-        }
-        let rows = self.masters[c].rows().to_vec();
-        let seed = self
-            .masters
-            .iter()
-            .enumerate()
-            .filter(|&(s, m)| s != c && m.rows() == rows.as_slice())
-            .find_map(|(_, m)| m.warm_start().cloned());
-        if let Some(warm) = seed {
-            self.masters[c].seed_warm_start(warm);
-        }
-    }
-
-    /// Offers pool columns to master `c` at the given duals; returns how
-    /// many were adopted.
-    ///
-    /// The **whole** pool is rescanned every time (tag de-duplication skips
-    /// columns the master already holds): a column rejected at one round's
-    /// duals can become improving after other columns pivot in, so a
-    /// forward-only cursor would silently withhold it and the channel would
-    /// settle on a non-optimal master. Only columns whose *origin master
-    /// has identical rows* are offered — a coefficient on "row i" is only
-    /// meaningful under the same relation and right-hand side, so matching
-    /// row counts alone would adopt semantically foreign columns.
-    fn offer_pool(&mut self, c: usize, duals: &[f64], tolerance: f64) -> usize {
-        let sense = self.masters[c].lp.sense();
-        let masters = &self.masters;
-        let rows_c = masters[c].rows();
-        let improving = self.pool.scan(duals, sense, tolerance, |e| {
-            (e.origin == c || masters[e.origin].rows() == rows_c)
-                && !masters[c].contains_tag(e.column.tag)
-        });
-        let mut adopted = 0usize;
-        for col in improving {
-            let tag = col.tag;
-            if self.masters[c].add_column(col) {
-                self.pool.note_hit(tag);
-                adopted += 1;
-            }
-        }
-        // `offered` is only the has-the-pool-grown-since-my-last-visit
-        // signal for the outer sweep loop; adoption no longer consumes it.
-        self.offered[c] = self.pool.insertions();
-        adopted
-    }
-
-    /// Runs the batched column-generation loop. Channels are **drained in
-    /// sequence**: each channel's master is re-solved (warm-started, seeding
-    /// from a sibling on the first visit), adopts every improving pool
-    /// column in bulk, then queries its own oracle — until a visit adds
-    /// nothing. Draining (rather than round-robin) is what makes the pool
-    /// pay: the first channel's oracle discovers the column set one pricing
-    /// round at a time, and every later channel absorbs it in a handful of
-    /// bulk re-solves instead of re-running the same discovery. Outer
-    /// sweeps repeat until no channel has pending pool columns or oracle
-    /// progress.
-    ///
-    /// # Errors
-    /// Propagates the first channel whose master hits the simplex pivot
-    /// budget, as [`ColumnGenerationError::IterationLimit`].
-    pub fn run(
-        &mut self,
-        cg: &ColumnGeneration,
-        sources: &mut [&mut dyn ColumnSource],
-    ) -> Result<BatchedResult, ColumnGenerationError> {
-        assert_eq!(sources.len(), self.masters.len(), "one oracle per master");
-        let k = self.masters.len();
-        let mut stats: Vec<ChannelRunStats> = vec![ChannelRunStats::default(); k];
-        let mut results: Vec<Option<ColumnGenerationResult>> = (0..k).map(|_| None).collect();
-        // a channel is revisited while it has pending pool columns or its
-        // own oracle keeps producing
-        let mut settled = vec![false; k];
-        let mut sweeps = 0usize;
-        loop {
-            let mut visited_any = false;
-            for c in 0..k {
-                while !(settled[c] && self.offered[c] == self.pool.insertions()) {
-                    if stats[c].rounds >= cg.max_rounds {
-                        settled[c] = true;
-                        self.offered[c] = self.pool.insertions();
-                        break;
-                    }
-                    visited_any = true;
-                    self.seed_from_sibling(c);
-                    let solution = self.masters[c].solve_warm(&cg.simplex);
-                    stats[c].rounds += 1;
-                    stats[c].simplex_iterations += solution.iterations;
-                    match &mut results[c] {
-                        None => {
-                            results[c] = Some(ColumnGenerationResult::from_single(
-                                solution.clone(),
-                                0,
-                                false,
-                            ))
-                        }
-                        Some(t) => {
-                            t.absorb_solve(&solution);
-                            t.solution = solution.clone();
-                        }
-                    }
-                    if solution.status == LpStatus::IterationLimit {
-                        let mut partial = results[c].take().expect("tallied above");
-                        partial.rounds = stats[c].rounds;
-                        return Err(ColumnGenerationError::IterationLimit {
-                            partial: Box::new(partial),
-                        });
-                    }
-                    if solution.status != LpStatus::Optimal {
-                        settled[c] = true;
-                        self.offered[c] = self.pool.insertions(); // cannot price further
-                        break;
-                    }
-                    let adopted = self.offer_pool(c, &solution.duals, cg.reduced_cost_tolerance);
-                    stats[c].columns_from_pool += adopted;
-                    let sense = self.masters[c].lp.sense();
-                    let mut oracle_added = false;
-                    for col in sources[c].generate(&solution.duals) {
-                        if col.is_improving(&solution.duals, sense, cg.reduced_cost_tolerance) {
-                            let tag_is_new = !self.pool.contains_tag(col.tag);
-                            if self.add_column(c, col) {
-                                // Any successful add is progress (the master
-                                // must re-solve), even when the tag was
-                                // already pooled by a sibling — only genuinely
-                                // new tags count toward the oracle stat.
-                                oracle_added = true;
-                                if tag_is_new {
-                                    stats[c].columns_from_oracle += 1;
-                                }
-                            }
-                        }
-                    }
-                    if adopted == 0 && !oracle_added {
-                        settled[c] = true;
-                        stats[c].converged = true;
-                    } else {
-                        settled[c] = false;
-                        stats[c].converged = false;
-                    }
-                }
-            }
-            if !visited_any {
-                break;
-            }
-            sweeps += 1;
-        }
-        let channels: Vec<ColumnGenerationResult> = results
-            .into_iter()
-            .zip(stats.iter())
-            .map(|(r, s)| {
-                let mut r = r.expect("every channel is visited at least once");
-                r.rounds = s.rounds;
-                r.converged = s.converged;
-                r
-            })
-            .collect();
-        Ok(BatchedResult {
-            channels,
-            per_channel: stats,
-            pool_size: self.pool.len(),
-            pool_hits: self.pool.hits(),
-            pool_evictions: self.pool.evictions(),
-            sweeps,
-        })
     }
 }
 
@@ -2120,44 +1427,6 @@ mod tests {
     }
 
     #[test]
-    fn per_round_adoption_cap_ranks_by_reduced_cost_and_stays_exact() {
-        // Three unit-capacity rows; the source proposes one singleton
-        // column per uncovered row every round. With a cap of 1 the driver
-        // must adopt the most improving candidate first (largest
-        // objective at zero duals) and still reach the full optimum of 6.
-        let rows = vec![
-            (Relation::Le, 1.0),
-            (Relation::Le, 1.0),
-            (Relation::Le, 1.0),
-        ];
-        let mut master = MasterProblem::new(Sense::Maximize, rows);
-        let mut source = |duals: &[f64]| {
-            (0..3usize)
-                .filter_map(|r| {
-                    let col = GeneratedColumn {
-                        objective: (r + 1) as f64,
-                        coeffs: vec![(r, 1.0)],
-                        tag: r as u64,
-                    };
-                    (col.reduced_cost(duals) > 1e-7).then_some(col)
-                })
-                .collect::<Vec<_>>()
-        };
-        let cg = ColumnGeneration {
-            max_columns_per_round: 1,
-            ..Default::default()
-        };
-        let result = cg.run(&mut master, &mut source).expect("capped run");
-        assert!(result.converged);
-        assert!((result.solution.objective - 6.0).abs() < 1e-7);
-        assert_eq!(result.columns_generated, 3);
-        assert!(result.columns_per_round.iter().all(|&c| c <= 1));
-        // Adoption order is strongest-first: tags 2, 1, 0.
-        let adopted: Vec<u64> = master.columns().iter().map(|c| c.tag).collect();
-        assert_eq!(adopted, vec![2, 1, 0]);
-    }
-
-    #[test]
     fn covering_master_in_minimization_sense() {
         // min Σ λ_l s.t. coverage >= demand; columns are "patterns".
         // Two rows with demand 1 each; pattern A covers row 0, pattern B
@@ -2195,201 +1464,6 @@ mod tests {
         assert!(result.converged);
         assert!((result.solution.objective - 1.0).abs() < 1e-6);
         assert_eq!(master.num_columns(), 3);
-    }
-
-    /// A family of k knapsack channels over the same items: batched and
-    /// independent runs must reach the same per-channel optima, and the
-    /// batched run must source most columns from the pool.
-    #[test]
-    fn batched_masters_match_independent_runs() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let k = 4;
-        let n = 12;
-        let mut rng = StdRng::seed_from_u64(777);
-        let weights: Vec<f64> = (0..n).map(|_| rng.random_range(0.5..3.0)).collect();
-        let capacity = 6.0;
-        // The pool shares columns *by tag*, so all channels must price a tag
-        // identically: the channels here are the same knapsack (the paper's
-        // symmetric-channel situation), which is exactly when batching pays.
-        let base: Vec<f64> = (0..n).map(|_| rng.random_range(1.0..10.0)).collect();
-
-        let build_rows = || {
-            let mut rows = vec![(Relation::Le, capacity)];
-            for _ in 0..n {
-                rows.push((Relation::Le, 1.0));
-            }
-            rows
-        };
-        let make_source = |values: Vec<f64>, weights: Vec<f64>| {
-            move |duals: &[f64]| -> Vec<GeneratedColumn> {
-                let mut best: Option<(f64, GeneratedColumn)> = None;
-                for i in 0..values.len() {
-                    let col = GeneratedColumn {
-                        objective: values[i],
-                        coeffs: vec![(0, weights[i]), (i + 1, 1.0)],
-                        tag: i as u64,
-                    };
-                    let rc = col.reduced_cost(duals);
-                    if rc > 1e-7 && best.as_ref().map(|(b, _)| rc > *b).unwrap_or(true) {
-                        best = Some((rc, col));
-                    }
-                }
-                best.map(|(_, c)| c).into_iter().collect()
-            }
-        };
-
-        let shared_values = base.clone();
-
-        let cg = ColumnGeneration::default();
-
-        // independent (the PR 1 baseline): one warm-started run per channel
-        let mut independent = Vec::new();
-        for _ in 0..k {
-            let mut master = MasterProblem::new(Sense::Maximize, build_rows());
-            let mut src = make_source(shared_values.clone(), weights.clone());
-            let r = cg
-                .run(&mut master, &mut src)
-                .expect("independent run failed");
-            independent.push(r);
-        }
-
-        // batched: same masters, shared context
-        let masters: Vec<MasterProblem> = (0..k)
-            .map(|_| MasterProblem::new(Sense::Maximize, build_rows()))
-            .collect();
-        let mut batched = BatchedMasters::new(masters);
-        let result = {
-            let mut srcs: Vec<_> = (0..k)
-                .map(|_| make_source(shared_values.clone(), weights.clone()))
-                .collect();
-            let mut src_refs: Vec<&mut dyn ColumnSource> = srcs
-                .iter_mut()
-                .map(|s| s as &mut dyn ColumnSource)
-                .collect();
-            batched.run(&cg, &mut src_refs).expect("batched run failed")
-        };
-
-        assert_eq!(result.channels.len(), k);
-        let mut pool_adoptions = 0usize;
-        for (c, ind) in independent.iter().enumerate() {
-            assert!(result.per_channel[c].converged, "channel {c} must converge");
-            assert!(
-                (result.channels[c].solution.objective - ind.solution.objective).abs() < 1e-6,
-                "channel {c}: batched {} vs independent {}",
-                result.channels[c].solution.objective,
-                ind.solution.objective
-            );
-            pool_adoptions += result.per_channel[c].columns_from_pool;
-        }
-        assert!(
-            pool_adoptions > 0,
-            "identical channels must adopt columns from the shared pool"
-        );
-        // the batching win: strictly fewer total master re-solves than the
-        // independent per-channel loops
-        let batched_rounds: usize = result.per_channel.iter().map(|s| s.rounds).sum();
-        let independent_rounds: usize = independent.iter().map(|r| r.rounds).sum();
-        assert!(
-            batched_rounds < independent_rounds,
-            "batched {batched_rounds} rounds vs independent {independent_rounds}"
-        );
-    }
-
-    #[test]
-    fn batched_masters_with_mismatched_rows_stay_correct() {
-        // The channels have different rows, so NO pool column may cross
-        // between them (a coefficient on "row 0" means different things
-        // under different rhs) and each must converge to its own optimum.
-        let rows0 = vec![(Relation::Le, 2.0), (Relation::Le, 1.0)];
-        let rows1 = vec![(Relation::Le, 2.0)];
-        let m0 = MasterProblem::new(Sense::Maximize, rows0);
-        let m1 = MasterProblem::new(Sense::Maximize, rows1);
-        let mut batched = BatchedMasters::new(vec![m0, m1]);
-        let mut s0 = |duals: &[f64]| {
-            let col = GeneratedColumn {
-                objective: 3.0,
-                coeffs: vec![(0, 1.0), (1, 1.0)],
-                tag: 100,
-            };
-            if col.reduced_cost(duals) > 1e-7 {
-                vec![col]
-            } else {
-                Vec::new()
-            }
-        };
-        let mut s1 = |duals: &[f64]| {
-            let col = GeneratedColumn {
-                objective: 1.0,
-                coeffs: vec![(0, 1.0)],
-                tag: 200,
-            };
-            if col.reduced_cost(duals) > 1e-7 {
-                vec![col]
-            } else {
-                Vec::new()
-            }
-        };
-        let mut refs: Vec<&mut dyn ColumnSource> = vec![&mut s0, &mut s1];
-        let cg = ColumnGeneration::default();
-        let result = batched.run(&cg, &mut refs).expect("batched run failed");
-        assert!(result.per_channel.iter().all(|s| s.converged));
-        // own optima, no cross-contamination
-        assert!((result.channels[0].solution.objective - 3.0).abs() < 1e-6);
-        assert!((result.channels[1].solution.objective - 2.0).abs() < 1e-6);
-        assert_eq!(result.per_channel[0].columns_from_pool, 0);
-        assert_eq!(result.per_channel[1].columns_from_pool, 0);
-    }
-
-    #[test]
-    fn pool_columns_rejected_once_are_reoffered_at_later_duals() {
-        // Channel 0 pools X (obj 4, row 0) and V (obj 9, row 1). Channel 1
-        // starts from a pre-seeded column A (obj 10, both rows): at A's
-        // duals one of X/V prices out, but after the other pivots in the
-        // duals shift and the rejected one becomes improving. A forward-only
-        // offer cursor would withhold it forever and channel 1 would settle
-        // at 10; the rescanning pool must deliver both and reach 13 even
-        // though channel 1's own oracle produces nothing.
-        let rows = || vec![(Relation::Le, 1.0), (Relation::Le, 1.0)];
-        let m0 = MasterProblem::new(Sense::Maximize, rows());
-        let mut m1 = MasterProblem::new(Sense::Maximize, rows());
-        m1.add_column(GeneratedColumn {
-            objective: 10.0,
-            coeffs: vec![(0, 1.0), (1, 1.0)],
-            tag: 0,
-        });
-        let mut batched = BatchedMasters::new(vec![m0, m1]);
-        let mut s0 = |duals: &[f64]| {
-            let candidates = [
-                GeneratedColumn {
-                    objective: 4.0,
-                    coeffs: vec![(0, 1.0)],
-                    tag: 1,
-                },
-                GeneratedColumn {
-                    objective: 9.0,
-                    coeffs: vec![(1, 1.0)],
-                    tag: 2,
-                },
-            ];
-            candidates
-                .into_iter()
-                .filter(|c| c.reduced_cost(duals) > 1e-7)
-                .collect()
-        };
-        let mut s1 = |_: &[f64]| Vec::<GeneratedColumn>::new();
-        let mut refs: Vec<&mut dyn ColumnSource> = vec![&mut s0, &mut s1];
-        let cg = ColumnGeneration::default();
-        let result = batched.run(&cg, &mut refs).expect("batched run failed");
-        assert!(result.per_channel.iter().all(|s| s.converged));
-        assert!((result.channels[0].solution.objective - 13.0).abs() < 1e-6);
-        assert!(
-            (result.channels[1].solution.objective - 13.0).abs() < 1e-6,
-            "channel 1 settled at {} — a once-rejected pool column was never re-offered",
-            result.channels[1].solution.objective
-        );
-        assert_eq!(result.per_channel[1].columns_from_pool, 2);
     }
 
     /// Deactivating the binding capacity row must free the optimum through
@@ -2714,155 +1788,12 @@ mod tests {
         assert!((tightened.objective - 3.5).abs() < 1e-7);
     }
 
-    #[test]
-    fn pool_sharing_requires_identical_rows_not_just_counts() {
-        // Same row COUNT but different rhs: a capacity-10 column must not
-        // leak into the capacity-5 channel even though its row indices fit.
-        let m0 = MasterProblem::new(Sense::Maximize, vec![(Relation::Le, 5.0)]);
-        let m1 = MasterProblem::new(Sense::Maximize, vec![(Relation::Le, 10.0)]);
-        let mut batched = BatchedMasters::new(vec![m0, m1]);
-        let mut s0 = |duals: &[f64]| {
-            let col = GeneratedColumn {
-                objective: 1.0,
-                coeffs: vec![(0, 1.0)],
-                tag: 1,
-            };
-            if col.reduced_cost(duals) > 1e-7 {
-                vec![col]
-            } else {
-                Vec::new()
-            }
-        };
-        let mut s1 = |duals: &[f64]| {
-            let col = GeneratedColumn {
-                objective: 3.0,
-                coeffs: vec![(0, 8.0)],
-                tag: 2,
-            };
-            if col.reduced_cost(duals) > 1e-7 {
-                vec![col]
-            } else {
-                Vec::new()
-            }
-        };
-        let mut refs: Vec<&mut dyn ColumnSource> = vec![&mut s0, &mut s1];
-        let cg = ColumnGeneration::default();
-        let result = batched.run(&cg, &mut refs).expect("batched run failed");
-        assert!(result.per_channel.iter().all(|s| s.converged));
-        // channel 0: x <= 5 with its own column only -> 5; adopting the
-        // foreign (obj 3, weight 8) column would report 5/8*3 + ... a
-        // different support
-        assert!((result.channels[0].solution.objective - 5.0).abs() < 1e-6);
-        assert_eq!(result.per_channel[0].columns_from_pool, 0);
-        assert_eq!(result.per_channel[1].columns_from_pool, 0);
-        assert_eq!(batched.masters()[0].num_columns(), 1);
-        assert_eq!(batched.masters()[1].num_columns(), 1);
-    }
-
-    /// The knapsack LP of [`knapsack_lp_via_column_generation`] as a
-    /// reusable fixture for the stabilization tests.
-    fn knapsack_fixture() -> (MasterProblem, impl FnMut(&[f64]) -> Vec<GeneratedColumn>) {
-        let values = [6.0, 10.0, 12.0];
-        let weights = [1.0, 2.0, 3.0];
-        let mut rows = vec![(Relation::Le, 5.0)];
-        for _ in 0..3 {
-            rows.push((Relation::Le, 1.0));
-        }
-        let master = MasterProblem::new(Sense::Maximize, rows);
-        let source = move |duals: &[f64]| -> Vec<GeneratedColumn> {
-            let mut best: Option<GeneratedColumn> = None;
-            for i in 0..3 {
-                let col = GeneratedColumn {
-                    objective: values[i],
-                    coeffs: vec![(0, weights[i]), (i + 1, 1.0)],
-                    tag: i as u64,
-                };
-                let rc = col.reduced_cost(duals);
-                if rc > 1e-7 {
-                    match &best {
-                        None => best = Some(col),
-                        Some(b) => {
-                            if rc > b.reduced_cost(duals) {
-                                best = Some(col);
-                            }
-                        }
-                    }
-                }
-            }
-            best.into_iter().collect()
-        };
-        (master, source)
-    }
-
-    #[test]
-    fn smoothing_reaches_the_unstabilized_optimum() {
-        for &alpha in &[0.1, 0.5, 0.9, 0.99] {
-            let (mut master, mut source) = knapsack_fixture();
-            let cg = ColumnGeneration {
-                stabilization: Stabilization::Smoothing { alpha },
-                ..Default::default()
-            };
-            let result = cg.run(&mut master, &mut source).expect("stabilized run");
-            assert!(result.converged, "alpha={alpha}");
-            assert!(
-                (result.solution.objective - 24.0).abs() < 1e-5,
-                "alpha={alpha}: objective {}",
-                result.solution.objective
-            );
-            assert_eq!(result.columns_per_round.len(), result.pricing_rounds);
-            assert_eq!(
-                result.columns_per_round.iter().sum::<usize>(),
-                result.columns_generated
-            );
-        }
-    }
-
-    #[test]
-    fn box_step_reaches_the_unstabilized_optimum_and_retires_its_columns() {
-        let (mut master, mut source) = knapsack_fixture();
-        let cg = ColumnGeneration {
-            stabilization: Stabilization::BoxStep {
-                penalty: 5.0,
-                width: 1.0,
-            },
-            ..Default::default()
-        };
-        let result = cg.run(&mut master, &mut source).expect("box-step run");
-        assert!(result.converged);
-        assert!(
-            (result.solution.objective - 24.0).abs() < 1e-5,
-            "objective {}",
-            result.solution.objective
-        );
-        // The box machinery is always dismantled before run() returns:
-        // every penalty column is fixed (zero objective, barred from
-        // entering), so a later warm re-solve on the same master
-        // reproduces the unstabilized optimum. A *lift* column (all-
-        // positive coefficients) may linger basic in pure row slack —
-        // provably harmless (`fixed_value_is_harmless`) — but any *cap*
-        // column (its negative row coefficient could relax a constraint)
-        // must be at zero: the warm-start validator rejects those, forcing
-        // a clean cold start.
-        let warm = master.solve_warm(&SimplexOptions::default());
-        assert_eq!(warm.status, LpStatus::Optimal);
-        assert!((warm.objective - 24.0).abs() < 1e-5);
-        for (idx, col) in master.columns().iter().enumerate() {
-            let is_cap = col.coeffs.iter().any(|&(_, a)| a < 0.0);
-            if is_stabilization_tag(col.tag) && is_cap {
-                assert!(
-                    warm.x.get(idx).copied().unwrap_or(0.0).abs() < 1e-9,
-                    "retired cap column {idx} still active"
-                );
-            }
-        }
-    }
-
     /// Regression: a column with a negative row coefficient that sits in
     /// the recorded basis — even at value 0 — must poison the warm start
     /// when fixed, because later pivots of *other* columns can grow a
-    /// basic variable the enterable mask no longer protects. A retired
-    /// box cap left basic this way silently relaxed its row and reported
-    /// an objective above the true optimum.
+    /// basic variable the enterable mask no longer protects. A fixed
+    /// column left basic this way silently relaxes its row and reports an
+    /// objective above the true optimum.
     #[test]
     fn fixing_a_basic_nonharmless_column_scrubs_the_warm_start() {
         let rows = vec![(Relation::Le, 1.0), (Relation::Le, 1.0)];
@@ -2894,98 +1825,6 @@ mod tests {
             refixed.objective
         );
         assert!(refixed.x[1].abs() < 1e-9, "fixed column active");
-    }
-
-    #[test]
-    fn box_step_on_minimize_masters_is_a_no_op() {
-        // Penalty columns would *relax* covering rows under Minimize, so
-        // the installer declines; the run must match the unstabilized one.
-        let run = |stabilization: Stabilization| {
-            let rows = vec![(Relation::Ge, 4.0), (Relation::Ge, 3.0)];
-            let mut master = MasterProblem::new(Sense::Minimize, rows);
-            // Seed the singleton patterns so the covering master is
-            // feasible before pricing starts (as in
-            // `covering_master_in_minimization_sense`).
-            master.add_column(GeneratedColumn {
-                objective: 2.0,
-                coeffs: vec![(0, 1.0)],
-                tag: 0,
-            });
-            master.add_column(GeneratedColumn {
-                objective: 2.0,
-                coeffs: vec![(1, 1.0)],
-                tag: 1,
-            });
-            let mut source = |duals: &[f64]| -> Vec<GeneratedColumn> {
-                let col = GeneratedColumn {
-                    objective: 3.0,
-                    coeffs: vec![(0, 1.0), (1, 1.0)],
-                    tag: 2,
-                };
-                if col.reduced_cost(duals) < -1e-7 {
-                    vec![col]
-                } else {
-                    Vec::new()
-                }
-            };
-            let cg = ColumnGeneration {
-                stabilization,
-                ..Default::default()
-            };
-            cg.run(&mut master, &mut source).expect("covering run")
-        };
-        let plain = run(Stabilization::Off);
-        let boxed = run(Stabilization::BoxStep {
-            penalty: 5.0,
-            width: 1.0,
-        });
-        assert!(plain.converged && boxed.converged);
-        assert!((plain.solution.objective - boxed.solution.objective).abs() < 1e-9);
-        assert_eq!(boxed.stabilization_misprices, 0);
-    }
-
-    #[test]
-    fn mispriced_smoothed_round_guard_fires() {
-        // An oracle keyed on the exact duals: column 1 is only proposed at
-        // the TRUE post-round-1 duals (y = 2), never at the smoothed point
-        // the stabilized loop prices first — so convergence depends on the
-        // exactness guard re-pricing at the true duals.
-        let mut master = MasterProblem::new(Sense::Maximize, vec![(Relation::Le, 1.0)]);
-        let mut source = |duals: &[f64]| -> Vec<GeneratedColumn> {
-            let y = duals[0];
-            if y.abs() < 1e-9 {
-                vec![GeneratedColumn {
-                    objective: 2.0,
-                    coeffs: vec![(0, 1.0)],
-                    tag: 0,
-                }]
-            } else if (y - 2.0).abs() < 1e-9 {
-                vec![GeneratedColumn {
-                    objective: 3.0,
-                    coeffs: vec![(0, 1.0)],
-                    tag: 1,
-                }]
-            } else {
-                Vec::new()
-            }
-        };
-        let cg = ColumnGeneration {
-            stabilization: Stabilization::Smoothing { alpha: 0.9 },
-            ..Default::default()
-        };
-        let result = cg.run(&mut master, &mut source).expect("guarded run");
-        assert!(result.converged);
-        // Without the guard the loop would stop at 2.0 (the smoothed round
-        // found nothing); the true optimum takes column 1.
-        assert!(
-            (result.solution.objective - 3.0).abs() < 1e-6,
-            "objective {}",
-            result.solution.objective
-        );
-        assert!(
-            result.stabilization_misprices >= 1,
-            "guard never fired: {result:?}"
-        );
     }
 
     #[test]

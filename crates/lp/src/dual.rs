@@ -4,9 +4,9 @@
 //! resumes cheaply only when the constraint **rows are unchanged** and the
 //! column set grew — the restricted-master situation of column generation.
 //! When rows are *added* (a new bidder enters the auction, a new conflict
-//! constraint is discovered, a cutting plane lands in the Dantzig–Wolfe
-//! master) the old optimal basis is no longer primal feasible, and the seed
-//! behavior was a full cold re-solve.
+//! constraint is discovered, a cutting plane lands in the master) the old
+//! optimal basis is no longer primal feasible, and the seed behavior was a
+//! full cold re-solve.
 //!
 //! This module closes that gap with the classic observation: extending the
 //! old optimal basis by the **logical columns of the new rows** yields a

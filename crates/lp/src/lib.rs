@@ -26,21 +26,15 @@
 //!   returns improving columns (in the auction: demand-oracle queries at the
 //!   prices `p_{v,j} = Σ_{u : v ∈ Γπ(u)} y_{u,j}`), which is the textbook
 //!   dual view of the paper's separation-based approach. Master re-solves
-//!   are **warm-started** from the previous round's optimal basis, and
-//!   families of related masters (one per channel) can share a
-//!   [`column_generation::BatchedMasters`] context that pools generated
-//!   columns and seeds sibling warm starts,
+//!   are **warm-started** from the previous round's optimal basis. This is
+//!   the one way the auction solves its relaxation: a single master over
+//!   all `(v, j)` and bidder rows, priced by the bidders' demand oracles,
 //! * [`dual`] — a **dual simplex** on the same basis-factorization seam:
 //!   after rows are appended to a solved master
 //!   ([`column_generation::MasterProblem::add_row`]) the old basis extended
 //!   by the new rows' logicals is dual feasible, and
 //!   [`dual::reoptimize_after_row_additions`] repairs primal feasibility
-//!   from there instead of re-solving from scratch,
-//! * [`decomposition`] — **Dantzig–Wolfe**: a restricted master over block
-//!   extreme-point columns with one pricing subproblem per block (in the
-//!   auction: one per channel), priced in parallel and warm-started across
-//!   rounds; [`decomposition::MasterMode`] is the pipeline-level switch
-//!   between the monolithic and decomposed relaxation masters.
+//!   from there instead of re-solving from scratch.
 //!
 //! All of the paper's relaxations are *packing* LPs (non-negative data,
 //! `≤` constraints), for which the all-slack basis is feasible and phase 1
@@ -73,11 +67,11 @@
 //! is dropped, consumers iterate the full length). Every indexed solve is
 //! counted — [`SolveStats`] reports sparse hits, dense fallbacks, and the
 //! average result density, and the counters propagate through
-//! [`column_generation`] / [`decomposition`] into the auction-level
-//! summaries. `SimplexOptions::hyper_sparse` (default `true`) is the
-//! A/B lever: disabling it routes every solve through the legacy dense
-//! kernels, which the equivalence tests use to prove the indexed paths
-//! change timings, never results.
+//! [`column_generation`] into the auction-level summaries.
+//! `SimplexOptions::hyper_sparse` (default `true`) is the A/B lever:
+//! disabling it routes every solve through the legacy dense kernels, which
+//! the equivalence tests use to prove the indexed paths change timings,
+//! never results.
 //!
 //! The ratio tests are **two-pass Harris** tests (primal in [`simplex`],
 //! dual in [`dual`]): the first pass relaxes the bound by a feasibility
@@ -90,7 +84,6 @@
 
 pub mod basis;
 pub mod column_generation;
-pub mod decomposition;
 pub mod dense;
 pub mod dual;
 pub mod pricing;
@@ -102,15 +95,10 @@ pub use basis::{
     SparsityStats,
 };
 pub use column_generation::{
-    is_native_tag, is_relief_tag, is_stabilization_tag, BatchedMasters, BatchedResult,
-    ChannelRunStats, ColumnGeneration, ColumnGenerationError, ColumnGenerationResult, ColumnPool,
-    ColumnSource, CompactionReport, GeneratedColumn, MasterProblem, PooledColumn, RoundSeries,
-    Stabilization, DEAD_COLUMN_TAG_BASE, DEFAULT_POOL_CAPACITY, MAX_BOX_SHRINKS, ROUND_SERIES_CAP,
-    ROW_RELIEF_TAG_BASE, STABILIZATION_TAG_BASE,
-};
-pub use decomposition::{
-    is_block_tag, DantzigWolfeError, DantzigWolfeOptions, DecomposedLp, DwSolution, DwStats,
-    MasterMode, Subproblem,
+    is_native_tag, is_relief_tag, ColumnGeneration, ColumnGenerationError, ColumnGenerationResult,
+    ColumnPool, ColumnSource, CompactionReport, GeneratedColumn, MasterProblem, PooledColumn,
+    RoundSeries, DEAD_COLUMN_TAG_BASE, DEFAULT_POOL_CAPACITY, ROUND_SERIES_CAP,
+    ROW_RELIEF_TAG_BASE,
 };
 pub use dual::{reoptimize_after_row_additions, DualReoptimization};
 pub use pricing::{

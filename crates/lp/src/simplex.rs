@@ -612,9 +612,8 @@ impl<'a> Revised<'a> {
         // a zero-cost basic column satisfy `≥` rows for free. The value
         // does NOT matter: the `enterable` mask only bars *entering*, so
         // even a fixed column basic at 0 would be free to grow as later
-        // pivots of other columns shift the basic solution — e.g. a
-        // retired box-stabilization cap column (a −1 coefficient) silently
-        // relaxing its row.
+        // pivots of other columns shift the basic solution — e.g. a fixed
+        // column with a −1 coefficient silently relaxing its row.
         for &c in self.basis.iter() {
             if let BasisVar::Structural(v) = self.kind[c] {
                 if self.lp.is_variable_fixed(v) && !self.lp.fixed_value_is_harmless(v) {

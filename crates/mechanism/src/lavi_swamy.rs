@@ -198,9 +198,8 @@ pub fn decompose(
 
     // Column generation: duals = adjusted valuations; verifier = our solver.
     // The decomposition master runs on the same simplex engine the verifier
-    // pipeline was configured with (engine selection and master mode both
-    // ride in through `options.verifier`; the master itself is a covering
-    // LP with no channel structure, so only the engine applies to it).
+    // pipeline was configured with (the engine rides in through
+    // `options.verifier`).
     let solver = SpectrumAuctionSolver::new(options.verifier.clone());
     let master_simplex = options.verifier.lp.column_generation.simplex;
     let cg = ColumnGeneration {
@@ -469,26 +468,6 @@ mod tests {
             frac.objective,
             d.effective_alpha
         );
-    }
-
-    #[test]
-    fn decomposition_works_with_a_dantzig_wolfe_verifier() {
-        use ssa_core::MasterMode;
-        let inst = path_instance();
-        let frac = solve_relaxation_explicit(&inst);
-        let alpha = guarantee_factor(&inst);
-        let options = DecompositionOptions {
-            verifier: ssa_core::solver::SolverOptions::default()
-                .with_master_mode(MasterMode::DantzigWolfe),
-            ..Default::default()
-        };
-        let d = decompose(&inst, &frac, alpha, &options);
-        let total: f64 = d.support.iter().map(|(p, _)| p).sum();
-        assert!((total - 1.0).abs() < 1e-6);
-        for (_, a) in &d.support {
-            assert!(a.is_feasible(&inst));
-        }
-        assert!(verify_cover(&d, &frac, 1e-6));
     }
 
     #[test]

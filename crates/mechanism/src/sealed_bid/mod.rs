@@ -214,8 +214,8 @@ pub struct SealedTranscript {
     /// The claimed LP optimum.
     pub fractional: FractionalAssignment,
     /// The claimed optimality certificate (canonical-layout duals); `None`
-    /// on solver configurations without a monolithic master, where the
-    /// audit falls back to a from-scratch re-solve.
+    /// on solver configurations without a cached master (bundle
+    /// enumeration), where the audit falls back to a from-scratch re-solve.
     pub certificate: Option<DualCertificate>,
     /// The claimed allocation (bundle per final bidder index).
     pub allocation: Vec<ChannelSet>,

@@ -5,7 +5,7 @@
 //! channels. We build the disk-graph conflict model (Proposition 9 of the
 //! paper certifies ρ ≤ 5 for the radius-descending ordering), configure the
 //! pipeline with [`SolverBuilder`] — the one place to pick the LP engine,
-//! the master mode and the rounding stage — and solve. Then we open an
+//! the seed depth and the rounding stage — and solve. Then we open an
 //! [`AuctionSession`] over the same market and let a seventh operator
 //! arrive: the session reuses the LP state (dual-simplex row absorption)
 //! instead of re-solving from scratch.
@@ -77,8 +77,8 @@ fn main() {
     );
 
     // 5. Solve: LP relaxation by column generation + Algorithm 1 rounding.
-    //    The builder is the single configuration point (engine, master mode,
-    //    rounding); defaults are Devex × sparse LU on a monolithic master.
+    //    The builder is the single configuration point (engine, seed depth,
+    //    rounding); the default engine is steepest edge × Forrest–Tomlin LU.
     let solver = SolverBuilder::new().rounding(1, 16).build();
     let outcome = solver
         .try_solve(&instance)

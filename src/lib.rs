@@ -26,15 +26,10 @@
 //! ```no_run
 //! use spectrum_auctions::auction::session::BidderConflicts;
 //! use spectrum_auctions::auction::solver::SolverBuilder;
-//! use spectrum_auctions::auction::{BasisKind, MasterMode, PricingRule};
 //! # fn demo(instance: spectrum_auctions::auction::AuctionInstance,
 //! #         newcomer: std::sync::Arc<dyn spectrum_auctions::auction::Valuation>) {
 //! // one-shot, with typed errors instead of panics:
-//! let solver = SolverBuilder::new()
-//!     .engine(PricingRule::Devex, BasisKind::SparseLu)
-//!     .master_mode(MasterMode::Monolithic)
-//!     .rounding(7, 32)
-//!     .build();
+//! let solver = SolverBuilder::new().rounding(7, 32).build();
 //! let outcome = solver.try_solve(&instance).expect("solve failed");
 //!
 //! // incremental: the session owns the instance and the LP state
@@ -62,7 +57,6 @@
 //! | before | after |
 //! |---|---|
 //! | `SolverOptions::default().with_engine(p, b)` | `SolverBuilder::new().engine(p, b)` |
-//! | `SolverOptions::default().with_master_mode(m)` | `SolverBuilder::new().master_mode(m)` |
 //! | `SolverOptions { rounding: RoundingOptions { seed, trials }, .. }` | `SolverBuilder::new().rounding(seed, trials)` |
 //! | `SpectrumAuctionSolver::new(options)` | `SolverBuilder::new()…`[`.build()`](auction::solver::SolverBuilder::build) |
 //! | n/a (one-shot only) | `SolverBuilder::new()…`[`.session(instance)`](auction::solver::SolverBuilder::session) |
@@ -70,42 +64,19 @@
 //! Knobs without a builder method (e.g. simplex tolerances) remain
 //! reachable through [`auction::solver::SolverBuilder::options`].
 //!
-//! ## Choosing a master mode and stabilization
+//! ## One master, and the seed depth
 //!
-//! Two knobs shape the column-generation stage, and the measured guidance
-//! (benchmark `e14_decomposition`, snapshot in `BENCH_e14.json`) is:
-//!
-//! * **Master mode** — leave it on [`auction::MasterMode::Monolithic`].
-//!   On auction relaxations the Dantzig–Wolfe master loses to the
-//!   monolithic one at every measured `(n, k)` cell from `(50, 8)` to
-//!   `(200, 32)` — typically by 3–7× — because the per-bidder blocks are
-//!   tiny and the coupling rows dominate. The default
-//!   (`auto_master_mode`) consults
-//!   [`auction::lp_formulation::select_master_mode`], which encodes
-//!   exactly that table; an explicit
-//!   [`SolverBuilder::master_mode`](auction::solver::SolverBuilder::master_mode)
-//!   always wins. [`auction::MasterMode::DantzigWolfe`] stays fully
-//!   supported (and provably exact) for genuinely block-angular uses —
-//!   on generic block-structured LPs with ≥ 64 blocks, dual smoothing
-//!   consistently shaves its wall time (8–25% across runs).
-//! * **Stabilization** — [`lp::Stabilization::Smoothing`] (Neame dual
-//!   smoothing, `alpha ≈ 0.3–0.5`) damps the dual oscillation that
-//!   degenerate masters induce, generating fewer, better columns; an
-//!   exactness guard re-prices at the true duals whenever a smoothed
-//!   round finds nothing, so the converged objective is the unstabilized
-//!   optimum (property-tested across every pricing × basis
-//!   × master-mode combination). [`lp::Stabilization::BoxStep`] (du
-//!   Merle soft boxes) is available for research but loses wall-clock on
-//!   auction masters. Opt in with
-//!   [`SolverBuilder::stabilization`](auction::solver::SolverBuilder::stabilization).
-//!
-//! The single biggest measured lever is neither: it is the **seed
-//! depth**. Seeding each bidder's top *four* zero-price bundles (the
-//! default,
+//! The relaxation is solved as the paper states it: one restricted master
+//! over every `(v, j)` and bidder row, priced by the bidders' demand
+//! oracles, warm-started across pricing rounds and across session
+//! resolves. The measured lever on that loop is the **seed depth**.
+//! Seeding each bidder's top *four* zero-price bundles (the default,
 //! [`SolverBuilder::seed_top_bundles`](auction::solver::SolverBuilder::seed_top_bundles))
 //! puts the optimum's support into the initial master and collapses the
 //! pricing loop to a single round at every measured scale — the E12
 //! n = 2000 LP stage went from 11.2 s (favorite-only seeding) to 7.9 s.
+//! `seed_top_bundles(1)` recovers favorite-only seeding, under which the
+//! oracles generate columns over several rounds.
 //!
 //! ### The managed column pool
 //!
@@ -114,15 +85,12 @@
 //! (capacity via
 //! [`SolverBuilder::column_pool_capacity`](auction::solver::SolverBuilder::column_pool_capacity),
 //! default 8192). Warm resolves first re-price pooled columns and
-//! only fall back to the demand oracles when the pool prices out; with
-//! [`SolverBuilder::multi_column_pricing`](auction::solver::SolverBuilder::multi_column_pricing)
-//! each oracle call contributes its top-`p` bundles per round instead of
-//! one. Code that previously reached into the raw column vectors should
-//! read [`auction::lp_formulation::RelaxationInfo`] instead: `pool_hits`
-//! / `pool_evictions` count pool traffic, `pricing_rounds`,
-//! `stabilization_misprices`, `columns_per_round`, and
-//! `per_round_iterations` (capped ring buffers of the last
-//! [`lp::ROUND_SERIES_CAP`] rounds) expose the trajectory.
+//! only fall back to the demand oracles when the pool prices out. Code
+//! that previously reached into the raw column vectors should read
+//! [`auction::lp_formulation::RelaxationInfo`] instead: `pool_hits` /
+//! `pool_evictions` count pool traffic, and `pricing_rounds`,
+//! `columns_per_round` and `per_round_iterations` (capped ring buffers of
+//! the last [`lp::ROUND_SERIES_CAP`] rounds) expose the trajectory.
 //!
 //! ## Sealed bids: commit–reveal with collateral and audit
 //!
@@ -159,8 +127,7 @@
 //! * [`interference`] — protocol / 802.11 / distance-2 / physical (SINR)
 //!   models producing conflict graphs with certified ρ.
 //! * [`lp`] — the LP engine (sparse revised simplex with pluggable pricing ×
-//!   basis factorization, column generation, dual-simplex reoptimization,
-//!   Dantzig–Wolfe decomposition).
+//!   basis factorization, column generation, dual-simplex reoptimization).
 //! * [`auction`] — the combinatorial auction: valuations, demand oracles,
 //!   LP relaxations (1)/(4), rounding Algorithms 1–3, baselines, exact
 //!   solver, asymmetric channels, the [`auction::solver`] pipeline and the

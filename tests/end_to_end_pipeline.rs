@@ -109,56 +109,43 @@ fn pipeline_is_reproducible_given_seeds() {
 
 #[test]
 fn every_lp_engine_reaches_the_same_relaxation_optimum() {
-    use spectrum_auctions::auction::{BasisKind, MasterMode, PricingRule};
+    use spectrum_auctions::auction::{BasisKind, PricingRule};
 
     let mut config = ScenarioConfig::new(16, 3, 77);
     config.valuations = ValuationProfile::Mixed;
     let generated = protocol_scenario(&config, 1.0);
 
     let mut objectives = Vec::new();
-    for mode in [MasterMode::Monolithic, MasterMode::DantzigWolfe] {
-        for pricing in [PricingRule::Dantzig, PricingRule::Bland, PricingRule::Devex] {
-            for basis in [BasisKind::ProductForm, BasisKind::SparseLu] {
-                let solver = SpectrumAuctionSolver::new(
-                    SolverOptions {
-                        rounding: RoundingOptions {
-                            seed: 5,
-                            trials: 16,
-                        },
-                        ..Default::default()
-                    }
-                    .with_engine(pricing, basis)
-                    .with_master_mode(mode),
-                );
-                let outcome = solver.solve(&generated.instance);
-                assert!(outcome.allocation.is_feasible(&generated.instance));
-                assert!(
-                    outcome.lp_converged,
-                    "{mode:?}/{pricing:?}/{basis:?} did not converge"
-                );
-                // the engine and mode selection must be visible in the stats
-                assert_eq!(outcome.lp_info.pricing, pricing);
-                assert_eq!(outcome.lp_info.basis, basis);
-                assert_eq!(outcome.lp_info.mode, mode);
-                assert!(outcome.lp_info.simplex_iterations > 0);
-                assert_eq!(
-                    outcome.lp_info.per_round_iterations.iter().sum::<usize>(),
-                    outcome.lp_info.simplex_iterations
-                );
-                match mode {
-                    MasterMode::Monolithic => {
-                        assert_eq!(outcome.lp_info.subproblem_pivots, 0)
-                    }
-                    MasterMode::DantzigWolfe => assert!(
-                        outcome.lp_info.subproblem_pivots > 0,
-                        "the per-channel subproblems must have priced"
-                    ),
+    for pricing in [PricingRule::Dantzig, PricingRule::Bland, PricingRule::Devex] {
+        for basis in [BasisKind::ProductForm, BasisKind::SparseLu] {
+            let solver = SpectrumAuctionSolver::new(
+                SolverOptions {
+                    rounding: RoundingOptions {
+                        seed: 5,
+                        trials: 16,
+                    },
+                    ..Default::default()
                 }
-                objectives.push(outcome.lp_objective);
-            }
+                .with_engine(pricing, basis),
+            );
+            let outcome = solver.solve(&generated.instance);
+            assert!(outcome.allocation.is_feasible(&generated.instance));
+            assert!(
+                outcome.lp_converged,
+                "{pricing:?}/{basis:?} did not converge"
+            );
+            // the engine selection must be visible in the stats
+            assert_eq!(outcome.lp_info.pricing, pricing);
+            assert_eq!(outcome.lp_info.basis, basis);
+            assert!(outcome.lp_info.simplex_iterations > 0);
+            assert_eq!(
+                outcome.lp_info.per_round_iterations.iter().sum::<usize>(),
+                outcome.lp_info.simplex_iterations
+            );
+            objectives.push(outcome.lp_objective);
         }
     }
-    // all twelve mode × engine combinations solve the same relaxation:
+    // all six engine combinations solve the same relaxation:
     // identical optima
     let first = objectives[0];
     for (i, &obj) in objectives.iter().enumerate() {

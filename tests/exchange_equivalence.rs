@@ -1,7 +1,7 @@
 //! Exchange-vs-sequential equivalence: the same multi-market event stream
 //! driven through a [`SpectrumExchange`] (pooled drain, coalescing on) and
 //! through one plain [`AuctionSession`] per market must produce the same
-//! outcomes — on **every** pricing × basis × master-mode combination. The
+//! outcomes — on **every** pricing × basis combination. The
 //! coalescer reorders and collapses events within a batch, but its emitted
 //! net mutation provably reconstructs the same final instance, so the
 //! resolves start from identical masters and answer identically.
@@ -9,11 +9,15 @@
 //! [`SpectrumExchange`]: spectrum_auctions::exchange::SpectrumExchange
 //! [`AuctionSession`]: spectrum_auctions::auction::session::AuctionSession
 
+use spectrum_auctions::auction::session::MarketEvent;
 use spectrum_auctions::auction::session::{apply_event, AuctionSession, MarketId};
 use spectrum_auctions::auction::solver::SolverBuilder;
-use spectrum_auctions::auction::{BasisKind, MasterMode, PricingRule};
+use spectrum_auctions::auction::{BasisKind, PricingRule};
+use spectrum_auctions::auction::{ChannelSet, XorValuation};
 use spectrum_auctions::exchange::{DrainMode, SpectrumExchange};
-use spectrum_auctions::workloads::{multi_market_scenario, MultiMarketConfig};
+use spectrum_auctions::workloads::{
+    multi_market_scenario, protocol_scenario, MultiMarketConfig, ScenarioConfig,
+};
 use std::collections::HashMap;
 
 const PRICINGS: [PricingRule; 4] = [
@@ -33,16 +37,11 @@ const BASES: [BasisKind; 3] = [
 /// pooled) and through per-market reference sessions (event by event, in
 /// submission order), resolving both at the same cadence and comparing
 /// every outcome.
-fn run_combo(pricing: PricingRule, basis: BasisKind, mode: MasterMode, num_batches: usize) {
+fn run_combo(pricing: PricingRule, basis: BasisKind, num_batches: usize) {
     let config = MultiMarketConfig::new(3, 7, 2, 12, 271);
     let scenario = multi_market_scenario(&config, 1.0);
 
-    let solver = || {
-        SolverBuilder::new()
-            .engine(pricing, basis)
-            .master_mode(mode)
-            .rounding(5, 4)
-    };
+    let solver = || SolverBuilder::new().engine(pricing, basis).rounding(5, 4);
     let mut exchange = SpectrumExchange::builder()
         .solver(solver())
         .drain_mode(DrainMode::Pooled)
@@ -60,30 +59,27 @@ fn run_combo(pricing: PricingRule, basis: BasisKind, mode: MasterMode, num_batch
     for (b, batch) in scenario.events.chunks(batch_len).enumerate() {
         let mut touched: Vec<MarketId> = Vec::new();
         for (id, event) in batch {
-            exchange.submit(*id, event.clone()).unwrap_or_else(|e| {
-                panic!("{pricing:?}x{basis:?} {mode:?} batch {b}: submit failed: {e}")
-            });
+            exchange
+                .submit(*id, event.clone())
+                .unwrap_or_else(|e| panic!("{pricing:?}x{basis:?} batch {b}: submit failed: {e}"));
             apply_event(reference.get_mut(id).unwrap(), event);
             if !touched.contains(id) {
                 touched.push(*id);
             }
         }
-        let report = exchange.resolve_dirty().unwrap_or_else(|e| {
-            panic!("{pricing:?}x{basis:?} {mode:?} batch {b}: drain failed: {e}")
-        });
+        let report = exchange
+            .resolve_dirty()
+            .unwrap_or_else(|e| panic!("{pricing:?}x{basis:?} batch {b}: drain failed: {e}"));
         assert_eq!(report.resolves.len(), touched.len());
         for resolve in &report.resolves {
             let session = reference.get_mut(&resolve.market).unwrap();
             let expected = session.resolve().unwrap_or_else(|e| {
                 panic!(
-                    "{pricing:?}x{basis:?} {mode:?} batch {b} {}: reference resolve failed: {e}",
+                    "{pricing:?}x{basis:?} batch {b} {}: reference resolve failed: {e}",
                     resolve.market
                 )
             });
-            let context = format!(
-                "{pricing:?}x{basis:?} {mode:?} batch {b} {}",
-                resolve.market
-            );
+            let context = format!("{pricing:?}x{basis:?} batch {b} {}", resolve.market);
             assert!(
                 resolve.outcome.lp_converged && expected.lp_converged,
                 "{context}: non-converged"
@@ -131,30 +127,56 @@ fn run_combo(pricing: PricingRule, basis: BasisKind, mode: MasterMode, num_batch
 /// maximal interleaving of coalescer and warm paths).
 #[test]
 fn exchange_matches_sequential_default_engine() {
-    run_combo(
-        PricingRule::SteepestEdge,
-        BasisKind::ForrestTomlin,
-        MasterMode::Monolithic,
-        6,
-    );
+    run_combo(PricingRule::SteepestEdge, BasisKind::ForrestTomlin, 6);
 }
 
-/// Every pricing × basis combination under the monolithic master.
+/// Every pricing × basis combination.
 #[test]
 fn exchange_matches_sequential_all_engines_monolithic() {
     for pricing in PRICINGS {
         for basis in BASES {
-            run_combo(pricing, basis, MasterMode::Monolithic, 3);
+            run_combo(pricing, basis, 3);
         }
     }
 }
 
-/// Every pricing × basis combination under the Dantzig–Wolfe master.
+/// A batch whose net mutation replaces every original bidder of a
+/// two-bidder market: the coalesced drain must resolve to the same market
+/// as the event-by-event session.
 #[test]
-fn exchange_matches_sequential_all_engines_dantzig_wolfe() {
-    for pricing in PRICINGS {
-        for basis in BASES {
-            run_combo(pricing, basis, MasterMode::DantzigWolfe, 3);
-        }
+fn exchange_matches_sequential_when_a_batch_replaces_every_bidder() {
+    let instance = protocol_scenario(&ScenarioConfig::new(2, 2, 5), 1.0).instance;
+    let newcomer = XorValuation::new(2, vec![(ChannelSet::from_channels([0, 1]), 7.0)]);
+    let events = [
+        MarketEvent::Arrival {
+            valuation: std::sync::Arc::new(newcomer),
+            neighbors: vec![0],
+        },
+        MarketEvent::Departure { bidder: 1 },
+        MarketEvent::Departure { bidder: 0 },
+    ];
+    let solver = || SolverBuilder::new().rounding(5, 4);
+    let mut exchange = SpectrumExchange::builder()
+        .solver(solver())
+        .coalescing(true)
+        .build();
+    let market = MarketId(0);
+    exchange.open_market(market, instance.clone()).unwrap();
+    let mut reference = solver().session(instance);
+    for event in &events {
+        exchange.submit(market, event.clone()).unwrap();
+        apply_event(&mut reference, event);
     }
+    let report = exchange.resolve_dirty().unwrap();
+    assert_eq!(report.resolves.len(), 1);
+    let expected = reference.resolve().unwrap();
+    let got = &report.resolves[0].outcome;
+    assert!(got.lp_converged && expected.lp_converged);
+    assert!((got.lp_objective - expected.lp_objective).abs() <= 1e-9);
+    assert!((got.welfare - expected.welfare).abs() <= 1e-9);
+    assert_eq!(got.allocation.bundles(), expected.allocation.bundles());
+    let bidders = exchange
+        .with_session(market, |s| s.instance().num_bidders())
+        .unwrap();
+    assert_eq!(bidders, 1);
 }

@@ -57,51 +57,6 @@ proptest! {
         prop_assert!(g2.social_welfare(instance) <= exact.welfare + 1e-6);
     }
 
-    /// The Dantzig–Wolfe decomposed master and the monolithic master reach
-    /// the same relaxation optimum on random markets, for every engine the
-    /// decomposition is exercised with.
-    #[test]
-    fn dantzig_wolfe_master_matches_monolithic_on_random_markets(
-        seed in 0u64..1000,
-        n in 6usize..12,
-        k in 1usize..4,
-        mixed in any::<bool>(),
-        engine in 0usize..3,
-    ) {
-        use spectrum_auctions::auction::lp_formulation::{
-            solve_relaxation, LpFormulationOptions,
-        };
-        use spectrum_auctions::auction::{BasisKind, MasterMode, PricingRule};
-
-        let generated = protocol_scenario(&config(n, k, seed, mixed), 1.0);
-        let instance = &generated.instance;
-        let (pricing, basis) = [
-            (PricingRule::Dantzig, BasisKind::ProductForm),
-            (PricingRule::Devex, BasisKind::SparseLu),
-            (PricingRule::Bland, BasisKind::SparseLu),
-        ][engine];
-
-        let monolithic = solve_relaxation(
-            instance,
-            &LpFormulationOptions::default().with_engine(pricing, basis),
-        );
-        let dw = solve_relaxation(
-            instance,
-            &LpFormulationOptions::default()
-                .with_engine(pricing, basis)
-                .with_master_mode(MasterMode::DantzigWolfe),
-        );
-        prop_assert!(monolithic.converged);
-        prop_assert!(dw.converged);
-        prop_assert!(dw.satisfies_constraints(instance, 1e-6));
-        prop_assert!(
-            (dw.objective - monolithic.objective).abs()
-                < 1e-5 * (1.0 + monolithic.objective.abs()),
-            "dw {} vs monolithic {} ({pricing:?}/{basis:?})",
-            dw.objective, monolithic.objective
-        );
-    }
-
     /// Disk-graph markets: Proposition 9's rho bound holds and the pipeline
     /// stays feasible.
     #[test]

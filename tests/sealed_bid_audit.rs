@@ -9,18 +9,16 @@
 //!   ([`AuditFinding::ShillArrival`]), selective reveal suppression
 //!   ([`AuditFinding::RevealSuppressed`]), and any single post-hoc mutation
 //!   of a revealed bid, a payment entry, or a forfeiture entry.
-//! * Both hold across engine combos, including the Dantzig–Wolfe master
-//!   whose transcripts carry no dual certificate (the audit re-solves from
-//!   scratch there).
+//! * Both hold across engine combos, including a bundle-enumerating
+//!   session whose transcripts carry no dual certificate (the audit
+//!   re-solves from scratch there).
 //!
 //! [`AuctionSession`]: spectrum_auctions::auction::session::AuctionSession
 
 use proptest::prelude::*;
 use spectrum_auctions::auction::session::SessionLogEntry;
 use spectrum_auctions::auction::solver::SolverBuilder;
-use spectrum_auctions::auction::{
-    AuctionOutcome, BasisKind, MasterMode, PricingRule, ValuationSnapshot,
-};
+use spectrum_auctions::auction::{AuctionOutcome, BasisKind, PricingRule, ValuationSnapshot};
 use spectrum_auctions::mechanism::sealed_bid::{
     audit, commit_to, nonce_from_seed, AuditFinding, CollateralPolicy, Opening, ParticipantKind,
     RevealStatus, SealedBidAuction, SealedBidOutcome,
@@ -30,27 +28,14 @@ use spectrum_auctions::workloads::{
     AdversarialSealedMarket, ScenarioConfig, SealedKind,
 };
 
-const COMBOS: [(PricingRule, BasisKind, MasterMode); 4] = [
-    (
-        PricingRule::SteepestEdge,
-        BasisKind::ForrestTomlin,
-        MasterMode::Monolithic,
-    ),
-    (
-        PricingRule::Dantzig,
-        BasisKind::ProductForm,
-        MasterMode::Monolithic,
-    ),
-    (
-        PricingRule::Devex,
-        BasisKind::SparseLu,
-        MasterMode::Monolithic,
-    ),
-    (
-        PricingRule::Devex,
-        BasisKind::SparseLu,
-        MasterMode::DantzigWolfe,
-    ),
+/// Engine combos as `(pricing, basis, enumerate_all_bundles)`. The
+/// enumerating session keeps no master, so its transcripts carry no dual
+/// certificate and the audit falls back to a from-scratch re-solve.
+const COMBOS: [(PricingRule, BasisKind, bool); 4] = [
+    (PricingRule::SteepestEdge, BasisKind::ForrestTomlin, false),
+    (PricingRule::Dantzig, BasisKind::ProductForm, false),
+    (PricingRule::Devex, BasisKind::SparseLu, false),
+    (PricingRule::Devex, BasisKind::SparseLu, true),
 ];
 
 const ROUNDING_SEED: u64 = 9;
@@ -60,11 +45,11 @@ fn sealed_session(
     market: &AdversarialSealedMarket,
     pricing: PricingRule,
     basis: BasisKind,
-    mode: MasterMode,
+    enumerate: bool,
 ) -> spectrum_auctions::auction::session::AuctionSession {
     SolverBuilder::new()
         .engine(pricing, basis)
-        .master_mode(mode)
+        .enumerate_all_bundles(enumerate)
         .rounding(ROUNDING_SEED, ROUNDING_TRIALS)
         .session(market.initial.instance.clone())
 }
@@ -76,10 +61,10 @@ fn drive(
     market: &AdversarialSealedMarket,
     pricing: PricingRule,
     basis: BasisKind,
-    mode: MasterMode,
+    enumerate: bool,
     inject_shills: bool,
 ) -> SealedBidOutcome {
-    let session = sealed_session(market, pricing, basis, mode);
+    let session = sealed_session(market, pricing, basis, enumerate);
     let mut auction =
         SealedBidAuction::open(session, CollateralPolicy::default()).expect("open sealed round");
     let mut ids = Vec::with_capacity(market.participants.len());
@@ -128,9 +113,9 @@ fn direct(
     market: &AdversarialSealedMarket,
     pricing: PricingRule,
     basis: BasisKind,
-    mode: MasterMode,
+    enumerate: bool,
 ) -> (AuctionOutcome, Vec<f64>) {
-    let mut session = sealed_session(market, pricing, basis, mode);
+    let mut session = sealed_session(market, pricing, basis, enumerate);
     for spec in &market.participants {
         assert!(spec.reveals, "direct comparison needs an all-revealing run");
         match &spec.kind {
@@ -180,10 +165,10 @@ fn honest_commit_reveal_equals_direct_submission() {
     clustered.clustered = true;
     let rebids = colluding_clique_scenario(&clustered, 1.0, 3, 0.4);
     for market in [&entrants, &rebids] {
-        for (pricing, basis, mode) in COMBOS {
-            let context = format!("{pricing:?}x{basis:?} {mode:?}");
-            let sealed = drive(market, pricing, basis, mode, false);
-            let (plain, plain_payments) = direct(market, pricing, basis, mode);
+        for (pricing, basis, enumerate) in COMBOS {
+            let context = format!("{pricing:?}x{basis:?} enumerate={enumerate}");
+            let sealed = drive(market, pricing, basis, enumerate, false);
+            let (plain, plain_payments) = direct(market, pricing, basis, enumerate);
             assert_eq!(
                 sealed.outcome.allocation.bundles(),
                 plain.allocation.bundles(),
@@ -221,34 +206,35 @@ fn honest_commit_reveal_equals_direct_submission() {
 }
 
 /// Shill injection is flagged on every engine combo, and the same market
-/// run honestly audits clean — with the certificate path on monolithic
-/// masters and the re-solve fallback on Dantzig–Wolfe.
+/// run honestly audits clean — with the certificate path on cached masters
+/// and the re-solve fallback on the enumerating session.
 #[test]
 fn shill_injection_is_flagged_across_engine_combos() {
     for seed in [81u64, 82] {
         let config = ScenarioConfig::new(10, 2, seed);
         let market = shill_stream_scenario(&config, 1.0, 3, 2, 4.0);
-        for (pricing, basis, mode) in COMBOS {
-            let context = format!("seed {seed} {pricing:?}x{basis:?} {mode:?}");
-            let honest = drive(&market, pricing, basis, mode, false);
+        for (pricing, basis, enumerate) in COMBOS {
+            let context = format!("seed {seed} {pricing:?}x{basis:?} enumerate={enumerate}");
+            let honest = drive(&market, pricing, basis, enumerate, false);
             let report = audit(&honest.transcript);
             assert!(
                 report.clean(),
                 "{context}: honest run flagged {:?}",
                 report.findings
             );
-            match mode {
-                MasterMode::Monolithic => assert!(
-                    report.certificate_checked,
-                    "{context}: monolithic audit skipped the certificate"
-                ),
-                MasterMode::DantzigWolfe => assert!(
+            if enumerate {
+                assert!(
                     report.resolved_from_scratch,
-                    "{context}: DW audit should re-solve from scratch"
-                ),
+                    "{context}: an audit without a certificate should re-solve from scratch"
+                );
+            } else {
+                assert!(
+                    report.certificate_checked,
+                    "{context}: audit skipped the certificate"
+                );
             }
 
-            let attacked = drive(&market, pricing, basis, mode, true);
+            let attacked = drive(&market, pricing, basis, enumerate, true);
             let report = audit(&attacked.transcript);
             expect_finding(&report, &context, |f| {
                 matches!(f, AuditFinding::ShillArrival { .. })
@@ -274,9 +260,9 @@ fn single_tampered_payment_is_flagged_across_engine_combos() {
     for seed in [91u64, 92] {
         let config = ScenarioConfig::new(9, 2, seed);
         let market = shill_stream_scenario(&config, 1.0, 3, 0, 1.0);
-        for (pricing, basis, mode) in COMBOS {
-            let context = format!("seed {seed} {pricing:?}x{basis:?} {mode:?}");
-            let outcome = drive(&market, pricing, basis, mode, false);
+        for (pricing, basis, enumerate) in COMBOS {
+            let context = format!("seed {seed} {pricing:?}x{basis:?} enumerate={enumerate}");
+            let outcome = drive(&market, pricing, basis, enumerate, false);
             assert!(
                 audit(&outcome.transcript).clean(),
                 "{context}: dirty baseline"
@@ -307,8 +293,8 @@ fn single_tampered_revealed_bid_is_flagged() {
     let mut config = ScenarioConfig::new(12, 2, 93);
     config.clustered = true;
     let market = colluding_clique_scenario(&config, 1.0, 3, 0.4);
-    let (pricing, basis, mode) = COMBOS[0];
-    let outcome = drive(&market, pricing, basis, mode, false);
+    let (pricing, basis, enumerate) = COMBOS[0];
+    let outcome = drive(&market, pricing, basis, enumerate, false);
     assert!(audit(&outcome.transcript).clean());
 
     let mut tampered = outcome.transcript.clone();
@@ -334,8 +320,8 @@ fn single_tampered_revealed_bid_is_flagged() {
 fn single_tampered_forfeiture_entry_is_flagged() {
     let config = ScenarioConfig::new(9, 2, 94);
     let market = sniping_burst_scenario(&config, 1.0, 4, 2, 3.0);
-    let (pricing, basis, mode) = COMBOS[0];
-    let outcome = drive(&market, pricing, basis, mode, false);
+    let (pricing, basis, enumerate) = COMBOS[0];
+    let outcome = drive(&market, pricing, basis, enumerate, false);
     assert!(audit(&outcome.transcript).clean());
     assert_eq!(outcome.forfeitures.len(), 2, "both snipers forfeit");
 
@@ -357,8 +343,8 @@ fn single_tampered_forfeiture_entry_is_flagged() {
 fn suppressed_reveal_is_flagged() {
     let config = ScenarioConfig::new(10, 2, 95);
     let market = shill_stream_scenario(&config, 1.0, 3, 0, 1.0);
-    let (pricing, basis, mode) = COMBOS[0];
-    let session = sealed_session(&market, pricing, basis, mode);
+    let (pricing, basis, enumerate) = COMBOS[0];
+    let session = sealed_session(&market, pricing, basis, enumerate);
     let mut auction =
         SealedBidAuction::open(session, CollateralPolicy::default()).expect("open sealed round");
     let mut ids = Vec::new();
@@ -435,8 +421,8 @@ proptest! {
     ) {
         let config = ScenarioConfig::new(n, 2, seed);
         let market = sniping_burst_scenario(&config, 1.0, burst, snipers, 2.0);
-        let (pricing, basis, mode) = COMBOS[(seed % COMBOS.len() as u64) as usize];
-        let outcome = drive(&market, pricing, basis, mode, false);
+        let (pricing, basis, enumerate) = COMBOS[(seed % COMBOS.len() as u64) as usize];
+        let outcome = drive(&market, pricing, basis, enumerate, false);
 
         let report = audit(&outcome.transcript);
         prop_assert!(
