@@ -1,17 +1,11 @@
-//! E13 kernels: the LP-solver overhaul.
+//! E13 kernels: the LP solver.
 //!
 //! Two comparisons across n ∈ {50, 200, 800, 2000}:
 //!
-//! * `dense` vs the **pricing × basis engine grid** — one-shot solves of
-//!   random sparse packing LPs (the shape of relaxations (1)/(4)) under
-//!   the pricing rules (Dantzig, candidate-list Devex, exact-reference
-//!   steepest edge) × basis factorizations (product-form inverse, sparse
-//!   LU + eta file, Markowitz LU + Forrest–Tomlin updates). `pf+dantzig`
-//!   is the PR 1 engine; `ft+se` is the current default. The n = 2000
-//!   size exists for the FT-LU levers specifically — the product-form
-//!   engines are excluded there (the dense inverse is memory-bound), and
-//!   the multi-seed medians behind the default selection come from the
-//!   `engine_grid` binary rather than this single-seed grid.
+//! * `dense` vs `revised` — one-shot solves of random sparse packing LPs
+//!   (the shape of relaxations (1)/(4)) by the dense tableau oracle and by
+//!   the revised simplex (steepest edge over Forrest–Tomlin LU). The dense
+//!   tableau is timed only up to n = 200.
 //! * `cg_cold` vs `cg_warm` — the same column-generation run with every
 //!   master re-solve from scratch vs warm-started from the previous
 //!   round's optimal basis (the PR 1 warm-start win, kept as a regression
@@ -21,9 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssa_lp::column_generation::{ColumnGeneration, GeneratedColumn, MasterProblem};
-use ssa_lp::{
-    dense, solve, BasisKind, LinearProgram, LpStatus, PricingRule, Relation, Sense, SimplexOptions,
-};
+use ssa_lp::{dense, solve, LinearProgram, LpStatus, Relation, Sense, SimplexOptions};
 use std::time::Duration;
 
 /// Random sparse packing LP: `cols` variables, `cols / 2` coupling rows
@@ -135,110 +127,41 @@ impl KnapsackInstance {
 
 fn bench_e13(c: &mut Criterion) {
     let mut group = c.benchmark_group("e13_lp_solver");
-    // The engine grid: PR 1's pf+dantzig vs the new seams. Bland is left
-    // out of the timed grid (it is a termination fallback, not a
-    // performance contender) but is covered by the property tests.
-    let engines: [(&str, PricingRule, BasisKind); 8] = [
-        ("pf+dantzig", PricingRule::Dantzig, BasisKind::ProductForm),
-        ("pf+devex", PricingRule::Devex, BasisKind::ProductForm),
-        ("lu+dantzig", PricingRule::Dantzig, BasisKind::SparseLu),
-        ("lu+devex", PricingRule::Devex, BasisKind::SparseLu),
-        ("lu+se", PricingRule::SteepestEdge, BasisKind::SparseLu),
-        ("ft+dantzig", PricingRule::Dantzig, BasisKind::ForrestTomlin),
-        ("ft+devex", PricingRule::Devex, BasisKind::ForrestTomlin),
-        ("ft+se", PricingRule::SteepestEdge, BasisKind::ForrestTomlin),
-    ];
     for &n in &[50usize, 200, 800, 2000] {
         let lp = random_packing_lp(77 + n as u64, n);
+        let options = SimplexOptions::default();
+        let revised = solve(&lp, &options);
+        assert_eq!(revised.status, LpStatus::Optimal, "grid LP must be bounded");
+        // The counters make the (smoke) run prove which path executed: the
+        // solve must record indexed solves with genuinely sparse results.
+        assert!(
+            revised.stats.ftran_sparse_hits > 0 && revised.stats.btran_sparse_hits > 0,
+            "hyper-sparse kernels never produced a sparse result at n = {n}: {:?}",
+            revised.stats
+        );
+        assert!(
+            revised.stats.avg_result_density < 1.0,
+            "avg result density {} should reflect sparse results at n = {n}",
+            revised.stats.avg_result_density
+        );
         // The dense tableau is O(m · n_total) *per pivot*: at n = 800 (m =
         // 1200 rows) a single solve would dominate the whole bench, so it is
-        // timed only where PR 1 timed it meaningfully. Correctness of every
-        // engine against the dense oracle is the property tests' job; here
-        // the grid engines are checked against each other before timing.
-        // At n = 2000 the product-form engines leave the grid entirely (the
-        // dense inverse is memory-bound at m = 3000), so the sparse-LU
-        // engine anchors the cross-check instead.
-        let reference_options = if n >= 2000 {
-            SimplexOptions::default().with_engine(PricingRule::Dantzig, BasisKind::SparseLu)
-        } else {
-            SimplexOptions::product_form_dantzig()
-        };
-        let reference = solve(&lp, &reference_options);
-        assert_eq!(
-            reference.status,
-            LpStatus::Optimal,
-            "grid LP must be bounded"
-        );
+        // checked and timed only up to n = 200.
         if n <= 200 {
-            let d = dense::solve(&lp, &SimplexOptions::default());
+            let d = dense::solve(&lp, &options);
             assert_eq!(d.status, LpStatus::Optimal);
             assert!(
-                (d.objective - reference.objective).abs()
-                    < 1e-6 * (1.0 + reference.objective.abs()),
+                (d.objective - revised.objective).abs() < 1e-6 * (1.0 + revised.objective.abs()),
                 "dense {} vs revised {} at n = {n}",
                 d.objective,
-                reference.objective
+                revised.objective
             );
             group.bench_with_input(BenchmarkId::new("dense", n), &lp, |b, lp| {
-                b.iter(|| dense::solve(lp, &SimplexOptions::default()))
+                b.iter(|| dense::solve(lp, &options))
             });
         }
-        for &(label, pricing, basis) in &engines {
-            if basis == BasisKind::ProductForm && n >= 2000 {
-                continue;
-            }
-            let options = SimplexOptions::default().with_engine(pricing, basis);
-            let sol = solve(&lp, &options);
-            assert_eq!(sol.status, LpStatus::Optimal, "{label} at n = {n}");
-            assert!(
-                (sol.objective - reference.objective).abs()
-                    < 1e-6 * (1.0 + reference.objective.abs()),
-                "{label} at n = {n}: {} vs {}",
-                sol.objective,
-                reference.objective
-            );
-            group.bench_with_input(BenchmarkId::new(label, n), &lp, |b, lp| {
-                b.iter(|| solve(lp, &options))
-            });
-        }
-
-        // The hyper-sparse lever on the default engine: the grid above runs
-        // with the indexed FTRAN/BTRAN kernels on (the default), and
-        // `ft+se_dense` times the same engine with them forced off. The
-        // counter assertions make the (smoke) run prove which path executed:
-        // the enabled solve must record indexed solves with at least one
-        // genuinely sparse result, while the disabled solve bypasses the
-        // kernels entirely and reports all-zero counters.
-        let sparse_off = SimplexOptions::default().with_hyper_sparse(false);
-        let on_sol = solve(&lp, &SimplexOptions::default());
-        let off_sol = solve(&lp, &sparse_off);
-        assert_eq!(on_sol.status, LpStatus::Optimal, "ft+se at n = {n}");
-        assert_eq!(off_sol.status, LpStatus::Optimal, "ft+se_dense at n = {n}");
-        assert!(
-            (on_sol.objective - off_sol.objective).abs() < 1e-6 * (1.0 + on_sol.objective.abs()),
-            "hyper-sparse on {} vs off {} at n = {n}",
-            on_sol.objective,
-            off_sol.objective
-        );
-        assert!(
-            on_sol.stats.ftran_sparse_hits + on_sol.stats.btran_sparse_hits > 0,
-            "hyper-sparse kernels never produced a sparse result at n = {n}"
-        );
-        assert!(
-            on_sol.stats.avg_result_density < 1.0,
-            "avg result density {} should reflect sparse results at n = {n}",
-            on_sol.stats.avg_result_density
-        );
-        assert_eq!(
-            off_sol.stats.ftran_sparse_hits
-                + off_sol.stats.ftran_dense_fallbacks
-                + off_sol.stats.btran_sparse_hits
-                + off_sol.stats.btran_dense_fallbacks,
-            0,
-            "disabled hyper-sparse path must not touch the indexed kernels at n = {n}"
-        );
-        group.bench_with_input(BenchmarkId::new("ft+se_dense", n), &lp, |b, lp| {
-            b.iter(|| solve(lp, &sparse_off))
+        group.bench_with_input(BenchmarkId::new("revised", n), &lp, |b, lp| {
+            b.iter(|| solve(lp, &options))
         });
 
         if n >= 2000 {

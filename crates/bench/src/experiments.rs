@@ -600,8 +600,7 @@ pub fn e12_scalability(quick: bool) -> Table {
     );
     // The n = 2000 row is the exchange-scale data point (a master of
     // n·k + n + k = 10004 rows at k = 4) that the Forrest–Tomlin basis +
-    // steepest-edge engine exists for; it rides the default engine like
-    // every other row.
+    // steepest-edge engine exists for.
     let cases: Vec<(usize, usize)> = if quick {
         vec![(30, 2)]
     } else {

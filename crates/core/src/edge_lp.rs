@@ -43,7 +43,6 @@ fn edge_lp_single_channel(
     channel: usize,
     weights: &[f64],
     warm: Option<WarmStart>,
-    options: &SimplexOptions,
 ) -> (Vec<f64>, f64, usize, WarmStart) {
     let n = instance.num_bidders();
     let mut lp = LinearProgram::new(Sense::Maximize);
@@ -70,27 +69,15 @@ fn edge_lp_single_channel(
     // channel's columns, and rejects the basis entirely (cold start) when it
     // does not fit or is singular here.
     let seed = warm.map(WarmStart::into_basis_only);
-    let (sol, state) = solve_with_warm_start(&lp, options, seed);
+    let (sol, state) = solve_with_warm_start(&lp, &SimplexOptions::default(), seed);
     (sol.x, sol.objective, sol.iterations, state)
-}
-
-/// Runs the edge-LP baseline with the default simplex engine.
-pub fn edge_lp_baseline(instance: &AuctionInstance) -> EdgeLpOutcome {
-    edge_lp_baseline_with_engine(instance, &SimplexOptions::default())
 }
 
 /// Runs the edge-LP baseline: per channel, solve the edge LP on the bidders'
 /// marginal values for that channel (sharing one warm-start context across
 /// the channel sequence), then round greedily by decreasing fractional value
 /// subject to feasibility.
-///
-/// The simplex engine (pricing × basis — e.g. the combination selected at
-/// the pipeline level through `SolverOptions::with_engine`) is honored for
-/// every per-channel solve; the seed path hard-wired the default engine.
-pub fn edge_lp_baseline_with_engine(
-    instance: &AuctionInstance,
-    options: &SimplexOptions,
-) -> EdgeLpOutcome {
+pub fn edge_lp_baseline(instance: &AuctionInstance) -> EdgeLpOutcome {
     let n = instance.num_bidders();
     let mut allocation = Allocation::empty(n);
     let mut lp_objective = 0.0;
@@ -104,7 +91,7 @@ pub fn edge_lp_baseline_with_engine(
             })
             .collect();
         let (x, obj, iterations, state) =
-            edge_lp_single_channel(instance, j, &weights, warm.take(), options);
+            edge_lp_single_channel(instance, j, &weights, warm.take());
         warm = Some(state);
         per_channel_iterations.push(iterations);
         lp_objective += obj;
@@ -194,9 +181,12 @@ mod tests {
         assert!((out.welfare - (1.0 + 2.0 + 3.0 + 4.0)).abs() < 1e-9);
     }
 
+    /// A 6-cycle with single-channel bidders: the even bidders want channel
+    /// 0 and the odd ones channel 1, so each channel's edge LP is optimal on
+    /// an independent set — 1 + 2.4 + 3.8 on channel 0 and 1.7 + 3.1 + 4.5
+    /// on channel 1, which warm-starts from channel 0's basis.
     #[test]
-    fn engine_selection_does_not_change_the_baseline() {
-        use ssa_lp::{BasisKind, PricingRule};
+    fn baseline_matches_the_hand_computed_edge_lp_optimum() {
         let g = ConflictGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
         let bidders: Vec<Arc<dyn Valuation>> = (0..6)
             .map(|i| {
@@ -213,20 +203,13 @@ mod tests {
             VertexOrdering::identity(6),
             1.0,
         );
-        let reference = edge_lp_baseline(&inst);
-        for pricing in [PricingRule::Dantzig, PricingRule::Bland, PricingRule::Devex] {
-            for basis in [BasisKind::ProductForm, BasisKind::SparseLu] {
-                let options = SimplexOptions::default().with_engine(pricing, basis);
-                let out = edge_lp_baseline_with_engine(&inst, &options);
-                assert!(out.allocation.is_feasible(&inst));
-                assert!(
-                    (out.lp_objective - reference.lp_objective).abs() < 1e-6,
-                    "{pricing:?}/{basis:?}: {} vs {}",
-                    out.lp_objective,
-                    reference.lp_objective
-                );
-            }
-        }
+        let out = edge_lp_baseline(&inst);
+        assert!(out.allocation.is_feasible(&inst));
+        assert!(
+            (out.lp_objective - 16.5).abs() < 1e-6,
+            "{} vs 16.5",
+            out.lp_objective
+        );
     }
 
     #[test]

@@ -64,9 +64,6 @@ pub use session::{
 };
 pub use snapshot::{ConflictSnapshot, InstanceSnapshot, SnapshotError, ValuationSnapshot};
 pub use solver::{AuctionOutcome, SolveError, SolverBuilder, SolverOptions, SpectrumAuctionSolver};
-// The LP-engine selectors, re-exported so pipeline callers can pick an
-// engine without depending on the lp crate directly.
-pub use ssa_lp::{BasisKind, PricingRule};
 pub use valuation::{
     AdditiveValuation, BudgetedAdditiveValuation, SingleMindedValuation, SymmetricValuation,
     TabularValuation, UnitDemandValuation, Valuation, XorValuation,

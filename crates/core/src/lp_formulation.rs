@@ -26,8 +26,8 @@ use crate::instance::AuctionInstance;
 use crate::solver::SolveError;
 use serde::{Deserialize, Serialize};
 use ssa_lp::{
-    is_native_tag, BasisKind, ColumnGeneration, ColumnSource, GeneratedColumn, LpStatus,
-    MasterProblem, PricingRule, Relation, Sense, SimplexOptions,
+    is_native_tag, ColumnGeneration, ColumnSource, GeneratedColumn, LpStatus, MasterProblem,
+    Relation, Sense, SimplexOptions,
 };
 
 /// One non-zero variable `x_{v,T}` of the fractional solution.
@@ -43,14 +43,10 @@ pub struct FractionalEntry {
     pub value: f64,
 }
 
-/// Which LP engine solved the relaxation and what it did — the stage-level
+/// What the LP engine did to solve the relaxation — the stage-level
 /// attribution the perf benches diff across PRs.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RelaxationInfo {
-    /// Pricing rule of the simplex engine.
-    pub pricing: PricingRule,
-    /// Basis factorization of the simplex engine.
-    pub basis: BasisKind,
     /// Master pricing rounds of the column-generation loop (1 for the
     /// explicit enumeration path).
     pub rounds: usize,
@@ -109,16 +105,13 @@ pub struct RelaxationInfo {
     /// Pivot-row BTRANs that fell back to the dense kernel.
     pub btran_dense_fallbacks: usize,
     /// Mean FTRAN/BTRAN result density (nnz / m) across the tracked solves;
-    /// 1.0 when nothing was tracked (sparsity disabled or zero pivots).
+    /// 1.0 when nothing was tracked (zero pivots).
     pub avg_result_density: f64,
 }
 
 impl Default for RelaxationInfo {
     fn default() -> Self {
-        let options = SimplexOptions::default();
         RelaxationInfo {
-            pricing: options.pricing,
-            basis: options.basis,
             rounds: 0,
             num_columns: 0,
             simplex_iterations: 0,
@@ -146,8 +139,6 @@ impl Default for RelaxationInfo {
 impl RelaxationInfo {
     fn from_solution(solution: &ssa_lp::LpSolution, rounds: usize, num_columns: usize) -> Self {
         RelaxationInfo {
-            pricing: solution.stats.pricing,
-            basis: solution.stats.basis,
             rounds,
             num_columns,
             simplex_iterations: solution.iterations,
@@ -176,8 +167,6 @@ impl RelaxationInfo {
     /// cannot drift when stats fields change.
     pub(crate) fn from_cg(result: &ssa_lp::ColumnGenerationResult, num_columns: usize) -> Self {
         RelaxationInfo {
-            pricing: result.solution.stats.pricing,
-            basis: result.solution.stats.basis,
             rounds: result.rounds,
             num_columns,
             simplex_iterations: result.simplex_iterations,
@@ -216,8 +205,7 @@ pub struct FractionalAssignment {
     pub rounds: usize,
     /// Number of columns in the final restricted master.
     pub num_columns: usize,
-    /// Engine attribution: which pricing/basis combination ran and its
-    /// iteration/refactorization counters.
+    /// LP attribution: the engine's iteration/refactorization counters.
     pub info: RelaxationInfo,
 }
 
@@ -322,15 +310,6 @@ impl Default for LpFormulationOptions {
             compaction_threshold: 0.25,
             deep_batch_rows: 4096,
         }
-    }
-}
-
-impl LpFormulationOptions {
-    /// Selects the simplex engine (pricing rule × basis factorization) used
-    /// for every master solve — the pipeline-level engine switch.
-    pub fn with_engine(mut self, pricing: PricingRule, basis: BasisKind) -> Self {
-        self.column_generation.simplex = self.column_generation.simplex.with_engine(pricing, basis);
-        self
     }
 }
 

@@ -24,7 +24,6 @@ use crate::lp_formulation::{
 use crate::rounding::{round_binary, round_weighted_partial, RoundingOptions, RoundingStats};
 use crate::session::AuctionSession;
 use serde::{Deserialize, Serialize};
-use ssa_lp::{BasisKind, PricingRule};
 
 /// Typed failure of the solving pipeline, returned by the fallible entry
 /// points ([`SpectrumAuctionSolver::try_solve`],
@@ -91,10 +90,9 @@ impl std::error::Error for SolveError {}
 /// Options of the end-to-end solver.
 ///
 /// This struct predates [`SolverBuilder`] and is kept as a thin
-/// compatibility shim so existing call sites keep compiling; its `with_*`
-/// methods merely forward into the nested option structs. New code should
-/// configure the pipeline through [`SolverBuilder`], which covers every
-/// knob in one place:
+/// compatibility shim so existing call sites keep compiling; it only nests
+/// the per-stage option structs. New code should configure the pipeline
+/// through [`SolverBuilder`], which covers every knob in one place:
 ///
 /// ```
 /// use ssa_core::solver::SolverBuilder;
@@ -110,17 +108,8 @@ pub struct SolverOptions {
     pub rounding: RoundingOptions,
 }
 
-impl SolverOptions {
-    /// Selects the LP engine (pricing rule × basis factorization) at the
-    /// pipeline level; forwarded down to every simplex solve.
-    pub fn with_engine(mut self, pricing: PricingRule, basis: BasisKind) -> Self {
-        self.lp = self.lp.with_engine(pricing, basis);
-        self
-    }
-}
-
-/// The one way to configure the pipeline: a fluent builder covering the LP
-/// engine, column generation and the rounding stage, producing either a
+/// The one way to configure the pipeline: a fluent builder covering column
+/// generation and the rounding stage, producing either a
 /// one-shot [`SpectrumAuctionSolver`] or a long-lived incremental
 /// [`AuctionSession`].
 ///
@@ -134,35 +123,10 @@ pub struct SolverBuilder {
 }
 
 impl SolverBuilder {
-    /// Starts from the default configuration (steepest-edge pricing ×
-    /// Forrest–Tomlin LU, top-4 seeding, 16 rounding trials with seed 1).
+    /// Starts from the default configuration (top-4 seeding, 16 rounding
+    /// trials with seed 1).
     pub fn new() -> Self {
         SolverBuilder::default()
-    }
-
-    /// Selects the simplex engine (pricing rule × basis factorization) used
-    /// by every LP solve of the pipeline.
-    ///
-    /// Picking a pricing rule (the e13 bench grid is the evidence):
-    ///
-    /// * [`PricingRule::Dantzig`] — cheapest per pivot; wins when columns
-    ///   are short and pivots are cheap (small masters, `n ≲ 200`).
-    /// * [`PricingRule::Devex`] — approximate steepest edge over a
-    ///   candidate list; fewer pivots than Dantzig on long/degenerate
-    ///   columns without extra solves, but the approximation drifts on
-    ///   long runs between refactorizations.
-    /// * [`PricingRule::SteepestEdge`] — exact reference weights
-    ///   `γ_j = ‖B⁻¹a_j‖²` (seeded at the slack basis, refreshed at every
-    ///   scheduled refactorization): the fewest pivots per solve, at a
-    ///   small per-pivot overhead. The default engine pairs it with
-    ///   [`BasisKind::ForrestTomlin`], the combination that won the
-    ///   multi-seed e13 medians at `n ≥ 800`; prefer Dantzig only for tiny
-    ///   masters.
-    /// * [`PricingRule::Bland`] — anti-cycling insurance, never fastest;
-    ///   the engine already falls back to it automatically after stalls.
-    pub fn engine(mut self, pricing: PricingRule, basis: BasisKind) -> Self {
-        self.options.lp = self.options.lp.with_engine(pricing, basis);
-        self
     }
 
     /// Caps the session column pool ([`ssa_lp::ColumnPool`]) at `capacity`
@@ -240,9 +204,8 @@ pub struct AuctionOutcome {
     /// Whether the LP was solved to optimality (column generation
     /// converged).
     pub lp_converged: bool,
-    /// LP-engine attribution: pricing/basis combination, simplex
-    /// iterations, refactorizations and degenerate pivots — so benches can
-    /// attribute time per stage.
+    /// LP-engine attribution: simplex iterations, refactorizations and
+    /// degenerate pivots — so benches can attribute time per stage.
     pub lp_info: RelaxationInfo,
     /// The a-priori guarantee of the pipeline on this instance: welfare is,
     /// in expectation, at least `lp_objective / guarantee_factor`.
@@ -412,10 +375,6 @@ pub struct OutcomeSummary {
     pub guarantee_factor: f64,
     /// Bidders served.
     pub num_served: usize,
-    /// Pricing rule of the simplex engine that solved the relaxation.
-    pub pricing: PricingRule,
-    /// Basis factorization of the simplex engine.
-    pub basis: BasisKind,
     /// Whether column generation converged (the LP value is the optimum).
     pub lp_converged: bool,
     /// Column-generation pricing rounds.
@@ -467,12 +426,10 @@ pub struct OutcomeSummary {
 }
 
 impl OutcomeSummary {
-    /// Builds a summary from an instance and its outcome. The engine
-    /// attribution fields are copied from [`AuctionOutcome::lp_info`], so a
-    /// serialized snapshot records *which* engine configuration produced the
-    /// numbers — perf regressions in `BENCH_e12.json`-style tables can then
-    /// be attributed (engine switch? pivot blow-up? lost convergence?) without
-    /// re-running the bench.
+    /// Builds a summary from an instance and its outcome. The LP attribution
+    /// fields are copied from [`AuctionOutcome::lp_info`], so perf
+    /// regressions in `BENCH_e12.json`-style tables can be attributed
+    /// (pivot blow-up? lost convergence?) without re-running the bench.
     pub fn new(instance: &AuctionInstance, outcome: &AuctionOutcome) -> Self {
         OutcomeSummary {
             num_bidders: instance.num_bidders(),
@@ -483,8 +440,6 @@ impl OutcomeSummary {
             empirical_ratio: outcome.empirical_ratio(),
             guarantee_factor: outcome.guarantee_factor,
             num_served: outcome.allocation.num_served(),
-            pricing: outcome.lp_info.pricing,
-            basis: outcome.lp_info.basis,
             lp_converged: outcome.lp_converged,
             lp_rounds: outcome.lp_info.rounds,
             pricing_rounds: outcome.lp_info.pricing_rounds,

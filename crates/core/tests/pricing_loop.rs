@@ -2,30 +2,16 @@
 //! seeding (`seed_top_bundles = 1`) the initial master misses most of the
 //! optimum's support, so the demand oracles really generate columns over
 //! several rounds. On random and degenerate (duplicated-row) instances the
-//! converged objective must match ground-truth bundle enumeration on every
-//! pricing × basis engine.
+//! converged objective must match ground-truth bundle enumeration.
 
 use proptest::prelude::*;
 use ssa_conflict_graph::{ConflictGraph, VertexOrdering};
 use ssa_core::lp_formulation::{solve_relaxation, solve_relaxation_explicit};
 use ssa_core::{
-    AuctionInstance, BasisKind, ConflictStructure, LpFormulationOptions, PricingRule,
-    TabularValuation, Valuation, XorValuation,
+    AuctionInstance, ConflictStructure, LpFormulationOptions, TabularValuation, Valuation,
+    XorValuation,
 };
 use std::sync::Arc;
-
-const PRICINGS: [PricingRule; 4] = [
-    PricingRule::Dantzig,
-    PricingRule::Bland,
-    PricingRule::Devex,
-    PricingRule::SteepestEdge,
-];
-
-const BASES: [BasisKind; 3] = [
-    BasisKind::ProductForm,
-    BasisKind::SparseLu,
-    BasisKind::ForrestTomlin,
-];
 
 /// A bidder described by plain data so proptest can shrink it.
 #[derive(Debug, Clone)]
@@ -131,7 +117,7 @@ prop_compose! {
     }
 }
 
-fn options(pricing: PricingRule, basis: BasisKind) -> LpFormulationOptions {
+fn options() -> LpFormulationOptions {
     // Favorite-only seeding: these instances have 1–3 bundles per bidder,
     // so the default top-4 seed would pre-solve them and the pricing loop
     // under test would never execute.
@@ -139,13 +125,12 @@ fn options(pricing: PricingRule, basis: BasisKind) -> LpFormulationOptions {
         seed_top_bundles: 1,
         ..Default::default()
     }
-    .with_engine(pricing, basis)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every engine converges to the same optimum as ground-truth bundle
+    /// The pricing loop converges to the same optimum as ground-truth bundle
     /// enumeration on the same instance, and the pricing loop ran.
     #[test]
     fn favorite_only_pricing_reaches_the_enumerated_optimum(spec in instance_strategy()) {
@@ -153,20 +138,16 @@ proptest! {
         let reference = solve_relaxation_explicit(&instance);
         prop_assert!(reference.converged);
         let tol = 1e-5 * (1.0 + reference.objective.abs());
-        for pricing in PRICINGS {
-            for basis in BASES {
-                let frac = solve_relaxation(&instance, &options(pricing, basis));
-                prop_assert!(frac.converged, "{pricing:?}x{basis:?} did not converge");
-                prop_assert!(
-                    (frac.objective - reference.objective).abs() < tol,
-                    "{pricing:?}x{basis:?}: {} vs reference {}",
-                    frac.objective,
-                    reference.objective
-                );
-                prop_assert!(frac.satisfies_constraints(&instance, 1e-6));
-                prop_assert!(frac.info.pricing_rounds >= 1);
-            }
-        }
+        let frac = solve_relaxation(&instance, &options());
+        prop_assert!(frac.converged, "did not converge");
+        prop_assert!(
+            (frac.objective - reference.objective).abs() < tol,
+            "{} vs reference {}",
+            frac.objective,
+            reference.objective
+        );
+        prop_assert!(frac.satisfies_constraints(&instance, 1e-6));
+        prop_assert!(frac.info.pricing_rounds >= 1);
     }
 }
 
@@ -198,21 +179,16 @@ fn favorite_only_pricing_generates_columns_on_a_degenerate_clique() {
         1.0,
     );
     let reference = solve_relaxation_explicit(&instance);
-    for pricing in PRICINGS {
-        for basis in BASES {
-            let frac = solve_relaxation(&instance, &options(pricing, basis));
-            assert!(frac.converged, "{pricing:?}x{basis:?} did not converge");
-            assert!(
-                (frac.objective - reference.objective).abs()
-                    < 1e-5 * (1.0 + reference.objective.abs()),
-                "{pricing:?}x{basis:?}: {} vs reference {}",
-                frac.objective,
-                reference.objective
-            );
-            assert!(
-                frac.info.columns_generated > 0,
-                "{pricing:?}x{basis:?}: the oracle generated no columns"
-            );
-        }
-    }
+    let frac = solve_relaxation(&instance, &options());
+    assert!(frac.converged, "did not converge");
+    assert!(
+        (frac.objective - reference.objective).abs() < 1e-5 * (1.0 + reference.objective.abs()),
+        "{} vs reference {}",
+        frac.objective,
+        reference.objective
+    );
+    assert!(
+        frac.info.columns_generated > 0,
+        "the oracle generated no columns"
+    );
 }

@@ -348,14 +348,14 @@ impl Default for ExchangeBuilder {
 }
 
 impl ExchangeBuilder {
-    /// Starts from the defaults: the default solver engine, pooled drains,
+    /// Starts from the defaults: the default solver, pooled drains,
     /// coalescing on.
     pub fn new() -> Self {
         ExchangeBuilder::default()
     }
 
     /// Configures the per-market sessions through a [`SolverBuilder`]
-    /// (engine, seed depth, rounding, …).
+    /// (seed depth, rounding, …).
     pub fn solver(mut self, builder: SolverBuilder) -> Self {
         self.options = builder.options();
         self
@@ -445,8 +445,8 @@ impl Default for SpectrumExchange {
 }
 
 impl SpectrumExchange {
-    /// An exchange with the default configuration (default solver engine,
-    /// pooled drains, coalescing on).
+    /// An exchange with the default configuration (default solver, pooled
+    /// drains, coalescing on).
     pub fn new() -> Self {
         ExchangeBuilder::new().build()
     }

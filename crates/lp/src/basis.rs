@@ -1,46 +1,30 @@
-//! Pluggable basis factorizations for the revised simplex.
+//! The basis factorization of the revised simplex.
 //!
 //! The revised method needs four linear-algebra primitives per iteration —
-//! FTRAN (`w = B⁻¹ a`), BTRAN (`y = cᵦ B⁻¹`), a single row of `B⁻¹` (for
-//! Devex pivot rows and for driving artificials out), and a rank-one pivot
-//! update — plus a periodic rebuild from the basis columns. This module
-//! abstracts them behind the [`BasisFactorization`] trait so the simplex
-//! core ([`crate::simplex`]) is independent of *how* the basis is
-//! represented:
+//! FTRAN (`w = B⁻¹ a`), BTRAN (`y = cᵦ B⁻¹`), a single row of `B⁻¹` (the
+//! steepest-edge pivot row, and the row that drives artificials out), and
+//! a rank-one pivot update — plus a periodic rebuild from the basis
+//! columns. [`ForrestTomlinLu`] provides all of them: a
+//! **Markowitz-ordered** LU (choose the pivot minimizing the fill bound
+//! `(r−1)(c−1)` among entries passing the relative threshold
+//! `|B_pq| ≥ 0.1 · max_p |B_pq|`, with explicit row *and* column
+//! permutations) combined with genuine **Forrest–Tomlin updates of `U`**: a
+//! basis change replaces one column of `U` by the spike `s = U·w` (free
+//! from the pivot FTRAN image `w = B⁻¹ a_e`), moves that column last in the
+//! triangular order, and eliminates the displaced row of `U` with a short
+//! **row eta** of multipliers. `U` itself stays triangular with bounded
+//! fill (only the spike column is added), so FTRAN/BTRAN stay
+//! `O(nnz(L) + nnz(U) + nnz(row etas))`, and the update cost tracks the
+//! *row* structure of `U`, not the full FTRAN image. Unstable replacements
+//! (tiny new diagonal relative to the spike) and a full row-eta file are
+//! declined, which makes the simplex core refactorize.
 //!
-//! * [`ProductFormInverse`] — the PR 1 representation: an explicit dense
-//!   row-major `m × m` inverse updated in product form. Every primitive is
-//!   `O(m²)` (FTRAN `O(m · nnz)`), which is fine for small masters but is
-//!   the documented bottleneck at `m ≳ 5·10³` rows.
-//! * [`SparseLu`] — a sparse LU factorization (`B = Pᵀ L U`, partial
-//!   pivoting, left-looking elimination with a dense scratch column) with
-//!   product-form **eta updates** between periodic refactorizations: each
-//!   pivot appends a sparse eta matrix to the inverse representation instead
-//!   of touching `O(m²)` entries, so FTRAN / BTRAN cost
-//!   `O(nnz(L) + nnz(U) + nnz(etas))` and a pivot costs `O(nnz(w))`. The
-//!   eta file is bounded (and the update refuses unstable pivots), which
-//!   forces a refactorization through the simplex core's existing hygiene
-//!   path — but between refactorizations the file still *grows* by one eta
-//!   per pivot, so solve cost creeps up with the pivot count.
-//! * [`ForrestTomlinLu`] — a **Markowitz-ordered** LU (choose the pivot
-//!   minimizing the fill bound `(r−1)(c−1)` among entries passing the
-//!   relative threshold `|B_pq| ≥ 0.1 · max_p |B_pq|`, with explicit row
-//!   *and* column permutations) combined with genuine **Forrest–Tomlin
-//!   updates of `U`**: a basis change replaces one column of `U` by the
-//!   spike `s = U·w` (free from the pivot FTRAN image `w = B⁻¹ a_e`), moves
-//!   that column last in the triangular order, and eliminates the displaced
-//!   row of `U` with a short **row eta** of multipliers. `U` itself stays
-//!   triangular with bounded fill (only the spike column is added), so
-//!   FTRAN/BTRAN stay `O(nnz(L) + nnz(U) + nnz(row etas))` with row etas
-//!   that are typically far sparser than product-form etas: the update cost
-//!   tracks the *row* structure of `U`, not the full FTRAN image. Unstable
-//!   replacements (tiny new diagonal relative to the spike) are declined,
-//!   which routes through the same forced-refactorization path as
-//!   [`SparseLu`].
-//!
-//! Which factorization runs is chosen by [`BasisKind`] in
-//! [`crate::simplex::SimplexOptions`]; the property tests solve every
-//! pricing × basis combination against the dense oracle ([`crate::dense`]).
+//! FTRAN of a sparse right-hand side and the pivot-row BTRAN run
+//! hyper-sparse (Gilbert–Peierls) into a [`SparseVector`] and fall back to
+//! the dense kernels by themselves once the reach passes a density cutoff;
+//! [`SparsityStats`] counts both outcomes. The property tests check the
+//! factorization by its residuals and the simplex built on it against the
+//! dense oracle ([`crate::dense`]).
 //!
 //! ## The Forrest–Tomlin update in formulas
 //!
@@ -55,32 +39,6 @@
 //! `R = I − e_t μᵀ`, the new diagonal is `d = s_t − Σ_j μ_j s_j`, and the
 //! spike entries become column `t` of the updated `U`.
 
-use serde::{Deserialize, Serialize};
-
-/// Selects the basis representation used by the revised simplex.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BasisKind {
-    /// Explicit dense `B⁻¹` maintained in product form (`O(m²)` per pivot).
-    ProductForm,
-    /// Sparse LU factors with product-form eta updates and periodic
-    /// refactorization.
-    SparseLu,
-    /// Markowitz-ordered sparse LU with Forrest–Tomlin updates of `U`
-    /// (bounded fill per pivot; the default at scale).
-    ForrestTomlin,
-}
-
-impl BasisKind {
-    /// Short stable name used in bench labels and stats tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            BasisKind::ProductForm => "product-form",
-            BasisKind::SparseLu => "sparse-lu",
-            BasisKind::ForrestTomlin => "ft-lu",
-        }
-    }
-}
-
 /// A sparse column of the basis matrix: `(row index, value)` pairs.
 pub type SparseColumn = Vec<(usize, f64)>;
 
@@ -92,8 +50,8 @@ pub type SparseColumn = Vec<(usize, f64)>;
 /// that *may* be non-zero (a superset — entries can cancel to exact zero),
 /// so consumers iterate [`for_each_nonzero`](Self::for_each_nonzero) in
 /// `O(nnz)` instead of `O(m)`. When it is `false` the result came from a
-/// dense kernel (fallback above the density cutoff, or sparsity disabled)
-/// and iteration scans the full array.
+/// dense kernel (fallback above the density cutoff) and iteration scans the
+/// full array.
 #[derive(Clone, Debug, Default)]
 pub struct SparseVector {
     values: Vec<f64>,
@@ -198,21 +156,13 @@ impl SparseVector {
         self.begin(m);
         self.sparse = false;
     }
-
-    /// Mutable dense view; marks the vector dense (the pattern can no
-    /// longer be trusted once a caller writes arbitrary entries).
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        self.sparse = false;
-        self.pattern.clear();
-        &mut self.values
-    }
 }
 
 /// Cumulative hyper-sparse solve counters of one factorization (monotone
 /// over its lifetime; take deltas across a solve to attribute per-solve
 /// work). Only the sparse-capable entry points
-/// ([`BasisFactorization::ftran_sparse_into`] /
-/// [`BasisFactorization::btran_unit_into`]) are tracked: `*_sparse +
+/// ([`ForrestTomlinLu::ftran_sparse_into`] /
+/// [`ForrestTomlinLu::btran_unit_into`]) are tracked: `*_sparse +
 /// *_dense` is the number of tracked solves, and the density sums cover
 /// both (a dense fallback counts `m / m`).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -220,7 +170,7 @@ pub struct SparsityStats {
     /// FTRAN solves answered by the hyper-sparse (Gilbert–Peierls) path.
     pub ftran_sparse: u64,
     /// FTRAN solves that fell back to the dense kernel (reach exceeded the
-    /// density cutoff, or the representation has no sparse path).
+    /// density cutoff).
     pub ftran_dense: u64,
     /// Pivot-row BTRANs answered by the hyper-sparse path.
     pub btran_sparse: u64,
@@ -372,953 +322,6 @@ fn symbolic_reach(
     true
 }
 
-/// The linear-algebra kernel behind the revised simplex.
-///
-/// All vectors indexed "by basis position" refer to the slot `r` of the
-/// simplex basis (`basis[r]` is the member whose column occupies position
-/// `r`); vectors indexed "by row" refer to original constraint rows. The
-/// two spaces have the same length `m` but are permuted relative to each
-/// other inside the LU representation.
-pub trait BasisFactorization: std::fmt::Debug + Send {
-    /// Which representation this is (reported in solve stats).
-    fn kind(&self) -> BasisKind;
-
-    /// Number of rows of the factorized basis (0 before the first
-    /// [`refactor`](Self::refactor)).
-    fn num_rows(&self) -> usize;
-
-    /// Rebuilds the factorization from scratch. `cols[c]` is the sparse
-    /// column (by original row index) of the basis member at position `c`.
-    /// Returns `false` when the basis matrix is numerically singular; the
-    /// factorization is then left **empty** (`num_rows()` returns 0, solves
-    /// write zeros) until the next successful refactor. Callers that keep
-    /// going after a failure therefore get well-defined garbage (zero duals
-    /// under a non-optimal status), never a partially-built factor.
-    fn refactor(&mut self, m: usize, cols: &[SparseColumn]) -> bool;
-
-    /// FTRAN with a sparse right-hand side: `w = B⁻¹ a` where `a` is given
-    /// as `(row, value)` entries. `w` (length `m`) is indexed by basis
-    /// position.
-    fn ftran_sparse(&self, entries: &[(usize, f64)], w: &mut [f64]);
-
-    /// FTRAN with a dense right-hand side (used to recompute `x_B = B⁻¹ b`).
-    fn ftran_dense(&self, rhs: &[f64], w: &mut [f64]);
-
-    /// BTRAN: `y = cᵦ B⁻¹` for the basic cost vector `cb` (indexed by basis
-    /// position); `y` (length `m`) is indexed by original row.
-    fn btran(&self, cb: &[f64], y: &mut [f64]);
-
-    /// Row `r` of `B⁻¹` (`rho = eᵣᵀ B⁻¹`, indexed by original row): the
-    /// pivot row used by Devex weight updates and by the artificial
-    /// drive-out pass.
-    fn btran_unit(&self, r: usize, rho: &mut [f64]);
-
-    /// Applies the pivot that replaces the basis column at position `l` by
-    /// the column whose FTRAN image is `w` (so the new `B⁻¹` is
-    /// `E · B⁻¹_old` with the eta matrix built from `(l, w)`).
-    ///
-    /// Returns `false` when the representation declines the update for
-    /// stability or capacity reasons — the caller must then refactor from
-    /// the (already updated) basis columns; the factorization state is
-    /// unspecified until it does.
-    fn update(&mut self, l: usize, w: &[f64]) -> bool;
-
-    /// Number of successful [`update`](Self::update)s since the last
-    /// [`refactor`](Self::refactor).
-    fn updates_since_refactor(&self) -> usize;
-
-    /// Clones the factorization state (used by [`crate::simplex::WarmStart`],
-    /// which must stay `Clone` for the column-generation master).
-    fn box_clone(&self) -> Box<dyn BasisFactorization>;
-
-    /// FTRAN with a sparse right-hand side into an indexed result: the
-    /// hyper-sparse (Gilbert–Peierls) path when the representation supports
-    /// one and the reach stays below the density cutoff, the dense kernel
-    /// (with `w` marked dense) otherwise. The default implementation is the
-    /// dense kernel; `w` keeps its current length when the factorization is
-    /// empty.
-    fn ftran_sparse_into(&self, entries: &[(usize, f64)], w: &mut SparseVector) {
-        let m = self.num_rows();
-        if m == 0 {
-            let keep = w.len();
-            w.begin(keep);
-            return;
-        }
-        w.begin_dense(m);
-        self.ftran_sparse(entries, w.values_mut());
-    }
-
-    /// Pivot-row BTRAN (`rho = eᵣᵀ B⁻¹`) into an indexed result; same
-    /// sparse-or-dense contract as
-    /// [`ftran_sparse_into`](Self::ftran_sparse_into).
-    fn btran_unit_into(&self, r: usize, rho: &mut SparseVector) {
-        let m = self.num_rows();
-        if m == 0 {
-            let keep = rho.len();
-            rho.begin(keep);
-            return;
-        }
-        rho.begin_dense(m);
-        self.btran_unit(r, rho.values_mut());
-    }
-
-    /// [`update`](Self::update) from an indexed FTRAN image; representations
-    /// override this to build the eta/spike from the pattern instead of an
-    /// `O(m)` scan.
-    fn update_sparse(&mut self, l: usize, w: &SparseVector) -> bool {
-        self.update(l, w.values())
-    }
-
-    /// Cumulative hyper-sparse solve counters over this factorization's
-    /// lifetime (all zeros for representations without a sparse path).
-    fn sparsity_stats(&self) -> SparsityStats {
-        SparsityStats::default()
-    }
-}
-
-impl Clone for Box<dyn BasisFactorization> {
-    fn clone(&self) -> Self {
-        self.box_clone()
-    }
-}
-
-/// Creates an empty factorization of the requested kind.
-pub fn make_factorization(kind: BasisKind) -> Box<dyn BasisFactorization> {
-    match kind {
-        BasisKind::ProductForm => Box::new(ProductFormInverse::default()),
-        BasisKind::SparseLu => Box::new(SparseLu::default()),
-        BasisKind::ForrestTomlin => Box::new(ForrestTomlinLu::default()),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Product-form inverse (the PR 1 representation)
-// ---------------------------------------------------------------------------
-
-/// Explicit dense `B⁻¹`, row-major, updated in product form.
-#[derive(Clone, Debug, Default)]
-pub struct ProductFormInverse {
-    m: usize,
-    /// row-major `m × m`: `binv[r * m + i]` maps row `i` to basis position `r`
-    binv: Vec<f64>,
-    updates: usize,
-}
-
-impl ProductFormInverse {
-    /// Wraps an existing dense inverse (used when migrating a pre-seam warm
-    /// start and by tests).
-    pub fn from_dense(m: usize, binv: Vec<f64>) -> Self {
-        assert_eq!(binv.len(), m * m, "inverse must be m × m");
-        ProductFormInverse {
-            m,
-            binv,
-            updates: 0,
-        }
-    }
-}
-
-impl BasisFactorization for ProductFormInverse {
-    fn kind(&self) -> BasisKind {
-        BasisKind::ProductForm
-    }
-
-    fn num_rows(&self) -> usize {
-        self.m
-    }
-
-    fn refactor(&mut self, m: usize, cols: &[SparseColumn]) -> bool {
-        assert_eq!(cols.len(), m, "one column per basis position");
-        self.m = m;
-        self.updates = 0;
-        // Dense B (column per basis position), then Gauss–Jordan with
-        // partial pivoting applied to [B | I].
-        let mut bmat = vec![0.0f64; m * m];
-        for (c, col) in cols.iter().enumerate() {
-            for &(r, v) in col {
-                bmat[r * m + c] += v;
-            }
-        }
-        let mut inv = vec![0.0f64; m * m];
-        for i in 0..m {
-            inv[i * m + i] = 1.0;
-        }
-        for k in 0..m {
-            let mut p = k;
-            let mut best = bmat[k * m + k].abs();
-            for r in (k + 1)..m {
-                let cand = bmat[r * m + k].abs();
-                if cand > best {
-                    best = cand;
-                    p = r;
-                }
-            }
-            if best <= 1e-12 {
-                // singular: leave the empty state, not a stale inverse
-                self.m = 0;
-                self.binv.clear();
-                return false;
-            }
-            if p != k {
-                for j in 0..m {
-                    bmat.swap(k * m + j, p * m + j);
-                    inv.swap(k * m + j, p * m + j);
-                }
-            }
-            let inv_piv = 1.0 / bmat[k * m + k];
-            for j in 0..m {
-                bmat[k * m + j] *= inv_piv;
-                inv[k * m + j] *= inv_piv;
-            }
-            for r in 0..m {
-                if r == k {
-                    continue;
-                }
-                let f = bmat[r * m + k];
-                if f != 0.0 {
-                    for j in 0..m {
-                        bmat[r * m + j] -= f * bmat[k * m + j];
-                        inv[r * m + j] -= f * inv[k * m + j];
-                    }
-                }
-            }
-        }
-        self.binv = inv;
-        true
-    }
-
-    fn ftran_sparse(&self, entries: &[(usize, f64)], w: &mut [f64]) {
-        let m = self.m;
-        for v in w.iter_mut() {
-            *v = 0.0;
-        }
-        if m == 0 {
-            return; // empty state (failed refactor): solves write zeros
-        }
-        for &(i, a) in entries {
-            if a != 0.0 {
-                for (r, wr) in w.iter_mut().enumerate() {
-                    *wr += self.binv[r * m + i] * a;
-                }
-            }
-        }
-    }
-
-    fn ftran_dense(&self, rhs: &[f64], w: &mut [f64]) {
-        let m = self.m;
-        for (r, wr) in w.iter_mut().enumerate() {
-            let row = &self.binv[r * m..(r + 1) * m];
-            *wr = row.iter().zip(rhs.iter()).map(|(a, b)| a * b).sum();
-        }
-    }
-
-    fn btran(&self, cb: &[f64], y: &mut [f64]) {
-        let m = self.m;
-        for v in y.iter_mut() {
-            *v = 0.0;
-        }
-        for (r, &c) in cb.iter().enumerate() {
-            if c != 0.0 {
-                let row = &self.binv[r * m..(r + 1) * m];
-                for (yk, &bk) in y.iter_mut().zip(row.iter()) {
-                    *yk += c * bk;
-                }
-            }
-        }
-    }
-
-    fn btran_unit(&self, r: usize, rho: &mut [f64]) {
-        let m = self.m;
-        if m == 0 {
-            rho.fill(0.0);
-            return;
-        }
-        rho.copy_from_slice(&self.binv[r * m..(r + 1) * m]);
-    }
-
-    fn update(&mut self, l: usize, w: &[f64]) -> bool {
-        let m = self.m;
-        let wl = w[l];
-        if wl.abs() <= 1e-12 {
-            return false;
-        }
-        let inv_wl = 1.0 / wl;
-        for j in 0..m {
-            self.binv[l * m + j] *= inv_wl;
-        }
-        let pivot_row: Vec<f64> = self.binv[l * m..(l + 1) * m].to_vec();
-        for (r, &f) in w.iter().enumerate().take(m) {
-            if r == l || f == 0.0 {
-                continue;
-            }
-            let row = &mut self.binv[r * m..(r + 1) * m];
-            for (dst, &p) in row.iter_mut().zip(pivot_row.iter()) {
-                *dst -= f * p;
-            }
-        }
-        self.updates += 1;
-        true
-    }
-
-    fn updates_since_refactor(&self) -> usize {
-        self.updates
-    }
-
-    fn box_clone(&self) -> Box<dyn BasisFactorization> {
-        Box::new(self.clone())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sparse LU with eta updates
-// ---------------------------------------------------------------------------
-
-/// One eta matrix of the update file: `B⁻¹_new = E · B⁻¹_old` with
-/// `E = I + (e_l − w) e_lᵀ / w_l` built from the pivot `(l, w = B⁻¹ a_e)`.
-#[derive(Clone, Debug)]
-struct Eta {
-    /// Pivot position (basis slot).
-    l: usize,
-    /// Pivot element `w_l`.
-    wl: f64,
-    /// Off-pivot entries `(r, w_r)` with `r ≠ l`.
-    entries: Vec<(usize, f64)>,
-}
-
-/// Sparse LU factors of the basis with a product-form eta file.
-///
-/// `B = Pᵀ L U` with row permutation `P` chosen by partial pivoting during
-/// a left-looking elimination; pivots append eta matrices instead of
-/// re-factorizing. See the module docs for the cost model.
-#[derive(Clone, Debug, Default)]
-pub struct SparseLu {
-    m: usize,
-    /// Columns of unit-lower-triangular `L`: entries `(original row, value)`
-    /// for rows pivoted *after* step `k`.
-    l_cols: Vec<Vec<(usize, f64)>>,
-    /// Off-diagonal columns of `U`: entries `(step i < k, value)`.
-    u_cols: Vec<Vec<(usize, f64)>>,
-    /// Diagonal of `U` per step.
-    u_diag: Vec<f64>,
-    /// `prow[k]` = original row chosen as pivot at elimination step `k`.
-    prow: Vec<usize>,
-    /// Eta file, in application (creation) order.
-    etas: Vec<Eta>,
-    /// Total entries across the eta file (bounds FTRAN/BTRAN cost).
-    eta_entries: usize,
-    /// Reusable solve workspaces (FTRAN rhs / BTRAN cost / BTRAN permuted
-    /// solution / unit-cost vector): the trait's solve methods take `&self`
-    /// and run once per pivot, so these avoid a heap allocation per call.
-    /// `scratch_unit` is separate because `btran_unit` calls `btran`, which
-    /// borrows the other two.
-    scratch_x: std::cell::RefCell<Vec<f64>>,
-    scratch_c: std::cell::RefCell<Vec<f64>>,
-    scratch_s: std::cell::RefCell<Vec<f64>>,
-    scratch_unit: std::cell::RefCell<Vec<f64>>,
-    /// `step_of_row[r]` = elimination step that pivoted original row `r`
-    /// (inverse of `prow`); drives the hyper-sparse L-phase reachability.
-    step_of_row: Vec<usize>,
-    /// Row-wise mirror of `l_cols`: `l_rows[r]` = `(step k, value)` for every
-    /// entry of row `r` in `L` (the transposed-solve adjacency for BTRAN).
-    l_rows: Vec<Vec<(usize, f64)>>,
-    /// Row-wise mirror of `u_cols`: `u_rows[i]` = `(step k, value)` for every
-    /// off-diagonal entry of row `i` in `U`.
-    u_rows: Vec<Vec<(usize, f64)>>,
-    /// Hyper-sparse solve workspaces: two value scratches with an all-zero
-    /// invariant between calls, DFS marks/stack, per-phase reach lists, and
-    /// a support buffer.
-    sp_x: std::cell::RefCell<Vec<f64>>,
-    sp_z: std::cell::RefCell<Vec<f64>>,
-    sp_mark: std::cell::RefCell<Vec<bool>>,
-    sp_stack: std::cell::RefCell<Vec<(usize, usize)>>,
-    sp_reach_a: std::cell::RefCell<Vec<usize>>,
-    sp_reach_b: std::cell::RefCell<Vec<usize>>,
-    sp_support: std::cell::RefCell<Vec<usize>>,
-    /// Hyper-sparse solve counters (monotone over the lifetime).
-    counters: SparsityCounters,
-}
-
-impl SparseLu {
-    /// Tiny pivots below this are treated as singular.
-    const SINGULAR_TOL: f64 = 1e-12;
-    /// Pivot elements below this refuse the eta update (forces refactor).
-    const UPDATE_TOL: f64 = 1e-9;
-
-    /// Density cutoff for the hyper-sparse solves: once a symbolic reach
-    /// exceeds this many nodes the result is dense enough that the plain
-    /// kernels win, so the solve bails and re-runs densely.
-    fn sparse_cap(&self) -> usize {
-        (self.m / 4).max(4)
-    }
-
-    /// Gilbert–Peierls FTRAN into an indexed result. Returns `false` (with
-    /// all scratch state restored) when any phase's reach exceeds the
-    /// density cutoff; the caller then falls back to the dense kernel.
-    fn ftran_hyper_sparse(&self, entries: &[(usize, f64)], w: &mut SparseVector) -> bool {
-        let m = self.m;
-        let cap = self.sparse_cap();
-        if entries.len() > cap {
-            return false;
-        }
-        let mut x = self.sp_x.borrow_mut();
-        if x.len() < m {
-            x.resize(m, 0.0);
-        }
-        let mut mark = self.sp_mark.borrow_mut();
-        if mark.len() < m {
-            mark.resize(m, false);
-        }
-        let mut stack = self.sp_stack.borrow_mut();
-        let mut reach_l = self.sp_reach_a.borrow_mut();
-        let mut reach_u = self.sp_reach_b.borrow_mut();
-
-        // --- L phase (original-row space): DFS from the rhs support along
-        // the L column pattern, then the numeric forward elimination over
-        // the reach in topological (reverse postorder) order.
-        let ok = symbolic_reach(
-            entries.iter().filter(|e| e.1 != 0.0).map(|e| e.0),
-            |r, i| self.l_cols[self.step_of_row[r]].get(i).map(|e| e.0),
-            &mut mark,
-            &mut stack,
-            &mut reach_l,
-            cap,
-        );
-        if !ok {
-            return false;
-        }
-        for &(r, a) in entries {
-            x[r] += a;
-        }
-        for &r in reach_l.iter().rev() {
-            let z = x[r];
-            if z != 0.0 {
-                for &(rr, lv) in &self.l_cols[self.step_of_row[r]] {
-                    x[rr] -= z * lv;
-                }
-            }
-        }
-        for &r in reach_l.iter() {
-            mark[r] = false;
-        }
-
-        // --- U phase (step space): support = steps of the reached rows.
-        let ok = symbolic_reach(
-            reach_l.iter().map(|&r| self.step_of_row[r]),
-            |k, i| self.u_cols[k].get(i).map(|e| e.0),
-            &mut mark,
-            &mut stack,
-            &mut reach_u,
-            cap,
-        );
-        if !ok {
-            for &r in reach_l.iter() {
-                x[r] = 0.0;
-            }
-            return false;
-        }
-        w.begin(m);
-        for &k in reach_u.iter().rev() {
-            let wk = x[self.prow[k]] / self.u_diag[k];
-            w.values[k] = wk;
-            w.pattern.push(k);
-            if wk != 0.0 {
-                for &(i, uv) in &self.u_cols[k] {
-                    x[self.prow[i]] -= uv * wk;
-                }
-            }
-        }
-        // restore the all-zero invariant: phase-L rows plus every backward
-        // propagation target
-        for &r in reach_l.iter() {
-            x[r] = 0.0;
-        }
-        for &k in reach_u.iter() {
-            x[self.prow[k]] = 0.0;
-        }
-
-        // --- eta file (basis-position space); the U-phase DFS marks double
-        // as the pattern guard for fill the etas introduce.
-        for eta in &self.etas {
-            let vl = w.values[eta.l] / eta.wl;
-            if vl != 0.0 {
-                w.values[eta.l] = vl;
-                for &(r, wr) in &eta.entries {
-                    if !mark[r] {
-                        mark[r] = true;
-                        w.pattern.push(r);
-                    }
-                    w.values[r] -= wr * vl;
-                }
-            }
-        }
-        for &k in w.pattern.iter() {
-            mark[k] = false;
-        }
-        true
-    }
-
-    /// Gilbert–Peierls pivot-row BTRAN (`y = eᵣᵀ B⁻¹`) into an indexed
-    /// result; same bail-to-dense contract as
-    /// [`ftran_hyper_sparse`](Self::ftran_hyper_sparse).
-    fn btran_unit_hyper_sparse(&self, r: usize, y: &mut SparseVector) -> bool {
-        let m = self.m;
-        let cap = self.sparse_cap();
-        let mut c = self.sp_x.borrow_mut(); // basis-position space
-        if c.len() < m {
-            c.resize(m, 0.0);
-        }
-        let mut s = self.sp_z.borrow_mut(); // step space
-        if s.len() < m {
-            s.resize(m, 0.0);
-        }
-        let mut mark = self.sp_mark.borrow_mut();
-        if mark.len() < m {
-            mark.resize(m, false);
-        }
-        let mut stack = self.sp_stack.borrow_mut();
-        let mut reach_u = self.sp_reach_a.borrow_mut();
-        let mut reach_lt = self.sp_reach_b.borrow_mut();
-        let mut cpat = self.sp_support.borrow_mut();
-
-        // --- eta file (row action, reverse order) on the unit cost vector.
-        // The pattern is tracked by value transitions; a duplicate push after
-        // an exact cancellation is tolerated (the DFS dedups below).
-        cpat.clear();
-        c[r] = 1.0;
-        cpat.push(r);
-        for eta in self.etas.iter().rev() {
-            let cl = c[eta.l];
-            let mut dot = cl * eta.wl;
-            for &(rr, wr) in &eta.entries {
-                dot += c[rr] * wr;
-            }
-            if cl != 0.0 || dot != 0.0 {
-                let ncl = cl + (cl - dot) / eta.wl;
-                if cl == 0.0 && ncl != 0.0 {
-                    cpat.push(eta.l);
-                }
-                c[eta.l] = ncl;
-            }
-        }
-        if cpat.len() > cap {
-            for &k in cpat.iter() {
-                c[k] = 0.0;
-            }
-            return false;
-        }
-
-        // --- Uᵀ phase (step space): value flows from step i to step k along
-        // u_rows[i]; pull-based numeric over the reach.
-        let ok = symbolic_reach(
-            cpat.iter().copied(),
-            |i, idx| self.u_rows[i].get(idx).map(|e| e.0),
-            &mut mark,
-            &mut stack,
-            &mut reach_u,
-            cap,
-        );
-        if !ok {
-            for &k in cpat.iter() {
-                c[k] = 0.0;
-            }
-            return false;
-        }
-        for &k in reach_u.iter().rev() {
-            let mut v = c[k];
-            for &(i, uv) in &self.u_cols[k] {
-                v -= uv * s[i];
-            }
-            s[k] = v / self.u_diag[k];
-        }
-        for &k in cpat.iter() {
-            c[k] = 0.0;
-        }
-        for &k in reach_u.iter() {
-            mark[k] = false;
-        }
-
-        // --- Lᵀ phase (step space): value flows from step j to the steps
-        // whose L column contains row prow[j].
-        let ok = symbolic_reach(
-            reach_u.iter().copied(),
-            |j, idx| self.l_rows[self.prow[j]].get(idx).map(|e| e.0),
-            &mut mark,
-            &mut stack,
-            &mut reach_lt,
-            cap,
-        );
-        if !ok {
-            for &k in reach_u.iter() {
-                s[k] = 0.0;
-            }
-            return false;
-        }
-        y.begin(m);
-        for &k in reach_u.iter() {
-            y.values[self.prow[k]] = s[k];
-            s[k] = 0.0;
-        }
-        for &k in reach_lt.iter().rev() {
-            let pr = self.prow[k];
-            let mut acc = y.values[pr];
-            for &(rr, lv) in &self.l_cols[k] {
-                acc -= lv * y.values[rr];
-            }
-            y.values[pr] = acc;
-            y.pattern.push(pr);
-        }
-        for &k in reach_lt.iter() {
-            mark[k] = false;
-        }
-        true
-    }
-
-    /// Eta-file capacity: once the file holds more than `4m + 64` entries
-    /// the update declines and the core refactorizes, keeping the marginal
-    /// FTRAN/BTRAN cost linear in the factor size.
-    fn eta_capacity(&self) -> usize {
-        4 * self.m + 64
-    }
-
-    /// Forward elimination (`L⁻¹` with the row permutation folded in)
-    /// applied to the dense scratch `x` (indexed by original row). After the
-    /// call, `x[prow[k]]` holds the permuted solution component `z_k`.
-    fn forward(&self, x: &mut [f64]) {
-        for k in 0..self.m {
-            let z = x[self.prow[k]];
-            if z != 0.0 {
-                for &(r, lv) in &self.l_cols[k] {
-                    x[r] -= z * lv;
-                }
-            }
-        }
-    }
-
-    /// Backward substitution `U w = z` where `z_k = x[prow[k]]`; writes the
-    /// solution (indexed by basis position) into `w`.
-    fn backward(&self, x: &mut [f64], w: &mut [f64]) {
-        for k in (0..self.m).rev() {
-            let wk = x[self.prow[k]] / self.u_diag[k];
-            w[k] = wk;
-            if wk != 0.0 {
-                for &(i, uv) in &self.u_cols[k] {
-                    x[self.prow[i]] -= uv * wk;
-                }
-            }
-        }
-    }
-
-    /// Applies the eta file (column action, creation order) to `w`.
-    fn apply_etas_ftran(&self, w: &mut [f64]) {
-        for eta in &self.etas {
-            let vl = w[eta.l] / eta.wl;
-            w[eta.l] = vl;
-            if vl != 0.0 {
-                for &(r, wr) in &eta.entries {
-                    w[r] -= wr * vl;
-                }
-            }
-        }
-    }
-
-    /// Applies the eta file (row action, reverse order) to `c`.
-    fn apply_etas_btran(&self, c: &mut [f64]) {
-        for eta in self.etas.iter().rev() {
-            let mut dot = c[eta.l] * eta.wl;
-            for &(r, wr) in &eta.entries {
-                dot += c[r] * wr;
-            }
-            c[eta.l] += (c[eta.l] - dot) / eta.wl;
-        }
-    }
-
-    fn lu_solve_into(&self, x: &mut [f64], w: &mut [f64]) {
-        if self.m == 0 {
-            // empty state (failed refactor): solves write zeros
-            w.fill(0.0);
-            return;
-        }
-        self.forward(x);
-        self.backward(x, w);
-        self.apply_etas_ftran(w);
-    }
-}
-
-impl BasisFactorization for SparseLu {
-    fn kind(&self) -> BasisKind {
-        BasisKind::SparseLu
-    }
-
-    fn num_rows(&self) -> usize {
-        self.m
-    }
-
-    fn refactor(&mut self, m: usize, cols: &[SparseColumn]) -> bool {
-        assert_eq!(cols.len(), m, "one column per basis position");
-        self.m = m;
-        self.etas.clear();
-        self.eta_entries = 0;
-        self.l_cols.clear();
-        self.u_cols.clear();
-        self.u_diag.clear();
-        self.prow.clear();
-        self.l_cols.reserve(m);
-        self.u_cols.reserve(m);
-        self.u_diag.reserve(m);
-        self.prow.reserve(m);
-
-        // pos[r] = elimination step of original row r (MAX while unpivoted)
-        let mut pos = vec![usize::MAX; m];
-        let mut x = vec![0.0f64; m];
-        let mut touched: Vec<usize> = Vec::with_capacity(m);
-
-        for col in cols.iter() {
-            // scatter the basis column into the scratch
-            for &(r, v) in col {
-                if x[r] == 0.0 && v != 0.0 {
-                    touched.push(r);
-                }
-                x[r] += v;
-            }
-            // left-looking: apply the L columns computed so far (step order)
-            let k = self.u_diag.len();
-            for j in 0..k {
-                let xj = x[self.prow[j]];
-                if xj != 0.0 {
-                    for &(r, lv) in &self.l_cols[j] {
-                        if x[r] == 0.0 {
-                            touched.push(r);
-                        }
-                        x[r] -= xj * lv;
-                    }
-                }
-            }
-            // partial pivot among unpivoted rows
-            let mut p = usize::MAX;
-            let mut best = Self::SINGULAR_TOL;
-            for &r in &touched {
-                if pos[r] == usize::MAX {
-                    let cand = x[r].abs();
-                    if cand > best {
-                        best = cand;
-                        p = r;
-                    }
-                }
-            }
-            if p == usize::MAX {
-                // no usable pivot: singular — leave the empty state, not a
-                // partially built factor
-                self.m = 0;
-                self.l_cols.clear();
-                self.u_cols.clear();
-                self.u_diag.clear();
-                self.prow.clear();
-                self.step_of_row.clear();
-                self.l_rows.clear();
-                self.u_rows.clear();
-                return false;
-            }
-            let piv = x[p];
-            pos[p] = k;
-            self.prow.push(p);
-            self.u_diag.push(piv);
-            let mut ucol: Vec<(usize, f64)> = Vec::new();
-            let mut lcol: Vec<(usize, f64)> = Vec::new();
-            for &r in &touched {
-                let v = x[r];
-                x[r] = 0.0;
-                if v == 0.0 || r == p {
-                    continue;
-                }
-                match pos[r] {
-                    usize::MAX => lcol.push((r, v / piv)),
-                    step => ucol.push((step, v)),
-                }
-            }
-            touched.clear();
-            self.u_cols.push(ucol);
-            self.l_cols.push(lcol);
-        }
-
-        // row-wise mirrors + permutation inverse for the hyper-sparse solves
-        self.step_of_row.clear();
-        self.step_of_row.resize(m, 0);
-        for (k, &r) in self.prow.iter().enumerate() {
-            self.step_of_row[r] = k;
-        }
-        self.l_rows.clear();
-        self.l_rows.resize(m, Vec::new());
-        for (k, lcol) in self.l_cols.iter().enumerate() {
-            for &(r, lv) in lcol {
-                self.l_rows[r].push((k, lv));
-            }
-        }
-        self.u_rows.clear();
-        self.u_rows.resize(m, Vec::new());
-        for (k, ucol) in self.u_cols.iter().enumerate() {
-            for &(i, uv) in ucol {
-                self.u_rows[i].push((k, uv));
-            }
-        }
-        true
-    }
-
-    fn ftran_sparse(&self, entries: &[(usize, f64)], w: &mut [f64]) {
-        if self.m == 0 {
-            w.fill(0.0);
-            return;
-        }
-        let mut x = self.scratch_x.borrow_mut();
-        x.clear();
-        x.resize(self.m, 0.0);
-        for &(i, a) in entries {
-            x[i] += a;
-        }
-        self.lu_solve_into(&mut x, w);
-    }
-
-    fn ftran_sparse_into(&self, entries: &[(usize, f64)], w: &mut SparseVector) {
-        let m = self.m;
-        if m == 0 {
-            let keep = w.len();
-            w.begin(keep);
-            return;
-        }
-        if self.ftran_hyper_sparse(entries, w) {
-            self.counters.record_ftran(true, w.pattern.len(), m);
-        } else {
-            w.begin_dense(m);
-            self.ftran_sparse(entries, &mut w.values);
-            self.counters.record_ftran(false, m, m);
-        }
-    }
-
-    fn btran_unit_into(&self, r: usize, rho: &mut SparseVector) {
-        let m = self.m;
-        if m == 0 {
-            let keep = rho.len();
-            rho.begin(keep);
-            return;
-        }
-        if self.btran_unit_hyper_sparse(r, rho) {
-            self.counters.record_btran(true, rho.pattern.len(), m);
-        } else {
-            rho.begin_dense(m);
-            self.btran_unit(r, &mut rho.values);
-            self.counters.record_btran(false, m, m);
-        }
-    }
-
-    fn update_sparse(&mut self, l: usize, w: &SparseVector) -> bool {
-        if !w.is_sparse() {
-            return self.update(l, w.values());
-        }
-        let wl = w.value(l);
-        if wl.abs() <= Self::UPDATE_TOL || self.eta_entries >= self.eta_capacity() {
-            return false;
-        }
-        let mut entries: Vec<(usize, f64)> = Vec::with_capacity(w.pattern.len());
-        w.for_each_nonzero(|r, v| {
-            if r != l && v.abs() > 1e-12 {
-                entries.push((r, v));
-            }
-        });
-        // same entry order as the dense scan, so both paths apply the eta
-        // in the identical floating-point sequence
-        entries.sort_unstable_by_key(|e| e.0);
-        self.eta_entries += entries.len() + 1;
-        self.etas.push(Eta { l, wl, entries });
-        true
-    }
-
-    fn sparsity_stats(&self) -> SparsityStats {
-        self.counters.snapshot()
-    }
-
-    fn ftran_dense(&self, rhs: &[f64], w: &mut [f64]) {
-        let mut x = self.scratch_x.borrow_mut();
-        x.clear();
-        x.extend_from_slice(rhs);
-        self.lu_solve_into(&mut x, w);
-    }
-
-    fn btran(&self, cb: &[f64], y: &mut [f64]) {
-        // y = cᵦ B⁻¹ with B⁻¹ = Eₖ…E₁ · U⁻¹ ∘ read ∘ forward:
-        // apply the eta file to cᵦ (row action, reverse order), then solve
-        // Uᵀ s = c (ascending steps), scatter s through the permutation and
-        // apply the transposed forward elimination in reverse.
-        let m = self.m;
-        let mut c = self.scratch_c.borrow_mut();
-        c.clear();
-        c.extend_from_slice(cb);
-        self.apply_etas_btran(&mut c);
-        let mut s = self.scratch_s.borrow_mut();
-        s.clear();
-        s.resize(m, 0.0);
-        for k in 0..m {
-            let mut v = c[k];
-            for &(i, uv) in &self.u_cols[k] {
-                v -= uv * s[i];
-            }
-            s[k] = v / self.u_diag[k];
-        }
-        for v in y.iter_mut() {
-            *v = 0.0;
-        }
-        for k in 0..m {
-            y[self.prow[k]] = s[k];
-        }
-        for k in (0..m).rev() {
-            let mut acc = y[self.prow[k]];
-            for &(r, lv) in &self.l_cols[k] {
-                acc -= lv * y[r];
-            }
-            y[self.prow[k]] = acc;
-        }
-    }
-
-    fn btran_unit(&self, r: usize, rho: &mut [f64]) {
-        if self.m == 0 {
-            rho.fill(0.0);
-            return;
-        }
-        // `scratch_unit` is distinct from btran's own workspaces, so the
-        // nested call cannot double-borrow.
-        let mut cb = self.scratch_unit.borrow_mut();
-        cb.clear();
-        cb.resize(self.m, 0.0);
-        cb[r] = 1.0;
-        self.btran(&cb, rho);
-    }
-
-    fn update(&mut self, l: usize, w: &[f64]) -> bool {
-        let wl = w[l];
-        if wl.abs() <= Self::UPDATE_TOL || self.eta_entries >= self.eta_capacity() {
-            return false;
-        }
-        let entries: Vec<(usize, f64)> = w
-            .iter()
-            .enumerate()
-            .filter(|&(r, &v)| r != l && v.abs() > 1e-12)
-            .map(|(r, &v)| (r, v))
-            .collect();
-        self.eta_entries += entries.len() + 1;
-        self.etas.push(Eta { l, wl, entries });
-        true
-    }
-
-    fn updates_since_refactor(&self) -> usize {
-        self.etas.len()
-    }
-
-    fn box_clone(&self) -> Box<dyn BasisFactorization> {
-        Box::new(self.clone())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Markowitz-ordered LU with Forrest–Tomlin updates
-// ---------------------------------------------------------------------------
-
 /// One Forrest–Tomlin row eta: the multipliers `μ` that eliminated the
 /// displaced row `t` of `U` after its column moved to the last triangular
 /// position (`R = I − e_t μᵀ`, entries in column-uid space). FTRAN applies
@@ -1340,6 +343,12 @@ struct RowEta {
 /// `s = U·w` replaces column `t`, the displaced row is eliminated by a
 /// short row eta, and `U` stays triangular in the explicit `order` / `pos`
 /// column ordering.
+///
+/// All vectors indexed "by basis position" refer to the slot `r` of the
+/// simplex basis (`basis[r]` is the member whose column occupies position
+/// `r`); vectors indexed "by row" refer to original constraint rows. The
+/// two spaces have the same length `m` but are permuted relative to each
+/// other inside the LU representation.
 #[derive(Clone, Debug, Default)]
 pub struct ForrestTomlinLu {
     m: usize,
@@ -1367,7 +376,11 @@ pub struct ForrestTomlinLu {
     etas: Vec<RowEta>,
     /// Total entries across the row etas (bounds FTRAN/BTRAN cost).
     eta_entries: usize,
-    /// Reusable solve workspaces (see [`SparseLu`] for the aliasing rules).
+    /// Reusable solve workspaces (FTRAN rhs / BTRAN cost / permuted
+    /// solution / unit-cost vector): the solve methods take `&self` and run
+    /// once per pivot, so these avoid a heap allocation per call.
+    /// `scratch_unit` is separate because `btran_unit` calls `btran`, which
+    /// borrows the other two.
     scratch_x: std::cell::RefCell<Vec<f64>>,
     scratch_c: std::cell::RefCell<Vec<f64>>,
     scratch_s: std::cell::RefCell<Vec<f64>>,
@@ -1378,7 +391,9 @@ pub struct ForrestTomlinLu {
     /// Row-wise mirror of `l_cols`: `l_rows[r]` = `(step k, value)` for every
     /// entry of row `r` in `L` (the transposed-solve adjacency for BTRAN).
     l_rows: Vec<Vec<(usize, f64)>>,
-    /// Hyper-sparse solve workspaces (see [`SparseLu`] for the invariants).
+    /// Hyper-sparse solve workspaces: two value scratches with an all-zero
+    /// invariant between calls, DFS marks/stack, per-phase reach lists, and
+    /// a support buffer.
     sp_x: std::cell::RefCell<Vec<f64>>,
     sp_z: std::cell::RefCell<Vec<f64>>,
     sp_mark: std::cell::RefCell<Vec<bool>>,
@@ -1408,8 +423,7 @@ impl ForrestTomlinLu {
     const SEARCH_COLS: usize = 8;
 
     /// Row-eta capacity: once the file holds more than `4m + 64` entries the
-    /// update declines and the core refactorizes (same budget as the
-    /// [`SparseLu`] eta file, though FT row etas are typically much smaller).
+    /// update declines and the core refactorizes.
     fn eta_capacity(&self) -> usize {
         4 * self.m + 64
     }
@@ -1487,7 +501,7 @@ impl ForrestTomlinLu {
     }
 
     /// Clears every factor structure: the state promised by a failed
-    /// [`BasisFactorization::refactor`] (`num_rows() == 0`, solves write
+    /// [`refactor`](Self::refactor) (`num_rows() == 0`, solves write
     /// zeros). `order`/`pos`/`uid_of_slot` are cleared too — they are the
     /// only vectors `refactor` does not rebuild-or-clear up front, and a
     /// stale `order` over empty `ucols` is exactly the shape that turns a
@@ -1509,8 +523,9 @@ impl ForrestTomlinLu {
         self.l_rows.clear();
     }
 
-    /// Density cutoff for the hyper-sparse solves (see
-    /// [`SparseLu::sparse_cap`]).
+    /// Density cutoff for the hyper-sparse solves: once a symbolic reach
+    /// exceeds this many nodes the result is dense enough that the plain
+    /// kernels win, so the solve bails and re-runs densely.
     fn sparse_cap(&self) -> usize {
         (self.m / 4).max(4)
     }
@@ -1748,16 +763,21 @@ impl ForrestTomlinLu {
     }
 }
 
-impl BasisFactorization for ForrestTomlinLu {
-    fn kind(&self) -> BasisKind {
-        BasisKind::ForrestTomlin
-    }
-
-    fn num_rows(&self) -> usize {
+impl ForrestTomlinLu {
+    /// Number of rows of the factorized basis (0 before the first
+    /// [`refactor`](Self::refactor)).
+    pub fn num_rows(&self) -> usize {
         self.m
     }
 
-    fn refactor(&mut self, m: usize, cols: &[SparseColumn]) -> bool {
+    /// Rebuilds the factorization from scratch. `cols[c]` is the sparse
+    /// column (by original row index) of the basis member at position `c`.
+    /// Returns `false` when the basis matrix is numerically singular; the
+    /// factorization is then left **empty** (`num_rows()` returns 0, solves
+    /// write zeros) until the next successful refactor. Callers that keep
+    /// going after a failure therefore get well-defined garbage (zero duals
+    /// under a non-optimal status), never a partially-built factor.
+    pub fn refactor(&mut self, m: usize, cols: &[SparseColumn]) -> bool {
         assert_eq!(cols.len(), m, "one column per basis position");
         self.m = m;
         self.etas.clear();
@@ -2016,7 +1036,10 @@ impl BasisFactorization for ForrestTomlinLu {
         true
     }
 
-    fn ftran_sparse(&self, entries: &[(usize, f64)], w: &mut [f64]) {
+    /// FTRAN with a sparse right-hand side: `w = B⁻¹ a` where `a` is given
+    /// as `(row, value)` entries. `w` (length `m`) is indexed by basis
+    /// position.
+    pub fn ftran_sparse(&self, entries: &[(usize, f64)], w: &mut [f64]) {
         if self.m == 0 {
             w.fill(0.0);
             return;
@@ -2030,14 +1053,17 @@ impl BasisFactorization for ForrestTomlinLu {
         self.lu_solve_into(&mut x, w);
     }
 
-    fn ftran_dense(&self, rhs: &[f64], w: &mut [f64]) {
+    /// FTRAN with a dense right-hand side (used to recompute `x_B = B⁻¹ b`).
+    pub fn ftran_dense(&self, rhs: &[f64], w: &mut [f64]) {
         let mut x = self.scratch_x.borrow_mut();
         x.clear();
         x.extend_from_slice(rhs);
         self.lu_solve_into(&mut x, w);
     }
 
-    fn btran(&self, cb: &[f64], y: &mut [f64]) {
+    /// BTRAN: `y = cᵦ B⁻¹` for the basic cost vector `cb` (indexed by basis
+    /// position); `y` (length `m`) is indexed by original row.
+    pub fn btran(&self, cb: &[f64], y: &mut [f64]) {
         // y = cᵦ B⁻¹ in uid space: solve Uᵀ s = ĉ over ascending positions,
         // apply the transposed row etas in reverse, then the transposed
         // forward elimination back in original-row space.
@@ -2072,7 +1098,9 @@ impl BasisFactorization for ForrestTomlinLu {
         }
     }
 
-    fn btran_unit(&self, r: usize, rho: &mut [f64]) {
+    /// Row `r` of `B⁻¹` (`rho = eᵣᵀ B⁻¹`, indexed by original row): the
+    /// dense pivot row, used to drive artificials out.
+    pub fn btran_unit(&self, r: usize, rho: &mut [f64]) {
         if self.m == 0 {
             rho.fill(0.0);
             return;
@@ -2084,7 +1112,11 @@ impl BasisFactorization for ForrestTomlinLu {
         self.btran(&cb, rho);
     }
 
-    fn ftran_sparse_into(&self, entries: &[(usize, f64)], w: &mut SparseVector) {
+    /// FTRAN with a sparse right-hand side into an indexed result: the
+    /// hyper-sparse (Gilbert–Peierls) path while the reach stays below the
+    /// density cutoff, the dense kernel (with `w` marked dense) otherwise.
+    /// `w` keeps its current length when the factorization is empty.
+    pub fn ftran_sparse_into(&self, entries: &[(usize, f64)], w: &mut SparseVector) {
         let m = self.m;
         if m == 0 {
             let keep = w.len();
@@ -2100,7 +1132,10 @@ impl BasisFactorization for ForrestTomlinLu {
         }
     }
 
-    fn btran_unit_into(&self, r: usize, rho: &mut SparseVector) {
+    /// Pivot-row BTRAN (`rho = eᵣᵀ B⁻¹`) into an indexed result; same
+    /// sparse-or-dense contract as
+    /// [`ftran_sparse_into`](Self::ftran_sparse_into).
+    pub fn btran_unit_into(&self, r: usize, rho: &mut SparseVector) {
         let m = self.m;
         if m == 0 {
             let keep = rho.len();
@@ -2116,9 +1151,9 @@ impl BasisFactorization for ForrestTomlinLu {
         }
     }
 
-    fn update_sparse(&mut self, l: usize, w: &SparseVector) -> bool {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
+    /// [`update`](Self::update) from an indexed FTRAN image: the spike is
+    /// built from the image's pattern instead of an `O(m)` scan.
+    pub fn update_sparse(&mut self, l: usize, w: &SparseVector) -> bool {
         if !w.is_sparse() {
             return self.update(l, w.values());
         }
@@ -2130,8 +1165,8 @@ impl BasisFactorization for ForrestTomlinLu {
 
         // sparse spike FTRAN: s = U ŵ accumulated over the image's support
         // only; the pattern is collected by value transitions and deduped by
-        // the sort (which also matches the dense scan's ascending-index
-        // floating-point order exactly).
+        // the sort, so the commit visits it in the dense scan's ascending
+        // index order.
         let mut s = vec![0.0f64; m];
         let mut spat: Vec<usize> = Vec::with_capacity(2 * w.pattern.len() + 8);
         w.for_each_nonzero(|slot, v| {
@@ -2149,83 +1184,23 @@ impl BasisFactorization for ForrestTomlinLu {
         });
         spat.sort_unstable();
         spat.dedup();
-        let mut s_inf = 0.0f64;
-        for &j in &spat {
-            s_inf = s_inf.max(s[j].abs());
-        }
-
-        // row-t elimination and commit are identical to the dense update
-        let mut rowval = vec![0.0f64; m];
-        let mut heap: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::new();
-        for &(j, v) in &self.urows[t] {
-            rowval[j] = v;
-            heap.push(Reverse((self.pos[j], j)));
-        }
-        let mut mus: Vec<(usize, f64)> = Vec::new();
-        let mut d = s[t];
-        while let Some(Reverse((_, j))) = heap.pop() {
-            let v = rowval[j];
-            rowval[j] = 0.0;
-            if v.abs() <= Self::DROP_TOL {
-                continue;
-            }
-            let mu = v / self.diag[j];
-            mus.push((j, mu));
-            d -= mu * s[j];
-            for &(j2, v2) in &self.urows[j] {
-                if j2 == t || v2 == 0.0 {
-                    continue;
-                }
-                if rowval[j2] == 0.0 {
-                    heap.push(Reverse((self.pos[j2], j2)));
-                }
-                rowval[j2] -= mu * v2;
-            }
-        }
-
-        if d.abs() <= Self::UPDATE_TOL
-            || d.abs() < Self::UPDATE_REL_TOL * s_inf
-            || self.eta_entries + mus.len() > self.eta_capacity()
-        {
-            return false;
-        }
-
-        let old_row = std::mem::take(&mut self.urows[t]);
-        for &(j, _) in &old_row {
-            self.ucols[j].retain(|&(i, _)| i != t);
-        }
-        let old_col = std::mem::take(&mut self.ucols[t]);
-        for &(i, _) in &old_col {
-            self.urows[i].retain(|&(j, _)| j != t);
-        }
-        let mut newcol: Vec<(usize, f64)> = Vec::new();
-        for &i in &spat {
-            let v = s[i];
-            if i != t && v.abs() > Self::DROP_TOL {
-                newcol.push((i, v));
-                self.urows[i].push((t, v));
-            }
-        }
-        self.ucols[t] = newcol;
-        self.diag[t] = d;
-        let p = self.pos[t];
-        self.order.remove(p);
-        self.order.push(t);
-        for (idx, &u) in self.order.iter().enumerate().skip(p) {
-            self.pos[u] = idx;
-        }
-        self.eta_entries += mus.len();
-        self.etas.push(RowEta { t, entries: mus });
-        true
+        self.eliminate_and_commit(t, &s, spat.iter().copied())
     }
 
-    fn sparsity_stats(&self) -> SparsityStats {
+    /// Cumulative hyper-sparse solve counters over this factorization's
+    /// lifetime.
+    pub fn sparsity_stats(&self) -> SparsityStats {
         self.counters.snapshot()
     }
 
-    fn update(&mut self, l: usize, w: &[f64]) -> bool {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
+    /// Applies the pivot that replaces the basis column at position `l` by
+    /// the column whose FTRAN image is `w`.
+    ///
+    /// Returns `false` when the update is declined for stability or
+    /// capacity reasons — the caller must then refactor from the (already
+    /// updated) basis columns; the factorization state is unspecified until
+    /// it does.
+    pub fn update(&mut self, l: usize, w: &[f64]) -> bool {
         let m = self.m;
         if m == 0 {
             return false;
@@ -2234,7 +1209,6 @@ impl BasisFactorization for ForrestTomlinLu {
 
         // spike s = U ŵ, where ŵ is the FTRAN image mapped to uid space
         let mut s = vec![0.0f64; m];
-        let mut s_inf = 0.0f64;
         for j in 0..m {
             let v = w[self.slot_of_uid[j]];
             if v != 0.0 {
@@ -2244,14 +1218,27 @@ impl BasisFactorization for ForrestTomlinLu {
                 }
             }
         }
-        for &v in &s {
-            s_inf = s_inf.max(v.abs());
-        }
+        self.eliminate_and_commit(t, &s, 0..m)
+    }
+
+    /// The second half of both updates: eliminates the displaced row `t`
+    /// against the spike `s` and, when the new diagonal passes the
+    /// stability and capacity gates, installs `s` as column `t`. `support`
+    /// lists, in ascending order, every index where `s` may be non-zero.
+    fn eliminate_and_commit(
+        &mut self,
+        t: usize,
+        s: &[f64],
+        support: impl Iterator<Item = usize> + Clone,
+    ) -> bool {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let s_inf = support.clone().fold(0.0f64, |acc, j| acc.max(s[j].abs()));
 
         // Eliminate the displaced row t left to right (ascending triangular
         // position); fill only spreads rightward, so each column is popped
         // at most once after its value is final.
-        let mut rowval = vec![0.0f64; m];
+        let mut rowval = vec![0.0f64; self.m];
         let mut heap: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::new();
         for &(j, v) in &self.urows[t] {
             rowval[j] = v;
@@ -2298,7 +1285,8 @@ impl BasisFactorization for ForrestTomlinLu {
             self.urows[i].retain(|&(j, _)| j != t);
         }
         let mut newcol: Vec<(usize, f64)> = Vec::new();
-        for (i, &v) in s.iter().enumerate() {
+        for i in support {
+            let v = s[i];
             if i != t && v.abs() > Self::DROP_TOL {
                 newcol.push((i, v));
                 self.urows[i].push((t, v));
@@ -2317,12 +1305,10 @@ impl BasisFactorization for ForrestTomlinLu {
         true
     }
 
-    fn updates_since_refactor(&self) -> usize {
+    /// Number of successful [`update`](Self::update)s since the last
+    /// [`refactor`](Self::refactor).
+    pub fn updates_since_refactor(&self) -> usize {
         self.etas.len()
-    }
-
-    fn box_clone(&self) -> Box<dyn BasisFactorization> {
-        Box::new(self.clone())
     }
 }
 
@@ -2360,7 +1346,7 @@ mod tests {
             .collect()
     }
 
-    fn check_roundtrip(factor: &mut dyn BasisFactorization, seed: u64, m: usize) {
+    fn check_roundtrip(factor: &mut ForrestTomlinLu, seed: u64, m: usize) {
         let cols = random_basis(seed, m);
         assert!(factor.refactor(m, &cols), "random basis must factorize");
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
@@ -2415,22 +1401,6 @@ mod tests {
     }
 
     #[test]
-    fn product_form_roundtrips() {
-        for seed in 0..6u64 {
-            let m = 3 + (seed as usize % 8);
-            check_roundtrip(&mut ProductFormInverse::default(), seed, m);
-        }
-    }
-
-    #[test]
-    fn sparse_lu_roundtrips() {
-        for seed in 0..6u64 {
-            let m = 3 + (seed as usize % 8);
-            check_roundtrip(&mut SparseLu::default(), seed, m);
-        }
-    }
-
-    #[test]
     fn forrest_tomlin_roundtrips() {
         for seed in 0..6u64 {
             let m = 3 + (seed as usize % 8);
@@ -2438,18 +1408,17 @@ mod tests {
         }
     }
 
+    /// Eight updates in a row keep FTRAN and BTRAN exact: both are checked
+    /// by their residuals against the updated basis columns,
+    /// `‖B·w − a‖` and `‖yB − c_B‖`.
     #[test]
-    fn all_kinds_agree_after_updates() {
+    fn forrest_tomlin_solves_stay_exact_after_updates() {
         let m = 12;
-        let cols = random_basis(99, m);
-        let mut pf = ProductFormInverse::default();
-        let mut lu = SparseLu::default();
+        let mut cols = random_basis(99, m);
         let mut ft = ForrestTomlinLu::default();
-        assert!(pf.refactor(m, &cols));
-        assert!(lu.refactor(m, &cols));
         assert!(ft.refactor(m, &cols));
         let mut rng = StdRng::seed_from_u64(4242);
-        let mut cols = cols;
+        let mut applied = 0usize;
         for _ in 0..8 {
             // a random replacement column
             let mut e: SparseColumn = Vec::new();
@@ -2459,57 +1428,45 @@ mod tests {
                 }
             }
             e.push((rng.random_range(0..m), 3.0));
-            let mut w_pf = vec![0.0f64; m];
-            let mut w_lu = vec![0.0f64; m];
-            let mut w_ft = vec![0.0f64; m];
-            pf.ftran_sparse(&e, &mut w_pf);
-            lu.ftran_sparse(&e, &mut w_lu);
-            ft.ftran_sparse(&e, &mut w_ft);
+            let mut w = vec![0.0f64; m];
+            ft.ftran_sparse(&e, &mut w);
+            let bw = apply_b(m, &cols, &w);
+            let mut dense_e = vec![0.0f64; m];
+            for &(r, v) in &e {
+                dense_e[r] += v;
+            }
             for r in 0..m {
-                assert!((w_pf[r] - w_lu[r]).abs() < 1e-7, "lu ftran mismatch at {r}");
-                assert!((w_pf[r] - w_ft[r]).abs() < 1e-7, "ft ftran mismatch at {r}");
+                assert!((bw[r] - dense_e[r]).abs() < 1e-7, "ftran residual at {r}");
             }
             // choose a pivot position with a healthy element
             let l = (0..m)
-                .max_by(|&a, &b| w_pf[a].abs().partial_cmp(&w_pf[b].abs()).unwrap())
+                .max_by(|&a, &b| w[a].abs().partial_cmp(&w[b].abs()).unwrap())
                 .unwrap();
-            if w_pf[l].abs() < 1e-6 {
+            if w[l].abs() < 1e-6 {
                 continue;
             }
-            assert!(pf.update(l, &w_pf));
-            assert!(lu.update(l, &w_lu));
-            assert!(ft.update(l, &w_ft));
+            assert!(ft.update(l, &w));
             cols[l] = e;
-            // duals must agree afterwards
+            applied += 1;
+            // the duals of the updated basis: y · (column c) = cb[c]
             let cb: Vec<f64> = (0..m).map(|_| rng.random_range(-1.0..1.0)).collect();
-            let mut y_pf = vec![0.0f64; m];
-            let mut y_lu = vec![0.0f64; m];
-            let mut y_ft = vec![0.0f64; m];
-            pf.btran(&cb, &mut y_pf);
-            lu.btran(&cb, &mut y_lu);
-            ft.btran(&cb, &mut y_ft);
-            for i in 0..m {
-                assert!((y_pf[i] - y_lu[i]).abs() < 1e-6, "lu btran mismatch at {i}");
-                assert!((y_pf[i] - y_ft[i]).abs() < 1e-6, "ft btran mismatch at {i}");
+            let mut y = vec![0.0f64; m];
+            ft.btran(&cb, &mut y);
+            for (c, col) in cols.iter().enumerate() {
+                let dot: f64 = col.iter().map(|&(r, v)| y[r] * v).sum();
+                assert!((dot - cb[c]).abs() < 1e-6, "btran residual at {c}");
             }
         }
-        assert_eq!(pf.updates_since_refactor(), lu.updates_since_refactor());
-        assert_eq!(pf.updates_since_refactor(), ft.updates_since_refactor());
+        assert_eq!(ft.updates_since_refactor(), applied);
     }
 
     #[test]
-    fn singular_basis_is_rejected_by_all() {
+    fn singular_basis_is_rejected() {
         let m = 4;
         // two identical columns
         let mut cols = random_basis(7, m);
         cols[2] = cols[1].clone();
-        for factor in [
-            &mut ProductFormInverse::default() as &mut dyn BasisFactorization,
-            &mut SparseLu::default(),
-            &mut ForrestTomlinLu::default(),
-        ] {
-            assert!(!factor.refactor(m, &cols), "{:?}", factor.kind());
-        }
+        assert!(!ForrestTomlinLu::default().refactor(m, &cols));
     }
 
     /// A failed refactor must leave the factorization *empty*, not partially
@@ -2524,42 +1481,36 @@ mod tests {
         let good = random_basis(11, m);
         let mut singular = random_basis(11, m);
         singular[3] = singular[4].clone();
-        for factor in [
-            &mut ProductFormInverse::default() as &mut dyn BasisFactorization,
-            &mut SparseLu::default(),
-            &mut ForrestTomlinLu::default(),
-        ] {
-            let kind = factor.kind();
-            // a prior *successful* factorization populates every structure,
-            // so this exercises failure-after-success, not the fresh state
-            assert!(factor.refactor(m, &good), "{kind:?}: good basis");
-            assert!(!factor.refactor(m, &singular), "{kind:?}: singular");
-            assert_eq!(factor.num_rows(), 0, "{kind:?}: empty after failure");
+        let mut factor = ForrestTomlinLu::default();
+        // a prior *successful* factorization populates every structure, so
+        // this exercises failure-after-success, not the fresh state
+        assert!(factor.refactor(m, &good), "good basis");
+        assert!(!factor.refactor(m, &singular), "singular");
+        assert_eq!(factor.num_rows(), 0, "empty after failure");
 
-            // every solve entry point is callable and writes zeros
-            let cb = vec![1.0f64; m];
-            let mut y = vec![f64::NAN; m];
-            factor.btran(&cb, &mut y);
-            assert!(y.iter().all(|&v| v == 0.0), "{kind:?}: btran zeros");
-            let mut rho = vec![f64::NAN; m];
-            factor.btran_unit(2, &mut rho);
-            assert!(rho.iter().all(|&v| v == 0.0), "{kind:?}: btran_unit zeros");
-            let mut w = vec![f64::NAN; m];
-            factor.ftran_dense(&cb, &mut w);
-            assert!(w.iter().all(|&v| v == 0.0), "{kind:?}: ftran_dense zeros");
-            let mut w2 = vec![f64::NAN; m];
-            factor.ftran_sparse(&[(1, 1.0)], &mut w2);
-            assert!(w2.iter().all(|&v| v == 0.0), "{kind:?}: ftran_sparse zeros");
+        // every solve entry point is callable and writes zeros
+        let cb = vec![1.0f64; m];
+        let mut y = vec![f64::NAN; m];
+        factor.btran(&cb, &mut y);
+        assert!(y.iter().all(|&v| v == 0.0), "btran zeros");
+        let mut rho = vec![f64::NAN; m];
+        factor.btran_unit(2, &mut rho);
+        assert!(rho.iter().all(|&v| v == 0.0), "btran_unit zeros");
+        let mut w = vec![f64::NAN; m];
+        factor.ftran_dense(&cb, &mut w);
+        assert!(w.iter().all(|&v| v == 0.0), "ftran_dense zeros");
+        let mut w2 = vec![f64::NAN; m];
+        factor.ftran_sparse(&[(1, 1.0)], &mut w2);
+        assert!(w2.iter().all(|&v| v == 0.0), "ftran_sparse zeros");
 
-            // and the factorization recovers on the next successful refactor
-            assert!(factor.refactor(m, &good), "{kind:?}: recovers");
-            assert_eq!(factor.num_rows(), m);
-            let mut w3 = vec![0.0f64; m];
-            factor.ftran_dense(&cb, &mut w3);
-            let bw = apply_b(m, &good, &w3);
-            for r in 0..m {
-                assert!((bw[r] - cb[r]).abs() < 1e-8, "{kind:?}: row {r}");
-            }
+        // and the factorization recovers on the next successful refactor
+        assert!(factor.refactor(m, &good), "recovers");
+        assert_eq!(factor.num_rows(), m);
+        let mut w3 = vec![0.0f64; m];
+        factor.ftran_dense(&cb, &mut w3);
+        let bw = apply_b(m, &good, &w3);
+        for r in 0..m {
+            assert!((bw[r] - cb[r]).abs() < 1e-8, "row {r}");
         }
     }
 
@@ -2626,25 +1577,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn eta_capacity_forces_refactor() {
-        let m = 4;
-        let cols = random_basis(11, m);
-        let mut lu = SparseLu::default();
-        assert!(lu.refactor(m, &cols));
-        // dense updates: each eta holds ~m entries; the capacity 4m + 64
-        // must trip in bounded time
-        let w: Vec<f64> = (0..m).map(|r| 1.0 + r as f64 * 0.1).collect();
-        let mut declined = false;
-        for _ in 0..200 {
-            if !lu.update(0, &w) {
-                declined = true;
-                break;
-            }
-        }
-        assert!(declined, "eta file must eventually decline updates");
-    }
-
     /// Block size of [`block_basis`] (coupling never crosses a block).
     const BLOCK: usize = 6;
 
@@ -2701,86 +1633,76 @@ mod tests {
 
     /// Hyper-sparse FTRAN/BTRAN must equal the dense kernels — exact
     /// indices, values within tolerance — on fresh factors and through a
-    /// pivot-update sequence, for every representation.
+    /// pivot-update sequence.
     #[test]
     fn sparse_into_matches_dense_kernels() {
         for seed in 0..8u64 {
             let m = 40 + 20 * (seed as usize % 4);
             let mut cols = block_basis(seed.wrapping_mul(71) + 3, m);
-            for factor in [
-                &mut ProductFormInverse::default() as &mut dyn BasisFactorization,
-                &mut SparseLu::default(),
-                &mut ForrestTomlinLu::default(),
-            ] {
-                let kind = factor.kind();
-                assert!(factor.refactor(m, &cols), "{kind:?}: refactor");
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xF00D);
-                let mut w_sv = SparseVector::zeros(m);
-                let mut rho_sv = SparseVector::zeros(m);
-                let mut pivots = 0usize;
-                for round in 0..30 {
-                    // block-local sparse rhs (1–3 entries) so the
-                    // hyper-sparse path is actually the one exercised
-                    let anchor = rng.random_range(0..m);
-                    let base = anchor - (anchor % BLOCK);
-                    let width = BLOCK.min(m - base);
-                    let mut e: SparseColumn = vec![(anchor, 2.5)];
-                    for _ in 0..2 {
-                        if rng.random_range(0.0..1.0) < 0.7 {
-                            let r = base + rng.random_range(0..width);
-                            e.push((r, rng.random_range(-2.0..2.0)));
-                        }
-                    }
-                    let mut w_dense = vec![f64::NAN; m];
-                    factor.ftran_sparse(&e, &mut w_dense);
-                    factor.ftran_sparse_into(&e, &mut w_sv);
-                    assert_sv_matches(&w_sv, &w_dense, 1e-7, &format!("{kind:?} ftran r{round}"));
-
-                    let r = rng.random_range(0..m);
-                    let mut rho_dense = vec![f64::NAN; m];
-                    factor.btran_unit(r, &mut rho_dense);
-                    factor.btran_unit_into(r, &mut rho_sv);
-                    assert_sv_matches(
-                        &rho_sv,
-                        &rho_dense,
-                        1e-7,
-                        &format!("{kind:?} btran r{round}"),
-                    );
-
-                    // pivot through the sparse seam every few rounds so the
-                    // eta/spike paths get covered too
-                    if round % 3 == 0 {
-                        let l = (0..m)
-                            .max_by(|&a, &b| {
-                                w_sv.value(a)
-                                    .abs()
-                                    .partial_cmp(&w_sv.value(b).abs())
-                                    .unwrap()
-                            })
-                            .unwrap();
-                        if w_sv.value(l).abs() > 1e-4 && factor.update_sparse(l, &w_sv) {
-                            cols[l] = e;
-                            pivots += 1;
-                        }
+            let mut factor = ForrestTomlinLu::default();
+            assert!(factor.refactor(m, &cols), "seed {seed}: refactor");
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xF00D);
+            let mut w_sv = SparseVector::zeros(m);
+            let mut rho_sv = SparseVector::zeros(m);
+            let mut pivots = 0usize;
+            for round in 0..30 {
+                // block-local sparse rhs (1–3 entries) so the hyper-sparse
+                // path is actually the one exercised
+                let anchor = rng.random_range(0..m);
+                let base = anchor - (anchor % BLOCK);
+                let width = BLOCK.min(m - base);
+                let mut e: SparseColumn = vec![(anchor, 2.5)];
+                for _ in 0..2 {
+                    if rng.random_range(0.0..1.0) < 0.7 {
+                        let r = base + rng.random_range(0..width);
+                        e.push((r, rng.random_range(-2.0..2.0)));
                     }
                 }
-                assert!(pivots > 0, "{kind:?}: sequence never pivoted");
-                if kind != BasisKind::ProductForm {
-                    let stats = factor.sparsity_stats();
-                    assert!(
-                        stats.ftran_sparse > 0 && stats.btran_sparse > 0,
-                        "{kind:?}: hyper-sparse path never taken: {stats:?}"
-                    );
-                    assert!(stats.avg_density() < 1.0, "{kind:?}: density not tracked");
-                }
-                // refactor from the updated columns and re-check once more
-                assert!(factor.refactor(m, &cols), "{kind:?}: re-refactor");
-                let e = vec![(m / 2, 1.0)];
                 let mut w_dense = vec![f64::NAN; m];
                 factor.ftran_sparse(&e, &mut w_dense);
                 factor.ftran_sparse_into(&e, &mut w_sv);
-                assert_sv_matches(&w_sv, &w_dense, 1e-7, &format!("{kind:?} post-refactor"));
+                assert_sv_matches(&w_sv, &w_dense, 1e-7, &format!("ftran r{round}"));
+
+                let r = rng.random_range(0..m);
+                let mut rho_dense = vec![f64::NAN; m];
+                factor.btran_unit(r, &mut rho_dense);
+                factor.btran_unit_into(r, &mut rho_sv);
+                assert_sv_matches(&rho_sv, &rho_dense, 1e-7, &format!("btran r{round}"));
+
+                // pivot through the indexed update every few rounds so the
+                // spike path gets covered too
+                if round % 3 == 0 {
+                    let l = (0..m)
+                        .max_by(|&a, &b| {
+                            w_sv.value(a)
+                                .abs()
+                                .partial_cmp(&w_sv.value(b).abs())
+                                .unwrap()
+                        })
+                        .unwrap();
+                    if w_sv.value(l).abs() > 1e-4 && factor.update_sparse(l, &w_sv) {
+                        cols[l] = e;
+                        pivots += 1;
+                    }
+                }
             }
+            assert!(pivots > 0, "seed {seed}: sequence never pivoted");
+            let stats = factor.sparsity_stats();
+            assert!(
+                stats.ftran_sparse > 0 && stats.btran_sparse > 0,
+                "seed {seed}: hyper-sparse path never taken: {stats:?}"
+            );
+            assert!(
+                stats.avg_density() < 1.0,
+                "seed {seed}: density not tracked"
+            );
+            // refactor from the updated columns and re-check once more
+            assert!(factor.refactor(m, &cols), "seed {seed}: re-refactor");
+            let e = vec![(m / 2, 1.0)];
+            let mut w_dense = vec![f64::NAN; m];
+            factor.ftran_sparse(&e, &mut w_dense);
+            factor.ftran_sparse_into(&e, &mut w_sv);
+            assert_sv_matches(&w_sv, &w_dense, 1e-7, "post-refactor");
         }
     }
 
@@ -2790,16 +1712,16 @@ mod tests {
     fn sparse_into_falls_back_dense_above_cutoff() {
         let m = 60;
         let cols = random_basis(21, m);
-        let mut lu = SparseLu::default();
-        assert!(lu.refactor(m, &cols));
+        let mut ft = ForrestTomlinLu::default();
+        assert!(ft.refactor(m, &cols));
         let e: SparseColumn = (0..m).map(|r| (r, 1.0 + 0.01 * r as f64)).collect();
         let mut w_dense = vec![f64::NAN; m];
-        lu.ftran_sparse(&e, &mut w_dense);
+        ft.ftran_sparse(&e, &mut w_dense);
         let mut w_sv = SparseVector::zeros(m);
-        lu.ftran_sparse_into(&e, &mut w_sv);
+        ft.ftran_sparse_into(&e, &mut w_sv);
         assert!(!w_sv.is_sparse(), "a full rhs must take the dense fallback");
         assert_sv_matches(&w_sv, &w_dense, 1e-9, "dense fallback");
-        let stats = lu.sparsity_stats();
+        let stats = ft.sparsity_stats();
         assert!(stats.ftran_dense > 0, "fallback must be counted: {stats:?}");
     }
 
@@ -2810,21 +1732,15 @@ mod tests {
         let m = 6;
         let mut singular = random_basis(11, m);
         singular[3] = singular[4].clone();
-        for factor in [
-            &mut ProductFormInverse::default() as &mut dyn BasisFactorization,
-            &mut SparseLu::default(),
-            &mut ForrestTomlinLu::default(),
-        ] {
-            let kind = factor.kind();
-            assert!(!factor.refactor(m, &singular), "{kind:?}");
-            let mut w = SparseVector::zeros(m);
-            factor.ftran_sparse_into(&[(1, 1.0)], &mut w);
-            assert_eq!(w.len(), m, "{kind:?}: keeps length");
-            assert!(w.values().iter().all(|&v| v == 0.0), "{kind:?}: zeros");
-            let mut rho = SparseVector::zeros(m);
-            factor.btran_unit_into(2, &mut rho);
-            assert!(rho.values().iter().all(|&v| v == 0.0), "{kind:?}: zeros");
-        }
+        let mut factor = ForrestTomlinLu::default();
+        assert!(!factor.refactor(m, &singular));
+        let mut w = SparseVector::zeros(m);
+        factor.ftran_sparse_into(&[(1, 1.0)], &mut w);
+        assert_eq!(w.len(), m, "keeps length");
+        assert!(w.values().iter().all(|&v| v == 0.0), "zeros");
+        let mut rho = SparseVector::zeros(m);
+        factor.btran_unit_into(2, &mut rho);
+        assert!(rho.values().iter().all(|&v| v == 0.0), "zeros");
     }
 
     /// Sparse FT updates (spike built from the image's support) must track a

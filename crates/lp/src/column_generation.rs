@@ -28,7 +28,7 @@
 //! [`crate::problem`] for the state machine and the basis-validity
 //! contract at the factorization seam.
 
-use crate::basis::make_factorization;
+use crate::basis::ForrestTomlinLu;
 use crate::dual;
 use crate::problem::{LinearProgram, Relation, Sense};
 use crate::simplex::{
@@ -534,7 +534,6 @@ impl MasterProblem {
 
         let mut kept_basis = false;
         if let Some(w) = old_warm {
-            let kind = w.basis_kind();
             let mut basis = Vec::with_capacity(self.rows.len());
             for var in w.basis {
                 let mapped = match var {
@@ -569,7 +568,7 @@ impl MasterProblem {
                 // post-solve state: each deactivated row's relief or slack
                 // was basic): the remapped basis is handed back basis-only
                 // and refactorized from the compacted matrix on install.
-                self.warm = Some(WarmStart::from_parts(basis, make_factorization(kind)));
+                self.warm = Some(WarmStart::from_parts(basis, ForrestTomlinLu::default()));
                 kept_basis = true;
             }
         }
@@ -1558,25 +1557,13 @@ mod tests {
 
     /// The full lifecycle — deactivate → re-solve → compact → re-solve →
     /// grow — must match `lp::dense` on the independently built survivor LP
-    /// at every step, across all pricing × basis engine combinations,
-    /// including duplicated (degenerate / rank-deficient) rows.
+    /// at every step, including duplicated (degenerate / rank-deficient)
+    /// rows.
     #[test]
-    fn lifecycle_matches_dense_on_the_survivor_lp_across_engines() {
-        use crate::basis::BasisKind;
+    fn lifecycle_matches_dense_on_the_survivor_lp() {
         use crate::dense;
-        use crate::pricing::PricingRule;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-
-        let engines: Vec<SimplexOptions> = {
-            let mut out = Vec::new();
-            for pricing in [PricingRule::Dantzig, PricingRule::Bland, PricingRule::Devex] {
-                for basis in [BasisKind::ProductForm, BasisKind::SparseLu] {
-                    out.push(SimplexOptions::default().with_engine(pricing, basis));
-                }
-            }
-            out
-        };
 
         for seed in 0..5u64 {
             let mut rng = StdRng::seed_from_u64(5200 + seed);
@@ -1679,71 +1666,66 @@ mod tests {
                 lp
             };
 
-            for options in &engines {
-                let label = format!(
-                    "seed {seed} engine {}x{}",
-                    options.pricing.name(),
-                    options.basis.name()
-                );
-                let mut master = MasterProblem::new(Sense::Maximize, rows.clone());
-                for c in 0..n_cols {
-                    master.add_column(column(c));
-                }
-                let first = master.solve_warm(options);
-                assert_eq!(first.status, LpStatus::Optimal, "{label}");
-
-                // deactivate + fix, then a warm primal resume
-                master.fix_columns(&kill_cols);
-                master.deactivate_rows(&kill_rows);
-                let warm = master.solve_warm(options);
-                assert_eq!(warm.status, LpStatus::Optimal, "{label}");
-                let oracle = dense::solve(&dense_survivor(None), &SimplexOptions::default());
-                assert_eq!(oracle.status, LpStatus::Optimal, "{label}");
-                assert!(
-                    (warm.objective - oracle.objective).abs() < 1e-6,
-                    "{label}: warm-after-deactivation {} vs dense survivor {}",
-                    warm.objective,
-                    oracle.objective
-                );
-
-                // compact, re-solve, and compare again
-                let report = master.compact();
-                for &r in &kill_rows {
-                    assert!(report.row_map[r].is_none(), "{label}");
-                }
-                for &c in &kill_cols {
-                    assert!(report.column_map[c].is_none(), "{label}");
-                }
-                let compacted = master.solve_warm(options);
-                assert_eq!(compacted.status, LpStatus::Optimal, "{label}");
-                assert!(
-                    (compacted.objective - oracle.objective).abs() < 1e-6,
-                    "{label}: post-compaction {} vs dense survivor {}",
-                    compacted.objective,
-                    oracle.objective
-                );
-
-                // the master keeps working: grow a column on remapped rows
-                let new_row = report.row_map[2].expect("row 2 survives");
-                let extra_obj = 6.0;
-                assert!(master.add_column(GeneratedColumn {
-                    objective: extra_obj,
-                    coeffs: vec![(new_row, 1.0)],
-                    tag: 4096,
-                }));
-                let grown = master.solve_warm(options);
-                assert_eq!(grown.status, LpStatus::Optimal, "{label}");
-                let oracle_grown = dense::solve(
-                    &dense_survivor(Some((extra_obj, vec![(2, 1.0)]))),
-                    &SimplexOptions::default(),
-                );
-                assert!(
-                    (grown.objective - oracle_grown.objective).abs() < 1e-6,
-                    "{label}: grown {} vs dense {}",
-                    grown.objective,
-                    oracle_grown.objective
-                );
+            let options = &SimplexOptions::default();
+            let label = format!("seed {seed}");
+            let mut master = MasterProblem::new(Sense::Maximize, rows.clone());
+            for c in 0..n_cols {
+                master.add_column(column(c));
             }
+            let first = master.solve_warm(options);
+            assert_eq!(first.status, LpStatus::Optimal, "{label}");
+
+            // deactivate + fix, then a warm primal resume
+            master.fix_columns(&kill_cols);
+            master.deactivate_rows(&kill_rows);
+            let warm = master.solve_warm(options);
+            assert_eq!(warm.status, LpStatus::Optimal, "{label}");
+            let oracle = dense::solve(&dense_survivor(None), &SimplexOptions::default());
+            assert_eq!(oracle.status, LpStatus::Optimal, "{label}");
+            assert!(
+                (warm.objective - oracle.objective).abs() < 1e-6,
+                "{label}: warm-after-deactivation {} vs dense survivor {}",
+                warm.objective,
+                oracle.objective
+            );
+
+            // compact, re-solve, and compare again
+            let report = master.compact();
+            for &r in &kill_rows {
+                assert!(report.row_map[r].is_none(), "{label}");
+            }
+            for &c in &kill_cols {
+                assert!(report.column_map[c].is_none(), "{label}");
+            }
+            let compacted = master.solve_warm(options);
+            assert_eq!(compacted.status, LpStatus::Optimal, "{label}");
+            assert!(
+                (compacted.objective - oracle.objective).abs() < 1e-6,
+                "{label}: post-compaction {} vs dense survivor {}",
+                compacted.objective,
+                oracle.objective
+            );
+
+            // the master keeps working: grow a column on remapped rows
+            let new_row = report.row_map[2].expect("row 2 survives");
+            let extra_obj = 6.0;
+            assert!(master.add_column(GeneratedColumn {
+                objective: extra_obj,
+                coeffs: vec![(new_row, 1.0)],
+                tag: 4096,
+            }));
+            let grown = master.solve_warm(options);
+            assert_eq!(grown.status, LpStatus::Optimal, "{label}");
+            let oracle_grown = dense::solve(
+                &dense_survivor(Some((extra_obj, vec![(2, 1.0)]))),
+                &SimplexOptions::default(),
+            );
+            assert!(
+                (grown.objective - oracle_grown.objective).abs() < 1e-6,
+                "{label}: grown {} vs dense {}",
+                grown.objective,
+                oracle_grown.objective
+            );
         }
     }
 

@@ -23,8 +23,8 @@
 //!    rows whose repair makes *geometric* progress instead of rows that
 //!    merely look bad in un-normalized units (after stalls the rule
 //!    degrades to first-violated-row, Bland-style, which terminates),
-//! 2. **pivot row**: `ρ = e_l B⁻¹` (one BTRAN on the
-//!    [`crate::basis::BasisFactorization`] seam),
+//! 2. **pivot row**: `ρ = e_l B⁻¹` (one BTRAN through the same
+//!    [`crate::basis::ForrestTomlinLu`] the primal engine uses),
 //! 3. **dual ratio test**: among nonbasic columns with `α_j = ρ·a_j < 0`,
 //!    enter the one minimizing `rc_j / α_j` (keeping all reduced costs
 //!    non-positive), falling back to a smallest-index rule after stalls,
@@ -45,9 +45,7 @@
 //! always satisfies the primal engine's invariants (and its
 //! [`crate::simplex::SolveStats::dual_pivots`] records the repair work).
 
-use crate::basis::{
-    make_factorization, BasisFactorization, SparseColumn, SparseVector, SparsityStats,
-};
+use crate::basis::{ForrestTomlinLu, SparseColumn, SparseVector, SparsityStats};
 use crate::problem::{CscMatrix, LinearProgram, Relation, Sense};
 use crate::simplex::{
     solve_with_warm_start, BasisVar, LpSolution, SimplexOptions, SolveStats, WarmStart,
@@ -209,10 +207,8 @@ struct DualSimplex<'a> {
 
     basis: Vec<usize>,
     in_basis: Vec<bool>,
-    factor: Box<dyn BasisFactorization>,
+    factor: ForrestTomlinLu,
     xb: Vec<f64>,
-    /// hyper-sparse FTRAN/BTRAN enabled ([`SimplexOptions::hyper_sparse`])
-    hyper_sparse: bool,
 
     iterations: usize,
 }
@@ -272,9 +268,8 @@ impl<'a> DualSimplex<'a> {
             barred,
             basis: Vec::new(),
             in_basis: vec![false; n_total],
-            factor: make_factorization(options.basis),
+            factor: ForrestTomlinLu::default(),
             xb: Vec::new(),
-            hyper_sparse: options.hyper_sparse,
             iterations: 0,
         })
     }
@@ -410,28 +405,12 @@ impl<'a> DualSimplex<'a> {
         true
     }
 
-    /// FTRAN of global column `j` into a [`SparseVector`] (hyper-sparse
-    /// path when enabled, dense kernel with the counters bypassed when not).
+    /// FTRAN of global column `j` into a [`SparseVector`] (indexed below
+    /// the factorization's density cutoff, dense above it).
     fn ftran_into(&self, j: usize, w: &mut SparseVector, scratch: &mut SparseColumn) {
         scratch.clear();
         self.for_each_entry(j, |r, v| scratch.push((r, v)));
-        if self.hyper_sparse {
-            self.factor.ftran_sparse_into(scratch, w);
-        } else {
-            w.begin_dense(self.m);
-            self.factor.ftran_sparse(scratch, w.values_mut());
-        }
-    }
-
-    /// BTRAN of unit vector `e_r` (pivot row of `B⁻¹`) into a
-    /// [`SparseVector`].
-    fn btran_unit_into(&self, r: usize, rho: &mut SparseVector) {
-        if self.hyper_sparse {
-            self.factor.btran_unit_into(r, rho);
-        } else {
-            rho.begin_dense(self.m);
-            self.factor.btran_unit(r, rho.values_mut());
-        }
+        self.factor.ftran_sparse_into(scratch, w);
     }
 
     /// The factorization's cumulative hyper-sparse counters. The factor is
@@ -530,7 +509,7 @@ impl<'a> DualSimplex<'a> {
             };
 
             // Pivot row of the outgoing basis.
-            self.btran_unit_into(l, &mut rho);
+            self.factor.btran_unit_into(l, &mut rho);
 
             // Scatter the pivot row into the columns it touches: for every
             // support row `i`, walk that row's structural entries (plus its
@@ -769,27 +748,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn all_engines() -> Vec<SimplexOptions> {
-        use crate::basis::BasisKind;
-        use crate::pricing::PricingRule;
-        let mut out = Vec::new();
-        for pricing in [
-            PricingRule::Dantzig,
-            PricingRule::Bland,
-            PricingRule::Devex,
-            PricingRule::SteepestEdge,
-        ] {
-            for basis in [
-                BasisKind::ProductForm,
-                BasisKind::SparseLu,
-                BasisKind::ForrestTomlin,
-            ] {
-                out.push(SimplexOptions::default().with_engine(pricing, basis));
-            }
-        }
-        out
-    }
-
     /// Random bounded packing LP (the master shape).
     fn random_packing_lp(seed: u64, n: usize, m: usize) -> LinearProgram {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -817,91 +775,86 @@ mod tests {
         // max 3x + 2y, x + y <= 4, x <= 2, y <= 3 -> (2, 2), obj 10.
         // Adding x + y <= 1 cuts the optimum off: the dual path must land on
         // the new optimum 3 (x = 1).
-        for options in all_engines() {
-            let mut lp = LinearProgram::new(Sense::Maximize);
-            let x = lp.add_variable(3.0);
-            let y = lp.add_variable(2.0);
-            lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
-            lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-            lp.add_constraint(vec![(y, 1.0)], Relation::Le, 3.0);
-            let (first, state) = solve_with_warm_start(&lp, &options, None);
-            assert_eq!(first.status, LpStatus::Optimal);
+        let options = SimplexOptions::default();
+        let mut lp = LinearProgram::new(Sense::Maximize);
+        let x = lp.add_variable(3.0);
+        let y = lp.add_variable(2.0);
+        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
+        lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
+        lp.add_constraint(vec![(y, 1.0)], Relation::Le, 3.0);
+        let (first, state) = solve_with_warm_start(&lp, &options, None);
+        assert_eq!(first.status, LpStatus::Optimal);
 
-            lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 1.0);
-            let re = reoptimize_after_row_additions(&lp, &options, state);
-            assert!(re.used_dual_path, "packing rows must take the dual path");
-            assert_eq!(re.solution.status, LpStatus::Optimal);
-            assert!((re.solution.objective - 3.0).abs() < 1e-7);
-            assert!(re.solution.stats.dual_pivots > 0);
-            assert!(lp.is_feasible(&re.solution.x, 1e-7));
-        }
+        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 1.0);
+        let re = reoptimize_after_row_additions(&lp, &options, state);
+        assert!(re.used_dual_path, "packing rows must take the dual path");
+        assert_eq!(re.solution.status, LpStatus::Optimal);
+        assert!((re.solution.objective - 3.0).abs() < 1e-7);
+        assert!(re.solution.stats.dual_pivots > 0);
+        assert!(lp.is_feasible(&re.solution.x, 1e-7));
     }
 
     #[test]
     fn slack_row_addition_needs_no_pivots() {
-        for options in all_engines() {
-            let mut lp = LinearProgram::new(Sense::Maximize);
-            let x = lp.add_variable(1.0);
-            lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-            let (_, state) = solve_with_warm_start(&lp, &options, None);
-            lp.add_constraint(vec![(x, 1.0)], Relation::Le, 10.0);
-            let re = reoptimize_after_row_additions(&lp, &options, state);
-            assert!(re.used_dual_path);
-            assert_eq!(re.solution.status, LpStatus::Optimal);
-            assert!((re.solution.objective - 2.0).abs() < 1e-9);
-            assert_eq!(re.solution.stats.dual_pivots, 0, "non-binding row");
-            assert_eq!(re.solution.iterations, 0, "primal resume needs no work");
-        }
+        let options = SimplexOptions::default();
+        let mut lp = LinearProgram::new(Sense::Maximize);
+        let x = lp.add_variable(1.0);
+        lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
+        let (_, state) = solve_with_warm_start(&lp, &options, None);
+        lp.add_constraint(vec![(x, 1.0)], Relation::Le, 10.0);
+        let re = reoptimize_after_row_additions(&lp, &options, state);
+        assert!(re.used_dual_path);
+        assert_eq!(re.solution.status, LpStatus::Optimal);
+        assert!((re.solution.objective - 2.0).abs() < 1e-9);
+        assert_eq!(re.solution.stats.dual_pivots, 0, "non-binding row");
+        assert_eq!(re.solution.iterations, 0, "primal resume needs no work");
     }
 
     #[test]
     fn infeasible_after_row_addition_is_detected() {
         // x <= 2 optimal at 2; adding x >= 5 makes the LP infeasible.
-        for options in all_engines() {
-            let mut lp = LinearProgram::new(Sense::Maximize);
-            let x = lp.add_variable(1.0);
-            lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-            let (_, state) = solve_with_warm_start(&lp, &options, None);
-            lp.add_constraint(vec![(x, 1.0)], Relation::Ge, 5.0);
-            let re = reoptimize_after_row_additions(&lp, &options, state);
-            assert_eq!(re.solution.status, LpStatus::Infeasible);
-        }
+        let options = SimplexOptions::default();
+        let mut lp = LinearProgram::new(Sense::Maximize);
+        let x = lp.add_variable(1.0);
+        lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
+        let (_, state) = solve_with_warm_start(&lp, &options, None);
+        lp.add_constraint(vec![(x, 1.0)], Relation::Ge, 5.0);
+        let re = reoptimize_after_row_additions(&lp, &options, state);
+        assert_eq!(re.solution.status, LpStatus::Infeasible);
     }
 
     #[test]
     fn equality_rows_fall_back_to_the_primal_path() {
-        for options in all_engines() {
-            let mut lp = LinearProgram::new(Sense::Maximize);
-            let x = lp.add_variable(1.0);
-            let y = lp.add_variable(2.0);
-            lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 3.0);
-            let (_, state) = solve_with_warm_start(&lp, &options, None);
-            lp.add_constraint(vec![(y, 1.0)], Relation::Eq, 1.0);
-            let re = reoptimize_after_row_additions(&lp, &options, state);
-            assert!(!re.used_dual_path, "Eq rows are not dual-eligible");
-            assert_eq!(re.solution.status, LpStatus::Optimal);
-            assert!((re.solution.objective - 4.0).abs() < 1e-7); // x=2, y=1
-        }
+        let options = SimplexOptions::default();
+        let mut lp = LinearProgram::new(Sense::Maximize);
+        let x = lp.add_variable(1.0);
+        let y = lp.add_variable(2.0);
+        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 3.0);
+        let (_, state) = solve_with_warm_start(&lp, &options, None);
+        lp.add_constraint(vec![(y, 1.0)], Relation::Eq, 1.0);
+        let re = reoptimize_after_row_additions(&lp, &options, state);
+        assert!(!re.used_dual_path, "Eq rows are not dual-eligible");
+        assert_eq!(re.solution.status, LpStatus::Optimal);
+        assert!((re.solution.objective - 4.0).abs() < 1e-7); // x=2, y=1
     }
 
     #[test]
     fn foreign_warm_start_falls_back_and_still_solves() {
         // A basis from an unrelated LP (different coefficients): the dual
         // install's dual-feasibility check must reject it.
-        for options in all_engines() {
-            let mut donor = LinearProgram::new(Sense::Maximize);
-            let d = donor.add_variable(0.1);
-            donor.add_constraint(vec![(d, 1.0)], Relation::Le, 1.0);
-            let (_, state) = solve_with_warm_start(&donor, &options, None);
+        let options = SimplexOptions::default();
+        let mut donor = LinearProgram::new(Sense::Maximize);
+        let d = donor.add_variable(0.1);
+        donor.add_constraint(vec![(d, 1.0)], Relation::Le, 1.0);
+        let (_, state) = solve_with_warm_start(&donor, &options, None);
 
-            let mut lp = LinearProgram::new(Sense::Maximize);
-            let x = lp.add_variable(5.0);
-            lp.add_constraint(vec![(x, 2.0)], Relation::Le, 4.0);
-            lp.add_constraint(vec![(x, 1.0)], Relation::Le, 3.0);
-            let re = reoptimize_after_row_additions(&lp, &options, state);
-            assert_eq!(re.solution.status, LpStatus::Optimal);
-            assert!((re.solution.objective - 10.0).abs() < 1e-7);
-        }
+        let mut lp = LinearProgram::new(Sense::Maximize);
+        let x = lp.add_variable(5.0);
+        lp.add_constraint(vec![(x, 2.0)], Relation::Le, 4.0);
+        lp.add_constraint(vec![(x, 1.0)], Relation::Le, 3.0);
+        let re = reoptimize_after_row_additions(&lp, &options, state);
+        assert_eq!(re.solution.status, LpStatus::Optimal);
+        assert!((re.solution.objective - 10.0).abs() < 1e-7);
     }
 
     #[test]
@@ -933,65 +886,12 @@ mod tests {
         assert!((re3.solution.objective - cold3.objective).abs() < 1e-6);
     }
 
-    #[test]
-    fn hyper_sparse_toggle_preserves_dual_reoptimization() {
-        // The dual repair path shares the indexed FTRAN/BTRAN kernels with
-        // the primal engine; disabling them must not change the repaired
-        // optimum, and the sparsity counters it merges into the solution
-        // stats must reflect the toggle (zero tracked solves when off).
-        for seed in 0..4u64 {
-            for base in all_engines() {
-                let mut lp = random_packing_lp(300 + seed, 5, 4);
-                let on_opts = base.with_hyper_sparse(true);
-                let off_opts = base.with_hyper_sparse(false);
-                let (_, state_on) = solve_with_warm_start(&lp, &on_opts, None);
-                let (_, state_off) = solve_with_warm_start(&lp, &off_opts, None);
-                // a tightening row (duplicated for degeneracy) forces dual pivots
-                lp.add_constraint(vec![(0, 1.0), (1, 1.0)], Relation::Le, 0.4);
-                lp.add_constraint(vec![(0, 1.0), (1, 1.0)], Relation::Le, 0.4);
-                let on = reoptimize_after_row_additions(&lp, &on_opts, state_on);
-                let off = reoptimize_after_row_additions(&lp, &off_opts, state_off);
-                let label = format!(
-                    "seed {seed} engine {}x{}",
-                    base.pricing.name(),
-                    base.basis.name()
-                );
-                assert_eq!(on.solution.status, off.solution.status, "{label}");
-                if on.solution.status == LpStatus::Optimal {
-                    assert!(
-                        (on.solution.objective - off.solution.objective).abs() < 1e-7,
-                        "{label}: sparse {} vs dense {}",
-                        on.solution.objective,
-                        off.solution.objective
-                    );
-                    assert!(lp.is_feasible(&on.solution.x, 1e-7), "{label}");
-                }
-                let off_tracked = off.solution.stats.ftran_sparse_hits
-                    + off.solution.stats.ftran_dense_fallbacks
-                    + off.solution.stats.btran_sparse_hits
-                    + off.solution.stats.btran_dense_fallbacks;
-                assert_eq!(off_tracked, 0, "{label}: disabled path tracked solves");
-                use crate::basis::BasisKind;
-                if on.used_dual_path
-                    && on.solution.stats.dual_pivots > 0
-                    && matches!(base.basis, BasisKind::SparseLu | BasisKind::ForrestTomlin)
-                {
-                    let on_tracked = on.solution.stats.ftran_sparse_hits
-                        + on.solution.stats.ftran_dense_fallbacks
-                        + on.solution.stats.btran_sparse_hits
-                        + on.solution.stats.btran_dense_fallbacks;
-                    assert!(on_tracked > 0, "{label}: dual pivots left no counter trace");
-                }
-            }
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Random packing LP, then random extra `≤` rows (sometimes
         /// duplicated for degeneracy): dual reoptimization must match a
-        /// dense cold solve of the grown LP on every engine.
+        /// dense cold solve of the grown LP.
         #[test]
         fn prop_dual_reopt_matches_dense_after_row_additions(
             seed in 0u64..10_000,
@@ -999,9 +899,8 @@ mod tests {
             m in 1usize..6,
             extra in 1usize..5,
             dup in any::<bool>(),
-            engine in 0usize..12,
         ) {
-            let options = all_engines()[engine];
+            let options = SimplexOptions::default();
             let mut lp = random_packing_lp(seed, n, m);
             let (first, state) = solve_with_warm_start(&lp, &options, None);
             prop_assert_eq!(first.status, LpStatus::Optimal);
@@ -1056,9 +955,8 @@ mod tests {
             seed in 0u64..10_000,
             n in 2usize..6,
             m in 1usize..5,
-            engine in 0usize..12,
         ) {
-            let options = all_engines()[engine];
+            let options = SimplexOptions::default();
             let mut lp = random_packing_lp(seed, n, m);
             let (first, state) = solve_with_warm_start(&lp, &options, None);
             prop_assert_eq!(first.status, LpStatus::Optimal);

@@ -10,17 +10,14 @@
 //!   `≤` / `≥` / `=` constraints, non-negative variables) with a
 //!   compressed-sparse-column view ([`problem::CscMatrix`]) of the
 //!   constraint matrix,
-//! * [`simplex`] — a sparse **revised** two-phase primal simplex engine
-//!   with two pluggable seams: the pricing rule ([`pricing`]: Dantzig,
-//!   Bland, candidate-list Devex, or exact-reference primal steepest
-//!   edge) and the basis factorization ([`basis`]: dense product-form
-//!   inverse; sparse LU with a product-form eta file; or Markowitz-ordered
-//!   LU with true Forrest–Tomlin U-updates, all with periodic
-//!   refactorization). The
-//!   engine reports dual values, which the auction code turns into
-//!   bidder-specific channel prices (Section 2.2 of the paper); the
-//!   original dense tableau solver is kept as the reference oracle in
-//!   [`dense`],
+//! * [`simplex`] — a sparse **revised** two-phase primal simplex engine:
+//!   candidate-list primal steepest-edge pricing ([`pricing`]) over a
+//!   Markowitz-ordered LU with Forrest–Tomlin `U`-updates and periodic
+//!   refactorization ([`basis`]), with Bland's rule as the anti-cycling
+//!   override after stalled pivots. The engine reports dual values, which
+//!   the auction code turns into bidder-specific channel prices
+//!   (Section 2.2 of the paper); the original dense tableau solver is kept
+//!   as the reference oracle in [`dense`],
 //! * [`column_generation`] — a restricted-master / pricing loop that replaces
 //!   the ellipsoid method: the pricing oracle sees the current duals and
 //!   returns improving columns (in the auction: demand-oracle queries at the
@@ -29,7 +26,7 @@
 //!   are **warm-started** from the previous round's optimal basis. This is
 //!   the one way the auction solves its relaxation: a single master over
 //!   all `(v, j)` and bidder rows, priced by the bidders' demand oracles,
-//! * [`dual`] — a **dual simplex** on the same basis-factorization seam:
+//! * [`dual`] — a **dual simplex** on the same basis factorization:
 //!   after rows are appended to a solved master
 //!   ([`column_generation::MasterProblem::add_row`]) the old basis extended
 //!   by the new rows' logicals is dual feasible, and
@@ -43,7 +40,7 @@
 //!
 //! # Solve-pipeline data flow (hyper-sparse kernels)
 //!
-//! Per pivot, the revised engines move two vectors through the basis
+//! Per pivot, the revised engine moves two vectors through the basis
 //! factorization, and both stay **indexed** end to end when the inputs
 //! allow it:
 //!
@@ -54,8 +51,8 @@
 //!    those rows. The result arrives in a [`basis::SparseVector`] — dense
 //!    value array plus a non-zero pattern — and flows *as a sparse
 //!    vector* into the ratio test ([`simplex`]), the basis update
-//!    (Forrest–Tomlin spike / eta construction over the pattern only),
-//!    and the steepest-edge / Devex reference updates ([`pricing`]).
+//!    (Forrest–Tomlin spike construction over the pattern only), and the
+//!    steepest-edge reference updates ([`pricing`]).
 //! 2. **BTRAN** — the pivot row `ρ = eₗᵀB⁻¹` is solved the same way
 //!    through the transposed factors and drives the pricing-weight and
 //!    incremental dual updates; the [`dual`] simplex scatters it against
@@ -68,10 +65,6 @@
 //! counted — [`SolveStats`] reports sparse hits, dense fallbacks, and the
 //! average result density, and the counters propagate through
 //! [`column_generation`] into the auction-level summaries.
-//! `SimplexOptions::hyper_sparse` (default `true`) is the A/B lever:
-//! disabling it routes every solve through the legacy dense kernels, which
-//! the equivalence tests use to prove the indexed paths change timings,
-//! never results.
 //!
 //! The ratio tests are **two-pass Harris** tests (primal in [`simplex`],
 //! dual in [`dual`]): the first pass relaxes the bound by a feasibility
@@ -90,10 +83,7 @@ pub mod pricing;
 pub mod problem;
 pub mod simplex;
 
-pub use basis::{
-    BasisFactorization, BasisKind, ForrestTomlinLu, ProductFormInverse, SparseLu, SparseVector,
-    SparsityStats,
-};
+pub use basis::{ForrestTomlinLu, SparseVector, SparsityStats};
 pub use column_generation::{
     is_native_tag, is_relief_tag, ColumnGeneration, ColumnGenerationError, ColumnGenerationResult,
     ColumnPool, ColumnSource, CompactionReport, GeneratedColumn, MasterProblem, PooledColumn,
@@ -101,9 +91,7 @@ pub use column_generation::{
     ROW_RELIEF_TAG_BASE,
 };
 pub use dual::{reoptimize_after_row_additions, DualReoptimization};
-pub use pricing::{
-    BlandPricing, DantzigPricing, DevexPricing, Pricing, PricingRule, SteepestEdgePricing,
-};
+pub use pricing::SteepestEdgePricing;
 pub use problem::{Compaction, Constraint, CscMatrix, LinearProgram, Relation, RowState, Sense};
 pub use simplex::{
     solve, solve_with_warm_start, BasisVar, LpSolution, LpStatus, SimplexOptions, SolveStats,

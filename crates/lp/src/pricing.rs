@@ -1,35 +1,24 @@
-//! Pluggable pricing rules for the revised simplex.
+//! Primal steepest-edge pricing for the revised simplex.
 //!
-//! Pricing decides which nonbasic column enters the basis each pivot. The
-//! seed engine hard-wired Dantzig's rule (full scan, most-positive reduced
-//! cost) with a Bland fallback; this module turns the decision into the
-//! [`Pricing`] trait with three implementations selected by
-//! [`PricingRule`] in [`crate::simplex::SimplexOptions`]:
-//!
-//! * [`DantzigPricing`] — full scan, most-positive reduced cost. Simple and
-//!   effective on small LPs; `O(nnz(A))` per iteration.
-//! * [`BlandPricing`] — first improving index. Slow but cycling-proof; also
-//!   what every rule degrades to when the simplex core detects stalling.
-//! * [`DevexPricing`] — Devex reference weights with a **candidate list**
-//!   (partial pricing): a rotating window of columns is scanned to keep a
-//!   short list of improving candidates, the entering column maximizes
-//!   `rc² / weight`, and the weights are updated from the pivot row after
-//!   every pivot. Optimality is still exact: the rule only reports "no
-//!   entering column" after a full wrap over every column found nothing
-//!   improving.
-//! * [`SteepestEdgePricing`] — primal steepest edge over the same candidate
-//!   list. The weights track the exact edge norms
-//!   `γ_j = 1 + ‖B⁻¹ a_j‖²`, initialized **exactly** at the slack basis
-//!   (`B = I ⇒ γ_j = 1 + ‖a_j‖²`), updated per pivot with the
-//!   Forrest–Goldfarb reference formulas driven by quantities the core
-//!   already computes (the entering column's FTRAN image gives the exact
-//!   `γ_q`; the pivot-row BTRAN that Devex pays gives the `α_j`), and
-//!   **reset to exact values** for the candidate set at every scheduled
-//!   refactorization. No extra linear solves per pivot.
+//! Pricing decides which nonbasic column enters the basis each pivot.
+//! [`SteepestEdgePricing`] keeps a **candidate list** (partial pricing): a
+//! rotating window of columns is scanned to keep a short list of improving
+//! candidates, and the entering column maximizes `rc² / γ_j`. The weights
+//! track the exact edge norms `γ_j = 1 + ‖B⁻¹ a_j‖²`, initialized
+//! **exactly** at the slack basis (`B = I ⇒ γ_j = 1 + ‖a_j‖²`), updated per
+//! pivot with the Forrest–Goldfarb reference formulas driven by quantities
+//! the core already computes (the entering column's FTRAN image gives the
+//! exact `γ_q`; the pivot-row BTRAN gives the `α_j`), and **reset to exact
+//! values** for the candidate set at every scheduled refactorization. No
+//! extra linear solves per pivot. Optimality is still exact: the rule only
+//! reports "no entering column" after a full wrap over every column found
+//! nothing improving.
 //!
 //! The simplex core owns the reduced-cost computation and hands it to the
-//! rule as a closure, so rules never see the basis representation — that is
-//! the [`crate::basis`] seam's job.
+//! rule as a closure, so the rule never sees the basis factorization. After
+//! `stall_threshold` pivots without objective improvement the core bypasses
+//! the rule with Bland's first-improving-index choice, which guarantees
+//! termination.
 //!
 //! ## Steepest-edge weight updates in formulas
 //!
@@ -49,188 +38,53 @@
 //! *under*-estimates a norm that the update touches, and the periodic exact
 //! reset at refactorization stops long-run drift.
 
-use serde::{Deserialize, Serialize};
-
-/// Selects the pricing rule used by the revised simplex.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PricingRule {
-    /// Full-scan most-positive reduced cost.
-    Dantzig,
-    /// First improving index (terminating, used as the stall fallback).
-    Bland,
-    /// Devex reference weights with candidate-list partial pricing.
-    Devex,
-    /// Primal steepest edge: exact `1 + ‖B⁻¹a_j‖²` reference weights with
-    /// Forrest–Goldfarb updates and candidate-list partial pricing.
-    SteepestEdge,
-}
-
-impl PricingRule {
-    /// Short stable name used in bench labels and stats tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            PricingRule::Dantzig => "dantzig",
-            PricingRule::Bland => "bland",
-            PricingRule::Devex => "devex",
-            PricingRule::SteepestEdge => "steepest-edge",
-        }
-    }
-}
-
-/// A pricing rule: selects the entering column and observes pivots.
+/// Primal steepest-edge pricing with a candidate list.
 ///
-/// `eligible(j)` is `true` for nonbasic columns the current phase allows to
-/// enter; `rc(j)` is the reduced cost of column `j` under the current duals
-/// (maximization convention: improving means `rc > tol`). Implementations
-/// must return `None` **only** when no eligible column is improving — the
-/// simplex core takes `None` as proof of optimality for the current phase.
-pub trait Pricing: std::fmt::Debug {
-    /// Resets per-solve state for a problem with `n_total` columns.
-    fn reset(&mut self, n_total: usize);
-
-    /// Chooses the entering column, or `None` when provably optimal.
-    fn select_entering(
-        &mut self,
-        n_total: usize,
-        tol: f64,
-        eligible: &dyn Fn(usize) -> bool,
-        rc: &dyn Fn(usize) -> f64,
-    ) -> Option<usize>;
-
-    /// Whether [`notify_pivot`](Self::notify_pivot) needs the pivot row
-    /// (`alpha(j) = (eᵣᵀ B⁻¹ A)_j`). The core skips the (hyper-sparse)
-    /// BTRAN that produces it when this returns `false`.
-    fn wants_pivot_row(&self) -> bool {
-        false
-    }
-
-    /// Observes a pivot: column `entering` replaced `leaving` (now
-    /// nonbasic); `alpha_entering` is the pivot element and `alpha(j)`
-    /// evaluates the pivot row at other columns (only meaningful when
-    /// [`wants_pivot_row`](Self::wants_pivot_row) is `true`). The closure
-    /// dots column `j` against the core's indexed BTRAN image, so each
-    /// evaluation costs `O(nnz(A_j))` regardless of how dense `eᵣᵀ B⁻¹`
-    /// came out — weight updates over a candidate list stay cheap even
-    /// when the basis inverse itself has filled in.
-    fn notify_pivot(
-        &mut self,
-        entering: usize,
-        leaving: usize,
-        alpha_entering: f64,
-        alpha: &dyn Fn(usize) -> f64,
-    ) {
-        let _ = (entering, leaving, alpha_entering, alpha);
-    }
-
-    /// Seeds exact reference weights for an **identity** starting basis
-    /// (`B = I ⇒ ‖B⁻¹a_j‖² = ‖a_j‖²`): `norm_sq(j)` is the squared norm of
-    /// column `j` of the constraint matrix. Called by the core right after
-    /// a cold start; default no-op.
-    fn seed_reference_weights(&mut self, n_total: usize, norm_sq: &dyn Fn(usize) -> f64) {
-        let _ = (n_total, norm_sq);
-    }
-
-    /// Observes the exact squared norm `‖B⁻¹a_e‖²` of the entering column's
-    /// FTRAN image, which the core computes anyway for the ratio test — a
-    /// free exact weight for the entering column. Default no-op.
-    fn observe_entering(&mut self, entering: usize, norm_sq: f64) {
-        let _ = (entering, norm_sq);
-    }
-
-    /// Notifies the rule of a scheduled refactorization; `norm_sq(j)`
-    /// computes the exact `‖B⁻¹a_j‖²` for one column (one sparse FTRAN
-    /// against the freshly built factors). Implementations may refresh a
-    /// bounded set of weights — steepest edge resets its candidate list to
-    /// exact values here. Default no-op.
-    fn notify_refactor(&mut self, norm_sq: &dyn Fn(usize) -> f64) {
-        let _ = norm_sq;
-    }
-}
-
-/// Creates a pricing rule of the requested kind.
-pub fn make_pricing(rule: PricingRule) -> Box<dyn Pricing> {
-    match rule {
-        PricingRule::Dantzig => Box::new(DantzigPricing),
-        PricingRule::Bland => Box::new(BlandPricing),
-        PricingRule::Devex => Box::new(DevexPricing::default()),
-        PricingRule::SteepestEdge => Box::new(SteepestEdgePricing::default()),
-    }
-}
-
-/// Full-scan most-positive reduced cost.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DantzigPricing;
-
-impl Pricing for DantzigPricing {
-    fn reset(&mut self, _n_total: usize) {}
-
-    fn select_entering(
-        &mut self,
-        n_total: usize,
-        tol: f64,
-        eligible: &dyn Fn(usize) -> bool,
-        rc: &dyn Fn(usize) -> f64,
-    ) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        let mut best_rc = tol;
-        for j in 0..n_total {
-            if !eligible(j) {
-                continue;
-            }
-            let r = rc(j);
-            if r > best_rc {
-                best_rc = r;
-                best = Some(j);
-            }
-        }
-        best
-    }
-}
-
-/// First improving index (Bland's rule).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BlandPricing;
-
-impl Pricing for BlandPricing {
-    fn reset(&mut self, _n_total: usize) {}
-
-    fn select_entering(
-        &mut self,
-        n_total: usize,
-        tol: f64,
-        eligible: &dyn Fn(usize) -> bool,
-        rc: &dyn Fn(usize) -> f64,
-    ) -> Option<usize> {
-        (0..n_total).find(|&j| eligible(j) && rc(j) > tol)
-    }
-}
-
-/// Devex pricing with a candidate list.
+/// The weights approximate the exact edge norms `γ_j = 1 + ‖B⁻¹a_j‖²` (so
+/// the entering column maximizes `rc_j² / γ_j`, the squared objective rate
+/// of change per unit distance along the edge). Three exactness anchors
+/// keep them honest without any extra linear solves:
 ///
-/// Reference weights `w_j ≥ 1` approximate the steepest-edge norms; the
-/// entering column maximizes `rc_j² / w_j`. The candidate list keeps the
-/// per-iteration scan at `O(|list| + chunk)` instead of `O(n_total)`,
-/// refilling from a rotating cursor; a full-wrap empty scan certifies
-/// optimality exactly like a full Dantzig scan would.
+/// 1. **Slack-basis seed** — at a cold start `B = I`, so
+///    [`seed_reference_weights`](Self::seed_reference_weights) installs
+///    the exact `1 + ‖a_j‖²` for every column.
+/// 2. **Exact entering norm** — the core reports `‖B⁻¹a_e‖²` of the
+///    entering column's FTRAN image each pivot
+///    ([`observe_entering`](Self::observe_entering)); the
+///    Forrest–Goldfarb candidate/leaving updates in
+///    [`notify_pivot`](Self::notify_pivot) are driven by that exact
+///    `γ_q` rather than a drifting estimate.
+/// 3. **Refactorization reset** — each scheduled refactor, the candidate
+///    list's weights are recomputed exactly from the fresh factors
+///    ([`notify_refactor`](Self::notify_refactor)); the work is bounded
+///    by the list length, which partial pricing already caps.
+///
+/// The candidate list is refilled from a rotating cursor whenever it runs
+/// thin, and an empty full-wrap scan certifies optimality exactly like a
+/// full scan would.
 #[derive(Clone, Debug, Default)]
-pub struct DevexPricing {
+pub struct SteepestEdgePricing {
     weights: Vec<f64>,
     candidates: Vec<usize>,
     in_list: Vec<bool>,
     cursor: usize,
     /// Largest weight seen since the last framework reset.
     max_weight: f64,
+    /// Exact `γ_q = 1 + ‖B⁻¹a_q‖²` of the last observed entering column.
+    entering_norm: f64,
+    /// Which column `entering_norm` belongs to.
+    entering_col: usize,
 }
 
-impl DevexPricing {
+impl SteepestEdgePricing {
+    /// Weights above this trigger a reference-framework reset (matches the
+    /// dual steepest-edge reset in [`crate::dual`]).
+    const WEIGHT_RESET: f64 = 1e12;
+
     /// Refill chunk: how many *new improving* candidates one select call
-    /// tries to harvest before stopping the scan.
-    ///
-    /// Sized at half the column count (the seed used `n/8`, capped at 512):
-    /// on the e13 packing grid the thin list kept entering columns with
-    /// stale scores and paid for it in pivots — `n/2` cuts Devex pivot
-    /// counts by ~10–25% at n ∈ {400, 800} for the same per-scan cost
-    /// order, now that the pivot-row BTRAN is shared with the dual update.
+    /// tries to harvest before stopping the scan (half the column count:
+    /// a thinner list keeps entering columns with stale scores and pays for
+    /// it in pivots).
     fn chunk(n_total: usize) -> usize {
         (n_total / 2).clamp(64, 2048)
     }
@@ -240,12 +94,8 @@ impl DevexPricing {
         (n_total / 8).clamp(16, 256)
     }
 
-    /// Weights above this trigger a reference-framework reset.
-    const WEIGHT_RESET: f64 = 1e10;
-}
-
-impl Pricing for DevexPricing {
-    fn reset(&mut self, n_total: usize) {
+    /// Resets per-solve state for a problem with `n_total` columns.
+    pub fn reset(&mut self, n_total: usize) {
         self.weights.clear();
         self.weights.resize(n_total, 1.0);
         self.candidates.clear();
@@ -253,9 +103,18 @@ impl Pricing for DevexPricing {
         self.in_list.resize(n_total, false);
         self.cursor = 0;
         self.max_weight = 1.0;
+        self.entering_norm = 1.0;
+        self.entering_col = usize::MAX;
     }
 
-    fn select_entering(
+    /// Chooses the entering column, or `None` when provably optimal.
+    ///
+    /// `eligible(j)` is `true` for nonbasic columns the current phase
+    /// allows to enter; `rc(j)` is the reduced cost of column `j` under the
+    /// current duals (maximization convention: improving means `rc > tol`).
+    /// `None` is returned **only** when no eligible column is improving —
+    /// the simplex core takes it as proof of optimality for the phase.
+    pub fn select_entering(
         &mut self,
         n_total: usize,
         tol: f64,
@@ -263,13 +122,10 @@ impl Pricing for DevexPricing {
         rc: &dyn Fn(usize) -> f64,
     ) -> Option<usize> {
         if self.weights.len() != n_total {
-            // column count grew since reset (defensive; the core resets per
-            // phase) — extend with unit weights
             self.weights.resize(n_total, 1.0);
             self.in_list.resize(n_total, false);
         }
         let mut best: Option<(usize, f64)> = None;
-        // re-price the surviving candidates
         let mut kept = Vec::with_capacity(self.candidates.len());
         for &j in &self.candidates {
             if !eligible(j) {
@@ -317,181 +173,19 @@ impl Pricing for DevexPricing {
         best.map(|(j, _)| j)
     }
 
-    fn wants_pivot_row(&self) -> bool {
-        // the pivot row only feeds candidate weight updates — skip the
-        // BTRAN entirely while the list is empty
+    /// Whether [`notify_pivot`](Self::notify_pivot) needs the pivot row:
+    /// it only feeds candidate weight updates, so the core skips the BTRAN
+    /// that produces it while the list is empty.
+    pub fn wants_pivot_row(&self) -> bool {
         !self.candidates.is_empty()
     }
 
-    fn notify_pivot(
-        &mut self,
-        entering: usize,
-        leaving: usize,
-        alpha_entering: f64,
-        alpha: &dyn Fn(usize) -> f64,
-    ) {
-        if alpha_entering.abs() <= 1e-12 {
-            return;
-        }
-        let wq = self.weights[entering].max(1.0);
-        let inv_aq2 = 1.0 / (alpha_entering * alpha_entering);
-        // update the candidates' reference weights from the pivot row
-        for i in 0..self.candidates.len() {
-            let j = self.candidates[i];
-            if j == entering {
-                continue;
-            }
-            let aj = alpha(j);
-            if aj != 0.0 {
-                let cand = aj * aj * inv_aq2 * wq;
-                if cand > self.weights[j] {
-                    self.weights[j] = cand;
-                    if cand > self.max_weight {
-                        self.max_weight = cand;
-                    }
-                }
-            }
-        }
-        // the leaving variable becomes nonbasic with the textbook weight
-        if leaving < self.weights.len() {
-            self.weights[leaving] = (wq * inv_aq2).max(1.0);
-        }
-        // the entering column leaves the nonbasic set
-        if entering < self.in_list.len() && self.in_list[entering] {
-            self.in_list[entering] = false;
-            self.candidates.retain(|&j| j != entering);
-        }
-        // reference framework reset when weights degenerate
-        if self.max_weight > Self::WEIGHT_RESET {
-            for w in &mut self.weights {
-                *w = 1.0;
-            }
-            self.max_weight = 1.0;
-        }
-    }
-}
-
-/// Primal steepest-edge pricing with a candidate list.
-///
-/// The weights approximate the exact edge norms `γ_j = 1 + ‖B⁻¹a_j‖²` (so
-/// the entering column maximizes `rc_j² / γ_j`, the squared objective rate
-/// of change per unit distance along the edge). Three exactness anchors
-/// keep them honest without any extra linear solves:
-///
-/// 1. **Slack-basis seed** — at a cold start `B = I`, so
-///    [`seed_reference_weights`](Pricing::seed_reference_weights) installs
-///    the exact `1 + ‖a_j‖²` for every column.
-/// 2. **Exact entering norm** — the core reports `‖B⁻¹a_e‖²` of the
-///    entering column's FTRAN image each pivot
-///    ([`observe_entering`](Pricing::observe_entering)); the
-///    Forrest–Goldfarb candidate/leaving updates in
-///    [`notify_pivot`](Pricing::notify_pivot) are driven by that exact
-///    `γ_q` rather than a drifting estimate.
-/// 3. **Refactorization reset** — each scheduled refactor, the candidate
-///    list's weights are recomputed exactly from the fresh factors
-///    ([`notify_refactor`](Pricing::notify_refactor)); the work is bounded
-///    by the list length, which partial pricing already caps.
-///
-/// Candidate-list mechanics (rotating-cursor refill, full-wrap optimality
-/// certification) are identical to [`DevexPricing`].
-#[derive(Clone, Debug, Default)]
-pub struct SteepestEdgePricing {
-    weights: Vec<f64>,
-    candidates: Vec<usize>,
-    in_list: Vec<bool>,
-    cursor: usize,
-    /// Largest weight seen since the last framework reset.
-    max_weight: f64,
-    /// Exact `γ_q = 1 + ‖B⁻¹a_q‖²` of the last observed entering column.
-    entering_norm: f64,
-    /// Which column `entering_norm` belongs to.
-    entering_col: usize,
-}
-
-impl SteepestEdgePricing {
-    /// Weights above this trigger a reference-framework reset (matches the
-    /// dual steepest-edge reset in [`crate::dual`]).
-    const WEIGHT_RESET: f64 = 1e12;
-}
-
-impl Pricing for SteepestEdgePricing {
-    fn reset(&mut self, n_total: usize) {
-        self.weights.clear();
-        self.weights.resize(n_total, 1.0);
-        self.candidates.clear();
-        self.in_list.clear();
-        self.in_list.resize(n_total, false);
-        self.cursor = 0;
-        self.max_weight = 1.0;
-        self.entering_norm = 1.0;
-        self.entering_col = usize::MAX;
-    }
-
-    fn select_entering(
-        &mut self,
-        n_total: usize,
-        tol: f64,
-        eligible: &dyn Fn(usize) -> bool,
-        rc: &dyn Fn(usize) -> f64,
-    ) -> Option<usize> {
-        if self.weights.len() != n_total {
-            self.weights.resize(n_total, 1.0);
-            self.in_list.resize(n_total, false);
-        }
-        let mut best: Option<(usize, f64)> = None;
-        let mut kept = Vec::with_capacity(self.candidates.len());
-        for &j in &self.candidates {
-            if !eligible(j) {
-                self.in_list[j] = false;
-                continue;
-            }
-            let r = rc(j);
-            if r > tol {
-                let score = r * r / self.weights[j];
-                if best.as_ref().map(|&(_, s)| score > s).unwrap_or(true) {
-                    best = Some((j, score));
-                }
-                kept.push(j);
-            } else {
-                self.in_list[j] = false;
-            }
-        }
-        self.candidates = kept;
-
-        // refill from the rotating cursor when the list runs thin; a full
-        // wrap with nothing improving proves optimality (same discipline,
-        // same chunk sizing as Devex)
-        if self.candidates.len() < DevexPricing::min_keep(n_total) {
-            let chunk = DevexPricing::chunk(n_total);
-            let mut scanned = 0usize;
-            let mut found = 0usize;
-            while scanned < n_total && (found < chunk || best.is_none()) {
-                let j = self.cursor;
-                self.cursor = (self.cursor + 1) % n_total.max(1);
-                scanned += 1;
-                if self.in_list[j] || !eligible(j) {
-                    continue;
-                }
-                let r = rc(j);
-                if r > tol {
-                    self.candidates.push(j);
-                    self.in_list[j] = true;
-                    found += 1;
-                    let score = r * r / self.weights[j];
-                    if best.as_ref().map(|&(_, s)| score > s).unwrap_or(true) {
-                        best = Some((j, score));
-                    }
-                }
-            }
-        }
-        best.map(|(j, _)| j)
-    }
-
-    fn wants_pivot_row(&self) -> bool {
-        !self.candidates.is_empty()
-    }
-
-    fn notify_pivot(
+    /// Observes a pivot: column `entering` replaced `leaving` (now
+    /// nonbasic); `alpha_entering` is the pivot element and `alpha(j)`
+    /// evaluates the pivot row `(eᵣᵀ B⁻¹ A)_j` at other columns. The
+    /// closure dots column `j` against the core's indexed BTRAN image, so
+    /// each evaluation costs `O(nnz(A_j))` however dense `eᵣᵀ B⁻¹` came out.
+    pub fn notify_pivot(
         &mut self,
         entering: usize,
         leaving: usize,
@@ -540,7 +234,10 @@ impl Pricing for SteepestEdgePricing {
         }
     }
 
-    fn seed_reference_weights(&mut self, n_total: usize, norm_sq: &dyn Fn(usize) -> f64) {
+    /// Seeds exact reference weights for an **identity** starting basis
+    /// (`B = I ⇒ ‖B⁻¹a_j‖² = ‖a_j‖²`): `norm_sq(j)` is the squared norm of
+    /// column `j` of the constraint matrix.
+    pub fn seed_reference_weights(&mut self, n_total: usize, norm_sq: &dyn Fn(usize) -> f64) {
         if self.weights.len() != n_total {
             self.weights.resize(n_total, 1.0);
             self.in_list.resize(n_total, false);
@@ -551,7 +248,9 @@ impl Pricing for SteepestEdgePricing {
         self.max_weight = self.weights.iter().cloned().fold(1.0, f64::max);
     }
 
-    fn observe_entering(&mut self, entering: usize, norm_sq: f64) {
+    /// Observes the exact squared norm `‖B⁻¹a_e‖²` of the entering column's
+    /// FTRAN image, which the core computes anyway for the ratio test.
+    pub fn observe_entering(&mut self, entering: usize, norm_sq: f64) {
         self.entering_col = entering;
         self.entering_norm = 1.0 + norm_sq;
         if entering < self.weights.len() {
@@ -559,7 +258,10 @@ impl Pricing for SteepestEdgePricing {
         }
     }
 
-    fn notify_refactor(&mut self, norm_sq: &dyn Fn(usize) -> f64) {
+    /// Notifies the rule of a scheduled refactorization; `norm_sq(j)`
+    /// computes the exact `‖B⁻¹a_j‖²` for one column (one sparse FTRAN
+    /// against the freshly built factors).
+    pub fn notify_refactor(&mut self, norm_sq: &dyn Fn(usize) -> f64) {
         // exact reset for the candidate set — bounded by the list length
         // (≤ min_keep + chunk), amortized over refactor_interval pivots
         let mut max_w = 1.0f64;
@@ -574,49 +276,6 @@ impl Pricing for SteepestEdgePricing {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A tiny synthetic pricing problem: 6 columns, fixed reduced costs.
-    fn rcs() -> Vec<f64> {
-        vec![-1.0, 0.5, 3.0, 0.0, 2.0, -0.2]
-    }
-
-    #[test]
-    fn dantzig_picks_most_positive() {
-        let rc = rcs();
-        let mut p = DantzigPricing;
-        p.reset(rc.len());
-        let pick = p.select_entering(rc.len(), 1e-9, &|_| true, &|j| rc[j]);
-        assert_eq!(pick, Some(2));
-    }
-
-    #[test]
-    fn bland_picks_first_improving() {
-        let rc = rcs();
-        let mut p = BlandPricing;
-        p.reset(rc.len());
-        let pick = p.select_entering(rc.len(), 1e-9, &|_| true, &|j| rc[j]);
-        assert_eq!(pick, Some(1));
-    }
-
-    #[test]
-    fn devex_with_unit_weights_matches_dantzig() {
-        let rc = rcs();
-        let mut p = DevexPricing::default();
-        p.reset(rc.len());
-        let pick = p.select_entering(rc.len(), 1e-9, &|_| true, &|j| rc[j]);
-        assert_eq!(pick, Some(2));
-    }
-
-    #[test]
-    fn devex_respects_weights() {
-        let rc = rcs();
-        let mut p = DevexPricing::default();
-        p.reset(rc.len());
-        // inflate column 2's weight so 2.0²/1 beats 3.0²/100
-        p.weights[2] = 100.0;
-        let pick = p.select_entering(rc.len(), 1e-9, &|_| true, &|j| rc[j]);
-        assert_eq!(pick, Some(4));
-    }
 
     #[test]
     fn steepest_edge_seeds_exact_slack_basis_weights() {
@@ -672,28 +331,28 @@ mod tests {
     }
 
     #[test]
-    fn all_rules_certify_optimality() {
+    fn steepest_edge_certifies_optimality() {
         let rc = [-1.0, -0.5, 0.0];
-        for rule in [
-            PricingRule::Dantzig,
-            PricingRule::Bland,
-            PricingRule::Devex,
-            PricingRule::SteepestEdge,
-        ] {
-            let mut p = make_pricing(rule);
-            p.reset(rc.len());
-            assert_eq!(
-                p.select_entering(rc.len(), 1e-9, &|_| true, &|j| rc[j]),
-                None,
-                "{rule:?} must certify optimality"
-            );
-        }
+        let mut p = SteepestEdgePricing::default();
+        p.reset(rc.len());
+        assert_eq!(
+            p.select_entering(rc.len(), 1e-9, &|_| true, &|j| rc[j]),
+            None
+        );
     }
+
+    fn rcs() -> Vec<f64> {
+        vec![-1.0, 0.5, 3.0, 0.0, 2.0, -0.2]
+    }
+
+    // The two candidate-list tests below keep the Devex names: the
+    // candidate list and its reference-framework weights are the Devex
+    // machinery that steepest edge refines.
 
     #[test]
     fn devex_ignores_ineligible_columns() {
         let rc = rcs();
-        let mut p = DevexPricing::default();
+        let mut p = SteepestEdgePricing::default();
         p.reset(rc.len());
         let pick = p.select_entering(rc.len(), 1e-9, &|j| j != 2, &|j| rc[j]);
         assert_eq!(pick, Some(4));
@@ -702,7 +361,7 @@ mod tests {
     #[test]
     fn devex_candidate_list_survives_across_calls() {
         let mut rc = rcs();
-        let mut p = DevexPricing::default();
+        let mut p = SteepestEdgePricing::default();
         p.reset(rc.len());
         assert_eq!(
             p.select_entering(rc.len(), 1e-9, &|_| true, &|j| rc[j]),

@@ -1,22 +1,15 @@
-//! A sparse **revised simplex** engine with pluggable pricing and basis
-//! factorization.
+//! A sparse **revised simplex** engine: primal steepest-edge pricing
+//! ([`crate::pricing`]) over a Forrest–Tomlin LU factorization of the basis
+//! ([`crate::basis`]).
 //!
-//! The seed implementation kept the full dense tableau `[B⁻¹A | B⁻¹b]` and
-//! touched all `m · n_total` entries on every pivot; PR 1 replaced it with a
-//! revised method around a hard-wired dense product-form inverse and a
-//! Dantzig scan. This revision splits the engine along its two classic
-//! seams, both selected per solve through [`SimplexOptions`]:
-//!
-//! * **Pricing** ([`crate::pricing`]) — Dantzig (full scan), Bland (first
-//!   improving, terminating), or Devex with a candidate list (partial
-//!   pricing; the default). After `stall_threshold` pivots without
-//!   objective improvement the core overrides any rule with Bland's rule,
-//!   which guarantees termination.
-//! * **Basis factorization** ([`crate::basis`]) — the dense product-form
-//!   inverse (`O(m²)` per pivot, the PR 1 representation) or a sparse LU
-//!   with Bartels–Golub/Forrest–Tomlin-style eta updates (the default),
-//!   whose FTRAN/BTRAN cost is proportional to the factor sparsity rather
-//!   than `m²`.
+//! Instead of the dense tableau `[B⁻¹A | B⁻¹b]` (`m · n_total` entries
+//! touched per pivot) the revised method keeps only a factorization of the
+//! basis, whose FTRAN/BTRAN cost is proportional to the factor sparsity
+//! rather than `m²`, and moves the entering column and the pivot row
+//! through it as indexed [`SparseVector`]s. After `stall_threshold` pivots without objective
+//! improvement the core overrides steepest edge with Bland's rule (first
+//! improving index, smallest-ratio/smallest-index leaving row), which
+//! guarantees termination.
 //!
 //! **Refactorization**: every [`SimplexOptions::refactor_interval`] pivots
 //! (and whenever the factorization declines an update or a warm-started
@@ -29,21 +22,18 @@
 //! returned by a previous solve over the *same rows* and resumes from that
 //! basis, skipping phase 1 entirely. The state carries the basis *and* its
 //! factorization (moved, not copied), so a warm re-solve pays no
-//! re-factorization when the engine kind is unchanged. Column generation
-//! exploits this: new columns enter nonbasic, so each master re-solve
-//! continues from the previous optimum.
+//! re-factorization. Column generation exploits this: new columns enter
+//! nonbasic, so each master re-solve continues from the previous optimum.
 //!
 //! Packing LPs (all `≤` constraints with non-negative right-hand sides) are
 //! detected automatically and start from the all-slack basis, skipping
 //! phase 1; general `≥`/`=` rows go through a standard two-phase scheme with
 //! artificial variables. The dense tableau solver survives as
-//! [`crate::dense`]; property tests assert every pricing × basis
-//! combination agrees with it to 1e-6.
+//! [`crate::dense`]; property tests assert the engine agrees with it to
+//! 1e-6.
 
-use crate::basis::{
-    make_factorization, BasisFactorization, BasisKind, SparseColumn, SparseVector, SparsityStats,
-};
-use crate::pricing::{make_pricing, Pricing, PricingRule};
+use crate::basis::{ForrestTomlinLu, SparseColumn, SparseVector, SparsityStats};
+use crate::pricing::SteepestEdgePricing;
 use crate::problem::{CscMatrix, LinearProgram, Relation, Sense};
 use serde::{Deserialize, Serialize};
 
@@ -64,18 +54,14 @@ pub enum LpStatus {
 /// `RelaxationInfo` so benches can attribute time per stage).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SolveStats {
-    /// Pricing rule that ran.
-    pub pricing: PricingRule,
-    /// Basis factorization that ran.
-    pub basis: BasisKind,
     /// Simplex pivots across both phases.
     pub iterations: usize,
     /// Factorization rebuilds, **total** (scheduled periodic hygiene plus
     /// stability-forced; the forced subset is
     /// [`forced_refactorizations`](Self::forced_refactorizations)).
     pub refactorizations: usize,
-    /// Stability-forced factorization rebuilds: the representation declined
-    /// a pivot update (tiny pivot, full eta file, unstable FT diagonal) or a
+    /// Stability-forced factorization rebuilds: the factorization declined
+    /// a pivot update (unstable FT diagonal, full row-eta file) or a
     /// numerically degenerate direction forced a rebuild-and-retry. The
     /// scheduled-hygiene count is `refactorizations − forced_refactorizations`.
     pub forced_refactorizations: usize,
@@ -90,7 +76,7 @@ pub struct SolveStats {
     /// support rather than to `m`.
     pub ftran_sparse_hits: usize,
     /// FTRANs that bailed to the dense kernel (result density above the
-    /// cutoff, or the factorization kind has no sparse path).
+    /// cutoff).
     pub ftran_dense_fallbacks: usize,
     /// BTRANs answered on the hyper-sparse path (unit-RHS pivot rows).
     pub btran_sparse_hits: usize,
@@ -98,15 +84,13 @@ pub struct SolveStats {
     pub btran_dense_fallbacks: usize,
     /// Mean result density (pattern length / m) across all tracked
     /// FTRAN/BTRAN solves; dense fallbacks count as density 1.0. Reads 1.0
-    /// when no solves were tracked (e.g. sparsity disabled).
+    /// when no solves were tracked.
     pub avg_result_density: f64,
 }
 
 impl Default for SolveStats {
     fn default() -> Self {
         SolveStats {
-            pricing: PricingRule::Dantzig,
-            basis: BasisKind::ProductForm,
             iterations: 0,
             refactorizations: 0,
             forced_refactorizations: 0,
@@ -158,60 +142,16 @@ pub struct SimplexOptions {
     /// hygiene). `0` disables periodic refactorization (the factorization
     /// may still force one by declining an update).
     pub refactor_interval: usize,
-    /// Pricing rule (entering-column choice).
-    pub pricing: PricingRule,
-    /// Basis factorization kind.
-    pub basis: BasisKind,
-    /// Route FTRAN/BTRAN through the hyper-sparse (Gilbert–Peierls) solves
-    /// and keep pivot columns / pivot rows in sparse form through the ratio
-    /// test and the pricing updates. `false` restores the dense kernels
-    /// everywhere (the pre-sparsity behaviour; kept as an A/B lever for
-    /// benches and as a numerical escape hatch).
-    pub hyper_sparse: bool,
 }
 
 impl Default for SimplexOptions {
-    /// The default engine is **data-driven**: steepest-edge pricing over
-    /// the Forrest–Tomlin factorization won the multi-seed medians of the
-    /// `engine_grid` measurement at every size from n = 200 up (n = 800:
-    /// 70 ms vs 419 ms for `lu+dantzig`, the previous best; n = 2000:
-    /// 0.57 s vs 6.6 s), by combining the fewest pivots (exact reference
-    /// weights) with bounded-fill FTRAN/BTRAN.
     fn default() -> Self {
         SimplexOptions {
             tolerance: 1e-9,
             max_iterations: 0,
             stall_threshold: 64,
             refactor_interval: 256,
-            pricing: PricingRule::SteepestEdge,
-            basis: BasisKind::ForrestTomlin,
-            hyper_sparse: true,
         }
-    }
-}
-
-impl SimplexOptions {
-    /// The PR 1 engine (Dantzig pricing over a dense product-form inverse):
-    /// the comparison baseline in the `e13_lp_solver` bench grid.
-    pub fn product_form_dantzig() -> Self {
-        SimplexOptions {
-            pricing: PricingRule::Dantzig,
-            basis: BasisKind::ProductForm,
-            ..Default::default()
-        }
-    }
-
-    /// Returns a copy with the given engine selection.
-    pub fn with_engine(mut self, pricing: PricingRule, basis: BasisKind) -> Self {
-        self.pricing = pricing;
-        self.basis = basis;
-        self
-    }
-
-    /// Returns a copy with the hyper-sparse solve paths toggled.
-    pub fn with_hyper_sparse(mut self, on: bool) -> Self {
-        self.hyper_sparse = on;
-        self
     }
 }
 
@@ -244,24 +184,19 @@ pub struct WarmStart {
     pub basis: Vec<BasisVar>,
     /// The factorization matching `basis` (moved in and out of the solver,
     /// never copied on the warm path).
-    factor: Box<dyn BasisFactorization>,
+    factor: ForrestTomlinLu,
 }
 
 impl WarmStart {
     /// Assembles a state from a basis and a matching factorization (used by
     /// [`crate::dual`], which maintains both itself).
-    pub(crate) fn from_parts(basis: Vec<BasisVar>, factor: Box<dyn BasisFactorization>) -> Self {
+    pub(crate) fn from_parts(basis: Vec<BasisVar>, factor: ForrestTomlinLu) -> Self {
         WarmStart { basis, factor }
     }
 
     /// Number of rows this state was built for.
     pub fn num_rows(&self) -> usize {
         self.basis.len()
-    }
-
-    /// Which basis representation the state carries.
-    pub fn basis_kind(&self) -> BasisKind {
-        self.factor.kind()
     }
 
     /// Keeps the basis but drops the factorization, forcing the next solve
@@ -276,7 +211,7 @@ impl WarmStart {
     /// this.
     pub fn into_basis_only(self) -> WarmStart {
         WarmStart {
-            factor: make_factorization(self.factor.kind()),
+            factor: ForrestTomlinLu::default(),
             basis: self.basis,
         }
     }
@@ -294,9 +229,9 @@ pub fn solve(lp: &LinearProgram, options: &SimplexOptions) -> LpSolution {
 /// The state is taken **by value**: its factorization is moved into the
 /// solver and moved back out, so a warm re-solve never copies it (at master
 /// sizes of ~10³ rows those copies would dominate the handful of pivots a
-/// warm re-solve actually needs). A warm start whose factorization kind
-/// differs from [`SimplexOptions::basis`] is converted by one
-/// refactorization from the basis columns.
+/// warm re-solve actually needs). A basis-only state
+/// ([`WarmStart::into_basis_only`]) costs one refactorization from the
+/// basis columns.
 pub fn solve_with_warm_start(
     lp: &LinearProgram,
     options: &SimplexOptions,
@@ -315,8 +250,6 @@ struct Revised<'a> {
     max_iterations: usize,
     stall_threshold: usize,
     refactor_interval: usize,
-    pricing_rule: PricingRule,
-    basis_kind: BasisKind,
 
     m: usize,
     n: usize,
@@ -345,14 +278,10 @@ struct Revised<'a> {
     /// basis member (global column index) per row
     basis: Vec<usize>,
     in_basis: Vec<bool>,
-    /// pluggable basis factorization
-    factor: Box<dyn BasisFactorization>,
+    factor: ForrestTomlinLu,
     /// current basic solution B⁻¹ b
     xb: Vec<f64>,
 
-    /// hyper-sparse FTRAN/BTRAN + sparse ratio test enabled
-    /// ([`SimplexOptions::hyper_sparse`])
-    hyper_sparse: bool,
     /// Factorization sparsity counters at solve start (the factorization's
     /// counters are monotone over its lifetime, which for a warm-started
     /// solve began in a *previous* solve); [`Revised::extract`] reports the
@@ -365,7 +294,7 @@ struct Revised<'a> {
     degenerate_pivots: usize,
     /// Set when a mid-solve refactorization found the current basis
     /// numerically singular (the factorization is then empty, per the
-    /// [`BasisFactorization::refactor`] contract). [`Revised::run`] answers
+    /// [`ForrestTomlinLu::refactor`] contract). [`Revised::run`] answers
     /// with one cold restart — the collapse reflects numerical breakdown of
     /// the pivot path, not the LP.
     factor_failed: bool,
@@ -459,8 +388,6 @@ impl<'a> Revised<'a> {
             max_iterations,
             stall_threshold: options.stall_threshold,
             refactor_interval: options.refactor_interval,
-            pricing_rule: options.pricing,
-            basis_kind: options.basis,
             m,
             n,
             n_total,
@@ -476,9 +403,8 @@ impl<'a> Revised<'a> {
             enterable,
             basis: Vec::new(),
             in_basis: vec![false; n_total],
-            factor: make_factorization(options.basis),
+            factor: ForrestTomlinLu::default(),
             xb: Vec::new(),
-            hyper_sparse: options.hyper_sparse,
             sparsity_baseline: SparsityStats::default(),
             iterations: 0,
             refactorizations: 0,
@@ -570,8 +496,8 @@ impl<'a> Revised<'a> {
         }
         self.basis = basis;
         self.in_basis = in_basis;
-        if warm.factor.num_rows() == self.m && warm.factor.kind() == self.basis_kind {
-            // same engine: adopt the factorization without any rebuild. Its
+        if warm.factor.num_rows() == self.m {
+            // adopt the factorization without any rebuild. Its
             // sparsity counters carry history from the donor solve — re-anchor
             // the baseline so extract() reports only this solve's work.
             self.factor = warm.factor;
@@ -589,7 +515,7 @@ impl<'a> Revised<'a> {
                 return false;
             }
         } else if !self.refactor() {
-            // engine switched (or basis-only seed): one rebuild from the basis
+            // basis-only seed: one rebuild from the basis
             return false;
         }
         // The rows are supposed to be unchanged, so the previous basic
@@ -663,29 +589,12 @@ impl<'a> Revised<'a> {
         true
     }
 
-    /// FTRAN into a [`SparseVector`]: the hyper-sparse path when enabled
-    /// (result indexed below the density cutoff), the dense kernel — with
-    /// the counters bypassed — when sparsity is switched off.
+    /// FTRAN of global column `j` into a [`SparseVector`] (indexed below
+    /// the factorization's density cutoff, dense above it).
     fn ftran_into(&self, j: usize, w: &mut SparseVector, scratch: &mut SparseColumn) {
         scratch.clear();
         self.for_each_entry(j, |r, v| scratch.push((r, v)));
-        if self.hyper_sparse {
-            self.factor.ftran_sparse_into(scratch, w);
-        } else {
-            w.begin_dense(self.m);
-            self.factor.ftran_sparse(scratch, w.values_mut());
-        }
-    }
-
-    /// BTRAN of unit vector `e_r` (the pivot row of `B⁻¹`) into a
-    /// [`SparseVector`], mirroring [`Revised::ftran_into`]'s gating.
-    fn btran_unit_into(&self, r: usize, rho: &mut SparseVector) {
-        if self.hyper_sparse {
-            self.factor.btran_unit_into(r, rho);
-        } else {
-            rho.begin_dense(self.m);
-            self.factor.btran_unit(r, rho.values_mut());
-        }
+        self.factor.ftran_sparse_into(scratch, w);
     }
 
     /// Reduced cost of column `j` at duals `y`.
@@ -727,8 +636,8 @@ impl<'a> Revised<'a> {
         self.basis[l] = e;
 
         if !self.factor.update_sparse(l, w) {
-            // The representation declined (tiny pivot, full eta file, or an
-            // unstable FT diagonal): rebuild from the already-updated basis
+            // The factorization declined (unstable FT diagonal or a full
+            // row-eta file): rebuild from the already-updated basis
             // columns. This is a stability-forced rebuild, not hygiene.
             self.forced_refactorizations += 1;
             return self.refactor();
@@ -736,25 +645,24 @@ impl<'a> Revised<'a> {
         true
     }
 
-    /// Runs simplex iterations with the given cost vector, entering filter
-    /// and pricing rule. Returns `None` when optimal for this cost, or a
-    /// terminal status.
+    /// Runs simplex iterations with the given cost vector and entering
+    /// filter. Returns `None` when optimal for this cost, or a terminal
+    /// status.
     ///
     /// The duals `y = c_B B⁻¹` are maintained **incrementally** whenever the
     /// pivot row `ρ = e_l B⁻¹` is available (`y' = y + (rc_e / w_l)·ρ`, the
-    /// textbook dual update): the pivot row is exactly the BTRAN that Devex
-    /// pricing already pays for its weight update, so caching it for the
-    /// dual update means a Devex pivot costs **one** BTRAN total instead of
-    /// two (the extra-BTRAN gap the ROADMAP measured against Dantzig at
-    /// n ≈ 200). Rules that skip the pivot row fall back to recomputing `y`
-    /// from scratch each iteration, and optimality claimed under
+    /// textbook dual update): the pivot row is exactly the BTRAN that
+    /// steepest edge already pays for its weight update, so caching it for
+    /// the dual update means a pivot costs **one** BTRAN total instead of
+    /// two. When the pricer skips the pivot row (empty candidate list) `y`
+    /// is recomputed from scratch, and optimality claimed under
     /// incrementally updated duals is always re-certified against freshly
     /// computed ones before being returned.
     fn iterate(
         &mut self,
         cost: &[f64],
         allow_enter: impl Fn(usize) -> bool,
-        pricer: &mut dyn Pricing,
+        pricer: &mut SteepestEdgePricing,
     ) -> Option<LpStatus> {
         let m = self.m;
         let mut y = vec![0.0f64; m];
@@ -832,17 +740,18 @@ impl<'a> Revised<'a> {
             }
 
             let use_bland = stall >= self.stall_threshold;
-            let select = |this: &Self, y: &[f64], pricer: &mut dyn Pricing| -> Option<usize> {
-                let rc = |j: usize| this.reduced_cost(cost, y, j);
-                let eligible = |j: usize| !this.in_basis[j] && allow_enter(j);
-                if use_bland {
-                    // Anti-cycling override: Bland's rule regardless of the
-                    // configured pricing (guaranteed to terminate).
-                    (0..this.n_total).find(|&j| eligible(j) && rc(j) > this.tol)
-                } else {
-                    pricer.select_entering(this.n_total, this.tol, &eligible, &rc)
-                }
-            };
+            let select =
+                |this: &Self, y: &[f64], pricer: &mut SteepestEdgePricing| -> Option<usize> {
+                    let rc = |j: usize| this.reduced_cost(cost, y, j);
+                    let eligible = |j: usize| !this.in_basis[j] && allow_enter(j);
+                    if use_bland {
+                        // Anti-cycling override: Bland's rule instead of steepest
+                        // edge (guaranteed to terminate).
+                        (0..this.n_total).find(|&j| eligible(j) && rc(j) > this.tol)
+                    } else {
+                        pricer.select_entering(this.n_total, this.tol, &eligible, &rc)
+                    }
+                };
             let e = match select(self, &y, pricer) {
                 Some(e) => e,
                 None if y_fresh => return None,
@@ -964,11 +873,12 @@ impl<'a> Revised<'a> {
                 self.degenerate_pivots += 1;
             }
 
-            // Devex needs the pivot row of the *outgoing* basis; compute it
-            // before the factorization is updated, and only when asked.
+            // The weight update needs the pivot row of the *outgoing* basis;
+            // compute it before the factorization is updated, and only when
+            // asked.
             let rho_valid = pricer.wants_pivot_row();
             if rho_valid {
-                self.btran_unit_into(l, &mut rho_buf);
+                self.factor.btran_unit_into(l, &mut rho_buf);
             }
             let leaving_col = self.basis[l];
             let wl = w.value(l);
@@ -992,7 +902,7 @@ impl<'a> Revised<'a> {
             }
 
             if rho_valid {
-                // The pivot row was already paid for (Devex weight update):
+                // The pivot row was already paid for (weight update):
                 // reuse it for the textbook dual update
                 // `y' = y + (rc_e / w_l)·ρ` instead of a fresh BTRAN next
                 // iteration — over ρ's support only. The update is exact in
@@ -1061,7 +971,7 @@ impl<'a> Revised<'a> {
 
     /// Seeds exact steepest-edge weights for an identity starting basis:
     /// `B = I` makes `‖B⁻¹a_j‖² = ‖a_j‖²`, a pure column scan (no solves).
-    fn seed_identity_weights(&self, pricer: &mut dyn Pricing) {
+    fn seed_identity_weights(&self, pricer: &mut SteepestEdgePricing) {
         let norm_sq = |j: usize| -> f64 {
             let mut s = 0.0;
             self.for_each_entry(j, |_, v| s += v * v);
@@ -1094,7 +1004,7 @@ impl<'a> Revised<'a> {
     }
 
     fn run_attempt(&mut self, warm: Option<WarmStart>) -> LpStatus {
-        let mut pricer = make_pricing(self.pricing_rule);
+        let mut pricer = SteepestEdgePricing::default();
         let warm_ok = match warm {
             Some(state) => self.try_warm_basis(state),
             None => false,
@@ -1119,10 +1029,9 @@ impl<'a> Revised<'a> {
                 }
                 let enterable = self.enterable.clone();
                 pricer.reset(self.n_total);
-                self.seed_identity_weights(pricer.as_mut());
+                self.seed_identity_weights(&mut pricer);
                 basis_is_identity = false; // phase 1 moves the basis off I
-                if let Some(status) = self.iterate(&phase1_cost, |j| enterable[j], pricer.as_mut())
-                {
+                if let Some(status) = self.iterate(&phase1_cost, |j| enterable[j], &mut pricer) {
                     // Phase 1 is bounded by 0, so this is an iteration limit.
                     return status;
                 }
@@ -1144,13 +1053,9 @@ impl<'a> Revised<'a> {
         pricer.reset(self.n_total);
         if basis_is_identity {
             // packing LPs start phase 2 directly at the slack basis
-            self.seed_identity_weights(pricer.as_mut());
+            self.seed_identity_weights(&mut pricer);
         }
-        match self.iterate(
-            &cost,
-            |j| j < first_artificial && enterable[j],
-            pricer.as_mut(),
-        ) {
+        match self.iterate(&cost, |j| j < first_artificial && enterable[j], &mut pricer) {
             None => LpStatus::Optimal,
             Some(s) => s,
         }
@@ -1187,8 +1092,6 @@ impl<'a> Revised<'a> {
             duals,
             iterations: self.iterations,
             stats: SolveStats {
-                pricing: self.pricing_rule,
-                basis: self.basis_kind,
                 iterations: self.iterations,
                 refactorizations: self.refactorizations,
                 forced_refactorizations: self.forced_refactorizations,
@@ -1220,26 +1123,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Every pricing × basis combination of the engine.
-    pub(crate) fn all_engines() -> Vec<SimplexOptions> {
-        let mut out = Vec::new();
-        for pricing in [
-            PricingRule::Dantzig,
-            PricingRule::Bland,
-            PricingRule::Devex,
-            PricingRule::SteepestEdge,
-        ] {
-            for basis in [
-                BasisKind::ProductForm,
-                BasisKind::SparseLu,
-                BasisKind::ForrestTomlin,
-            ] {
-                out.push(SimplexOptions::default().with_engine(pricing, basis));
-            }
-        }
-        out
-    }
-
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "expected {b}, got {a}");
     }
@@ -1253,23 +1136,19 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
         lp.add_constraint(vec![(y, 1.0)], Relation::Le, 3.0);
-        for options in all_engines() {
-            let sol = solve(&lp, &options);
-            assert_eq!(sol.status, LpStatus::Optimal);
-            assert_close(sol.objective, 10.0, 1e-7); // x=2, y=2
-            assert_close(sol.x[x], 2.0, 1e-7);
-            assert_close(sol.x[y], 2.0, 1e-7);
-            assert!(lp.is_feasible(&sol.x, 1e-7));
-            // strong duality
-            let dual_obj: f64 = sol.duals[0] * 4.0 + sol.duals[1] * 2.0 + sol.duals[2] * 3.0;
-            assert_close(dual_obj, 10.0, 1e-7);
-            // duals of <= constraints in a maximization are non-negative
-            assert!(sol.duals.iter().all(|&d| d >= -1e-9));
-            // stats label the engine that actually ran
-            assert_eq!(sol.stats.pricing, options.pricing);
-            assert_eq!(sol.stats.basis, options.basis);
-            assert_eq!(sol.stats.iterations, sol.iterations);
-        }
+        let options = SimplexOptions::default();
+        let sol = solve(&lp, &options);
+        assert_eq!(sol.status, LpStatus::Optimal);
+        assert_close(sol.objective, 10.0, 1e-7); // x=2, y=2
+        assert_close(sol.x[x], 2.0, 1e-7);
+        assert_close(sol.x[y], 2.0, 1e-7);
+        assert!(lp.is_feasible(&sol.x, 1e-7));
+        // strong duality
+        let dual_obj: f64 = sol.duals[0] * 4.0 + sol.duals[1] * 2.0 + sol.duals[2] * 3.0;
+        assert_close(dual_obj, 10.0, 1e-7);
+        // duals of <= constraints in a maximization are non-negative
+        assert!(sol.duals.iter().all(|&d| d >= -1e-9));
+        assert_eq!(sol.stats.iterations, sol.iterations);
     }
 
     #[test]
@@ -1284,11 +1163,10 @@ mod tests {
                 lp.add_constraint(vec![(v[i], 1.0), (v[j], 1.0)], Relation::Le, 1.0);
             }
         }
-        for options in all_engines() {
-            let sol = solve(&lp, &options);
-            assert_eq!(sol.status, LpStatus::Optimal);
-            assert_close(sol.objective, 1.5, 1e-7);
-        }
+        let options = SimplexOptions::default();
+        let sol = solve(&lp, &options);
+        assert_eq!(sol.status, LpStatus::Optimal);
+        assert_close(sol.objective, 1.5, 1e-7);
     }
 
     #[test]
@@ -1299,16 +1177,15 @@ mod tests {
         let y = lp.add_variable(3.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Ge, 4.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Ge, 1.0);
-        for options in all_engines() {
-            let sol = solve(&lp, &options);
-            assert_eq!(sol.status, LpStatus::Optimal);
-            assert_close(sol.objective, 8.0, 1e-7);
-            assert_close(sol.x[x], 4.0, 1e-7);
-            assert_close(sol.x[y], 0.0, 1e-7);
-            // strong duality for the minimization
-            let dual_obj: f64 = sol.duals[0] * 4.0 + sol.duals[1] * 1.0;
-            assert_close(dual_obj, 8.0, 1e-6);
-        }
+        let options = SimplexOptions::default();
+        let sol = solve(&lp, &options);
+        assert_eq!(sol.status, LpStatus::Optimal);
+        assert_close(sol.objective, 8.0, 1e-7);
+        assert_close(sol.x[x], 4.0, 1e-7);
+        assert_close(sol.x[y], 0.0, 1e-7);
+        // strong duality for the minimization
+        let dual_obj: f64 = sol.duals[0] * 4.0 + sol.duals[1] * 1.0;
+        assert_close(dual_obj, 8.0, 1e-6);
     }
 
     #[test]
@@ -1319,13 +1196,12 @@ mod tests {
         let y = lp.add_variable(2.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Eq, 3.0);
         lp.add_constraint(vec![(y, 1.0)], Relation::Le, 2.0);
-        for options in all_engines() {
-            let sol = solve(&lp, &options);
-            assert_eq!(sol.status, LpStatus::Optimal);
-            assert_close(sol.objective, 5.0, 1e-7);
-            assert_close(sol.x[x], 1.0, 1e-7);
-            assert_close(sol.x[y], 2.0, 1e-7);
-        }
+        let options = SimplexOptions::default();
+        let sol = solve(&lp, &options);
+        assert_eq!(sol.status, LpStatus::Optimal);
+        assert_close(sol.objective, 5.0, 1e-7);
+        assert_close(sol.x[x], 1.0, 1e-7);
+        assert_close(sol.x[y], 2.0, 1e-7);
     }
 
     #[test]
@@ -1335,10 +1211,9 @@ mod tests {
         let x = lp.add_variable(1.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 1.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Ge, 2.0);
-        for options in all_engines() {
-            let sol = solve(&lp, &options);
-            assert_eq!(sol.status, LpStatus::Infeasible);
-        }
+        let options = SimplexOptions::default();
+        let sol = solve(&lp, &options);
+        assert_eq!(sol.status, LpStatus::Infeasible);
     }
 
     #[test]
@@ -1348,10 +1223,9 @@ mod tests {
         let y = lp.add_variable(0.0);
         lp.add_constraint(vec![(y, 1.0)], Relation::Le, 5.0);
         let _ = x;
-        for options in all_engines() {
-            let sol = solve(&lp, &options);
-            assert_eq!(sol.status, LpStatus::Unbounded);
-        }
+        let options = SimplexOptions::default();
+        let sol = solve(&lp, &options);
+        assert_eq!(sol.status, LpStatus::Unbounded);
     }
 
     #[test]
@@ -1360,11 +1234,10 @@ mod tests {
         let mut lp = LinearProgram::new(Sense::Minimize);
         let x = lp.add_variable(1.0);
         lp.add_constraint(vec![(x, -1.0)], Relation::Le, -2.0);
-        for options in all_engines() {
-            let sol = solve(&lp, &options);
-            assert_eq!(sol.status, LpStatus::Optimal);
-            assert_close(sol.objective, 2.0, 1e-7);
-        }
+        let options = SimplexOptions::default();
+        let sol = solve(&lp, &options);
+        assert_eq!(sol.status, LpStatus::Optimal);
+        assert_close(sol.objective, 2.0, 1e-7);
     }
 
     #[test]
@@ -1372,11 +1245,10 @@ mod tests {
         // no constraints, maximize 0 over x >= 0: optimal 0
         let mut lp = LinearProgram::new(Sense::Maximize);
         lp.add_variable(0.0);
-        for options in all_engines() {
-            let sol = solve(&lp, &options);
-            assert_eq!(sol.status, LpStatus::Optimal);
-            assert_close(sol.objective, 0.0, 1e-9);
-        }
+        let options = SimplexOptions::default();
+        let sol = solve(&lp, &options);
+        assert_eq!(sol.status, LpStatus::Optimal);
+        assert_close(sol.objective, 0.0, 1e-9);
     }
 
     #[test]
@@ -1388,13 +1260,12 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 1.0);
         lp.add_constraint(vec![(y, 1.0)], Relation::Le, 1.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 5.0);
-        for options in all_engines() {
-            let sol = solve(&lp, &options);
-            assert_eq!(sol.status, LpStatus::Optimal);
-            assert_close(sol.duals[0], 1.0, 1e-7);
-            assert_close(sol.duals[1], 1.0, 1e-7);
-            assert_close(sol.duals[2], 0.0, 1e-7);
-        }
+        let options = SimplexOptions::default();
+        let sol = solve(&lp, &options);
+        assert_eq!(sol.status, LpStatus::Optimal);
+        assert_close(sol.duals[0], 1.0, 1e-7);
+        assert_close(sol.duals[1], 1.0, 1e-7);
+        assert_close(sol.duals[2], 0.0, 1e-7);
     }
 
     #[test]
@@ -1405,64 +1276,59 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
         lp.add_constraint(vec![(y, 1.0)], Relation::Le, 3.0);
-        for options in all_engines() {
-            let (first, state) = solve_with_warm_start(&lp, &options, None);
-            assert_eq!(first.status, LpStatus::Optimal);
-            assert!(first.iterations > 0);
-            assert_eq!(state.basis_kind(), options.basis);
-            // Re-solving the unchanged LP from the optimal basis needs 0 pivots.
-            let (second, _) = solve_with_warm_start(&lp, &options, Some(state));
-            assert_eq!(second.status, LpStatus::Optimal);
-            assert_eq!(second.iterations, 0);
-            assert_close(second.objective, first.objective, 1e-9);
-        }
+        let options = SimplexOptions::default();
+        let (first, state) = solve_with_warm_start(&lp, &options, None);
+        assert_eq!(first.status, LpStatus::Optimal);
+        assert!(first.iterations > 0);
+        // Re-solving the unchanged LP from the optimal basis needs 0 pivots.
+        let (second, _) = solve_with_warm_start(&lp, &options, Some(state));
+        assert_eq!(second.status, LpStatus::Optimal);
+        assert_eq!(second.iterations, 0);
+        assert_close(second.objective, first.objective, 1e-9);
     }
 
     #[test]
     fn warm_start_after_adding_a_column() {
         // Solve, then add a new structural variable (as column generation
         // does) and resume: the old basis stays valid, the new column enters.
-        for options in all_engines() {
-            let mut lp = LinearProgram::new(Sense::Maximize);
-            let x = lp.add_variable(1.0);
-            lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-            let (first, state) = solve_with_warm_start(&lp, &options, None);
-            assert_close(first.objective, 2.0, 1e-9);
+        let options = SimplexOptions::default();
+        let mut lp = LinearProgram::new(Sense::Maximize);
+        let x = lp.add_variable(1.0);
+        lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
+        let (first, state) = solve_with_warm_start(&lp, &options, None);
+        assert_close(first.objective, 2.0, 1e-9);
 
-            let mut grown = LinearProgram::new(Sense::Maximize);
-            let x2 = grown.add_variable(1.0);
-            let z = grown.add_variable(5.0);
-            grown.add_constraint(vec![(x2, 1.0), (z, 1.0)], Relation::Le, 2.0);
-            let (second, _) = solve_with_warm_start(&grown, &options, Some(state));
-            assert_eq!(second.status, LpStatus::Optimal);
-            assert_close(second.objective, 10.0, 1e-9);
-            assert_close(second.x[z], 2.0, 1e-9);
-        }
+        let mut grown = LinearProgram::new(Sense::Maximize);
+        let x2 = grown.add_variable(1.0);
+        let z = grown.add_variable(5.0);
+        grown.add_constraint(vec![(x2, 1.0), (z, 1.0)], Relation::Le, 2.0);
+        let (second, _) = solve_with_warm_start(&grown, &options, Some(state));
+        assert_eq!(second.status, LpStatus::Optimal);
+        assert_close(second.objective, 10.0, 1e-9);
+        assert_close(second.x[z], 2.0, 1e-9);
     }
 
     #[test]
-    fn warm_start_across_engine_kinds_is_converted() {
-        // A warm start produced by one basis representation resumes under
-        // the other via a single refactorization.
+    fn basis_only_warm_start_is_refactorized_once() {
+        // A basis-only state (the factorization dropped, as when seeding a
+        // different problem) resumes the optimal basis via a single
+        // refactorization from the basis columns.
         let mut lp = LinearProgram::new(Sense::Maximize);
         let x = lp.add_variable(3.0);
         let y = lp.add_variable(2.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-        let pf =
-            SimplexOptions::default().with_engine(PricingRule::Dantzig, BasisKind::ProductForm);
-        let lu = SimplexOptions::default().with_engine(PricingRule::Devex, BasisKind::SparseLu);
-        let (first, state) = solve_with_warm_start(&lp, &pf, None);
+        let options = SimplexOptions::default();
+        let (first, state) = solve_with_warm_start(&lp, &options, None);
         assert_eq!(first.status, LpStatus::Optimal);
-        assert_eq!(state.basis_kind(), BasisKind::ProductForm);
-        let (second, state2) = solve_with_warm_start(&lp, &lu, Some(state));
+        let (second, state2) = solve_with_warm_start(&lp, &options, Some(state.into_basis_only()));
         assert_eq!(second.status, LpStatus::Optimal);
         assert_eq!(
             second.iterations, 0,
-            "optimal basis needs no pivots after conversion"
+            "optimal basis needs no pivots after the rebuild"
         );
         assert_close(second.objective, first.objective, 1e-9);
-        assert_eq!(state2.basis_kind(), BasisKind::SparseLu);
+        assert_eq!(state2.num_rows(), 2);
     }
 
     #[test]
@@ -1473,26 +1339,25 @@ mod tests {
         // B⁻¹ and could terminate "optimal" at a wrong vertex. The
         // residual check must detect the mismatch, refactorize, and still
         // reach the true optimum.
-        for options in all_engines() {
-            let mut a = LinearProgram::new(Sense::Maximize);
-            let ax = a.add_variable(1.0);
-            let ay = a.add_variable(1.0);
-            a.add_constraint(vec![(ax, 1.0)], Relation::Le, 1.0);
-            a.add_constraint(vec![(ay, 1.0)], Relation::Le, 1.0);
-            let (first, state) = solve_with_warm_start(&a, &options, None);
-            assert_eq!(first.status, LpStatus::Optimal);
+        let options = SimplexOptions::default();
+        let mut a = LinearProgram::new(Sense::Maximize);
+        let ax = a.add_variable(1.0);
+        let ay = a.add_variable(1.0);
+        a.add_constraint(vec![(ax, 1.0)], Relation::Le, 1.0);
+        a.add_constraint(vec![(ay, 1.0)], Relation::Le, 1.0);
+        let (first, state) = solve_with_warm_start(&a, &options, None);
+        assert_eq!(first.status, LpStatus::Optimal);
 
-            let mut b = LinearProgram::new(Sense::Maximize);
-            let bx = b.add_variable(4.0);
-            let by = b.add_variable(2.0);
-            b.add_constraint(vec![(by, 1.0)], Relation::Le, 1.0);
-            b.add_constraint(vec![(bx, 1.0), (by, 1.0)], Relation::Le, 1.0);
-            let cold = solve(&b, &options);
-            let (warmed, _) = solve_with_warm_start(&b, &options, Some(state));
-            assert_eq!(warmed.status, LpStatus::Optimal);
-            assert_close(warmed.objective, cold.objective, 1e-7);
-            assert!(b.is_feasible(&warmed.x, 1e-7));
-        }
+        let mut b = LinearProgram::new(Sense::Maximize);
+        let bx = b.add_variable(4.0);
+        let by = b.add_variable(2.0);
+        b.add_constraint(vec![(by, 1.0)], Relation::Le, 1.0);
+        b.add_constraint(vec![(bx, 1.0), (by, 1.0)], Relation::Le, 1.0);
+        let cold = solve(&b, &options);
+        let (warmed, _) = solve_with_warm_start(&b, &options, Some(state));
+        assert_eq!(warmed.status, LpStatus::Optimal);
+        assert_close(warmed.objective, cold.objective, 1e-7);
+        assert!(b.is_feasible(&warmed.x, 1e-7));
     }
 
     #[test]
@@ -1500,18 +1365,17 @@ mod tests {
         let mut a = LinearProgram::new(Sense::Maximize);
         let x = a.add_variable(1.0);
         a.add_constraint(vec![(x, 1.0)], Relation::Le, 1.0);
-        for options in all_engines() {
-            let (_, state) = solve_with_warm_start(&a, &options, None);
+        let options = SimplexOptions::default();
+        let (_, state) = solve_with_warm_start(&a, &options, None);
 
-            // different row count: the state must be rejected, not trusted
-            let mut b = LinearProgram::new(Sense::Maximize);
-            let u = b.add_variable(1.0);
-            b.add_constraint(vec![(u, 1.0)], Relation::Le, 1.0);
-            b.add_constraint(vec![(u, 1.0)], Relation::Le, 3.0);
-            let (sol, _) = solve_with_warm_start(&b, &options, Some(state));
-            assert_eq!(sol.status, LpStatus::Optimal);
-            assert_close(sol.objective, 1.0, 1e-9);
-        }
+        // different row count: the state must be rejected, not trusted
+        let mut b = LinearProgram::new(Sense::Maximize);
+        let u = b.add_variable(1.0);
+        b.add_constraint(vec![(u, 1.0)], Relation::Le, 1.0);
+        b.add_constraint(vec![(u, 1.0)], Relation::Le, 3.0);
+        let (sol, _) = solve_with_warm_start(&b, &options, Some(state));
+        assert_eq!(sol.status, LpStatus::Optimal);
+        assert_close(sol.objective, 1.0, 1e-9);
     }
 
     /// Fixing a column that is basic in a **covering** (minimize / `≥`) LP
@@ -1520,21 +1384,20 @@ mod tests {
     /// true fixed-at-zero optimum (the review repro for the unsound case).
     #[test]
     fn fixed_basic_columns_are_evicted_on_covering_lps() {
-        for options in all_engines() {
-            let mut lp = LinearProgram::new(Sense::Minimize);
-            let x1 = lp.add_variable(1.0);
-            let x2 = lp.add_variable(2.0);
-            lp.add_constraint(vec![(x1, 1.0), (x2, 1.0)], Relation::Ge, 1.0);
-            let (first, state) = solve_with_warm_start(&lp, &options, None);
-            assert_eq!(first.status, LpStatus::Optimal);
-            assert_close(first.objective, 1.0, 1e-7); // x1 = 1 basic
+        let options = SimplexOptions::default();
+        let mut lp = LinearProgram::new(Sense::Minimize);
+        let x1 = lp.add_variable(1.0);
+        let x2 = lp.add_variable(2.0);
+        lp.add_constraint(vec![(x1, 1.0), (x2, 1.0)], Relation::Ge, 1.0);
+        let (first, state) = solve_with_warm_start(&lp, &options, None);
+        assert_eq!(first.status, LpStatus::Optimal);
+        assert_close(first.objective, 1.0, 1e-7); // x1 = 1 basic
 
-            lp.fix_variables_at_zero(&[x1]);
-            let (fixed, _) = solve_with_warm_start(&lp, &options, Some(state));
-            assert_eq!(fixed.status, LpStatus::Optimal);
-            assert_close(fixed.objective, 2.0, 1e-7); // x2 = 1, not x1 for free
-            assert_close(fixed.x[x1], 0.0, 1e-9);
-        }
+        lp.fix_variables_at_zero(&[x1]);
+        let (fixed, _) = solve_with_warm_start(&lp, &options, Some(state));
+        assert_eq!(fixed.status, LpStatus::Optimal);
+        assert_close(fixed.objective, 2.0, 1e-7); // x2 = 1, not x1 for free
+        assert_close(fixed.x[x1], 0.0, 1e-9);
     }
 
     /// Deterministic seeded random packing LP used by the
@@ -1558,53 +1421,47 @@ mod tests {
     }
 
     #[test]
-    fn all_engines_match_dense_on_seeded_packing_lps() {
+    fn revised_matches_dense_on_seeded_packing_lps() {
         for seed in 0..20u64 {
             let n = 1 + (seed as usize % 12);
             let m = 1 + ((seed as usize * 7) % 10);
             let lp = random_packing_lp(seed, n, m);
             let reference = dense::solve(&lp, &SimplexOptions::default());
-            for options in all_engines() {
-                let revised = solve(&lp, &options);
-                let label = format!(
-                    "seed {seed} engine {}x{}",
-                    options.pricing.name(),
-                    options.basis.name()
+            let revised = solve(&lp, &SimplexOptions::default());
+            let label = format!("seed {seed}");
+            assert_eq!(revised.status, reference.status, "{label}");
+            if revised.status == LpStatus::Optimal {
+                assert!(
+                    (revised.objective - reference.objective).abs() < 1e-6,
+                    "{label}: revised {} vs dense {}",
+                    revised.objective,
+                    reference.objective
                 );
-                assert_eq!(revised.status, reference.status, "{label}");
-                if revised.status == LpStatus::Optimal {
-                    assert!(
-                        (revised.objective - reference.objective).abs() < 1e-6,
-                        "{label}: revised {} vs dense {}",
-                        revised.objective,
-                        reference.objective
-                    );
-                    assert!(lp.is_feasible(&revised.x, 1e-6));
-                    // The optimal basis (and hence the duals) need not be
-                    // unique, but both dual vectors must price the rhs to
-                    // the optimum.
-                    let price = |duals: &[f64]| -> f64 {
-                        lp.constraints()
-                            .iter()
-                            .zip(duals.iter())
-                            .map(|(c, &y)| c.rhs * y)
-                            .sum()
-                    };
-                    assert!(
-                        (price(&revised.duals) - price(&reference.duals)).abs() < 1e-6,
-                        "{label}: dual objectives differ"
-                    );
-                }
+                assert!(lp.is_feasible(&revised.x, 1e-6));
+                // The optimal basis (and hence the duals) need not be
+                // unique, but both dual vectors must price the rhs to
+                // the optimum.
+                let price = |duals: &[f64]| -> f64 {
+                    lp.constraints()
+                        .iter()
+                        .zip(duals.iter())
+                        .map(|(c, &y)| c.rhs * y)
+                        .sum()
+                };
+                assert!(
+                    (price(&revised.duals) - price(&reference.duals)).abs() < 1e-6,
+                    "{label}: dual objectives differ"
+                );
             }
         }
     }
 
     #[test]
-    fn all_engines_agree_on_degenerate_and_rank_deficient_lps() {
+    fn revised_matches_dense_on_degenerate_and_rank_deficient_lps() {
         // Degenerate: many redundant copies of the same binding row;
         // rank-deficient: an equality row repeated verbatim (phase 1 leaves
-        // a zero-valued artificial basic for the redundant copy). Every
-        // engine must terminate (Bland fallback) and agree with the oracle.
+        // a zero-valued artificial basic for the redundant copy). The engine
+        // must terminate (Bland fallback) and agree with the oracle.
         for seed in 0..10u64 {
             let mut rng = StdRng::seed_from_u64(900 + seed);
             let n = 2 + (seed as usize % 4);
@@ -1628,30 +1485,24 @@ mod tests {
                 lp.add_constraint(vec![(j, 1.0)], Relation::Le, 3.0);
             }
             let reference = dense::solve(&lp, &SimplexOptions::default());
-            for options in all_engines() {
-                let sol = solve(&lp, &options);
-                let label = format!(
-                    "seed {seed} engine {}x{}",
-                    options.pricing.name(),
-                    options.basis.name()
+            let sol = solve(&lp, &SimplexOptions::default());
+            let label = format!("seed {seed}");
+            assert_eq!(sol.status, reference.status, "{label}");
+            if sol.status == LpStatus::Optimal {
+                assert!(lp.is_feasible(&sol.x, 1e-6), "{label}");
+                assert!(
+                    (sol.objective - reference.objective).abs() < 1e-6,
+                    "{label}: {} vs dense {}",
+                    sol.objective,
+                    reference.objective
                 );
-                assert_eq!(sol.status, reference.status, "{label}");
-                if sol.status == LpStatus::Optimal {
-                    assert!(lp.is_feasible(&sol.x, 1e-6), "{label}");
-                    assert!(
-                        (sol.objective - reference.objective).abs() < 1e-6,
-                        "{label}: {} vs dense {}",
-                        sol.objective,
-                        reference.objective
-                    );
-                }
             }
         }
     }
 
     /// Degenerate triangle-clique LP with a duplicated packing row and a
     /// repeated equality row (rank deficiency): the stress shape for the
-    /// sparse-kernel equivalence tests.
+    /// anti-cycling test.
     fn degenerate_duplicated_lp() -> LinearProgram {
         let mut lp = LinearProgram::new(Sense::Maximize);
         for _ in 0..3 {
@@ -1670,69 +1521,57 @@ mod tests {
         lp
     }
 
+    /// With `stall_threshold: 0` every pivot takes the Bland override
+    /// (first improving column, smallest-index row), in the primal core and
+    /// in the dual repair alike. That anti-cycling path must still reach the
+    /// dense oracle's answer on random packing LPs and on the degenerate,
+    /// rank-deficient stress LP — solved cold, and re-solved after a
+    /// duplicated tightening row is appended through the dual path.
     #[test]
-    fn hyper_sparse_toggle_preserves_solutions_on_all_engines() {
-        // `hyper_sparse: false` routes every FTRAN/BTRAN through the legacy
-        // dense kernels; the toggle must be a pure performance lever, so the
-        // two paths must agree on status, objective, and feasibility — on
-        // random packing LPs and on the degenerate / duplicated-row /
-        // rank-deficient stress LP alike.
+    fn bland_override_matches_dense_on_primal_and_row_append_paths() {
+        let bland = SimplexOptions {
+            stall_threshold: 0,
+            ..Default::default()
+        };
+        let check = |lp: &LinearProgram, sol: &LpSolution, label: &str| {
+            let reference = dense::solve(lp, &SimplexOptions::default());
+            assert_eq!(sol.status, reference.status, "{label}");
+            if sol.status == LpStatus::Optimal {
+                assert!(lp.is_feasible(&sol.x, 1e-7), "{label}");
+                assert!(
+                    (sol.objective - reference.objective).abs() < 1e-7,
+                    "{label}: {} vs dense {}",
+                    sol.objective,
+                    reference.objective
+                );
+            }
+        };
         let mut lps: Vec<LinearProgram> = (0..6u64)
             .map(|s| random_packing_lp(400 + s, 4 + s as usize, 3 + s as usize))
             .collect();
         lps.push(degenerate_duplicated_lp());
+        let mut dual_pivots = 0usize;
         for (k, lp) in lps.iter().enumerate() {
-            for base in all_engines() {
-                let on = solve(lp, &base.with_hyper_sparse(true));
-                let off = solve(lp, &base.with_hyper_sparse(false));
-                let label = format!(
-                    "lp {k} engine {}x{}",
-                    base.pricing.name(),
-                    base.basis.name()
-                );
-                assert_eq!(on.status, off.status, "{label}");
-                if on.status == LpStatus::Optimal {
-                    assert!(
-                        (on.objective - off.objective).abs() < 1e-7,
-                        "{label}: sparse {} vs dense {}",
-                        on.objective,
-                        off.objective
-                    );
-                    assert!(lp.is_feasible(&on.x, 1e-7), "{label}");
-                    assert!(lp.is_feasible(&off.x, 1e-7), "{label}");
-                }
-                // the disabled path bypasses the indexed kernels entirely,
-                // so it must report zero tracked solves and "no data" density
-                assert_eq!(off.stats.ftran_sparse_hits, 0, "{label}");
-                assert_eq!(off.stats.ftran_dense_fallbacks, 0, "{label}");
-                assert_eq!(off.stats.btran_sparse_hits, 0, "{label}");
-                assert_eq!(off.stats.btran_dense_fallbacks, 0, "{label}");
-                assert!(
-                    (off.stats.avg_result_density - 1.0).abs() < 1e-12,
-                    "{label}"
-                );
-                // the LU-based factorizations track every indexed solve;
-                // any solve that pivoted must therefore show activity
-                let tracked = on.stats.ftran_sparse_hits
-                    + on.stats.ftran_dense_fallbacks
-                    + on.stats.btran_sparse_hits
-                    + on.stats.btran_dense_fallbacks;
-                if on.iterations > 0
-                    && matches!(base.basis, BasisKind::SparseLu | BasisKind::ForrestTomlin)
-                {
-                    assert!(tracked > 0, "{label}: no tracked hyper-sparse solves");
-                    assert!(
-                        on.stats.avg_result_density > 0.0 && on.stats.avg_result_density <= 1.0,
-                        "{label}: density {} out of range",
-                        on.stats.avg_result_density
-                    );
-                }
+            let (first, state) = solve_with_warm_start(lp, &bland, None);
+            check(lp, &first, &format!("lp {k} primal"));
+            // halve the largest primal value: the old optimum violates the
+            // appended rows, so the dual repair has to pivot
+            let j = (0..first.x.len())
+                .max_by(|&a, &b| first.x[a].total_cmp(&first.x[b]))
+                .expect("every test LP has variables");
+            let mut grown = lp.clone();
+            for _ in 0..2 {
+                grown.add_constraint(vec![(j, 1.0)], Relation::Le, first.x[j] / 2.0);
             }
+            let appended = crate::dual::reoptimize_after_row_additions(&grown, &bland, state);
+            check(&grown, &appended.solution, &format!("lp {k} row append"));
+            dual_pivots += appended.solution.stats.dual_pivots;
         }
+        assert!(dual_pivots > 0, "the dual repair never pivoted");
     }
 
-    // Random packing LPs: every engine's solution must be feasible, match
-    // the dense reference, and satisfy weak/strong duality.
+    // Random packing LPs: the solution must be feasible, match the dense
+    // reference, and satisfy weak/strong duality.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1743,7 +1582,6 @@ mod tests {
             obj in prop::collection::vec(0.0f64..10.0, 8),
             rows in prop::collection::vec(prop::collection::vec(0.0f64..5.0, 8), 8),
             rhs in prop::collection::vec(1.0f64..20.0, 8),
-            engine in 0usize..12,
         ) {
             let mut lp = LinearProgram::new(Sense::Maximize);
             for &c in obj.iter().take(n) {
@@ -1753,8 +1591,7 @@ mod tests {
                 let coeffs: Vec<(usize, f64)> = (0..n).map(|j| (j, rows[i][j])).collect();
                 lp.add_constraint(coeffs, Relation::Le, rhs[i]);
             }
-            let options = all_engines()[engine];
-            let sol = solve(&lp, &options);
+            let sol = solve(&lp, &SimplexOptions::default());
             // packing LPs with x = 0 feasible are never infeasible
             prop_assert_ne!(sol.status, LpStatus::Infeasible);
             if sol.status == LpStatus::Optimal {
@@ -1773,9 +1610,7 @@ mod tests {
                 let reference = dense::solve(&lp, &SimplexOptions::default());
                 prop_assert_eq!(reference.status, LpStatus::Optimal);
                 prop_assert!((sol.objective - reference.objective).abs() < 1e-6,
-                    "engine {}x{}: {} vs dense {}",
-                    options.pricing.name(), options.basis.name(),
-                    sol.objective, reference.objective);
+                    "{} vs dense {}", sol.objective, reference.objective);
             }
         }
 
@@ -1787,7 +1622,6 @@ mod tests {
             rhs in prop::collection::vec(-5.0f64..5.0, 6),
             rels in prop::collection::vec(0u8..3, 6),
             m in 1usize..6,
-            engine in 0usize..12,
         ) {
             let mut lp = LinearProgram::new(Sense::Maximize);
             for &c in obj.iter().take(n) {
@@ -1807,8 +1641,7 @@ mod tests {
             for j in 0..n {
                 lp.add_constraint(vec![(j, 1.0)], Relation::Le, 10.0);
             }
-            let options = all_engines()[engine];
-            let sol = solve(&lp, &options);
+            let sol = solve(&lp, &SimplexOptions::default());
             match sol.status {
                 LpStatus::Optimal => {
                     prop_assert!(lp.is_feasible(&sol.x, 1e-5));
@@ -1816,9 +1649,7 @@ mod tests {
                     if reference.status == LpStatus::Optimal {
                         prop_assert!((sol.objective - reference.objective).abs()
                             < 1e-5 * (1.0 + sol.objective.abs()),
-                            "engine {}x{}: {} vs dense {}",
-                            options.pricing.name(), options.basis.name(),
-                            sol.objective, reference.objective);
+                            "{} vs dense {}", sol.objective, reference.objective);
                     }
                 }
                 LpStatus::Infeasible => {
@@ -1831,64 +1662,5 @@ mod tests {
             }
         }
 
-        #[test]
-        fn prop_hyper_sparse_paths_agree_on_mixed_lps(
-            n in 1usize..6,
-            obj in prop::collection::vec(-5.0f64..5.0, 6),
-            rows in prop::collection::vec(prop::collection::vec(-3.0f64..3.0, 6), 6),
-            rhs in prop::collection::vec(-5.0f64..5.0, 6),
-            rels in prop::collection::vec(0u8..3, 6),
-            m in 1usize..6,
-            dup in 0usize..6,
-            engine in 0usize..12,
-        ) {
-            // Mixed-relation LPs with one row duplicated verbatim (rank
-            // deficiency when the relation is Eq): the indexed FTRAN/BTRAN
-            // kernels must not change the verdict or the optimum.
-            let mut lp = LinearProgram::new(Sense::Maximize);
-            for &c in obj.iter().take(n) {
-                lp.add_variable(c);
-            }
-            for i in 0..m {
-                let coeffs: Vec<(usize, f64)> = (0..n).map(|j| (j, rows[i][j])).collect();
-                let rel = match rels[i] % 3 {
-                    0 => Relation::Le,
-                    1 => Relation::Ge,
-                    _ => Relation::Eq,
-                };
-                lp.add_constraint(coeffs, rel, rhs[i]);
-            }
-            {
-                let i = dup % m;
-                let coeffs: Vec<(usize, f64)> = (0..n).map(|j| (j, rows[i][j])).collect();
-                let rel = match rels[i] % 3 {
-                    0 => Relation::Le,
-                    1 => Relation::Ge,
-                    _ => Relation::Eq,
-                };
-                lp.add_constraint(coeffs, rel, rhs[i]);
-            }
-            for j in 0..n {
-                lp.add_constraint(vec![(j, 1.0)], Relation::Le, 10.0);
-            }
-            let base = all_engines()[engine];
-            let on = solve(&lp, &base.with_hyper_sparse(true));
-            let off = solve(&lp, &base.with_hyper_sparse(false));
-            prop_assert_eq!(on.status, off.status,
-                "engine {}x{}", base.pricing.name(), base.basis.name());
-            if on.status == LpStatus::Optimal {
-                prop_assert!((on.objective - off.objective).abs()
-                    < 1e-6 * (1.0 + on.objective.abs()),
-                    "engine {}x{}: sparse {} vs dense {}",
-                    base.pricing.name(), base.basis.name(),
-                    on.objective, off.objective);
-                prop_assert!(lp.is_feasible(&on.x, 1e-5));
-                prop_assert!(lp.is_feasible(&off.x, 1e-5));
-            }
-            prop_assert_eq!(off.stats.ftran_sparse_hits
-                + off.stats.ftran_dense_fallbacks
-                + off.stats.btran_sparse_hits
-                + off.stats.btran_dense_fallbacks, 0);
-        }
     }
 }

@@ -197,8 +197,8 @@ pub fn decompose(
     }
 
     // Column generation: duals = adjusted valuations; verifier = our solver.
-    // The decomposition master runs on the same simplex engine the verifier
-    // pipeline was configured with (the engine rides in through
+    // The decomposition master runs with the same simplex options the
+    // verifier pipeline was configured with (they ride in through
     // `options.verifier`).
     let solver = SpectrumAuctionSolver::new(options.verifier.clone());
     let master_simplex = options.verifier.lp.column_generation.simplex;

@@ -4,8 +4,8 @@
 //! Six base stations (transmitters with coverage disks) bid on three
 //! channels. We build the disk-graph conflict model (Proposition 9 of the
 //! paper certifies ρ ≤ 5 for the radius-descending ordering), configure the
-//! pipeline with [`SolverBuilder`] — the one place to pick the LP engine,
-//! the seed depth and the rounding stage — and solve. Then we open an
+//! pipeline with [`SolverBuilder`] — the one place to pick the seed depth
+//! and the rounding stage — and solve. Then we open an
 //! [`AuctionSession`] over the same market and let a seventh operator
 //! arrive: the session reuses the LP state (dual-simplex row absorption)
 //! instead of re-solving from scratch.
@@ -77,8 +77,8 @@ fn main() {
     );
 
     // 5. Solve: LP relaxation by column generation + Algorithm 1 rounding.
-    //    The builder is the single configuration point (engine, seed depth,
-    //    rounding); the default engine is steepest edge × Forrest–Tomlin LU.
+    //    The builder is the single configuration point (seed depth,
+    //    rounding); the LP engine is steepest edge × Forrest–Tomlin LU.
     let solver = SolverBuilder::new().rounding(1, 16).build();
     let outcome = solver
         .try_solve(&instance)

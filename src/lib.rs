@@ -56,7 +56,6 @@
 //!
 //! | before | after |
 //! |---|---|
-//! | `SolverOptions::default().with_engine(p, b)` | `SolverBuilder::new().engine(p, b)` |
 //! | `SolverOptions { rounding: RoundingOptions { seed, trials }, .. }` | `SolverBuilder::new().rounding(seed, trials)` |
 //! | `SpectrumAuctionSolver::new(options)` | `SolverBuilder::new()…`[`.build()`](auction::solver::SolverBuilder::build) |
 //! | n/a (one-shot only) | `SolverBuilder::new()…`[`.session(instance)`](auction::solver::SolverBuilder::session) |
@@ -126,8 +125,9 @@
 //! * [`geometry`] — points, metrics, disks, links.
 //! * [`interference`] — protocol / 802.11 / distance-2 / physical (SINR)
 //!   models producing conflict graphs with certified ρ.
-//! * [`lp`] — the LP engine (sparse revised simplex with pluggable pricing ×
-//!   basis factorization, column generation, dual-simplex reoptimization).
+//! * [`lp`] — the LP engine (sparse revised simplex: steepest-edge pricing
+//!   over a Forrest–Tomlin LU, column generation, dual-simplex
+//!   reoptimization).
 //! * [`auction`] — the combinatorial auction: valuations, demand oracles,
 //!   LP relaxations (1)/(4), rounding Algorithms 1–3, baselines, exact
 //!   solver, asymmetric channels, the [`auction::solver`] pipeline and the

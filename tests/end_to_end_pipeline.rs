@@ -107,51 +107,35 @@ fn pipeline_is_reproducible_given_seeds() {
     assert!((oa.lp_objective - ob.lp_objective).abs() < 1e-9);
 }
 
+/// The column-generation relaxation (demand-oracle pricing) reaches the
+/// optimum of the explicit relaxation over every bundle.
 #[test]
-fn every_lp_engine_reaches_the_same_relaxation_optimum() {
-    use spectrum_auctions::auction::{BasisKind, PricingRule};
+fn lp_relaxation_matches_the_enumerated_optimum() {
+    use spectrum_auctions::auction::lp_formulation::solve_relaxation_explicit;
 
     let mut config = ScenarioConfig::new(16, 3, 77);
     config.valuations = ValuationProfile::Mixed;
     let generated = protocol_scenario(&config, 1.0);
 
-    let mut objectives = Vec::new();
-    for pricing in [PricingRule::Dantzig, PricingRule::Bland, PricingRule::Devex] {
-        for basis in [BasisKind::ProductForm, BasisKind::SparseLu] {
-            let solver = SpectrumAuctionSolver::new(
-                SolverOptions {
-                    rounding: RoundingOptions {
-                        seed: 5,
-                        trials: 16,
-                    },
-                    ..Default::default()
-                }
-                .with_engine(pricing, basis),
-            );
-            let outcome = solver.solve(&generated.instance);
-            assert!(outcome.allocation.is_feasible(&generated.instance));
-            assert!(
-                outcome.lp_converged,
-                "{pricing:?}/{basis:?} did not converge"
-            );
-            // the engine selection must be visible in the stats
-            assert_eq!(outcome.lp_info.pricing, pricing);
-            assert_eq!(outcome.lp_info.basis, basis);
-            assert!(outcome.lp_info.simplex_iterations > 0);
-            assert_eq!(
-                outcome.lp_info.per_round_iterations.iter().sum::<usize>(),
-                outcome.lp_info.simplex_iterations
-            );
-            objectives.push(outcome.lp_objective);
-        }
-    }
-    // all six engine combinations solve the same relaxation:
-    // identical optima
-    let first = objectives[0];
-    for (i, &obj) in objectives.iter().enumerate() {
-        assert!(
-            (obj - first).abs() < 1e-6 * (1.0 + first.abs()),
-            "engine {i}: {obj} vs {first}"
-        );
-    }
+    let solver = SpectrumAuctionSolver::new(SolverOptions {
+        rounding: RoundingOptions {
+            seed: 5,
+            trials: 16,
+        },
+        ..Default::default()
+    });
+    let outcome = solver.solve(&generated.instance);
+    assert!(outcome.allocation.is_feasible(&generated.instance));
+    assert!(outcome.lp_converged, "column generation did not converge");
+    assert!(outcome.lp_info.simplex_iterations > 0);
+    assert_eq!(
+        outcome.lp_info.per_round_iterations.iter().sum::<usize>(),
+        outcome.lp_info.simplex_iterations
+    );
+    let explicit = solve_relaxation_explicit(&generated.instance).objective;
+    let obj = outcome.lp_objective;
+    assert!(
+        (obj - explicit).abs() < 1e-6 * (1.0 + explicit.abs()),
+        "column generation {obj} vs enumeration {explicit}"
+    );
 }

@@ -9,16 +9,16 @@
 //!   ([`AuditFinding::ShillArrival`]), selective reveal suppression
 //!   ([`AuditFinding::RevealSuppressed`]), and any single post-hoc mutation
 //!   of a revealed bid, a payment entry, or a forfeiture entry.
-//! * Both hold across engine combos, including a bundle-enumerating
-//!   session whose transcripts carry no dual certificate (the audit
-//!   re-solves from scratch there).
+//! * Both hold for a column-generation session and for a
+//!   bundle-enumerating session whose transcripts carry no dual certificate
+//!   (the audit re-solves from scratch there).
 //!
 //! [`AuctionSession`]: spectrum_auctions::auction::session::AuctionSession
 
 use proptest::prelude::*;
 use spectrum_auctions::auction::session::SessionLogEntry;
 use spectrum_auctions::auction::solver::SolverBuilder;
-use spectrum_auctions::auction::{AuctionOutcome, BasisKind, PricingRule, ValuationSnapshot};
+use spectrum_auctions::auction::{AuctionOutcome, ValuationSnapshot};
 use spectrum_auctions::mechanism::sealed_bid::{
     audit, commit_to, nonce_from_seed, AuditFinding, CollateralPolicy, Opening, ParticipantKind,
     RevealStatus, SealedBidAuction, SealedBidOutcome,
@@ -28,27 +28,20 @@ use spectrum_auctions::workloads::{
     AdversarialSealedMarket, ScenarioConfig, SealedKind,
 };
 
-/// Engine combos as `(pricing, basis, enumerate_all_bundles)`. The
-/// enumerating session keeps no master, so its transcripts carry no dual
-/// certificate and the audit falls back to a from-scratch re-solve.
-const COMBOS: [(PricingRule, BasisKind, bool); 4] = [
-    (PricingRule::SteepestEdge, BasisKind::ForrestTomlin, false),
-    (PricingRule::Dantzig, BasisKind::ProductForm, false),
-    (PricingRule::Devex, BasisKind::SparseLu, false),
-    (PricingRule::Devex, BasisKind::SparseLu, true),
-];
+/// Solver combos as `enumerate_all_bundles`: the default column-generation
+/// session, and an enumerating session that keeps no master, so its
+/// transcripts carry no dual certificate and the audit falls back to a
+/// from-scratch re-solve.
+const COMBOS: [bool; 2] = [false, true];
 
 const ROUNDING_SEED: u64 = 9;
 const ROUNDING_TRIALS: usize = 16;
 
 fn sealed_session(
     market: &AdversarialSealedMarket,
-    pricing: PricingRule,
-    basis: BasisKind,
     enumerate: bool,
 ) -> spectrum_auctions::auction::session::AuctionSession {
     SolverBuilder::new()
-        .engine(pricing, basis)
         .enumerate_all_bundles(enumerate)
         .rounding(ROUNDING_SEED, ROUNDING_TRIALS)
         .session(market.initial.instance.clone())
@@ -59,12 +52,10 @@ fn sealed_session(
 /// market's shill plan during the reveal phase.
 fn drive(
     market: &AdversarialSealedMarket,
-    pricing: PricingRule,
-    basis: BasisKind,
     enumerate: bool,
     inject_shills: bool,
 ) -> SealedBidOutcome {
-    let session = sealed_session(market, pricing, basis, enumerate);
+    let session = sealed_session(market, enumerate);
     let mut auction =
         SealedBidAuction::open(session, CollateralPolicy::default()).expect("open sealed round");
     let mut ids = Vec::with_capacity(market.participants.len());
@@ -109,13 +100,8 @@ fn drive(
 /// Submits the same revealed bids directly to a plain session — no
 /// commitments, no placeholders — resolves under identical options, and
 /// computes the first-price payments the revealed bids imply.
-fn direct(
-    market: &AdversarialSealedMarket,
-    pricing: PricingRule,
-    basis: BasisKind,
-    enumerate: bool,
-) -> (AuctionOutcome, Vec<f64>) {
-    let mut session = sealed_session(market, pricing, basis, enumerate);
+fn direct(market: &AdversarialSealedMarket, enumerate: bool) -> (AuctionOutcome, Vec<f64>) {
+    let mut session = sealed_session(market, enumerate);
     for spec in &market.participants {
         assert!(spec.reveals, "direct comparison needs an all-revealing run");
         match &spec.kind {
@@ -165,10 +151,10 @@ fn honest_commit_reveal_equals_direct_submission() {
     clustered.clustered = true;
     let rebids = colluding_clique_scenario(&clustered, 1.0, 3, 0.4);
     for market in [&entrants, &rebids] {
-        for (pricing, basis, enumerate) in COMBOS {
-            let context = format!("{pricing:?}x{basis:?} enumerate={enumerate}");
-            let sealed = drive(market, pricing, basis, enumerate, false);
-            let (plain, plain_payments) = direct(market, pricing, basis, enumerate);
+        for enumerate in COMBOS {
+            let context = format!("enumerate={enumerate}");
+            let sealed = drive(market, enumerate, false);
+            let (plain, plain_payments) = direct(market, enumerate);
             assert_eq!(
                 sealed.outcome.allocation.bundles(),
                 plain.allocation.bundles(),
@@ -205,7 +191,7 @@ fn honest_commit_reveal_equals_direct_submission() {
     }
 }
 
-/// Shill injection is flagged on every engine combo, and the same market
+/// Shill injection is flagged on every solver combo, and the same market
 /// run honestly audits clean — with the certificate path on cached masters
 /// and the re-solve fallback on the enumerating session.
 #[test]
@@ -213,9 +199,9 @@ fn shill_injection_is_flagged_across_engine_combos() {
     for seed in [81u64, 82] {
         let config = ScenarioConfig::new(10, 2, seed);
         let market = shill_stream_scenario(&config, 1.0, 3, 2, 4.0);
-        for (pricing, basis, enumerate) in COMBOS {
-            let context = format!("seed {seed} {pricing:?}x{basis:?} enumerate={enumerate}");
-            let honest = drive(&market, pricing, basis, enumerate, false);
+        for enumerate in COMBOS {
+            let context = format!("seed {seed} enumerate={enumerate}");
+            let honest = drive(&market, enumerate, false);
             let report = audit(&honest.transcript);
             assert!(
                 report.clean(),
@@ -234,7 +220,7 @@ fn shill_injection_is_flagged_across_engine_combos() {
                 );
             }
 
-            let attacked = drive(&market, pricing, basis, enumerate, true);
+            let attacked = drive(&market, enumerate, true);
             let report = audit(&attacked.transcript);
             expect_finding(&report, &context, |f| {
                 matches!(f, AuditFinding::ShillArrival { .. })
@@ -254,15 +240,15 @@ fn shill_injection_is_flagged_across_engine_combos() {
 }
 
 /// A single tampered payment entry is detected on random markets across
-/// engine combos.
+/// solver combos.
 #[test]
 fn single_tampered_payment_is_flagged_across_engine_combos() {
     for seed in [91u64, 92] {
         let config = ScenarioConfig::new(9, 2, seed);
         let market = shill_stream_scenario(&config, 1.0, 3, 0, 1.0);
-        for (pricing, basis, enumerate) in COMBOS {
-            let context = format!("seed {seed} {pricing:?}x{basis:?} enumerate={enumerate}");
-            let outcome = drive(&market, pricing, basis, enumerate, false);
+        for enumerate in COMBOS {
+            let context = format!("seed {seed} enumerate={enumerate}");
+            let outcome = drive(&market, enumerate, false);
             assert!(
                 audit(&outcome.transcript).clean(),
                 "{context}: dirty baseline"
@@ -293,8 +279,8 @@ fn single_tampered_revealed_bid_is_flagged() {
     let mut config = ScenarioConfig::new(12, 2, 93);
     config.clustered = true;
     let market = colluding_clique_scenario(&config, 1.0, 3, 0.4);
-    let (pricing, basis, enumerate) = COMBOS[0];
-    let outcome = drive(&market, pricing, basis, enumerate, false);
+    let enumerate = COMBOS[0];
+    let outcome = drive(&market, enumerate, false);
     assert!(audit(&outcome.transcript).clean());
 
     let mut tampered = outcome.transcript.clone();
@@ -320,8 +306,8 @@ fn single_tampered_revealed_bid_is_flagged() {
 fn single_tampered_forfeiture_entry_is_flagged() {
     let config = ScenarioConfig::new(9, 2, 94);
     let market = sniping_burst_scenario(&config, 1.0, 4, 2, 3.0);
-    let (pricing, basis, enumerate) = COMBOS[0];
-    let outcome = drive(&market, pricing, basis, enumerate, false);
+    let enumerate = COMBOS[0];
+    let outcome = drive(&market, enumerate, false);
     assert!(audit(&outcome.transcript).clean());
     assert_eq!(outcome.forfeitures.len(), 2, "both snipers forfeit");
 
@@ -343,8 +329,8 @@ fn single_tampered_forfeiture_entry_is_flagged() {
 fn suppressed_reveal_is_flagged() {
     let config = ScenarioConfig::new(10, 2, 95);
     let market = shill_stream_scenario(&config, 1.0, 3, 0, 1.0);
-    let (pricing, basis, enumerate) = COMBOS[0];
-    let session = sealed_session(&market, pricing, basis, enumerate);
+    let enumerate = COMBOS[0];
+    let session = sealed_session(&market, enumerate);
     let mut auction =
         SealedBidAuction::open(session, CollateralPolicy::default()).expect("open sealed round");
     let mut ids = Vec::new();
@@ -421,8 +407,8 @@ proptest! {
     ) {
         let config = ScenarioConfig::new(n, 2, seed);
         let market = sniping_burst_scenario(&config, 1.0, burst, snipers, 2.0);
-        let (pricing, basis, enumerate) = COMBOS[(seed % COMBOS.len() as u64) as usize];
-        let outcome = drive(&market, pricing, basis, enumerate, false);
+        let enumerate = COMBOS[(seed % COMBOS.len() as u64) as usize];
+        let outcome = drive(&market, enumerate, false);
 
         let report = audit(&outcome.transcript);
         prop_assert!(

@@ -1,70 +1,55 @@
 //! Session-vs-scratch equivalence: for random mutation streams
 //! (arrivals / departures / re-bids), [`AuctionSession::resolve_relaxation`]
 //! must reach the same LP optimum as a from-scratch `solve_relaxation` of
-//! the mutated instance — on **every** pricing × basis combination,
-//! because the warm paths (dual-simplex row absorption,
-//! in-place column re-pricing, warm-from-pool rebuilds) only change the
-//! starting basis, never the feasible region.
+//! the mutated instance, because the warm paths (dual-simplex row
+//! absorption, in-place column re-pricing, warm-from-pool rebuilds) only
+//! change the starting basis, never the feasible region.
 //!
 //! [`AuctionSession::resolve_relaxation`]:
 //! spectrum_auctions::auction::session::AuctionSession::resolve_relaxation
 
 use spectrum_auctions::auction::lp_formulation::solve_relaxation;
 use spectrum_auctions::auction::solver::SolverBuilder;
-use spectrum_auctions::auction::{BasisKind, PricingRule};
 use spectrum_auctions::workloads::{
     apply_event, dynamic_market_scenario, DynamicMarketConfig, ScenarioConfig, ValuationProfile,
 };
-
-const ENGINES: [(PricingRule, BasisKind); 6] = [
-    (PricingRule::Dantzig, BasisKind::ProductForm),
-    (PricingRule::Dantzig, BasisKind::SparseLu),
-    (PricingRule::Bland, BasisKind::ProductForm),
-    (PricingRule::Bland, BasisKind::SparseLu),
-    (PricingRule::Devex, BasisKind::ProductForm),
-    (PricingRule::Devex, BasisKind::SparseLu),
-];
 
 fn run_stream(seed: u64, dynamics: &DynamicMarketConfig) {
     let mut config = ScenarioConfig::new(8, 2, seed);
     config.valuations = ValuationProfile::Mixed;
     let scenario = dynamic_market_scenario(&config, dynamics, 1.0);
 
-    for (pricing, basis) in ENGINES {
-        let options = SolverBuilder::new().engine(pricing, basis).options();
-        let mut session = SolverBuilder::new()
-            .engine(pricing, basis)
-            .session(scenario.initial.instance.clone());
-        session
+    let options = SolverBuilder::new().options();
+    let mut session = SolverBuilder::new().session(scenario.initial.instance.clone());
+    session
+        .resolve_relaxation()
+        .expect("initial resolve failed");
+    for (step, event) in scenario.events.iter().enumerate() {
+        apply_event(&mut session, event);
+        let warm = session
             .resolve_relaxation()
-            .expect("initial resolve failed");
-        for (step, event) in scenario.events.iter().enumerate() {
-            apply_event(&mut session, event);
-            let warm = session
-                .resolve_relaxation()
-                .unwrap_or_else(|e| panic!("seed {seed} {pricing:?}x{basis:?} step {step}: {e}"));
-            let scratch = solve_relaxation(session.instance(), &options.lp);
-            assert!(
-                warm.converged && scratch.converged,
-                "seed {seed} {pricing:?}x{basis:?} step {step}: non-converged"
-            );
-            let scale = 1.0 + scratch.objective.abs();
-            assert!(
-                (warm.objective - scratch.objective).abs() <= 1e-5 * scale,
-                "seed {seed} {pricing:?}x{basis:?} step {step} ({event:?}): \
-                 warm {} vs scratch {}",
-                warm.objective,
-                scratch.objective
-            );
-            assert!(
-                warm.satisfies_constraints(session.instance(), 1e-6),
-                "seed {seed} {pricing:?}x{basis:?} step {step}: infeasible warm LP"
-            );
-        }
+            .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
+        let scratch = solve_relaxation(session.instance(), &options.lp);
+        assert!(
+            warm.converged && scratch.converged,
+            "seed {seed} step {step}: non-converged"
+        );
+        let scale = 1.0 + scratch.objective.abs();
+        assert!(
+            (warm.objective - scratch.objective).abs() <= 1e-5 * scale,
+            "seed {seed} step {step} ({event:?}): \
+             warm {} vs scratch {}",
+            warm.objective,
+            scratch.objective
+        );
+        assert!(
+            warm.satisfies_constraints(session.instance(), 1e-6),
+            "seed {seed} step {step}: infeasible warm LP"
+        );
     }
 }
 
-/// Mixed arrival/departure/re-bid streams on every engine combo.
+/// Mixed arrival/departure/re-bid streams.
 #[test]
 fn session_matches_scratch_on_mixed_mutation_streams() {
     for seed in [11u64, 23] {
