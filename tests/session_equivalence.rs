@@ -8,10 +8,15 @@
 //! [`AuctionSession::resolve_relaxation`]:
 //! spectrum_auctions::auction::session::AuctionSession::resolve_relaxation
 
-use spectrum_auctions::auction::lp_formulation::solve_relaxation;
+use spectrum_auctions::auction::lp_formulation::{
+    solve_relaxation, try_solve_relaxation, RelaxationInfo,
+};
 use spectrum_auctions::auction::solver::SolverBuilder;
+use spectrum_auctions::auction::AuctionInstance;
+use spectrum_auctions::interference::{PowerAssignment, SinrParameters};
 use spectrum_auctions::workloads::{
-    apply_event, dynamic_market_scenario, DynamicMarketConfig, ScenarioConfig, ValuationProfile,
+    apply_event, dynamic_market_scenario, physical_scenario, protocol_scenario,
+    DynamicMarketConfig, ScenarioConfig, ValuationProfile,
 };
 
 fn run_stream(seed: u64, dynamics: &DynamicMarketConfig) {
@@ -101,4 +106,93 @@ fn session_matches_scratch_on_departure_heavy_streams() {
             },
         );
     }
+}
+
+/// Every counter of a relaxation solve, with the float density as bits, so
+/// two solves compare equal only if they took the same trajectory.
+fn trajectory(info: &RelaxationInfo) -> (Vec<usize>, Vec<usize>, Vec<usize>, u64) {
+    let counters = vec![
+        info.rounds,
+        info.num_columns,
+        info.simplex_iterations,
+        info.pricing_rounds,
+        info.columns_generated,
+        info.pool_hits,
+        info.pool_evictions,
+        info.refactorizations,
+        info.forced_refactorizations,
+        info.degenerate_pivots,
+        info.dual_pivots,
+        info.rows_deactivated,
+        info.compactions,
+        info.ftran_sparse_hits,
+        info.ftran_dense_fallbacks,
+        info.btran_sparse_hits,
+        info.btran_dense_fallbacks,
+    ];
+    (
+        counters,
+        info.per_round_iterations.clone(),
+        info.columns_per_round.clone(),
+        info.avg_result_density.to_bits(),
+    )
+}
+
+/// The one-shot entry points and a fresh session's cold resolve build and
+/// solve the same master: identical counters, objective bits and support
+/// for the relaxation, and the same allocation and welfare after rounding.
+#[test]
+fn one_shot_solves_match_a_fresh_session_resolve() {
+    let protocol = protocol_scenario(&ScenarioConfig::new(400, 4, 1), 1.0).instance;
+    let physical = physical_scenario(
+        &ScenarioConfig::new(200, 4, 1),
+        SinrParameters::new(3.0, 1.0, 0.02),
+        PowerAssignment::Uniform,
+    )
+    .0
+    .instance;
+    let check = |label: &str, instance: &AuctionInstance| {
+        let options = SolverBuilder::new().options();
+        let one_shot =
+            try_solve_relaxation(instance, &options.lp).expect("one-shot relaxation failed");
+        let session = SolverBuilder::new()
+            .session(instance.clone())
+            .resolve_relaxation()
+            .expect("session relaxation failed");
+        assert_eq!(
+            trajectory(&one_shot.info),
+            trajectory(&session.info),
+            "{label}: relaxation counters"
+        );
+        assert_eq!(
+            one_shot.objective.to_bits(),
+            session.objective.to_bits(),
+            "{label}: objective {} vs {}",
+            one_shot.objective,
+            session.objective
+        );
+        assert_eq!(one_shot.entries, session.entries, "{label}: support");
+
+        let solved = SolverBuilder::new()
+            .build()
+            .try_solve(instance)
+            .expect("one-shot clear failed");
+        let resolved = SolverBuilder::new()
+            .session(instance.clone())
+            .resolve()
+            .expect("session clear failed");
+        assert_eq!(
+            solved.allocation, resolved.allocation,
+            "{label}: allocation"
+        );
+        assert_eq!(
+            solved.welfare.to_bits(),
+            resolved.welfare.to_bits(),
+            "{label}: welfare {} vs {}",
+            solved.welfare,
+            resolved.welfare
+        );
+    };
+    check("protocol n = 400", &protocol);
+    check("physical n = 200", &physical);
 }
