@@ -42,25 +42,9 @@ fn bench_case(
     n: usize,
     scenario: &DynamicMarketScenario,
 ) {
-    bench_case_with_threshold(group, label, n, scenario, None);
-}
-
-/// `deep_batch_rows: None` runs the default (adaptive) session;
-/// `Some(rows)` overrides the deep-batch cost-model threshold — the
-/// before/after seam for the adaptive-path measurements.
-fn bench_case_with_threshold(
-    group: &mut criterion::BenchmarkGroup<'_>,
-    label: &str,
-    n: usize,
-    scenario: &DynamicMarketScenario,
-    deep_batch_rows: Option<usize>,
-) {
-    let mut options = SolverBuilder::new().rounding(1, TRIALS).options();
-    if let Some(rows) = deep_batch_rows {
-        options.lp.deep_batch_rows = rows;
-    }
-    let mut base =
-        ssa_core::session::AuctionSession::new(scenario.initial.instance.clone(), options);
+    let mut base = SolverBuilder::new()
+        .rounding(1, TRIALS)
+        .session(scenario.initial.instance.clone());
     base.resolve().expect("priming resolve failed");
 
     let mutated = {
@@ -120,34 +104,15 @@ fn bench_case_with_threshold(
 fn bench_e16(c: &mut Criterion) {
     let mut group = c.benchmark_group("e16_churn");
 
-    // The deep-batch cost model's calibrated threshold, recorded with the
-    // numbers it gates (the `deep_batch` binary is the calibration sweep).
-    println!(
-        "e16: deep-batch cost model threshold = {} pending appended rows",
-        ssa_core::lp_formulation::LpFormulationOptions::default().deep_batch_rows
-    );
-
     for &n in &[200usize, 800] {
         let config = ScenarioConfig::new(n, K, 16000 + n as u64);
         // departures broken out: the basis-preserving removal path
         let scenario =
             dynamic_market_scenario(&config, &DynamicMarketConfig::departures_only(4), 1.0);
         bench_case(&mut group, "depart4", n, &scenario);
-        // the default interleaved mix: every warm path exercised — timed
-        // with the adaptive deep-batch model (the default) and with the
-        // model disabled, the churn16 before/after pair. A 16-event batch
-        // appends far fewer rows than the threshold, so both variants ride
-        // the dual repair; matching numbers are the "model never hurts a
-        // shallow batch" guarantee, measured rather than assumed.
+        // the default interleaved mix: every warm path exercised
         let scenario = dynamic_market_scenario(&config, &DynamicMarketConfig::default(), 1.0);
         bench_case(&mut group, "churn16", n, &scenario);
-        bench_case_with_threshold(
-            &mut group,
-            "churn16_nomodel",
-            n,
-            &scenario,
-            Some(usize::MAX),
-        );
     }
 
     group.finish();

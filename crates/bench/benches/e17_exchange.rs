@@ -14,7 +14,7 @@
 //! Every session's cold first solve is primed *outside* the timed window
 //! (a self-re-bid per market), so the numbers are the steady-state warm
 //! path the exchange actually runs. The measured phase times submit +
-//! drain together; latencies are per-wave shard resolve times from
+//! drain together; latencies are per-shard resolve times from
 //! [`DrainReport`]. Numbers are recorded honestly even where a
 //! configuration loses — on a single-core host the pooled drain cannot
 //! beat sequential (the `cores` field in `BENCH_e17.json` keys the
@@ -47,7 +47,7 @@ struct Cell {
     events: usize,
     /// Batches the stream is split into (one drain per batch): many small
     /// batches = steady traffic, few huge ones = bursts — the shape where
-    /// coalescing and deep-batch wave chunking actually engage.
+    /// coalescing actually engages.
     batches: usize,
 }
 
@@ -61,7 +61,6 @@ struct Record {
     applied: usize,
     collapsed: usize,
     cancelled: usize,
-    extra_waves: usize,
     wall: Duration,
     events_per_sec: f64,
     p50: Duration,
@@ -145,7 +144,6 @@ fn run_cell(
         applied: stats.events_applied - warmed.events_applied,
         collapsed: stats.rebids_collapsed - warmed.rebids_collapsed,
         cancelled: stats.cancellations - warmed.cancellations,
-        extra_waves: stats.extra_waves - warmed.extra_waves,
         wall,
         events_per_sec: events as f64 / wall.as_secs_f64(),
         p50: percentile(&latencies, 0.50),
@@ -167,7 +165,7 @@ fn json_snapshot(records: &[Record], cores: usize, smoke: bool) -> String {
                 "    {{\"markets\": {}, \"bidders\": {}, \"batches\": {}, \"drain\": \"{}\", \
                  \"coalescing\": {}, \"events\": {}, \"applied\": {}, \
                  \"rebids_collapsed\": {}, \"cancellations\": {}, \
-                 \"extra_waves\": {}, \"wall_s\": {:.3}, \
+                 \"wall_s\": {:.3}, \
                  \"events_per_sec\": {:.1}, \"p50_us\": {:.0}, \"p99_us\": {:.0}}}",
                 r.markets,
                 r.bidders,
@@ -178,7 +176,6 @@ fn json_snapshot(records: &[Record], cores: usize, smoke: bool) -> String {
                 r.applied,
                 r.collapsed,
                 r.cancelled,
-                r.extra_waves,
                 r.wall.as_secs_f64(),
                 r.events_per_sec,
                 r.p50.as_secs_f64() * 1e6,

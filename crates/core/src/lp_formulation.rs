@@ -20,14 +20,20 @@
 //! bidder's demand oracle proposes the bundle of maximum utility at those
 //! prices; bundles whose utility exceeds the bidder's dual `z_v` enter the
 //! master as new columns.
+//!
+//! That master and its pricing loop live in one place, [`AuctionSession`]:
+//! the one-shot entry points here run a throwaway session's cold resolve.
+//! This module keeps the relaxation's types and options, and the enumerated
+//! master ([`solve_relaxation_explicit`]) that serves as the independent
+//! reference.
 
 use crate::channels::ChannelSet;
 use crate::instance::AuctionInstance;
-use crate::solver::SolveError;
+use crate::session::AuctionSession;
+use crate::solver::{SolveError, SolverOptions};
 use serde::{Deserialize, Serialize};
 use ssa_lp::{
-    is_native_tag, ColumnGeneration, ColumnSource, GeneratedColumn, LpStatus, MasterProblem,
-    Relation, Sense, SimplexOptions,
+    is_native_tag, ColumnGeneration, GeneratedColumn, LpStatus, MasterProblem, Relation, Sense,
 };
 
 /// One non-zero variable `x_{v,T}` of the fractional solution.
@@ -71,11 +77,13 @@ pub struct RelaxationInfo {
     /// Total columns adopted by the master across all pricing rounds.
     pub columns_generated: usize,
     /// Columns this solve adopted from the session's managed
-    /// [`ssa_lp::ColumnPool`] (0 on cold one-shot solves, which have no
-    /// pool).
+    /// [`ssa_lp::ColumnPool`] (0 on one-shot solves: their throwaway
+    /// session's pool starts empty).
     pub pool_hits: usize,
     /// Pool entries evicted (bounded-capacity LRU-by-usefulness) while
-    /// absorbing this solve's discoveries.
+    /// absorbing this solve's discoveries. A one-shot solve reports its
+    /// throwaway session's pool, which evicts only when the master holds
+    /// more bundle columns than `LpFormulationOptions::column_pool_capacity`.
     pub pool_evictions: usize,
     /// Basis refactorizations across every master re-solve.
     pub refactorizations: usize,
@@ -162,9 +170,9 @@ impl RelaxationInfo {
         }
     }
 
-    /// Attribution of a column-generation run — shared by the cold path
-    /// ([`solve_relaxation`]) and the session's warm paths so the two
-    /// cannot drift when stats fields change.
+    /// Attribution of a column-generation run on a session master (cold
+    /// and warm paths alike; the one-shot entry points run a throwaway
+    /// session).
     pub(crate) fn from_cg(result: &ssa_lp::ColumnGenerationResult, num_columns: usize) -> Self {
         RelaxationInfo {
             rounds: result.rounds,
@@ -251,11 +259,12 @@ pub struct LpFormulationOptions {
     /// limit, reduced-cost tolerance).
     pub column_generation: ColumnGeneration,
     /// Each bidder's top `seed_top_bundles` zero-price bundles are seeded
-    /// into the initial restricted master (on every path: cold solve and
-    /// session rebuild). The default of `4` is the
-    /// E12-measured sweet spot: a seed-depth sweep at n ∈ {200, 800, 2000}
-    /// showed depth 4 puts the optimum's support in the initial master and
-    /// collapses the pricing loop to a single round at every scale
+    /// into every rebuilt restricted master (a session's first resolve,
+    /// which is also what the one-shot entry points run). The default of
+    /// `4` is the E12-measured sweet spot: a seed-depth sweep at
+    /// n ∈ {200, 800, 2000} showed depth 4 puts the optimum's support in
+    /// the initial master and collapses the pricing loop to a single round
+    /// at every scale
     /// (n = 2000: 9916 → 6439 total pivots, 12.7 s → 7.4 s, zero columns
     /// generated), while depth 1 (the pre-PR 10 behavior) lets the first
     /// round dump one column per unsatisfied bidder and the re-solve then
@@ -278,25 +287,6 @@ pub struct LpFormulationOptions {
     /// dead columns, remapping the warm basis) once the deadweight fraction
     /// reaches this threshold. `1.0` effectively disables compaction.
     pub compaction_threshold: f64,
-    /// Session deep-batch cost model: when a mutation batch has appended
-    /// **more than this many pending master rows** since the last resolve,
-    /// the dual-simplex row repair is expected to lose to a warm-from-pool
-    /// rebuild (repair work grows with the number of violated rows, while
-    /// the rebuild amortizes over the whole batch), so the session reroutes
-    /// the resolve to the rebuild path. `usize::MAX` disables the model and
-    /// always takes the dual repair.
-    ///
-    /// The default is calibrated by the `deep_batch` bench binary. Under
-    /// the steepest-edge × Forrest–Tomlin engine the dual repair won
-    /// **every** measured depth through 1600 pending rows (320 arrivals at
-    /// k = 4: 1.28 s repair vs 2.47 s rebuild at n = 800, 69 ms vs 116 ms
-    /// at n = 200), and the rebuild's cost grew *faster* with depth than
-    /// the repair's — no measured crossover. The default therefore sits
-    /// past the measured range as a guard rail: it only reroutes batches
-    /// an order of magnitude deeper than anything measured, where the
-    /// appended block rivals the whole prior master and the repair's
-    /// warm-start advantage is gone by construction.
-    pub deep_batch_rows: usize,
 }
 
 impl Default for LpFormulationOptions {
@@ -308,7 +298,6 @@ impl Default for LpFormulationOptions {
             enumerate_all_bundles: false,
             support_tolerance: 1e-9,
             compaction_threshold: 0.25,
-            deep_batch_rows: 4096,
         }
     }
 }
@@ -329,99 +318,23 @@ pub(crate) fn decode_column_tag(tag: u64) -> (usize, ChannelSet) {
     )
 }
 
-pub(crate) fn row_of(v: usize, j: usize, k: usize) -> usize {
-    v * k + j
-}
-
-pub(crate) fn bidder_row(v: usize, n: usize, k: usize) -> usize {
-    n * k + v
-}
-
-pub(crate) fn column_for(
-    instance: &AuctionInstance,
-    bidder: usize,
-    bundle: ChannelSet,
-) -> GeneratedColumn {
+/// The enumerated master's column of `(bidder, bundle)` under the canonical
+/// row layout of [`master_rows`]: row `v·k + j` for constraint `(v, j)`,
+/// row `n·k + v` for bidder `v`.
+fn column_for(instance: &AuctionInstance, bidder: usize, bundle: ChannelSet) -> GeneratedColumn {
     let k = instance.num_channels;
     let n = instance.num_bidders();
     let mut coeffs: Vec<(usize, f64)> = Vec::new();
     for j in bundle.iter() {
         for (v, w) in instance.forward_rows(bidder, j) {
-            coeffs.push((row_of(v, j, k), w));
+            coeffs.push((v * k + j, w));
         }
     }
-    coeffs.push((bidder_row(bidder, n, k), 1.0));
+    coeffs.push((n * k + bidder, 1.0));
     GeneratedColumn {
         objective: instance.value(bidder, bundle),
         coeffs,
         tag: column_tag(bidder, bundle),
-    }
-}
-
-/// Utility slack a demanded bundle must have over the bidder's dual `z_v`
-/// before it enters the master as a new column.
-const ORACLE_UTILITY_TOLERANCE: f64 = 1e-9;
-
-/// The demand-oracle pricing loop shared by the cold master and the
-/// session's master, which differ only in where a `(v, j)` or bidder row
-/// sits (`row_vj` and `bidder_dual_row` map a constraint to its master
-/// row): for each bidder, sum the duals of the rows its bundle would load
-/// into channel prices `p_{v,j} = Σ w̄ · y`, query the demand oracle
-/// ([`Valuation::demand_top`]), and emit a column for the demanded bundle
-/// when its utility beats the bidder's dual.
-///
-/// [`Valuation::demand_top`]: crate::valuation::Valuation::demand_top
-pub(crate) fn demand_oracle_columns(
-    instance: &AuctionInstance,
-    duals: &[f64],
-    row_vj: impl Fn(usize, usize) -> usize,
-    bidder_dual_row: impl Fn(usize) -> usize,
-    column_of: impl Fn(usize, ChannelSet) -> GeneratedColumn,
-) -> Vec<GeneratedColumn> {
-    let n = instance.num_bidders();
-    let k = instance.num_channels;
-    let mut columns = Vec::new();
-    for bidder in 0..n {
-        let prices: Vec<f64> = (0..k)
-            .map(|j| {
-                instance
-                    .forward_rows(bidder, j)
-                    .into_iter()
-                    .map(|(v, w)| w * duals[row_vj(v, j)])
-                    .sum()
-            })
-            .collect();
-        let z_v = duals[bidder_dual_row(bidder)];
-        for bundle in instance.bidders[bidder].demand_top(&prices, 1) {
-            if bundle.is_empty() {
-                continue;
-            }
-            let utility = instance.value(bidder, bundle) - bundle.total_price(&prices);
-            if utility > z_v + ORACLE_UTILITY_TOLERANCE {
-                columns.push(column_of(bidder, bundle));
-            }
-        }
-    }
-    columns
-}
-
-/// The demand-oracle pricing source for the column-generation loop.
-struct DemandOraclePricing<'a> {
-    instance: &'a AuctionInstance,
-}
-
-impl ColumnSource for DemandOraclePricing<'_> {
-    fn generate(&mut self, duals: &[f64]) -> Vec<GeneratedColumn> {
-        let instance = self.instance;
-        let k = instance.num_channels;
-        let n = instance.num_bidders();
-        demand_oracle_columns(
-            instance,
-            duals,
-            |v, j| row_of(v, j, k),
-            |bidder| bidder_row(bidder, n, k),
-            |bidder, bundle| column_for(instance, bidder, bundle),
-        )
     }
 }
 
@@ -439,19 +352,24 @@ pub(crate) fn master_rows(instance: &AuctionInstance) -> Vec<(Relation, f64)> {
 }
 
 /// Solves the LP relaxation of the instance (legacy, infallible entry
-/// point: an iteration-limited master degrades into a non-converged partial
-/// result).
+/// point: an interrupted solve degrades into its non-converged partial
+/// result instead of an error).
 ///
-/// With the default options the LP is solved by column generation through
-/// the bidders' demand oracles; with
+/// With the default options this is the cold resolve of a throwaway
+/// [`AuctionSession`] over a clone of the instance: column generation
+/// through the bidders' demand oracles on the session's master. With
 /// [`LpFormulationOptions::enumerate_all_bundles`] all `2^k` bundles per
-/// bidder are materialized up front (ground truth for small `k`).
+/// bidder are materialized up front instead (ground truth for small `k`).
 pub fn solve_relaxation(
     instance: &AuctionInstance,
     options: &LpFormulationOptions,
 ) -> FractionalAssignment {
-    solve_relaxation_inner(instance, options, &[], false)
-        .expect("the lenient relaxation solve does not produce errors")
+    try_solve_relaxation(instance, options)
+        .or_else(|error| match error {
+            SolveError::IterationLimit { partial, .. } => Ok(*partial),
+            other => Err(other),
+        })
+        .expect("x = 0 is feasible, so a well-formed instance's relaxation is never infeasible")
 }
 
 /// Solves the LP relaxation, surfacing an interrupted solve — a master out
@@ -460,26 +378,22 @@ pub fn solve_relaxation(
 /// infeasible master as [`SolveError::Infeasible`], instead of the legacy
 /// degrade-gracefully behavior of [`solve_relaxation`]. `Ok` therefore
 /// always carries a converged, true LP optimum.
+///
+/// Column generation runs as
+/// [`AuctionSession::resolve_relaxation`] on a throwaway session, so a
+/// one-shot solve and a session's first resolve are the same computation.
 pub fn try_solve_relaxation(
     instance: &AuctionInstance,
     options: &LpFormulationOptions,
 ) -> Result<FractionalAssignment, SolveError> {
-    solve_relaxation_inner(instance, options, &[], true)
-}
-
-/// Like [`try_solve_relaxation`], but seeds the restricted master with the
-/// given `(bidder, bundle)` column pool before the first solve — the
-/// warm-from-pool path [`crate::session::AuctionSession`] uses after
-/// structural mutations: bundles discovered by earlier resolves are
-/// re-priced at the current valuations and offered up front, so column
-/// generation starts near the previous optimum instead of from each
-/// bidder's favorite bundle alone.
-pub fn try_solve_relaxation_with_pool(
-    instance: &AuctionInstance,
-    options: &LpFormulationOptions,
-    pool: &[(usize, ChannelSet)],
-) -> Result<FractionalAssignment, SolveError> {
-    solve_relaxation_inner(instance, options, pool, true)
+    if options.enumerate_all_bundles {
+        return solve_enumerated(instance, options);
+    }
+    let options = SolverOptions {
+        lp: options.clone(),
+        ..Default::default()
+    };
+    AuctionSession::new(instance.clone(), options).resolve_relaxation()
 }
 
 /// Maps a terminal master status (and a pricing-round-budget truncation,
@@ -506,10 +420,9 @@ pub(crate) fn strict_status_error(
     }
 }
 
-/// Offers the shared master seed set to `add`: the caller's column pool
+/// Offers the master seed set to `add`: the caller's column pool
 /// (re-priced at the current valuations) followed by each bidder's top
-/// `seed_top` zero-price bundles, with one positive-value filter — so the
-/// cold and session-rebuild paths seed identically.
+/// `seed_top` zero-price bundles, with one positive-value filter.
 ///
 /// `seed_top` is the E12-measured lever against pricing-loop degeneracy:
 /// with only the single favorite seeded (`seed_top = 1`), the first
@@ -540,84 +453,34 @@ pub(crate) fn seed_columns(
     }
 }
 
-fn solve_relaxation_inner(
+/// The enumerated master: every positive-value bundle of every bidder as a
+/// column of the canonical layout, solved once. Independent of the
+/// session's column-generation master, which makes it the reference the
+/// tests check that master against.
+fn solve_enumerated(
     instance: &AuctionInstance,
     options: &LpFormulationOptions,
-    pool: &[(usize, ChannelSet)],
-    strict: bool,
 ) -> Result<FractionalAssignment, SolveError> {
-    assert!(
-        instance.num_channels <= 32,
-        "the LP formulation packs bundles into 32-bit column tags (k ≤ 32)"
-    );
     let mut master = MasterProblem::new(Sense::Maximize, master_rows(instance));
-
-    if options.enumerate_all_bundles {
-        for bidder in 0..instance.num_bidders() {
-            for bundle in ChannelSet::all_bundles(instance.num_channels) {
-                if bundle.is_empty() {
-                    continue;
-                }
-                if instance.value(bidder, bundle) > 0.0 {
-                    master.add_column(column_for(instance, bidder, bundle));
-                }
+    for bidder in 0..instance.num_bidders() {
+        for bundle in ChannelSet::all_bundles(instance.num_channels) {
+            if !bundle.is_empty() && instance.value(bidder, bundle) > 0.0 {
+                master.add_column(column_for(instance, bidder, bundle));
             }
         }
-        let solution = master.solve(&options.column_generation.simplex);
-        let status = solution.status;
-        let info = RelaxationInfo::from_solution(&solution, 1, master.num_columns());
-        let fractional = extract(
-            instance,
-            &master,
-            solution,
-            status == LpStatus::Optimal,
-            info,
-            options.support_tolerance,
-        );
-        if strict {
-            strict_status_error(status, &fractional)?;
-        }
-        return Ok(fractional);
     }
-
-    // Seed the master with the caller's column pool (re-priced at the
-    // current valuations by `column_for`), then with each bidder's top
-    // zero-price bundles so the first duals are meaningful.
-    seed_columns(
-        instance,
-        pool,
-        options.seed_top_bundles,
-        |bidder, bundle| {
-            master.add_column(column_for(instance, bidder, bundle));
-        },
-    );
-
-    let mut pricing = DemandOraclePricing { instance };
-    // An iteration-limited master is surfaced as a proper error by the LP
-    // layer. On the lenient (legacy) path the pipeline degrades gracefully:
-    // the partial solution is used but explicitly marked non-converged (its
-    // objective is a lower bound, its duals are untrusted). On the strict
-    // path it becomes a typed `SolveError` carrying the same partial.
-    let (result, converged) = match options.column_generation.run(&mut master, &mut pricing) {
-        Ok(result) => {
-            let converged = result.converged;
-            (result, converged)
-        }
-        Err(ssa_lp::ColumnGenerationError::IterationLimit { partial }) => (*partial, false),
-    };
-    let status = result.solution.status;
-    let info = RelaxationInfo::from_cg(&result, master.num_columns());
+    let solution = master.solve(&options.column_generation.simplex);
+    let status = solution.status;
+    let info = RelaxationInfo::from_solution(&solution, 1, master.num_columns());
     let fractional = extract(
         instance,
         &master,
-        result.solution,
-        converged,
+        solution,
+        status == LpStatus::Optimal,
         info,
         options.support_tolerance,
     );
-    if strict {
-        strict_status_error(status, &fractional)?;
-    }
+    strict_status_error(status, &fractional)?;
     Ok(fractional)
 }
 
@@ -676,17 +539,6 @@ pub fn solve_relaxation_explicit(instance: &AuctionInstance) -> FractionalAssign
 /// Convenience: default column-generation solve.
 pub fn solve_relaxation_oracle(instance: &AuctionInstance) -> FractionalAssignment {
     solve_relaxation(instance, &LpFormulationOptions::default())
-}
-
-/// Returns simplex options tuned for larger masters (looser tolerance, more
-/// iterations); exposed for the benchmark harness.
-pub fn large_instance_simplex_options() -> SimplexOptions {
-    SimplexOptions {
-        tolerance: 1e-8,
-        max_iterations: 0,
-        stall_threshold: 128,
-        ..Default::default()
-    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,9 @@
 //! The paper's setting is inherently dynamic: bidders enter and leave,
 //! valuations change, channels get licensed in and out. The one-shot
 //! [`SpectrumAuctionSolver::solve`](crate::solver::SpectrumAuctionSolver::solve)
-//! rebuilds the LP from scratch on every call; an [`AuctionSession`] instead
-//! owns a mutable [`AuctionInstance`] **plus the cached solver state** —
+//! is a throwaway session's cold resolve: it rebuilds the LP from scratch on
+//! every call. A long-lived [`AuctionSession`] instead owns a mutable
+//! [`AuctionInstance`] **plus the cached solver state** —
 //! the restricted master with its warm basis/factorization, the pool of
 //! `(bidder, bundle)` columns discovered so far, and the last fractional
 //! solution — and routes each [`resolve`](AuctionSession::resolve) through
@@ -15,7 +16,7 @@
 //! | none | the cached [`FractionalAssignment`] is returned as-is |
 //! | re-bids only ([`update_valuation`](AuctionSession::update_valuation)) | pool columns are **re-priced in place**; the recorded basis is still primal feasible (the constraint matrix is untouched), so the master resumes with ordinary primal pivots |
 //! | departures ([`remove_bidder`](AuctionSession::remove_bidder)), possibly mixed with re-bids | the departed bidder's columns are **fixed at zero** and its `k + 1` rows **deactivated in place** behind relief columns ([`MasterProblem::deactivate_rows`]); the surviving basis stays valid and primal feasible and resumes with primal pivots — accumulated deadweight is compacted away past `LpFormulationOptions::compaction_threshold` |
-//! | arrivals ([`add_bidder`](AuctionSession::add_bidder)), possibly mixed with the above | the newcomer's `k + 1` rows are **staged** and materialized at resolve time via [`MasterProblem::add_row`]; if the same batch also re-bid or departed bidders (dirt that costs the recorded basis its dual feasibility), a primal resume first re-optimizes the mutated master, and only then do the staged rows land — so the **dual simplex** row repair (`lp::dual`) always starts from a dual-feasible basis instead of declining into a near-cold solve. Batches that appended more than `LpFormulationOptions::deep_batch_rows` pending rows reroute to the warm-from-pool rebuild instead (a guard rail set past the measured range: the `deep_batch` calibration binary found the repair winning at every depth through 1600 pending rows, so the reroute only fires for batches that rival the whole prior master) |
+//! | arrivals ([`add_bidder`](AuctionSession::add_bidder)), possibly mixed with the above | the newcomer's `k + 1` rows are **staged** and materialized at resolve time via [`MasterProblem::add_row`]; if the same batch also re-bid or departed bidders (dirt that costs the recorded basis its dual feasibility), a primal resume first re-optimizes the mutated master, and only then do the staged rows land — so the **dual simplex** row repair (`lp::dual`) always starts from a dual-feasible basis instead of declining into a near-cold solve |
 //! | ρ or channel changes | the master is rebuilt, but **warm-from-pool**: every previously discovered bundle is re-priced at the current valuations and seeded up front, so column generation starts near the previous optimum |
 //!
 //! Every warm answer is the exact LP optimum of the *current* instance —
@@ -44,8 +45,8 @@
 use crate::channels::ChannelSet;
 use crate::instance::{AuctionInstance, ConflictStructure};
 use crate::lp_formulation::{
-    column_tag, decode_column_tag, demand_oracle_columns, extract, master_rows, seed_columns,
-    strict_status_error, try_solve_relaxation_with_pool, FractionalAssignment, RelaxationInfo,
+    column_tag, decode_column_tag, extract, master_rows, seed_columns, strict_status_error,
+    try_solve_relaxation, FractionalAssignment, RelaxationInfo,
 };
 use crate::snapshot::ValuationSnapshot;
 use crate::solver::{AuctionOutcome, SolveError, SolverOptions, SpectrumAuctionSolver};
@@ -193,11 +194,7 @@ pub struct SessionStats {
     /// (fixed columns + relief rows) and resumed the surviving basis with
     /// primal pivots.
     pub deactivated_resolves: usize,
-    /// The subset of [`cold_resolves`](Self::cold_resolves) triggered by
-    /// the deep-batch cost model: the mutation batch had appended more than
-    /// `LpFormulationOptions::deep_batch_rows` pending master rows, so the
-    /// session rerouted from the dual-simplex row repair to the
-    /// warm-from-pool rebuild.
+    /// Always 0; removed with the next benchmark PR.
     pub deep_batch_rebuilds: usize,
     /// The subset of [`warm_row_resolves`](Self::warm_row_resolves) whose
     /// mutation batch *mixed* arrivals with re-bids or departures: the
@@ -338,9 +335,12 @@ fn session_column_for(
     }
 }
 
-/// The demand-oracle pricing source against the session master's duals —
-/// the same oracle as `lp_formulation`'s, but reading rows through the
-/// session's layout maps.
+/// Utility slack a demanded bundle must have over the bidder's dual `z_v`
+/// before it enters the master as a new column.
+const ORACLE_UTILITY_TOLERANCE: f64 = 1e-9;
+
+/// The demand-oracle pricing source against the session master's duals,
+/// reading rows through the session's layout maps.
 struct SessionOracle<'a> {
     instance: &'a AuctionInstance,
     row_vj: &'a [Vec<usize>],
@@ -348,17 +348,42 @@ struct SessionOracle<'a> {
 }
 
 impl ColumnSource for SessionOracle<'_> {
+    /// For each bidder, sums the duals of the rows its bundle would load
+    /// into channel prices `p_{v,j} = Σ w̄ · y`, queries the demand oracle
+    /// ([`Valuation::demand_top`]), and emits a column for the demanded
+    /// bundle when its utility beats the bidder's dual.
     fn generate(&mut self, duals: &[f64]) -> Vec<GeneratedColumn> {
         let instance = self.instance;
-        demand_oracle_columns(
-            instance,
-            duals,
-            |v, j| self.row_vj[v][j],
-            |bidder| self.row_bidder[bidder],
-            |bidder, bundle| {
-                session_column_for(instance, bidder, bundle, self.row_vj, self.row_bidder)
-            },
-        )
+        let k = instance.num_channels;
+        let mut columns = Vec::new();
+        for bidder in 0..instance.num_bidders() {
+            let prices: Vec<f64> = (0..k)
+                .map(|j| {
+                    instance
+                        .forward_rows(bidder, j)
+                        .into_iter()
+                        .map(|(v, w)| w * duals[self.row_vj[v][j]])
+                        .sum()
+                })
+                .collect();
+            let z_v = duals[self.row_bidder[bidder]];
+            for bundle in instance.bidders[bidder].demand_top(&prices, 1) {
+                if bundle.is_empty() {
+                    continue;
+                }
+                let utility = instance.value(bidder, bundle) - bundle.total_price(&prices);
+                if utility > z_v + ORACLE_UTILITY_TOLERANCE {
+                    columns.push(session_column_for(
+                        instance,
+                        bidder,
+                        bundle,
+                        self.row_vj,
+                        self.row_bidder,
+                    ));
+                }
+            }
+        }
+        columns
     }
 }
 
@@ -388,9 +413,6 @@ pub struct AuctionSession {
     row_vj: Vec<Vec<usize>>,
     row_bidder: Vec<usize>,
     staleness: Staleness,
-    /// Master rows appended by the current mutation batch (arrivals since
-    /// the last resolve) — the deep-batch cost model's input.
-    pending_added_rows: usize,
     /// Bidders whose arrival is recorded in the instance but whose master
     /// rows are not appended yet. Rows are materialized at the next
     /// resolve, *after* any repricing/deactivation dirt has been repaired
@@ -439,7 +461,6 @@ impl AuctionSession {
             row_vj: Vec::new(),
             row_bidder: Vec::new(),
             staleness: Staleness::Rebuild,
-            pending_added_rows: 0,
             staged_arrivals: Vec::new(),
             dirty_objectives: false,
             dirty_deactivations: false,
@@ -640,7 +661,6 @@ impl AuctionSession {
             self.row_bidder.push(usize::MAX);
             self.staged_arrivals.push(n);
             self.staleness = self.staleness.max(Staleness::RowsAdded);
-            self.pending_added_rows += k + 1;
         } else {
             self.staleness = Staleness::Rebuild;
         }
@@ -727,7 +747,6 @@ impl AuctionSession {
                 // oracle only prices newcomers after the row repair), so
                 // the master needs no surgery. Un-stage it.
                 self.staged_arrivals.remove(pos);
-                self.pending_added_rows -= self.instance.num_channels + 1;
             } else {
                 // Deactivate the departed bidder's k interference rows and
                 // its bidder row; surviving bidders' row indices are
@@ -904,7 +923,6 @@ impl AuctionSession {
         self.row_vj.clear();
         self.row_bidder.clear();
         self.staleness = Staleness::Rebuild;
-        self.pending_added_rows = 0;
         self.staged_arrivals.clear();
         self.dirty_objectives = false;
         self.dirty_deactivations = false;
@@ -981,14 +999,11 @@ impl AuctionSession {
         let pool_evictions_before = self.pool.evictions();
         let (mut fractional, path_counter) = if self.options.lp.enumerate_all_bundles {
             // No incremental path for the enumerated master: every resolve
-            // is a pool-seeded from-scratch solve. No cached master means
-            // no duals to certify with either.
+            // solves it from scratch (every bundle is a column already, so
+            // the pool has nothing to seed). No cached master means no duals
+            // to certify with either.
             self.pending_duals = None;
-            let fractional = try_solve_relaxation_with_pool(
-                &self.instance,
-                &self.options.lp,
-                &self.pool_pairs(),
-            )?;
+            let fractional = try_solve_relaxation(&self.instance, &self.options.lp)?;
             (fractional, SessionPath::Cold)
         } else {
             match (self.master.is_some(), self.staleness) {
@@ -997,20 +1012,6 @@ impl AuctionSession {
                 }
                 (true, Staleness::Deactivated) => {
                     (self.run_column_generation()?, SessionPath::Deactivated)
-                }
-                (true, Staleness::RowsAdded)
-                    if self.pending_added_rows > self.options.lp.deep_batch_rows =>
-                {
-                    // Deep-batch cost model: the threshold is a guard rail
-                    // past the measured range (the repair won every depth
-                    // the `deep_batch` calibration binary measured) — it
-                    // reroutes only batches whose appended block rivals the
-                    // whole prior master, where repairing row-by-row has no
-                    // warm-start advantage left over rebuilding near the
-                    // pool optimum.
-                    self.stats.deep_batch_rebuilds += 1;
-                    self.rebuild_master();
-                    (self.run_column_generation()?, SessionPath::Cold)
                 }
                 (true, Staleness::RowsAdded) => {
                     if self.dirty_objectives || self.dirty_deactivations {
@@ -1051,7 +1052,6 @@ impl AuctionSession {
         fractional.info.pool_hits = self.pool.hits() - pool_hits_before;
         fractional.info.pool_evictions = self.pool.evictions() - pool_evictions_before;
         self.staleness = Staleness::Clean;
-        self.pending_added_rows = 0;
         self.dirty_objectives = false;
         self.dirty_deactivations = false;
         self.last = Some(fractional.clone());
@@ -1372,50 +1372,6 @@ mod tests {
         assert_eq!(session.instance().num_bidders(), 8);
     }
 
-    /// The deep-batch cost model: a mutation batch whose appended rows
-    /// exceed `deep_batch_rows` reroutes from the dual repair to the
-    /// warm-from-pool rebuild — and the answer stays the exact optimum
-    /// (every resolve below re-certifies against a from-scratch solve).
-    #[test]
-    fn deep_arrival_batches_reroute_to_the_pool_rebuild() {
-        let mut options = SolverBuilder::new().options();
-        options.lp.deep_batch_rows = 5; // one k=2 arrival appends 3 rows
-        let mut session = AuctionSession::new(path_instance(6, 2), options);
-        assert_matches_scratch(&mut session);
-
-        // a single arrival (3 pending rows) stays on the dual row path
-        session.add_bidder(
-            xor_bidder(2, vec![(vec![0], 9.0)]),
-            BidderConflicts::Binary(vec![4, 5]),
-        );
-        assert_matches_scratch(&mut session);
-        assert_eq!(session.stats().warm_row_resolves, 1);
-        assert_eq!(session.stats().deep_batch_rebuilds, 0);
-
-        // two arrivals in one batch (6 pending rows) tip the cost model
-        session.add_bidder(
-            xor_bidder(2, vec![(vec![1], 6.0)]),
-            BidderConflicts::Binary(vec![6]),
-        );
-        session.add_bidder(
-            xor_bidder(2, vec![(vec![0, 1], 11.0)]),
-            BidderConflicts::Binary(vec![0, 7]),
-        );
-        assert_matches_scratch(&mut session);
-        assert_eq!(session.stats().warm_row_resolves, 1);
-        assert_eq!(session.stats().deep_batch_rebuilds, 1);
-        assert_eq!(session.stats().cold_resolves, 2);
-
-        // the counter reset with the batch: the next lone arrival is warm
-        session.add_bidder(
-            xor_bidder(2, vec![(vec![1], 4.0)]),
-            BidderConflicts::Binary(vec![2]),
-        );
-        assert_matches_scratch(&mut session);
-        assert_eq!(session.stats().warm_row_resolves, 2);
-        assert_eq!(session.stats().deep_batch_rebuilds, 1);
-    }
-
     /// A batch mixing arrivals with re-bids and a departure takes the
     /// staged two-phase path: a primal resume repairs the
     /// repriced/deactivated master first, then the staged arrival rows
@@ -1658,8 +1614,9 @@ mod tests {
             BidderConflicts::Binary(vec![0, 2]),
         );
         assert_matches_scratch(&mut session);
-        // every enumerated resolve is pool-seeded cold and carries no
-        // certificate (there is no cached master to read duals from)
+        // every enumerated resolve solves the enumerated master from
+        // scratch and carries no certificate (there is no cached master to
+        // read duals from)
         assert_eq!(session.stats().cold_resolves, 3);
         assert!(session.last_certificate().is_none());
     }

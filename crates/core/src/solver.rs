@@ -26,9 +26,11 @@ use crate::session::AuctionSession;
 use serde::{Deserialize, Serialize};
 
 /// Typed failure of the solving pipeline, returned by the fallible entry
-/// points ([`SpectrumAuctionSolver::try_solve`],
-/// [`crate::session::AuctionSession::resolve`],
-/// [`crate::lp_formulation::try_solve_relaxation`]).
+/// points: the session's [`AuctionSession::resolve`] and
+/// [`AuctionSession::resolve_relaxation`], and the one-shot
+/// [`SpectrumAuctionSolver::try_solve`] and
+/// [`crate::lp_formulation::try_solve_relaxation`], which run a throwaway
+/// session's cold resolve and so fail the same way.
 ///
 /// The legacy entry points ([`SpectrumAuctionSolver::solve`],
 /// [`crate::lp_formulation::solve_relaxation`]) keep their historical
@@ -283,6 +285,11 @@ impl SpectrumAuctionSolver {
     /// (instead of a silently non-converged outcome) and a rounding that
     /// fails the final feasibility re-check becomes
     /// [`SolveError::InfeasibleRounding`] (instead of an `assert!`).
+    ///
+    /// The relaxation is a throwaway [`AuctionSession`]'s cold resolve
+    /// ([`try_solve_relaxation`]); the rounding runs here rather than
+    /// through [`AuctionSession::resolve`], whose debug-build
+    /// re-certification would solve the relaxation a second time.
     pub fn try_solve(&self, instance: &AuctionInstance) -> Result<AuctionOutcome, SolveError> {
         let fractional = try_solve_relaxation(instance, &self.options.lp)?;
         self.try_round_fractional(instance, &fractional)

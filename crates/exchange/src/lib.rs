@@ -13,8 +13,8 @@
 //! ```text
 //!  submit(market, event) ──▶ per-market PendingQueue (coalescing)
 //!                                      │
-//!  resolve_dirty() ──▶ dirty shards ──▶ waves of events ──▶ AuctionSession
-//!                      (sequential or pooled par_iter)        warm resolve
+//!  resolve_dirty() ──▶ dirty shards ──▶ net event list ──▶ AuctionSession
+//!                      (sequential or pooled par_iter)       warm resolve
 //!                                      │
 //!                            DrainReport + ExchangeStats rollup
 //! ```
@@ -29,11 +29,6 @@
 //!   session sees the *net* mutation only (see the [`queue`](self) module
 //!   docs for the emission-order equivalence argument). `coalescing(false)`
 //!   replays raw streams verbatim for comparison.
-//! * **Deep-batch chunking** — a drain splits pending arrival runs into
-//!   waves below the session's deep-batch wall
-//!   (`LpFormulationOptions::deep_batch_rows`), resolving between waves, so
-//!   one huge batch does not reroute the session onto the slower
-//!   warm-rebuild path.
 //! * **Pooled drain** — [`DrainMode::Pooled`] fans dirty shards across the
 //!   persistent work-stealing pool behind the `rayon` shim (`min_len 1`:
 //!   every shard is one LP resolve, expensive enough to schedule
@@ -180,7 +175,7 @@ impl std::error::Error for ExchangeError {
 }
 
 /// Per-resolve LP engine activity summed across every shard resolve the
-/// exchange ran (all waves included).
+/// exchange ran.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct LpActivity {
     /// Column-generation pricing rounds.
@@ -261,8 +256,7 @@ pub struct ExchangeStats {
     pub markets: usize,
     /// [`SpectrumExchange::resolve_dirty`] calls that found dirty shards.
     pub drains: usize,
-    /// Shard resolves across all drains (≥ shards drained; deep-batch
-    /// chunking resolves once per wave).
+    /// Shard resolves across all drains (one per drained shard).
     pub shard_resolves: usize,
     /// Events accepted by [`SpectrumExchange::submit`].
     pub events_submitted: usize,
@@ -274,8 +268,7 @@ pub struct ExchangeStats {
     pub rebids_folded: usize,
     /// Same-batch arrival+departure pairs cancelled.
     pub cancellations: usize,
-    /// Extra waves forced by deep-batch chunking (0 when every drain fit
-    /// under the wall).
+    /// Always 0; removed with the next benchmark PR.
     pub extra_waves: usize,
     /// Markets currently detached into live sealed rounds.
     pub sealed_markets: usize,
@@ -297,9 +290,9 @@ pub struct ExchangeStats {
 pub struct MarketResolve {
     /// The market that resolved.
     pub market: MarketId,
-    /// The outcome of the final resolve of the drain (after the last wave).
+    /// The outcome of the drain's resolve.
     pub outcome: AuctionOutcome,
-    /// Wall-clock latency of each resolve of the drain, one entry per wave.
+    /// Wall-clock latency of the drain's resolve (one entry).
     pub latencies: Vec<Duration>,
 }
 
@@ -363,7 +356,7 @@ impl ExchangeBuilder {
 
     /// Configures the per-market sessions from assembled [`SolverOptions`]
     /// — the escape hatch for settings without a builder method (e.g.
-    /// `lp.deep_batch_rows`, which also bounds the exchange's drain waves).
+    /// `lp.compaction_threshold`).
     pub fn solver_options(mut self, options: SolverOptions) -> Self {
         self.options = options;
         self
@@ -412,10 +405,9 @@ struct Shard {
 struct ShardDrain {
     market: MarketId,
     outcome: AuctionOutcome,
-    latencies: Vec<Duration>,
+    latency: Duration,
     counters: CoalesceCounters,
     lp: LpActivity,
-    resolves: usize,
 }
 
 struct ShardSlot {
@@ -572,10 +564,9 @@ impl SpectrumExchange {
         self.dirty.len()
     }
 
-    /// Drains every dirty shard: emits each market's pending events in
-    /// deep-batch-safe waves, applies them to the session, and resolves
-    /// (intermediate waves resolve the relaxation only; the final wave runs
-    /// the full pipeline including rounding). Shards are scheduled per the
+    /// Drains every dirty shard: emits each market's pending events, applies
+    /// them all to the session, and resolves once (the full pipeline
+    /// including rounding). Shards are scheduled per the
     /// configured [`DrainMode`]. Returns per-market outcomes and resolve
     /// latencies; stops at the first failed shard.
     pub fn resolve_dirty(&mut self) -> Result<DrainReport, ExchangeError> {
@@ -585,14 +576,11 @@ impl SpectrumExchange {
         if dirty.is_empty() {
             return Ok(report);
         }
-        // An arrival stages k + 1 master rows; the session reroutes to a
-        // rebuild strictly past deep_batch_rows pending rows.
-        let max_rows = self.options.lp.deep_batch_rows;
         let shards = &self.shards;
         let run = |&slot: &usize| -> Result<ShardDrain, (MarketId, SolveError)> {
             let holder = &shards[slot];
             let mut shard = holder.cell.lock().unwrap();
-            drain_shard(&mut shard, holder.id, max_rows)
+            drain_shard(&mut shard, holder.id)
         };
         let results: Vec<Result<ShardDrain, (MarketId, SolveError)>> = match self.drain {
             DrainMode::Sequential => dirty.iter().map(run).collect(),
@@ -603,17 +591,16 @@ impl SpectrumExchange {
         for result in results {
             let drain =
                 result.map_err(|(market, source)| ExchangeError::Solve { market, source })?;
-            self.stats.shard_resolves += drain.resolves;
+            self.stats.shard_resolves += 1;
             self.stats.events_applied += drain.counters.applied;
             self.stats.rebids_collapsed += drain.counters.rebids_collapsed;
             self.stats.rebids_folded += drain.counters.rebids_folded;
             self.stats.cancellations += drain.counters.cancellations;
-            self.stats.extra_waves += drain.resolves.saturating_sub(1);
             accumulate_lp(&mut self.stats.lp, &drain.lp);
             report.resolves.push(MarketResolve {
                 market: drain.market,
                 outcome: drain.outcome,
-                latencies: drain.latencies,
+                latencies: vec![drain.latency],
             });
         }
         Ok(report)
@@ -805,54 +792,26 @@ fn accumulate_lp(into: &mut LpActivity, from: &LpActivity) {
     );
 }
 
-/// Drains one shard: waves of pending events, a relaxation resolve after
-/// each intermediate wave, and the full pipeline after the last.
-fn drain_shard(
-    shard: &mut Shard,
-    market: MarketId,
-    max_rows: usize,
-) -> Result<ShardDrain, (MarketId, SolveError)> {
-    let k = shard.session.instance().num_channels;
-    // Stay *under* the wall (the session reroutes strictly past it).
-    let max_arrivals = (max_rows / (k + 1)).max(1);
-    let (mut waves, counters) = shard.pending.take_waves(max_arrivals);
+/// Drains one shard: applies its pending events, then runs one resolve.
+fn drain_shard(shard: &mut Shard, market: MarketId) -> Result<ShardDrain, (MarketId, SolveError)> {
     // A queue can coalesce to *nothing* (every pending event was part of a
-    // cancelled arrival+departure pair). The market is dirty all the same,
-    // so run one event-less wave: the session's resolve cache makes it
-    // cheap and the drain still reports the market's current outcome.
-    if waves.is_empty() {
-        waves.push(Vec::new());
+    // cancelled arrival+departure pair). The market is dirty all the same:
+    // the session's resolve cache makes the event-less resolve cheap, and
+    // the drain still reports the market's current outcome.
+    let (events, counters) = shard.pending.take();
+    for event in &events {
+        ssa_core::session::apply_event(&mut shard.session, event);
     }
-    let mut latencies = Vec::with_capacity(waves.len());
+    let start = Instant::now();
+    let outcome = shard.session.resolve().map_err(|e| (market, e))?;
     let mut lp = LpActivity::default();
-    let num_waves = waves.len();
-    let mut outcome: Option<AuctionOutcome> = None;
-    for (w, wave) in waves.into_iter().enumerate() {
-        for event in &wave {
-            ssa_core::session::apply_event(&mut shard.session, event);
-        }
-        let start = Instant::now();
-        if w + 1 < num_waves {
-            let frac = shard
-                .session
-                .resolve_relaxation()
-                .map_err(|e| (market, e))?;
-            accumulate_info(&mut lp, shard, &frac.info);
-        } else {
-            let full = shard.session.resolve().map_err(|e| (market, e))?;
-            accumulate_info(&mut lp, shard, &full.lp_info);
-            outcome = Some(full);
-        }
-        latencies.push(start.elapsed());
-    }
-    let outcome = outcome.expect("a drained shard has at least one wave");
+    accumulate_info(&mut lp, shard, &outcome.lp_info);
     Ok(ShardDrain {
         market,
         outcome,
-        latencies,
+        latency: start.elapsed(),
         counters,
         lp,
-        resolves: num_waves,
     })
 }
 
@@ -1282,46 +1241,5 @@ mod tests {
         );
         let stats = ex.stats();
         assert!(stats.collateral_forfeited > 0.0);
-    }
-
-    #[test]
-    fn deep_batches_chunk_into_waves_below_the_wall() {
-        let mut options = SolverBuilder::new().rounding(3, 2).options();
-        // k = 2 → 3 rows per arrival; 6-row wall → 2 arrivals per wave
-        options.lp.deep_batch_rows = 6;
-        let mut ex = SpectrumExchange::builder()
-            .solver_options(options)
-            .drain_mode(DrainMode::Sequential)
-            .build();
-        ex.open_market(MarketId(0), instance(4, 31)).unwrap();
-        for i in 0..5 {
-            ex.submit(
-                MarketId(0),
-                MarketEvent::Arrival {
-                    valuation: val(1.0 + i as f64),
-                    neighbors: vec![0],
-                },
-            )
-            .unwrap();
-        }
-        let report = ex.resolve_dirty().unwrap();
-        assert_eq!(report.resolves.len(), 1);
-        assert_eq!(
-            report.resolves[0].latencies.len(),
-            3,
-            "5 arrivals at ≤2 per wave → 3 resolves"
-        );
-        let stats = ex.stats();
-        assert_eq!(stats.extra_waves, 2);
-        assert_eq!(stats.shard_resolves, 3);
-        assert_eq!(
-            stats.sessions.deep_batch_rebuilds, 0,
-            "chunking must keep every wave under the session's reroute wall"
-        );
-        assert_eq!(
-            ex.with_session(MarketId(0), |s| s.instance().num_bidders())
-                .unwrap(),
-            9
-        );
     }
 }

@@ -29,12 +29,6 @@
 //! back until the first surviving arrival is in. That arrival has no
 //! surviving neighbors (all of them departed or were cancelled), and the
 //! held departure shifts it to index 0, its final position.
-//!
-//! The emitted arrivals are additionally split into **waves** capped below
-//! the session's deep-batch wall (`LpFormulationOptions::deep_batch_rows`):
-//! each arrival materializes `k + 1` master rows at the next resolve, so a
-//! drain resolves between waves rather than letting one huge batch reroute
-//! the session onto the warm-rebuild path.
 
 use ssa_core::session::MarketEvent;
 use ssa_core::Valuation;
@@ -228,32 +222,9 @@ impl Coalescer {
     }
 }
 
-/// Splits an event sequence into waves of at most `max_arrivals` arrivals
-/// each; non-arrival events ride in the wave they follow.
-fn split_waves(events: Vec<MarketEvent>, max_arrivals: usize) -> Vec<Vec<MarketEvent>> {
-    let mut waves: Vec<Vec<MarketEvent>> = Vec::new();
-    let mut wave: Vec<MarketEvent> = Vec::new();
-    let mut wave_arrivals = 0usize;
-    for event in events {
-        if matches!(event, MarketEvent::Arrival { .. }) {
-            if wave_arrivals == max_arrivals {
-                waves.push(std::mem::take(&mut wave));
-                wave_arrivals = 0;
-            }
-            wave_arrivals += 1;
-        }
-        wave.push(event);
-    }
-    if !wave.is_empty() {
-        waves.push(wave);
-    }
-    waves
-}
-
 /// The pending mutations of one market between drains.
 pub(crate) enum PendingQueue {
-    /// Coalescing off: the raw stream, replayed verbatim (still split into
-    /// waves at the deep-batch wall).
+    /// Coalescing off: the raw stream, replayed verbatim.
     Raw {
         /// The stream in submission order.
         events: Vec<MarketEvent>,
@@ -321,16 +292,11 @@ impl PendingQueue {
         }
     }
 
-    /// Drains the queue into application **waves**: each wave is applied to
-    /// the session and followed by a resolve, and no wave stages more than
-    /// `max_arrivals` arrivals — keeping the appended-row count below the
-    /// session's deep-batch reroute. The queue is left empty (re-armed at
-    /// `present_after` bidders).
-    pub(crate) fn take_waves(
-        &mut self,
-        max_arrivals: usize,
-    ) -> (Vec<Vec<MarketEvent>>, CoalesceCounters) {
-        let (events, counters) = match self {
+    /// Drains the queue into the event list to apply before the next
+    /// resolve. The queue is left empty (re-armed at the roster size the
+    /// drained events leave behind).
+    pub(crate) fn take(&mut self) -> (Vec<MarketEvent>, CoalesceCounters) {
+        match self {
             PendingQueue::Raw { events, .. } => {
                 let events = std::mem::take(events);
                 let counters = CoalesceCounters {
@@ -344,8 +310,7 @@ impl PendingQueue {
                 let present_after = c.roster.len();
                 std::mem::replace(c, Coalescer::new(present_after)).emit()
             }
-        };
-        (split_waves(events, max_arrivals.max(1)), counters)
+        }
     }
 }
 
@@ -384,14 +349,13 @@ mod tests {
             valuation: val(9.0),
         })
         .unwrap();
-        let (waves, counters) = q.take_waves(64);
-        assert_eq!(waves.len(), 1);
-        assert_eq!(waves[0].len(), 1);
-        match &waves[0][0] {
+        let (events, counters) = q.take();
+        assert_eq!(events.len(), 1);
+        match &events[0] {
             MarketEvent::Rebid { bidder, .. } => assert_eq!(*bidder, 2),
             other => panic!("expected rebid, got {other:?}"),
         }
-        assert!((value_of(&waves[0][0]) - 9.0).abs() < 1e-12);
+        assert!((value_of(&events[0]) - 9.0).abs() < 1e-12);
         assert_eq!(counters.rebids_collapsed, 1);
         assert_eq!(counters.submitted, 2);
         assert_eq!(counters.applied, 1);
@@ -412,8 +376,8 @@ mod tests {
         })
         .unwrap();
         q.push(MarketEvent::Departure { bidder: 3 }).unwrap();
-        let (waves, counters) = q.take_waves(64);
-        assert!(waves.is_empty(), "everything cancelled: {waves:?}");
+        let (events, counters) = q.take();
+        assert!(events.is_empty(), "everything cancelled: {events:?}");
         assert_eq!(counters.cancellations, 1);
         assert_eq!(counters.rebids_folded, 1);
         assert_eq!(counters.applied, 0);
@@ -433,10 +397,9 @@ mod tests {
             valuation: val(8.0),
         })
         .unwrap();
-        let (waves, counters) = q.take_waves(64);
-        assert_eq!(waves.len(), 1);
-        assert_eq!(waves[0].len(), 1, "one arrival only: {:?}", waves[0]);
-        assert!((value_of(&waves[0][0]) - 8.0).abs() < 1e-12);
+        let (events, counters) = q.take();
+        assert_eq!(events.len(), 1, "one arrival only: {:?}", events);
+        assert!((value_of(&events[0]) - 8.0).abs() < 1e-12);
         assert_eq!(counters.rebids_folded, 1);
     }
 
@@ -455,15 +418,14 @@ mod tests {
             valuation: val(4.0),
         })
         .unwrap();
-        let (waves, counters) = q.take_waves(64);
-        assert_eq!(waves.len(), 1);
+        let (events, counters) = q.take();
         // emitted: rebid of original index 2 (pre-departure), then departure 1
-        assert_eq!(waves[0].len(), 2);
-        match &waves[0][0] {
+        assert_eq!(events.len(), 2);
+        match &events[0] {
             MarketEvent::Rebid { bidder, .. } => assert_eq!(*bidder, 2),
             other => panic!("expected rebid first, got {other:?}"),
         }
-        match &waves[0][1] {
+        match &events[1] {
             MarketEvent::Departure { bidder } => assert_eq!(*bidder, 1),
             other => panic!("expected departure, got {other:?}"),
         }
@@ -487,55 +449,23 @@ mod tests {
             neighbors: vec![1, 2],
         })
         .unwrap();
-        let (waves, _) = q.take_waves(64);
-        assert_eq!(waves.len(), 1);
-        let wave = &waves[0];
+        let (events, _) = q.take();
         // departure of 1, then A, then B
-        assert_eq!(wave.len(), 3);
-        match &wave[0] {
+        assert_eq!(events.len(), 3);
+        match &events[0] {
             MarketEvent::Departure { bidder } => assert_eq!(*bidder, 1),
             other => panic!("expected departure, got {other:?}"),
         }
-        match &wave[1] {
+        match &events[1] {
             // A's neighbors 0,1,2 → 1 departed; 0 stays 0, 2 shifts to 1
             MarketEvent::Arrival { neighbors, .. } => assert_eq!(neighbors, &vec![0, 1]),
             other => panic!("expected arrival A, got {other:?}"),
         }
-        match &wave[2] {
+        match &events[2] {
             // B's neighbors: original 2 → 1, A → 2
             MarketEvent::Arrival { neighbors, .. } => assert_eq!(neighbors, &vec![1, 2]),
             other => panic!("expected arrival B, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn deep_batches_split_into_waves() {
-        let mut q = PendingQueue::new(true, 1);
-        for _ in 0..10 {
-            q.push(MarketEvent::Arrival {
-                valuation: val(1.0),
-                neighbors: vec![0],
-            })
-            .unwrap();
-        }
-        let (waves, counters) = q.take_waves(4);
-        assert_eq!(waves.len(), 3, "10 arrivals at ≤4 per wave");
-        assert_eq!(waves[0].len(), 4);
-        assert_eq!(waves[1].len(), 4);
-        assert_eq!(waves[2].len(), 2);
-        assert_eq!(counters.applied, 10);
-
-        // raw mode splits the same way
-        let mut q = PendingQueue::new(false, 1);
-        for _ in 0..10 {
-            q.push(MarketEvent::Arrival {
-                valuation: val(1.0),
-                neighbors: vec![0],
-            })
-            .unwrap();
-        }
-        let (waves, _) = q.take_waves(4);
-        assert_eq!(waves.len(), 3);
     }
 
     #[test]
@@ -552,9 +482,8 @@ mod tests {
         })
         .unwrap();
         q.push(MarketEvent::Departure { bidder: 1 }).unwrap();
-        let (waves, counters) = q.take_waves(64);
-        assert_eq!(waves.len(), 1);
-        assert_eq!(waves[0].len(), 3, "no coalescing in raw mode");
+        let (events, counters) = q.take();
+        assert_eq!(events.len(), 3, "no coalescing in raw mode");
         assert_eq!(counters.submitted, 3);
         assert_eq!(counters.applied, 3);
         assert_eq!(counters.rebids_collapsed, 0);
@@ -570,21 +499,19 @@ mod tests {
         .unwrap();
         q.push(MarketEvent::Departure { bidder: 1 }).unwrap();
         q.push(MarketEvent::Departure { bidder: 0 }).unwrap();
-        let (waves, counters) = q.take_waves(64);
-        assert_eq!(waves.len(), 1);
-        let wave = &waves[0];
-        assert_eq!(wave.len(), 3);
+        let (events, counters) = q.take();
+        assert_eq!(events.len(), 3);
         // departure of 1, then the arrival (its only neighbor departs),
         // then the held-back departure of 0
-        match &wave[0] {
+        match &events[0] {
             MarketEvent::Departure { bidder } => assert_eq!(*bidder, 1),
             other => panic!("expected departure of 1, got {other:?}"),
         }
-        match &wave[1] {
+        match &events[1] {
             MarketEvent::Arrival { neighbors, .. } => assert!(neighbors.is_empty()),
             other => panic!("expected the arrival, got {other:?}"),
         }
-        match &wave[2] {
+        match &events[2] {
             MarketEvent::Departure { bidder } => assert_eq!(*bidder, 0),
             other => panic!("expected departure of 0, got {other:?}"),
         }

@@ -78,8 +78,8 @@ fn main() {
         stats.cancellations
     );
     println!(
-        "{} drains, {} shard resolves ({} extra deep-batch waves)",
-        stats.drains, stats.shard_resolves, stats.extra_waves
+        "{} drains, {} shard resolves",
+        stats.drains, stats.shard_resolves
     );
     println!(
         "session paths: {} cold, {} dual-simplex arrivals, {} in-place departures, {} re-priced",

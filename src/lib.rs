@@ -17,7 +17,8 @@
 //!
 //! Everything is configured through one builder,
 //! [`auction::solver::SolverBuilder`], which produces either a one-shot
-//! solver or — because secondary markets are inherently dynamic — a
+//! solver (whose relaxation is a throwaway session's cold resolve) or —
+//! because secondary markets are inherently dynamic — a
 //! long-lived [`auction::session::AuctionSession`] that accepts mutations
 //! (arrivals, departures, re-bids, ρ and channel changes) and reuses the
 //! LP state across resolves (warm bases, dual-simplex row absorption,
@@ -59,6 +60,9 @@
 //! | `SolverOptions { rounding: RoundingOptions { seed, trials }, .. }` | `SolverBuilder::new().rounding(seed, trials)` |
 //! | `SpectrumAuctionSolver::new(options)` | `SolverBuilder::new()…`[`.build()`](auction::solver::SolverBuilder::build) |
 //! | n/a (one-shot only) | `SolverBuilder::new()…`[`.session(instance)`](auction::solver::SolverBuilder::session) |
+//! | `try_solve_relaxation_with_pool(instance, options, pool)` | a session's [`resolve_relaxation`](auction::session::AuctionSession::resolve_relaxation): it seeds rebuilds from its own pool |
+//! | `LpFormulationOptions { deep_batch_rows, .. }` | removed: arrivals always take the dual-simplex row repair, and an exchange drain is one resolve |
+//! | `large_instance_simplex_options()` | removed: set `SimplexOptions` fields through [`SolverBuilder::options`](auction::solver::SolverBuilder::options) |
 //!
 //! Knobs without a builder method (e.g. simplex tolerances) remain
 //! reachable through [`auction::solver::SolverBuilder::options`].

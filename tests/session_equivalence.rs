@@ -3,13 +3,16 @@
 //! must reach the same LP optimum as a from-scratch `solve_relaxation` of
 //! the mutated instance, because the warm paths (dual-simplex row
 //! absorption, in-place column re-pricing, warm-from-pool rebuilds) only
-//! change the starting basis, never the feasible region.
+//! change the starting basis, never the feasible region. `solve_relaxation`
+//! is itself a fresh session's cold resolve, so every step is also checked
+//! against the enumerated master (`solve_relaxation_explicit`), which
+//! builds its own master with every bundle and no column generation.
 //!
 //! [`AuctionSession::resolve_relaxation`]:
 //! spectrum_auctions::auction::session::AuctionSession::resolve_relaxation
 
 use spectrum_auctions::auction::lp_formulation::{
-    solve_relaxation, try_solve_relaxation, RelaxationInfo,
+    solve_relaxation, solve_relaxation_explicit, try_solve_relaxation, RelaxationInfo,
 };
 use spectrum_auctions::auction::solver::SolverBuilder;
 use spectrum_auctions::auction::AuctionInstance;
@@ -35,18 +38,21 @@ fn run_stream(seed: u64, dynamics: &DynamicMarketConfig) {
             .resolve_relaxation()
             .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
         let scratch = solve_relaxation(session.instance(), &options.lp);
+        let explicit = solve_relaxation_explicit(session.instance());
         assert!(
-            warm.converged && scratch.converged,
+            warm.converged && scratch.converged && explicit.converged,
             "seed {seed} step {step}: non-converged"
         );
-        let scale = 1.0 + scratch.objective.abs();
-        assert!(
-            (warm.objective - scratch.objective).abs() <= 1e-5 * scale,
-            "seed {seed} step {step} ({event:?}): \
-             warm {} vs scratch {}",
-            warm.objective,
-            scratch.objective
-        );
+        for (reference, label) in [(&scratch, "scratch"), (&explicit, "explicit")] {
+            let scale = 1.0 + reference.objective.abs();
+            assert!(
+                (warm.objective - reference.objective).abs() <= 1e-5 * scale,
+                "seed {seed} step {step} ({event:?}): \
+                 warm {} vs {label} {}",
+                warm.objective,
+                reference.objective
+            );
+        }
         assert!(
             warm.satisfies_constraints(session.instance(), 1e-6),
             "seed {seed} step {step}: infeasible warm LP"
