@@ -7,9 +7,7 @@
 //! * fleet shape: `M ∈ {256, 1024}` markets at `n = 50` bidders, plus
 //!   `M = 256` at `n = 200`,
 //! * drain scheduling: [`DrainMode::Sequential`] vs [`DrainMode::Pooled`]
-//!   (the persistent work-stealing pool behind the `rayon` shim),
-//! * coalescing: on (re-bids last-writer-win, arrival+departure pairs
-//!   cancel) vs off (raw streams replayed verbatim).
+//!   (the persistent work-stealing pool behind the `rayon` shim).
 //!
 //! Every session's cold first solve is primed *outside* the timed window
 //! (a self-re-bid per market), so the numbers are the steady-state warm
@@ -46,8 +44,7 @@ struct Cell {
     bidders: usize,
     events: usize,
     /// Batches the stream is split into (one drain per batch): many small
-    /// batches = steady traffic, few huge ones = bursts — the shape where
-    /// coalescing actually engages.
+    /// batches = steady traffic, few huge ones = bursts.
     batches: usize,
 }
 
@@ -56,11 +53,7 @@ struct Record {
     bidders: usize,
     batches: usize,
     drain: &'static str,
-    coalescing: bool,
     events: usize,
-    applied: usize,
-    collapsed: usize,
-    cancelled: usize,
     wall: Duration,
     events_per_sec: f64,
     p50: Duration,
@@ -79,16 +72,10 @@ fn fmt_us(d: Duration) -> String {
     format!("{:.0}", d.as_secs_f64() * 1e6)
 }
 
-fn run_cell(
-    cell: &Cell,
-    scenario: &MultiMarketScenario,
-    drain: DrainMode,
-    coalescing: bool,
-) -> Record {
+fn run_cell(cell: &Cell, scenario: &MultiMarketScenario, drain: DrainMode) -> Record {
     let mut exchange = SpectrumExchange::builder()
         .solver(SolverBuilder::new().rounding(17, TRIALS))
         .drain_mode(drain)
-        .coalescing(coalescing)
         .build();
     for (id, generated) in &scenario.markets {
         exchange
@@ -139,11 +126,7 @@ fn run_cell(
             DrainMode::Sequential => "seq",
             DrainMode::Pooled => "pooled",
         },
-        coalescing,
         events,
-        applied: stats.events_applied - warmed.events_applied,
-        collapsed: stats.rebids_collapsed - warmed.rebids_collapsed,
-        cancelled: stats.cancellations - warmed.cancellations,
         wall,
         events_per_sec: events as f64 / wall.as_secs_f64(),
         p50: percentile(&latencies, 0.50),
@@ -163,19 +146,13 @@ fn json_snapshot(records: &[Record], cores: usize, smoke: bool) -> String {
         .map(|r| {
             format!(
                 "    {{\"markets\": {}, \"bidders\": {}, \"batches\": {}, \"drain\": \"{}\", \
-                 \"coalescing\": {}, \"events\": {}, \"applied\": {}, \
-                 \"rebids_collapsed\": {}, \"cancellations\": {}, \
-                 \"wall_s\": {:.3}, \
+                 \"events\": {}, \"wall_s\": {:.3}, \
                  \"events_per_sec\": {:.1}, \"p50_us\": {:.0}, \"p99_us\": {:.0}}}",
                 r.markets,
                 r.bidders,
                 r.batches,
                 r.drain,
-                r.coalescing,
                 r.events,
-                r.applied,
-                r.collapsed,
-                r.cancelled,
                 r.wall.as_secs_f64(),
                 r.events_per_sec,
                 r.p50.as_secs_f64() * 1e6,
@@ -227,7 +204,7 @@ fn main() {
                 batches: 16,
             },
             // burst traffic: the whole stream lands in two drains, so hot
-            // markets queue dozens of events — the coalescer's shape.
+            // markets queue dozens of events per resolve.
             Cell {
                 markets: 256,
                 bidders: 50,
@@ -241,54 +218,46 @@ fn main() {
         "E17",
         "multi-market exchange: events/sec and resolve latency (batched drains)",
         &[
-            "M", "n", "drains", "drain", "coalesce", "events", "applied", "ev/s", "p50us", "p99us",
+            "M", "n", "drains", "drain", "events", "ev/s", "p50us", "p99us",
         ],
     );
     let mut records: Vec<Record> = Vec::new();
     for cell in &cells {
         let config = MultiMarketConfig::new(cell.markets, cell.bidders, K, cell.events, 1700);
         let scenario = multi_market_scenario(&config, 1.0);
-        for coalescing in [true, false] {
-            for drain in [DrainMode::Sequential, DrainMode::Pooled] {
-                if !smoke {
-                    // throwaway pass: each run builds its own exchange, so
-                    // repeating is valid — the kept run sees warm caches
-                    // instead of first-touch noise.
-                    run_cell(cell, &scenario, drain, coalescing);
-                }
-                let record = run_cell(cell, &scenario, drain, coalescing);
-                table.push_row(vec![
-                    record.markets.to_string(),
-                    record.bidders.to_string(),
-                    record.batches.to_string(),
-                    record.drain.to_string(),
-                    if record.coalescing { "on" } else { "off" }.to_string(),
-                    record.events.to_string(),
-                    record.applied.to_string(),
-                    format!("{:.0}", record.events_per_sec),
-                    fmt_us(record.p50),
-                    fmt_us(record.p99),
-                ]);
-                records.push(record);
+        for drain in [DrainMode::Sequential, DrainMode::Pooled] {
+            if !smoke {
+                // throwaway pass: each run builds its own exchange, so
+                // repeating is valid — the kept run sees warm caches
+                // instead of first-touch noise.
+                run_cell(cell, &scenario, drain);
             }
+            let record = run_cell(cell, &scenario, drain);
+            table.push_row(vec![
+                record.markets.to_string(),
+                record.bidders.to_string(),
+                record.batches.to_string(),
+                record.drain.to_string(),
+                record.events.to_string(),
+                format!("{:.0}", record.events_per_sec),
+                fmt_us(record.p50),
+                fmt_us(record.p99),
+            ]);
+            records.push(record);
         }
     }
     print!("{}", table.render());
 
     // headline ratios, paired within each fleet shape
-    for pair in records.chunks(4) {
-        if let [seq_on, pooled_on, seq_off, _pooled_off] = pair {
+    for pair in records.chunks(2) {
+        if let [seq, pooled] = pair {
             println!(
-                "M={} n={} drains={}: pooled/seq speedup {:.2}x ({} core(s)); coalescing on/off speedup {:.2}x \
-                 ({} of {} events applied)",
-                seq_on.markets,
-                seq_on.bidders,
-                seq_on.batches,
-                pooled_on.events_per_sec / seq_on.events_per_sec,
+                "M={} n={} drains={}: pooled/seq speedup {:.2}x ({} core(s))",
+                seq.markets,
+                seq.bidders,
+                seq.batches,
+                pooled.events_per_sec / seq.events_per_sec,
                 cores,
-                seq_on.events_per_sec / seq_off.events_per_sec,
-                seq_on.applied,
-                seq_on.events,
             );
         }
     }

@@ -11,9 +11,9 @@
 //! # Architecture
 //!
 //! ```text
-//!  submit(market, event) ──▶ per-market PendingQueue (coalescing)
+//!  submit(market, event) ──▶ per-market PendingQueue (validated FIFO)
 //!                                      │
-//!  resolve_dirty() ──▶ dirty shards ──▶ net event list ──▶ AuctionSession
+//!  resolve_dirty() ──▶ dirty shards ──▶ queued events ──▶ AuctionSession
 //!                      (sequential or pooled par_iter)       warm resolve
 //!                                      │
 //!                            DrainReport + ExchangeStats rollup
@@ -22,13 +22,12 @@
 //! * **Shard map** — each market owns an [`AuctionSession`] (instance +
 //!   cached LP state). Markets are mutually independent, so shard drains
 //!   parallelize without coordination beyond one lock per shard.
-//! * **Coalescing front-end** — submitted [`MarketEvent`]s are not applied
-//!   eagerly; they queue per market and collapse between drains: re-bids
-//!   last-writer-win, same-batch arrival+departure pairs cancel, re-bids of
-//!   pending arrivals fold into the arrival. Under bursty traffic the
-//!   session sees the *net* mutation only (see the [`queue`](self) module
-//!   docs for the emission-order equivalence argument). `coalescing(false)`
-//!   replays raw streams verbatim for comparison.
+//! * **Event queue** — submitted [`MarketEvent`]s are not applied eagerly;
+//!   they queue per market in submission order and the drain applies them
+//!   verbatim, so an exchange market ends at exactly the instance an
+//!   event-by-event session reaches. The queue validates each index against
+//!   the roster the pending stream implies and rejects a departure that
+//!   would empty the market.
 //! * **Pooled drain** — [`DrainMode::Pooled`] fans dirty shards across the
 //!   persistent work-stealing pool behind the `rayon` shim (`min_len 1`:
 //!   every shard is one LP resolve, expensive enough to schedule
@@ -36,9 +35,9 @@
 //!   baseline the `e17_exchange` bench compares against.
 //! * **Stats rollup** — [`ExchangeStats`] aggregates the per-session warm
 //!   path counters ([`SessionStats`]), per-resolve LP engine activity, and
-//!   the coalescing counters, so fleet-level behavior (how many resolves
-//!   were re-priced vs rebuilt, how many events coalesced away) is visible
-//!   without digging into individual sessions.
+//!   the submitted/applied event counts, so fleet-level behavior (how many
+//!   resolves were re-priced vs rebuilt) is visible without digging into
+//!   individual sessions.
 //!
 //! # Quickstart
 //!
@@ -67,7 +66,7 @@
 mod queue;
 mod sealed;
 
-use queue::{CoalesceCounters, PendingQueue};
+use queue::PendingQueue;
 use rayon::prelude::*;
 use sealed::SealedRound;
 use serde::{Deserialize, Serialize};
@@ -100,7 +99,8 @@ pub enum ExchangeError {
     /// An operation referenced a market id the exchange does not hold.
     UnknownMarket(MarketId),
     /// A submitted event referenced a bidder index outside the market's
-    /// (pending-stream-implied) roster.
+    /// (pending-stream-implied) roster, or was a departure of the market's
+    /// last bidder (`present == 1`): a market keeps at least one bidder.
     InvalidEvent {
         /// The market the event targeted.
         market: MarketId,
@@ -247,8 +247,8 @@ impl LpActivity {
     }
 }
 
-/// Fleet-level rollup: coalescing effect, resolve/warm-path attribution
-/// summed over every session, and LP engine activity. Returned by
+/// Fleet-level rollup: event counts, resolve/warm-path attribution summed
+/// over every session, and LP engine activity. Returned by
 /// [`SpectrumExchange::stats`].
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ExchangeStats {
@@ -260,14 +260,8 @@ pub struct ExchangeStats {
     pub shard_resolves: usize,
     /// Events accepted by [`SpectrumExchange::submit`].
     pub events_submitted: usize,
-    /// Events actually applied to sessions after coalescing.
+    /// Events applied to sessions by drains.
     pub events_applied: usize,
-    /// Re-bids absorbed by a later re-bid or departure of the same bidder.
-    pub rebids_collapsed: usize,
-    /// Re-bids folded into a pending arrival.
-    pub rebids_folded: usize,
-    /// Same-batch arrival+departure pairs cancelled.
-    pub cancellations: usize,
     /// Always 0; removed with the next benchmark PR.
     pub extra_waves: usize,
     /// Markets currently detached into live sealed rounds.
@@ -321,13 +315,12 @@ impl DrainReport {
     }
 }
 
-/// Configures a [`SpectrumExchange`]: solver options for the per-market
-/// sessions, drain scheduling, and coalescing.
+/// Configures a [`SpectrumExchange`]: the solver for the per-market
+/// sessions and drain scheduling.
 #[derive(Clone, Debug)]
 pub struct ExchangeBuilder {
     options: SolverOptions,
     drain: DrainMode,
-    coalescing: bool,
 }
 
 impl Default for ExchangeBuilder {
@@ -335,14 +328,12 @@ impl Default for ExchangeBuilder {
         ExchangeBuilder {
             options: SolverBuilder::new().options(),
             drain: DrainMode::Pooled,
-            coalescing: true,
         }
     }
 }
 
 impl ExchangeBuilder {
-    /// Starts from the defaults: the default solver, pooled drains,
-    /// coalescing on.
+    /// Starts from the defaults: the default solver and pooled drains.
     pub fn new() -> Self {
         ExchangeBuilder::default()
     }
@@ -354,24 +345,9 @@ impl ExchangeBuilder {
         self
     }
 
-    /// Configures the per-market sessions from assembled [`SolverOptions`]
-    /// — the escape hatch for settings without a builder method (e.g.
-    /// `lp.compaction_threshold`).
-    pub fn solver_options(mut self, options: SolverOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// Selects how dirty shards are scheduled at drain time.
     pub fn drain_mode(mut self, mode: DrainMode) -> Self {
         self.drain = mode;
-        self
-    }
-
-    /// Turns event coalescing on or off (on by default; off replays raw
-    /// streams verbatim — the comparison baseline).
-    pub fn coalescing(mut self, coalescing: bool) -> Self {
-        self.coalescing = coalescing;
         self
     }
 
@@ -380,7 +356,6 @@ impl ExchangeBuilder {
         SpectrumExchange {
             options: self.options,
             drain: self.drain,
-            coalescing: self.coalescing,
             shards: Vec::new(),
             index: HashMap::new(),
             dirty: Vec::new(),
@@ -406,7 +381,8 @@ struct ShardDrain {
     market: MarketId,
     outcome: AuctionOutcome,
     latency: Duration,
-    counters: CoalesceCounters,
+    /// Events the drain applied to the session.
+    applied: usize,
     lp: LpActivity,
 }
 
@@ -415,12 +391,11 @@ struct ShardSlot {
     cell: Mutex<Shard>,
 }
 
-/// The exchange: a shard map of [`AuctionSession`]s behind a coalescing
-/// event front-end. See the [module docs](self) for the architecture.
+/// The exchange: a shard map of [`AuctionSession`]s behind per-market
+/// event queues. See the [module docs](self) for the architecture.
 pub struct SpectrumExchange {
     options: SolverOptions,
     drain: DrainMode,
-    coalescing: bool,
     shards: Vec<ShardSlot>,
     index: HashMap<MarketId, usize>,
     /// Slots with a non-empty queue, in first-dirtied order.
@@ -438,7 +413,7 @@ impl Default for SpectrumExchange {
 
 impl SpectrumExchange {
     /// An exchange with the default configuration (default solver, pooled
-    /// drains, coalescing on).
+    /// drains).
     pub fn new() -> Self {
         ExchangeBuilder::new().build()
     }
@@ -465,7 +440,7 @@ impl SpectrumExchange {
             id,
             cell: Mutex::new(Shard {
                 session,
-                pending: PendingQueue::new(self.coalescing, present),
+                pending: PendingQueue::new(present),
                 seen_rows_deactivated: 0,
                 seen_compactions: 0,
             }),
@@ -525,8 +500,10 @@ impl SpectrumExchange {
     }
 
     /// Queues one event against a market. Nothing is applied until the
-    /// next [`resolve_dirty`](Self::resolve_dirty); in coalescing mode the
-    /// event may collapse with other pending events of the same market.
+    /// next [`resolve_dirty`](Self::resolve_dirty), which applies the
+    /// market's pending events in submission order. Indices are checked
+    /// against the roster the pending events leave behind; see
+    /// [`ExchangeError::InvalidEvent`].
     pub fn submit(&mut self, id: MarketId, event: MarketEvent) -> Result<(), ExchangeError> {
         if self.sealed.contains_key(&id) {
             return Err(ExchangeError::MarketSealed(id));
@@ -564,9 +541,9 @@ impl SpectrumExchange {
         self.dirty.len()
     }
 
-    /// Drains every dirty shard: emits each market's pending events, applies
-    /// them all to the session, and resolves once (the full pipeline
-    /// including rounding). Shards are scheduled per the
+    /// Drains every dirty shard: applies each market's pending events to
+    /// its session in submission order and resolves once (the full
+    /// pipeline including rounding). Shards are scheduled per the
     /// configured [`DrainMode`]. Returns per-market outcomes and resolve
     /// latencies; stops at the first failed shard.
     pub fn resolve_dirty(&mut self) -> Result<DrainReport, ExchangeError> {
@@ -592,10 +569,7 @@ impl SpectrumExchange {
             let drain =
                 result.map_err(|(market, source)| ExchangeError::Solve { market, source })?;
             self.stats.shard_resolves += 1;
-            self.stats.events_applied += drain.counters.applied;
-            self.stats.rebids_collapsed += drain.counters.rebids_collapsed;
-            self.stats.rebids_folded += drain.counters.rebids_folded;
-            self.stats.cancellations += drain.counters.cancellations;
+            self.stats.events_applied += drain.applied;
             accumulate_lp(&mut self.stats.lp, &drain.lp);
             report.resolves.push(MarketResolve {
                 market: drain.market,
@@ -747,7 +721,7 @@ impl SpectrumExchange {
             id,
             cell: Mutex::new(Shard {
                 session,
-                pending: PendingQueue::new(self.coalescing, present),
+                pending: PendingQueue::new(present),
                 // The sealed resolve already advanced the session's
                 // lifetime LP gauges; seed the deltas from its info so the
                 // next drain doesn't re-count them.
@@ -794,11 +768,7 @@ fn accumulate_lp(into: &mut LpActivity, from: &LpActivity) {
 
 /// Drains one shard: applies its pending events, then runs one resolve.
 fn drain_shard(shard: &mut Shard, market: MarketId) -> Result<ShardDrain, (MarketId, SolveError)> {
-    // A queue can coalesce to *nothing* (every pending event was part of a
-    // cancelled arrival+departure pair). The market is dirty all the same:
-    // the session's resolve cache makes the event-less resolve cheap, and
-    // the drain still reports the market's current outcome.
-    let (events, counters) = shard.pending.take();
+    let events = shard.pending.take();
     for event in &events {
         ssa_core::session::apply_event(&mut shard.session, event);
     }
@@ -810,7 +780,7 @@ fn drain_shard(shard: &mut Shard, market: MarketId) -> Result<ShardDrain, (Marke
         market,
         outcome,
         latency: start.elapsed(),
-        counters,
+        applied: events.len(),
         lp,
     })
 }
@@ -927,8 +897,7 @@ mod tests {
         assert_eq!(stats.markets, 2);
         assert_eq!(stats.drains, 1);
         assert_eq!(stats.events_submitted, 3);
-        assert_eq!(stats.events_applied, 2, "two rebids collapsed into one");
-        assert_eq!(stats.rebids_collapsed, 1);
+        assert_eq!(stats.events_applied, 3, "every queued event is applied");
         assert_eq!(stats.shard_resolves, 2);
         assert_eq!(stats.sessions.resolves, 2);
         assert!(stats.lp.simplex_iterations > 0);
@@ -986,7 +955,7 @@ mod tests {
     }
 
     #[test]
-    fn fully_cancelled_queue_still_reports_the_market() {
+    fn same_batch_arrival_and_departure_are_both_applied() {
         let mut ex = SpectrumExchange::new();
         ex.open_market(MarketId(0), instance(5, 41)).unwrap();
         ex.submit(
@@ -997,59 +966,47 @@ mod tests {
             },
         )
         .unwrap();
-        // the arrival sits at index 5; departing it cancels both events
+        // the arrival sits at index 5; departing it undoes the arrival
         ex.submit(MarketId(0), MarketEvent::Departure { bidder: 5 })
             .unwrap();
         assert_eq!(ex.num_dirty(), 1);
         let report = ex.resolve_dirty().unwrap();
         assert_eq!(report.resolves.len(), 1, "dirty market must be reported");
         assert!(report.resolves[0].outcome.lp_converged);
-        let stats = ex.stats();
-        assert_eq!(stats.cancellations, 1);
-        assert_eq!(stats.events_applied, 0);
+        assert_eq!(ex.stats().events_applied, 2);
         assert_eq!(
             ex.with_session(MarketId(0), |s| s.instance().num_bidders())
                 .unwrap(),
-            5,
-            "net mutation is empty"
+            5
         );
     }
 
-    /// A drain whose net mutation replaces every original bidder: the
-    /// coalesced emission must not empty the session on the way.
+    /// The queue refuses a departure that would empty the market, so the
+    /// drain never asks the session to remove its last bidder.
     #[test]
-    fn coalesced_drain_that_replaces_every_bidder_resolves() {
-        let resolve = |coalescing: bool| {
-            let mut ex = SpectrumExchange::builder().coalescing(coalescing).build();
-            ex.open_market(MarketId(0), instance(2, 7)).unwrap();
-            let events = vec![
-                MarketEvent::Arrival {
-                    valuation: val(5.0),
-                    neighbors: vec![0],
+    fn departure_of_the_last_bidder_is_rejected() {
+        let mut ex = SpectrumExchange::new();
+        ex.open_market(MarketId(0), instance(2, 7)).unwrap();
+        ex.submit(MarketId(0), MarketEvent::Departure { bidder: 1 })
+            .unwrap();
+        assert!(matches!(
+            ex.submit(MarketId(0), MarketEvent::Departure { bidder: 0 }),
+            Err(ExchangeError::InvalidEvent {
+                market: MarketId(0),
+                reason: InvalidEvent {
+                    bidder: 0,
+                    present: 1
                 },
-                MarketEvent::Departure { bidder: 1 },
-                MarketEvent::Departure { bidder: 0 },
-            ];
-            for event in events {
-                ex.submit(MarketId(0), event).unwrap();
-            }
-            let report = ex.resolve_dirty().unwrap();
-            assert_eq!(report.resolves.len(), 1);
-            let outcome = report.resolves[0].outcome.clone();
-            let bidders = ex
-                .with_session(MarketId(0), |s| s.instance().num_bidders())
-                .unwrap();
-            (outcome, bidders)
-        };
-        let (coalesced, bidders) = resolve(true);
-        let (sequential, _) = resolve(false);
-        assert_eq!(bidders, 1, "only the newcomer remains");
-        assert!(coalesced.lp_converged);
+            })
+        ));
+        let report = ex.resolve_dirty().unwrap();
+        assert_eq!(report.resolves.len(), 1);
+        assert!(report.resolves[0].outcome.lp_converged);
         assert_eq!(
-            coalesced.allocation.bundles(),
-            sequential.allocation.bundles()
+            ex.with_session(MarketId(0), |s| s.instance().num_bidders())
+                .unwrap(),
+            1
         );
-        assert!((coalesced.welfare - sequential.welfare).abs() < 1e-9);
     }
 
     #[test]

@@ -528,8 +528,8 @@ pub fn dynamic_market_scenario(
 /// Configuration of a deterministic multi-market event stream
 /// ([`multi_market_scenario`]): M independent protocol-model markets whose
 /// per-market traffic follows a Zipf-like law — a few hot markets carry
-/// most of the events, a long tail stays nearly quiet — which is the shape
-/// a coalescing exchange front-end is built for.
+/// most of the events, a long tail stays nearly quiet — the traffic shape
+/// of a multi-market exchange.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MultiMarketConfig {
     /// Number of markets `M`. Market index doubles as traffic rank: market

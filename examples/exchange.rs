@@ -3,11 +3,10 @@
 //!
 //! Twelve protocol-model markets open on an exchange; a Zipf-skewed burst
 //! of arrivals, departures and re-bids (hot markets take most of the
-//! traffic) is submitted and drained in batches. The exchange coalesces
-//! each market's pending events to the net mutation (re-bids
-//! last-writer-win, same-batch arrival+departure pairs cancel), fans the
-//! dirty shards across the persistent work-stealing pool, and rolls every
-//! session's warm-path attribution into one fleet-level
+//! traffic) is submitted and drained in batches. The exchange queues each
+//! market's pending events and applies them in submission order at the
+//! drain, fans the dirty shards across the persistent work-stealing pool,
+//! and rolls every session's warm-path attribution into one fleet-level
 //! [`ExchangeStats`].
 //!
 //! Run with: `cargo run --example exchange`
@@ -26,11 +25,10 @@ fn main() {
     let scenario = multi_market_scenario(&config, 1.0);
 
     // 2. The exchange: per-market sessions configured through the same
-    //    SolverBuilder as everywhere else; pooled drains; coalescing on.
+    //    SolverBuilder as everywhere else; pooled drains.
     let mut exchange = SpectrumExchange::builder()
         .solver(SolverBuilder::new().rounding(7, 8))
         .drain_mode(DrainMode::Pooled)
-        .coalescing(true)
         .build();
     for (id, generated) in &scenario.markets {
         exchange
@@ -65,17 +63,13 @@ fn main() {
         }
     }
 
-    // 4. The fleet-level rollup: how much the coalescer saved, and which
-    //    warm paths the sessions actually took.
+    // 4. The fleet-level rollup: the event traffic, and which warm paths
+    //    the sessions actually took.
     let stats = exchange.stats();
     println!();
     println!(
-        "submitted {} events, applied {} (collapsed {} re-bids, folded {}, cancelled {} pairs)",
-        stats.events_submitted,
-        stats.events_applied,
-        stats.rebids_collapsed,
-        stats.rebids_folded,
-        stats.cancellations
+        "submitted {} events, applied {}",
+        stats.events_submitted, stats.events_applied
     );
     println!(
         "{} drains, {} shard resolves",

@@ -63,6 +63,8 @@
 //! | `try_solve_relaxation_with_pool(instance, options, pool)` | a session's [`resolve_relaxation`](auction::session::AuctionSession::resolve_relaxation): it seeds rebuilds from its own pool |
 //! | `LpFormulationOptions { deep_batch_rows, .. }` | removed: arrivals always take the dual-simplex row repair, and an exchange drain is one resolve |
 //! | `large_instance_simplex_options()` | removed: set `SimplexOptions` fields through [`SolverBuilder::options`](auction::solver::SolverBuilder::options) |
+//! | `ExchangeBuilder::coalescing(bool)` | removed: the exchange queues each market's events and applies them verbatim, in submission order |
+//! | `ExchangeBuilder::solver_options(options)` | removed: configure the sessions through [`ExchangeBuilder::solver`](exchange::ExchangeBuilder::solver) with a `SolverBuilder` |
 //!
 //! Knobs without a builder method (e.g. simplex tolerances) remain
 //! reachable through [`auction::solver::SolverBuilder::options`].
@@ -141,8 +143,8 @@
 //!   the [`mechanism::sealed_bid`] commit–reveal front-end with collateral
 //!   and transcript audit.
 //! * [`exchange`] — the multi-market layer: a sharded
-//!   [`exchange::SpectrumExchange`] of independent sessions behind a
-//!   coalescing event front-end, drained in parallel on the persistent
+//!   [`exchange::SpectrumExchange`] of independent sessions behind
+//!   per-market event queues, drained in parallel on the persistent
 //!   work-stealing pool.
 //! * [`workloads`] — synthetic instance generators, including dynamic-market
 //!   arrival/departure/re-bid event streams

@@ -1,9 +1,11 @@
 //! Exchange-vs-sequential equivalence: the same multi-market event stream
-//! driven through a [`SpectrumExchange`] (pooled drain, coalescing on) and
-//! through one plain [`AuctionSession`] per market must produce the same
-//! outcomes, at a fine and a coarse batch cadence. The coalescer reorders and collapses events within a batch, but its emitted
-//! net mutation provably reconstructs the same final instance, so the
-//! resolves start from identical masters and answer identically.
+//! driven through a [`SpectrumExchange`] (pooled drain) and through one
+//! plain [`AuctionSession`] per market must produce the same outcomes, at a
+//! fine and a coarse batch cadence. The exchange queues each market's
+//! events and applies them verbatim, in submission order, before one
+//! resolve, so both sides apply the same event sequence to the same
+//! sessions and must agree bit for bit: equal LP objective and welfare
+//! bits, and equal bundles.
 //!
 //! [`SpectrumExchange`]: spectrum_auctions::exchange::SpectrumExchange
 //! [`AuctionSession`]: spectrum_auctions::auction::session::AuctionSession
@@ -18,8 +20,7 @@ use spectrum_auctions::workloads::{
 };
 use std::collections::HashMap;
 
-/// Drives the same stream through the exchange (batched, coalescing,
-/// pooled) and through per-market reference sessions (event by event, in
+/// Drives the same stream through the exchange (batched, pooled) and through per-market reference sessions (event by event, in
 /// submission order), resolving both at the same cadence and comparing
 /// every outcome.
 fn run_stream(num_batches: usize) {
@@ -30,7 +31,6 @@ fn run_stream(num_batches: usize) {
     let mut exchange = SpectrumExchange::builder()
         .solver(solver())
         .drain_mode(DrainMode::Pooled)
-        .coalescing(true)
         .build();
     let mut reference: HashMap<MarketId, AuctionSession> = HashMap::new();
     for (id, generated) in &scenario.markets {
@@ -69,19 +69,24 @@ fn run_stream(num_batches: usize) {
                 resolve.outcome.lp_converged && expected.lp_converged,
                 "{context}: non-converged"
             );
-            let scale = 1.0 + expected.lp_objective.abs();
-            assert!(
-                (resolve.outcome.lp_objective - expected.lp_objective).abs() <= 1e-5 * scale,
+            assert_eq!(
+                resolve.outcome.lp_objective.to_bits(),
+                expected.lp_objective.to_bits(),
                 "{context}: exchange LP {} vs sequential LP {}",
                 resolve.outcome.lp_objective,
                 expected.lp_objective
             );
-            assert!(
-                (resolve.outcome.welfare - expected.welfare).abs()
-                    <= 1e-5 * (1.0 + expected.welfare.abs()),
+            assert_eq!(
+                resolve.outcome.welfare.to_bits(),
+                expected.welfare.to_bits(),
                 "{context}: exchange welfare {} vs sequential welfare {}",
                 resolve.outcome.welfare,
                 expected.welfare
+            );
+            assert_eq!(
+                resolve.outcome.allocation.bundles(),
+                expected.allocation.bundles(),
+                "{context}: bundles"
             );
             assert!(
                 resolve.outcome.allocation.is_feasible(session.instance()),
@@ -90,7 +95,7 @@ fn run_stream(num_batches: usize) {
         }
     }
 
-    // the coalesced, batched exchange must end at the same markets
+    // the batched exchange must end at the same markets
     for (id, session) in &reference {
         let (n, welfare_bound) = exchange
             .with_session(*id, |s| {
@@ -108,23 +113,23 @@ fn run_stream(num_batches: usize) {
     }
 }
 
-/// The fine-grained cadence: many small batches, maximal interleaving of
-/// coalescer and warm paths.
+/// The fine-grained cadence: many small batches, one warm resolve after
+/// each.
 #[test]
 fn exchange_matches_sequential_default_engine() {
     run_stream(6);
 }
 
-/// The coarse cadence: three large batches, so the coalescer collapses
-/// more events per market.
+/// The coarse cadence: three large batches, so each drain applies many
+/// events per market before its resolve.
 #[test]
 fn exchange_matches_sequential_in_coarse_batches() {
     run_stream(3);
 }
 
-/// A batch whose net mutation replaces every original bidder of a
-/// two-bidder market: the coalesced drain must resolve to the same market
-/// as the event-by-event session.
+/// A batch that replaces every original bidder of a two-bidder market: the
+/// drain must not empty the session on the way, and must resolve to the
+/// same market as the event-by-event session.
 #[test]
 fn exchange_matches_sequential_when_a_batch_replaces_every_bidder() {
     let instance = protocol_scenario(&ScenarioConfig::new(2, 2, 5), 1.0).instance;
@@ -138,10 +143,7 @@ fn exchange_matches_sequential_when_a_batch_replaces_every_bidder() {
         MarketEvent::Departure { bidder: 0 },
     ];
     let solver = || SolverBuilder::new().rounding(5, 4);
-    let mut exchange = SpectrumExchange::builder()
-        .solver(solver())
-        .coalescing(true)
-        .build();
+    let mut exchange = SpectrumExchange::builder().solver(solver()).build();
     let market = MarketId(0);
     exchange.open_market(market, instance.clone()).unwrap();
     let mut reference = solver().session(instance);
@@ -154,8 +156,8 @@ fn exchange_matches_sequential_when_a_batch_replaces_every_bidder() {
     let expected = reference.resolve().unwrap();
     let got = &report.resolves[0].outcome;
     assert!(got.lp_converged && expected.lp_converged);
-    assert!((got.lp_objective - expected.lp_objective).abs() <= 1e-9);
-    assert!((got.welfare - expected.welfare).abs() <= 1e-9);
+    assert_eq!(got.lp_objective.to_bits(), expected.lp_objective.to_bits());
+    assert_eq!(got.welfare.to_bits(), expected.welfare.to_bits());
     assert_eq!(got.allocation.bundles(), expected.allocation.bundles());
     let bidders = exchange
         .with_session(market, |s| s.instance().num_bidders())
