@@ -70,7 +70,7 @@ fn edge_lp_single_channel(
     // does not fit or is singular here.
     let seed = warm.map(WarmStart::into_basis_only);
     let (sol, state) = solve_with_warm_start(&lp, &SimplexOptions::default(), seed);
-    (sol.x, sol.objective, sol.iterations, state)
+    (sol.x, sol.objective, sol.stats.simplex_iterations, state)
 }
 
 /// Runs the edge-LP baseline: per channel, solve the edge LP on the bidders'

@@ -34,6 +34,7 @@ use crate::solver::{SolveError, SolverOptions};
 use serde::{Deserialize, Serialize};
 use ssa_lp::{
     is_native_tag, ColumnGeneration, GeneratedColumn, LpStatus, MasterProblem, Relation, Sense,
+    SolveStats,
 };
 
 /// One non-zero variable `x_{v,T}` of the fractional solution.
@@ -50,8 +51,10 @@ pub struct FractionalEntry {
 }
 
 /// What the LP engine did to solve the relaxation — the stage-level
-/// attribution the perf benches diff across PRs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// attribution the perf benches diff across PRs: the column-generation and
+/// session counters, plus the engine's [`SolveStats`] merged over every
+/// master re-solve in [`engine`](Self::engine).
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct RelaxationInfo {
     /// Master pricing rounds of the column-generation loop (1 for the
     /// explicit enumeration path).
@@ -59,19 +62,15 @@ pub struct RelaxationInfo {
     /// Bundle columns in the final restricted master (solver-internal
     /// relief and dead columns are not counted).
     pub num_columns: usize,
-    /// Simplex pivots across every master re-solve.
-    pub simplex_iterations: usize,
     /// Pivots of each master re-solve in order (the warm-start win is the
-    /// drop after round 0). Capped to the most recent
-    /// [`ssa_lp::ROUND_SERIES_CAP`] entries by the column-generation loop.
+    /// drop after round 0).
     pub per_round_iterations: Vec<usize>,
     /// Oracle pricing rounds (columns actually asked for — excludes the
     /// final empty round that certifies optimality only when the master
     /// converged in round one).
     pub pricing_rounds: usize,
-    /// Columns adopted by the master in each pricing round, in order
-    /// (same [`ssa_lp::ROUND_SERIES_CAP`] cap as `per_round_iterations`) —
-    /// the dual-oscillation fingerprint: a long tail of 1s means the
+    /// Columns adopted by the master in each pricing round, in order — the
+    /// dual-oscillation fingerprint: a long tail of 1s means the
     /// trajectory thrashes.
     pub columns_per_round: Vec<usize>,
     /// Total columns adopted by the master across all pricing rounds.
@@ -85,17 +84,6 @@ pub struct RelaxationInfo {
     /// throwaway session's pool, which evicts only when the master holds
     /// more bundle columns than `LpFormulationOptions::column_pool_capacity`.
     pub pool_evictions: usize,
-    /// Basis refactorizations across every master re-solve.
-    pub refactorizations: usize,
-    /// The subset of refactorizations forced by a declined basis update or
-    /// numerical trouble (scheduled hygiene is the difference) — watch this
-    /// for factorization-stability regressions.
-    pub forced_refactorizations: usize,
-    /// Degenerate pivots across every master re-solve.
-    pub degenerate_pivots: usize,
-    /// Dual-simplex reoptimization pivots spent absorbing row additions
-    /// into the master (0 unless rows were added mid-run).
-    pub dual_pivots: usize,
     /// Rows deactivated in place on the master over its lifetime (the
     /// session's basis-preserving departure path; always 0 on one-shot
     /// solves).
@@ -103,44 +91,19 @@ pub struct RelaxationInfo {
     /// Master compactions over its lifetime (deadweight physically removed
     /// once it passed `LpFormulationOptions::compaction_threshold`).
     pub compactions: usize,
-    /// FTRANs answered on the LP engine's hyper-sparse path across every
-    /// master re-solve (`ssa_lp::SolveStats::ftran_sparse_hits`).
-    pub ftran_sparse_hits: usize,
-    /// FTRANs that fell back to the dense kernel.
-    pub ftran_dense_fallbacks: usize,
-    /// Pivot-row BTRANs answered on the hyper-sparse path.
-    pub btran_sparse_hits: usize,
-    /// Pivot-row BTRANs that fell back to the dense kernel.
-    pub btran_dense_fallbacks: usize,
-    /// Mean FTRAN/BTRAN result density (nnz / m) across the tracked solves;
-    /// 1.0 when nothing was tracked (zero pivots).
-    pub avg_result_density: f64,
+    /// Engine counters (pivots, refactorizations, hyper-sparse solves,
+    /// result density) merged over every master re-solve.
+    pub engine: SolveStats,
 }
 
-impl Default for RelaxationInfo {
-    fn default() -> Self {
-        RelaxationInfo {
-            rounds: 0,
-            num_columns: 0,
-            simplex_iterations: 0,
-            per_round_iterations: Vec::new(),
-            pricing_rounds: 0,
-            columns_per_round: Vec::new(),
-            columns_generated: 0,
-            pool_hits: 0,
-            pool_evictions: 0,
-            refactorizations: 0,
-            forced_refactorizations: 0,
-            degenerate_pivots: 0,
-            dual_pivots: 0,
-            rows_deactivated: 0,
-            compactions: 0,
-            ftran_sparse_hits: 0,
-            ftran_dense_fallbacks: 0,
-            btran_sparse_hits: 0,
-            btran_dense_fallbacks: 0,
-            avg_result_density: 1.0,
-        }
+/// Read-only bridge for the benchmark package, which still reads the
+/// engine counters flat off the info (`info.simplex_iterations`). Code in
+/// this workspace reads `info.engine.*`; the bridge goes once the
+/// benchmark does too.
+impl std::ops::Deref for RelaxationInfo {
+    type Target = SolveStats;
+    fn deref(&self) -> &SolveStats {
+        &self.engine
     }
 }
 
@@ -149,24 +112,9 @@ impl RelaxationInfo {
         RelaxationInfo {
             rounds,
             num_columns,
-            simplex_iterations: solution.iterations,
-            per_round_iterations: vec![solution.iterations],
-            pricing_rounds: 0,
-            columns_per_round: Vec::new(),
-            columns_generated: 0,
-            pool_hits: 0,
-            pool_evictions: 0,
-            refactorizations: solution.stats.refactorizations,
-            forced_refactorizations: solution.stats.forced_refactorizations,
-            degenerate_pivots: solution.stats.degenerate_pivots,
-            dual_pivots: solution.stats.dual_pivots,
-            rows_deactivated: 0,
-            compactions: 0,
-            ftran_sparse_hits: solution.stats.ftran_sparse_hits,
-            ftran_dense_fallbacks: solution.stats.ftran_dense_fallbacks,
-            btran_sparse_hits: solution.stats.btran_sparse_hits,
-            btran_dense_fallbacks: solution.stats.btran_dense_fallbacks,
-            avg_result_density: solution.stats.avg_result_density,
+            per_round_iterations: vec![solution.stats.simplex_iterations],
+            engine: solution.stats,
+            ..RelaxationInfo::default()
         }
     }
 
@@ -177,24 +125,12 @@ impl RelaxationInfo {
         RelaxationInfo {
             rounds: result.rounds,
             num_columns,
-            simplex_iterations: result.simplex_iterations,
-            per_round_iterations: result.per_round_iterations.recorded().to_vec(),
+            per_round_iterations: result.per_round_iterations.clone(),
             pricing_rounds: result.pricing_rounds,
-            columns_per_round: result.columns_per_round.recorded().to_vec(),
+            columns_per_round: result.columns_per_round.clone(),
             columns_generated: result.columns_generated,
-            pool_hits: 0,
-            pool_evictions: 0,
-            refactorizations: result.refactorizations,
-            forced_refactorizations: result.forced_refactorizations,
-            degenerate_pivots: result.degenerate_pivots,
-            dual_pivots: result.dual_pivots,
-            rows_deactivated: 0,
-            compactions: 0,
-            ftran_sparse_hits: result.ftran_sparse_hits,
-            ftran_dense_fallbacks: result.ftran_dense_fallbacks,
-            btran_sparse_hits: result.btran_sparse_hits,
-            btran_dense_fallbacks: result.btran_dense_fallbacks,
-            avg_result_density: result.avg_result_density,
+            engine: result.stats,
+            ..RelaxationInfo::default()
         }
     }
 }

@@ -23,7 +23,6 @@ use crate::lp_formulation::{
 };
 use crate::rounding::{round_binary, round_weighted_partial, RoundingOptions, RoundingStats};
 use crate::session::AuctionSession;
-use serde::{Deserialize, Serialize};
 
 /// Typed failure of the solving pipeline, returned by the fallible entry
 /// points: the session's [`AuctionSession::resolve`] and
@@ -149,9 +148,13 @@ impl SolverBuilder {
     }
 
     /// Configures the randomized rounding stage: RNG seed and number of
-    /// independent trials (the best allocation is kept).
+    /// independent trials (the best allocation is kept). Rounding needs at
+    /// least one trial, so `0` is treated as `1`.
     pub fn rounding(mut self, seed: u64, trials: usize) -> Self {
-        self.options.rounding = RoundingOptions { seed, trials };
+        self.options.rounding = RoundingOptions {
+            seed,
+            trials: trials.max(1),
+        };
         self
     }
 
@@ -206,8 +209,9 @@ pub struct AuctionOutcome {
     /// Whether the LP was solved to optimality (column generation
     /// converged).
     pub lp_converged: bool,
-    /// LP-engine attribution: simplex iterations, refactorizations and
-    /// degenerate pivots — so benches can attribute time per stage.
+    /// LP attribution: the column-generation counters, plus the engine's
+    /// pivots, refactorizations and sparse solves in `lp_info.engine` — so
+    /// benches can attribute time per stage.
     pub lp_info: RelaxationInfo,
     /// The a-priori guarantee of the pipeline on this instance: welfare is,
     /// in expectation, at least `lp_objective / guarantee_factor`.
@@ -362,114 +366,6 @@ impl SpectrumAuctionSolver {
     }
 }
 
-/// Serializable summary of an outcome (used by the experiment harness to
-/// write result tables).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct OutcomeSummary {
-    /// Number of bidders.
-    pub num_bidders: usize,
-    /// Number of channels.
-    pub num_channels: usize,
-    /// ρ used by the LP.
-    pub rho: f64,
-    /// LP objective (`b*`).
-    pub lp_objective: f64,
-    /// Welfare of the rounded allocation.
-    pub welfare: f64,
-    /// `lp_objective / welfare`.
-    pub empirical_ratio: f64,
-    /// The a-priori guarantee factor.
-    pub guarantee_factor: f64,
-    /// Bidders served.
-    pub num_served: usize,
-    /// Whether column generation converged (the LP value is the optimum).
-    pub lp_converged: bool,
-    /// Column-generation pricing rounds.
-    pub lp_rounds: usize,
-    /// Oracle pricing rounds (see `RelaxationInfo::pricing_rounds`).
-    pub pricing_rounds: usize,
-    /// Simplex pivots across every master re-solve.
-    pub simplex_iterations: usize,
-    /// Pivots of each master re-solve in order (capped to the most recent
-    /// `ssa_lp::ROUND_SERIES_CAP` rounds) — the per-round trajectory, so a
-    /// serialized snapshot shows *where* the
-    /// pivots went without a bench rerun.
-    pub per_round_master_iterations: Vec<usize>,
-    /// Columns the master adopted in each pricing round, in order (same
-    /// cap) — the dual-oscillation fingerprint.
-    pub columns_per_round: Vec<usize>,
-    /// Total columns adopted across all pricing rounds.
-    pub columns_generated: usize,
-    /// Columns adopted from the session's managed column pool (0 on
-    /// one-shot solves).
-    pub pool_hits: usize,
-    /// Pool entries evicted by the capacity bound during this solve.
-    pub pool_evictions: usize,
-    /// Basis refactorizations across every master re-solve.
-    pub refactorizations: usize,
-    /// The stability-forced subset of `refactorizations` (declined basis
-    /// update or numerical trouble) — non-trivial growth here flags a
-    /// factorization-stability regression in serialized snapshots.
-    pub forced_refactorizations: usize,
-    /// Dual-simplex reoptimization pivots (row-addition repairs).
-    pub dual_pivots: usize,
-    /// Master rows deactivated in place (session departures absorbed on the
-    /// basis-preserving path; 0 on one-shot solves). Lets serialized
-    /// snapshots attribute churn-path regressions without re-running.
-    pub rows_deactivated: usize,
-    /// Master compactions (deadweight sweeps) behind this outcome.
-    pub compactions: usize,
-    /// FTRANs answered on the LP engine's hyper-sparse path.
-    pub ftran_sparse_hits: usize,
-    /// FTRANs that fell back to the dense kernel.
-    pub ftran_dense_fallbacks: usize,
-    /// Pivot-row BTRANs answered on the hyper-sparse path.
-    pub btran_sparse_hits: usize,
-    /// Pivot-row BTRANs that fell back to the dense kernel.
-    pub btran_dense_fallbacks: usize,
-    /// Mean FTRAN/BTRAN result density (nnz / m) across tracked solves;
-    /// 1.0 when nothing was tracked.
-    pub avg_result_density: f64,
-}
-
-impl OutcomeSummary {
-    /// Builds a summary from an instance and its outcome. The LP attribution
-    /// fields are copied from [`AuctionOutcome::lp_info`], so perf
-    /// regressions in `BENCH_e12.json`-style tables can be attributed
-    /// (pivot blow-up? lost convergence?) without re-running the bench.
-    pub fn new(instance: &AuctionInstance, outcome: &AuctionOutcome) -> Self {
-        OutcomeSummary {
-            num_bidders: instance.num_bidders(),
-            num_channels: instance.num_channels,
-            rho: instance.rho,
-            lp_objective: outcome.lp_objective,
-            welfare: outcome.welfare,
-            empirical_ratio: outcome.empirical_ratio(),
-            guarantee_factor: outcome.guarantee_factor,
-            num_served: outcome.allocation.num_served(),
-            lp_converged: outcome.lp_converged,
-            lp_rounds: outcome.lp_info.rounds,
-            pricing_rounds: outcome.lp_info.pricing_rounds,
-            simplex_iterations: outcome.lp_info.simplex_iterations,
-            per_round_master_iterations: outcome.lp_info.per_round_iterations.clone(),
-            columns_per_round: outcome.lp_info.columns_per_round.clone(),
-            columns_generated: outcome.lp_info.columns_generated,
-            pool_hits: outcome.lp_info.pool_hits,
-            pool_evictions: outcome.lp_info.pool_evictions,
-            refactorizations: outcome.lp_info.refactorizations,
-            forced_refactorizations: outcome.lp_info.forced_refactorizations,
-            dual_pivots: outcome.lp_info.dual_pivots,
-            rows_deactivated: outcome.lp_info.rows_deactivated,
-            compactions: outcome.lp_info.compactions,
-            ftran_sparse_hits: outcome.lp_info.ftran_sparse_hits,
-            ftran_dense_fallbacks: outcome.lp_info.ftran_dense_fallbacks,
-            btran_sparse_hits: outcome.lp_info.btran_sparse_hits,
-            btran_dense_fallbacks: outcome.lp_info.btran_dense_fallbacks,
-            avg_result_density: outcome.lp_info.avg_result_density,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,6 +506,17 @@ mod tests {
     }
 
     #[test]
+    fn zero_rounding_trials_round_once() {
+        let inst = cycle_instance(8, 2);
+        let outcome = SolverBuilder::new()
+            .rounding(3, 0)
+            .build()
+            .try_solve(&inst)
+            .expect("a zero-trial builder still solves");
+        assert!(outcome.allocation.is_feasible(&inst));
+    }
+
+    #[test]
     fn try_solve_surfaces_pricing_round_truncation() {
         let inst = cycle_instance(8, 2);
         let solver = SolverBuilder::new().max_pricing_rounds(0).build();
@@ -629,17 +536,5 @@ mod tests {
             .try_solve(&inst)
             .expect("default budget converges");
         assert!(outcome.lp_converged);
-    }
-
-    #[test]
-    fn outcome_summary_is_consistent() {
-        let inst = cycle_instance(6, 2);
-        let solver = SpectrumAuctionSolver::default();
-        let outcome = solver.solve(&inst);
-        let summary = OutcomeSummary::new(&inst, &outcome);
-        assert_eq!(summary.num_bidders, 6);
-        assert_eq!(summary.num_channels, 2);
-        assert!((summary.welfare - outcome.welfare).abs() < 1e-12);
-        assert!(summary.empirical_ratio >= 1.0 - 1e-9 || summary.welfare >= summary.lp_objective);
     }
 }

@@ -34,10 +34,11 @@
 //!   individually). [`DrainMode::Sequential`] drains inline — the honest
 //!   baseline the `e17_exchange` bench compares against.
 //! * **Stats rollup** — [`ExchangeStats`] aggregates the per-session warm
-//!   path counters ([`SessionStats`]), per-resolve LP engine activity, and
-//!   the submitted/applied event counts, so fleet-level behavior (how many
-//!   resolves were re-priced vs rebuilt) is visible without digging into
-//!   individual sessions.
+//!   path counters ([`SessionStats`]), the LP engine counters of every
+//!   drained resolve (one [`SolveStats`] merged with
+//!   [`SolveStats::merge`]), and the submitted/applied event counts, so
+//!   fleet-level behavior (how many resolves were re-priced vs rebuilt) is
+//!   visible without digging into individual sessions.
 //!
 //! # Quickstart
 //!
@@ -73,6 +74,7 @@ use serde::{Deserialize, Serialize};
 use ssa_core::session::{AuctionSession, MarketEvent, MarketId, SessionStats};
 use ssa_core::solver::{AuctionOutcome, SolveError, SolverBuilder, SolverOptions};
 use ssa_core::AuctionInstance;
+use ssa_lp::SolveStats;
 use ssa_mechanism::sealed_bid::{Phase, SealedBidAuction, SealedBidError};
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -174,79 +176,6 @@ impl std::error::Error for ExchangeError {
     }
 }
 
-/// Per-resolve LP engine activity summed across every shard resolve the
-/// exchange ran.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct LpActivity {
-    /// Column-generation pricing rounds.
-    pub rounds: usize,
-    /// Oracle pricing rounds (passes where the demand oracles were
-    /// actually asked for columns).
-    pub pricing_rounds: usize,
-    /// Columns adopted by the masters across every pricing round.
-    pub columns_generated: usize,
-    /// Columns adopted from the sessions' managed column pools.
-    pub pool_hits: usize,
-    /// Pool entries evicted by the capacity bound.
-    pub pool_evictions: usize,
-    /// Master simplex pivots.
-    pub simplex_iterations: usize,
-    /// Basis refactorizations.
-    pub refactorizations: usize,
-    /// The stability-forced subset of `refactorizations`.
-    pub forced_refactorizations: usize,
-    /// Dual-simplex row-repair pivots (the arrival-absorption path).
-    pub dual_pivots: usize,
-    /// Master rows deactivated in place (departure path); lifetime gauge
-    /// deltas summed across shards.
-    pub rows_deactivated: usize,
-    /// Master compactions; lifetime gauge deltas summed across shards.
-    pub compactions: usize,
-    /// FTRANs answered on the LP engine's hyper-sparse path.
-    pub ftran_sparse_hits: usize,
-    /// FTRANs that fell back to the dense kernel.
-    pub ftran_dense_fallbacks: usize,
-    /// Pivot-row BTRANs answered on the hyper-sparse path.
-    pub btran_sparse_hits: usize,
-    /// Pivot-row BTRANs that fell back to the dense kernel.
-    pub btran_dense_fallbacks: usize,
-    /// Tracked-solve-weighted mean FTRAN/BTRAN result density across every
-    /// resolve; **0.0 when no solves were tracked** (e.g. sparsity off).
-    pub avg_result_density: f64,
-}
-
-impl LpActivity {
-    /// Number of FTRAN/BTRAN solves the sparsity counters tracked.
-    pub fn tracked_solves(&self) -> usize {
-        self.ftran_sparse_hits
-            + self.ftran_dense_fallbacks
-            + self.btran_sparse_hits
-            + self.btran_dense_fallbacks
-    }
-
-    /// Folds sparsity counters from another activity record into this one
-    /// (tracked-solve-weighted density merge).
-    fn absorb_sparsity(
-        &mut self,
-        ftran_sparse: usize,
-        ftran_dense: usize,
-        btran_sparse: usize,
-        btran_dense: usize,
-        density: f64,
-    ) {
-        let theirs = (ftran_sparse + ftran_dense + btran_sparse + btran_dense) as f64;
-        if theirs > 0.0 {
-            let mine = self.tracked_solves() as f64;
-            self.avg_result_density =
-                (self.avg_result_density * mine + density * theirs) / (mine + theirs);
-        }
-        self.ftran_sparse_hits += ftran_sparse;
-        self.ftran_dense_fallbacks += ftran_dense;
-        self.btran_sparse_hits += btran_sparse;
-        self.btran_dense_fallbacks += btran_dense;
-    }
-}
-
 /// Fleet-level rollup: event counts, resolve/warm-path attribution summed
 /// over every session, and LP engine activity. Returned by
 /// [`SpectrumExchange::stats`].
@@ -275,8 +204,11 @@ pub struct ExchangeStats {
     /// Warm-path attribution summed over every *open* session (sessions of
     /// closed markets leave the rollup).
     pub sessions: SessionStats,
-    /// LP engine activity summed over every shard resolve.
-    pub lp: LpActivity,
+    /// LP engine counters of every shard resolve, merged with
+    /// [`SolveStats::merge`] in drain-report order. The per-market
+    /// column-generation counters stay on each
+    /// [`MarketResolve::outcome`]'s `lp_info`.
+    pub lp: SolveStats,
 }
 
 /// One market's result within a [`DrainReport`].
@@ -365,14 +297,10 @@ impl ExchangeBuilder {
     }
 }
 
-/// One market's shard: its session plus the pending queue and the
-/// last-seen values of the session's lifetime LP gauges (for delta
-/// accounting in the rollup).
+/// One market's shard: its session plus the pending queue.
 struct Shard {
     session: AuctionSession,
     pending: PendingQueue,
-    seen_rows_deactivated: usize,
-    seen_compactions: usize,
 }
 
 /// What one shard drain produced (internal; folded into the report and the
@@ -383,7 +311,6 @@ struct ShardDrain {
     latency: Duration,
     /// Events the drain applied to the session.
     applied: usize,
-    lp: LpActivity,
 }
 
 struct ShardSlot {
@@ -441,8 +368,6 @@ impl SpectrumExchange {
             cell: Mutex::new(Shard {
                 session,
                 pending: PendingQueue::new(present),
-                seen_rows_deactivated: 0,
-                seen_compactions: 0,
             }),
         });
         Ok(())
@@ -570,7 +495,7 @@ impl SpectrumExchange {
                 result.map_err(|(market, source)| ExchangeError::Solve { market, source })?;
             self.stats.shard_resolves += 1;
             self.stats.events_applied += drain.applied;
-            accumulate_lp(&mut self.stats.lp, &drain.lp);
+            self.stats.lp.merge(&drain.outcome.lp_info.engine);
             report.resolves.push(MarketResolve {
                 market: drain.market,
                 outcome: drain.outcome,
@@ -702,7 +627,7 @@ impl SpectrumExchange {
             self.stats.sealed_rounds_resolved += 1;
             self.stats.collateral_forfeited +=
                 outcome.forfeitures.iter().map(|f| f.amount).sum::<f64>();
-            self.reattach(id, round.auction.into_session(), &outcome.outcome);
+            self.reattach(id, round.auction.into_session());
             report.sealed.push(SealedRoundReport {
                 market: id,
                 outcome,
@@ -713,7 +638,7 @@ impl SpectrumExchange {
 
     /// Re-attaches a resolved sealed market's session as an ordinary shard
     /// (warm LP state intact, event recording off again).
-    fn reattach(&mut self, id: MarketId, mut session: AuctionSession, outcome: &AuctionOutcome) {
+    fn reattach(&mut self, id: MarketId, mut session: AuctionSession) {
         session.record_events(false);
         let present = session.instance().num_bidders();
         self.index.insert(id, self.shards.len());
@@ -722,11 +647,6 @@ impl SpectrumExchange {
             cell: Mutex::new(Shard {
                 session,
                 pending: PendingQueue::new(present),
-                // The sealed resolve already advanced the session's
-                // lifetime LP gauges; seed the deltas from its info so the
-                // next drain doesn't re-count them.
-                seen_rows_deactivated: outcome.lp_info.rows_deactivated,
-                seen_compactions: outcome.lp_info.compactions,
             }),
         });
     }
@@ -745,27 +665,6 @@ impl SpectrumExchange {
     }
 }
 
-fn accumulate_lp(into: &mut LpActivity, from: &LpActivity) {
-    into.rounds += from.rounds;
-    into.pricing_rounds += from.pricing_rounds;
-    into.columns_generated += from.columns_generated;
-    into.pool_hits += from.pool_hits;
-    into.pool_evictions += from.pool_evictions;
-    into.simplex_iterations += from.simplex_iterations;
-    into.refactorizations += from.refactorizations;
-    into.forced_refactorizations += from.forced_refactorizations;
-    into.dual_pivots += from.dual_pivots;
-    into.rows_deactivated += from.rows_deactivated;
-    into.compactions += from.compactions;
-    into.absorb_sparsity(
-        from.ftran_sparse_hits,
-        from.ftran_dense_fallbacks,
-        from.btran_sparse_hits,
-        from.btran_dense_fallbacks,
-        from.avg_result_density,
-    );
-}
-
 /// Drains one shard: applies its pending events, then runs one resolve.
 fn drain_shard(shard: &mut Shard, market: MarketId) -> Result<ShardDrain, (MarketId, SolveError)> {
     let events = shard.pending.take();
@@ -774,48 +673,12 @@ fn drain_shard(shard: &mut Shard, market: MarketId) -> Result<ShardDrain, (Marke
     }
     let start = Instant::now();
     let outcome = shard.session.resolve().map_err(|e| (market, e))?;
-    let mut lp = LpActivity::default();
-    accumulate_info(&mut lp, shard, &outcome.lp_info);
     Ok(ShardDrain {
         market,
         outcome,
         latency: start.elapsed(),
         applied: events.len(),
-        lp,
     })
-}
-
-/// Folds one resolve's [`RelaxationInfo`] into the drain's activity sum.
-/// Pivot/round counters are per-resolve; `rows_deactivated` and
-/// `compactions` are master-lifetime gauges, so only their growth since
-/// the last observation counts.
-fn accumulate_info(
-    lp: &mut LpActivity,
-    shard: &mut Shard,
-    info: &ssa_core::lp_formulation::RelaxationInfo,
-) {
-    lp.rounds += info.rounds;
-    lp.pricing_rounds += info.pricing_rounds;
-    lp.columns_generated += info.columns_generated;
-    lp.pool_hits += info.pool_hits;
-    lp.pool_evictions += info.pool_evictions;
-    lp.simplex_iterations += info.simplex_iterations;
-    lp.refactorizations += info.refactorizations;
-    lp.forced_refactorizations += info.forced_refactorizations;
-    lp.dual_pivots += info.dual_pivots;
-    lp.rows_deactivated += info
-        .rows_deactivated
-        .saturating_sub(shard.seen_rows_deactivated);
-    lp.compactions += info.compactions.saturating_sub(shard.seen_compactions);
-    shard.seen_rows_deactivated = info.rows_deactivated;
-    shard.seen_compactions = info.compactions;
-    lp.absorb_sparsity(
-        info.ftran_sparse_hits,
-        info.ftran_dense_fallbacks,
-        info.btran_sparse_hits,
-        info.btran_dense_fallbacks,
-        info.avg_result_density,
-    );
 }
 
 #[cfg(test)]
@@ -901,6 +764,47 @@ mod tests {
         assert_eq!(stats.shard_resolves, 2);
         assert_eq!(stats.sessions.resolves, 2);
         assert!(stats.lp.simplex_iterations > 0);
+    }
+
+    #[test]
+    fn fleet_lp_counters_are_the_merge_of_every_drained_resolve() {
+        for mode in [DrainMode::Sequential, DrainMode::Pooled] {
+            let mut ex = SpectrumExchange::builder().drain_mode(mode).build();
+            for m in 0..3u64 {
+                ex.open_market(MarketId(m), instance(6 + m as usize, 20 + m))
+                    .unwrap();
+            }
+            let mut expected = SolveStats::default();
+            for drain in 0..2 {
+                for m in 0..3u64 {
+                    ex.submit(
+                        MarketId(m),
+                        MarketEvent::Arrival {
+                            valuation: val(3.0 + m as f64),
+                            neighbors: vec![0, 1],
+                        },
+                    )
+                    .unwrap();
+                    ex.submit(
+                        MarketId(m),
+                        MarketEvent::Rebid {
+                            bidder: drain,
+                            valuation: val(5.0 + drain as f64),
+                        },
+                    )
+                    .unwrap();
+                }
+                let report = ex.resolve_dirty().unwrap();
+                assert_eq!(report.resolves.len(), 3);
+                for resolve in &report.resolves {
+                    expected.merge(&resolve.outcome.lp_info.engine);
+                }
+            }
+            let lp = ex.stats().lp;
+            assert!(lp.simplex_iterations > 0, "{mode:?}");
+            assert!(lp.tracked_solves() > 0, "{mode:?}");
+            assert_eq!(lp, expected, "{mode:?}");
+        }
     }
 
     #[test]

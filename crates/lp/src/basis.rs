@@ -196,11 +196,6 @@ impl SparsityStats {
         }
     }
 
-    /// Number of tracked solves.
-    pub fn tracked_solves(self) -> u64 {
-        self.ftran_sparse + self.ftran_dense + self.btran_sparse + self.btran_dense
-    }
-
     /// Average result density (`nnz / m`) over the tracked solves, `1.0`
     /// when nothing was tracked.
     pub fn avg_density(self) -> f64 {

@@ -32,7 +32,8 @@ use crate::basis::ForrestTomlinLu;
 use crate::dual;
 use crate::problem::{LinearProgram, Relation, Sense};
 use crate::simplex::{
-    solve, solve_with_warm_start, BasisVar, LpSolution, LpStatus, SimplexOptions, WarmStart,
+    solve, solve_with_warm_start, BasisVar, LpSolution, LpStatus, SimplexOptions, SolveStats,
+    WarmStart,
 };
 use serde::{Deserialize, Serialize};
 
@@ -61,94 +62,6 @@ pub fn is_native_tag(tag: u64) -> bool {
 /// row.
 pub fn is_relief_tag(tag: u64) -> bool {
     tag >= ROW_RELIEF_TAG_BASE
-}
-
-/// Entries kept by a [`RoundSeries`] (the most recent ones win).
-pub const ROUND_SERIES_CAP: usize = 512;
-
-/// A capped-length ring of per-round observables (pivots per master
-/// re-solve, columns adopted per pricing round, …).
-///
-/// Long-lived sessions re-solve thousands of times; an unbounded
-/// `Vec<usize>` of per-round entries grows without limit across resolves.
-/// The series keeps the most recent [`ROUND_SERIES_CAP`] entries (in
-/// order) plus the lifetime push count, which is all the diagnostics
-/// upstream ever read.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct RoundSeries {
-    data: Vec<usize>,
-    pushes: usize,
-}
-
-impl RoundSeries {
-    /// An empty series.
-    pub fn new() -> Self {
-        RoundSeries::default()
-    }
-
-    /// A series seeded with one entry.
-    pub fn of(value: usize) -> Self {
-        let mut s = RoundSeries::new();
-        s.push(value);
-        s
-    }
-
-    /// Appends an entry, dropping the oldest once the cap is reached.
-    pub fn push(&mut self, value: usize) {
-        self.data.push(value);
-        if self.data.len() > ROUND_SERIES_CAP {
-            self.data.remove(0);
-        }
-        self.pushes += 1;
-    }
-
-    /// The retained entries, oldest first.
-    pub fn recorded(&self) -> &[usize] {
-        &self.data
-    }
-
-    /// Number of retained entries (≤ [`ROUND_SERIES_CAP`]).
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Lifetime number of pushes (≥ [`len`](Self::len)).
-    pub fn pushes(&self) -> usize {
-        self.pushes
-    }
-
-    /// Iterates the retained entries, oldest first.
-    pub fn iter(&self) -> std::slice::Iter<'_, usize> {
-        self.data.iter()
-    }
-
-    /// Sum of the retained entries.
-    pub fn sum(&self) -> usize {
-        self.data.iter().sum()
-    }
-}
-
-impl<'a> IntoIterator for &'a RoundSeries {
-    type Item = &'a usize;
-    type IntoIter = std::slice::Iter<'a, usize>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.data.iter()
-    }
-}
-
-impl From<Vec<usize>> for RoundSeries {
-    fn from(values: Vec<usize>) -> Self {
-        let mut s = RoundSeries::new();
-        for v in values {
-            s.push(v);
-        }
-        s
-    }
 }
 
 /// A column produced by a pricing oracle.
@@ -657,99 +570,20 @@ pub struct ColumnGenerationResult {
     /// Whether the loop stopped because no improving column was found
     /// (`true`) or because the round limit was hit (`false`).
     pub converged: bool,
-    /// Total simplex pivots across every master re-solve of this run.
-    pub simplex_iterations: usize,
-    /// Pivots of each master re-solve, in order — the warm-start win is the
-    /// drop after round 0. Ring-buffered at [`ROUND_SERIES_CAP`] so deep
-    /// sessions don't grow it without bound.
-    pub per_round_iterations: RoundSeries,
-    /// Columns adopted per pricing round (same capping) — the trajectory
-    /// observable: a healthy run adopts steadily and then dries up, an
-    /// oscillating one keeps re-discovering.
-    pub columns_per_round: RoundSeries,
     /// Rounds in which the pricing oracle was actually queried (the final
     /// confirming round included).
     pub pricing_rounds: usize,
     /// Total columns adopted by the master during this run.
     pub columns_generated: usize,
-    /// Basis refactorizations across every master re-solve.
-    pub refactorizations: usize,
-    /// The subset of [`refactorizations`](Self::refactorizations) forced by
-    /// a declined basis update or numerical trouble (rather than scheduled
-    /// hygiene) — the observable for factorization-stability regressions.
-    pub forced_refactorizations: usize,
-    /// Degenerate pivots across every master re-solve.
-    pub degenerate_pivots: usize,
-    /// Dual-simplex reoptimization pivots across every master re-solve
-    /// (non-zero only when rows were added mid-run via
-    /// [`MasterProblem::add_row`]).
-    pub dual_pivots: usize,
-    /// FTRANs answered on the hyper-sparse path across every master
-    /// re-solve ([`crate::simplex::SolveStats::ftran_sparse_hits`]).
-    pub ftran_sparse_hits: usize,
-    /// FTRANs that fell back to the dense kernel across every re-solve.
-    pub ftran_dense_fallbacks: usize,
-    /// Pivot-row BTRANs answered on the hyper-sparse path.
-    pub btran_sparse_hits: usize,
-    /// Pivot-row BTRANs that fell back to the dense kernel.
-    pub btran_dense_fallbacks: usize,
-    /// Tracked-solve-weighted mean result density across every re-solve
-    /// (1.0 when nothing was tracked, e.g. sparsity disabled).
-    pub avg_result_density: f64,
-}
-
-impl ColumnGenerationResult {
-    fn from_single(solution: LpSolution, rounds: usize, converged: bool) -> Self {
-        let iters = solution.iterations;
-        let stats = solution.stats;
-        ColumnGenerationResult {
-            solution,
-            rounds,
-            converged,
-            simplex_iterations: iters,
-            per_round_iterations: RoundSeries::of(iters),
-            columns_per_round: RoundSeries::new(),
-            pricing_rounds: 0,
-            columns_generated: 0,
-            refactorizations: stats.refactorizations,
-            forced_refactorizations: stats.forced_refactorizations,
-            degenerate_pivots: stats.degenerate_pivots,
-            dual_pivots: stats.dual_pivots,
-            ftran_sparse_hits: stats.ftran_sparse_hits,
-            ftran_dense_fallbacks: stats.ftran_dense_fallbacks,
-            btran_sparse_hits: stats.btran_sparse_hits,
-            btran_dense_fallbacks: stats.btran_dense_fallbacks,
-            avg_result_density: stats.avg_result_density,
-        }
-    }
-
-    fn absorb_solve(&mut self, solution: &LpSolution) {
-        self.simplex_iterations += solution.iterations;
-        self.per_round_iterations.push(solution.iterations);
-        self.refactorizations += solution.stats.refactorizations;
-        self.forced_refactorizations += solution.stats.forced_refactorizations;
-        self.degenerate_pivots += solution.stats.degenerate_pivots;
-        self.dual_pivots += solution.stats.dual_pivots;
-        // Tracked-solve-weighted density merge (every tracked solve of a
-        // run shares the same result length m, so count-weighting is exact).
-        let mine = (self.ftran_sparse_hits
-            + self.ftran_dense_fallbacks
-            + self.btran_sparse_hits
-            + self.btran_dense_fallbacks) as f64;
-        let s = solution.stats;
-        let theirs = (s.ftran_sparse_hits
-            + s.ftran_dense_fallbacks
-            + s.btran_sparse_hits
-            + s.btran_dense_fallbacks) as f64;
-        if theirs > 0.0 {
-            self.avg_result_density =
-                (self.avg_result_density * mine + s.avg_result_density * theirs) / (mine + theirs);
-        }
-        self.ftran_sparse_hits += s.ftran_sparse_hits;
-        self.ftran_dense_fallbacks += s.ftran_dense_fallbacks;
-        self.btran_sparse_hits += s.btran_sparse_hits;
-        self.btran_dense_fallbacks += s.btran_dense_fallbacks;
-    }
+    /// Engine counters of every master re-solve of this run, merged.
+    pub stats: SolveStats,
+    /// Pivots of each master re-solve, in order — the warm-start win is the
+    /// drop after round 0.
+    pub per_round_iterations: Vec<usize>,
+    /// Columns adopted per pricing round — the trajectory observable: a
+    /// healthy run adopts steadily and then dries up, an oscillating one
+    /// keeps re-discovering.
+    pub columns_per_round: Vec<usize>,
 }
 
 /// Failure of a column-generation run.
@@ -777,7 +611,7 @@ impl std::fmt::Display for ColumnGenerationError {
                 f,
                 "restricted master hit the simplex iteration limit after {} rounds \
                  ({} iterations in the last solve)",
-                partial.rounds, partial.solution.iterations
+                partial.rounds, partial.solution.stats.simplex_iterations
             ),
         }
     }
@@ -846,38 +680,34 @@ impl ColumnGeneration {
         let mut rounds = 0usize;
         let mut pricing_rounds = 0usize;
         let mut columns_generated = 0usize;
-        let mut columns_per_round = RoundSeries::new();
-        let mut tally: Option<ColumnGenerationResult> = None;
-        // `Ok(converged)` breaks the loop; the tally is finished on the
+        let mut stats = SolveStats::default();
+        let mut per_round_iterations = Vec::new();
+        let mut columns_per_round = Vec::new();
+        // `Ok(converged)` breaks the loop; the result is assembled on the
         // single exit path below.
-        let outcome: Result<bool, ()> = loop {
+        let (solution, outcome) = loop {
             let solution = master.solve_warm(&self.simplex);
-            rounds += 1;
-            match &mut tally {
-                None => {
-                    tally = Some(ColumnGenerationResult::from_single(
-                        solution.clone(),
-                        0,
-                        false,
-                    ))
-                }
-                Some(t) => {
-                    t.absorb_solve(&solution);
-                    t.solution = solution.clone();
-                }
+            if rounds == 0 {
+                // Seeding with the first solve (rather than merging it into
+                // the default) keeps its density bit for bit.
+                stats = solution.stats;
+            } else {
+                stats.merge(&solution.stats);
             }
+            per_round_iterations.push(solution.stats.simplex_iterations);
+            rounds += 1;
             if solution.status == LpStatus::IterationLimit {
-                break Err(());
+                break (solution, Err(()));
             }
             if rounds > self.max_rounds {
                 // `rounds` counts master solves actually performed, so the
                 // per-round iteration list stays one entry per round even on
                 // the truncated path.
-                break Ok(false);
+                break (solution, Ok(false));
             }
             // An infeasible or unbounded master cannot be priced further.
             if solution.status != LpStatus::Optimal {
-                break Ok(false);
+                break (solution, Ok(false));
             }
             pricing_rounds += 1;
             let added = adopt_improving(
@@ -890,25 +720,24 @@ impl ColumnGeneration {
             columns_per_round.push(added);
             columns_generated += added;
             if added == 0 {
-                break Ok(true);
+                break (solution, Ok(true));
             }
         };
-        let mut t = tally.take().expect("at least one master solve ran");
-        t.rounds = rounds;
-        t.pricing_rounds = pricing_rounds;
-        t.columns_per_round = columns_per_round;
-        t.columns_generated = columns_generated;
+        let result = ColumnGenerationResult {
+            solution,
+            rounds,
+            converged: outcome == Ok(true),
+            pricing_rounds,
+            columns_generated,
+            stats,
+            per_round_iterations,
+            columns_per_round,
+        };
         match outcome {
-            Ok(converged) => {
-                t.converged = converged;
-                Ok(t)
-            }
-            Err(()) => {
-                t.converged = false;
-                Err(ColumnGenerationError::IterationLimit {
-                    partial: Box::new(t),
-                })
-            }
+            Ok(_) => Ok(result),
+            Err(()) => Err(ColumnGenerationError::IterationLimit {
+                partial: Box::new(result),
+            }),
         }
     }
 }
@@ -1167,7 +996,7 @@ mod tests {
         assert_eq!(result.per_round_iterations.len(), result.rounds);
         assert_eq!(
             result.per_round_iterations.iter().sum::<usize>(),
-            result.simplex_iterations
+            result.stats.simplex_iterations
         );
     }
 
@@ -1807,21 +1636,6 @@ mod tests {
             refixed.objective
         );
         assert!(refixed.x[1].abs() < 1e-9, "fixed column active");
-    }
-
-    #[test]
-    fn round_series_is_a_capped_ring_buffer() {
-        let mut series = RoundSeries::default();
-        for i in 0..ROUND_SERIES_CAP + 10 {
-            series.push(i);
-        }
-        assert_eq!(series.pushes(), ROUND_SERIES_CAP + 10);
-        assert_eq!(series.len(), ROUND_SERIES_CAP);
-        assert_eq!(series.recorded().first().copied(), Some(10));
-        assert_eq!(
-            series.recorded().last().copied(),
-            Some(ROUND_SERIES_CAP + 9)
-        );
     }
 
     #[test]

@@ -371,12 +371,10 @@ impl<'a> Tableau<'a> {
             objective,
             x,
             duals,
-            iterations: self.iterations,
-            // The dense tableau has no pluggable engine: report the
-            // closest labels (full Dantzig scan, dense inverse) with its
-            // pivot count so stats stay comparable across solvers.
+            // The tableau has no factorization to count: only its pivots
+            // are reported.
             stats: crate::simplex::SolveStats {
-                iterations: self.iterations,
+                simplex_iterations: self.iterations,
                 ..Default::default()
             },
         }

@@ -45,7 +45,7 @@
 //! always satisfies the primal engine's invariants (and its
 //! [`crate::simplex::SolveStats::dual_pivots`] records the repair work).
 
-use crate::basis::{ForrestTomlinLu, SparseColumn, SparseVector, SparsityStats};
+use crate::basis::{ForrestTomlinLu, SparseColumn, SparseVector};
 use crate::problem::{CscMatrix, LinearProgram, Relation, Sense};
 use crate::simplex::{
     solve_with_warm_start, BasisVar, LpSolution, SimplexOptions, SolveStats, WarmStart,
@@ -87,8 +87,7 @@ pub fn reoptimize_after_row_additions(
     }
     match dual.run() {
         DualStatus::PrimalFeasible => {
-            let pivots = dual.iterations;
-            let dual_sparsity = dual.sparsity_delta();
+            let repair = dual.repair_stats();
             let warm = dual.into_warm_start();
             // Final pricing + extraction through the primal engine: the
             // repaired basis is primal feasible and (up to drift) dual
@@ -98,8 +97,7 @@ pub fn reoptimize_after_row_additions(
             // baseline, so its stats cover the resume only; the repair's
             // solves are merged in afterwards.)
             let (mut solution, warm) = solve_with_warm_start(lp, options, Some(warm));
-            solution.stats.dual_pivots = pivots;
-            merge_sparsity(&mut solution.stats, dual_sparsity);
+            solution.stats.merge(&repair);
             DualReoptimization {
                 solution,
                 warm,
@@ -111,38 +109,14 @@ pub fn reoptimize_after_row_additions(
             // callers expect the primal engine's infeasibility report (and
             // its phase-1 certificate): produce it from a cold start. The
             // dual pivots spent discovering the certificate are reported.
-            let pivots = dual.iterations;
-            let dual_sparsity = dual.sparsity_delta();
+            let repair = dual.repair_stats();
             let mut out = primal_fallback(lp, options, None);
-            out.solution.stats.dual_pivots = pivots;
-            merge_sparsity(&mut out.solution.stats, dual_sparsity);
+            out.solution.stats.merge(&repair);
             out.used_dual_path = true;
             out
         }
         DualStatus::IterationLimit => primal_fallback(lp, options, None),
     }
-}
-
-/// Folds the dual repair's hyper-sparse solve counters into stats that
-/// already cover the primal resume. The density average is re-weighted by
-/// tracked-solve counts, which is exact because every tracked solve of one
-/// repair shares the same result length `m`.
-fn merge_sparsity(stats: &mut SolveStats, sp: SparsityStats) {
-    let dual_solves = sp.tracked_solves();
-    if dual_solves == 0 {
-        return;
-    }
-    let primal_solves = (stats.ftran_sparse_hits
-        + stats.ftran_dense_fallbacks
-        + stats.btran_sparse_hits
-        + stats.btran_dense_fallbacks) as f64;
-    stats.avg_result_density = (stats.avg_result_density * primal_solves
-        + sp.avg_density() * dual_solves as f64)
-        / (primal_solves + dual_solves as f64);
-    stats.ftran_sparse_hits += sp.ftran_sparse as usize;
-    stats.ftran_dense_fallbacks += sp.ftran_dense as usize;
-    stats.btran_sparse_hits += sp.btran_sparse as usize;
-    stats.btran_dense_fallbacks += sp.btran_dense as usize;
 }
 
 fn primal_fallback(
@@ -413,11 +387,14 @@ impl<'a> DualSimplex<'a> {
         self.factor.ftran_sparse_into(scratch, w);
     }
 
-    /// The factorization's cumulative hyper-sparse counters. The factor is
-    /// created fresh per repair, so no baseline subtraction is needed: the
-    /// snapshot *is* this repair's work.
-    fn sparsity_delta(&self) -> SparsityStats {
-        self.factor.sparsity_stats()
+    /// This repair's work: its dual pivots plus the factorization's
+    /// cumulative hyper-sparse counters. The factor is created fresh per
+    /// repair, so no baseline subtraction is needed.
+    fn repair_stats(&self) -> SolveStats {
+        SolveStats {
+            dual_pivots: self.iterations,
+            ..SolveStats::of_sparsity(self.factor.sparsity_stats())
+        }
     }
 
     /// Total primal infeasibility `Σ max(0, −x_B)`, the quantity the dual
@@ -807,7 +784,10 @@ mod tests {
         assert_eq!(re.solution.status, LpStatus::Optimal);
         assert!((re.solution.objective - 2.0).abs() < 1e-9);
         assert_eq!(re.solution.stats.dual_pivots, 0, "non-binding row");
-        assert_eq!(re.solution.iterations, 0, "primal resume needs no work");
+        assert_eq!(
+            re.solution.stats.simplex_iterations, 0,
+            "primal resume needs no work"
+        );
     }
 
     #[test]

@@ -63,8 +63,10 @@
 //! the `SparseVector` degrades gracefully to a dense result (its pattern
 //! is dropped, consumers iterate the full length). Every indexed solve is
 //! counted — [`SolveStats`] reports sparse hits, dense fallbacks, and the
-//! average result density, and the counters propagate through
-//! [`column_generation`] into the auction-level summaries.
+//! average result density. [`SolveStats::merge`] is the one place solves
+//! are summed: a column-generation run merges its master re-solves into
+//! [`ColumnGenerationResult::stats`], and the layers above embed that
+//! record unchanged.
 //!
 //! The ratio tests are **two-pass Harris** tests (primal in [`simplex`],
 //! dual in [`dual`]): the first pass relaxes the bound by a feasibility
@@ -87,8 +89,7 @@ pub use basis::{ForrestTomlinLu, SparseVector, SparsityStats};
 pub use column_generation::{
     is_native_tag, is_relief_tag, ColumnGeneration, ColumnGenerationError, ColumnGenerationResult,
     ColumnPool, ColumnSource, CompactionReport, GeneratedColumn, MasterProblem, PooledColumn,
-    RoundSeries, DEAD_COLUMN_TAG_BASE, DEFAULT_POOL_CAPACITY, ROUND_SERIES_CAP,
-    ROW_RELIEF_TAG_BASE,
+    DEAD_COLUMN_TAG_BASE, DEFAULT_POOL_CAPACITY, ROW_RELIEF_TAG_BASE,
 };
 pub use dual::{reoptimize_after_row_additions, DualReoptimization};
 pub use pricing::SteepestEdgePricing;

@@ -50,12 +50,18 @@ pub enum LpStatus {
     IterationLimit,
 }
 
-/// Per-solve engine statistics (exposed up the stack as
-/// `RelaxationInfo` so benches can attribute time per stage).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+/// Engine counters of one solve, or of many solves merged with
+/// [`SolveStats::merge`] — the one counters record of the LP stack.
+///
+/// Every layer above embeds it rather than re-declaring its fields: a
+/// column-generation run merges its master re-solves
+/// ([`crate::ColumnGenerationResult::stats`]), the auction relaxation
+/// reports it as `RelaxationInfo::engine`, and the exchange merges every
+/// drained resolve into `ExchangeStats::lp`.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SolveStats {
     /// Simplex pivots across both phases.
-    pub iterations: usize,
+    pub simplex_iterations: usize,
     /// Factorization rebuilds, **total** (scheduled periodic hygiene plus
     /// stability-forced; the forced subset is
     /// [`forced_refactorizations`](Self::forced_refactorizations)).
@@ -91,7 +97,7 @@ pub struct SolveStats {
 impl Default for SolveStats {
     fn default() -> Self {
         SolveStats {
-            iterations: 0,
+            simplex_iterations: 0,
             refactorizations: 0,
             forced_refactorizations: 0,
             degenerate_pivots: 0,
@@ -102,6 +108,53 @@ impl Default for SolveStats {
             btran_dense_fallbacks: 0,
             avg_result_density: 1.0,
         }
+    }
+}
+
+impl SolveStats {
+    /// The hyper-sparse counters of a factorization's solves (every other
+    /// counter 0).
+    pub(crate) fn of_sparsity(sp: SparsityStats) -> Self {
+        SolveStats {
+            ftran_sparse_hits: sp.ftran_sparse as usize,
+            ftran_dense_fallbacks: sp.ftran_dense as usize,
+            btran_sparse_hits: sp.btran_sparse as usize,
+            btran_dense_fallbacks: sp.btran_dense as usize,
+            avg_result_density: sp.avg_density(),
+            ..SolveStats::default()
+        }
+    }
+
+    /// FTRAN/BTRAN solves the sparsity counters tracked.
+    pub fn tracked_solves(&self) -> usize {
+        self.ftran_sparse_hits
+            + self.ftran_dense_fallbacks
+            + self.btran_sparse_hits
+            + self.btran_dense_fallbacks
+    }
+
+    /// Folds `other` into `self`: every counter adds, and the result
+    /// density becomes the tracked-solve-weighted mean of both sides. A
+    /// side that tracked no solve carries no weight, so merging into a
+    /// default record adopts `other`'s density and merging a record with
+    /// no tracked solve keeps `self`'s.
+    pub fn merge(&mut self, other: &SolveStats) {
+        let theirs = other.tracked_solves() as f64;
+        if theirs > 0.0 {
+            let mine = self.tracked_solves() as f64;
+            self.avg_result_density = (self.avg_result_density * mine
+                + other.avg_result_density * theirs)
+                / (mine + theirs);
+        }
+        self.simplex_iterations += other.simplex_iterations;
+        self.refactorizations += other.refactorizations;
+        self.forced_refactorizations += other.forced_refactorizations;
+        self.degenerate_pivots += other.degenerate_pivots;
+        self.dual_pivots += other.dual_pivots;
+        self.ftran_sparse_hits += other.ftran_sparse_hits;
+        self.ftran_dense_fallbacks += other.ftran_dense_fallbacks;
+        self.btran_sparse_hits += other.btran_sparse_hits;
+        self.btran_dense_fallbacks += other.btran_dense_fallbacks;
     }
 }
 
@@ -118,9 +171,7 @@ pub struct LpSolution {
     /// Dual values indexed by constraint, in the convention that strong
     /// duality `Σ_i duals[i] · rhs[i] = objective` holds at optimality.
     pub duals: Vec<f64>,
-    /// Number of simplex pivots performed (both phases).
-    pub iterations: usize,
-    /// Engine statistics for this solve.
+    /// Engine statistics for this solve (pivots, refactorizations, …).
     pub stats: SolveStats,
 }
 
@@ -1090,18 +1141,12 @@ impl<'a> Revised<'a> {
             objective,
             x,
             duals,
-            iterations: self.iterations,
             stats: SolveStats {
-                iterations: self.iterations,
+                simplex_iterations: self.iterations,
                 refactorizations: self.refactorizations,
                 forced_refactorizations: self.forced_refactorizations,
                 degenerate_pivots: self.degenerate_pivots,
-                dual_pivots: 0,
-                ftran_sparse_hits: sp.ftran_sparse as usize,
-                ftran_dense_fallbacks: sp.ftran_dense as usize,
-                btran_sparse_hits: sp.btran_sparse as usize,
-                btran_dense_fallbacks: sp.btran_dense as usize,
-                avg_result_density: sp.avg_density(),
+                ..SolveStats::of_sparsity(sp)
             },
         }
     }
@@ -1148,7 +1193,59 @@ mod tests {
         assert_close(dual_obj, 10.0, 1e-7);
         // duals of <= constraints in a maximization are non-negative
         assert!(sol.duals.iter().all(|&d| d >= -1e-9));
-        assert_eq!(sol.stats.iterations, sol.iterations);
+    }
+
+    fn counters(sparse: usize, dense: usize, density: f64) -> SolveStats {
+        SolveStats {
+            simplex_iterations: 7,
+            refactorizations: 2,
+            forced_refactorizations: 1,
+            degenerate_pivots: 3,
+            dual_pivots: 4,
+            ftran_sparse_hits: sparse,
+            ftran_dense_fallbacks: dense,
+            btran_sparse_hits: sparse,
+            btran_dense_fallbacks: 0,
+            avg_result_density: density,
+        }
+    }
+
+    #[test]
+    fn solve_stats_merge_adds_counters_and_weights_density_by_tracked_solves() {
+        let a = counters(3, 1, 0.25); // 7 tracked solves
+        let b = counters(1, 0, 0.75); // 2 tracked solves
+
+        // Merging a default record changes nothing.
+        let mut same = a;
+        same.merge(&SolveStats::default());
+        assert_eq!(same, a);
+
+        let mut sum = a;
+        sum.merge(&b);
+        assert_eq!(sum.simplex_iterations, 14);
+        assert_eq!(sum.refactorizations, 4);
+        assert_eq!(sum.forced_refactorizations, 2);
+        assert_eq!(sum.degenerate_pivots, 6);
+        assert_eq!(sum.dual_pivots, 8);
+        assert_eq!(sum.ftran_sparse_hits, 4);
+        assert_eq!(sum.ftran_dense_fallbacks, 1);
+        assert_eq!(sum.btran_sparse_hits, 4);
+        assert_eq!(sum.btran_dense_fallbacks, 0);
+        assert_eq!(sum.tracked_solves(), 9);
+        assert_eq!(
+            sum.avg_result_density,
+            (0.25 * 7.0 + 0.75 * 2.0) / (7.0 + 2.0)
+        );
+
+        // A side with no tracked solves adds its pivots but not its density.
+        let untracked = counters(0, 0, 0.0);
+        let mut kept = a;
+        kept.merge(&untracked);
+        assert_eq!(kept.simplex_iterations, 14);
+        assert_eq!(kept.avg_result_density, a.avg_result_density);
+        let mut adopted = untracked;
+        adopted.merge(&b);
+        assert_eq!(adopted.avg_result_density, b.avg_result_density);
     }
 
     #[test]
@@ -1279,11 +1376,11 @@ mod tests {
         let options = SimplexOptions::default();
         let (first, state) = solve_with_warm_start(&lp, &options, None);
         assert_eq!(first.status, LpStatus::Optimal);
-        assert!(first.iterations > 0);
+        assert!(first.stats.simplex_iterations > 0);
         // Re-solving the unchanged LP from the optimal basis needs 0 pivots.
         let (second, _) = solve_with_warm_start(&lp, &options, Some(state));
         assert_eq!(second.status, LpStatus::Optimal);
-        assert_eq!(second.iterations, 0);
+        assert_eq!(second.stats.simplex_iterations, 0);
         assert_close(second.objective, first.objective, 1e-9);
     }
 
@@ -1324,7 +1421,7 @@ mod tests {
         let (second, state2) = solve_with_warm_start(&lp, &options, Some(state.into_basis_only()));
         assert_eq!(second.status, LpStatus::Optimal);
         assert_eq!(
-            second.iterations, 0,
+            second.stats.simplex_iterations, 0,
             "optimal basis needs no pivots after the rebuild"
         );
         assert_close(second.objective, first.objective, 1e-9);

@@ -83,7 +83,7 @@ fn main() {
         stats.sessions.repriced_resolves
     );
     println!(
-        "LP activity: {} pricing rounds, {} simplex pivots, {} dual repair pivots",
-        stats.lp.rounds, stats.lp.simplex_iterations, stats.lp.dual_pivots
+        "LP engine: {} simplex pivots, {} dual repair pivots, {} refactorizations",
+        stats.lp.simplex_iterations, stats.lp.dual_pivots, stats.lp.refactorizations
     );
 }

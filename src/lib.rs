@@ -65,6 +65,13 @@
 //! | `large_instance_simplex_options()` | removed: set `SimplexOptions` fields through [`SolverBuilder::options`](auction::solver::SolverBuilder::options) |
 //! | `ExchangeBuilder::coalescing(bool)` | removed: the exchange queues each market's events and applies them verbatim, in submission order |
 //! | `ExchangeBuilder::solver_options(options)` | removed: configure the sessions through [`ExchangeBuilder::solver`](exchange::ExchangeBuilder::solver) with a `SolverBuilder` |
+//! | `OutcomeSummary::new(instance, outcome)` | removed (it had no caller): read [`AuctionOutcome`](auction::solver::AuctionOutcome) and its `lp_info` directly |
+//! | `RelaxationInfo::{simplex_iterations, refactorizations, ftran_sparse_hits, avg_result_density, ..}` | the engine counters moved into one [`lp::SolveStats`]: `info.engine.simplex_iterations`, `info.engine.refactorizations`, … |
+//! | `LpSolution::iterations` | [`LpSolution::stats`](lp::LpSolution::stats)`.simplex_iterations` |
+//! | `SolveStats::iterations` | [`SolveStats::simplex_iterations`](lp::SolveStats::simplex_iterations); sum solves with [`SolveStats::merge`](lp::SolveStats::merge) |
+//! | `ColumnGenerationResult::{simplex_iterations, refactorizations, .., avg_result_density}` | [`ColumnGenerationResult::stats`](lp::ColumnGenerationResult::stats)`.*` |
+//! | `RoundSeries` / `ROUND_SERIES_CAP` | removed: `per_round_iterations` and `columns_per_round` are plain `Vec<usize>`, built fresh per column-generation run |
+//! | `ExchangeStats::lp: LpActivity` | [`ExchangeStats::lp`](exchange::ExchangeStats::lp) is a [`lp::SolveStats`] merged over every drained resolve; the per-market rounds, columns and pool counters stay on each resolve's `outcome.lp_info` |
 //!
 //! Knobs without a builder method (e.g. simplex tolerances) remain
 //! reachable through [`auction::solver::SolverBuilder::options`].
@@ -94,8 +101,8 @@
 //! that previously reached into the raw column vectors should read
 //! [`auction::lp_formulation::RelaxationInfo`] instead: `pool_hits` /
 //! `pool_evictions` count pool traffic, and `pricing_rounds`,
-//! `columns_per_round` and `per_round_iterations` (capped ring buffers of
-//! the last [`lp::ROUND_SERIES_CAP`] rounds) expose the trajectory.
+//! `columns_per_round` and `per_round_iterations` (one entry per round of
+//! the resolve's column-generation run) expose the trajectory.
 //!
 //! ## Sealed bids: commit–reveal with collateral and audit
 //!

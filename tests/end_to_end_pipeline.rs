@@ -127,10 +127,10 @@ fn lp_relaxation_matches_the_enumerated_optimum() {
     let outcome = solver.solve(&generated.instance);
     assert!(outcome.allocation.is_feasible(&generated.instance));
     assert!(outcome.lp_converged, "column generation did not converge");
-    assert!(outcome.lp_info.simplex_iterations > 0);
+    assert!(outcome.lp_info.engine.simplex_iterations > 0);
     assert_eq!(
         outcome.lp_info.per_round_iterations.iter().sum::<usize>(),
-        outcome.lp_info.simplex_iterations
+        outcome.lp_info.engine.simplex_iterations
     );
     let explicit = solve_relaxation_explicit(&generated.instance).objective;
     let obj = outcome.lp_objective;

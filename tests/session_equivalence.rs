@@ -120,27 +120,27 @@ fn trajectory(info: &RelaxationInfo) -> (Vec<usize>, Vec<usize>, Vec<usize>, u64
     let counters = vec![
         info.rounds,
         info.num_columns,
-        info.simplex_iterations,
+        info.engine.simplex_iterations,
         info.pricing_rounds,
         info.columns_generated,
         info.pool_hits,
         info.pool_evictions,
-        info.refactorizations,
-        info.forced_refactorizations,
-        info.degenerate_pivots,
-        info.dual_pivots,
+        info.engine.refactorizations,
+        info.engine.forced_refactorizations,
+        info.engine.degenerate_pivots,
+        info.engine.dual_pivots,
         info.rows_deactivated,
         info.compactions,
-        info.ftran_sparse_hits,
-        info.ftran_dense_fallbacks,
-        info.btran_sparse_hits,
-        info.btran_dense_fallbacks,
+        info.engine.ftran_sparse_hits,
+        info.engine.ftran_dense_fallbacks,
+        info.engine.btran_sparse_hits,
+        info.engine.btran_dense_fallbacks,
     ];
     (
         counters,
         info.per_round_iterations.clone(),
         info.columns_per_round.clone(),
-        info.avg_result_density.to_bits(),
+        info.engine.avg_result_density.to_bits(),
     )
 }
 
