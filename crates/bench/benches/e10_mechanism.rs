@@ -1,11 +1,10 @@
 //! E10 (Section 5) kernels: fractional VCG and the Lavi–Swamy decomposition.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ssa_core::lp_formulation::LpFormulationOptions;
-use ssa_core::solver::guarantee_factor;
-use ssa_mechanism::lavi_swamy::{decompose, DecompositionOptions};
+use ssa_core::solver::{guarantee_factor, SolverBuilder};
+use ssa_mechanism::lavi_swamy::decompose;
 use ssa_mechanism::vcg::fractional_vcg;
-use ssa_mechanism::{TruthfulMechanism, TruthfulMechanismOptions};
+use ssa_mechanism::TruthfulMechanism;
 use ssa_workloads::{protocol_scenario, ScenarioConfig};
 use std::time::Duration;
 
@@ -13,22 +12,15 @@ fn bench_e10(c: &mut Criterion) {
     let generated = protocol_scenario(&ScenarioConfig::new(10, 2, 10), 1.0);
     let instance = &generated.instance;
     c.bench_function("e10_mechanism/fractional_vcg", |b| {
-        b.iter(|| fractional_vcg(instance, &LpFormulationOptions::default()))
+        b.iter(|| fractional_vcg(instance))
     });
-    let vcg = fractional_vcg(instance, &LpFormulationOptions::default());
+    let vcg = fractional_vcg(instance);
     let alpha = guarantee_factor(instance);
     c.bench_function("e10_mechanism/decomposition", |b| {
-        b.iter(|| {
-            decompose(
-                instance,
-                &vcg.fractional,
-                alpha,
-                &DecompositionOptions::default(),
-            )
-        })
+        b.iter(|| decompose(instance, &vcg.fractional, alpha, &SolverBuilder::new()))
     });
     c.bench_function("e10_mechanism/full_mechanism", |b| {
-        let mechanism = TruthfulMechanism::new(TruthfulMechanismOptions::default());
+        let mechanism = TruthfulMechanism::default();
         b.iter(|| mechanism.run(instance, 42))
     });
 }

@@ -13,13 +13,13 @@ use ssa_core::greedy::{greedy_by_bundle_value, greedy_channel_by_channel};
 use ssa_core::hardness::{theorem_18_instance, theorem_18_optimum};
 use ssa_core::lp_formulation::solve_relaxation_oracle;
 use ssa_core::rounding::{round_binary, RoundingOptions};
-use ssa_core::solver::{guarantee_factor, SolverOptions, SpectrumAuctionSolver};
+use ssa_core::solver::{guarantee_factor, SolverBuilder, SpectrumAuctionSolver};
 use ssa_geometry::{CivilizedLayout, LinkMetric};
 use ssa_interference::{
     CivilizedDistance2Model, DiskGraphModel, Distance2ColoringModel, Distance2MatchingModel,
     Ieee80211Model, PhysicalModel, PowerAssignment, ProtocolModel, SinrParameters,
 };
-use ssa_mechanism::{lavi_swamy, TruthfulMechanism, TruthfulMechanismOptions};
+use ssa_mechanism::{lavi_swamy, TruthfulMechanism};
 use ssa_workloads::placement::{
     grid_points, random_disks, random_links, seeded_rng, uniform_points,
 };
@@ -28,10 +28,7 @@ use ssa_workloads::{protocol_scenario, ScenarioConfig, ValuationProfile};
 use std::time::Instant;
 
 fn solver_with_trials(trials: usize, seed: u64) -> SpectrumAuctionSolver {
-    SpectrumAuctionSolver::new(SolverOptions {
-        rounding: RoundingOptions { seed, trials },
-        ..Default::default()
-    })
+    SolverBuilder::new().rounding(seed, trials).build()
 }
 
 /// E1 — Theorem 3: welfare of Algorithm 1 vs the `b*/(8√k·ρ)` bound on
@@ -498,7 +495,7 @@ pub fn e10_mechanism(quick: bool) -> Table {
         config.valuations = ValuationProfile::Xor;
         let generated = protocol_scenario(&config, 1.0);
         let instance = &generated.instance;
-        let mechanism = TruthfulMechanism::new(TruthfulMechanismOptions::default());
+        let mechanism = TruthfulMechanism::default();
         let outcome = mechanism.run(instance, 42);
         let cover_ok =
             lavi_swamy::verify_cover(&outcome.decomposition, &outcome.vcg.fractional, 1e-6);

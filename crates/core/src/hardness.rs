@@ -140,7 +140,7 @@ pub fn theorem_18_optimum(base: &ConflictGraph) -> f64 {
 mod tests {
     use super::*;
     use crate::exact::solve_exact_default;
-    use crate::solver::{SolverOptions, SpectrumAuctionSolver};
+    use crate::solver::SolverBuilder;
 
     #[test]
     fn bounded_degree_instance_respects_degree_and_rho() {
@@ -209,7 +209,7 @@ mod tests {
     fn pipeline_runs_on_theorem_18_instances() {
         let base = ConflictGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
         let inst = theorem_18_instance(&base, 3, 5);
-        let solver = SpectrumAuctionSolver::new(SolverOptions::default());
+        let solver = SolverBuilder::new().build();
         let outcome = solver.solve(&inst);
         assert!(outcome.allocation.is_feasible(&inst));
         // welfare can only come from bidders holding the full bundle

@@ -55,15 +55,13 @@ pub mod valuation;
 pub use allocation::Allocation;
 pub use channels::ChannelSet;
 pub use instance::{AuctionInstance, ConflictStructure};
-pub use lp_formulation::{
-    FractionalAssignment, FractionalEntry, LpFormulationOptions, RelaxationInfo,
-};
+pub use lp_formulation::{FractionalAssignment, FractionalEntry, RelaxationInfo};
 pub use session::{
     apply_event, AuctionSession, BidderConflicts, DualCertificate, MarketEvent, MarketId,
     NewChannel, SessionLogEntry, SessionStats,
 };
 pub use snapshot::{ConflictSnapshot, InstanceSnapshot, SnapshotError, ValuationSnapshot};
-pub use solver::{AuctionOutcome, SolveError, SolverBuilder, SolverOptions, SpectrumAuctionSolver};
+pub use solver::{AuctionOutcome, SolveError, SolverBuilder, SpectrumAuctionSolver};
 pub use valuation::{
     AdditiveValuation, BudgetedAdditiveValuation, SingleMindedValuation, SymmetricValuation,
     TabularValuation, UnitDemandValuation, Valuation, XorValuation,

@@ -23,19 +23,23 @@
 //!
 //! That master and its pricing loop live in one place, [`AuctionSession`]:
 //! the one-shot entry points here run a throwaway session's cold resolve.
-//! This module keeps the relaxation's types and options, and the enumerated
-//! master ([`solve_relaxation_explicit`]) that serves as the independent
+//! This module keeps the relaxation's types and the enumerated master
+//! ([`solve_relaxation_explicit`]) that serves as the independent
 //! reference.
 
 use crate::channels::ChannelSet;
 use crate::instance::AuctionInstance;
 use crate::session::AuctionSession;
-use crate::solver::{SolveError, SolverOptions};
+use crate::solver::{SolveError, SolverBuilder};
 use serde::{Deserialize, Serialize};
 use ssa_lp::{
-    is_native_tag, ColumnGeneration, GeneratedColumn, LpStatus, MasterProblem, Relation, Sense,
+    is_native_tag, GeneratedColumn, LpStatus, MasterProblem, Relation, Sense, SimplexOptions,
     SolveStats,
 };
+
+/// Entries with `x` at or below this threshold are dropped from the
+/// reported solution.
+const SUPPORT_TOLERANCE: f64 = 1e-9;
 
 /// One non-zero variable `x_{v,T}` of the fractional solution.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -82,14 +86,14 @@ pub struct RelaxationInfo {
     /// Pool entries evicted (bounded-capacity LRU-by-usefulness) while
     /// absorbing this solve's discoveries. A one-shot solve reports its
     /// throwaway session's pool, which evicts only when the master holds
-    /// more bundle columns than `LpFormulationOptions::column_pool_capacity`.
+    /// more bundle columns than the session's column-pool capacity (8192).
     pub pool_evictions: usize,
     /// Rows deactivated in place on the master over its lifetime (the
     /// session's basis-preserving departure path; always 0 on one-shot
     /// solves).
     pub rows_deactivated: usize,
     /// Master compactions over its lifetime (deadweight physically removed
-    /// once it passed `LpFormulationOptions::compaction_threshold`).
+    /// once it passed the session's compaction threshold).
     pub compactions: usize,
     /// Engine counters (pivots, refactorizations, hyper-sparse solves,
     /// result density) merged over every master re-solve.
@@ -188,56 +192,6 @@ impl FractionalAssignment {
     }
 }
 
-/// Options controlling how the relaxation is built and solved.
-#[derive(Clone, Debug)]
-pub struct LpFormulationOptions {
-    /// Column-generation driver settings (master simplex options, round
-    /// limit, reduced-cost tolerance).
-    pub column_generation: ColumnGeneration,
-    /// Each bidder's top `seed_top_bundles` zero-price bundles are seeded
-    /// into every rebuilt restricted master (a session's first resolve,
-    /// which is also what the one-shot entry points run). The default of
-    /// `4` is the E12-measured sweet spot: a seed-depth sweep at
-    /// n ∈ {200, 800, 2000} showed depth 4 puts the optimum's support in
-    /// the initial master and collapses the pricing loop to a single round
-    /// at every scale
-    /// (n = 2000: 9916 → 6439 total pivots, 12.7 s → 7.4 s, zero columns
-    /// generated), while depth 1 (the pre-PR 10 behavior) lets the first
-    /// round dump one column per unsatisfied bidder and the re-solve then
-    /// fights their mutual degeneracy. Depths past the valuation profile's
-    /// bundle count are free (`demand_top` saturates).
-    pub seed_top_bundles: usize,
-    /// Capacity of the session's managed column pool
-    /// ([`ssa_lp::ColumnPool`]): bundles remembered across resolves for
-    /// warm seeding, with LRU-by-usefulness eviction past the cap. `0`
-    /// means unbounded (the pre-PR 10 behavior).
-    pub column_pool_capacity: usize,
-    /// If `true`, skip column generation and enumerate **all** bundles with
-    /// positive value as columns (exponential in `k`; only sensible for
-    /// small `k`, used by tests as ground truth).
-    pub enumerate_all_bundles: bool,
-    /// Entries with `x` below this threshold are dropped from the reported
-    /// solution.
-    pub support_tolerance: f64,
-    /// Session masters compact (physically remove deactivated rows and
-    /// dead columns, remapping the warm basis) once the deadweight fraction
-    /// reaches this threshold. `1.0` effectively disables compaction.
-    pub compaction_threshold: f64,
-}
-
-impl Default for LpFormulationOptions {
-    fn default() -> Self {
-        LpFormulationOptions {
-            column_generation: ColumnGeneration::default(),
-            seed_top_bundles: 4,
-            column_pool_capacity: 8192,
-            enumerate_all_bundles: false,
-            support_tolerance: 1e-9,
-            compaction_threshold: 0.25,
-        }
-    }
-}
-
 /// Packs `(bidder, bundle)` into the 64-bit column tag every master uses
 /// for column identity (bidder in the high 32 bits, bundle bits low — the
 /// source of the `k ≤ 32` limit). The session's pool, the master and the
@@ -291,16 +245,16 @@ pub(crate) fn master_rows(instance: &AuctionInstance) -> Vec<(Relation, f64)> {
 /// point: an interrupted solve degrades into its non-converged partial
 /// result instead of an error).
 ///
-/// With the default options this is the cold resolve of a throwaway
-/// [`AuctionSession`] over a clone of the instance: column generation
-/// through the bidders' demand oracles on the session's master. With
-/// [`LpFormulationOptions::enumerate_all_bundles`] all `2^k` bundles per
-/// bidder are materialized up front instead (ground truth for small `k`).
+/// By default this is the cold resolve of a throwaway [`AuctionSession`]
+/// over a clone of the instance: column generation through the bidders'
+/// demand oracles on the session's master. With
+/// [`SolverBuilder::enumerate_all_bundles`] all `2^k` bundles per bidder
+/// are materialized up front instead (ground truth for small `k`).
 pub fn solve_relaxation(
     instance: &AuctionInstance,
-    options: &LpFormulationOptions,
+    builder: &SolverBuilder,
 ) -> FractionalAssignment {
-    try_solve_relaxation(instance, options)
+    try_solve_relaxation(instance, builder)
         .or_else(|error| match error {
             SolveError::IterationLimit { partial, .. } => Ok(*partial),
             other => Err(other),
@@ -320,16 +274,12 @@ pub fn solve_relaxation(
 /// one-shot solve and a session's first resolve are the same computation.
 pub fn try_solve_relaxation(
     instance: &AuctionInstance,
-    options: &LpFormulationOptions,
+    builder: &SolverBuilder,
 ) -> Result<FractionalAssignment, SolveError> {
-    if options.enumerate_all_bundles {
-        return solve_enumerated(instance, options);
+    if builder.enumerate_all_bundles {
+        return solve_enumerated(instance);
     }
-    let options = SolverOptions {
-        lp: options.clone(),
-        ..Default::default()
-    };
-    AuctionSession::new(instance.clone(), options).resolve_relaxation()
+    AuctionSession::new(instance.clone(), builder.clone()).resolve_relaxation()
 }
 
 /// Maps a terminal master status (and a pricing-round-budget truncation,
@@ -393,10 +343,7 @@ pub(crate) fn seed_columns(
 /// column of the canonical layout, solved once. Independent of the
 /// session's column-generation master, which makes it the reference the
 /// tests check that master against.
-fn solve_enumerated(
-    instance: &AuctionInstance,
-    options: &LpFormulationOptions,
-) -> Result<FractionalAssignment, SolveError> {
+fn solve_enumerated(instance: &AuctionInstance) -> Result<FractionalAssignment, SolveError> {
     let mut master = MasterProblem::new(Sense::Maximize, master_rows(instance));
     for bidder in 0..instance.num_bidders() {
         for bundle in ChannelSet::all_bundles(instance.num_channels) {
@@ -405,17 +352,11 @@ fn solve_enumerated(
             }
         }
     }
-    let solution = master.solve(&options.column_generation.simplex);
+    let solution = master.solve(&SimplexOptions::default());
     let status = solution.status;
+    let converged = status == LpStatus::Optimal;
     let info = RelaxationInfo::from_solution(&solution, 1, master.num_columns());
-    let fractional = extract(
-        instance,
-        &master,
-        solution,
-        status == LpStatus::Optimal,
-        info,
-        options.support_tolerance,
-    );
+    let fractional = extract(instance, &master, solution, converged, info);
     strict_status_error(status, &fractional)?;
     Ok(fractional)
 }
@@ -426,7 +367,6 @@ pub(crate) fn extract(
     solution: ssa_lp::LpSolution,
     converged: bool,
     info: RelaxationInfo,
-    support_tolerance: f64,
 ) -> FractionalAssignment {
     let mut entries = Vec::new();
     let mut objective = 0.0;
@@ -439,7 +379,7 @@ pub(crate) fn extract(
                 continue;
             }
             let x = solution.x.get(idx).copied().unwrap_or(0.0);
-            if x > support_tolerance {
+            if x > SUPPORT_TOLERANCE {
                 let (bidder, bundle) = decode_column_tag(col.tag);
                 let value = instance.value(bidder, bundle);
                 objective += value * x;
@@ -465,16 +405,12 @@ pub(crate) fn extract(
 /// Convenience: solve the relaxation with exhaustive bundle enumeration
 /// (exact LP optimum; exponential in `k`).
 pub fn solve_relaxation_explicit(instance: &AuctionInstance) -> FractionalAssignment {
-    let options = LpFormulationOptions {
-        enumerate_all_bundles: true,
-        ..Default::default()
-    };
-    solve_relaxation(instance, &options)
+    solve_relaxation(instance, &SolverBuilder::new().enumerate_all_bundles(true))
 }
 
 /// Convenience: default column-generation solve.
 pub fn solve_relaxation_oracle(instance: &AuctionInstance) -> FractionalAssignment {
-    solve_relaxation(instance, &LpFormulationOptions::default())
+    solve_relaxation(instance, &SolverBuilder::new())
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! |---|---|
 //! | none | the cached [`FractionalAssignment`] is returned as-is |
 //! | re-bids only ([`update_valuation`](AuctionSession::update_valuation)) | pool columns are **re-priced in place**; the recorded basis is still primal feasible (the constraint matrix is untouched), so the master resumes with ordinary primal pivots |
-//! | departures ([`remove_bidder`](AuctionSession::remove_bidder)), possibly mixed with re-bids | the departed bidder's columns are **fixed at zero** and its `k + 1` rows **deactivated in place** behind relief columns ([`MasterProblem::deactivate_rows`]); the surviving basis stays valid and primal feasible and resumes with primal pivots — accumulated deadweight is compacted away past `LpFormulationOptions::compaction_threshold` |
+//! | departures ([`remove_bidder`](AuctionSession::remove_bidder)), possibly mixed with re-bids | the departed bidder's columns are **fixed at zero** and its `k + 1` rows **deactivated in place** behind relief columns ([`MasterProblem::deactivate_rows`]); the surviving basis stays valid and primal feasible and resumes with primal pivots — accumulated deadweight is compacted away once it reaches a quarter of the master (`COMPACTION_THRESHOLD`) |
 //! | arrivals ([`add_bidder`](AuctionSession::add_bidder)), possibly mixed with the above | the newcomer's `k + 1` rows are **staged** and materialized at resolve time via [`MasterProblem::add_row`]; if the same batch also re-bid or departed bidders (dirt that costs the recorded basis its dual feasibility), a primal resume first re-optimizes the mutated master, and only then do the staged rows land — so the **dual simplex** row repair (`lp::dual`) always starts from a dual-feasible basis instead of declining into a near-cold solve |
 //! | ρ or channel changes | the master is rebuilt, but **warm-from-pool**: every previously discovered bundle is re-priced at the current valuations and seeded up front, so column generation starts near the previous optimum |
 //!
@@ -49,16 +49,26 @@ use crate::lp_formulation::{
     try_solve_relaxation, FractionalAssignment, RelaxationInfo,
 };
 use crate::snapshot::ValuationSnapshot;
-use crate::solver::{AuctionOutcome, SolveError, SolverOptions, SpectrumAuctionSolver};
+use crate::solver::{AuctionOutcome, SolveError, SolverBuilder, SpectrumAuctionSolver};
 use crate::valuation::Valuation;
 use serde::{Deserialize, Serialize};
 use ssa_conflict_graph::{ConflictGraph, VertexOrdering, WeightedConflictGraph};
 use ssa_lp::{
-    is_native_tag, ColumnGenerationError, ColumnPool, ColumnSource, GeneratedColumn, MasterProblem,
-    Relation, Sense,
+    is_native_tag, ColumnGeneration, ColumnGenerationError, ColumnPool, ColumnSource,
+    GeneratedColumn, MasterProblem, Relation, Sense, SimplexOptions,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
+
+/// Capacity of a session's managed [`ColumnPool`]: bundles remembered
+/// across resolves for warm seeding, with LRU-by-usefulness eviction past
+/// the cap.
+const COLUMN_POOL_CAPACITY: usize = 8192;
+
+/// Session masters compact (physically remove deactivated rows and dead
+/// columns, remapping the warm basis) once the deadweight fraction reaches
+/// this threshold.
+const COMPACTION_THRESHOLD: f64 = 0.25;
 
 /// Identifier of one regional market in a multi-market deployment (the key
 /// of an exchange's shard map). Plain newtype over `u64`: markets are
@@ -395,14 +405,13 @@ impl ColumnSource for SessionOracle<'_> {
 #[derive(Clone)]
 pub struct AuctionSession {
     instance: AuctionInstance,
-    options: SolverOptions,
+    options: SolverBuilder,
     /// Every `(bidder, bundle)` column discovered by any resolve so far —
     /// a managed [`ColumnPool`] keyed by the shared `(bidder, bundle)` tag
     /// encoding (coefficients are re-derived against the current layout at
     /// seed time, so entries carry identity only). Survives rebuilds
     /// (re-priced at the then-current valuations); bounded by
-    /// `LpFormulationOptions::column_pool_capacity` with
-    /// LRU-by-usefulness eviction.
+    /// `COLUMN_POOL_CAPACITY` with LRU-by-usefulness eviction.
     pool: ColumnPool,
     /// The cached restricted master with its warm basis, or `None` before
     /// the first resolve / after a structural mutation.
@@ -447,12 +456,12 @@ pub struct AuctionSession {
 impl AuctionSession {
     /// Opens a session over `instance`. Prefer
     /// [`SolverBuilder::session`](crate::solver::SolverBuilder::session).
-    pub fn new(instance: AuctionInstance, options: SolverOptions) -> Self {
+    pub fn new(instance: AuctionInstance, options: SolverBuilder) -> Self {
         assert!(
             instance.num_channels <= 32,
             "the LP formulation packs bundles into 32-bit column tags (k ≤ 32)"
         );
-        let pool = ColumnPool::with_capacity(options.lp.column_pool_capacity);
+        let pool = ColumnPool::with_capacity(COLUMN_POOL_CAPACITY);
         AuctionSession {
             instance,
             options,
@@ -479,7 +488,7 @@ impl AuctionSession {
     }
 
     /// The solver configuration the session was opened with.
-    pub fn options(&self) -> &SolverOptions {
+    pub fn options(&self) -> &SolverBuilder {
         &self.options
     }
 
@@ -562,7 +571,7 @@ impl AuctionSession {
     }
 
     fn can_grow_incrementally(&self) -> bool {
-        !self.options.lp.enumerate_all_bundles
+        !self.options.enumerate_all_bundles
             && self.staleness != Staleness::Rebuild
             && self.master.is_some()
     }
@@ -679,7 +688,7 @@ impl AuctionSession {
     /// [`resolve`](Self::resolve) resumes with ordinary primal pivots —
     /// departures take the cheap re-pricing shape instead of a
     /// warm-from-pool rebuild. Deadweight is compacted away once it passes
-    /// `LpFormulationOptions::compaction_threshold`. Sessions that enumerate
+    /// `COMPACTION_THRESHOLD`. Sessions that enumerate
     /// every bundle still rebuild from the pool.
     ///
     /// # Panics
@@ -997,13 +1006,13 @@ impl AuctionSession {
         // accounting the tests and the e15 bench assert on.
         let pool_hits_before = self.pool.hits();
         let pool_evictions_before = self.pool.evictions();
-        let (mut fractional, path_counter) = if self.options.lp.enumerate_all_bundles {
+        let (mut fractional, path_counter) = if self.options.enumerate_all_bundles {
             // No incremental path for the enumerated master: every resolve
             // solves it from scratch (every bundle is a column already, so
             // the pool has nothing to seed). No cached master means no duals
             // to certify with either.
             self.pending_duals = None;
-            let fractional = try_solve_relaxation(&self.instance, &self.options.lp)?;
+            let fractional = try_solve_relaxation(&self.instance, &self.options)?;
             (fractional, SessionPath::Cold)
         } else {
             match (self.master.is_some(), self.staleness) {
@@ -1024,9 +1033,8 @@ impl AuctionSession {
                         // dual feasibility — before the staged arrival
                         // rows land.
                         self.stats.mixed_batch_repairs += 1;
-                        let simplex = self.options.lp.column_generation.simplex;
                         let master = self.master.as_mut().expect("master exists on this path");
-                        let _ = master.solve_warm(&simplex);
+                        let _ = master.solve_warm(&SimplexOptions::default());
                     }
                     self.materialize_staged_rows();
                     (self.run_column_generation()?, SessionPath::WarmRows)
@@ -1077,15 +1085,14 @@ impl AuctionSession {
     }
 
     /// Compacts the cached master once its deadweight fraction passes
-    /// `LpFormulationOptions::compaction_threshold`, remapping the
+    /// `COMPACTION_THRESHOLD`, remapping the
     /// session's row layout. Called only in the clean post-resolve state,
     /// so every session-tracked row is active and survives.
     fn maybe_compact_master(&mut self) {
-        let threshold = self.options.lp.compaction_threshold;
         let Some(master) = self.master.as_mut() else {
             return;
         };
-        if let Some(report) = master.maybe_compact(threshold) {
+        if let Some(report) = master.maybe_compact(COMPACTION_THRESHOLD) {
             for rows in &mut self.row_vj {
                 for r in rows.iter_mut() {
                     *r = report.row_map[*r].expect("active session rows survive compaction");
@@ -1142,7 +1149,7 @@ impl AuctionSession {
         if !fractional.converged {
             return;
         }
-        let scratch = crate::lp_formulation::solve_relaxation(&self.instance, &self.options.lp);
+        let scratch = crate::lp_formulation::solve_relaxation(&self.instance, &self.options);
         if scratch.converged {
             let scale = 1.0 + scratch.objective.abs();
             assert!(
@@ -1169,11 +1176,10 @@ impl AuctionSession {
             .collect();
         self.row_bidder = (0..n).map(|v| n * k + v).collect();
         let mut master = MasterProblem::new(Sense::Maximize, master_rows(&self.instance));
-        let seed_top = self.options.lp.seed_top_bundles;
         seed_columns(
             &self.instance,
             &self.pool_pairs(),
-            seed_top,
+            self.options.seed_top_bundles,
             |bidder, bundle| {
                 master.add_column(session_column_for(
                     &self.instance,
@@ -1198,8 +1204,10 @@ impl AuctionSession {
             row_vj: &self.row_vj,
             row_bidder: &self.row_bidder,
         };
-        let cg = &self.options.lp.column_generation;
-        let support_tolerance = self.options.lp.support_tolerance;
+        let cg = ColumnGeneration {
+            max_rounds: self.options.max_pricing_rounds,
+            ..Default::default()
+        };
         // Bundle-column count and churn attribution: dead tombstones and
         // relief columns are solver plumbing, not assignments.
         let native_columns =
@@ -1214,14 +1222,7 @@ impl AuctionSession {
                 let rounds = partial.rounds;
                 let mut info = RelaxationInfo::from_cg(&partial, native_columns(master));
                 churn(master, &mut info);
-                let fractional = extract(
-                    &self.instance,
-                    master,
-                    partial.solution,
-                    false,
-                    info,
-                    support_tolerance,
-                );
+                let fractional = extract(&self.instance, master, partial.solution, false, info);
                 return Err(SolveError::IterationLimit {
                     rounds,
                     partial: Box::new(fractional),
@@ -1233,14 +1234,7 @@ impl AuctionSession {
         let duals = result.solution.duals.clone();
         let mut info = RelaxationInfo::from_cg(&result, native_columns(master));
         churn(master, &mut info);
-        let fractional = extract(
-            &self.instance,
-            master,
-            result.solution,
-            result.converged,
-            info,
-            support_tolerance,
-        );
+        let fractional = extract(&self.instance, master, result.solution, converged, info);
         // Same strict contract as the try_* entry points: Ok implies the
         // objective is the true LP optimum (a pricing-round-budget
         // truncation errors as IterationLimit, an infeasible master as
@@ -1298,8 +1292,7 @@ impl AuctionSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lp_formulation::{solve_relaxation, LpFormulationOptions};
-    use crate::solver::SolverBuilder;
+    use crate::lp_formulation::solve_relaxation;
     use crate::valuation::XorValuation;
     use ssa_conflict_graph::ConflictGraph;
 
@@ -1339,7 +1332,7 @@ mod tests {
         let warm = session
             .resolve_relaxation()
             .expect("session resolve failed");
-        let scratch = solve_relaxation(session.instance(), &session.options().lp);
+        let scratch = solve_relaxation(session.instance(), session.options());
         assert!(warm.converged && scratch.converged);
         assert!(
             (warm.objective - scratch.objective).abs() <= 1e-6 * (1.0 + scratch.objective.abs()),
@@ -1664,10 +1657,7 @@ mod tests {
         let warm = session.resolve_relaxation().expect("resolve failed");
         let explicit = solve_relaxation(
             session.instance(),
-            &LpFormulationOptions {
-                enumerate_all_bundles: true,
-                ..Default::default()
-            },
+            &SolverBuilder::new().enumerate_all_bundles(true),
         );
         assert!(
             (warm.objective - explicit.objective).abs() <= 1e-5 * (1.0 + explicit.objective),

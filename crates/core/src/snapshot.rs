@@ -22,7 +22,7 @@
 //!   form) so that equal valuations always produce equal commitment
 //!   payloads.
 
-use crate::channels::ChannelSet;
+use crate::channels::{ChannelSet, MAX_CHANNELS};
 use crate::instance::{AuctionInstance, ConflictStructure};
 use crate::valuation::{
     AdditiveValuation, BudgetedAdditiveValuation, SingleMindedValuation, SymmetricValuation,
@@ -177,7 +177,9 @@ impl ValuationSnapshot {
             ValuationSnapshot::Additive { channel_values }
             | ValuationSnapshot::UnitDemand { channel_values }
             | ValuationSnapshot::BudgetedAdditive { channel_values, .. } => channel_values.len(),
-            ValuationSnapshot::Symmetric { per_cardinality } => per_cardinality.len() - 1,
+            ValuationSnapshot::Symmetric { per_cardinality } => {
+                per_cardinality.len().saturating_sub(1)
+            }
         }
     }
 
@@ -480,7 +482,11 @@ impl InstanceSnapshot {
         .encode()
     }
 
-    /// Parses a snapshot from JSON text.
+    /// Parses a snapshot from JSON text. A snapshot that parses always
+    /// [`restore`](Self::restore)s: the dimension checks of
+    /// [`AuctionInstance::new`], [`VertexOrdering::from_order`] and the
+    /// graph constructors are made here and fail as
+    /// [`SnapshotError::Schema`].
     pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
         let json = Json::parse(text)?;
         let conflicts_json = json.get("conflicts")?;
@@ -513,7 +519,7 @@ impl InstanceSnapshot {
                 )))
             }
         };
-        Ok(InstanceSnapshot {
+        let snapshot = InstanceSnapshot {
             num_channels: json.get("num_channels")?.as_usize()?,
             rho: json.get("rho")?.as_f64()?,
             ordering: json
@@ -529,7 +535,74 @@ impl InstanceSnapshot {
                 .iter()
                 .map(ValuationSnapshot::from_json_value)
                 .collect::<Result<Vec<_>, _>>()?,
-        })
+        };
+        snapshot.validate()?;
+        Ok(snapshot)
+    }
+
+    /// The conditions [`restore`](Self::restore) asserts, as schema errors.
+    fn validate(&self) -> Result<(), SnapshotError> {
+        let schema = |message: String| Err(SnapshotError::Schema(message));
+        let k = self.num_channels;
+        if !(1..=MAX_CHANNELS).contains(&k) {
+            return schema(format!("num_channels {k} is outside 1..={MAX_CHANNELS}"));
+        }
+        if !(self.rho >= 1.0 && self.rho.is_finite()) {
+            return schema(format!(
+                "rho must be finite and at least 1 (got {})",
+                self.rho
+            ));
+        }
+        let n = self.bidders.len();
+        if let Some((v, b)) = self
+            .bidders
+            .iter()
+            .enumerate()
+            .find(|(_, b)| b.num_channels() != k)
+        {
+            return schema(format!(
+                "bidder {v} is defined over {} channels, the snapshot has {k}",
+                b.num_channels()
+            ));
+        }
+        let mut seen = vec![false; n];
+        if self.ordering.len() != n
+            || self
+                .ordering
+                .iter()
+                .any(|&v| v >= n || std::mem::replace(&mut seen[v], true))
+        {
+            return schema(format!("ordering is not a permutation of the {n} bidders"));
+        }
+        // Each graph as (vertex count, largest vertex id it references).
+        let binary = |g: &BinaryGraphSnapshot| (g.n, g.edges.iter().map(|&(u, v)| u.max(v)).max());
+        let weighted = |g: &WeightedGraphSnapshot| {
+            let sources = g.incoming.iter().flatten().map(|&(u, _)| u);
+            (g.incoming.len(), sources.max())
+        };
+        let (asymmetric, graphs) = match &self.conflicts {
+            ConflictSnapshot::Binary(g) => (false, vec![binary(g)]),
+            ConflictSnapshot::Weighted(g) => (false, vec![weighted(g)]),
+            ConflictSnapshot::AsymmetricBinary(gs) => (true, gs.iter().map(binary).collect()),
+            ConflictSnapshot::AsymmetricWeighted(gs) => (true, gs.iter().map(weighted).collect()),
+        };
+        if asymmetric && graphs.len() != k {
+            return schema(format!(
+                "{} conflict graphs for {k} channels (one per channel required)",
+                graphs.len()
+            ));
+        }
+        for (size, largest) in graphs {
+            if size != n {
+                return schema(format!(
+                    "a conflict graph has {size} vertices, the snapshot has {n} bidders"
+                ));
+            }
+            if let Some(u) = largest.filter(|&u| u >= n) {
+                return schema(format!("a conflict graph references vertex {u} of {n}"));
+            }
+        }
+        Ok(())
     }
 }
 

@@ -18,11 +18,11 @@ use crate::allocation::Allocation;
 use crate::conflict_resolution::make_feasible;
 use crate::instance::AuctionInstance;
 use crate::lp_formulation::{
-    solve_relaxation, try_solve_relaxation, FractionalAssignment, LpFormulationOptions,
-    RelaxationInfo,
+    solve_relaxation, try_solve_relaxation, FractionalAssignment, RelaxationInfo,
 };
 use crate::rounding::{round_binary, round_weighted_partial, RoundingOptions, RoundingStats};
 use crate::session::AuctionSession;
+use ssa_lp::ColumnGeneration;
 
 /// Typed failure of the solving pipeline, returned by the fallible entry
 /// points: the session's [`AuctionSession::resolve`] and
@@ -88,12 +88,9 @@ impl std::fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// Options of the end-to-end solver.
-///
-/// This struct predates [`SolverBuilder`] and is kept as a thin
-/// compatibility shim so existing call sites keep compiling; it only nests
-/// the per-stage option structs. New code should configure the pipeline
-/// through [`SolverBuilder`], which covers every knob in one place:
+/// The one configuration of the pipeline: a fluent builder covering
+/// column generation and the rounding stage, producing either a one-shot
+/// [`SpectrumAuctionSolver`] or a long-lived incremental [`AuctionSession`].
 ///
 /// ```
 /// use ssa_core::solver::SolverBuilder;
@@ -101,49 +98,50 @@ impl std::error::Error for SolveError {}
 /// let solver = SolverBuilder::new().seed_top_bundles(4).rounding(7, 32).build();
 /// # let _ = solver;
 /// ```
-#[derive(Clone, Debug, Default)]
-pub struct SolverOptions {
-    /// How the LP relaxation is built and solved.
-    pub lp: LpFormulationOptions,
-    /// How the rounding stage is run.
-    pub rounding: RoundingOptions,
+///
+/// Everything else the pipeline reads is fixed: masters solve with
+/// `SimplexOptions::default()` and `ColumnGeneration::default()`'s
+/// reduced-cost tolerance, and the support tolerance and the session's
+/// column-pool capacity and compaction threshold are constants of the
+/// modules that read them.
+#[derive(Clone, Debug)]
+pub struct SolverBuilder {
+    pub(crate) rounding: RoundingOptions,
+    pub(crate) max_pricing_rounds: usize,
+    pub(crate) seed_top_bundles: usize,
+    pub(crate) enumerate_all_bundles: bool,
 }
 
-/// The one way to configure the pipeline: a fluent builder covering column
-/// generation and the rounding stage, producing either a
-/// one-shot [`SpectrumAuctionSolver`] or a long-lived incremental
-/// [`AuctionSession`].
-///
-/// Replaces the former `SolverOptions` → `LpFormulationOptions` →
-/// `SimplexOptions` → `RoundingOptions` nesting (each with its own `with_*`
-/// forwarding) that accreted over three PRs of engine growth; those structs
-/// remain as shims reachable through [`SolverBuilder::options`].
-#[derive(Clone, Debug, Default)]
-pub struct SolverBuilder {
-    options: SolverOptions,
+impl Default for SolverBuilder {
+    fn default() -> Self {
+        SolverBuilder {
+            rounding: RoundingOptions::default(),
+            max_pricing_rounds: ColumnGeneration::default().max_rounds,
+            seed_top_bundles: 4,
+            enumerate_all_bundles: false,
+        }
+    }
 }
 
 impl SolverBuilder {
-    /// Starts from the default configuration (top-4 seeding, 16 rounding
-    /// trials with seed 1).
+    /// Starts from the default configuration (top-4 seeding, at most 200
+    /// pricing rounds, 16 rounding trials with seed 1).
     pub fn new() -> Self {
         SolverBuilder::default()
     }
 
-    /// Caps the session column pool ([`ssa_lp::ColumnPool`]) at `capacity`
-    /// entries with LRU-by-usefulness eviction; `0` means unbounded.
-    pub fn column_pool_capacity(mut self, capacity: usize) -> Self {
-        self.options.lp.column_pool_capacity = capacity;
-        self
-    }
-
-    /// Seeds the initial restricted master with each bidder's top `s`
-    /// zero-price bundles instead of just the favorite. The default (4)
-    /// is the measured degeneracy killer at scale — see
-    /// [`LpFormulationOptions::seed_top_bundles`](crate::LpFormulationOptions::seed_top_bundles);
-    /// `1` recovers the classic favorite-only seed.
+    /// Seeds each rebuilt restricted master (a session's first resolve,
+    /// which is also what the one-shot entry points run) with each bidder's
+    /// top `s` zero-price bundles instead of just the favorite; `1`
+    /// recovers the classic favorite-only seed.
+    ///
+    /// The default of 4 is the E12-measured sweet spot: it puts the
+    /// optimum's support in the initial master and collapses the pricing
+    /// loop to a single round at every measured scale (n = 2000: 9916 →
+    /// 6439 total pivots). Depths past the valuation profile's bundle count
+    /// are free (`demand_top` saturates).
     pub fn seed_top_bundles(mut self, s: usize) -> Self {
-        self.options.lp.seed_top_bundles = s.max(1);
+        self.seed_top_bundles = s.max(1);
         self
     }
 
@@ -151,7 +149,7 @@ impl SolverBuilder {
     /// independent trials (the best allocation is kept). Rounding needs at
     /// least one trial, so `0` is treated as `1`.
     pub fn rounding(mut self, seed: u64, trials: usize) -> Self {
-        self.options.rounding = RoundingOptions {
+        self.rounding = RoundingOptions {
             seed,
             trials: trials.max(1),
         };
@@ -161,7 +159,7 @@ impl SolverBuilder {
     /// Caps the number of column-generation pricing rounds per relaxation
     /// solve.
     pub fn max_pricing_rounds(mut self, rounds: usize) -> Self {
-        self.options.lp.column_generation.max_rounds = rounds;
+        self.max_pricing_rounds = rounds;
         self
     }
 
@@ -169,19 +167,13 @@ impl SolverBuilder {
     /// generating columns through the demand oracles (exponential in `k`;
     /// ground truth for small instances).
     pub fn enumerate_all_bundles(mut self, enumerate: bool) -> Self {
-        self.options.lp.enumerate_all_bundles = enumerate;
+        self.enumerate_all_bundles = enumerate;
         self
-    }
-
-    /// The assembled [`SolverOptions`] — the escape hatch for call sites
-    /// that still need the shim structs (e.g. to tweak a simplex tolerance).
-    pub fn options(self) -> SolverOptions {
-        self.options
     }
 
     /// Builds the one-shot solver.
     pub fn build(self) -> SpectrumAuctionSolver {
-        SpectrumAuctionSolver::new(self.options)
+        SpectrumAuctionSolver::new(self)
     }
 
     /// Opens an incremental [`AuctionSession`] over `instance`: the session
@@ -191,7 +183,7 @@ impl SolverBuilder {
     ///
     /// [`resolve`]: AuctionSession::resolve
     pub fn session(self, instance: AuctionInstance) -> AuctionSession {
-        AuctionSession::new(instance, self.options)
+        AuctionSession::new(instance, self)
     }
 }
 
@@ -256,16 +248,17 @@ pub fn guarantee_factor(instance: &AuctionInstance) -> f64 {
     }
 }
 
-/// The end-to-end solver.
+/// The end-to-end solver: the one-shot pipeline under a [`SolverBuilder`]
+/// configuration (prefer [`SolverBuilder::build`]).
 #[derive(Clone, Debug, Default)]
 pub struct SpectrumAuctionSolver {
-    /// Solver options.
-    pub options: SolverOptions,
+    /// The configuration.
+    pub options: SolverBuilder,
 }
 
 impl SpectrumAuctionSolver {
-    /// Creates a solver with the given options.
-    pub fn new(options: SolverOptions) -> Self {
+    /// Creates a solver with the given configuration.
+    pub fn new(options: SolverBuilder) -> Self {
         SpectrumAuctionSolver { options }
     }
 
@@ -280,7 +273,7 @@ impl SpectrumAuctionSolver {
     /// property of the input. (Release builds return the allocation as-is;
     /// use [`try_solve`](Self::try_solve) to get the check everywhere.)
     pub fn solve(&self, instance: &AuctionInstance) -> AuctionOutcome {
-        let fractional = solve_relaxation(instance, &self.options.lp);
+        let fractional = solve_relaxation(instance, &self.options);
         self.round_fractional(instance, &fractional)
     }
 
@@ -295,7 +288,7 @@ impl SpectrumAuctionSolver {
     /// through [`AuctionSession::resolve`], whose debug-build
     /// re-certification would solve the relaxation a second time.
     pub fn try_solve(&self, instance: &AuctionInstance) -> Result<AuctionOutcome, SolveError> {
-        let fractional = try_solve_relaxation(instance, &self.options.lp)?;
+        let fractional = try_solve_relaxation(instance, &self.options)?;
         self.try_round_fractional(instance, &fractional)
     }
 
@@ -411,13 +404,7 @@ mod tests {
     #[test]
     fn binary_pipeline_is_feasible_and_within_guarantee() {
         let inst = cycle_instance(8, 2);
-        let solver = SpectrumAuctionSolver::new(SolverOptions {
-            rounding: RoundingOptions {
-                seed: 9,
-                trials: 64,
-            },
-            ..Default::default()
-        });
+        let solver = SolverBuilder::new().rounding(9, 64).build();
         let outcome = solver.solve(&inst);
         assert!(outcome.allocation.is_feasible(&inst));
         assert!(outcome.lp_converged);
@@ -461,13 +448,7 @@ mod tests {
             VertexOrdering::identity(n),
             2.0,
         );
-        let solver = SpectrumAuctionSolver::new(SolverOptions {
-            rounding: RoundingOptions {
-                seed: 13,
-                trials: 32,
-            },
-            ..Default::default()
-        });
+        let solver = SolverBuilder::new().rounding(13, 32).build();
         let outcome = solver.solve(&inst);
         assert!(outcome.allocation.is_feasible(&inst));
         assert!(outcome.welfare > 0.0);
@@ -490,13 +471,7 @@ mod tests {
             VertexOrdering::identity(n),
             1.0,
         );
-        let solver = SpectrumAuctionSolver::new(SolverOptions {
-            rounding: RoundingOptions {
-                seed: 21,
-                trials: 64,
-            },
-            ..Default::default()
-        });
+        let solver = SolverBuilder::new().rounding(21, 64).build();
         let outcome = solver.solve(&inst);
         assert!(outcome.allocation.is_feasible(&inst));
         // guarantee factor uses k, not sqrt(k), for asymmetric channels

@@ -62,7 +62,7 @@ pub trait Valuation: Send + Sync {
     /// non-increasing utility order, each with strictly positive utility
     /// at `prices`, led by the [`Valuation::demand`] bundle. The master is
     /// seeded with each bidder's top bundles at zero prices
-    /// ([`crate::lp_formulation::LpFormulationOptions::seed_top_bundles`]);
+    /// ([`crate::solver::SolverBuilder::seed_top_bundles`]);
     /// the pricing loop asks for `p = 1`.
     ///
     /// The default returns just the demand bundle; structured bidding

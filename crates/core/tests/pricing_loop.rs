@@ -8,8 +8,7 @@ use proptest::prelude::*;
 use ssa_conflict_graph::{ConflictGraph, VertexOrdering};
 use ssa_core::lp_formulation::{solve_relaxation, solve_relaxation_explicit};
 use ssa_core::{
-    AuctionInstance, ConflictStructure, LpFormulationOptions, TabularValuation, Valuation,
-    XorValuation,
+    AuctionInstance, ConflictStructure, SolverBuilder, TabularValuation, Valuation, XorValuation,
 };
 use std::sync::Arc;
 
@@ -117,14 +116,11 @@ prop_compose! {
     }
 }
 
-fn options() -> LpFormulationOptions {
+fn options() -> SolverBuilder {
     // Favorite-only seeding: these instances have 1–3 bundles per bidder,
     // so the default top-4 seed would pre-solve them and the pricing loop
     // under test would never execute.
-    LpFormulationOptions {
-        seed_top_bundles: 1,
-        ..Default::default()
-    }
+    SolverBuilder::new().seed_top_bundles(1)
 }
 
 proptest! {

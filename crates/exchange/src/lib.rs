@@ -72,7 +72,7 @@ use rayon::prelude::*;
 use sealed::SealedRound;
 use serde::{Deserialize, Serialize};
 use ssa_core::session::{AuctionSession, MarketEvent, MarketId, SessionStats};
-use ssa_core::solver::{AuctionOutcome, SolveError, SolverBuilder, SolverOptions};
+use ssa_core::solver::{AuctionOutcome, SolveError, SolverBuilder};
 use ssa_core::AuctionInstance;
 use ssa_lp::SolveStats;
 use ssa_mechanism::sealed_bid::{Phase, SealedBidAuction, SealedBidError};
@@ -251,14 +251,14 @@ impl DrainReport {
 /// sessions and drain scheduling.
 #[derive(Clone, Debug)]
 pub struct ExchangeBuilder {
-    options: SolverOptions,
+    options: SolverBuilder,
     drain: DrainMode,
 }
 
 impl Default for ExchangeBuilder {
     fn default() -> Self {
         ExchangeBuilder {
-            options: SolverBuilder::new().options(),
+            options: SolverBuilder::new(),
             drain: DrainMode::Pooled,
         }
     }
@@ -273,7 +273,7 @@ impl ExchangeBuilder {
     /// Configures the per-market sessions through a [`SolverBuilder`]
     /// (seed depth, rounding, …).
     pub fn solver(mut self, builder: SolverBuilder) -> Self {
-        self.options = builder.options();
+        self.options = builder;
         self
     }
 
@@ -321,7 +321,7 @@ struct ShardSlot {
 /// The exchange: a shard map of [`AuctionSession`]s behind per-market
 /// event queues. See the [module docs](self) for the architecture.
 pub struct SpectrumExchange {
-    options: SolverOptions,
+    options: SolverBuilder,
     drain: DrainMode,
     shards: Vec<ShardSlot>,
     index: HashMap<MarketId, usize>,
@@ -351,7 +351,7 @@ impl SpectrumExchange {
     }
 
     /// Opens a market: wraps `instance` in a fresh [`AuctionSession`] under
-    /// this exchange's solver options.
+    /// this exchange's solver configuration.
     pub fn open_market(
         &mut self,
         id: MarketId,

@@ -742,9 +742,6 @@ impl ColumnGeneration {
     }
 }
 
-/// Default capacity of a [`ColumnPool`] when the caller does not size it.
-pub const DEFAULT_POOL_CAPACITY: usize = 4096;
-
 /// A pooled column plus its usefulness bookkeeping. See [`ColumnPool`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PooledColumn {

@@ -36,35 +36,19 @@ use serde::{Deserialize, Serialize};
 use ssa_core::allocation::Allocation;
 use ssa_core::lp_formulation::FractionalAssignment;
 use ssa_core::session::AuctionSession;
-use ssa_core::solver::{SolveError, SolverOptions, SpectrumAuctionSolver};
+use ssa_core::solver::{SolveError, SolverBuilder, SpectrumAuctionSolver};
 use ssa_core::valuation::{TabularValuation, Valuation};
 use ssa_core::{AuctionInstance, ChannelSet};
-use ssa_lp::{ColumnGeneration, GeneratedColumn, MasterProblem, Relation, Sense};
+use ssa_lp::{ColumnGeneration, GeneratedColumn, MasterProblem, Relation, Sense, SimplexOptions};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Options for the decomposition.
-#[derive(Clone, Debug)]
-pub struct DecompositionOptions {
-    /// Options of the inner approximation pipeline used as the
-    /// integrality-gap verifier on the adjusted valuations.
-    pub verifier: SolverOptions,
-    /// Maximum number of pricing rounds.
-    pub max_rounds: usize,
-    /// Probabilities below this threshold are dropped (and the remaining
-    /// distribution re-normalized).
-    pub probability_tolerance: f64,
-}
+/// Maximum number of pricing rounds of the decomposition master.
+const MAX_ROUNDS: usize = 40;
 
-impl Default for DecompositionOptions {
-    fn default() -> Self {
-        DecompositionOptions {
-            verifier: SolverOptions::default(),
-            max_rounds: 40,
-            probability_tolerance: 1e-9,
-        }
-    }
-}
+/// Probabilities at or below this threshold are dropped (and the remaining
+/// distribution re-normalized).
+const PROBABILITY_TOLERANCE: f64 = 1e-9;
 
 /// A convex combination of feasible integral allocations dominating
 /// `x*/α_eff`.
@@ -151,12 +135,14 @@ fn column_of_allocation(
 /// allocations.
 ///
 /// `alpha` is the requested scale factor (the pipeline's guarantee factor);
-/// the decomposition reports the factor it actually certifies.
+/// the decomposition reports the factor it actually certifies. `verifier`
+/// configures the approximation pipeline run on each round's adjusted
+/// valuations.
 pub fn decompose(
     instance: &AuctionInstance,
     fractional: &FractionalAssignment,
     alpha: f64,
-    options: &DecompositionOptions,
+    verifier: &SolverBuilder,
 ) -> Decomposition {
     assert!(alpha >= 1.0, "alpha must be at least 1");
     let n = instance.num_bidders();
@@ -197,14 +183,9 @@ pub fn decompose(
     }
 
     // Column generation: duals = adjusted valuations; verifier = our solver.
-    // The decomposition master runs with the same simplex options the
-    // verifier pipeline was configured with (they ride in through
-    // `options.verifier`).
-    let solver = SpectrumAuctionSolver::new(options.verifier.clone());
-    let master_simplex = options.verifier.lp.column_generation.simplex;
+    let solver = SpectrumAuctionSolver::new(verifier.clone());
     let cg = ColumnGeneration {
-        simplex: master_simplex,
-        max_rounds: options.max_rounds,
+        max_rounds: MAX_ROUNDS,
         ..Default::default()
     };
     let support_for_pricing = support.clone();
@@ -259,7 +240,7 @@ pub fn decompose(
                         instance.ordering.clone(),
                         instance.rho,
                     );
-                    session_ref.insert(AuctionSession::new(adjusted, options.verifier.clone()))
+                    session_ref.insert(AuctionSession::new(adjusted, verifier.clone()))
                 }
             };
             let outcome = match session.resolve() {
@@ -296,7 +277,7 @@ pub fn decompose(
     allocations.extend(produced);
 
     // Final solve of the master to get the cover weights.
-    let solution = master.solve(&master_simplex);
+    let solution = master.solve(&SimplexOptions::default());
     let rounds = pricing_rounds;
 
     // Collect the distribution: weights of the master columns, normalized.
@@ -304,7 +285,7 @@ pub fn decompose(
     let mut total = 0.0;
     for (idx, col) in master.columns().iter().enumerate() {
         let lambda = solution.x.get(idx).copied().unwrap_or(0.0);
-        if lambda > options.probability_tolerance {
+        if lambda > PROBABILITY_TOLERANCE {
             let allocation = allocations[col.tag as usize].clone();
             weighted.push((lambda, allocation));
             total += lambda;
@@ -326,7 +307,7 @@ pub fn decompose(
     if total <= 1.0 + 1e-9 {
         effective_alpha = alpha;
         let slack = (1.0 - total).max(0.0);
-        if slack > options.probability_tolerance {
+        if slack > PROBABILITY_TOLERANCE {
             weighted.push((slack, Allocation::empty(n)));
         }
         // re-normalize against numerical drift
@@ -441,7 +422,7 @@ mod tests {
         let inst = path_instance();
         let frac = solve_relaxation_explicit(&inst);
         let alpha = guarantee_factor(&inst);
-        let d = decompose(&inst, &frac, alpha, &DecompositionOptions::default());
+        let d = decompose(&inst, &frac, alpha, &SolverBuilder::new());
         let total: f64 = d.support.iter().map(|(p, _)| p).sum();
         assert!((total - 1.0).abs() < 1e-6, "probabilities sum to {total}");
         for (p, a) in &d.support {
@@ -456,7 +437,7 @@ mod tests {
         let inst = path_instance();
         let frac = solve_relaxation_explicit(&inst);
         let alpha = guarantee_factor(&inst);
-        let d = decompose(&inst, &frac, alpha, &DecompositionOptions::default());
+        let d = decompose(&inst, &frac, alpha, &SolverBuilder::new());
         assert!(verify_cover(&d, &frac, 1e-6));
         // expected welfare is at least the LP optimum divided by the
         // effective factor
@@ -482,7 +463,7 @@ mod tests {
             1.0,
         );
         let frac = solve_relaxation_explicit(&inst);
-        let d = decompose(&inst, &frac, 4.0, &DecompositionOptions::default());
+        let d = decompose(&inst, &frac, 4.0, &SolverBuilder::new());
         assert_eq!(d.support.len(), 1);
         assert!((d.support[0].0 - 1.0).abs() < 1e-12);
         assert_eq!(d.expected_welfare(&inst), 0.0);
@@ -492,12 +473,7 @@ mod tests {
     fn sampling_respects_the_distribution() {
         let inst = path_instance();
         let frac = solve_relaxation_explicit(&inst);
-        let d = decompose(
-            &inst,
-            &frac,
-            guarantee_factor(&inst),
-            &DecompositionOptions::default(),
-        );
+        let d = decompose(&inst, &frac, guarantee_factor(&inst), &SolverBuilder::new());
         let mut rng = StdRng::seed_from_u64(99);
         let mut welfare_sum = 0.0;
         let samples = 4000;

@@ -28,12 +28,12 @@ pub mod sealed_bid;
 pub mod truthful;
 pub mod vcg;
 
-pub use lavi_swamy::{decompose, Decomposition, DecompositionOptions};
+pub use lavi_swamy::{decompose, Decomposition};
 pub use sealed_bid::{
     audit, AuctioneerAdversary, AuditFinding, AuditReport, CollateralLedger, CollateralPolicy,
     Commitment, CommitmentRecord, FalseBid, ForfeitReason, ForfeitureRecord, Opening,
     ParticipantKind, ParticipantStatus, Phase, RevealStatus, SealedBidAuction, SealedBidError,
     SealedBidOutcome, SealedTranscript,
 };
-pub use truthful::{MechanismOutcome, TruthfulMechanism, TruthfulMechanismOptions};
+pub use truthful::{MechanismOutcome, TruthfulMechanism};
 pub use vcg::{fractional_vcg, FractionalVcg};

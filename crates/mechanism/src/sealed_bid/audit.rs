@@ -540,7 +540,7 @@ fn check_outcome(
         }
         None => {
             report.resolved_from_scratch = true;
-            let scratch = solve_relaxation(instance, &transcript.options.lp);
+            let scratch = solve_relaxation(instance, &transcript.options);
             if scratch.converged
                 && scratch.objective > transcript.fractional.objective + 1e-5 * scale
             {

@@ -44,7 +44,7 @@ pub use commitment::{commit_to, nonce_from_seed, sha256, Commitment, Opening};
 
 use ssa_core::session::SessionLogEntry;
 use ssa_core::snapshot::InstanceSnapshot;
-use ssa_core::solver::SolverOptions;
+use ssa_core::solver::SolverBuilder;
 use ssa_core::{
     AdditiveValuation, AuctionOutcome, AuctionSession, BidderConflicts, ChannelSet,
     DualCertificate, FractionalAssignment, SnapshotError, SolveError, Valuation,
@@ -200,8 +200,8 @@ pub struct SealedTranscript {
     /// The instance when the auction opened.
     pub baseline: InstanceSnapshot,
     /// The solver configuration (the rounding stage is deterministic given
-    /// these options, which is what makes the outcome replayable).
-    pub options: SolverOptions,
+    /// it, which is what makes the outcome replayable).
+    pub options: SolverBuilder,
     /// Every posted commitment.
     pub commitments: Vec<CommitmentRecord>,
     /// Every published opening: accepted, rejected, and suppressed ones.

@@ -15,30 +15,21 @@
 //! from fractional VCG and approximates the optimal welfare within `α` in
 //! expectation.
 
-use crate::lavi_swamy::{decompose, Decomposition, DecompositionOptions};
+use crate::lavi_swamy::{decompose, Decomposition};
 use crate::vcg::{fractional_vcg, FractionalVcg};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use ssa_core::allocation::Allocation;
-use ssa_core::lp_formulation::LpFormulationOptions;
-use ssa_core::solver::guarantee_factor;
+use ssa_core::solver::{guarantee_factor, SolverBuilder};
 use ssa_core::AuctionInstance;
-
-/// Options of the truthful mechanism.
-#[derive(Clone, Debug, Default)]
-pub struct TruthfulMechanismOptions {
-    /// LP options used for the welfare LP and the VCG LPs.
-    pub lp: LpFormulationOptions,
-    /// Decomposition options.
-    pub decomposition: DecompositionOptions,
-}
 
 /// The mechanism.
 #[derive(Clone, Debug, Default)]
 pub struct TruthfulMechanism {
-    /// Options.
-    pub options: TruthfulMechanismOptions,
+    /// The pipeline the decomposition runs on each round's adjusted
+    /// valuations; the welfare and VCG LPs use the default relaxation.
+    pub verifier: SolverBuilder,
 }
 
 /// Output of one run of the mechanism.
@@ -84,22 +75,17 @@ impl MechanismOutcome {
 }
 
 impl TruthfulMechanism {
-    /// Creates a mechanism with the given options.
-    pub fn new(options: TruthfulMechanismOptions) -> Self {
-        TruthfulMechanism { options }
+    /// Creates a mechanism whose decomposition runs `verifier`.
+    pub fn new(verifier: SolverBuilder) -> Self {
+        TruthfulMechanism { verifier }
     }
 
     /// Runs the mechanism on the reported valuations in `instance`, drawing
     /// the final allocation with the given seed.
     pub fn run(&self, instance: &AuctionInstance, seed: u64) -> MechanismOutcome {
-        let vcg = fractional_vcg(instance, &self.options.lp);
+        let vcg = fractional_vcg(instance);
         let alpha = guarantee_factor(instance);
-        let decomposition = decompose(
-            instance,
-            &vcg.fractional,
-            alpha,
-            &self.options.decomposition,
-        );
+        let decomposition = decompose(instance, &vcg.fractional, alpha, &self.verifier);
         let mut rng = StdRng::seed_from_u64(seed);
         let allocation = decomposition.sample(&mut rng).clone();
         let payments = (0..instance.num_bidders())

@@ -14,7 +14,7 @@
 //! truthfulness in expectation.
 
 use serde::{Deserialize, Serialize};
-use ssa_core::lp_formulation::{solve_relaxation, FractionalAssignment, LpFormulationOptions};
+use ssa_core::lp_formulation::{solve_relaxation_oracle, FractionalAssignment};
 use ssa_core::valuation::{TabularValuation, Valuation};
 use ssa_core::AuctionInstance;
 use std::sync::Arc;
@@ -61,8 +61,8 @@ fn without_bidder(instance: &AuctionInstance, v: usize) -> AuctionInstance {
 
 /// Computes the fractional VCG payments: one LP solve for the full instance
 /// and one per bidder with that bidder removed.
-pub fn fractional_vcg(instance: &AuctionInstance, lp: &LpFormulationOptions) -> FractionalVcg {
-    let fractional = solve_relaxation(instance, lp);
+pub fn fractional_vcg(instance: &AuctionInstance) -> FractionalVcg {
+    let fractional = solve_relaxation_oracle(instance);
     let n = instance.num_bidders();
     let mut fractional_values = vec![0.0; n];
     for e in &fractional.entries {
@@ -79,7 +79,7 @@ pub fn fractional_vcg(instance: &AuctionInstance, lp: &LpFormulationOptions) -> 
             continue;
         }
         let reduced = without_bidder(instance, v);
-        let sol = solve_relaxation(&reduced, lp);
+        let sol = solve_relaxation_oracle(&reduced);
         objectives_without[v] = sol.objective;
         let externality = sol.objective - (fractional.objective - fractional_values[v]);
         payments[v] = externality.max(0.0);
@@ -128,7 +128,7 @@ mod tests {
             VertexOrdering::identity(3),
             1.0,
         );
-        let vcg = fractional_vcg(&inst, &LpFormulationOptions::default());
+        let vcg = fractional_vcg(&inst);
         assert_eq!(vcg.payments.len(), 3);
         for v in 0..3 {
             assert!(vcg.payments[v] >= -1e-9, "VCG payments are non-negative");
@@ -162,7 +162,7 @@ mod tests {
             VertexOrdering::identity(3),
             1.0,
         );
-        let vcg = fractional_vcg(&inst, &LpFormulationOptions::default());
+        let vcg = fractional_vcg(&inst);
         for v in 0..3 {
             assert!(
                 vcg.payments[v].abs() < 1e-6,
@@ -196,7 +196,7 @@ mod tests {
         // utility of bidder 0 under the fractional VCG rule with true value
         let utility_of = |reported: f64| {
             let inst = make_instance(reported);
-            let vcg = fractional_vcg(&inst, &LpFormulationOptions::default());
+            let vcg = fractional_vcg(&inst);
             // true utility: true value times the fractional share received,
             // minus the payment
             let share = if reported > 0.0 {

@@ -11,7 +11,7 @@
 
 use spectrum_auctions::auction::exact::solve_exact_default;
 use spectrum_auctions::auction::hardness::{theorem_18_instance, theorem_18_optimum};
-use spectrum_auctions::auction::solver::{SolverOptions, SpectrumAuctionSolver};
+use spectrum_auctions::auction::solver::SolverBuilder;
 use spectrum_auctions::conflict_graph::ConflictGraph;
 use spectrum_auctions::workloads::{asymmetric_scenario, ScenarioConfig};
 
@@ -19,7 +19,7 @@ fn main() {
     // --- (a) random asymmetric scenario -----------------------------------
     let config = ScenarioConfig::new(16, 3, 31);
     let generated = asymmetric_scenario(&config, 1.0);
-    let solver = SpectrumAuctionSolver::new(SolverOptions::default());
+    let solver = SolverBuilder::new().build();
     let outcome = solver.solve(&generated.instance);
 
     println!("=== random asymmetric-channel market ===");

@@ -14,7 +14,7 @@
 //!
 //! Run with: `cargo run --example physical_model_auction`
 
-use spectrum_auctions::auction::solver::{SolverOptions, SpectrumAuctionSolver};
+use spectrum_auctions::auction::solver::SolverBuilder;
 use spectrum_auctions::interference::{PowerAssignment, SinrParameters};
 use spectrum_auctions::workloads::{
     physical_scenario, power_control_scenario, ScenarioConfig, ValuationProfile,
@@ -35,7 +35,7 @@ fn main() {
         generated.certified_rho
     );
 
-    let solver = SpectrumAuctionSolver::new(SolverOptions::default());
+    let solver = SolverBuilder::new().build();
     let outcome = solver.solve(&generated.instance);
     println!(
         "LP optimum b* = {:.3}, rounded welfare = {:.3}, ratio = {:.2}",

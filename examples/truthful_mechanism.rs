@@ -9,7 +9,7 @@
 //! Run with: `cargo run --example truthful_mechanism`
 
 use spectrum_auctions::auction::solver::SolverBuilder;
-use spectrum_auctions::mechanism::{TruthfulMechanism, TruthfulMechanismOptions};
+use spectrum_auctions::mechanism::TruthfulMechanism;
 use spectrum_auctions::workloads::{protocol_scenario, ScenarioConfig, ValuationProfile};
 
 fn main() {
@@ -22,9 +22,7 @@ fn main() {
     // adjusted valuations of each pricing round) is configured through the
     // builder like any other pipeline; the mechanism reuses one incremental
     // session for it across all pricing rounds.
-    let mut options = TruthfulMechanismOptions::default();
-    options.decomposition.verifier = SolverBuilder::new().rounding(3, 32).options();
-    let mechanism = TruthfulMechanism::new(options);
+    let mechanism = TruthfulMechanism::new(SolverBuilder::new().rounding(3, 32));
     let outcome = mechanism.run(instance, 99);
 
     println!("=== truthful-in-expectation spectrum auction ===");

@@ -48,21 +48,33 @@
 //! legacy `solve` entry points keep their degrade-gracefully behavior with a
 //! `debug_assert!`-only feasibility check.
 //!
-//! ### Migrating from `SolverOptions`
+//! ### Migrating to the builder
 //!
-//! `SolverOptions` (and the nested `LpFormulationOptions` /
-//! `SimplexOptions` / `RoundingOptions`) remain as thin shims, so existing
-//! code keeps compiling. New code should use the builder; the mapping is
-//! mechanical:
+//! The builder is the one configuration value: the one-shot solver,
+//! sessions, the exchange, sealed-bid transcripts and the truthful
+//! mechanism's verifier all hold a `SolverBuilder`. It carries five
+//! settings — the rounding seed and trial count, the pricing-round cap,
+//! the seed depth and bundle enumeration. Every other value the pipeline
+//! reads has one value in use and is a constant of the module that reads
+//! it. Older configuration maps as follows:
 //!
 //! | before | after |
 //! |---|---|
 //! | `SolverOptions { rounding: RoundingOptions { seed, trials }, .. }` | `SolverBuilder::new().rounding(seed, trials)` |
+//! | `SolverOptions` as a value (`SpectrumAuctionSolver::new`, `AuctionSession::new`, `SealedTranscript::options`, `AuctionSession::options()`) | removed: each takes or holds a `SolverBuilder` |
+//! | `LpFormulationOptions { seed_top_bundles, enumerate_all_bundles, column_generation: ColumnGeneration { max_rounds, .. }, .. }` | [`SolverBuilder::seed_top_bundles`](auction::solver::SolverBuilder::seed_top_bundles), [`enumerate_all_bundles`](auction::solver::SolverBuilder::enumerate_all_bundles), [`max_pricing_rounds`](auction::solver::SolverBuilder::max_pricing_rounds); `solve_relaxation` and `try_solve_relaxation` take `&SolverBuilder` |
+//! | `LpFormulationOptions { column_pool_capacity, compaction_threshold, support_tolerance, column_generation: ColumnGeneration { simplex, reduced_cost_tolerance, .. }, .. }` | constants: the session's pool capacity (8192) and compaction threshold (0.25), the relaxation's support tolerance (1e-9); masters solve with `SimplexOptions::default()` and `ColumnGeneration::default()`'s reduced-cost tolerance |
+//! | `SolverBuilder::options()` | removed: pass the builder itself |
+//! | `SolverBuilder::column_pool_capacity(n)` | removed (it had no caller): a session's pool holds 8192 columns |
+//! | `TruthfulMechanism::new(TruthfulMechanismOptions { lp, decomposition })` | [`TruthfulMechanism::new(verifier)`](mechanism::TruthfulMechanism::new) with a `SolverBuilder`; the welfare and VCG LPs use the default relaxation |
+//! | `decompose(instance, fractional, alpha, &DecompositionOptions { verifier, max_rounds, probability_tolerance })` | [`decompose(instance, fractional, alpha, &verifier)`](mechanism::decompose); the 40-round cap and the 1e-9 probability tolerance are constants |
+//! | `fractional_vcg(instance, &LpFormulationOptions::default())` | [`fractional_vcg(instance)`](mechanism::fractional_vcg) |
+//! | `ssa_lp::DEFAULT_POOL_CAPACITY` | removed (nothing read it): the session constant is the one pool capacity |
 //! | `SpectrumAuctionSolver::new(options)` | `SolverBuilder::new()…`[`.build()`](auction::solver::SolverBuilder::build) |
 //! | n/a (one-shot only) | `SolverBuilder::new()…`[`.session(instance)`](auction::solver::SolverBuilder::session) |
 //! | `try_solve_relaxation_with_pool(instance, options, pool)` | a session's [`resolve_relaxation`](auction::session::AuctionSession::resolve_relaxation): it seeds rebuilds from its own pool |
 //! | `LpFormulationOptions { deep_batch_rows, .. }` | removed: arrivals always take the dual-simplex row repair, and an exchange drain is one resolve |
-//! | `large_instance_simplex_options()` | removed: set `SimplexOptions` fields through [`SolverBuilder::options`](auction::solver::SolverBuilder::options) |
+//! | `large_instance_simplex_options()` | removed: masters solve with `SimplexOptions::default()` |
 //! | `ExchangeBuilder::coalescing(bool)` | removed: the exchange queues each market's events and applies them verbatim, in submission order |
 //! | `ExchangeBuilder::solver_options(options)` | removed: configure the sessions through [`ExchangeBuilder::solver`](exchange::ExchangeBuilder::solver) with a `SolverBuilder` |
 //! | `OutcomeSummary::new(instance, outcome)` | removed (it had no caller): read [`AuctionOutcome`](auction::solver::AuctionOutcome) and its `lp_info` directly |
@@ -72,9 +84,6 @@
 //! | `ColumnGenerationResult::{simplex_iterations, refactorizations, .., avg_result_density}` | [`ColumnGenerationResult::stats`](lp::ColumnGenerationResult::stats)`.*` |
 //! | `RoundSeries` / `ROUND_SERIES_CAP` | removed: `per_round_iterations` and `columns_per_round` are plain `Vec<usize>`, built fresh per column-generation run |
 //! | `ExchangeStats::lp: LpActivity` | [`ExchangeStats::lp`](exchange::ExchangeStats::lp) is a [`lp::SolveStats`] merged over every drained resolve; the per-market rounds, columns and pool counters stay on each resolve's `outcome.lp_info` |
-//!
-//! Knobs without a builder method (e.g. simplex tolerances) remain
-//! reachable through [`auction::solver::SolverBuilder::options`].
 //!
 //! ## One master, and the seed depth
 //!
@@ -93,10 +102,8 @@
 //! ### The managed column pool
 //!
 //! Sessions persist generated bundles in a managed pool with per-column
-//! age / hit / reduced-cost metadata and usefulness-ranked eviction
-//! (capacity via
-//! [`SolverBuilder::column_pool_capacity`](auction::solver::SolverBuilder::column_pool_capacity),
-//! default 8192). Warm resolves first re-price pooled columns and
+//! age / hit / reduced-cost metadata and usefulness-ranked eviction (a
+//! fixed capacity of 8192 columns per session). Warm resolves first re-price pooled columns and
 //! only fall back to the demand oracles when the pool prices out. Code
 //! that previously reached into the raw column vectors should read
 //! [`auction::lp_formulation::RelaxationInfo`] instead: `pool_hits` /

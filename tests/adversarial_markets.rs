@@ -24,7 +24,7 @@ use spectrum_auctions::mechanism::sealed_bid::{
     audit, commit_to, nonce_from_seed, AuditFinding, CollateralPolicy, Opening, ParticipantKind,
     RevealStatus, SealedBidAuction, SealedBidOutcome,
 };
-use spectrum_auctions::mechanism::{TruthfulMechanism, TruthfulMechanismOptions};
+use spectrum_auctions::mechanism::TruthfulMechanism;
 use spectrum_auctions::workloads::{
     colluding_clique_scenario, shill_stream_scenario, sniping_burst_scenario,
     AdversarialSealedMarket, ScenarioConfig, SealedKind, SealedRole,
@@ -123,7 +123,7 @@ fn assert_mechanism_properties(
     context: &str,
     instance: &spectrum_auctions::auction::AuctionInstance,
 ) {
-    let mechanism = TruthfulMechanism::new(TruthfulMechanismOptions::default());
+    let mechanism = TruthfulMechanism::default();
     let outcome = mechanism.run(instance, 7);
     assert!(
         outcome.allocation.is_feasible(instance),

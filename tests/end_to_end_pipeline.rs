@@ -2,8 +2,7 @@
 //! model → LP relaxation → rounding → feasible allocation) across all
 //! interference models.
 
-use spectrum_auctions::auction::rounding::RoundingOptions;
-use spectrum_auctions::auction::solver::{SolverOptions, SpectrumAuctionSolver};
+use spectrum_auctions::auction::solver::{SolverBuilder, SpectrumAuctionSolver};
 use spectrum_auctions::interference::{PowerAssignment, SinrParameters};
 use spectrum_auctions::workloads::{
     asymmetric_scenario, disk_scenario, physical_scenario, power_control_scenario,
@@ -11,13 +10,7 @@ use spectrum_auctions::workloads::{
 };
 
 fn solver() -> SpectrumAuctionSolver {
-    SpectrumAuctionSolver::new(SolverOptions {
-        rounding: RoundingOptions {
-            seed: 5,
-            trials: 32,
-        },
-        ..Default::default()
-    })
+    SolverBuilder::new().rounding(5, 32).build()
 }
 
 #[test]
@@ -117,13 +110,7 @@ fn lp_relaxation_matches_the_enumerated_optimum() {
     config.valuations = ValuationProfile::Mixed;
     let generated = protocol_scenario(&config, 1.0);
 
-    let solver = SpectrumAuctionSolver::new(SolverOptions {
-        rounding: RoundingOptions {
-            seed: 5,
-            trials: 16,
-        },
-        ..Default::default()
-    });
+    let solver = SolverBuilder::new().rounding(5, 16).build();
     let outcome = solver.solve(&generated.instance);
     assert!(outcome.allocation.is_feasible(&generated.instance));
     assert!(outcome.lp_converged, "column generation did not converge");

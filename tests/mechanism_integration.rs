@@ -1,7 +1,7 @@
 //! Integration tests for the Lavi–Swamy mechanism on generated markets.
 
 use spectrum_auctions::mechanism::lavi_swamy::verify_cover;
-use spectrum_auctions::mechanism::{TruthfulMechanism, TruthfulMechanismOptions};
+use spectrum_auctions::mechanism::TruthfulMechanism;
 use spectrum_auctions::workloads::{
     disk_scenario, protocol_scenario, ScenarioConfig, ValuationProfile,
 };
@@ -13,7 +13,7 @@ fn mechanism_on_protocol_market_is_consistent() {
     let generated = protocol_scenario(&config, 1.0);
     let instance = &generated.instance;
 
-    let mechanism = TruthfulMechanism::new(TruthfulMechanismOptions::default());
+    let mechanism = TruthfulMechanism::default();
     let outcome = mechanism.run(instance, 7);
 
     // the drawn allocation is feasible and the lottery is a distribution
@@ -51,7 +51,7 @@ fn mechanism_on_disk_market_collects_bounded_revenue() {
     let config = ScenarioConfig::new(8, 2, 23);
     let generated = disk_scenario(&config, 5.0, 12.0);
     let instance = &generated.instance;
-    let mechanism = TruthfulMechanism::new(TruthfulMechanismOptions::default());
+    let mechanism = TruthfulMechanism::default();
     let outcome = mechanism.run(instance, 3);
     let revenue: f64 = outcome.payments.iter().sum();
     let welfare = outcome.allocation.social_welfare(instance);
@@ -66,7 +66,7 @@ fn mechanism_on_disk_market_collects_bounded_revenue() {
 fn mechanism_runs_are_reproducible() {
     let config = ScenarioConfig::new(9, 2, 29);
     let generated = protocol_scenario(&config, 1.0);
-    let mechanism = TruthfulMechanism::new(TruthfulMechanismOptions::default());
+    let mechanism = TruthfulMechanism::default();
     let a = mechanism.run(&generated.instance, 11);
     let b = mechanism.run(&generated.instance, 11);
     assert_eq!(a.allocation.bundles(), b.allocation.bundles());

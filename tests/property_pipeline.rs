@@ -3,8 +3,7 @@
 use proptest::prelude::*;
 use spectrum_auctions::auction::exact::solve_exact_default;
 use spectrum_auctions::auction::greedy::{greedy_by_bundle_value, greedy_channel_by_channel};
-use spectrum_auctions::auction::rounding::RoundingOptions;
-use spectrum_auctions::auction::solver::{SolverOptions, SpectrumAuctionSolver};
+use spectrum_auctions::auction::solver::{SolverBuilder, SpectrumAuctionSolver};
 use spectrum_auctions::workloads::{
     disk_scenario, protocol_scenario, ScenarioConfig, ValuationProfile,
 };
@@ -40,10 +39,7 @@ proptest! {
         prop_assert!(exact.proven_optimal);
         prop_assert!(exact.allocation.is_feasible(instance));
 
-        let solver = SpectrumAuctionSolver::new(SolverOptions {
-            rounding: RoundingOptions { seed, trials: 16 },
-            ..Default::default()
-        });
+        let solver = SolverBuilder::new().rounding(seed, 16).build();
         let outcome = solver.solve(instance);
         prop_assert!(outcome.allocation.is_feasible(instance));
         prop_assert!(outcome.lp_objective >= exact.welfare - 1e-5);

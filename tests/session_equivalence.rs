@@ -27,8 +27,8 @@ fn run_stream(seed: u64, dynamics: &DynamicMarketConfig) {
     config.valuations = ValuationProfile::Mixed;
     let scenario = dynamic_market_scenario(&config, dynamics, 1.0);
 
-    let options = SolverBuilder::new().options();
-    let mut session = SolverBuilder::new().session(scenario.initial.instance.clone());
+    let options = SolverBuilder::new();
+    let mut session = options.clone().session(scenario.initial.instance.clone());
     session
         .resolve_relaxation()
         .expect("initial resolve failed");
@@ -37,7 +37,7 @@ fn run_stream(seed: u64, dynamics: &DynamicMarketConfig) {
         let warm = session
             .resolve_relaxation()
             .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
-        let scratch = solve_relaxation(session.instance(), &options.lp);
+        let scratch = solve_relaxation(session.instance(), &options);
         let explicit = solve_relaxation_explicit(session.instance());
         assert!(
             warm.converged && scratch.converged && explicit.converged,
@@ -146,7 +146,9 @@ fn trajectory(info: &RelaxationInfo) -> (Vec<usize>, Vec<usize>, Vec<usize>, u64
 
 /// The one-shot entry points and a fresh session's cold resolve build and
 /// solve the same master: identical counters, objective bits and support
-/// for the relaxation, and the same allocation and welfare after rounding.
+/// for the relaxation, and the same allocation and welfare after rounding —
+/// under the default configuration and under a non-default one
+/// (favorite-only seeding, another rounding seed and trial count).
 #[test]
 fn one_shot_solves_match_a_fresh_session_resolve() {
     let protocol = protocol_scenario(&ScenarioConfig::new(400, 4, 1), 1.0).instance;
@@ -157,11 +159,11 @@ fn one_shot_solves_match_a_fresh_session_resolve() {
     )
     .0
     .instance;
-    let check = |label: &str, instance: &AuctionInstance| {
-        let options = SolverBuilder::new().options();
+    let check = |label: &str, instance: &AuctionInstance, builder: SolverBuilder| {
         let one_shot =
-            try_solve_relaxation(instance, &options.lp).expect("one-shot relaxation failed");
-        let session = SolverBuilder::new()
+            try_solve_relaxation(instance, &builder).expect("one-shot relaxation failed");
+        let session = builder
+            .clone()
             .session(instance.clone())
             .resolve_relaxation()
             .expect("session relaxation failed");
@@ -179,11 +181,12 @@ fn one_shot_solves_match_a_fresh_session_resolve() {
         );
         assert_eq!(one_shot.entries, session.entries, "{label}: support");
 
-        let solved = SolverBuilder::new()
+        let solved = builder
+            .clone()
             .build()
             .try_solve(instance)
             .expect("one-shot clear failed");
-        let resolved = SolverBuilder::new()
+        let resolved = builder
             .session(instance.clone())
             .resolve()
             .expect("session clear failed");
@@ -199,6 +202,11 @@ fn one_shot_solves_match_a_fresh_session_resolve() {
             resolved.welfare
         );
     };
-    check("protocol n = 400", &protocol);
-    check("physical n = 200", &physical);
+    check("protocol n = 400", &protocol, SolverBuilder::new());
+    check("physical n = 200", &physical, SolverBuilder::new());
+    check(
+        "physical n = 200, favorite-only seed",
+        &physical,
+        SolverBuilder::new().seed_top_bundles(1).rounding(11, 3),
+    );
 }

@@ -11,7 +11,9 @@
 //! [`InstanceSnapshot`]: spectrum_auctions::auction::snapshot::InstanceSnapshot
 //! [`ValuationSnapshot`]: spectrum_auctions::auction::snapshot::ValuationSnapshot
 
-use spectrum_auctions::auction::snapshot::{InstanceSnapshot, ValuationSnapshot};
+use spectrum_auctions::auction::snapshot::{
+    BinaryGraphSnapshot, ConflictSnapshot, InstanceSnapshot, SnapshotError, ValuationSnapshot,
+};
 use spectrum_auctions::auction::{AuctionInstance, ChannelSet, ConflictStructure};
 use spectrum_auctions::conflict_graph::{VertexOrdering, WeightedConflictGraph};
 use spectrum_auctions::interference::{PowerAssignment, SinrParameters};
@@ -167,5 +169,94 @@ fn valuation_snapshots_roundtrip_canonically() {
             canonical.canonical_bytes(),
             "{snapshot:?}: canonical bytes drifted through build"
         );
+    }
+}
+
+/// Snapshot JSON is input from outside the program, so `from_json` must
+/// reject every snapshot that `restore` would panic on. Each case edits one
+/// field of a valid two-bidder snapshot.
+#[test]
+fn from_json_rejects_snapshots_that_cannot_restore() {
+    let xor = |bits: u64| ValuationSnapshot::Xor {
+        num_channels: 2,
+        bids: vec![(bits, 3.0)],
+    };
+    let graph = |n: usize| BinaryGraphSnapshot {
+        n,
+        edges: vec![(0, 1)],
+    };
+    let valid = InstanceSnapshot {
+        num_channels: 2,
+        rho: 1.0,
+        bidders: vec![xor(0b01), xor(0b11)],
+        conflicts: ConflictSnapshot::Binary(graph(2)),
+        ordering: vec![1, 0],
+    };
+    let parsed = InstanceSnapshot::from_json(&valid.to_json()).expect("the valid snapshot parses");
+    assert_eq!(parsed.restore().num_bidders(), 2);
+
+    let edit = |change: &dyn Fn(&mut InstanceSnapshot)| {
+        let mut snapshot = valid.clone();
+        change(&mut snapshot);
+        snapshot.to_json()
+    };
+    let cases: Vec<(&str, String)> = vec![
+        (
+            "repeated vertex in ordering",
+            edit(&|s| s.ordering = vec![0, 0]),
+        ),
+        (
+            "ordering vertex out of range",
+            edit(&|s| s.ordering = vec![0, 2]),
+        ),
+        ("ordering too short", edit(&|s| s.ordering = vec![0])),
+        ("zero channels", edit(&|s| s.num_channels = 0)),
+        ("more than 64 channels", edit(&|s| s.num_channels = 65)),
+        (
+            "bidder over the wrong channel count",
+            edit(&|s| s.num_channels = 3),
+        ),
+        ("rho below 1", edit(&|s| s.rho = 0.5)),
+        (
+            "rho not finite",
+            valid.to_json().replace("\"rho\":1.0", "\"rho\":1e400"),
+        ),
+        ("bidder missing", edit(&|s| s.bidders.truncate(1))),
+        (
+            "graph larger than the bidder set",
+            edit(&|s| s.conflicts = ConflictSnapshot::Binary(graph(3))),
+        ),
+        (
+            "one asymmetric graph for two channels",
+            edit(&|s| s.conflicts = ConflictSnapshot::AsymmetricBinary(vec![graph(2)])),
+        ),
+        (
+            "edge to a vertex past the bidder set",
+            edit(&|s| {
+                s.conflicts = ConflictSnapshot::Binary(BinaryGraphSnapshot {
+                    n: 2,
+                    edges: vec![(0, 2)],
+                })
+            }),
+        ),
+        (
+            "symmetric valuation without cardinalities",
+            edit(&|s| {
+                s.bidders[1] = ValuationSnapshot::Symmetric {
+                    per_cardinality: vec![],
+                }
+            }),
+        ),
+        (
+            "asymmetric graphs of different sizes",
+            edit(&|s| s.conflicts = ConflictSnapshot::AsymmetricBinary(vec![graph(2), graph(3)])),
+        ),
+    ];
+    for (label, json) in cases {
+        assert_ne!(json, valid.to_json(), "{label}: the edit changed nothing");
+        match InstanceSnapshot::from_json(&json) {
+            Err(SnapshotError::Schema(_)) => {}
+            other => panic!("{label}: expected a schema error, got {other:?}"),
+        }
     }
 }

@@ -4,7 +4,7 @@
 use spectrum_auctions::auction::exact::solve_exact_default;
 use spectrum_auctions::auction::lp_formulation::solve_relaxation_explicit;
 use spectrum_auctions::auction::rounding::{round_binary, RoundingOptions};
-use spectrum_auctions::auction::solver::{guarantee_factor, SolverOptions, SpectrumAuctionSolver};
+use spectrum_auctions::auction::solver::{guarantee_factor, SolverBuilder};
 use spectrum_auctions::workloads::{protocol_scenario, ScenarioConfig, ValuationProfile};
 
 /// Theorem 3: the expected welfare of Algorithm 1 is at least
@@ -78,13 +78,7 @@ fn lp_sandwiches_the_exact_optimum() {
         let instance = &generated.instance;
         let exact = solve_exact_default(instance);
         assert!(exact.proven_optimal);
-        let solver = SpectrumAuctionSolver::new(SolverOptions {
-            rounding: RoundingOptions {
-                seed: 3,
-                trials: 64,
-            },
-            ..Default::default()
-        });
+        let solver = SolverBuilder::new().rounding(3, 64).build();
         let outcome = solver.solve(instance);
         assert!(
             outcome.lp_objective >= exact.welfare - 1e-6,
