@@ -4,7 +4,7 @@
 //! PR 5's row-lifecycle refactor routes **departures** through in-place
 //! row deactivation (the departed bidder's columns are fixed at zero, its
 //! `k + 1` rows are relaxed behind relief columns, and the surviving basis
-//! resumes with primal pivots) instead of the warm-from-pool rebuild that
+//! resumes with primal pivots) instead of the seeded master rebuild that
 //! made e15's departure numbers an honest wash (1.02×/1.08×). This bench
 //! measures that path directly:
 //!

@@ -79,15 +79,6 @@ pub struct RelaxationInfo {
     pub columns_per_round: Vec<usize>,
     /// Total columns adopted by the master across all pricing rounds.
     pub columns_generated: usize,
-    /// Columns this solve adopted from the session's managed
-    /// [`ssa_lp::ColumnPool`] (0 on one-shot solves: their throwaway
-    /// session's pool starts empty).
-    pub pool_hits: usize,
-    /// Pool entries evicted (bounded-capacity LRU-by-usefulness) while
-    /// absorbing this solve's discoveries. A one-shot solve reports its
-    /// throwaway session's pool, which evicts only when the master holds
-    /// more bundle columns than the session's column-pool capacity (8192).
-    pub pool_evictions: usize,
     /// Rows deactivated in place on the master over its lifetime (the
     /// session's basis-preserving departure path; always 0 on one-shot
     /// solves).
@@ -194,8 +185,8 @@ impl FractionalAssignment {
 
 /// Packs `(bidder, bundle)` into the 64-bit column tag every master uses
 /// for column identity (bidder in the high 32 bits, bundle bits low — the
-/// source of the `k ≤ 32` limit). The session's pool, the master and the
-/// extraction all share this one encoding.
+/// source of the `k ≤ 32` limit). The session's rebuild seeds, the master
+/// and the extraction all share this one encoding.
 pub(crate) fn column_tag(bidder: usize, bundle: ChannelSet) -> u64 {
     ((bidder as u64) << 32) | bundle.bits()
 }
@@ -306,9 +297,10 @@ pub(crate) fn strict_status_error(
     }
 }
 
-/// Offers the master seed set to `add`: the caller's column pool
-/// (re-priced at the current valuations) followed by each bidder's top
-/// `seed_top` zero-price bundles, with one positive-value filter.
+/// Offers the master seed set to `add`: the caller's `seeds` (the bundles
+/// of the master being replaced, re-priced at the current valuations)
+/// followed by each bidder's top `seed_top` zero-price bundles, with one
+/// positive-value filter.
 ///
 /// `seed_top` is the E12-measured lever against pricing-loop degeneracy:
 /// with only the single favorite seeded (`seed_top = 1`), the first
@@ -320,11 +312,11 @@ pub(crate) fn strict_status_error(
 /// scale (n = 2000: 9916 → 6439 pivots, zero generated columns).
 pub(crate) fn seed_columns(
     instance: &AuctionInstance,
-    pool: &[(usize, ChannelSet)],
+    seeds: &[(usize, ChannelSet)],
     seed_top: usize,
     mut add: impl FnMut(usize, ChannelSet),
 ) {
-    for &(bidder, bundle) in pool {
+    for &(bidder, bundle) in seeds {
         if !bundle.is_empty() && instance.value(bidder, bundle) > 0.0 {
             add(bidder, bundle);
         }

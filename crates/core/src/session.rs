@@ -6,18 +6,19 @@
 //! is a throwaway session's cold resolve: it rebuilds the LP from scratch on
 //! every call. A long-lived [`AuctionSession`] instead owns a mutable
 //! [`AuctionInstance`] **plus the cached solver state** —
-//! the restricted master with its warm basis/factorization, the pool of
-//! `(bidder, bundle)` columns discovered so far, and the last fractional
-//! solution — and routes each [`resolve`](AuctionSession::resolve) through
-//! the cheapest path the pending mutations admit:
+//! the restricted master with its warm basis/factorization (its bundle
+//! columns are the session's memory of discovered `(bidder, bundle)`
+//! pairs) and the last fractional solution — and routes each
+//! [`resolve`](AuctionSession::resolve) through the cheapest path the
+//! pending mutations admit:
 //!
 //! | mutation batch | path |
 //! |---|---|
 //! | none | the cached [`FractionalAssignment`] is returned as-is |
-//! | re-bids only ([`update_valuation`](AuctionSession::update_valuation)) | pool columns are **re-priced in place**; the recorded basis is still primal feasible (the constraint matrix is untouched), so the master resumes with ordinary primal pivots |
+//! | re-bids only ([`update_valuation`](AuctionSession::update_valuation)) | the bidders' master columns are **re-priced in place**; the recorded basis is still primal feasible (the constraint matrix is untouched), so the master resumes with ordinary primal pivots |
 //! | departures ([`remove_bidder`](AuctionSession::remove_bidder)), possibly mixed with re-bids | the departed bidder's columns are **fixed at zero** and its `k + 1` rows **deactivated in place** behind relief columns ([`MasterProblem::deactivate_rows`]); the surviving basis stays valid and primal feasible and resumes with primal pivots — accumulated deadweight is compacted away once it reaches a quarter of the master (`COMPACTION_THRESHOLD`) |
 //! | arrivals ([`add_bidder`](AuctionSession::add_bidder)), possibly mixed with the above | the newcomer's `k + 1` rows are **staged** and materialized at resolve time via [`MasterProblem::add_row`]; if the same batch also re-bid or departed bidders (dirt that costs the recorded basis its dual feasibility), a primal resume first re-optimizes the mutated master, and only then do the staged rows land — so the **dual simplex** row repair (`lp::dual`) always starts from a dual-feasible basis instead of declining into a near-cold solve |
-//! | ρ or channel changes | the master is rebuilt, but **warm-from-pool**: every previously discovered bundle is re-priced at the current valuations and seeded up front, so column generation starts near the previous optimum |
+//! | ρ or channel changes | the master is rebuilt, **seeded from the master it replaces**: every bundle column of the old master is re-priced at the current valuations and seeded up front, so column generation starts near the previous optimum |
 //!
 //! Every warm answer is the exact LP optimum of the *current* instance —
 //! the warm paths change the starting basis, never the feasible region —
@@ -54,16 +55,11 @@ use crate::valuation::Valuation;
 use serde::{Deserialize, Serialize};
 use ssa_conflict_graph::{ConflictGraph, VertexOrdering, WeightedConflictGraph};
 use ssa_lp::{
-    is_native_tag, ColumnGeneration, ColumnGenerationError, ColumnPool, ColumnSource,
-    GeneratedColumn, MasterProblem, Relation, Sense, SimplexOptions,
+    is_native_tag, ColumnGeneration, ColumnGenerationError, ColumnSource, GeneratedColumn,
+    MasterProblem, Relation, Sense, SimplexOptions,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
-
-/// Capacity of a session's managed [`ColumnPool`]: bundles remembered
-/// across resolves for warm seeding, with LRU-by-usefulness eviction past
-/// the cap.
-const COLUMN_POOL_CAPACITY: usize = 8192;
 
 /// Session masters compact (physically remove deactivated rows and dead
 /// columns, remapping the warm basis) once the deadweight fraction reaches
@@ -191,13 +187,13 @@ pub struct SessionStats {
     /// mutations).
     pub cached_resolves: usize,
     /// Resolves that rebuilt the master (first solve, ρ/channel changes, and
-    /// every resolve with bundle enumeration on) — warm-from-pool, not from
-    /// a recorded basis.
+    /// every resolve with bundle enumeration on) — seeded from the previous
+    /// master's bundles, not resumed from a recorded basis.
     pub cold_resolves: usize,
     /// Resolves that absorbed appended bidder rows through the dual-simplex
     /// path.
     pub warm_row_resolves: usize,
-    /// Resolves that only re-priced pool columns and resumed the recorded
+    /// Resolves that only re-priced master columns and resumed the recorded
     /// basis with primal pivots.
     pub repriced_resolves: usize,
     /// Resolves that absorbed departures through in-place row deactivation
@@ -317,7 +313,8 @@ enum Staleness {
     Deactivated,
     /// Rows were appended; next solve goes through the dual-simplex repair.
     RowsAdded,
-    /// Structure changed (or no master yet): rebuild from the pool.
+    /// Structure changed (or no master yet): rebuild, seeded from the
+    /// previous master's bundles.
     Rebuild,
 }
 
@@ -406,13 +403,11 @@ impl ColumnSource for SessionOracle<'_> {
 pub struct AuctionSession {
     instance: AuctionInstance,
     options: SolverBuilder,
-    /// Every `(bidder, bundle)` column discovered by any resolve so far —
-    /// a managed [`ColumnPool`] keyed by the shared `(bidder, bundle)` tag
-    /// encoding (coefficients are re-derived against the current layout at
-    /// seed time, so entries carry identity only). Survives rebuilds
-    /// (re-priced at the then-current valuations); bounded by
-    /// `COLUMN_POOL_CAPACITY` with LRU-by-usefulness eviction.
-    pool: ColumnPool,
+    /// The `(bidder, bundle)` columns of the last invalidated master, in
+    /// column order, waiting to seed the next rebuild (re-priced at the
+    /// then-current valuations). Empty whenever a master exists: the
+    /// master's own bundle columns are the session's column memory.
+    seeds: Vec<(usize, ChannelSet)>,
     /// The cached restricted master with its warm basis, or `None` before
     /// the first resolve / after a structural mutation.
     master: Option<MasterProblem>,
@@ -461,11 +456,10 @@ impl AuctionSession {
             instance.num_channels <= 32,
             "the LP formulation packs bundles into 32-bit column tags (k ≤ 32)"
         );
-        let pool = ColumnPool::with_capacity(COLUMN_POOL_CAPACITY);
         AuctionSession {
             instance,
             options,
-            pool,
+            seeds: Vec::new(),
             master: None,
             row_vj: Vec::new(),
             row_bidder: Vec::new(),
@@ -542,27 +536,6 @@ impl AuctionSession {
             Some(entries) => std::mem::take(entries),
             None => Vec::new(),
         }
-    }
-
-    /// Number of distinct `(bidder, bundle)` columns discovered so far.
-    pub fn pool_len(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// The managed column pool behind the session's warm-from-pool paths
-    /// (read-only: per-column age/hit metadata and hit/eviction counters).
-    pub fn pool(&self) -> &ColumnPool {
-        &self.pool
-    }
-
-    /// The pool's `(bidder, bundle)` identities, decoded from the shared
-    /// tag encoding.
-    fn pool_pairs(&self) -> Vec<(usize, ChannelSet)> {
-        self.pool
-            .entries()
-            .iter()
-            .map(|e| decode_column_tag(e.column.tag))
-            .collect()
     }
 
     /// Warm-path accounting.
@@ -686,10 +659,9 @@ impl AuctionSession {
     /// are re-tagged to the shifted bidder indices. The recorded basis
     /// stays valid and primal feasible, so the next
     /// [`resolve`](Self::resolve) resumes with ordinary primal pivots —
-    /// departures take the cheap re-pricing shape instead of a
-    /// warm-from-pool rebuild. Deadweight is compacted away once it passes
-    /// `COMPACTION_THRESHOLD`. Sessions that enumerate
-    /// every bundle still rebuild from the pool.
+    /// departures take the cheap re-pricing shape instead of a rebuild.
+    /// Deadweight is compacted away once it passes `COMPACTION_THRESHOLD`.
+    /// Sessions that enumerate every bundle re-solve from scratch.
     ///
     /// # Panics
     /// Panics if `bidder` is out of range or it is the last bidder left.
@@ -711,14 +683,6 @@ impl AuctionSession {
             .map(|&u| if u > bidder { u - 1 } else { u })
             .collect();
         self.instance.ordering = VertexOrdering::from_order(order);
-        self.pool.retain_map(|e| {
-            let (v, b) = decode_column_tag(e.column.tag);
-            match v.cmp(&bidder) {
-                std::cmp::Ordering::Less => Some(e.column.tag),
-                std::cmp::Ordering::Equal => None,
-                std::cmp::Ordering::Greater => Some(column_tag(v - 1, b)),
-            }
-        });
 
         if self.can_grow_incrementally() {
             let master = self
@@ -774,11 +738,20 @@ impl AuctionSession {
             self.invalidate_solution_cache();
         } else {
             self.invalidate_master();
+            // Re-key the pending rebuild seeds the way the warm path
+            // re-tags master columns: the departed bidder's go, higher
+            // indices shift down by one.
+            self.seeds.retain(|&(v, _)| v != bidder);
+            for (v, _) in &mut self.seeds {
+                if *v > bidder {
+                    *v -= 1;
+                }
+            }
         }
     }
 
     /// A bidder re-bids: its valuation is replaced. On the warm path the
-    /// bidder's pool columns are **re-priced in place** (the
+    /// bidder's master columns are **re-priced in place** (the
     /// recorded basis stays primal feasible — only objective coefficients
     /// move), so the next resolve resumes with ordinary primal pivots; the
     /// demand oracle is then consulted as usual for genuinely new bundles.
@@ -861,7 +834,7 @@ impl AuctionSession {
 
     /// Changes the ρ used as the right-hand side of the interference rows.
     /// Every interference row's rhs moves, so the next resolve rebuilds the
-    /// master warm-from-pool.
+    /// master, seeded from the bundles of the master it replaces.
     ///
     /// # Panics
     /// Panics if `rho < 1` or non-finite.
@@ -927,8 +900,18 @@ impl AuctionSession {
         k
     }
 
+    /// Drops the cached master. Its bundle columns, in column order, become
+    /// the seeds of the next rebuild; with no master (already invalidated,
+    /// or the enumerated path) the pending seeds are kept.
     fn invalidate_master(&mut self) {
-        self.master = None;
+        if let Some(master) = self.master.take() {
+            self.seeds = master
+                .columns()
+                .iter()
+                .filter(|c| is_native_tag(c.tag))
+                .map(|c| decode_column_tag(c.tag))
+                .collect();
+        }
         self.row_vj.clear();
         self.row_bidder.clear();
         self.staleness = Staleness::Rebuild;
@@ -1004,12 +987,10 @@ impl AuctionSession {
         // The per-path counter is picked here but only bumped after the
         // solve succeeds, so failed attempts (pivot budgets) don't skew the
         // accounting the tests and the e15 bench assert on.
-        let pool_hits_before = self.pool.hits();
-        let pool_evictions_before = self.pool.evictions();
-        let (mut fractional, path_counter) = if self.options.enumerate_all_bundles {
+        let (fractional, path_counter) = if self.options.enumerate_all_bundles {
             // No incremental path for the enumerated master: every resolve
             // solves it from scratch (every bundle is a column already, so
-            // the pool has nothing to seed). No cached master means no duals
+            // there is nothing to seed). No cached master means no duals
             // to certify with either.
             self.pending_duals = None;
             let fractional = try_solve_relaxation(&self.instance, &self.options)?;
@@ -1054,11 +1035,6 @@ impl AuctionSession {
             SessionPath::Repriced => self.stats.repriced_resolves += 1,
             SessionPath::Deactivated => self.stats.deactivated_resolves += 1,
         }
-        self.absorb_pool(&fractional);
-        // Pool accounting for this resolve: rediscovered bundles (hits)
-        // and capacity evictions observed while absorbing the solution.
-        fractional.info.pool_hits = self.pool.hits() - pool_hits_before;
-        fractional.info.pool_evictions = self.pool.evictions() - pool_evictions_before;
         self.staleness = Staleness::Clean;
         self.dirty_objectives = false;
         self.dirty_deactivations = false;
@@ -1162,15 +1138,15 @@ impl AuctionSession {
     }
 
     /// Rebuilds the master with the canonical row layout, seeded from the
-    /// column pool (re-priced at the current valuations) plus each bidder's
-    /// favorite bundle.
+    /// bundles of the master it replaces (re-priced at the current
+    /// valuations) plus each bidder's favorite bundles.
     fn rebuild_master(&mut self) {
         let n = self.instance.num_bidders();
         let k = self.instance.num_channels;
-        // A rebuild lays out rows for every current bidder, staged or not.
-        self.staged_arrivals.clear();
-        self.dirty_objectives = false;
-        self.dirty_deactivations = false;
+        // A master left behind by a failed rebuild seeds its replacement
+        // like any other; the rebuild lays out rows for every current
+        // bidder, staged or not.
+        self.invalidate_master();
         self.row_vj = (0..n)
             .map(|v| (0..k).map(|j| v * k + j).collect())
             .collect();
@@ -1178,7 +1154,7 @@ impl AuctionSession {
         let mut master = MasterProblem::new(Sense::Maximize, master_rows(&self.instance));
         seed_columns(
             &self.instance,
-            &self.pool_pairs(),
+            &std::mem::take(&mut self.seeds),
             self.options.seed_top_bundles,
             |bidder, bundle| {
                 master.add_column(session_column_for(
@@ -1244,48 +1220,6 @@ impl AuctionSession {
             self.pending_duals = Some(duals);
         }
         Ok(fractional)
-    }
-
-    fn absorb_pool(&mut self, fractional: &FractionalAssignment) {
-        let AuctionSession { master, pool, .. } = self;
-        // A bundle already pooled and rediscovered by this resolve is a
-        // *hit* (it keeps earning its seat against LRU eviction); a new
-        // bundle is offered, possibly evicting the least useful entry.
-        // Entries carry identity only — empty coefficient vectors — since
-        // the session re-derives coefficients against the current row
-        // layout when seeding.
-        let mut insert = |bidder: usize, bundle: ChannelSet| {
-            if bundle.is_empty() {
-                return;
-            }
-            let tag = column_tag(bidder, bundle);
-            if pool.contains_tag(tag) {
-                pool.note_hit(tag);
-            } else {
-                pool.offer(
-                    GeneratedColumn {
-                        objective: 0.0,
-                        coeffs: Vec::new(),
-                        tag,
-                    },
-                    bidder,
-                );
-            }
-        };
-        if let Some(master) = master {
-            for col in master.columns() {
-                if !is_native_tag(col.tag) {
-                    continue;
-                }
-                let (bidder, bundle) = decode_column_tag(col.tag);
-                insert(bidder, bundle);
-            }
-        } else {
-            // Enumerated path: absorb the support.
-            for e in &fractional.entries {
-                insert(e.bidder, e.bundle);
-            }
-        }
     }
 }
 
@@ -1444,20 +1378,59 @@ mod tests {
     fn departures_deactivate_in_place_and_rho_changes_rebuild() {
         let mut session = SolverBuilder::new().session(path_instance(7, 2));
         assert_matches_scratch(&mut session);
-        let pool_before = session.pool_len();
-        assert!(pool_before > 0);
         // a departure now rides the basis-preserving deactivation path
         session.remove_bidder(3);
         assert_matches_scratch(&mut session);
         assert_eq!(session.instance().num_bidders(), 6);
         assert_eq!(session.stats().deactivated_resolves, 1);
-        // ρ changes still rebuild warm-from-pool
+        // ρ changes still rebuild, seeded from the previous master
         session.set_rho(2.0);
         assert_matches_scratch(&mut session);
         assert_eq!(session.stats().cold_resolves, 2);
-        // the pool survived the departure, minus the departed bidder's bundles
-        assert!(session.pool_len() > 0);
-        assert!(session.pool_pairs().iter().all(|&(v, _)| v < 6));
+    }
+
+    /// A rebuild re-seeds every bundle column of the master it replaces: a
+    /// same-ρ rebuild needs no pricing at all. Seeds pending across a
+    /// departure are re-keyed to the shifted bidder indices.
+    #[test]
+    fn rebuilds_seed_the_previous_master() {
+        let mut session = SolverBuilder::new()
+            .seed_top_bundles(1)
+            .session(path_instance(9, 3));
+        let first = session.resolve_relaxation().expect("first resolve failed");
+        assert_eq!(first.info.columns_generated, 4);
+        assert_eq!(first.info.num_columns, 13);
+
+        session.set_rho(1.0);
+        let rebuilt = session.resolve_relaxation().expect("rebuild failed");
+        assert_eq!(session.stats().cold_resolves, 2);
+        assert_eq!(rebuilt.info.columns_generated, 0);
+        assert_eq!(rebuilt.info.num_columns, 13);
+
+        session.set_rho(2.0);
+        session.remove_bidder(0);
+        assert_matches_scratch(&mut session);
+    }
+
+    /// A rebuild that runs out of pricing rounds leaves its master behind.
+    /// The retry is a rebuild like any other, seeded from the master it
+    /// replaces, so it starts with every column the failed attempt priced.
+    #[test]
+    fn a_failed_rebuild_seeds_its_retry() {
+        let mut session = SolverBuilder::new()
+            .seed_top_bundles(1)
+            .max_pricing_rounds(1)
+            .session(path_instance(9, 3));
+        assert!(matches!(
+            session.resolve_relaxation(),
+            Err(SolveError::IterationLimit { .. })
+        ));
+        let retry = session.resolve_relaxation().expect("retry converges");
+        assert_eq!(retry.info.columns_generated, 0);
+        assert_eq!(retry.info.num_columns, 13);
+        assert_eq!(session.stats().cold_resolves, 1);
+        let scratch = solve_relaxation(session.instance(), &SolverBuilder::new());
+        assert!((retry.objective - scratch.objective).abs() <= 1e-6 * (1.0 + scratch.objective));
     }
 
     /// Departures compose with every other warm mutation: depart → re-bid

@@ -102,8 +102,7 @@ impl std::error::Error for SolveError {}
 /// Everything else the pipeline reads is fixed: masters solve with
 /// `SimplexOptions::default()` and `ColumnGeneration::default()`'s
 /// reduced-cost tolerance, and the support tolerance and the session's
-/// column-pool capacity and compaction threshold are constants of the
-/// modules that read them.
+/// compaction threshold are constants of the modules that read them.
 #[derive(Clone, Debug)]
 pub struct SolverBuilder {
     pub(crate) rounding: RoundingOptions,

@@ -12,9 +12,7 @@
 //!
 //! The same loop ([`ColumnGeneration::run`]) drives the Lavi–Swamy
 //! decomposition (Section 5), whose master is a covering LP and whose
-//! pricing oracle is the approximation algorithm itself. A managed
-//! [`ColumnPool`] remembers discovered columns across solves (the auction
-//! session seeds rebuilt masters from it).
+//! pricing oracle is the approximation algorithm itself.
 //!
 //! **Row lifecycle.** Masters are no longer append-only:
 //! [`MasterProblem::deactivate_rows`] relaxes rows in place (each gains a
@@ -513,12 +511,6 @@ impl MasterProblem {
         self.last_dual_pivots
     }
 
-    /// The restricted master as a [`LinearProgram`] (a clone of the
-    /// incrementally maintained program).
-    pub fn to_linear_program(&self) -> LinearProgram {
-        self.lp.clone()
-    }
-
     /// Solves the current restricted master from a cold start.
     pub fn solve(&self, options: &SimplexOptions) -> LpSolution {
         solve(&self.lp, options)
@@ -552,11 +544,6 @@ impl MasterProblem {
     /// [`solve_warm`](Self::solve_warm), if any.
     pub fn warm_start(&self) -> Option<&WarmStart> {
         self.warm.as_ref()
-    }
-
-    /// Drops the recorded warm-start basis (the next solve is cold).
-    pub fn reset_warm_start(&mut self) {
-        self.warm = None;
     }
 }
 
@@ -739,202 +726,6 @@ impl ColumnGeneration {
                 partial: Box::new(result),
             }),
         }
-    }
-}
-
-/// A pooled column plus its usefulness bookkeeping. See [`ColumnPool`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct PooledColumn {
-    /// The column itself (its coefficients are meaningful only relative to
-    /// the origin master's rows).
-    pub column: GeneratedColumn,
-    /// Caller-defined origin id (in the auction session: the bidder whose
-    /// bundle this is).
-    pub origin: usize,
-    /// Pool scan clock at insertion.
-    pub born_scan: u64,
-    /// Pool scan clock of the last recorded hit (insertion counts as the
-    /// zeroth hit so fresh columns aren't instant eviction bait).
-    pub last_hit_scan: u64,
-    /// Times this column was adopted / re-used after insertion.
-    pub hits: usize,
-    /// Reduced cost observed at the most recent scan that priced it
-    /// (`NaN` until a scan reaches it).
-    pub last_reduced_cost: f64,
-}
-
-/// First-class managed column pool: every column any oracle discovers,
-/// with per-column age / hit / last-reduced-cost metadata, a bounded size,
-/// and LRU-by-usefulness eviction (fewest hits first, least-recently-hit
-/// among ties).
-///
-/// Its counters are observable: [`hits`](Self::hits),
-/// [`evictions`](Self::evictions), [`insertions`](Self::insertions).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct ColumnPool {
-    entries: Vec<PooledColumn>,
-    capacity: usize,
-    clock: u64,
-    insertions: usize,
-    hits: usize,
-    evictions: usize,
-}
-
-impl ColumnPool {
-    /// An empty pool holding at most `capacity` columns (0 is treated as
-    /// unbounded, matching the historical behavior).
-    pub fn with_capacity(capacity: usize) -> Self {
-        ColumnPool {
-            entries: Vec::new(),
-            capacity,
-            clock: 0,
-            insertions: 0,
-            hits: 0,
-            evictions: 0,
-        }
-    }
-
-    /// An unbounded pool.
-    pub fn unbounded() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Current number of pooled columns.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Configured capacity (0 = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Lifetime number of columns accepted (monotone — unlike
-    /// [`len`](Self::len), which eviction can shrink; use this as the
-    /// "has the pool grown since I last looked" signal).
-    pub fn insertions(&self) -> usize {
-        self.insertions
-    }
-
-    /// Lifetime number of recorded hits (adoptions / re-uses).
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Lifetime number of evictions.
-    pub fn evictions(&self) -> usize {
-        self.evictions
-    }
-
-    /// The pooled columns in insertion order (eviction may leave gaps in
-    /// seniority, never in the order).
-    pub fn entries(&self) -> &[PooledColumn] {
-        &self.entries
-    }
-
-    /// Whether a column with this tag is pooled.
-    pub fn contains_tag(&self, tag: u64) -> bool {
-        self.entries.iter().any(|e| e.column.tag == tag)
-    }
-
-    /// Offers a column; returns `true` if it was new (by tag) and
-    /// accepted. Accepting past capacity evicts the least useful column:
-    /// fewest hits, then least recently hit, then oldest.
-    pub fn offer(&mut self, column: GeneratedColumn, origin: usize) -> bool {
-        if self.contains_tag(column.tag) {
-            return false;
-        }
-        self.entries.push(PooledColumn {
-            column,
-            origin,
-            born_scan: self.clock,
-            last_hit_scan: self.clock,
-            hits: 0,
-            last_reduced_cost: f64::NAN,
-        });
-        self.insertions += 1;
-        if self.capacity > 0 && self.entries.len() > self.capacity {
-            self.evict_least_useful();
-        }
-        true
-    }
-
-    fn evict_least_useful(&mut self) {
-        // Never evict the newest entry (it was just offered for a reason).
-        let candidates = self.entries.len().saturating_sub(1);
-        let victim = (0..candidates).min_by_key(|&i| {
-            let e = &self.entries[i];
-            (e.hits, e.last_hit_scan, e.born_scan)
-        });
-        if let Some(i) = victim {
-            self.entries.remove(i);
-            self.evictions += 1;
-        }
-    }
-
-    /// Records an adoption / re-use of the tagged column.
-    pub fn note_hit(&mut self, tag: u64) {
-        let clock = self.clock;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.column.tag == tag) {
-            e.hits += 1;
-            e.last_hit_scan = clock;
-            self.hits += 1;
-        }
-    }
-
-    /// Scans the pool at the given duals and returns clones of the
-    /// improving columns among those `eligible` admits (callers gate on
-    /// row-set identity — a coefficient on "row i" only means something
-    /// under the origin master's rows). Advances the scan clock and stamps
-    /// every priced entry's [`PooledColumn::last_reduced_cost`]. The
-    /// **whole** pool is rescanned every call: a column rejected at one
-    /// round's duals can become improving after other columns pivot in,
-    /// so a forward-only cursor would silently withhold it.
-    pub fn scan(
-        &mut self,
-        duals: &[f64],
-        sense: Sense,
-        tolerance: f64,
-        mut eligible: impl FnMut(&PooledColumn) -> bool,
-    ) -> Vec<GeneratedColumn> {
-        self.clock += 1;
-        let mut improving = Vec::new();
-        for e in self.entries.iter_mut() {
-            if !eligible(e) || e.column.coeffs.iter().any(|&(r, _)| r >= duals.len()) {
-                continue;
-            }
-            let rc = e.column.reduced_cost(duals);
-            e.last_reduced_cost = rc;
-            let is_improving = match sense {
-                Sense::Maximize => rc > tolerance,
-                Sense::Minimize => rc < -tolerance,
-            };
-            if is_improving {
-                improving.push(e.column.clone());
-            }
-        }
-        improving
-    }
-
-    /// Retains / re-keys entries: `f` returns the (possibly new) tag to
-    /// keep an entry under, or `None` to drop it (dropping this way is
-    /// **not** counted as an eviction — it is caller-driven retirement,
-    /// e.g. a departed bidder's columns). Used by long-lived sessions
-    /// whose native tags embed indices that shift on departure.
-    pub fn retain_map(&mut self, mut f: impl FnMut(&PooledColumn) -> Option<u64>) {
-        let mut kept = Vec::with_capacity(self.entries.len());
-        for mut e in std::mem::take(&mut self.entries) {
-            if let Some(tag) = f(&e) {
-                e.column.tag = tag;
-                kept.push(e);
-            }
-        }
-        self.entries = kept;
     }
 }
 
@@ -1633,58 +1424,5 @@ mod tests {
             refixed.objective
         );
         assert!(refixed.x[1].abs() < 1e-9, "fixed column active");
-    }
-
-    #[test]
-    fn column_pool_evicts_the_least_useful_entry() {
-        let col = |tag: u64| GeneratedColumn {
-            objective: tag as f64,
-            coeffs: vec![(0, 1.0)],
-            tag,
-        };
-        let mut pool = ColumnPool::with_capacity(2);
-        assert!(pool.offer(col(0), 0));
-        assert!(!pool.offer(col(0), 0), "duplicate tags are rejected");
-        assert!(pool.offer(col(1), 0));
-        pool.note_hit(0);
-        // Over capacity: the un-hit entry 1 is the least useful (fewest
-        // hits), so it goes — not the just-inserted entry 2.
-        assert!(pool.offer(col(2), 1));
-        assert_eq!(pool.len(), 2);
-        assert!(pool.contains_tag(0) && pool.contains_tag(2) && !pool.contains_tag(1));
-        assert_eq!(pool.insertions(), 3);
-        assert_eq!(pool.hits(), 1);
-        assert_eq!(pool.evictions(), 1);
-    }
-
-    #[test]
-    fn column_pool_scan_stamps_reduced_costs_and_returns_improving_clones() {
-        let mut pool = ColumnPool::unbounded();
-        pool.offer(
-            GeneratedColumn {
-                objective: 5.0,
-                coeffs: vec![(0, 1.0)],
-                tag: 7,
-            },
-            0,
-        );
-        pool.offer(
-            GeneratedColumn {
-                objective: 1.0,
-                coeffs: vec![(0, 1.0)],
-                tag: 8,
-            },
-            0,
-        );
-        let improving = pool.scan(&[2.0], Sense::Maximize, 1e-7, |_| true);
-        assert_eq!(improving.len(), 1);
-        assert_eq!(improving[0].tag, 7);
-        for e in pool.entries() {
-            let expected = e.column.objective - 2.0;
-            assert!((e.last_reduced_cost - expected).abs() < 1e-12);
-        }
-        // Ineligible entries are skipped without a reduced-cost stamp.
-        let none = pool.scan(&[0.0], Sense::Maximize, 1e-7, |_| false);
-        assert!(none.is_empty());
     }
 }

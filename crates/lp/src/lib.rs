@@ -88,8 +88,8 @@ pub mod simplex;
 pub use basis::{ForrestTomlinLu, SparseVector, SparsityStats};
 pub use column_generation::{
     is_native_tag, is_relief_tag, ColumnGeneration, ColumnGenerationError, ColumnGenerationResult,
-    ColumnPool, ColumnSource, CompactionReport, GeneratedColumn, MasterProblem, PooledColumn,
-    DEAD_COLUMN_TAG_BASE, ROW_RELIEF_TAG_BASE,
+    ColumnSource, CompactionReport, GeneratedColumn, MasterProblem, DEAD_COLUMN_TAG_BASE,
+    ROW_RELIEF_TAG_BASE,
 };
 pub use dual::{reoptimize_after_row_additions, DualReoptimization};
 pub use pricing::SteepestEdgePricing;

@@ -20,8 +20,8 @@
 //! their valuations** (the conflict structure, ordering and ρ never move),
 //! so the verifier keeps one [`AuctionSession`] alive across the whole
 //! decomposition: each round swaps the valuations in through
-//! [`AuctionSession::update_valuation`] — which re-prices the session's
-//! column pool in place and resumes the recorded master basis — instead of
+//! [`AuctionSession::update_valuation`] — which re-prices the session
+//! master's columns in place and resumes its recorded basis — instead of
 //! rebuilding the relaxation LP from scratch.
 //!
 //! If the randomized verifier achieves its `α = 8√k·ρ` (resp. `16√k·ρ·⌈log
@@ -198,7 +198,7 @@ pub fn decompose(
     let mut produced: Vec<Allocation> = Vec::new();
     // One verifier session shared by every pricing round: the adjusted
     // instances differ only in their valuations, so re-bidding through the
-    // session reuses the master's column pool and warm basis instead of
+    // session reuses the master's columns and warm basis instead of
     // paying a cold LP start per round.
     let mut verifier_session: Option<AuctionSession> = None;
     let pricing_rounds;
@@ -228,7 +228,7 @@ pub fn decompose(
             let session = match session_ref {
                 Some(session) => {
                     // one batch: a single master-column scan re-prices all
-                    // n bidders' pool columns at the new adjusted valuations
+                    // n bidders' master columns at the new adjusted valuations
                     session.update_valuations(bidders.into_iter().enumerate().collect());
                     session
                 }

@@ -119,8 +119,11 @@ pub enum SealedBidError {
     IncumbentOutOfRange(usize),
     /// Two commitments name the same incumbent bidder.
     DuplicateIncumbent(usize),
-    /// An entrant's conflict declaration does not match the instance's
-    /// conflict structure.
+    /// An entrant's conflict declaration does not fit the instance's
+    /// conflict structure: a variant for another structure, a neighbor
+    /// outside the roster the entrant joins (the incumbents plus the
+    /// entrants committed before it), a per-channel declaration without
+    /// exactly one list per channel, or a NaN weight.
     ConflictStructureMismatch,
     /// The baseline instance could not be snapshotted (a custom valuation
     /// without [`ssa_core::Valuation::snapshot`] support).
@@ -340,7 +343,15 @@ impl SealedBidAuction {
                 (Some(bidder), ParticipantKind::Incumbent { bidder })
             }
             ParticipantKind::Entrant { conflicts } => {
-                if !conflicts_match_structure(self.session.instance(), &conflicts) {
+                // close_commits admits entrants in commit order, so this one
+                // joins the incumbents plus every entrant committed before it.
+                let roster = self.session.instance().num_bidders()
+                    + self
+                        .participants
+                        .iter()
+                        .filter(|p| matches!(p.record.kind, ParticipantKind::Entrant { .. }))
+                        .count();
+                if !conflicts_fit_structure(self.session.instance(), &conflicts, roster) {
                     return Err(SealedBidError::ConflictStructureMismatch);
                 }
                 (None, ParticipantKind::Entrant { conflicts })
@@ -582,22 +593,31 @@ fn validate_opening(
     Ok(valuation)
 }
 
-fn conflicts_match_structure(
+/// Whether [`AuctionSession::add_bidder`] accepts `conflicts` for a bidder
+/// joining a roster of `roster` bidders: the variant matches the instance's
+/// conflict structure, every neighbor is below `roster`, a per-channel
+/// declaration has one list per channel, and no weight is NaN.
+fn conflicts_fit_structure(
     instance: &ssa_core::AuctionInstance,
     conflicts: &BidderConflicts,
+    roster: usize,
 ) -> bool {
     use ssa_core::ConflictStructure;
-    matches!(
-        (&instance.conflicts, conflicts),
-        (ConflictStructure::Binary(_), BidderConflicts::Binary(_))
-            | (ConflictStructure::Weighted(_), BidderConflicts::Weighted(_))
-            | (
-                ConflictStructure::AsymmetricBinary(_),
-                BidderConflicts::PerChannelBinary(_)
-            )
-            | (
-                ConflictStructure::AsymmetricWeighted(_),
-                BidderConflicts::PerChannelWeighted(_)
-            )
-    )
+    let k = instance.num_channels;
+    let binary = |ns: &[usize]| ns.iter().all(|&u| u < roster);
+    let weighted = |ws: &[(usize, f64, f64)]| {
+        ws.iter()
+            .all(|&(u, out, inc)| u < roster && !out.is_nan() && !inc.is_nan())
+    };
+    match (&instance.conflicts, conflicts) {
+        (ConflictStructure::Binary(_), BidderConflicts::Binary(ns)) => binary(ns),
+        (ConflictStructure::Weighted(_), BidderConflicts::Weighted(ws)) => weighted(ws),
+        (ConflictStructure::AsymmetricBinary(_), BidderConflicts::PerChannelBinary(per)) => {
+            per.len() == k && per.iter().all(|ns| binary(ns))
+        }
+        (ConflictStructure::AsymmetricWeighted(_), BidderConflicts::PerChannelWeighted(per)) => {
+            per.len() == k && per.iter().all(|ws| weighted(ws))
+        }
+        _ => false,
+    }
 }

@@ -342,8 +342,8 @@ impl DynamicMarketConfig {
         }
     }
 
-    /// A stream of `m` pure departures (the warm-from-pool rebuild shape —
-    /// the session's weakest path, measured honestly by `e15_incremental`).
+    /// A stream of `m` pure departures (the session's in-place row
+    /// deactivation path, measured by `e15_incremental`).
     pub fn departures_only(m: usize) -> Self {
         DynamicMarketConfig {
             num_events: m,

@@ -22,7 +22,7 @@
 //! long-lived [`auction::session::AuctionSession`] that accepts mutations
 //! (arrivals, departures, re-bids, ρ and channel changes) and reuses the
 //! LP state across resolves (warm bases, dual-simplex row absorption,
-//! in-place column re-pricing, a persistent column pool):
+//! in-place column re-pricing, rebuilds seeded from the previous master):
 //!
 //! ```no_run
 //! use spectrum_auctions::auction::session::BidderConflicts;
@@ -63,16 +63,16 @@
 //! | `SolverOptions { rounding: RoundingOptions { seed, trials }, .. }` | `SolverBuilder::new().rounding(seed, trials)` |
 //! | `SolverOptions` as a value (`SpectrumAuctionSolver::new`, `AuctionSession::new`, `SealedTranscript::options`, `AuctionSession::options()`) | removed: each takes or holds a `SolverBuilder` |
 //! | `LpFormulationOptions { seed_top_bundles, enumerate_all_bundles, column_generation: ColumnGeneration { max_rounds, .. }, .. }` | [`SolverBuilder::seed_top_bundles`](auction::solver::SolverBuilder::seed_top_bundles), [`enumerate_all_bundles`](auction::solver::SolverBuilder::enumerate_all_bundles), [`max_pricing_rounds`](auction::solver::SolverBuilder::max_pricing_rounds); `solve_relaxation` and `try_solve_relaxation` take `&SolverBuilder` |
-//! | `LpFormulationOptions { column_pool_capacity, compaction_threshold, support_tolerance, column_generation: ColumnGeneration { simplex, reduced_cost_tolerance, .. }, .. }` | constants: the session's pool capacity (8192) and compaction threshold (0.25), the relaxation's support tolerance (1e-9); masters solve with `SimplexOptions::default()` and `ColumnGeneration::default()`'s reduced-cost tolerance |
+//! | `LpFormulationOptions { column_pool_capacity, compaction_threshold, support_tolerance, column_generation: ColumnGeneration { simplex, reduced_cost_tolerance, .. }, .. }` | `column_pool_capacity` went with the pool; the others are constants: the session's compaction threshold (0.25), the relaxation's support tolerance (1e-9); masters solve with `SimplexOptions::default()` and `ColumnGeneration::default()`'s reduced-cost tolerance |
 //! | `SolverBuilder::options()` | removed: pass the builder itself |
-//! | `SolverBuilder::column_pool_capacity(n)` | removed (it had no caller): a session's pool holds 8192 columns |
+//! | `SolverBuilder::column_pool_capacity(n)` | removed (it had no caller), and the pool with it: a session's master is its only column store |
 //! | `TruthfulMechanism::new(TruthfulMechanismOptions { lp, decomposition })` | [`TruthfulMechanism::new(verifier)`](mechanism::TruthfulMechanism::new) with a `SolverBuilder`; the welfare and VCG LPs use the default relaxation |
 //! | `decompose(instance, fractional, alpha, &DecompositionOptions { verifier, max_rounds, probability_tolerance })` | [`decompose(instance, fractional, alpha, &verifier)`](mechanism::decompose); the 40-round cap and the 1e-9 probability tolerance are constants |
 //! | `fractional_vcg(instance, &LpFormulationOptions::default())` | [`fractional_vcg(instance)`](mechanism::fractional_vcg) |
-//! | `ssa_lp::DEFAULT_POOL_CAPACITY` | removed (nothing read it): the session constant is the one pool capacity |
+//! | `ssa_lp::DEFAULT_POOL_CAPACITY` | removed (nothing read it), and the pool with it |
 //! | `SpectrumAuctionSolver::new(options)` | `SolverBuilder::new()…`[`.build()`](auction::solver::SolverBuilder::build) |
 //! | n/a (one-shot only) | `SolverBuilder::new()…`[`.session(instance)`](auction::solver::SolverBuilder::session) |
-//! | `try_solve_relaxation_with_pool(instance, options, pool)` | a session's [`resolve_relaxation`](auction::session::AuctionSession::resolve_relaxation): it seeds rebuilds from its own pool |
+//! | `try_solve_relaxation_with_pool(instance, options, pool)` | a session's [`resolve_relaxation`](auction::session::AuctionSession::resolve_relaxation): it seeds each rebuild from the bundle columns of the master it replaces |
 //! | `LpFormulationOptions { deep_batch_rows, .. }` | removed: arrivals always take the dual-simplex row repair, and an exchange drain is one resolve |
 //! | `large_instance_simplex_options()` | removed: masters solve with `SimplexOptions::default()` |
 //! | `ExchangeBuilder::coalescing(bool)` | removed: the exchange queues each market's events and applies them verbatim, in submission order |
@@ -83,7 +83,11 @@
 //! | `SolveStats::iterations` | [`SolveStats::simplex_iterations`](lp::SolveStats::simplex_iterations); sum solves with [`SolveStats::merge`](lp::SolveStats::merge) |
 //! | `ColumnGenerationResult::{simplex_iterations, refactorizations, .., avg_result_density}` | [`ColumnGenerationResult::stats`](lp::ColumnGenerationResult::stats)`.*` |
 //! | `RoundSeries` / `ROUND_SERIES_CAP` | removed: `per_round_iterations` and `columns_per_round` are plain `Vec<usize>`, built fresh per column-generation run |
-//! | `ExchangeStats::lp: LpActivity` | [`ExchangeStats::lp`](exchange::ExchangeStats::lp) is a [`lp::SolveStats`] merged over every drained resolve; the per-market rounds, columns and pool counters stay on each resolve's `outcome.lp_info` |
+//! | `ssa_lp::ColumnPool`, `ssa_lp::PooledColumn` | removed: a session remembers its discovered `(bidder, bundle)` columns as the native columns of its master, and a rebuild seeds from the master it replaces |
+//! | `AuctionSession::{pool, pool_len}` | removed: count bundle columns with `outcome.lp_info.num_columns` |
+//! | `RelaxationInfo::{pool_hits, pool_evictions}` | removed with the pool; [`RelaxationInfo::columns_generated`](auction::lp_formulation::RelaxationInfo::columns_generated) counts the columns a resolve had to price in |
+//! | `MasterProblem::to_linear_program`, `MasterProblem::reset_warm_start` | removed (they had no caller) |
+//! | `ExchangeStats::lp: LpActivity` | [`ExchangeStats::lp`](exchange::ExchangeStats::lp) is a [`lp::SolveStats`] merged over every drained resolve; the per-market rounds and column counters stay on each resolve's `outcome.lp_info` |
 //!
 //! ## One master, and the seed depth
 //!
@@ -99,17 +103,18 @@
 //! `seed_top_bundles(1)` recovers favorite-only seeding, under which the
 //! oracles generate columns over several rounds.
 //!
-//! ### The managed column pool
+//! ### One column store
 //!
-//! Sessions persist generated bundles in a managed pool with per-column
-//! age / hit / reduced-cost metadata and usefulness-ranked eviction (a
-//! fixed capacity of 8192 columns per session). Warm resolves first re-price pooled columns and
-//! only fall back to the demand oracles when the pool prices out. Code
-//! that previously reached into the raw column vectors should read
-//! [`auction::lp_formulation::RelaxationInfo`] instead: `pool_hits` /
-//! `pool_evictions` count pool traffic, and `pricing_rounds`,
+//! A session remembers the `(bidder, bundle)` columns it has discovered in
+//! one place: the native columns of its cached master. Warm resolves
+//! re-price those columns in place and ask the demand oracles for new
+//! ones. A ρ or channel change rebuilds the master, seeded with every
+//! bundle column of the master it replaces (re-priced at the current
+//! valuations), so column generation starts near the previous optimum.
+//! [`auction::lp_formulation::RelaxationInfo`] exposes the trajectory:
+//! `num_columns`, `columns_generated`, `pricing_rounds`,
 //! `columns_per_round` and `per_round_iterations` (one entry per round of
-//! the resolve's column-generation run) expose the trajectory.
+//! the resolve's column-generation run).
 //!
 //! ## Sealed bids: commit–reveal with collateral and audit
 //!

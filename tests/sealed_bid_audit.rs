@@ -16,17 +16,23 @@
 //! [`AuctionSession`]: spectrum_auctions::auction::session::AuctionSession
 
 use proptest::prelude::*;
+use spectrum_auctions::auction::session::BidderConflicts;
 use spectrum_auctions::auction::session::SessionLogEntry;
 use spectrum_auctions::auction::solver::SolverBuilder;
-use spectrum_auctions::auction::{AuctionOutcome, ValuationSnapshot};
+use spectrum_auctions::auction::{
+    AdditiveValuation, AuctionInstance, AuctionOutcome, ConflictStructure, Valuation,
+    ValuationSnapshot,
+};
+use spectrum_auctions::conflict_graph::{ConflictGraph, VertexOrdering, WeightedConflictGraph};
 use spectrum_auctions::mechanism::sealed_bid::{
     audit, commit_to, nonce_from_seed, AuditFinding, CollateralPolicy, Opening, ParticipantKind,
-    RevealStatus, SealedBidAuction, SealedBidOutcome,
+    RevealStatus, SealedBidAuction, SealedBidError, SealedBidOutcome,
 };
 use spectrum_auctions::workloads::{
     colluding_clique_scenario, shill_stream_scenario, sniping_burst_scenario,
     AdversarialSealedMarket, ScenarioConfig, SealedKind,
 };
+use std::sync::Arc;
 
 /// Solver combos as `enumerate_all_bundles`: the default column-generation
 /// session, and an enumerating session that keeps no master, so its
@@ -386,6 +392,70 @@ fn suppressed_reveal_is_flagged() {
         "suppressed reveal",
         |f| matches!(f, AuditFinding::RevealSuppressed { participant } if *participant == suppressed),
     );
+}
+
+/// An entrant's conflict declaration is checked against the roster it will
+/// join at commit time, not at `close_commits` (where the session's
+/// `add_bidder` would panic on it). The roster is the incumbents plus the
+/// entrants committed earlier, so naming an earlier entrant is legitimate.
+#[test]
+fn entrant_conflicts_are_checked_against_the_roster_at_commit() {
+    let k = 2;
+    let bidders = || -> Vec<Arc<dyn Valuation>> {
+        (0..3)
+            .map(|_| Arc::new(AdditiveValuation::new(vec![1.0; k])) as Arc<dyn Valuation>)
+            .collect()
+    };
+    let open = |conflicts: ConflictStructure| {
+        let instance =
+            AuctionInstance::new(k, bidders(), conflicts, VertexOrdering::identity(3), 1.0);
+        SealedBidAuction::open(
+            SolverBuilder::new().session(instance),
+            CollateralPolicy::default(),
+        )
+        .expect("open sealed round")
+    };
+    let commit = |auction: &mut SealedBidAuction, conflicts: BidderConflicts| {
+        let id = auction.next_participant_id();
+        let valuation = ValuationSnapshot::Additive {
+            channel_values: vec![1.0; k],
+        };
+        let commitment = commit_to(id, &valuation, &nonce_from_seed(id));
+        auction.submit_commitment(ParticipantKind::Entrant { conflicts }, commitment, 2.0)
+    };
+    let rejected = |result: Result<u64, SealedBidError>| {
+        matches!(result, Err(SealedBidError::ConflictStructureMismatch))
+    };
+
+    let path = ConflictGraph::from_edges(3, &[(0, 1), (1, 2)]);
+    let mut binary = open(ConflictStructure::Binary(path));
+    let beyond = BidderConflicts::Binary(vec![99]);
+    assert!(rejected(commit(&mut binary, beyond)));
+    // index 3 is the entrant's own slot until an earlier entrant takes it
+    let own_slot = BidderConflicts::Binary(vec![3]);
+    assert!(rejected(commit(&mut binary, own_slot)));
+    let first = commit(&mut binary, BidderConflicts::Binary(vec![0]));
+    assert_eq!(first.expect("incumbent neighbor accepted"), 0);
+    let second = commit(&mut binary, BidderConflicts::Binary(vec![2, 3]));
+    assert_eq!(second.expect("earlier-entrant neighbor accepted"), 1);
+    let third = BidderConflicts::Binary(vec![5]);
+    assert!(rejected(commit(&mut binary, third)));
+    binary.close_commits().expect("close commits");
+    assert_eq!(binary.session().instance().num_bidders(), 5);
+
+    let asymmetric_graphs = vec![ConflictGraph::new(3); k];
+    let mut asymmetric = open(ConflictStructure::AsymmetricBinary(asymmetric_graphs));
+    let one_list = BidderConflicts::PerChannelBinary(vec![vec![0]]);
+    assert!(rejected(commit(&mut asymmetric, one_list)));
+    let past_roster = BidderConflicts::PerChannelBinary(vec![vec![0], vec![3]]);
+    assert!(rejected(commit(&mut asymmetric, past_roster)));
+
+    let mut weighted = open(ConflictStructure::Weighted(WeightedConflictGraph::new(3)));
+    let nan = BidderConflicts::Weighted(vec![(0, f64::NAN, 0.5)]);
+    assert!(rejected(commit(&mut weighted, nan)));
+    let fine = BidderConflicts::Weighted(vec![(0, 0.5, 0.5)]);
+    assert_eq!(commit(&mut weighted, fine).expect("weights accepted"), 0);
+    weighted.close_commits().expect("close commits");
 }
 
 proptest! {

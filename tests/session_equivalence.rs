@@ -2,7 +2,8 @@
 //! (arrivals / departures / re-bids), [`AuctionSession::resolve_relaxation`]
 //! must reach the same LP optimum as a from-scratch `solve_relaxation` of
 //! the mutated instance, because the warm paths (dual-simplex row
-//! absorption, in-place column re-pricing, warm-from-pool rebuilds) only
+//! absorption, in-place column re-pricing, rebuilds seeded from the
+//! previous master) only
 //! change the starting basis, never the feasible region. `solve_relaxation`
 //! is itself a fresh session's cold resolve, so every step is also checked
 //! against the enumerated master (`solve_relaxation_explicit`), which
@@ -123,8 +124,6 @@ fn trajectory(info: &RelaxationInfo) -> (Vec<usize>, Vec<usize>, Vec<usize>, u64
         info.engine.simplex_iterations,
         info.pricing_rounds,
         info.columns_generated,
-        info.pool_hits,
-        info.pool_evictions,
         info.engine.refactorizations,
         info.engine.forced_refactorizations,
         info.engine.degenerate_pivots,
