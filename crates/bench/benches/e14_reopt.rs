@@ -1,8 +1,10 @@
-//! E14: dual-simplex reoptimization after row additions — re-solving a
-//! packing LP (the master shape) after a batch of appended rows with
-//! [`reoptimize_after_row_additions`] resuming the recorded basis, vs a
-//! cold re-solve of the grown LP. Every cell asserts the two reach the same
-//! optimum before its time is recorded.
+//! E14: warm solve after row additions — re-solving a packing LP (the
+//! master shape) after a batch of appended rows with
+//! [`solve_with_warm_start`] resuming the recorded basis (a row prefix of
+//! the grown LP, repaired by the engine's dual simplex loop), vs a cold
+//! re-solve of the grown LP. Every cell asserts the two reach the same
+//! optimum before its time is recorded, and that the seeds' warm solves
+//! spent dual pivots between them.
 //!
 //! A plain main, not Criterion: each cell is one solve per seed and the
 //! medians across seeds are the statistic. The smoke run
@@ -12,14 +14,13 @@
 //! cargo bench -p ssa-bench --bench e14_reopt
 //! ```
 //!
-//! [`reoptimize_after_row_additions`]: ssa_lp::reoptimize_after_row_additions
+//! [`solve_with_warm_start`]: ssa_lp::solve_with_warm_start
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssa_bench::table::Table;
 use ssa_lp::{
-    reoptimize_after_row_additions, solve, solve_with_warm_start, LinearProgram, LpStatus,
-    Relation, Sense, SimplexOptions,
+    solve, solve_with_warm_start, LinearProgram, LpStatus, Relation, Sense, SimplexOptions,
 };
 use std::time::Instant;
 
@@ -75,13 +76,14 @@ fn reopt_sweep(smoke: bool) -> Table {
     };
     let mut table = Table::new(
         "E14",
-        "dual reopt after row additions vs cold re-solve (multi-seed medians)",
+        "warm solve after row additions vs cold re-solve (multi-seed medians)",
         &["n", "rows", "dual_ms", "cold_ms"],
     );
     let options = SimplexOptions::default();
     for &(n, extra) in &cells {
         let mut dual_times = Vec::new();
         let mut cold_times = Vec::new();
+        let mut dual_pivots = 0usize;
         for &seed in &SEEDS {
             let base = random_packing_lp(seed + n as u64, n);
             let (first, state) = solve_with_warm_start(&base, &options, None);
@@ -91,20 +93,23 @@ fn reopt_sweep(smoke: bool) -> Table {
             let cold = solve(&grown, &options);
             cold_times.push(t0.elapsed().as_secs_f64() * 1e3);
             let t0 = Instant::now();
-            let re = reoptimize_after_row_additions(&grown, &options, state);
+            let (re, _) = solve_with_warm_start(&grown, &options, Some(state));
             dual_times.push(t0.elapsed().as_secs_f64() * 1e3);
-            assert!(re.used_dual_path, "packing rows must take the dual path");
-            assert_eq!(re.solution.status, cold.status);
+            dual_pivots += re.stats.dual_pivots;
+            assert_eq!(re.status, cold.status);
             if cold.status == LpStatus::Optimal {
                 assert!(
-                    (re.solution.objective - cold.objective).abs()
-                        < 1e-6 * (1.0 + cold.objective.abs()),
+                    (re.objective - cold.objective).abs() < 1e-6 * (1.0 + cold.objective.abs()),
                     "n = {n}: dual {} vs cold {}",
-                    re.solution.objective,
+                    re.objective,
                     cold.objective
                 );
             }
         }
+        assert!(
+            dual_pivots > 0,
+            "n = {n}: appended packing rows must be repaired by dual pivots"
+        );
         table.push_row(vec![
             n.to_string(),
             extra.to_string(),

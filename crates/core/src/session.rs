@@ -17,7 +17,7 @@
 //! | none | the cached [`FractionalAssignment`] is returned as-is |
 //! | re-bids only ([`update_valuation`](AuctionSession::update_valuation)) | the bidders' master columns are **re-priced in place**; the recorded basis is still primal feasible (the constraint matrix is untouched), so the master resumes with ordinary primal pivots |
 //! | departures ([`remove_bidder`](AuctionSession::remove_bidder)), possibly mixed with re-bids | the departed bidder's columns are **fixed at zero** and its `k + 1` rows **deactivated in place** behind relief columns ([`MasterProblem::deactivate_rows`]); the surviving basis stays valid and primal feasible and resumes with primal pivots — accumulated deadweight is compacted away once it reaches a quarter of the master (`COMPACTION_THRESHOLD`) |
-//! | arrivals ([`add_bidder`](AuctionSession::add_bidder)), possibly mixed with the above | the newcomer's `k + 1` rows are **staged** and materialized at resolve time via [`MasterProblem::add_row`]; if the same batch also re-bid or departed bidders (dirt that costs the recorded basis its dual feasibility), a primal resume first re-optimizes the mutated master, and only then do the staged rows land — so the **dual simplex** row repair (`lp::dual`) always starts from a dual-feasible basis instead of declining into a near-cold solve |
+//! | arrivals ([`add_bidder`](AuctionSession::add_bidder)), possibly mixed with the above | the newcomer's `k + 1` rows are **staged** and materialized at resolve time via [`MasterProblem::add_row`]; if the same batch also re-bid or departed bidders (dirt that costs the recorded basis its dual feasibility), a primal resume first re-optimizes the mutated master, and only then do the staged rows land — so the warm solve's **dual simplex** row repair (`lp::solve_with_warm_start` on a row-prefix basis) always starts from a dual-feasible basis instead of declining into a cold solve |
 //! | ρ or channel changes | the master is rebuilt, **seeded from the master it replaces**: every bundle column of the old master is re-priced at the current valuations and seeded up front, so column generation starts near the previous optimum |
 //!
 //! Every warm answer is the exact LP optimum of the *current* instance —
@@ -190,8 +190,9 @@ pub struct SessionStats {
     /// every resolve with bundle enumeration on) — seeded from the previous
     /// master's bundles, not resumed from a recorded basis.
     pub cold_resolves: usize,
-    /// Resolves that absorbed appended bidder rows through the dual-simplex
-    /// path.
+    /// Resolves that absorbed appended bidder rows: the master's warm solve
+    /// extended the recorded basis by the new rows' logicals and repaired it
+    /// with the engine's dual simplex loop.
     pub warm_row_resolves: usize,
     /// Resolves that only re-priced master columns and resumed the recorded
     /// basis with primal pivots.
@@ -206,7 +207,8 @@ pub struct SessionStats {
     /// mutation batch *mixed* arrivals with re-bids or departures: the
     /// session first re-optimized the repriced/deactivated master with a
     /// primal resume (restoring dual feasibility), then materialized the
-    /// staged arrival rows and ran the dual-simplex row repair.
+    /// staged arrival rows, which the next warm solve repairs with dual
+    /// pivots.
     pub mixed_batch_repairs: usize,
 }
 
@@ -311,7 +313,8 @@ enum Staleness {
     /// feasible and the next solve resumes with primal pivots, entering
     /// relief columns where the departed rows were binding.
     Deactivated,
-    /// Rows were appended; next solve goes through the dual-simplex repair.
+    /// Rows were appended; the next warm solve extends the recorded basis
+    /// by their logicals and repairs it with dual pivots.
     RowsAdded,
     /// Structure changed (or no master yet): rebuild, seeded from the
     /// previous master's bundles.
@@ -559,8 +562,8 @@ impl AuctionSession {
     /// On the warm path the newcomer's `k` interference rows and
     /// bidder row are appended to the cached master via
     /// [`MasterProblem::add_row`]; the next [`resolve`](Self::resolve)
-    /// absorbs them with a dual-simplex reoptimization instead of a cold
-    /// solve.
+    /// absorbs them with the warm solve's dual simplex row repair instead of
+    /// a cold solve.
     ///
     /// # Panics
     /// Panics if the valuation's channel count or the conflict description
@@ -637,8 +640,8 @@ impl AuctionSession {
             // dirt from the same batch has been repaired by a primal
             // resume. Appending eagerly would hand the dual row repair a
             // basis that re-bids or departures already knocked off the
-            // dual-feasible perch, making it decline and fall back to a
-            // near-cold primal solve of the whole master.
+            // dual-feasible perch, making the warm solve decline it and
+            // cold-start the whole master.
             self.row_vj.push(Vec::new());
             self.row_bidder.push(usize::MAX);
             self.staged_arrivals.push(n);
@@ -924,8 +927,8 @@ impl AuctionSession {
     /// Appends the master rows of every bidder staged by
     /// [`add_bidder`](Self::add_bidder) since the last resolve. Runs on
     /// the warm path right before column generation — after any
-    /// repricing/deactivation repair — so the dual-simplex row repair
-    /// starts from a dual-feasible basis.
+    /// repricing/deactivation repair — so the master's next warm solve
+    /// starts its dual row repair from a dual-feasible basis.
     fn materialize_staged_rows(&mut self) {
         if self.staged_arrivals.is_empty() {
             return;
@@ -957,10 +960,10 @@ impl AuctionSession {
             }
             self.row_vj[v] = rows;
             // Deliberately no column seed for the newcomer here: the dual
-            // reoptimization requires the extended basis to stay dual
+            // row repair requires the extended basis to stay dual
             // feasible, and a fresh attractive column has positive reduced
-            // cost at the prior duals (seeding it would make the dual path
-            // decline and fall back to a cold solve). The demand oracle
+            // cost at the prior duals (seeding it would make the warm solve
+            // decline the basis and cold-start). The demand oracle
             // proposes the newcomer's bundles right after the row repair.
             self.row_bidder[v] = master.add_row(Relation::Le, 1.0, Vec::new());
         }

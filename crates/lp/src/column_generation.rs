@@ -27,7 +27,6 @@
 //! contract at the factorization seam.
 
 use crate::basis::ForrestTomlinLu;
-use crate::dual;
 use crate::problem::{LinearProgram, Relation, Sense};
 use crate::simplex::{
     solve, solve_with_warm_start, BasisVar, LpSolution, LpStatus, SimplexOptions, SolveStats,
@@ -119,18 +118,11 @@ pub struct MasterProblem {
     /// appends a variable and its coefficients instead of rebuilding the
     /// whole program on every solve.
     lp: LinearProgram,
-    /// Basis of the most recent [`MasterProblem::solve_warm`]: the rows are
-    /// fixed and columns only ever get appended (entering nonbasic), so the
-    /// previous optimal basis remains valid across re-solves.
+    /// Basis of the most recent [`MasterProblem::solve_warm`]: columns are
+    /// appended nonbasic and rows are appended after the recorded ones, so
+    /// the previous optimal basis stays valid, as a row prefix once rows
+    /// were added.
     warm: Option<WarmStart>,
-    /// Rows appended by [`MasterProblem::add_row`] since the last solve.
-    /// While non-zero, the recorded basis covers only a row prefix and the
-    /// next [`MasterProblem::solve_warm`] goes through the dual-simplex
-    /// reoptimization path instead of the (row-invariant) primal resume.
-    pending_rows: usize,
-    /// Dual-simplex pivots spent by the most recent solve (0 on the primal
-    /// path).
-    last_dual_pivots: usize,
     /// Next tag for dead-column tombstones ([`DEAD_COLUMN_TAG_BASE`]).
     next_dead_tag: u64,
     /// Next tag for row-relief columns ([`ROW_RELIEF_TAG_BASE`]).
@@ -171,8 +163,6 @@ impl MasterProblem {
             seen_tags: std::collections::HashSet::new(),
             lp,
             warm: None,
-            pending_rows: 0,
-            last_dual_pivots: 0,
             next_dead_tag: DEAD_COLUMN_TAG_BASE,
             next_relief_tag: ROW_RELIEF_TAG_BASE,
             rows_deactivated: 0,
@@ -250,9 +240,9 @@ impl MasterProblem {
     ///
     /// The recorded warm-start basis stays valid as a *row prefix*: the next
     /// [`solve_warm`](Self::solve_warm) extends it with the new rows'
-    /// logicals and reoptimizes with the **dual simplex**
-    /// ([`crate::dual`]) instead of re-solving from scratch. Returns the new
-    /// row's index.
+    /// logicals and repairs it with the engine's **dual simplex** loop
+    /// ([`crate::simplex::solve_with_warm_start`]) instead of re-solving from
+    /// scratch. Returns the new row's index.
     pub fn add_row(&mut self, relation: Relation, rhs: f64, coeffs: Vec<(usize, f64)>) -> usize {
         for &(c, _) in &coeffs {
             assert!(c < self.columns.len(), "row references unknown column {c}");
@@ -260,7 +250,6 @@ impl MasterProblem {
         // column index == variable index by construction
         let row = self.lp.add_constraint(coeffs, relation, rhs);
         self.rows.push((relation, rhs));
-        self.pending_rows += 1;
         row
     }
 
@@ -324,20 +313,6 @@ impl MasterProblem {
             );
         }
         self.lp.fix_variables_at_zero(cols);
-        // If a freshly fixed, non-harmless column sits in the recorded
-        // basis (even at value 0 — basic values drift with later pivots),
-        // the basis must not be resumed: the primal engine validates and
-        // rejects it, but the dual row-addition repair path trusts the
-        // recorded state as-is, so scrub it here.
-        if let Some(warm) = &self.warm {
-            let poisoned = warm.basis.iter().any(|b| match *b {
-                BasisVar::Structural(v) => cols.contains(&v) && !self.lp.fixed_value_is_harmless(v),
-                _ => false,
-            });
-            if poisoned {
-                self.warm = None;
-            }
-        }
         for &idx in cols {
             let col = &mut self.columns[idx];
             if col.tag >= DEAD_COLUMN_TAG_BASE {
@@ -483,7 +458,6 @@ impl MasterProblem {
                 kept_basis = true;
             }
         }
-        self.pending_rows = 0;
         self.compactions += 1;
         CompactionReport {
             row_map: maps.row_map,
@@ -504,13 +478,6 @@ impl MasterProblem {
         }
     }
 
-    /// Dual-simplex pivots spent by the most recent
-    /// [`solve_warm`](Self::solve_warm) (non-zero only right after rows were
-    /// added through [`add_row`](Self::add_row)).
-    pub fn last_dual_pivots(&self) -> usize {
-        self.last_dual_pivots
-    }
-
     /// Solves the current restricted master from a cold start.
     pub fn solve(&self, options: &SimplexOptions) -> LpSolution {
         solve(&self.lp, options)
@@ -521,29 +488,13 @@ impl MasterProblem {
     /// the next round. Columns added since the last solve enter nonbasic,
     /// so a re-solve typically needs only the handful of pivots that bring
     /// the new columns in — instead of re-running phase 1 / the all-slack
-    /// start from scratch.
+    /// start from scratch. Rows added since then are absorbed by the dual
+    /// row repair, which reports its pivots as
+    /// [`SolveStats::dual_pivots`].
     pub fn solve_warm(&mut self, options: &SimplexOptions) -> LpSolution {
-        if self.pending_rows > 0 {
-            self.pending_rows = 0;
-            if let Some(prior) = self.warm.take() {
-                // rows grew since the basis was recorded: repair primal
-                // feasibility with the dual simplex instead of cold-starting
-                let re = dual::reoptimize_after_row_additions(&self.lp, options, prior);
-                self.warm = Some(re.warm);
-                self.last_dual_pivots = re.solution.stats.dual_pivots;
-                return re.solution;
-            }
-        }
         let (solution, state) = solve_with_warm_start(&self.lp, options, self.warm.take());
         self.warm = Some(state);
-        self.last_dual_pivots = 0;
         solution
-    }
-
-    /// The warm-start state recorded by the last
-    /// [`solve_warm`](Self::solve_warm), if any.
-    pub fn warm_start(&self) -> Option<&WarmStart> {
-        self.warm.as_ref()
     }
 }
 
@@ -941,14 +892,14 @@ mod tests {
         let first = master.solve_warm(&options);
         assert_eq!(first.status, LpStatus::Optimal);
         assert!((first.objective - 5.0).abs() < 1e-7); // both columns at 1
-        assert_eq!(master.last_dual_pivots(), 0);
+        assert_eq!(first.stats.dual_pivots, 0);
 
         // a joint cap that cuts the optimum off
         master.add_row(Relation::Le, 1.0, vec![(0, 1.0), (1, 1.0)]);
         let second = master.solve_warm(&options);
         assert_eq!(second.status, LpStatus::Optimal);
         assert!((second.objective - 3.0).abs() < 1e-7); // only column 0
-        assert!(master.last_dual_pivots() > 0, "dual repair must have run");
+        assert!(second.stats.dual_pivots > 0, "dual repair must have run");
 
         // a cold solve of the same grown master agrees
         let cold = master.solve(&options);
@@ -963,7 +914,7 @@ mod tests {
         let third = master.solve_warm(&options);
         assert_eq!(third.status, LpStatus::Optimal);
         assert!(third.objective > 3.0);
-        assert_eq!(master.last_dual_pivots(), 0);
+        assert_eq!(third.stats.dual_pivots, 0);
     }
 
     /// Re-pricing a column keeps the recorded basis usable: the next warm
@@ -1392,7 +1343,9 @@ mod tests {
     /// when fixed, because later pivots of *other* columns can grow a
     /// basic variable the enterable mask no longer protects. A fixed
     /// column left basic this way silently relaxes its row and reports an
-    /// objective above the true optimum.
+    /// objective above the true optimum. The engine's warm install screens
+    /// it out on every warm path, including the row-append repair (the
+    /// appended row below), so the solve starts cold.
     #[test]
     fn fixing_a_basic_nonharmless_column_scrubs_the_warm_start() {
         let rows = vec![(Relation::Le, 1.0), (Relation::Le, 1.0)];
@@ -1410,12 +1363,8 @@ mod tests {
         let first = master.solve_warm(&SimplexOptions::default());
         assert_eq!(first.status, LpStatus::Optimal);
         assert!((first.objective - 2.5).abs() < 1e-6, "{}", first.objective);
-        assert!(master.warm_start().is_some());
         master.fix_columns(&[1]);
-        assert!(
-            master.warm_start().is_none(),
-            "a basic non-harmless column must poison the recorded basis"
-        );
+        master.add_row(Relation::Le, 5.0, vec![(0, 1.0)]);
         let refixed = master.solve_warm(&SimplexOptions::default());
         assert_eq!(refixed.status, LpStatus::Optimal);
         assert!(

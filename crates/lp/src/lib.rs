@@ -25,13 +25,13 @@
 //!   dual view of the paper's separation-based approach. Master re-solves
 //!   are **warm-started** from the previous round's optimal basis. This is
 //!   the one way the auction solves its relaxation: a single master over
-//!   all `(v, j)` and bidder rows, priced by the bidders' demand oracles,
-//! * [`dual`] — a **dual simplex** on the same basis factorization:
-//!   after rows are appended to a solved master
-//!   ([`column_generation::MasterProblem::add_row`]) the old basis extended
-//!   by the new rows' logicals is dual feasible, and
-//!   [`dual::reoptimize_after_row_additions`] repairs primal feasibility
-//!   from there instead of re-solving from scratch.
+//!   all `(v, j)` and bidder rows, priced by the bidders' demand oracles.
+//!   Rows appended to a solved master
+//!   ([`column_generation::MasterProblem::add_row`]) are absorbed by the
+//!   same engine: the old basis extended by the new rows' logicals is dual
+//!   feasible, and a **dual simplex** loop on that basis repairs primal
+//!   feasibility before primal phase 2 resumes, instead of a re-solve from
+//!   scratch.
 //!
 //! All of the paper's relaxations are *packing* LPs (non-negative data,
 //! `≤` constraints), for which the all-slack basis is feasible and phase 1
@@ -55,8 +55,9 @@
 //!    steepest-edge reference updates ([`pricing`]).
 //! 2. **BTRAN** — the pivot row `ρ = eₗᵀB⁻¹` is solved the same way
 //!    through the transposed factors and drives the pricing-weight and
-//!    incremental dual updates; the [`dual`] simplex scatters it against
-//!    a row-major matrix view to form its ratio-test row sparsely.
+//!    incremental dual updates; the dual row repair scatters it over the
+//!    rows of its support (the LP's row-major constraint storage) to form
+//!    its ratio-test row sparsely.
 //!
 //! When the DFS discovers the reachable set has grown past ~`m/4` the
 //! kernel **densifies**: it falls back to the dense triangular solve and
@@ -68,8 +69,8 @@
 //! [`ColumnGenerationResult::stats`], and the layers above embed that
 //! record unchanged.
 //!
-//! The ratio tests are **two-pass Harris** tests (primal in [`simplex`],
-//! dual in [`dual`]): the first pass relaxes the bound by a feasibility
+//! The ratio tests are **two-pass Harris** tests (primal and dual, both in
+//! [`simplex`]): the first pass relaxes the bound by a feasibility
 //! tolerance to find the best attainable step, the second picks the
 //! largest-magnitude eligible pivot within that step, and a relative
 //! pivot floor (`10⁻⁷ · max |wᵣ|`) rejects numerically tiny pivots by
@@ -80,7 +81,6 @@
 pub mod basis;
 pub mod column_generation;
 pub mod dense;
-pub mod dual;
 pub mod pricing;
 pub mod problem;
 pub mod simplex;
@@ -91,7 +91,6 @@ pub use column_generation::{
     ColumnSource, CompactionReport, GeneratedColumn, MasterProblem, DEAD_COLUMN_TAG_BASE,
     ROW_RELIEF_TAG_BASE,
 };
-pub use dual::{reoptimize_after_row_additions, DualReoptimization};
 pub use pricing::SteepestEdgePricing;
 pub use problem::{Compaction, Constraint, CscMatrix, LinearProgram, Relation, RowState, Sense};
 pub use simplex::{

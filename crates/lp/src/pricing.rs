@@ -32,8 +32,8 @@
 //! γ_l  ← max(γ_q / α_q², 1)                  (the leaving variable)
 //! ```
 //!
-//! — the same Forrest–Goldfarb scheme the dual simplex ([`crate::dual`])
-//! uses for its dual steepest-edge weights. The `max` form drops the exact
+//! — the same Forrest–Goldfarb scheme the dual row repair of
+//! [`crate::simplex`] uses for its dual steepest-edge weights. The `max` form drops the exact
 //! cross term (which would need a second BTRAN per pivot) but never
 //! *under*-estimates a norm that the update touches, and the periodic exact
 //! reset at refactorization stops long-run drift.
@@ -78,7 +78,8 @@ pub struct SteepestEdgePricing {
 
 impl SteepestEdgePricing {
     /// Weights above this trigger a reference-framework reset (matches the
-    /// dual steepest-edge reset in [`crate::dual`]).
+    /// dual steepest-edge reset of the dual row repair in
+    /// [`crate::simplex`]).
     const WEIGHT_RESET: f64 = 1e12;
 
     /// Refill chunk: how many *new improving* candidates one select call

@@ -503,24 +503,6 @@ impl CscMatrix {
         let hi = self.col_ptr[j + 1];
         (&self.row_idx[lo..hi], &self.values[lo..hi])
     }
-
-    /// Row-major adjacency view: `(column, value)` per stored entry, grouped
-    /// by row with columns in ascending order. The dual simplex builds this
-    /// once per repair so its ratio test can scatter a *sparse* pivot row
-    /// into the touched columns only, instead of sweeping every column for
-    /// its `ρ·a_j` product.
-    pub fn row_major(&self) -> Vec<Vec<(usize, f64)>> {
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.num_rows];
-        for j in 0..self.num_cols() {
-            let (ridx, vals) = self.column(j);
-            for (&r, &v) in ridx.iter().zip(vals.iter()) {
-                if v != 0.0 {
-                    rows[r].push((j, v));
-                }
-            }
-        }
-        rows
-    }
 }
 
 #[cfg(test)]

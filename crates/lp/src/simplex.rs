@@ -19,11 +19,22 @@
 //! [`LpSolution::stats`] so benches can attribute time per stage.
 //!
 //! **Warm starts**: [`solve_with_warm_start`] accepts the [`WarmStart`]
-//! returned by a previous solve over the *same rows* and resumes from that
-//! basis, skipping phase 1 entirely. The state carries the basis *and* its
-//! factorization (moved, not copied), so a warm re-solve pays no
+//! returned by a previous solve and resumes from that basis, skipping
+//! phase 1 entirely. Over the *same rows* the state carries the basis *and*
+//! its factorization (moved, not copied), so a warm re-solve pays no
 //! re-factorization. Column generation exploits this: new columns enter
 //! nonbasic, so each master re-solve continues from the previous optimum.
+//!
+//! **Appended rows**: a state recorded before rows were appended covers a
+//! *row prefix*. The engine extends its basis by the appended rows'
+//! logicals, which keeps it dual feasible (the new rows' duals are zero,
+//! so no reduced cost moves) but leaves it primal infeasible wherever a new
+//! row cuts the old optimum off. A **dual simplex** loop on the same basis,
+//! factorization and `x_B` then restores `x_B ≥ 0` — dual steepest-edge row
+//! choice, a two-pass Harris dual ratio test over the sparse pivot row, and
+//! incrementally updated reduced costs — and the solve continues straight
+//! into primal phase 2. Dual pivots share the pivot budget with the primal
+//! ones and are reported as [`SolveStats::dual_pivots`].
 //!
 //! Packing LPs (all `≤` constraints with non-negative right-hand sides) are
 //! detected automatically and start from the all-slack basis, skipping
@@ -73,9 +84,11 @@ pub struct SolveStats {
     pub forced_refactorizations: usize,
     /// Pivots whose leaving variable was already at zero.
     pub degenerate_pivots: usize,
-    /// Dual-simplex reoptimization pivots ([`crate::dual`]) that repaired
-    /// primal feasibility after row additions before this (primal) solve
-    /// resumed. Always 0 on the plain primal path.
+    /// Dual-simplex pivots that repaired primal feasibility after rows were
+    /// appended to a warm-started LP, before primal phase 2 resumed. They
+    /// count against the same pivot budget as
+    /// [`simplex_iterations`](Self::simplex_iterations); always 0 unless the
+    /// warm state covered a row prefix.
     pub dual_pivots: usize,
     /// FTRANs answered on the hyper-sparse (Gilbert–Peierls) path, whose
     /// cost was proportional to the solve graph reached from the RHS
@@ -228,7 +241,11 @@ pub enum BasisVar {
 /// Valid for re-solves of an LP with the **same constraint rows** (same
 /// relations and right-hand sides); the column set may have grown, because
 /// new columns start nonbasic and therefore do not touch `B`. This is
-/// exactly the restricted-master situation in column generation.
+/// exactly the restricted-master situation in column generation. It is
+/// also valid for an LP that **appends rows** to those: the state then
+/// covers a row prefix, and [`solve_with_warm_start`] repairs the extended
+/// basis with the dual simplex (an LP with equality rows cold-starts
+/// instead).
 #[derive(Clone, Debug)]
 pub struct WarmStart {
     /// One basis member per row.
@@ -239,8 +256,10 @@ pub struct WarmStart {
 }
 
 impl WarmStart {
-    /// Assembles a state from a basis and a matching factorization (used by
-    /// [`crate::dual`], which maintains both itself).
+    /// Assembles a state from a basis and a matching factorization (a
+    /// default factorization makes it basis-only, as
+    /// [`MasterProblem::compact`](crate::MasterProblem::compact) hands back
+    /// its remapped basis).
     pub(crate) fn from_parts(basis: Vec<BasisVar>, factor: ForrestTomlinLu) -> Self {
         WarmStart { basis, factor }
     }
@@ -274,8 +293,8 @@ pub fn solve(lp: &LinearProgram, options: &SimplexOptions) -> LpSolution {
 }
 
 /// Solves a linear program, optionally resuming from the basis of a
-/// previous solve over the same rows, and returns the solution together
-/// with the final basis for future warm starts.
+/// previous solve, and returns the solution together with the final basis
+/// for future warm starts.
 ///
 /// The state is taken **by value**: its factorization is moved into the
 /// solver and moved back out, so a warm re-solve never copies it (at master
@@ -283,6 +302,14 @@ pub fn solve(lp: &LinearProgram, options: &SimplexOptions) -> LpSolution {
 /// warm re-solve actually needs). A basis-only state
 /// ([`WarmStart::into_basis_only`]) costs one refactorization from the
 /// basis columns.
+///
+/// A state recorded before rows were appended (its basis covers a **row
+/// prefix** of `lp`) is extended by the new rows' logicals, refactorized
+/// once, and repaired by the dual simplex until `x_B ≥ 0`; the solve then
+/// continues into primal phase 2. A prefix basis that is not dual feasible
+/// or holds a basic artificial, an LP with equality rows, and a dual
+/// infeasibility verdict all cold-start instead, so an infeasible LP is
+/// reported by the primal engine's phase 1.
 pub fn solve_with_warm_start(
     lp: &LinearProgram,
     options: &SimplexOptions,
@@ -293,6 +320,30 @@ pub fn solve_with_warm_start(
     let solution = solver.extract(status);
     let state = solver.into_warm_start();
     (solution, state)
+}
+
+/// How [`Revised::try_warm_basis`] installed a warm-start state.
+enum Install {
+    /// The state does not fit this problem: cold-start.
+    Rejected,
+    /// The state covers every row and its basic solution is feasible:
+    /// resume phase 2.
+    Resumed,
+    /// The state covers a row prefix: the basis was extended by the
+    /// appended rows' logicals, and [`Revised::dual_repair`] runs first.
+    RowsAppended,
+}
+
+/// How [`Revised::dual_repair`] ended.
+enum Repair {
+    /// `x_B ≥ 0`: primal phase 2 resumes from the repaired basis.
+    Done,
+    /// Cold-start: the extended basis was not dual feasible, or a violated
+    /// row had no entering candidate (a Farkas row, so the primal engine
+    /// issues its own infeasibility report).
+    Cold,
+    /// The pivot budget ran out, or a rebuild found the basis singular.
+    Stopped,
 }
 
 struct Revised<'a> {
@@ -340,6 +391,9 @@ struct Revised<'a> {
     sparsity_baseline: SparsityStats,
 
     iterations: usize,
+    /// pivots of the dual row repair; they share `max_iterations` with
+    /// `iterations`
+    dual_pivots: usize,
     refactorizations: usize,
     forced_refactorizations: usize,
     degenerate_pivots: usize,
@@ -458,6 +512,7 @@ impl<'a> Revised<'a> {
             xb: Vec::new(),
             sparsity_baseline: SparsityStats::default(),
             iterations: 0,
+            dual_pivots: 0,
             refactorizations: 0,
             forced_refactorizations: 0,
             degenerate_pivots: 0,
@@ -514,34 +569,68 @@ impl<'a> Revised<'a> {
         }
         // Identity-creating columns are exactly e_i, so B = I; factorizing
         // it is trivial for every representation.
-        let ok = self.refactor();
+        let ok = self.uncounted(Self::refactor);
         debug_assert!(ok, "the identity basis cannot be singular");
         self.xb = self.b.clone();
-        // Installing the starting basis is not a hygiene event: the stats
-        // counter covers only rebuilds *during* the solve, so cold and warm
-        // solves of the same work read the same.
-        self.refactorizations = 0;
-        self.forced_refactorizations = 0;
     }
 
-    /// Attempts to install a warm-start basis; returns `false` if the state
-    /// does not fit this problem (the caller then cold-starts, overwriting
-    /// any partial state installed here).
-    fn try_warm_basis(&mut self, warm: WarmStart) -> bool {
-        if warm.basis.len() != self.m {
-            return false;
+    /// Runs an install step without counting its rebuilds: installing a
+    /// starting basis is not a hygiene event, so the refactorization
+    /// counters cover only rebuilds *during* the solve, and cold and warm
+    /// solves of the same work read the same.
+    fn uncounted<T>(&mut self, step: impl FnOnce(&mut Self) -> T) -> T {
+        let counted = (self.refactorizations, self.forced_refactorizations);
+        let out = step(self);
+        (self.refactorizations, self.forced_refactorizations) = counted;
+        out
+    }
+
+    /// Installs a warm-start state. A state covering every row resumes as
+    /// is. A state covering a **row prefix** (rows were appended since it
+    /// was recorded) is extended by the appended rows' logicals for
+    /// [`Revised::dual_repair`]. A state that does not fit this problem is
+    /// rejected, and the caller cold-starts, overwriting any partial state
+    /// installed here.
+    fn try_warm_basis(&mut self, warm: WarmStart) -> Install {
+        let prefix = warm.basis.len();
+        if prefix > self.m {
+            return Install::Rejected;
+        }
+        let appended = prefix < self.m;
+        // The repair keeps one logical basic per appended row, which an
+        // equality row does not have, and a basic artificial (a redundant
+        // row of the prior solve) has no place in a dual-feasible start.
+        let artificial = warm
+            .basis
+            .iter()
+            .any(|v| matches!(v, BasisVar::Artificial(_)));
+        let equality = || {
+            self.lp
+                .constraints()
+                .iter()
+                .any(|c| c.relation == Relation::Eq)
+        };
+        if appended && (artificial || equality()) {
+            return Install::Rejected;
         }
         let mut basis = Vec::with_capacity(self.m);
         for &var in &warm.basis {
             match self.column_of(var) {
                 Some(c) => basis.push(c),
-                None => return false,
+                None => return Install::Rejected,
             }
+        }
+        for i in prefix..self.m {
+            basis.push(
+                self.slack_col[i]
+                    .or(self.surplus_col[i])
+                    .expect("an inequality row has a slack or a surplus"),
+            );
         }
         let mut in_basis = vec![false; self.n_total];
         for &c in &basis {
             if in_basis[c] {
-                return false; // duplicated member: corrupt state
+                return Install::Rejected; // duplicated member: corrupt state
             }
             in_basis[c] = true;
         }
@@ -553,33 +642,12 @@ impl<'a> Revised<'a> {
             // the baseline so extract() reports only this solve's work.
             self.factor = warm.factor;
             self.sparsity_baseline = self.factor.sparsity_stats();
-            self.xb = vec![0.0; self.m];
-            let (factor, xb) = (&self.factor, &mut self.xb);
-            factor.ftran_dense(&self.b, xb);
-            // Validate the adopted factorization against *this* problem's
-            // basis columns: a state recycled across different constraint
-            // matrices (same shape, different coefficients) would price
-            // every reduced cost against a stale B⁻¹ and can terminate
-            // "optimal" at a wrong vertex. ‖B·x_B − b‖∞ is O(nnz) and
-            // catches that; one refactorization repairs it.
-            if self.residual_inf_norm() > 1e-6 && !self.refactor() {
-                return false;
+            if !self.recompute_xb() {
+                return Install::Rejected;
             }
         } else if !self.refactor() {
-            // basis-only seed: one rebuild from the basis
-            return false;
-        }
-        // The rows are supposed to be unchanged, so the previous basic
-        // solution must still be (near-)feasible. If it is not — caller
-        // reused state across incompatible problems, or drift built up —
-        // refactorize once, then give up on the warm start.
-        if self.min_xb() < -1e-7 && !(self.refactor() && self.min_xb() >= -1e-7) {
-            return false;
-        }
-        for v in &mut self.xb {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
+            // basis-only seed or row prefix: one rebuild from the basis
+            return Install::Rejected;
         }
         // A fixed column that arrived basic may only stay when that is
         // provably harmless (it consumes ≤-row slack only — the packing
@@ -594,14 +662,48 @@ impl<'a> Revised<'a> {
         for &c in self.basis.iter() {
             if let BasisVar::Structural(v) = self.kind[c] {
                 if self.lp.is_variable_fixed(v) && !self.lp.fixed_value_is_harmless(v) {
-                    return false;
+                    return Install::Rejected;
                 }
             }
         }
-        // Adopting/converting the starting basis is install work, not a
-        // hygiene rebuild (see cold_basis).
-        self.refactorizations = 0;
-        self.forced_refactorizations = 0;
+        if appended {
+            return Install::RowsAppended;
+        }
+        // The rows are supposed to be unchanged, so the previous basic
+        // solution must still be (near-)feasible.
+        if !self.clamp_feasible_xb() {
+            return Install::Rejected;
+        }
+        Install::Resumed
+    }
+
+    /// Recomputes `x_B = B⁻¹b` through the installed factorization and
+    /// validates it against *this* problem's basis columns: a state
+    /// recycled across different constraint matrices (same shape, different
+    /// coefficients) would price every reduced cost against a stale B⁻¹
+    /// and can terminate "optimal" at a wrong vertex. ‖B·x_B − b‖∞ is
+    /// O(nnz) and catches that; one refactorization repairs it. Returns
+    /// `false` only if that rebuild fails.
+    fn recompute_xb(&mut self) -> bool {
+        self.xb = vec![0.0; self.m];
+        let (factor, xb) = (&self.factor, &mut self.xb);
+        factor.ftran_dense(&self.b, xb);
+        self.residual_inf_norm() <= 1e-6 || self.refactor()
+    }
+
+    /// Accepts the installed basic solution as primal feasible and clamps
+    /// its tiny negatives to 0. If it is not (near-)feasible — a caller
+    /// reused state across incompatible problems, or drift built up —
+    /// refactorize once, then give up (`false`).
+    fn clamp_feasible_xb(&mut self) -> bool {
+        if self.min_xb() < -1e-7 && !(self.refactor() && self.min_xb() >= -1e-7) {
+            return false;
+        }
+        for v in &mut self.xb {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
+        }
         true
     }
 
@@ -729,7 +831,7 @@ impl<'a> Revised<'a> {
         let mut y_valid = false;
         let mut y_fresh = false;
         loop {
-            if self.iterations >= self.max_iterations {
+            if self.iterations + self.dual_pivots >= self.max_iterations {
                 return Some(LpStatus::IterationLimit);
             }
             if self.refactor_interval > 0
@@ -977,6 +1079,290 @@ impl<'a> Revised<'a> {
         }
     }
 
+    /// Recomputes the nonbasic reduced costs `rc_j = c_j − y·a_j` from fresh
+    /// duals `y = c_B B⁻¹` (one BTRAN plus `O(nnz)`); basic columns read 0.
+    fn recompute_reduced_costs(&self, rc: &mut [f64], y: &mut [f64]) {
+        let cb: Vec<f64> = self.basis.iter().map(|&c| self.cost[c]).collect();
+        self.factor.btran(&cb, y);
+        for (j, r) in rc.iter_mut().enumerate() {
+            *r = if self.in_basis[j] {
+                0.0
+            } else {
+                self.reduced_cost(&self.cost, y, j)
+            };
+        }
+    }
+
+    /// The **dual simplex** loop: repairs primal feasibility of a basis
+    /// extended by appended rows' logicals while keeping it dual feasible,
+    /// on this engine's basis, factorization and `x_B`.
+    ///
+    /// 1. **leaving row**: dual steepest edge, the violated row maximizing
+    ///    `x_B[l]² / γ_l`, where `γ_l` approximates `‖e_l B⁻¹‖²` and is
+    ///    updated from the entering column's FTRAN image (Forrest–Goldfarb),
+    ///    so the rule costs no extra solves; after `stall_threshold` pivots
+    ///    without progress, the first violated row (Bland);
+    /// 2. **pivot row** `ρ = e_l B⁻¹` (one BTRAN), scattered over the rows
+    ///    of its support to form `α_j = ρ·a_j` for the touched columns only;
+    /// 3. **dual ratio test**: a two-pass Harris test over the columns with
+    ///    `α_j < 0` (smallest ratio, smallest index under the override);
+    /// 4. the reduced costs follow incrementally, `rc_j ← rc_j − θ_d·α_j`,
+    ///    from the pivot row the ratio test already formed, so a dual pivot
+    ///    pays one BTRAN and one FTRAN, like a primal one.
+    ///
+    /// Fixed columns, relief columns of deactivated rows and artificials
+    /// never enter. A relief column legitimately has `rc > 0` when its row
+    /// was binding at the prior optimum; it enters in phase 2, which
+    /// re-prices every column.
+    fn dual_repair(&mut self) -> Repair {
+        let (m, n, n_total) = (self.m, self.n, self.n_total);
+        let barred: Vec<bool> = (0..n_total)
+            .map(|j| {
+                j >= self.first_artificial
+                    || !self.enterable[j]
+                    || (j < n && self.lp.is_relief_variable(j))
+            })
+            .collect();
+        let mut y = vec![0.0f64; m];
+        let mut rho = SparseVector::zeros(m);
+        let mut w = SparseVector::zeros(m);
+        let mut rc = vec![0.0f64; n_total];
+        // scatter workspace for the ratio test: `alpha_ws[j] = ρ·a_j` for
+        // the candidate columns touched by the pivot row's support
+        let mut alpha_ws = vec![0.0f64; n_total];
+        let mut in_cand = vec![false; n_total];
+        let mut cand: Vec<usize> = Vec::with_capacity(n_total);
+        // Dual steepest-edge reference weights, exact (1.0) for the
+        // slack-heavy extended basis at the start.
+        let mut gamma = vec![1.0f64; m];
+        // nonbasic columns touched by the current pivot row: `(j, α_j)`
+        let mut touched: Vec<(usize, f64)> = Vec::with_capacity(n_total);
+        let mut col_scratch = SparseColumn::new();
+        let mut stall = 0usize;
+        let mut last_infeas = f64::INFINITY;
+        self.recompute_reduced_costs(&mut rc, &mut y);
+        // With the new rows' duals at zero every reduced cost equals its
+        // value at the prior optimum, so rc ≤ 0 must hold for every column
+        // that may enter. A violation means the state was not an optimal
+        // basis of a row prefix of this LP.
+        let dual_tol = self.tol.max(1e-7);
+        if (0..n_total).any(|j| !self.in_basis[j] && !barred[j] && rc[j] > dual_tol) {
+            return Repair::Cold;
+        }
+        loop {
+            if self.iterations + self.dual_pivots >= self.max_iterations {
+                return Repair::Stopped;
+            }
+            if self.refactor_interval > 0
+                && self.factor.updates_since_refactor() >= self.refactor_interval
+            {
+                if !self.refactor() {
+                    return Repair::Stopped;
+                }
+                // rebuilds reset incremental drift in x_B and rc alike
+                self.recompute_reduced_costs(&mut rc, &mut y);
+            }
+
+            let use_bland = stall >= self.stall_threshold;
+            let infeas_tol = self.tol.max(1e-9);
+            let mut leaving: Option<usize> = None;
+            let mut best_score = 0.0f64;
+            for (r, &x) in self.xb.iter().enumerate() {
+                if x < -infeas_tol {
+                    if use_bland {
+                        leaving = Some(r);
+                        break;
+                    }
+                    let score = x * x / gamma[r].max(1e-12);
+                    if leaving.is_none() || score > best_score {
+                        best_score = score;
+                        leaving = Some(r);
+                    }
+                }
+            }
+            let Some(l) = leaving else {
+                return Repair::Done;
+            };
+
+            // Pivot row of the outgoing basis.
+            self.factor.btran_unit_into(l, &mut rho);
+
+            // Scatter the pivot row into the columns it touches: for every
+            // support row `i`, walk its logicals and its structural entries
+            // (already row-major, sorted by column), accumulating
+            // `α_j = ρ·a_j`. A column the scatter misses has α_j = 0
+            // exactly, so it can be neither an entering candidate nor an
+            // rc-update target — restricting the ratio test to the
+            // candidate list is exact, including the Farkas verdict.
+            cand.clear();
+            {
+                let (lp, row_sign, in_basis) = (self.lp, &self.row_sign, &self.in_basis);
+                let (slack_col, surplus_col) = (&self.slack_col, &self.surplus_col);
+                rho.for_each_nonzero(|i, ri| {
+                    let sign = row_sign[i];
+                    let logicals = [(slack_col[i], 1.0), (surplus_col[i], -1.0)]
+                        .into_iter()
+                        .filter_map(|(c, a)| c.map(|c| (c, a)));
+                    let structurals = lp.constraints()[i]
+                        .coeffs
+                        .iter()
+                        .map(|&(j, a)| (j, sign * a));
+                    for (j, a) in logicals.chain(structurals) {
+                        if a == 0.0 || in_basis[j] || barred[j] {
+                            continue;
+                        }
+                        if !in_cand[j] {
+                            in_cand[j] = true;
+                            cand.push(j);
+                        }
+                        alpha_ws[j] += ri * a;
+                    }
+                });
+            }
+
+            // Dual ratio test over the candidates. The default is a
+            // two-pass Harris test: pass 1 relaxes dual feasibility by
+            // `dual_feas` to obtain a bound on the dual step θ_d, pass 2
+            // takes the best-conditioned pivot (largest |α|) whose exact
+            // ratio stays within the bound. Under the anti-cycling override
+            // the textbook smallest-ratio / smallest-index rule is kept.
+            let pivot_tol = 1e-9;
+            let mut entering: Option<usize> = None;
+            let mut best_alpha = 0.0f64;
+            if use_bland {
+                let mut best_ratio = f64::INFINITY;
+                for &j in &cand {
+                    let alpha = alpha_ws[j];
+                    if alpha >= -pivot_tol {
+                        continue;
+                    }
+                    // clamp tiny positive drift so ratios stay non-negative
+                    let ratio = rc[j].min(0.0) / alpha;
+                    let better = ratio < best_ratio - self.tol
+                        || (ratio < best_ratio + self.tol
+                            && entering.map(|e| j < e).unwrap_or(true));
+                    if better || entering.is_none() {
+                        best_ratio = ratio;
+                        best_alpha = alpha;
+                        entering = Some(j);
+                    }
+                }
+            } else {
+                let dual_feas = self.tol.max(1e-9);
+                let mut theta_max = f64::INFINITY;
+                for &j in &cand {
+                    let alpha = alpha_ws[j];
+                    if alpha < -pivot_tol {
+                        let bound = (rc[j].min(0.0) - dual_feas) / alpha;
+                        if bound < theta_max {
+                            theta_max = bound;
+                        }
+                    }
+                }
+                if theta_max.is_finite() {
+                    for &j in &cand {
+                        let alpha = alpha_ws[j];
+                        if alpha < -pivot_tol
+                            && rc[j].min(0.0) / alpha <= theta_max
+                            && (entering.is_none() || alpha.abs() > best_alpha.abs())
+                        {
+                            best_alpha = alpha;
+                            entering = Some(j);
+                        }
+                    }
+                }
+            }
+            // Materialize the touched set for the incremental rc update and
+            // restore the scatter workspace's all-zero invariant.
+            touched.clear();
+            for &j in &cand {
+                let alpha = alpha_ws[j];
+                if alpha != 0.0 {
+                    touched.push((j, alpha));
+                }
+                alpha_ws[j] = 0.0;
+                in_cand[j] = false;
+            }
+            let Some(e) = entering else {
+                // Row l reads `Σ α_j x_j = x_B[l] < 0` with every nonbasic
+                // α_j ≥ 0 and every x_j ≥ 0: no feasible point exists.
+                return Repair::Cold;
+            };
+
+            // θ = x_B[l] / w_l ≥ 0 because both are negative.
+            self.ftran_into(e, &mut w, &mut col_scratch);
+            let wl = w.value(l);
+            if wl.abs() <= 1e-12 {
+                // drifted pivot row: rebuild and retry this iteration
+                self.forced_refactorizations += 1;
+                if !self.refactor() {
+                    return Repair::Stopped;
+                }
+                self.recompute_reduced_costs(&mut rc, &mut y);
+                continue;
+            }
+
+            // Dual steepest-edge reference update (Forrest–Goldfarb): the
+            // entering column's FTRAN image bounds how every row norm can
+            // have grown: `γ_r ← max(γ_r, (w_r / w_l)² · γ_l)`,
+            // `γ_l ← γ_l / w_l²`. Weights only grow between resets, so
+            // checking the blow-up trigger against the entries updated
+            // this pivot (plus γ_l) is enough.
+            {
+                let gamma_l = gamma[l].max(1.0);
+                let inv_wl2 = 1.0 / (wl * wl);
+                let mut max_gamma = 0.0f64;
+                w.for_each_nonzero(|r, wr| {
+                    if r != l {
+                        let candidate = wr * wr * inv_wl2 * gamma_l;
+                        if candidate > gamma[r] {
+                            gamma[r] = candidate;
+                        }
+                        max_gamma = max_gamma.max(gamma[r]);
+                    }
+                });
+                gamma[l] = (gamma_l * inv_wl2).max(1.0);
+                max_gamma = max_gamma.max(gamma[l]);
+                if max_gamma > 1e12 {
+                    // degenerate reference framework: restart the weights
+                    gamma.fill(1.0);
+                }
+            }
+            let leaving_col = self.basis[l];
+            let rebuilds = self.refactorizations;
+            if !self.pivot(l, e, &w) {
+                return Repair::Stopped;
+            }
+            self.dual_pivots += 1;
+
+            if self.refactorizations > rebuilds {
+                self.recompute_reduced_costs(&mut rc, &mut y);
+            } else {
+                // Incremental dual update from the pivot row: `θ_d =
+                // rc_e / α_e`, `rc_j ← rc_j − θ_d·α_j` for the touched
+                // nonbasic columns; the leaving column has α = 1 (it *was*
+                // basis position l), so its new rc is −θ_d ≤ 0.
+                let theta_d = rc[e].min(0.0) / best_alpha;
+                for &(j, alpha) in &touched {
+                    if !self.in_basis[j] {
+                        rc[j] -= theta_d * alpha;
+                    }
+                }
+                rc[e] = 0.0;
+                rc[leaving_col] = -theta_d;
+            }
+
+            // total primal infeasibility, the quantity the loop drives to 0
+            let infeas: f64 = self.xb.iter().map(|&x| (-x).max(0.0)).sum();
+            if infeas < last_infeas - self.tol {
+                stall = 0;
+            } else {
+                stall += 1;
+            }
+            last_infeas = infeas;
+        }
+    }
+
     /// Drives phase-1 artificials out of the basis where possible. Returns
     /// `false` only on an unrecoverable factorization failure.
     fn drive_out_artificials(&mut self) -> bool {
@@ -1047,18 +1433,25 @@ impl<'a> Revised<'a> {
         // collapsed basis). Counters accumulate across both attempts — the
         // discarded pivots were real work.
         self.factor_failed = false;
-        let (prior_refactors, prior_forced) = (self.refactorizations, self.forced_refactorizations);
-        let status = self.run_attempt(None);
-        self.refactorizations += prior_refactors;
-        self.forced_refactorizations += prior_forced;
-        status
+        self.run_attempt(None)
     }
 
     fn run_attempt(&mut self, warm: Option<WarmStart>) -> LpStatus {
         let mut pricer = SteepestEdgePricing::default();
-        let warm_ok = match warm {
-            Some(state) => self.try_warm_basis(state),
-            None => false,
+        let install = match warm {
+            Some(state) => self.uncounted(|s| s.try_warm_basis(state)),
+            None => Install::Rejected,
+        };
+        let warm_ok = match install {
+            Install::Rejected => false,
+            Install::Resumed => true,
+            Install::RowsAppended => match self.dual_repair() {
+                // The dual → primal seam: recompute x_B from the factors
+                // and clamp it, exactly as a resumed state is installed.
+                Repair::Done => self.uncounted(|s| s.recompute_xb() && s.clamp_feasible_xb()),
+                Repair::Cold => false,
+                Repair::Stopped => return LpStatus::IterationLimit,
+            },
         };
         // true while the installed basis is still the cold identity (slack /
         // artificial per row) — the only state where exact steepest-edge
@@ -1143,6 +1536,7 @@ impl<'a> Revised<'a> {
             duals,
             stats: SolveStats {
                 simplex_iterations: self.iterations,
+                dual_pivots: self.dual_pivots,
                 refactorizations: self.refactorizations,
                 forced_refactorizations: self.forced_refactorizations,
                 degenerate_pivots: self.degenerate_pivots,
@@ -1462,17 +1856,19 @@ mod tests {
         let mut a = LinearProgram::new(Sense::Maximize);
         let x = a.add_variable(1.0);
         a.add_constraint(vec![(x, 1.0)], Relation::Le, 1.0);
+        a.add_constraint(vec![(x, 1.0)], Relation::Le, 3.0);
         let options = SimplexOptions::default();
         let (_, state) = solve_with_warm_start(&a, &options, None);
 
-        // different row count: the state must be rejected, not trusted
+        // a state with more rows than the LP is no row prefix of it: it
+        // must be rejected, not trusted
         let mut b = LinearProgram::new(Sense::Maximize);
         let u = b.add_variable(1.0);
-        b.add_constraint(vec![(u, 1.0)], Relation::Le, 1.0);
-        b.add_constraint(vec![(u, 1.0)], Relation::Le, 3.0);
+        b.add_constraint(vec![(u, 1.0)], Relation::Le, 2.0);
         let (sol, _) = solve_with_warm_start(&b, &options, Some(state));
         assert_eq!(sol.status, LpStatus::Optimal);
-        assert_close(sol.objective, 1.0, 1e-9);
+        assert_close(sol.objective, 2.0, 1e-9);
+        assert_eq!(sol.stats.simplex_iterations, 1, "a cold start pivots x in");
     }
 
     /// Fixing a column that is basic in a **covering** (minimize / `≥`) LP
@@ -1660,11 +2056,187 @@ mod tests {
             for _ in 0..2 {
                 grown.add_constraint(vec![(j, 1.0)], Relation::Le, first.x[j] / 2.0);
             }
-            let appended = crate::dual::reoptimize_after_row_additions(&grown, &bland, state);
-            check(&grown, &appended.solution, &format!("lp {k} row append"));
-            dual_pivots += appended.solution.stats.dual_pivots;
+            let (appended, _) = solve_with_warm_start(&grown, &bland, Some(state));
+            check(&grown, &appended, &format!("lp {k} row append"));
+            dual_pivots += appended.stats.dual_pivots;
         }
         assert!(dual_pivots > 0, "the dual repair never pivoted");
+    }
+
+    /// Random bounded packing LP (the master shape): packing rows plus one
+    /// upper-bound row per variable.
+    fn random_bounded_packing_lp(seed: u64, n: usize, m: usize) -> LinearProgram {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut lp = LinearProgram::new(Sense::Maximize);
+        for _ in 0..n {
+            lp.add_variable(rng.random_range(1.0..10.0));
+        }
+        for _ in 0..m {
+            let mut coeffs: Vec<(usize, f64)> = Vec::new();
+            for j in 0..n {
+                if rng.random_range(0.0..1.0) < 0.6 {
+                    coeffs.push((j, rng.random_range(0.1..4.0)));
+                }
+            }
+            lp.add_constraint(coeffs, Relation::Le, rng.random_range(1.0..15.0));
+        }
+        for j in 0..n {
+            lp.add_constraint(vec![(j, 1.0)], Relation::Le, rng.random_range(0.5..4.0));
+        }
+        lp
+    }
+
+    /// max 3x + 2y, x + y ≤ 4, x ≤ 2, y ≤ 3 → (2, 2), objective 10.
+    fn tightening_lp() -> LinearProgram {
+        let mut lp = LinearProgram::new(Sense::Maximize);
+        let x = lp.add_variable(3.0);
+        let y = lp.add_variable(2.0);
+        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
+        lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
+        lp.add_constraint(vec![(y, 1.0)], Relation::Le, 3.0);
+        lp
+    }
+
+    #[test]
+    fn tightening_row_is_repaired_by_the_dual_path() {
+        // Adding x + y <= 1 cuts the optimum (2, 2) off: the dual repair
+        // must land on the new optimum 3 (x = 1).
+        let options = SimplexOptions::default();
+        let mut lp = tightening_lp();
+        let (first, state) = solve_with_warm_start(&lp, &options, None);
+        assert_eq!(first.status, LpStatus::Optimal);
+
+        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], Relation::Le, 1.0);
+        let (re, _) = solve_with_warm_start(&lp, &options, Some(state));
+        assert_eq!(re.status, LpStatus::Optimal);
+        assert!((re.objective - 3.0).abs() < 1e-7);
+        assert!(
+            re.stats.dual_pivots > 0,
+            "packing rows must take the dual path"
+        );
+        assert!(lp.is_feasible(&re.x, 1e-7));
+    }
+
+    /// The row repair and primal phase 2 draw on one pivot budget: with
+    /// `max_iterations: 1` the repair spends the one pivot, reports it, and
+    /// stops, instead of handing the rest of the solve a fresh budget.
+    #[test]
+    fn row_append_repair_shares_the_pivot_budget() {
+        let mut lp = tightening_lp();
+        let (_, state) = solve_with_warm_start(&lp, &SimplexOptions::default(), None);
+        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], Relation::Le, 1.0);
+        lp.add_constraint(vec![(0, 1.0)], Relation::Le, 0.5);
+        let one = SimplexOptions {
+            max_iterations: 1,
+            ..Default::default()
+        };
+        let (re, _) = solve_with_warm_start(&lp, &one, Some(state.clone()));
+        assert_eq!(re.status, LpStatus::IterationLimit);
+        assert!(re.stats.dual_pivots + re.stats.simplex_iterations <= 1);
+        assert_eq!(re.stats.dual_pivots, 1);
+
+        // the default budget finishes the repair: x = 0.5, y = 0.5
+        let (full, _) = solve_with_warm_start(&lp, &SimplexOptions::default(), Some(state));
+        assert_eq!(full.status, LpStatus::Optimal);
+        assert_eq!(full.stats.dual_pivots, 2);
+        assert_close(full.objective, 2.5, 1e-7);
+    }
+
+    #[test]
+    fn slack_row_addition_needs_no_pivots() {
+        let options = SimplexOptions::default();
+        let mut lp = LinearProgram::new(Sense::Maximize);
+        let x = lp.add_variable(1.0);
+        lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
+        let (_, state) = solve_with_warm_start(&lp, &options, None);
+        lp.add_constraint(vec![(x, 1.0)], Relation::Le, 10.0);
+        let (re, _) = solve_with_warm_start(&lp, &options, Some(state));
+        assert_eq!(re.status, LpStatus::Optimal);
+        assert!((re.objective - 2.0).abs() < 1e-9);
+        assert_eq!(re.stats.dual_pivots, 0, "non-binding row");
+        assert_eq!(
+            re.stats.simplex_iterations, 0,
+            "primal resume needs no work (a cold start would pivot x in)"
+        );
+    }
+
+    #[test]
+    fn infeasible_after_row_addition_is_detected() {
+        // x <= 2 optimal at 2; adding x >= 5 makes the LP infeasible.
+        let options = SimplexOptions::default();
+        let mut lp = LinearProgram::new(Sense::Maximize);
+        let x = lp.add_variable(1.0);
+        lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
+        let (_, state) = solve_with_warm_start(&lp, &options, None);
+        lp.add_constraint(vec![(x, 1.0)], Relation::Ge, 5.0);
+        let (re, _) = solve_with_warm_start(&lp, &options, Some(state));
+        assert_eq!(re.status, LpStatus::Infeasible);
+    }
+
+    #[test]
+    fn equality_rows_fall_back_to_the_primal_path() {
+        let options = SimplexOptions::default();
+        let mut lp = LinearProgram::new(Sense::Maximize);
+        let x = lp.add_variable(1.0);
+        let y = lp.add_variable(2.0);
+        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 3.0);
+        let (_, state) = solve_with_warm_start(&lp, &options, None);
+        lp.add_constraint(vec![(y, 1.0)], Relation::Eq, 1.0);
+        let (re, _) = solve_with_warm_start(&lp, &options, Some(state));
+        assert_eq!(re.stats.dual_pivots, 0, "Eq rows are not dual-eligible");
+        assert_eq!(re.status, LpStatus::Optimal);
+        assert!((re.objective - 4.0).abs() < 1e-7); // x=2, y=1
+    }
+
+    #[test]
+    fn foreign_warm_start_falls_back_and_still_solves() {
+        // A basis from an unrelated LP (different coefficients) read as a
+        // row prefix: whether the install declines it or repairs it, the
+        // answer must be this LP's optimum.
+        let options = SimplexOptions::default();
+        let mut donor = LinearProgram::new(Sense::Maximize);
+        let d = donor.add_variable(0.1);
+        donor.add_constraint(vec![(d, 1.0)], Relation::Le, 1.0);
+        let (_, state) = solve_with_warm_start(&donor, &options, None);
+
+        let mut lp = LinearProgram::new(Sense::Maximize);
+        let x = lp.add_variable(5.0);
+        lp.add_constraint(vec![(x, 2.0)], Relation::Le, 4.0);
+        lp.add_constraint(vec![(x, 1.0)], Relation::Le, 3.0);
+        let (re, _) = solve_with_warm_start(&lp, &options, Some(state));
+        assert_eq!(re.status, LpStatus::Optimal);
+        assert!((re.objective - 10.0).abs() < 1e-7);
+    }
+
+    #[test]
+    fn repaired_state_keeps_working_for_further_rounds() {
+        // add rows twice, repairing each time, then grow a column and a row
+        // together — the warm state must stay coherent across the dual
+        // repair and the primal resume.
+        let options = SimplexOptions::default();
+        let mut lp = random_bounded_packing_lp(5, 6, 4);
+        let (first, state) = solve_with_warm_start(&lp, &options, None);
+        assert_eq!(first.status, LpStatus::Optimal);
+        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], Relation::Le, 0.7);
+        let (re1, state1) = solve_with_warm_start(&lp, &options, Some(state));
+        // the first cut misses the optimum: the extended basis answers
+        // without a pivot, where a cold start needs three
+        assert_eq!(re1.stats.dual_pivots + re1.stats.simplex_iterations, 0);
+        lp.add_constraint(vec![(2, 1.0), (3, 1.0)], Relation::Le, 0.5);
+        let (re2, state2) = solve_with_warm_start(&lp, &options, Some(state1));
+        assert!(re2.stats.dual_pivots > 0, "the second cut binds");
+        let cold = solve(&lp, &options);
+        assert!((re2.objective - cold.objective).abs() < 1e-6);
+
+        // column growth on top of the dually repaired basis
+        let z = lp.add_variable(100.0);
+        lp.add_constraint(vec![(z, 1.0)], Relation::Le, 0.25);
+        // (new row referencing only the new column: the prior basis rows are
+        // a prefix, so the dual path applies again)
+        let (re3, _) = solve_with_warm_start(&lp, &options, Some(state2));
+        let cold3 = solve(&lp, &options);
+        assert_eq!(re3.status, LpStatus::Optimal);
+        assert!((re3.objective - cold3.objective).abs() < 1e-6);
     }
 
     // Random packing LPs: the solution must be feasible, match the dense
@@ -1757,6 +2329,111 @@ mod tests {
                 LpStatus::Unbounded => prop_assert!(false, "bounded LP reported unbounded"),
                 LpStatus::IterationLimit => { /* extremely unlikely; accept */ }
             }
+        }
+
+        /// Random bounded packing LP, then random extra rows (sometimes
+        /// duplicated for degeneracy): the warm solve of the grown LP must
+        /// match a dense cold solve. Without `mixed` every extra row is a
+        /// `≤` row with positive data (the master shape); with it the rows
+        /// mix `≥` rows, `≤` rows with a negative rhs and negative
+        /// coefficients.
+        #[test]
+        fn prop_dual_reopt_matches_dense_after_row_additions(
+            seed in 0u64..10_000,
+            n in 2usize..8,
+            m in 1usize..6,
+            extra in 1usize..5,
+            dup in any::<bool>(),
+            mixed in any::<bool>(),
+        ) {
+            let options = SimplexOptions::default();
+            let mut lp = random_bounded_packing_lp(seed, n, m);
+            let (first, state) = solve_with_warm_start(&lp, &options, None);
+            prop_assert_eq!(first.status, LpStatus::Optimal);
+
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xD00D);
+            let mut last_coeffs: Vec<(usize, f64)> = Vec::new();
+            let (mut last_relation, mut last_rhs) = (Relation::Le, 1.0);
+            for _ in 0..extra {
+                let mut coeffs: Vec<(usize, f64)> = Vec::new();
+                for j in 0..n {
+                    if rng.random_range(0.0..1.0) < 0.7 {
+                        let a = if mixed {
+                            rng.random_range(-1.0..3.0)
+                        } else {
+                            rng.random_range(0.1..3.0)
+                        };
+                        coeffs.push((j, a));
+                    }
+                }
+                let (relation, rhs) = if !mixed {
+                    (Relation::Le, rng.random_range(0.2..3.0))
+                } else {
+                    match rng.random_range(0..3) {
+                        0 => (Relation::Le, rng.random_range(0.2..3.0)),
+                        1 => (Relation::Ge, rng.random_range(0.0..1.5)),
+                        _ => (Relation::Le, rng.random_range(-1.0..-0.05)),
+                    }
+                };
+                lp.add_constraint(coeffs.clone(), relation, rhs);
+                last_coeffs = coeffs;
+                (last_relation, last_rhs) = (relation, rhs);
+            }
+            if dup && !last_coeffs.is_empty() {
+                // an exactly repeated row: the repaired basis is degenerate
+                lp.add_constraint(last_coeffs, last_relation, last_rhs);
+            }
+
+            let (re, _) = solve_with_warm_start(&lp, &options, Some(state));
+            let reference = dense::solve(&lp, &SimplexOptions::default());
+            prop_assert_eq!(re.status, reference.status);
+            if re.status == LpStatus::Optimal {
+                prop_assert!(lp.is_feasible(&re.x, 1e-6));
+                prop_assert!(
+                    (re.objective - reference.objective).abs()
+                        < 1e-6 * (1.0 + reference.objective.abs()),
+                    "dual reopt {} vs dense {}",
+                    re.objective, reference.objective
+                );
+                // strong duality of the reported duals
+                let priced: f64 = lp
+                    .constraints()
+                    .iter()
+                    .zip(re.duals.iter())
+                    .map(|(c, &y)| c.rhs * y)
+                    .sum();
+                prop_assert!((priced - re.objective).abs()
+                    < 1e-5 * (1.0 + re.objective.abs()));
+            }
+        }
+
+        /// Forcing infeasibility with a demanding `≥` row: the warm solve
+        /// must agree with the dense oracle that no point exists.
+        #[test]
+        fn prop_dual_reopt_detects_infeasibility(
+            seed in 0u64..10_000,
+            n in 2usize..6,
+            m in 1usize..5,
+        ) {
+            let options = SimplexOptions::default();
+            let mut lp = random_bounded_packing_lp(seed, n, m);
+            let (first, state) = solve_with_warm_start(&lp, &options, None);
+            prop_assert_eq!(first.status, LpStatus::Optimal);
+            // every variable is bounded by its bound row, so demanding more
+            // than the summed bounds is infeasible
+            let total_bound: f64 = lp
+                .constraints()
+                .iter()
+                .filter(|c| c.coeffs.len() == 1 && c.coeffs[0].1 == 1.0)
+                .map(|c| c.rhs)
+                .sum();
+            let coeffs: Vec<(usize, f64)> = (0..n).map(|j| (j, 1.0)).collect();
+            lp.add_constraint(coeffs, Relation::Ge, total_bound + 5.0);
+
+            let (re, _) = solve_with_warm_start(&lp, &options, Some(state));
+            let reference = dense::solve(&lp, &SimplexOptions::default());
+            prop_assert_eq!(reference.status, LpStatus::Infeasible);
+            prop_assert_eq!(re.status, LpStatus::Infeasible);
         }
 
     }

@@ -88,6 +88,11 @@
 //! | `RelaxationInfo::{pool_hits, pool_evictions}` | removed with the pool; [`RelaxationInfo::columns_generated`](auction::lp_formulation::RelaxationInfo::columns_generated) counts the columns a resolve had to price in |
 //! | `MasterProblem::to_linear_program`, `MasterProblem::reset_warm_start` | removed (they had no caller) |
 //! | `ExchangeStats::lp: LpActivity` | [`ExchangeStats::lp`](exchange::ExchangeStats::lp) is a [`lp::SolveStats`] merged over every drained resolve; the per-market rounds and column counters stay on each resolve's `outcome.lp_info` |
+//! | `reoptimize_after_row_additions(lp, options, prior)` | [`lp::solve_with_warm_start`]`(lp, options, Some(prior))`: a state whose basis covers a row prefix of `lp` is extended by the appended rows' logicals and repaired by the engine's dual simplex loop |
+//! | `DualReoptimization { solution, warm, used_dual_path }` | the `(LpSolution, WarmStart)` pair that [`lp::solve_with_warm_start`] returns; read the repair's work from [`SolveStats::dual_pivots`](lp::SolveStats::dual_pivots) and `simplex_iterations` |
+//! | `MasterProblem::last_dual_pivots()` | the [`SolveStats::dual_pivots`](lp::SolveStats::dual_pivots) of the solution that [`MasterProblem::solve_warm`](lp::MasterProblem::solve_warm) returns |
+//! | `MasterProblem::warm_start()` | removed (only tests read it): the master keeps its recorded basis private |
+//! | `CscMatrix::row_major()` | removed: the dual ratio test walks [`LinearProgram::constraints`](lp::LinearProgram::constraints), which is row-major already |
 //!
 //! ## One master, and the seed depth
 //!
