@@ -423,6 +423,17 @@ impl ForrestTomlinLu {
         4 * self.m + 64
     }
 
+    /// Column `k` of `L`: `(original row, multiplier)` for the rows pivoted
+    /// after step `k`.
+    fn l_col(&self, k: usize) -> &[(usize, f64)] {
+        &self.l_cols[k]
+    }
+
+    /// Row `r` of `L` (original row): `(step, multiplier)` in step order.
+    fn l_row(&self, r: usize) -> &[(usize, f64)] {
+        &self.l_rows[r]
+    }
+
     /// Forward elimination `L⁻¹` (row permutation folded in) on the dense
     /// scratch `x` indexed by original row; afterwards `x[prow[k]]` holds the
     /// step-space value `z_k`.
@@ -430,7 +441,7 @@ impl ForrestTomlinLu {
         for k in 0..self.m {
             let z = x[self.prow[k]];
             if z != 0.0 {
-                for &(r, lv) in &self.l_cols[k] {
+                for &(r, lv) in self.l_col(k) {
                     x[r] -= z * lv;
                 }
             }
@@ -554,7 +565,7 @@ impl ForrestTomlinLu {
         // --- L phase (original-row space) ---
         let ok = symbolic_reach(
             entries.iter().filter(|e| e.1 != 0.0).map(|e| e.0),
-            |r, i| self.l_cols[self.step_of_row[r]].get(i).map(|e| e.0),
+            |r, i| self.l_col(self.step_of_row[r]).get(i).map(|e| e.0),
             &mut mark,
             &mut stack,
             &mut reach_l,
@@ -569,7 +580,7 @@ impl ForrestTomlinLu {
         for &r in reach_l.iter().rev() {
             let v = x[r];
             if v != 0.0 {
-                for &(rr, lv) in &self.l_cols[self.step_of_row[r]] {
+                for &(rr, lv) in self.l_col(self.step_of_row[r]) {
                     x[rr] -= v * lv;
                 }
             }
@@ -721,7 +732,7 @@ impl ForrestTomlinLu {
         // --- Lᵀ phase (step space; uid = step) ---
         let ok = symbolic_reach(
             spat.iter().copied(),
-            |j, idx| self.l_rows[self.prow[j]].get(idx).map(|e| e.0),
+            |j, idx| self.l_row(self.prow[j]).get(idx).map(|e| e.0),
             &mut mark,
             &mut stack,
             &mut reach_lt,
@@ -745,7 +756,7 @@ impl ForrestTomlinLu {
         for &k in reach_lt.iter().rev() {
             let pr = self.prow[k];
             let mut acc = y.values[pr];
-            for &(rr, lv) in &self.l_cols[k] {
+            for &(rr, lv) in self.l_col(k) {
                 acc -= lv * y.values[rr];
             }
             y.values[pr] = acc;
@@ -1086,7 +1097,7 @@ impl ForrestTomlinLu {
         }
         for k in (0..m).rev() {
             let mut acc = y[self.prow[k]];
-            for &(r, lv) in &self.l_cols[k] {
+            for &(r, lv) in self.l_col(k) {
                 acc -= lv * y[r];
             }
             y[self.prow[k]] = acc;
@@ -1800,6 +1811,249 @@ mod tests {
                 }
             }
             assert_eq!(ft.updates_since_refactor(), 40);
+        }
+    }
+
+    /// A master-shaped basis: unit slack columns, `bundles` of them replaced
+    /// by bundle columns of 3–8 distinct rows (1.0 on the row whose slack
+    /// the bundle replaced, interference coefficients elsewhere).
+    fn master_basis(seed: u64, m: usize, bundles: usize) -> Vec<SparseColumn> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cols: Vec<SparseColumn> = (0..m).map(|r| vec![(r, 1.0)]).collect();
+        for _ in 0..bundles {
+            let own = rng.random_range(0..m);
+            let mut col: SparseColumn = vec![(own, 1.0)];
+            let len = rng.random_range(3usize..9);
+            while col.len() < len {
+                let r = rng.random_range(0..m);
+                if col.iter().all(|e| e.0 != r) {
+                    let v = if rng.random_bool(0.5) {
+                        1.0
+                    } else {
+                        rng.random_range(0.25..1.0)
+                    };
+                    col.push((r, v));
+                }
+            }
+            cols[own] = col;
+        }
+        cols
+    }
+
+    /// FNV-1a over the words of a factorization: `m`, then per step the
+    /// pivot row, the basis slot, the bits of the diagonal, and the `L`
+    /// column, `U` column and `U` row entries in storage order.
+    fn factor_fingerprint(f: &ForrestTomlinLu) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |w: u64| {
+            for b in w.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        eat(f.num_rows() as u64);
+        for k in 0..f.num_rows() {
+            eat(f.prow[k] as u64);
+            eat(f.slot_of_uid[k] as u64);
+            eat(f.diag[k].to_bits());
+            for entries in [f.l_col(k), &f.ucols[k], &f.urows[k]] {
+                eat(entries.len() as u64);
+                for &(i, v) in entries {
+                    eat(i as u64);
+                    eat(v.to_bits());
+                }
+            }
+        }
+        h
+    }
+
+    /// The seeded bases of the pinned-factor test: each reaches a branch of
+    /// the pivot rule or of the input cleanup.
+    fn pinned_cases() -> Vec<(&'static str, Vec<SparseColumn>)> {
+        let mut cases: Vec<(&'static str, Vec<SparseColumn>)> = vec![
+            ("master_60", master_basis(4, 60, 20)),
+            ("master_200", master_basis(2, 200, 70)),
+            ("master_crowded_120", master_basis(3, 120, 100)),
+            // ties among more than SEARCH_COLS singletons: count, cost and
+            // |v| all equal, so the lowest column index wins
+            ("identity_50", (0..50).map(|r| vec![(r, 1.0)]).collect()),
+            // singletons on a row permutation whose |v| differ: the largest
+            // |v| among the first SEARCH_COLS candidates wins
+            (
+                "permuted_singletons_40",
+                (0..40)
+                    .map(|c| {
+                        let v = match c % 3 {
+                            0 => 2.0,
+                            1 => -1.0,
+                            _ => -2.0,
+                        };
+                        vec![((c * 7) % 40, v)]
+                    })
+                    .collect(),
+            ),
+            // every column has count 2, cost 1 and |v| = 1
+            (
+                "circulant_25",
+                (0..25)
+                    .map(|c| vec![(c, 1.0), ((c + 1) % 25, 1.0)])
+                    .collect(),
+            ),
+            (
+                "circulant_signed_27",
+                (0..27)
+                    .map(|c| vec![(c, 1.0), ((c + 1) % 27, -1.0), ((c + 3) % 27, 1.0)])
+                    .collect(),
+            ),
+            // the only minimum-count column holds entries at SINGULAR_TOL,
+            // so the first step widens the search; fill later lifts that
+            // column above the tolerance and the rebuild succeeds
+            (
+                "widened_search_3",
+                vec![
+                    vec![(0, 1e-12), (1, 1e-12)],
+                    vec![(0, 1.0), (1, -1.0), (2, 1.0)],
+                    vec![(0, 1.0), (1, 1.0), (2, 3.0)],
+                ],
+            ),
+            // the same shape, but the tiny column never recovers: singular
+            // in the last step
+            (
+                "widened_then_singular_3",
+                vec![
+                    vec![(0, 1e-13), (1, 1e-13)],
+                    vec![(0, 1.0), (1, 1.0), (2, 1.0)],
+                    vec![(0, 1.0), (1, 2.0), (2, 1.0)],
+                ],
+            ),
+            // the pivot row carries a 1e-15 entry: its fill into the
+            // other row falls below the drop tolerance
+            (
+                "tiny_fill_dropped_3",
+                vec![
+                    vec![(0, 1.0), (1, 1.0)],
+                    vec![(0, 1e-15), (2, 1.0)],
+                    vec![(1, 1.0), (2, 1.0)],
+                ],
+            ),
+            // an empty column behind more than SEARCH_COLS singletons
+            (
+                "empty_after_singletons_12",
+                (0..12)
+                    .map(|c| match c {
+                        10 => Vec::new(),
+                        11 => vec![(10, 1.0), (11, 1.0)],
+                        _ => vec![(c, 1.0)],
+                    })
+                    .collect(),
+            ),
+        ];
+        // duplicate (row, value) entries, explicit zeros and a duplicate
+        // pair that cancels, inside one column
+        let mut dups = random_basis(5, 16);
+        dups[3].extend([(7, 0.0), (9, 0.5), (9, 0.25), (2, 1.5), (2, -1.5)]);
+        dups[8] = vec![(8, 3.0), (8, 0.0), (13, 0.5), (13, -0.5), (1, 0.25)];
+        dups[11].extend([(4, 0.75), (4, 0.75), (0, 0.0)]);
+        cases.push(("duplicates_and_zeros_16", dups));
+        // two equal columns: singular partway through the elimination
+        let mut twins = random_basis(7, 10);
+        twins[6] = twins[2].clone();
+        cases.push(("singular_mid_elimination_10", twins));
+        // small-integer bases: exact cancellation drops fill, later steps
+        // refill the same positions
+        for (name, seed) in [
+            ("integer_14_a", 0u64),
+            ("integer_14_b", 1),
+            ("integer_14_c", 2),
+        ] {
+            let mut rng = StdRng::seed_from_u64(0x1A7E + seed);
+            let cols = (0..14)
+                .map(|c| {
+                    let mut col: SparseColumn = vec![(c, 1.0)];
+                    for r in 0..14 {
+                        if r != c && rng.random_bool(0.35) {
+                            col.push((r, [-2.0, -1.0, 1.0, 2.0][rng.random_range(0..4usize)]));
+                        }
+                    }
+                    col
+                })
+                .collect();
+            cases.push((name, cols));
+        }
+        // magnitudes spanning six decades: the threshold filter rejects
+        // cheap but small entries (no libm call, so the values are the same
+        // on every platform)
+        let mut rng = StdRng::seed_from_u64(0x5CA1E);
+        let spread_value = |rng: &mut StdRng| {
+            let decade = [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2][rng.random_range(0..6usize)];
+            decade * rng.random_range(1.0..10.0)
+        };
+        let spread = (0..30)
+            .map(|c| {
+                let mut col: SparseColumn = vec![(c, spread_value(&mut rng))];
+                for _ in 0..3 {
+                    let r = rng.random_range(0..30);
+                    if r != c {
+                        col.push((r, spread_value(&mut rng)));
+                    }
+                }
+                col
+            })
+            .collect();
+        cases.push(("magnitude_spread_30", spread));
+        cases
+    }
+
+    /// The factors of every pinned case — pivot rows, column permutation,
+    /// diagonal bits, `L` and `U` entries — are fixed: a change to the
+    /// rebuild must reproduce them bit for bit (the simplex trajectory
+    /// depends on them). Each case runs both in a fresh factorization and
+    /// in one factorization reused across every case in turn, so state
+    /// kept between rebuilds cannot leak into the factors.
+    #[test]
+    fn refactor_pivot_sequence_is_pinned() {
+        const PINNED: &[(&str, bool, u64)] = &[
+            ("master_60", true, 0xf1654e8e76a29202),
+            ("master_200", true, 0x0fbbeb2c531d40d8),
+            ("master_crowded_120", true, 0x45901a95f19b78dd),
+            ("identity_50", true, 0x689b209fcdaeb2d7),
+            ("permuted_singletons_40", true, 0xaae400e9b4f687dc),
+            ("circulant_25", true, 0xe35ee48bd97192dc),
+            ("circulant_signed_27", true, 0xc989f1b184de8f21),
+            ("widened_search_3", true, 0x1bcd579ab9d728aa),
+            ("widened_then_singular_3", false, 0xa8c7f832281a39c5),
+            ("tiny_fill_dropped_3", true, 0xd61782062a6409e4),
+            ("empty_after_singletons_12", false, 0xa8c7f832281a39c5),
+            ("duplicates_and_zeros_16", true, 0x3d764e09a9794616),
+            ("singular_mid_elimination_10", false, 0xa8c7f832281a39c5),
+            ("integer_14_a", true, 0x84a85724288a8922),
+            ("integer_14_b", true, 0x92d1e4276668ccc3),
+            ("integer_14_c", true, 0xb5de1483b0574b08),
+            ("magnitude_spread_30", true, 0x34d076a6ab69e06d),
+        ];
+        let mut reused = ForrestTomlinLu::default();
+        let mut got = Vec::new();
+        for (name, cols) in pinned_cases() {
+            let m = cols.len();
+            let mut fresh = ForrestTomlinLu::default();
+            let ok = fresh.refactor(m, &cols);
+            let print = factor_fingerprint(&fresh);
+            assert_eq!(reused.refactor(m, &cols), ok, "{name}: reused verdict");
+            assert_eq!(factor_fingerprint(&reused), print, "{name}: reused factors");
+            got.push((name, ok, print));
+        }
+        let listing: String = got
+            .iter()
+            .map(|(name, ok, print)| format!("(\"{name}\", {ok}, {print:#018x}),\n"))
+            .collect();
+        assert_eq!(got.len(), PINNED.len(), "case list changed:\n{listing}");
+        for (&(name, ok, print), &(want_name, want_ok, want_print)) in got.iter().zip(PINNED) {
+            assert_eq!(name, want_name, "case order changed:\n{listing}");
+            assert_eq!(
+                (ok, print),
+                (want_ok, want_print),
+                "{name}: factors moved:\n{listing}"
+            );
         }
     }
 }
