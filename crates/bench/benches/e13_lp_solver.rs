@@ -10,12 +10,21 @@
 //!   master re-solve from scratch vs warm-started from the previous
 //!   round's optimal basis (the PR 1 warm-start win, kept as a regression
 //!   guard).
+//!
+//! A third group, `refactor`, times the basis refactorization
+//! ([`ForrestTomlinLu::refactor`]) on its own: master-shaped bases at
+//! m ∈ {200, 2000, 10000} (the exchange's small markets up to E12's
+//! n = 2000 protocol master) and the m = 10000 identity a cold start
+//! factors.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ssa_lp::basis::SparseColumn;
 use ssa_lp::column_generation::{ColumnGeneration, GeneratedColumn, MasterProblem};
-use ssa_lp::{dense, solve, LinearProgram, LpStatus, Relation, Sense, SimplexOptions};
+use ssa_lp::{
+    dense, solve, ForrestTomlinLu, LinearProgram, LpStatus, Relation, Sense, SimplexOptions,
+};
 use std::time::Duration;
 
 /// Random sparse packing LP: `cols` variables, `cols / 2` coupling rows
@@ -189,6 +198,60 @@ fn bench_e13(c: &mut Criterion) {
     group.finish();
 }
 
+/// A basis shaped like a column-generation master's: unit slack columns,
+/// a third of them replaced by bundle columns of 3–12 rows (1.0 on the row
+/// whose slack the bundle replaced, interference coefficients in
+/// [0.1, 1) elsewhere).
+fn master_basis(seed: u64, m: usize) -> Vec<SparseColumn> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut cols: Vec<SparseColumn> = (0..m).map(|r| vec![(r, 1.0)]).collect();
+    for _ in 0..m / 3 {
+        let own = rng.random_range(0..m);
+        let mut col = vec![(own, 1.0)];
+        let len = rng.random_range(3usize..13);
+        while col.len() < len {
+            let r = rng.random_range(0..m);
+            if col.iter().all(|e| e.0 != r) {
+                col.push((r, rng.random_range(0.1..1.0)));
+            }
+        }
+        cols[own] = col;
+    }
+    cols
+}
+
+fn bench_refactor(c: &mut Criterion) {
+    let mut group = c.benchmark_group("refactor");
+    // one call is one sample, so take many: the m = 200 cell is ~0.1 ms
+    group.sample_size(200);
+    let mut cases: Vec<(&str, usize, Vec<SparseColumn>)> = Vec::new();
+    for m in [200usize, 2000, 10_000] {
+        // the first seed whose basis is nonsingular, so every cell times a
+        // complete elimination
+        let cols = (0..)
+            .map(|seed| master_basis(seed + m as u64, m))
+            .find(|cols| ForrestTomlinLu::default().refactor(m, cols))
+            .expect("some seed gives a nonsingular basis");
+        cases.push(("master", m, cols));
+    }
+    cases.push((
+        "identity",
+        10_000,
+        (0..10_000).map(|r| vec![(r, 1.0)]).collect(),
+    ));
+    for (shape, m, cols) in &cases {
+        // one factorization rebuilt over and over, as the simplex does
+        let mut factor = ForrestTomlinLu::default();
+        group.bench_with_input(BenchmarkId::new(*shape, m), cols, |b, cols| {
+            b.iter(|| {
+                assert!(factor.refactor(*m, cols));
+                factor.num_rows()
+            })
+        });
+    }
+    group.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -196,5 +259,5 @@ fn config() -> Criterion {
         .warm_up_time(Duration::from_millis(300))
 }
 
-criterion_group! { name = benches; config = config(); targets = bench_e13 }
+criterion_group! { name = benches; config = config(); targets = bench_e13, bench_refactor }
 criterion_main!(benches);

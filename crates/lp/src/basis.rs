@@ -17,7 +17,9 @@
 //! `O(nnz(L) + nnz(U) + nnz(row etas))`, and the update cost tracks the
 //! *row* structure of `U`, not the full FTRAN image. Unstable replacements
 //! (tiny new diagonal relative to the spike) and a full row-eta file are
-//! declined, which makes the simplex core refactorize.
+//! declined, which makes the simplex core refactorize. The rebuild itself
+//! is `O(nnz(B) + nnz(L+U))` up to a logarithmic count-tree term, and
+//! allocates nothing per row or column once its buffers are warm.
 //!
 //! FTRAN of a sparse right-hand side and the pivot-row BTRAN run
 //! hyper-sparse (Gilbert–Peierls) into a [`SparseVector`] and fall back to
@@ -327,6 +329,256 @@ struct RowEta {
     entries: Vec<(usize, f64)>,
 }
 
+/// Variable-length lists in one flat buffer: list `i` is
+/// `entries[start[i]..start[i] + len[i]]`, inside a slot of `cap[i]`
+/// entries. A list that outgrows its slot moves to the end of the buffer,
+/// so building or growing a list never allocates once the buffer is warm.
+#[derive(Debug, Default)]
+struct SlotLists<T> {
+    start: Vec<usize>,
+    len: Vec<usize>,
+    cap: Vec<usize>,
+    entries: Vec<T>,
+}
+
+impl<T: Copy + Default> SlotLists<T> {
+    /// `n` empty lists of capacity 0: set `cap`, then [`lay_out`](Self::lay_out).
+    fn reset(&mut self, n: usize) {
+        for v in [&mut self.start, &mut self.len, &mut self.cap] {
+            v.clear();
+            v.resize(n, 0);
+        }
+        self.entries.clear();
+    }
+
+    /// Places the slots back to back at their current capacities.
+    fn lay_out(&mut self) {
+        let mut at = 0;
+        for (start, &cap) in self.start.iter_mut().zip(&self.cap) {
+            *start = at;
+            at += cap;
+        }
+        self.entries.resize(at, T::default());
+    }
+
+    fn get(&self, i: usize) -> &[T] {
+        &self.entries[self.start[i]..self.start[i] + self.len[i]]
+    }
+
+    /// Appends to list `i`, whose slot must have room.
+    fn push_in_place(&mut self, i: usize, v: T) {
+        debug_assert!(self.len[i] < self.cap[i], "slot {i} is full");
+        self.entries[self.start[i] + self.len[i]] = v;
+        self.len[i] += 1;
+    }
+
+    /// Overwrites list `i` with `new`, moving it to the end of the buffer
+    /// when it no longer fits its slot.
+    fn replace(&mut self, i: usize, new: &[T]) {
+        if new.len() > self.cap[i] {
+            self.start[i] = self.entries.len();
+            self.cap[i] = new.len();
+            self.entries.extend_from_slice(new);
+        } else {
+            let at = self.start[i];
+            self.entries[at..at + new.len()].copy_from_slice(new);
+        }
+        self.len[i] = new.len();
+    }
+}
+
+impl SlotLists<(usize, f64)> {
+    /// Appends `(c, v)` to row `r`, or adds `v` to the row's last entry
+    /// when that is column `c` already (rows fill in column order).
+    fn push_summing(&mut self, r: usize, c: usize, v: f64) {
+        let end = self.start[r] + self.len[r];
+        match self.entries[self.start[r]..end].last_mut() {
+            Some(last) if last.0 == c => last.1 += v,
+            _ => self.push_in_place(r, (c, v)),
+        }
+    }
+
+    /// Removes the exact zeros of row `r` in place.
+    fn drop_zeros(&mut self, r: usize) {
+        let (start, len) = (self.start[r], self.len[r]);
+        let mut kept = start;
+        for at in start..start + len {
+            if self.entries[at].1 != 0.0 {
+                self.entries[kept] = self.entries[at];
+                kept += 1;
+            }
+        }
+        self.len[r] = kept - start;
+    }
+
+    /// The value of column `c` in row `r` (rows stay sorted by column).
+    fn value(&self, r: usize, c: usize) -> Option<f64> {
+        let row = self.get(r);
+        row.binary_search_by_key(&c, |e| e.0)
+            .ok()
+            .map(|at| row[at].1)
+    }
+}
+
+impl SlotLists<usize> {
+    /// Appends row `r` to column list `c`. A full list moves to the end of
+    /// the buffer with room to double, and leaves behind the rows that
+    /// are no longer active (they never return, so the order of the rest
+    /// is unchanged).
+    fn push(&mut self, c: usize, r: usize, active_row: &[bool]) {
+        if self.len[c] == self.cap[c] {
+            let (old, len) = (self.start[c], self.len[c]);
+            let at = self.entries.len();
+            for i in old..old + len {
+                let row = self.entries[i];
+                if active_row[row] {
+                    self.entries.push(row);
+                }
+            }
+            self.start[c] = at;
+            self.len[c] = self.entries.len() - at;
+            self.cap[c] = 2 * self.len[c] + 4;
+            self.entries.resize(at + self.cap[c], 0);
+        }
+        self.push_in_place(c, r);
+    }
+}
+
+/// A minimum tournament tree over the active columns' counts (inactive
+/// columns hold `u32::MAX`). It plays the part of count buckets that
+/// stay ordered by column index: the minimum count is the root, and the
+/// lowest-index columns of that count are the leftmost leaves holding it.
+/// A count change walks one leaf-to-root path, stopping where the minimum
+/// no longer changes.
+#[derive(Debug, Default)]
+struct CountTree {
+    leaves: usize,
+    node: Vec<u32>,
+}
+
+impl CountTree {
+    fn reset(&mut self, counts: &[usize]) {
+        self.leaves = counts.len().next_power_of_two();
+        self.node.clear();
+        self.node.resize(2 * self.leaves, u32::MAX);
+        for (leaf, &count) in self.node[self.leaves..].iter_mut().zip(counts) {
+            *leaf = Self::key(count);
+        }
+        for i in (1..self.leaves).rev() {
+            self.node[i] = self.node[2 * i].min(self.node[2 * i + 1]);
+        }
+    }
+
+    fn key(count: usize) -> u32 {
+        u32::try_from(count).expect("a column count fits in u32")
+    }
+
+    fn min(&self) -> usize {
+        self.node[1] as usize
+    }
+
+    fn set(&mut self, c: usize, count: usize) {
+        self.put(c, Self::key(count));
+    }
+
+    /// Takes column `c` out of the search.
+    fn remove(&mut self, c: usize) {
+        self.put(c, u32::MAX);
+    }
+
+    fn put(&mut self, c: usize, key: u32) {
+        let mut i = self.leaves + c;
+        self.node[i] = key;
+        while i > 1 {
+            i /= 2;
+            let least = self.node[2 * i].min(self.node[2 * i + 1]);
+            if self.node[i] == least {
+                break;
+            }
+            self.node[i] = least;
+        }
+    }
+
+    /// The (at most `limit`) lowest-index columns whose count is `target`,
+    /// the current minimum, in index order: descend to the leftmost leaf
+    /// holding it, then climb to the nearest right sibling that holds it
+    /// and descend again, so neighbouring leaves cost O(1) each.
+    fn lowest(&self, target: usize, limit: usize, out: &mut Vec<usize>) {
+        out.clear();
+        let target = Self::key(target);
+        if self.node[1] != target {
+            return;
+        }
+        let mut i = 1;
+        loop {
+            while i < self.leaves {
+                i = if self.node[2 * i] == target {
+                    2 * i
+                } else {
+                    2 * i + 1
+                };
+            }
+            out.push(i - self.leaves);
+            if out.len() == limit {
+                return;
+            }
+            loop {
+                while i % 2 == 1 {
+                    i /= 2;
+                    if i == 0 {
+                        return; // climbed past the root: no more leaves
+                    }
+                }
+                i += 1;
+                if self.node[i] == target {
+                    break;
+                }
+            }
+        }
+    }
+}
+
+/// The scratch of one rebuild, kept per thread and reused by every
+/// [`ForrestTomlinLu::refactor`] on that thread: the staged basis columns,
+/// the active submatrix, the column lists, the count tree and the merge
+/// buffers. Only its capacities outlive a rebuild, so a thread holds one
+/// workspace sized for the largest basis it has factored, however many
+/// factorizations (one per market in an exchange) it serves.
+#[derive(Debug, Default)]
+struct RefactorWork {
+    /// The basis columns, back to back: position `c` owns
+    /// `col_entries[col_start[c]..col_start[c + 1]]`.
+    col_start: Vec<usize>,
+    col_entries: Vec<(usize, f64)>,
+    /// Active rows, `(column, value)` sorted by column.
+    rows: SlotLists<(usize, f64)>,
+    /// Candidate rows per column, with lazy deletion.
+    col_rows: SlotLists<usize>,
+    /// Active entries per column.
+    col_count: Vec<usize>,
+    active_row: Vec<bool>,
+    active_col: Vec<bool>,
+    counts: CountTree,
+    /// The minimum-count candidates of one pivot search, and the active
+    /// entries of the column being examined.
+    cand: Vec<usize>,
+    col_vals: Vec<(usize, f64)>,
+    /// Each column's last [`ForrestTomlinLu::best_in_col`] answer, reused
+    /// while `col_best_fresh` holds: an answer depends only on the
+    /// column's entries and count and on the lengths of its rows, so it
+    /// goes stale when the column is in a pivot row or one of its rows
+    /// changes length in a merge.
+    col_best: Vec<Option<(usize, f64, usize)>>,
+    col_best_fresh: Vec<bool>,
+    /// The pivot row without its pivot entry, and one merged row.
+    pivot_row: Vec<(usize, f64)>,
+    merged: Vec<(usize, f64)>,
+}
+
+thread_local! {
+    static REFACTOR_WORK: std::cell::Cell<RefactorWork> = std::cell::Cell::new(RefactorWork::default());
+}
+
 /// Markowitz-ordered sparse LU factors with Forrest–Tomlin `U`-updates.
 ///
 /// The factorization pivots on `(row, column)` pairs chosen to minimize the
@@ -339,6 +591,20 @@ struct RowEta {
 /// short row eta, and `U` stays triangular in the explicit `order` / `pos`
 /// column ordering.
 ///
+/// A rebuild ([`refactor`](Self::refactor)) costs `O(nnz(B) + nnz(L+U))`
+/// plus `O(log m)` per column-count change. Its pivot search takes the
+/// lowest-index minimum-count columns from a count tree (the ordered form
+/// of Suhl & Suhl's count buckets) instead of scanning every active
+/// column, and reuses each column's last search answer until the column
+/// or one of its rows changes. The tie-break is fixed — lowest cost, then
+/// largest `|v|`, then the candidate met first in column-index order — so
+/// the factors do not depend on how the search is organised. The active
+/// submatrix, column lists, count tree and merge buffers live in a
+/// per-thread workspace reused by every rebuild on that thread; `L` is
+/// stored flat, and the `U` row and column buffers of the previous
+/// factorization are cleared and refilled, so a warm rebuild allocates
+/// nothing per row or column.
+///
 /// All vectors indexed "by basis position" refer to the slot `r` of the
 /// simplex basis (`basis[r]` is the member whose column occupies position
 /// `r`); vectors indexed "by row" refer to original constraint rows. The
@@ -347,9 +613,11 @@ struct RowEta {
 #[derive(Clone, Debug, Default)]
 pub struct ForrestTomlinLu {
     m: usize,
-    /// Columns of unit-lower-triangular `L` per step: `(original row, mult)`
-    /// for rows pivoted *after* that step.
-    l_cols: Vec<Vec<(usize, f64)>>,
+    /// Columns of unit-lower-triangular `L` per step, back to back: step
+    /// `k` owns `l_entries[l_start[k]..l_start[k + 1]]`, the
+    /// `(original row, mult)` pairs for rows pivoted *after* that step.
+    l_start: Vec<usize>,
+    l_entries: Vec<(usize, f64)>,
     /// `prow[k]` = original row pivoted at step `k`.
     prow: Vec<usize>,
     /// Diagonal of `U` per column uid.
@@ -383,9 +651,12 @@ pub struct ForrestTomlinLu {
     /// `step_of_row[r]` = step (= uid) that pivoted original row `r`
     /// (inverse of `prow`); drives the hyper-sparse L-phase reachability.
     step_of_row: Vec<usize>,
-    /// Row-wise mirror of `l_cols`: `l_rows[r]` = `(step k, value)` for every
-    /// entry of row `r` in `L` (the transposed-solve adjacency for BTRAN).
-    l_rows: Vec<Vec<(usize, f64)>>,
+    /// Row-wise mirror of `L`, laid out the same way: row `r` owns
+    /// `l_row_entries[l_row_start[r]..l_row_start[r + 1]]`, its
+    /// `(step k, value)` entries in step order (the transposed-solve
+    /// adjacency for BTRAN).
+    l_row_start: Vec<usize>,
+    l_row_entries: Vec<(usize, f64)>,
     /// Hyper-sparse solve workspaces: two value scratches with an all-zero
     /// invariant between calls, DFS marks/stack, per-phase reach lists, and
     /// a support buffer.
@@ -408,8 +679,14 @@ impl ForrestTomlinLu {
     /// Relative stability floor: the new diagonal must not be smaller than
     /// this fraction of the spike's largest entry.
     const UPDATE_REL_TOL: f64 = 1e-9;
-    /// Entries below this are dropped from stored factors.
+    /// Entries below this are dropped from stored factors by the
+    /// Forrest–Tomlin update.
     const DROP_TOL: f64 = 1e-12;
+    /// Fill below this is dropped during a rebuild's elimination: two
+    /// decades under `DROP_TOL`, because a rebuild starts from the exact
+    /// basis columns while an update works on spikes that already carry
+    /// rounding error.
+    const FILL_DROP_TOL: f64 = 1e-14;
     /// Markowitz relative pivot threshold: a pivot must reach this fraction
     /// of the largest entry in its column.
     const PIVOT_THRESHOLD: f64 = 0.1;
@@ -426,12 +703,12 @@ impl ForrestTomlinLu {
     /// Column `k` of `L`: `(original row, multiplier)` for the rows pivoted
     /// after step `k`.
     fn l_col(&self, k: usize) -> &[(usize, f64)] {
-        &self.l_cols[k]
+        &self.l_entries[self.l_start[k]..self.l_start[k + 1]]
     }
 
     /// Row `r` of `L` (original row): `(step, multiplier)` in step order.
     fn l_row(&self, r: usize) -> &[(usize, f64)] {
-        &self.l_rows[r]
+        &self.l_row_entries[self.l_row_start[r]..self.l_row_start[r + 1]]
     }
 
     /// Forward elimination `L⁻¹` (row permutation folded in) on the dense
@@ -514,7 +791,8 @@ impl ForrestTomlinLu {
     /// post-failure BTRAN into an out-of-bounds index.
     fn reset_to_empty(&mut self) {
         self.m = 0;
-        self.l_cols.clear();
+        self.l_start.clear();
+        self.l_entries.clear();
         self.prow.clear();
         self.diag.clear();
         self.ucols.clear();
@@ -526,7 +804,8 @@ impl ForrestTomlinLu {
         self.etas.clear();
         self.eta_entries = 0;
         self.step_of_row.clear();
-        self.l_rows.clear();
+        self.l_row_start.clear();
+        self.l_row_entries.clear();
     }
 
     /// Density cutoff for the hyper-sparse solves: once a symbolic reach
@@ -783,162 +1062,160 @@ impl ForrestTomlinLu {
     /// write zeros) until the next successful refactor. Callers that keep
     /// going after a failure therefore get well-defined garbage (zero duals
     /// under a non-optimal status), never a partially-built factor.
+    ///
+    /// Entries of one column that share a row are summed in column order;
+    /// explicit and summed-to-zero entries are dropped. Each elimination
+    /// step examines the (at most `SEARCH_COLS` = 8) lowest-index active
+    /// columns of minimum count and pivots on the entry of lowest
+    /// Markowitz cost `(r−1)(c−1)` among those passing the relative
+    /// threshold; ties go to the larger `|v|`, then to the candidate met
+    /// first. Only when none of them holds an entry above `SINGULAR_TOL`
+    /// does the search widen to every active column, in index order. A
+    /// rebuild costs `O(nnz(B) + nnz(L + U))` plus `O(log m)` per
+    /// column-count change. Once the thread's workspace and this
+    /// factorization's buffers are warm, it allocates nothing per row or
+    /// column.
     pub fn refactor(&mut self, m: usize, cols: &[SparseColumn]) -> bool {
         assert_eq!(cols.len(), m, "one column per basis position");
+        self.refactor_columns(m, |c, out| out.extend_from_slice(&cols[c]))
+    }
+
+    /// [`refactor`](Self::refactor) with the basis columns written by
+    /// `column(c, out)`, which appends the `(row, value)` entries of the
+    /// member at position `c` to `out` (the workspace's one column buffer).
+    pub(crate) fn refactor_columns(
+        &mut self,
+        m: usize,
+        mut column: impl FnMut(usize, &mut Vec<(usize, f64)>),
+    ) -> bool {
+        let mut work = REFACTOR_WORK.with(std::cell::Cell::take);
+        work.col_start.clear();
+        work.col_entries.clear();
+        for c in 0..m {
+            work.col_start.push(work.col_entries.len());
+            column(c, &mut work.col_entries);
+        }
+        work.col_start.push(work.col_entries.len());
+        let rebuilt = self.factorize(m, &mut work);
+        REFACTOR_WORK.with(|cell| cell.set(work));
+        if !rebuilt {
+            self.reset_to_empty();
+        }
+        rebuilt
+    }
+
+    /// The Markowitz elimination of [`refactor`](Self::refactor) over the
+    /// columns staged in `work`; `false` means singular (the caller empties
+    /// the factorization).
+    fn factorize(&mut self, m: usize, work: &mut RefactorWork) -> bool {
         self.m = m;
         self.etas.clear();
         self.eta_entries = 0;
-        self.l_cols.clear();
         self.prow.clear();
         self.diag.clear();
-        self.ucols.clear();
-        self.urows.clear();
         self.slot_of_uid.clear();
+        self.l_start.clear();
+        self.l_entries.clear();
+        let RefactorWork {
+            col_start,
+            col_entries,
+            rows,
+            col_rows,
+            col_count,
+            active_row,
+            active_col,
+            counts,
+            cand,
+            col_vals,
+            col_best,
+            col_best_fresh,
+            pivot_row,
+            merged,
+        } = work;
 
-        // Active-submatrix storage: rows hold (column, value) sorted by
-        // column; columns hold candidate row lists with lazy deletion
-        // (entries are validated against the row storage before use).
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-        for (c, col) in cols.iter().enumerate() {
-            for &(r, v) in col {
+        // Active rows hold (column, value) sorted by column: one pass sizes
+        // each row's slot, a second fills it column by column, summing
+        // entries that repeat a row within one column.
+        rows.reset(m);
+        for &(r, v) in col_entries.iter() {
+            if v != 0.0 {
+                rows.cap[r] += 1;
+            }
+        }
+        rows.lay_out();
+        for c in 0..m {
+            for &(r, v) in &col_entries[col_start[c]..col_start[c + 1]] {
                 if v != 0.0 {
-                    rows[r].push((c, v));
+                    rows.push_summing(r, c, v);
                 }
             }
         }
-        let mut col_rows: Vec<Vec<usize>> = vec![Vec::new(); m];
-        let mut col_count = vec![0usize; m];
-        let mut row_count = vec![0usize; m];
-        for (r, row) in rows.iter_mut().enumerate() {
-            row.sort_unstable_by_key(|e| e.0);
-            // collapse duplicate column entries
-            let mut out: Vec<(usize, f64)> = Vec::with_capacity(row.len());
-            for &(c, v) in row.iter() {
-                match out.last_mut() {
-                    Some(last) if last.0 == c => last.1 += v,
-                    _ => out.push((c, v)),
-                }
-            }
-            out.retain(|&(_, v)| v != 0.0);
-            for &(c, _) in &out {
-                col_rows[c].push(r);
+        // Columns hold their candidate rows in ascending order, with lazy
+        // deletion: an entry is validated against the row storage before
+        // use, and only rows that left the active submatrix are compacted
+        // away, so the order of the valid entries is exactly their order
+        // of arrival.
+        col_count.clear();
+        col_count.resize(m, 0);
+        for r in 0..m {
+            rows.drop_zeros(r);
+            for &(c, _) in rows.get(r) {
                 col_count[c] += 1;
             }
-            row_count[r] = out.len();
-            *row = out;
         }
-        let mut active_row = vec![true; m];
-        let mut active_col = vec![true; m];
-        let mut active_cols: Vec<usize> = (0..m).collect();
-
-        // Looks up the value of column `c` in row `r` (rows stay sorted).
-        let value_in = |rows: &[Vec<(usize, f64)>], r: usize, c: usize| -> Option<f64> {
-            rows[r]
-                .binary_search_by_key(&c, |e| e.0)
-                .ok()
-                .map(|idx| rows[r][idx].1)
-        };
-
-        // Best stable pivot inside column `c`: minimize (r−1)(c−1) among
-        // entries within PIVOT_THRESHOLD of the column max.
-        let best_in_col = |rows: &[Vec<(usize, f64)>],
-                           col_rows: &[Vec<usize>],
-                           active_row: &[bool],
-                           row_count: &[usize],
-                           col_count: &[usize],
-                           c: usize|
-         -> Option<(usize, f64, usize)> {
-            let mut colmax = 0.0f64;
-            for &r in &col_rows[c] {
-                if active_row[r] {
-                    if let Some(v) = value_in(rows, r, c) {
-                        colmax = colmax.max(v.abs());
-                    }
-                }
+        col_rows.reset(m);
+        col_rows.cap.copy_from_slice(col_count);
+        col_rows.lay_out();
+        for r in 0..m {
+            for &(c, _) in rows.get(r) {
+                col_rows.push_in_place(c, r);
             }
-            if colmax <= Self::SINGULAR_TOL {
-                return None;
-            }
-            let floor = (Self::PIVOT_THRESHOLD * colmax).max(Self::SINGULAR_TOL);
-            let mut best: Option<(usize, f64, usize)> = None;
-            for &r in &col_rows[c] {
-                if !active_row[r] {
-                    continue;
-                }
-                let Some(v) = value_in(rows, r, c) else {
-                    continue;
-                };
-                if v.abs() < floor {
-                    continue;
-                }
-                let cost = (row_count[r] - 1) * (col_count[c] - 1);
-                let better = match best {
-                    None => true,
-                    Some((_, bv, bc)) => cost < bc || (cost == bc && v.abs() > bv.abs()),
-                };
-                if better {
-                    best = Some((r, v, cost));
-                }
-            }
-            best
-        };
+        }
+        active_row.clear();
+        active_row.resize(m, true);
+        active_col.clear();
+        active_col.resize(m, true);
+        col_best.clear();
+        col_best.resize(m, None);
+        col_best_fresh.clear();
+        col_best_fresh.resize(m, false);
+        counts.reset(col_count);
 
-        let mut pending_urows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
         for _ in 0..m {
             // --- Markowitz pivot search ---
-            active_cols.retain(|&c| active_col[c]);
-            let mut min_cnt = usize::MAX;
-            let mut cand: Vec<usize> = Vec::with_capacity(Self::SEARCH_COLS);
-            for &c in &active_cols {
-                let cc = col_count[c];
-                if cc == 0 {
-                    self.reset_to_empty();
-                    return false; // numerically empty column: singular
-                }
-                if cc < min_cnt {
-                    min_cnt = cc;
-                    cand.clear();
-                }
-                if cc == min_cnt && cand.len() < Self::SEARCH_COLS {
-                    cand.push(c);
-                }
-                if min_cnt == 1 && cand.len() >= Self::SEARCH_COLS {
-                    break;
-                }
+            let min_count = counts.min();
+            if min_count == 0 {
+                return false; // numerically empty column: singular
             }
+            counts.lowest(min_count, Self::SEARCH_COLS, cand);
             let mut best: Option<(usize, usize, f64, usize)> = None; // (r, c, v, cost)
-            for &c in &cand {
-                if let Some((r, v, cost)) =
-                    best_in_col(&rows, &col_rows, &active_row, &row_count, &col_count, c)
-                {
-                    let better = match best {
+            let mut consider = |c: usize, best: &mut Option<(usize, usize, f64, usize)>| {
+                if !col_best_fresh[c] {
+                    col_best[c] =
+                        Self::best_in_col(rows, col_rows, active_row, col_count[c], c, col_vals);
+                    col_best_fresh[c] = true;
+                }
+                if let Some((r, v, cost)) = col_best[c] {
+                    let better = match *best {
                         None => true,
                         Some((_, _, bv, bc)) => cost < bc || (cost == bc && v.abs() > bv.abs()),
                     };
                     if better {
-                        best = Some((r, c, v, cost));
+                        *best = Some((r, c, v, cost));
                     }
                 }
+            };
+            for &c in cand.iter() {
+                consider(c, &mut best);
             }
             if best.is_none() {
                 // the minimum-count columns had no stable entry: widen the
                 // search to every active column before declaring failure
-                for &c in &active_cols {
-                    if let Some((r, v, cost)) =
-                        best_in_col(&rows, &col_rows, &active_row, &row_count, &col_count, c)
-                    {
-                        let better = match best {
-                            None => true,
-                            Some((_, _, bv, bc)) => cost < bc || (cost == bc && v.abs() > bv.abs()),
-                        };
-                        if better {
-                            best = Some((r, c, v, cost));
-                        }
-                    }
+                for c in (0..m).filter(|&c| active_col[c]) {
+                    consider(c, &mut best);
                 }
             }
             let Some((p, q, piv, _)) = best else {
-                self.reset_to_empty();
                 return false; // no stable pivot anywhere: singular
             };
 
@@ -946,85 +1223,104 @@ impl ForrestTomlinLu {
             self.prow.push(p);
             self.slot_of_uid.push(q);
             self.diag.push(piv);
+            self.l_start.push(self.l_entries.len());
             active_row[p] = false;
             active_col[q] = false;
-            // the pivot row's remaining active entries become row k of U
-            let prow_entries: Vec<(usize, f64)> = rows[p]
-                .iter()
-                .filter(|&&(c, _)| active_col[c])
-                .copied()
-                .collect();
-            for &(c, _) in &prow_entries {
+            counts.remove(q);
+            // the pivot row's remaining entries become row k of U (they
+            // stay in the row's slot, which no later step writes)
+            pivot_row.clear();
+            pivot_row.extend(rows.get(p).iter().filter(|&&(c, _)| active_col[c]));
+            for &(c, _) in pivot_row.iter() {
                 col_count[c] -= 1;
             }
-            // eliminate column q from every active row; self-deduping: the
-            // merge removes the q entry, so stale duplicates in col_rows[q]
-            // simply fail the lookup
-            let mut lcol: Vec<(usize, f64)> = Vec::new();
-            let rlist = std::mem::take(&mut col_rows[q]);
-            for r in rlist {
+            // eliminate column q from every active row; stale and repeated
+            // entries of col_rows[q] fail the lookup (the merge removes the
+            // q entry), and no fill lands in column q, so its list stays put
+            let (q_start, q_len) = (col_rows.start[q], col_rows.len[q]);
+            for idx in q_start..q_start + q_len {
+                let r = col_rows.entries[idx];
                 if !active_row[r] {
                     continue;
                 }
-                let Some(v) = value_in(&rows, r, q) else {
+                let Some(v) = rows.value(r, q) else {
                     continue;
                 };
                 let mult = v / piv;
-                lcol.push((r, mult));
+                self.l_entries.push((r, mult));
                 // rows[r] ← rows[r] − mult · pivot_row, dropping the q entry
-                let old = std::mem::take(&mut rows[r]);
-                let mut out: Vec<(usize, f64)> = Vec::with_capacity(old.len() + prow_entries.len());
-                let (mut a, mut bb) = (0usize, 0usize);
-                while a < old.len() || bb < prow_entries.len() {
-                    let ac = old.get(a).map(|e| e.0).unwrap_or(usize::MAX);
-                    let bc = prow_entries.get(bb).map(|e| e.0).unwrap_or(usize::MAX);
+                merged.clear();
+                let old = rows.get(r);
+                let (mut a, mut b) = (0usize, 0usize);
+                while a < old.len() || b < pivot_row.len() {
+                    let ac = old.get(a).map_or(usize::MAX, |e| e.0);
+                    let bc = pivot_row.get(b).map_or(usize::MAX, |e| e.0);
                     if ac < bc {
                         if ac != q {
-                            out.push(old[a]);
+                            merged.push(old[a]);
                         }
                         a += 1;
                     } else if bc < ac {
-                        let nv = -mult * prow_entries[bb].1;
-                        if nv.abs() > 1e-14 {
-                            out.push((bc, nv));
+                        let nv = -mult * pivot_row[b].1;
+                        if nv.abs() > Self::FILL_DROP_TOL {
+                            merged.push((bc, nv));
                             col_count[bc] += 1;
-                            col_rows[bc].push(r);
+                            col_rows.push(bc, r, active_row);
                         }
-                        bb += 1;
+                        b += 1;
                     } else {
-                        let nv = old[a].1 - mult * prow_entries[bb].1;
-                        if nv.abs() > 1e-14 {
-                            out.push((ac, nv));
+                        let nv = old[a].1 - mult * pivot_row[b].1;
+                        if nv.abs() > Self::FILL_DROP_TOL {
+                            merged.push((ac, nv));
                         } else {
                             col_count[ac] -= 1;
                         }
                         a += 1;
-                        bb += 1;
+                        b += 1;
                     }
                 }
-                row_count[r] = out.len();
-                rows[r] = out;
+                if merged.len() != old.len() {
+                    // a new row length moves the cost of every entry in it
+                    for &(c, _) in merged.iter() {
+                        col_best_fresh[c] = false;
+                    }
+                }
+                rows.replace(r, merged);
             }
-            self.l_cols.push(lcol);
-            pending_urows.push(prow_entries);
+            // only the pivot row's columns changed entries or count in this
+            // step
+            for &(c, _) in pivot_row.iter() {
+                counts.set(c, col_count[c]);
+                col_best_fresh[c] = false;
+            }
         }
+        self.l_start.push(self.l_entries.len());
 
-        // finalize: map pending U rows (slot-indexed columns) to uid space
-        self.uid_of_slot = vec![0usize; m];
+        // finalize: U rows (slot-indexed columns) to uid space, reusing
+        // the per-column buffers of the previous factorization
+        self.uid_of_slot.clear();
+        self.uid_of_slot.resize(m, 0);
         for (uid, &slot) in self.slot_of_uid.iter().enumerate() {
             self.uid_of_slot[slot] = uid;
         }
-        self.ucols = vec![Vec::new(); m];
-        self.urows = vec![Vec::new(); m];
-        for (i, entries) in pending_urows.into_iter().enumerate() {
-            for (slot, v) in entries {
-                let j = self.uid_of_slot[slot];
-                self.urows[i].push((j, v));
-                self.ucols[j].push((i, v));
+        for list in [&mut self.ucols, &mut self.urows] {
+            list.truncate(m);
+            list.iter_mut().for_each(Vec::clear);
+            list.resize_with(m, Vec::new);
+        }
+        for (i, (&p, &q)) in self.prow.iter().zip(&self.slot_of_uid).enumerate() {
+            for &(slot, v) in rows.get(p) {
+                if slot != q {
+                    let j = self.uid_of_slot[slot];
+                    self.urows[i].push((j, v));
+                    self.ucols[j].push((i, v));
+                }
             }
         }
-        self.order = (0..m).collect();
-        self.pos = (0..m).collect();
+        self.order.clear();
+        self.order.extend(0..m);
+        self.pos.clear();
+        self.pos.extend(0..m);
 
         // row-wise L mirror + permutation inverse for the hyper-sparse solves
         self.step_of_row.clear();
@@ -1032,14 +1328,74 @@ impl ForrestTomlinLu {
         for (k, &r) in self.prow.iter().enumerate() {
             self.step_of_row[r] = k;
         }
-        self.l_rows.clear();
-        self.l_rows.resize(m, Vec::new());
-        for (k, lcol) in self.l_cols.iter().enumerate() {
-            for &(r, lv) in lcol {
-                self.l_rows[r].push((k, lv));
+        // counting sort of the L entries by row, steps ascending within a
+        // row: l_row_start[r + 1] first counts row r, then serves as its
+        // fill cursor, then shifts down one place to become the row start
+        self.l_row_start.clear();
+        self.l_row_start.resize(m + 1, 0);
+        for &(r, _) in &self.l_entries {
+            self.l_row_start[r + 1] += 1;
+        }
+        for r in 0..m {
+            self.l_row_start[r + 1] += self.l_row_start[r];
+        }
+        self.l_row_entries.clear();
+        self.l_row_entries.resize(self.l_entries.len(), (0, 0.0));
+        for k in 0..m {
+            for &(r, lv) in &self.l_entries[self.l_start[k]..self.l_start[k + 1]] {
+                let at = &mut self.l_row_start[r];
+                self.l_row_entries[*at] = (k, lv);
+                *at += 1;
             }
         }
+        self.l_row_start.copy_within(0..m, 1);
+        self.l_row_start[0] = 0;
         true
+    }
+
+    /// Best stable pivot inside active column `c` (of `count` active
+    /// entries): the lowest Markowitz cost `(r−1)(c−1)` among entries
+    /// within `PIVOT_THRESHOLD` of the column max, then the largest `|v|`,
+    /// then the first in `col_rows` order. `None` when the column max is
+    /// at most `SINGULAR_TOL`.
+    /// `col_vals` is scratch for the column's active entries.
+    fn best_in_col(
+        rows: &SlotLists<(usize, f64)>,
+        col_rows: &SlotLists<usize>,
+        active_row: &[bool],
+        count: usize,
+        c: usize,
+        col_vals: &mut Vec<(usize, f64)>,
+    ) -> Option<(usize, f64, usize)> {
+        col_vals.clear();
+        let mut colmax = 0.0f64;
+        for &r in col_rows.get(c) {
+            if active_row[r] {
+                if let Some(v) = rows.value(r, c) {
+                    colmax = colmax.max(v.abs());
+                    col_vals.push((r, v));
+                }
+            }
+        }
+        if colmax <= Self::SINGULAR_TOL {
+            return None;
+        }
+        let floor = (Self::PIVOT_THRESHOLD * colmax).max(Self::SINGULAR_TOL);
+        let mut best: Option<(usize, f64, usize)> = None;
+        for &(r, v) in col_vals.iter() {
+            if v.abs() < floor {
+                continue;
+            }
+            let cost = (rows.len[r] - 1) * (count - 1);
+            let better = match best {
+                None => true,
+                Some((_, bv, bc)) => cost < bc || (cost == bc && v.abs() > bv.abs()),
+            };
+            if better {
+                best = Some((r, v, cost));
+            }
+        }
+        best
     }
 
     /// FTRAN with a sparse right-hand side: `w = B⁻¹ a` where `a` is given
@@ -1281,24 +1637,24 @@ impl ForrestTomlinLu {
         }
 
         // commit: drop the old row/column t from both mirrors, install the
-        // spike as the new column t, move t to the back of the order
-        let old_row = std::mem::take(&mut self.urows[t]);
-        for &(j, _) in &old_row {
+        // spike as the new column t, move t to the back of the order (the
+        // row and column buffers are cleared, not freed, so the next
+        // refactor reuses them)
+        for &(j, _) in &self.urows[t] {
             self.ucols[j].retain(|&(i, _)| i != t);
         }
-        let old_col = std::mem::take(&mut self.ucols[t]);
-        for &(i, _) in &old_col {
+        self.urows[t].clear();
+        for &(i, _) in &self.ucols[t] {
             self.urows[i].retain(|&(j, _)| j != t);
         }
-        let mut newcol: Vec<(usize, f64)> = Vec::new();
+        self.ucols[t].clear();
         for i in support {
             let v = s[i];
             if i != t && v.abs() > Self::DROP_TOL {
-                newcol.push((i, v));
+                self.ucols[t].push((i, v));
                 self.urows[i].push((t, v));
             }
         }
-        self.ucols[t] = newcol;
         self.diag[t] = d;
         let p = self.pos[t];
         self.order.remove(p);
@@ -2054,6 +2410,155 @@ mod tests {
                 (want_ok, want_print),
                 "{name}: factors moved:\n{listing}"
             );
+        }
+    }
+
+    /// How [`slack_heavy_basis`] disturbs its basis.
+    #[derive(Clone, Copy, Debug)]
+    enum Disturbance {
+        None,
+        /// A column copied to a second position, scaled by 1.25–1.75, plus
+        /// a unit entry on that position's own row: nonsingular (the pair
+        /// spans what a slack there would), but all other rows repeat.
+        NearDuplicate,
+        /// The same, unscaled: singular.
+        Duplicate,
+        /// A numerically empty column (no entries, an explicit zero, or a
+        /// pair that sums to zero) behind `SEARCH_COLS` singletons:
+        /// singular.
+        EmptyAfterSingletons,
+    }
+
+    /// A slack-heavy basis: unit slacks with `bundle_pct` percent of the
+    /// positions replaced by bundle columns of 2–8 rows (1.0 on the
+    /// position's own row, coefficients in ±[0.1, 1) elsewhere), then
+    /// disturbed. Returns the columns and whether they are singular by
+    /// construction.
+    fn slack_heavy_basis(
+        seed: u64,
+        m: usize,
+        bundle_pct: usize,
+        disturbance: Disturbance,
+    ) -> (Vec<SparseColumn>, bool) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cols: Vec<SparseColumn> = Vec::with_capacity(m);
+        for own in 0..m {
+            let mut col: SparseColumn = vec![(own, 1.0)];
+            if rng.random_range(0..100usize) < bundle_pct {
+                let len = rng.random_range(2usize..9).min(m);
+                while col.len() < len {
+                    let r = rng.random_range(0..m);
+                    if col.iter().all(|e| e.0 != r) {
+                        let v = rng.random_range(0.1..1.0);
+                        col.push((r, if rng.random_bool(0.5) { v } else { -v }));
+                    }
+                }
+            }
+            cols.push(col);
+        }
+        let searched = ForrestTomlinLu::SEARCH_COLS;
+        let singular = match disturbance {
+            Disturbance::None => false,
+            Disturbance::NearDuplicate | Disturbance::Duplicate if m >= 2 => {
+                let from = rng.random_range(0..m);
+                let to = (from + 1 + rng.random_range(0..m - 1)) % m;
+                let mut copy = cols[from].clone();
+                if let Disturbance::NearDuplicate = disturbance {
+                    let scale = rng.random_range(1.25..1.75);
+                    for e in &mut copy {
+                        e.1 *= scale;
+                    }
+                    copy.push((to, 1.0));
+                }
+                cols[to] = copy;
+                matches!(disturbance, Disturbance::Duplicate)
+            }
+            Disturbance::EmptyAfterSingletons if m > searched => {
+                for (c, col) in cols.iter_mut().enumerate().take(searched) {
+                    *col = vec![(c, 1.0)];
+                }
+                let at = rng.random_range(searched..m);
+                let r = rng.random_range(0..m);
+                cols[at] = match rng.random_range(0..3usize) {
+                    0 => Vec::new(),
+                    1 => vec![(r, 0.0)],
+                    _ => vec![(r, 1.0), (r, -1.0)],
+                };
+                true
+            }
+            _ => false,
+        };
+        (cols, singular)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// On slack-heavy bases up to m = 300: a successful rebuild solves
+        /// exactly (FTRAN and BTRAN residuals against the basis columns,
+        /// dense and indexed), and a failed one — always the verdict on a
+        /// basis singular by construction — leaves the empty state whose
+        /// solves write zeros.
+        #[test]
+        fn prop_refactor_solves_or_empties_on_slack_heavy_bases(
+            seed in 0u64..1_000_000,
+            m in 1usize..300,
+            bundle_pct in 0usize..70,
+            kind in 0u8..4,
+        ) {
+            let disturbance = [
+                Disturbance::None,
+                Disturbance::NearDuplicate,
+                Disturbance::Duplicate,
+                Disturbance::EmptyAfterSingletons,
+            ][kind as usize];
+            let (cols, singular) = slack_heavy_basis(seed, m, bundle_pct, disturbance);
+            let mut factor = ForrestTomlinLu::default();
+            let ok = factor.refactor(m, &cols);
+            proptest::prop_assert!(!(ok && singular), "a singular basis factorized");
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xFAC7);
+            let a: SparseColumn = (0..1 + m / 20)
+                .map(|_| (rng.random_range(0..m), rng.random_range(-2.0..2.0)))
+                .collect();
+            let cb: Vec<f64> = (0..m).map(|_| rng.random_range(-2.0..2.0)).collect();
+            let r = rng.random_range(0..m);
+            let mut w = vec![f64::NAN; m];
+            let mut y = vec![f64::NAN; m];
+            let mut w_sv = SparseVector::zeros(m);
+            let mut rho_sv = SparseVector::zeros(m);
+            factor.ftran_sparse(&a, &mut w);
+            factor.btran(&cb, &mut y);
+            factor.ftran_sparse_into(&a, &mut w_sv);
+            factor.btran_unit_into(r, &mut rho_sv);
+            if !ok {
+                proptest::prop_assert_eq!(factor.num_rows(), 0);
+                let mut w_dense = vec![f64::NAN; m];
+                factor.ftran_dense(&cb, &mut w_dense);
+                let mut rho = vec![f64::NAN; m];
+                factor.btran_unit(r, &mut rho);
+                for v in [&w, &y, &w_dense, &rho, w_sv.values(), rho_sv.values()] {
+                    proptest::prop_assert!(v.iter().all(|&x| x == 0.0), "a failed rebuild must solve to zeros");
+                }
+                return Ok(());
+            }
+            proptest::prop_assert_eq!(factor.num_rows(), m);
+            let mut dense_a = vec![0.0f64; m];
+            for &(i, v) in &a {
+                dense_a[i] += v;
+            }
+            let bw = apply_b(m, &cols, &w);
+            let bw_sv = apply_b(m, &cols, w_sv.values());
+            for i in 0..m {
+                proptest::prop_assert!((bw[i] - dense_a[i]).abs() < 1e-8, "ftran residual at {}", i);
+                proptest::prop_assert!((bw_sv[i] - dense_a[i]).abs() < 1e-8, "indexed ftran residual at {}", i);
+            }
+            for (c, col) in cols.iter().enumerate() {
+                let dot: f64 = col.iter().map(|&(i, v)| y[i] * v).sum();
+                proptest::prop_assert!((dot - cb[c]).abs() < 1e-8, "btran residual at {}", c);
+                let unit: f64 = col.iter().map(|&(i, v)| rho_sv.value(i) * v).sum();
+                let want = if c == r { 1.0 } else { 0.0 };
+                proptest::prop_assert!((unit - want).abs() < 1e-8, "pivot-row btran residual at {}", c);
+            }
         }
     }
 }

@@ -522,10 +522,22 @@ impl<'a> Revised<'a> {
 
     /// Visits the sparse entries of global column `j` (signs applied).
     #[inline]
-    fn for_each_entry(&self, j: usize, mut f: impl FnMut(usize, f64)) {
-        match self.kind[j] {
+    fn for_each_entry(&self, j: usize, f: impl FnMut(usize, f64)) {
+        Self::column_entries(&self.kind, &self.cols, j, f);
+    }
+
+    /// [`for_each_entry`](Self::for_each_entry) on borrowed parts, so a
+    /// caller can visit columns while it holds the factorization mutably.
+    #[inline]
+    fn column_entries(
+        kind: &[BasisVar],
+        cols: &CscMatrix,
+        j: usize,
+        mut f: impl FnMut(usize, f64),
+    ) {
+        match kind[j] {
             BasisVar::Structural(v) => {
-                let (rows, vals) = self.cols.column(v);
+                let (rows, vals) = cols.column(v);
                 for (&r, &a) in rows.iter().zip(vals.iter()) {
                     if a != 0.0 {
                         f(r, a);
@@ -535,13 +547,6 @@ impl<'a> Revised<'a> {
             BasisVar::Slack(i) | BasisVar::Artificial(i) => f(i, 1.0),
             BasisVar::Surplus(i) => f(i, -1.0),
         }
-    }
-
-    /// Materializes global column `j` as a sparse `(row, value)` vector.
-    fn sparse_column(&self, j: usize) -> SparseColumn {
-        let mut col = SparseColumn::new();
-        self.for_each_entry(j, |r, v| col.push((r, v)));
-        col
     }
 
     /// Maps a stable basis identity to the current global column index.
@@ -636,12 +641,13 @@ impl<'a> Revised<'a> {
         }
         self.basis = basis;
         self.in_basis = in_basis;
-        if warm.factor.num_rows() == self.m {
-            // adopt the factorization without any rebuild. Its
-            // sparsity counters carry history from the donor solve — re-anchor
-            // the baseline so extract() reports only this solve's work.
-            self.factor = warm.factor;
-            self.sparsity_baseline = self.factor.sparsity_stats();
+        // Adopt the state's factorization: as is when it covers every row,
+        // otherwise as the buffers the rebuild reuses. Its sparsity
+        // counters carry history from the donor solve — re-anchor the
+        // baseline so extract() reports only this solve's work.
+        self.factor = warm.factor;
+        self.sparsity_baseline = self.factor.sparsity_stats();
+        if self.factor.num_rows() == self.m {
             if !self.recompute_xb() {
                 return Install::Rejected;
             }
@@ -727,9 +733,14 @@ impl<'a> Revised<'a> {
 
     /// Rebuilds the factorization from the basis columns and recomputes
     /// `x_B`. Returns `false` if the basis matrix is numerically singular.
+    /// The columns are written straight into the factorization's reused
+    /// column buffer.
     fn refactor(&mut self) -> bool {
-        let cols: Vec<SparseColumn> = self.basis.iter().map(|&c| self.sparse_column(c)).collect();
-        if !self.factor.refactor(self.m, &cols) {
+        let (kind, cols, basis) = (&self.kind, &self.cols, &self.basis);
+        let rebuilt = self.factor.refactor_columns(self.m, |c, out| {
+            Self::column_entries(kind, cols, basis[c], |r, v| out.push((r, v)))
+        });
+        if !rebuilt {
             self.factor_failed = true;
             return false;
         }
