@@ -19,7 +19,7 @@
 //! (tiny new diagonal relative to the spike) and a full row-eta file are
 //! declined, which makes the simplex core refactorize. The rebuild itself
 //! is `O(nnz(B) + nnz(L+U))` up to a logarithmic count-tree term, and
-//! allocates nothing per row or column once its buffers are warm.
+//! allocates nothing per row or column.
 //!
 //! FTRAN of a sparse right-hand side and the pivot-row BTRAN run
 //! hyper-sparse (Gilbert–Peierls) into a [`SparseVector`] and fall back to
@@ -331,14 +331,24 @@ struct RowEta {
 
 /// Variable-length lists in one flat buffer: list `i` is
 /// `entries[start[i]..start[i] + len[i]]`, inside a slot of `cap[i]`
-/// entries. A list that outgrows its slot moves to the end of the buffer,
-/// so building or growing a list never allocates once the buffer is warm.
-#[derive(Debug, Default)]
+/// entries. A list that outgrows its slot moves to the end of the buffer
+/// with room to double, so building or growing a list allocates nothing
+/// once the buffer is warm, and the order of a list's entries is exactly
+/// that of a `Vec` given the same pushes and retains.
+#[derive(Clone, Debug, Default)]
 struct SlotLists<T> {
     start: Vec<usize>,
     len: Vec<usize>,
     cap: Vec<usize>,
     entries: Vec<T>,
+}
+
+impl<T> std::ops::Index<usize> for SlotLists<T> {
+    type Output = [T];
+
+    fn index(&self, i: usize) -> &[T] {
+        &self.entries[self.start[i]..self.start[i] + self.len[i]]
+    }
 }
 
 impl<T: Copy + Default> SlotLists<T> {
@@ -361,15 +371,42 @@ impl<T: Copy + Default> SlotLists<T> {
         self.entries.resize(at, T::default());
     }
 
-    fn get(&self, i: usize) -> &[T] {
-        &self.entries[self.start[i]..self.start[i] + self.len[i]]
-    }
-
     /// Appends to list `i`, whose slot must have room.
     fn push_in_place(&mut self, i: usize, v: T) {
         debug_assert!(self.len[i] < self.cap[i], "slot {i} is full");
         self.entries[self.start[i] + self.len[i]] = v;
         self.len[i] += 1;
+    }
+
+    /// Appends to list `i`, moving it to the end of the buffer first when
+    /// its slot is full.
+    fn push(&mut self, i: usize, v: T) {
+        if self.len[i] == self.cap[i] {
+            let (old, len) = (self.start[i], self.len[i]);
+            let at = self.entries.len();
+            self.entries.extend_from_within(old..old + len);
+            self.start[i] = at;
+            self.cap[i] = 2 * len + 4;
+            self.entries.resize(at + self.cap[i], T::default());
+        }
+        self.push_in_place(i, v);
+    }
+
+    /// Keeps the entries of list `i` that pass `keep`, in order.
+    fn retain(&mut self, i: usize, mut keep: impl FnMut(&T) -> bool) {
+        let (start, len) = (self.start[i], self.len[i]);
+        let mut kept = start;
+        for at in start..start + len {
+            if keep(&self.entries[at]) {
+                self.entries[kept] = self.entries[at];
+                kept += 1;
+            }
+        }
+        self.len[i] = kept - start;
+    }
+
+    fn clear_list(&mut self, i: usize) {
+        self.len[i] = 0;
     }
 
     /// Overwrites list `i` with `new`, moving it to the end of the buffer
@@ -398,49 +435,12 @@ impl SlotLists<(usize, f64)> {
         }
     }
 
-    /// Removes the exact zeros of row `r` in place.
-    fn drop_zeros(&mut self, r: usize) {
-        let (start, len) = (self.start[r], self.len[r]);
-        let mut kept = start;
-        for at in start..start + len {
-            if self.entries[at].1 != 0.0 {
-                self.entries[kept] = self.entries[at];
-                kept += 1;
-            }
-        }
-        self.len[r] = kept - start;
-    }
-
     /// The value of column `c` in row `r` (rows stay sorted by column).
     fn value(&self, r: usize, c: usize) -> Option<f64> {
-        let row = self.get(r);
+        let row = &self[r];
         row.binary_search_by_key(&c, |e| e.0)
             .ok()
             .map(|at| row[at].1)
-    }
-}
-
-impl SlotLists<usize> {
-    /// Appends row `r` to column list `c`. A full list moves to the end of
-    /// the buffer with room to double, and leaves behind the rows that
-    /// are no longer active (they never return, so the order of the rest
-    /// is unchanged).
-    fn push(&mut self, c: usize, r: usize, active_row: &[bool]) {
-        if self.len[c] == self.cap[c] {
-            let (old, len) = (self.start[c], self.len[c]);
-            let at = self.entries.len();
-            for i in old..old + len {
-                let row = self.entries[i];
-                if active_row[row] {
-                    self.entries.push(row);
-                }
-            }
-            self.start[c] = at;
-            self.len[c] = self.entries.len() - at;
-            self.cap[c] = 2 * self.len[c] + 4;
-            self.entries.resize(at + self.cap[c], 0);
-        }
-        self.push_in_place(c, r);
     }
 }
 
@@ -600,10 +600,10 @@ thread_local! {
 /// largest `|v|`, then the candidate met first in column-index order — so
 /// the factors do not depend on how the search is organised. The active
 /// submatrix, column lists, count tree and merge buffers live in a
-/// per-thread workspace reused by every rebuild on that thread; `L` is
-/// stored flat, and the `U` row and column buffers of the previous
-/// factorization are cleared and refilled, so a warm rebuild allocates
-/// nothing per row or column.
+/// per-thread workspace reused by every rebuild on that thread. The
+/// factors are flat too: `L` column- and row-wise in one buffer each, and
+/// both mirrors of `U` in slot lists that the Forrest–Tomlin update edits
+/// in place, so a rebuild allocates nothing per row or column.
 ///
 /// All vectors indexed "by basis position" refer to the slot `r` of the
 /// simplex basis (`basis[r]` is the member whose column occupies position
@@ -623,9 +623,9 @@ pub struct ForrestTomlinLu {
     /// Diagonal of `U` per column uid.
     diag: Vec<f64>,
     /// Off-diagonal entries of `U`, column-wise: `ucols[j]` = `(row uid, value)`.
-    ucols: Vec<Vec<(usize, f64)>>,
+    ucols: SlotLists<(usize, f64)>,
     /// The same entries row-wise: `urows[i]` = `(column uid, value)`.
-    urows: Vec<Vec<(usize, f64)>>,
+    urows: SlotLists<(usize, f64)>,
     /// Column uids in triangular order (entry `(i, j)` of `U` requires
     /// `pos[i] ≤ pos[j]`).
     order: Vec<usize>,
@@ -795,8 +795,8 @@ impl ForrestTomlinLu {
         self.l_entries.clear();
         self.prow.clear();
         self.diag.clear();
-        self.ucols.clear();
-        self.urows.clear();
+        self.ucols.reset(0);
+        self.urows.reset(0);
         self.order.clear();
         self.pos.clear();
         self.slot_of_uid.clear();
@@ -1072,9 +1072,7 @@ impl ForrestTomlinLu {
     /// first. Only when none of them holds an entry above `SINGULAR_TOL`
     /// does the search widen to every active column, in index order. A
     /// rebuild costs `O(nnz(B) + nnz(L + U))` plus `O(log m)` per
-    /// column-count change. Once the thread's workspace and this
-    /// factorization's buffers are warm, it allocates nothing per row or
-    /// column.
+    /// column-count change, and allocates nothing per row or column.
     pub fn refactor(&mut self, m: usize, cols: &[SparseColumn]) -> bool {
         assert_eq!(cols.len(), m, "one column per basis position");
         self.refactor_columns(m, |c, out| out.extend_from_slice(&cols[c]))
@@ -1158,8 +1156,8 @@ impl ForrestTomlinLu {
         col_count.clear();
         col_count.resize(m, 0);
         for r in 0..m {
-            rows.drop_zeros(r);
-            for &(c, _) in rows.get(r) {
+            rows.retain(r, |e| e.1 != 0.0);
+            for &(c, _) in &rows[r] {
                 col_count[c] += 1;
             }
         }
@@ -1167,7 +1165,7 @@ impl ForrestTomlinLu {
         col_rows.cap.copy_from_slice(col_count);
         col_rows.lay_out();
         for r in 0..m {
-            for &(c, _) in rows.get(r) {
+            for &(c, _) in &rows[r] {
                 col_rows.push_in_place(c, r);
             }
         }
@@ -1230,7 +1228,7 @@ impl ForrestTomlinLu {
             // the pivot row's remaining entries become row k of U (they
             // stay in the row's slot, which no later step writes)
             pivot_row.clear();
-            pivot_row.extend(rows.get(p).iter().filter(|&&(c, _)| active_col[c]));
+            pivot_row.extend(rows[p].iter().filter(|&&(c, _)| active_col[c]));
             for &(c, _) in pivot_row.iter() {
                 col_count[c] -= 1;
             }
@@ -1250,7 +1248,7 @@ impl ForrestTomlinLu {
                 self.l_entries.push((r, mult));
                 // rows[r] ← rows[r] − mult · pivot_row, dropping the q entry
                 merged.clear();
-                let old = rows.get(r);
+                let old = &rows[r];
                 let (mut a, mut b) = (0usize, 0usize);
                 while a < old.len() || b < pivot_row.len() {
                     let ac = old.get(a).map_or(usize::MAX, |e| e.0);
@@ -1265,7 +1263,12 @@ impl ForrestTomlinLu {
                         if nv.abs() > Self::FILL_DROP_TOL {
                             merged.push((bc, nv));
                             col_count[bc] += 1;
-                            col_rows.push(bc, r, active_row);
+                            if col_rows.len[bc] == col_rows.cap[bc] {
+                                // make room by dropping the rows that left
+                                // the active submatrix (they never return)
+                                col_rows.retain(bc, |&row| active_row[row]);
+                            }
+                            col_rows.push(bc, r);
                         }
                         b += 1;
                     } else {
@@ -1296,24 +1299,31 @@ impl ForrestTomlinLu {
         }
         self.l_start.push(self.l_entries.len());
 
-        // finalize: U rows (slot-indexed columns) to uid space, reusing
-        // the per-column buffers of the previous factorization
+        // finalize: U rows (slot-indexed columns) to uid space, sized by a
+        // counting pass so both mirrors fill their slots exactly
         self.uid_of_slot.clear();
         self.uid_of_slot.resize(m, 0);
         for (uid, &slot) in self.slot_of_uid.iter().enumerate() {
             self.uid_of_slot[slot] = uid;
         }
-        for list in [&mut self.ucols, &mut self.urows] {
-            list.truncate(m);
-            list.iter_mut().for_each(Vec::clear);
-            list.resize_with(m, Vec::new);
-        }
+        self.ucols.reset(m);
+        self.urows.reset(m);
         for (i, (&p, &q)) in self.prow.iter().zip(&self.slot_of_uid).enumerate() {
-            for &(slot, v) in rows.get(p) {
+            for &(slot, _) in &rows[p] {
+                if slot != q {
+                    self.urows.cap[i] += 1;
+                    self.ucols.cap[self.uid_of_slot[slot]] += 1;
+                }
+            }
+        }
+        self.ucols.lay_out();
+        self.urows.lay_out();
+        for (i, (&p, &q)) in self.prow.iter().zip(&self.slot_of_uid).enumerate() {
+            for &(slot, v) in &rows[p] {
                 if slot != q {
                     let j = self.uid_of_slot[slot];
-                    self.urows[i].push((j, v));
-                    self.ucols[j].push((i, v));
+                    self.urows.push_in_place(i, (j, v));
+                    self.ucols.push_in_place(j, (i, v));
                 }
             }
         }
@@ -1369,7 +1379,7 @@ impl ForrestTomlinLu {
     ) -> Option<(usize, f64, usize)> {
         col_vals.clear();
         let mut colmax = 0.0f64;
-        for &r in col_rows.get(c) {
+        for &r in &col_rows[c] {
             if active_row[r] {
                 if let Some(v) = rows.value(r, c) {
                     colmax = colmax.max(v.abs());
@@ -1641,18 +1651,18 @@ impl ForrestTomlinLu {
         // row and column buffers are cleared, not freed, so the next
         // refactor reuses them)
         for &(j, _) in &self.urows[t] {
-            self.ucols[j].retain(|&(i, _)| i != t);
+            self.ucols.retain(j, |&(i, _)| i != t);
         }
-        self.urows[t].clear();
+        self.urows.clear_list(t);
         for &(i, _) in &self.ucols[t] {
-            self.urows[i].retain(|&(j, _)| j != t);
+            self.urows.retain(i, |&(j, _)| j != t);
         }
-        self.ucols[t].clear();
+        self.ucols.clear_list(t);
         for i in support {
             let v = s[i];
             if i != t && v.abs() > Self::DROP_TOL {
-                self.ucols[t].push((i, v));
-                self.urows[i].push((t, v));
+                self.ucols.push(t, (i, v));
+                self.urows.push(i, (t, v));
             }
         }
         self.diag[t] = d;

@@ -641,13 +641,12 @@ impl<'a> Revised<'a> {
         }
         self.basis = basis;
         self.in_basis = in_basis;
-        // Adopt the state's factorization: as is when it covers every row,
-        // otherwise as the buffers the rebuild reuses. Its sparsity
-        // counters carry history from the donor solve — re-anchor the
-        // baseline so extract() reports only this solve's work.
-        self.factor = warm.factor;
-        self.sparsity_baseline = self.factor.sparsity_stats();
-        if self.factor.num_rows() == self.m {
+        if warm.factor.num_rows() == self.m {
+            // adopt the factorization without any rebuild. Its
+            // sparsity counters carry history from the donor solve — re-anchor
+            // the baseline so extract() reports only this solve's work.
+            self.factor = warm.factor;
+            self.sparsity_baseline = self.factor.sparsity_stats();
             if !self.recompute_xb() {
                 return Install::Rejected;
             }
@@ -733,8 +732,8 @@ impl<'a> Revised<'a> {
 
     /// Rebuilds the factorization from the basis columns and recomputes
     /// `x_B`. Returns `false` if the basis matrix is numerically singular.
-    /// The columns are written straight into the factorization's reused
-    /// column buffer.
+    /// The columns are written straight into the column buffer of the
+    /// thread's reused refactorization workspace.
     fn refactor(&mut self) -> bool {
         let (kind, cols, basis) = (&self.kind, &self.cols, &self.basis);
         let rebuilt = self.factor.refactor_columns(self.m, |c, out| {
