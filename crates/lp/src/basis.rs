@@ -18,8 +18,7 @@
 //! *row* structure of `U`, not the full FTRAN image. Unstable replacements
 //! (tiny new diagonal relative to the spike) and a full row-eta file are
 //! declined, which makes the simplex core refactorize. The rebuild itself
-//! is `O(nnz(B) + nnz(L+U))` up to a logarithmic count-tree term, and
-//! allocates nothing per row or column.
+//! is `O(nnz(B) + nnz(L+U))` up to a logarithmic count-tree term.
 //!
 //! FTRAN of a sparse right-hand side and the pivot-row BTRAN run
 //! hyper-sparse (Gilbert–Peierls) into a [`SparseVector`] and fall back to
@@ -332,9 +331,10 @@ struct RowEta {
 /// Variable-length lists in one flat buffer: list `i` is
 /// `entries[start[i]..start[i] + len[i]]`, inside a slot of `cap[i]`
 /// entries. A list that outgrows its slot moves to the end of the buffer
-/// with room to double, so building or growing a list allocates nothing
-/// once the buffer is warm, and the order of a list's entries is exactly
-/// that of a `Vec` given the same pushes and retains.
+/// with room to double, and the order of a list's entries is exactly that
+/// of a `Vec` given the same pushes and retains. A vacated slot is not
+/// reused, so the buffer holds a list's history only up to a factor of
+/// two of its largest size; [`reset`](Self::reset) reclaims it all.
 #[derive(Clone, Debug, Default)]
 struct SlotLists<T> {
     start: Vec<usize>,
@@ -405,17 +405,15 @@ impl<T: Copy + Default> SlotLists<T> {
         self.len[i] = kept - start;
     }
 
-    fn clear_list(&mut self, i: usize) {
-        self.len[i] = 0;
-    }
-
     /// Overwrites list `i` with `new`, moving it to the end of the buffer
-    /// when it no longer fits its slot.
+    /// with room to double when it no longer fits its slot.
     fn replace(&mut self, i: usize, new: &[T]) {
         if new.len() > self.cap[i] {
-            self.start[i] = self.entries.len();
-            self.cap[i] = new.len();
+            let at = self.entries.len();
+            self.start[i] = at;
+            self.cap[i] = 2 * new.len();
             self.entries.extend_from_slice(new);
+            self.entries.resize(at + self.cap[i], T::default());
         } else {
             let at = self.start[i];
             self.entries[at..at + new.len()].copy_from_slice(new);
@@ -445,7 +443,7 @@ impl SlotLists<(usize, f64)> {
 }
 
 /// A minimum tournament tree over the active columns' counts (inactive
-/// columns hold `u32::MAX`). It plays the part of count buckets that
+/// columns hold `usize::MAX`). It plays the part of count buckets that
 /// stay ordered by column index: the minimum count is the root, and the
 /// lowest-index columns of that count are the leftmost leaves holding it.
 /// A count change walks one leaf-to-root path, stopping where the minimum
@@ -453,42 +451,29 @@ impl SlotLists<(usize, f64)> {
 #[derive(Debug, Default)]
 struct CountTree {
     leaves: usize,
-    node: Vec<u32>,
+    node: Vec<usize>,
 }
 
 impl CountTree {
     fn reset(&mut self, counts: &[usize]) {
         self.leaves = counts.len().next_power_of_two();
         self.node.clear();
-        self.node.resize(2 * self.leaves, u32::MAX);
-        for (leaf, &count) in self.node[self.leaves..].iter_mut().zip(counts) {
-            *leaf = Self::key(count);
-        }
+        self.node.resize(2 * self.leaves, usize::MAX);
+        self.node[self.leaves..self.leaves + counts.len()].copy_from_slice(counts);
         for i in (1..self.leaves).rev() {
             self.node[i] = self.node[2 * i].min(self.node[2 * i + 1]);
         }
     }
 
-    fn key(count: usize) -> u32 {
-        u32::try_from(count).expect("a column count fits in u32")
-    }
-
     fn min(&self) -> usize {
-        self.node[1] as usize
+        self.node[1]
     }
 
+    /// Sets the count of column `c`; `usize::MAX` takes it out of the
+    /// search.
     fn set(&mut self, c: usize, count: usize) {
-        self.put(c, Self::key(count));
-    }
-
-    /// Takes column `c` out of the search.
-    fn remove(&mut self, c: usize) {
-        self.put(c, u32::MAX);
-    }
-
-    fn put(&mut self, c: usize, key: u32) {
         let mut i = self.leaves + c;
-        self.node[i] = key;
+        self.node[i] = count;
         while i > 1 {
             i /= 2;
             let least = self.node[2 * i].min(self.node[2 * i + 1]);
@@ -499,16 +484,13 @@ impl CountTree {
         }
     }
 
-    /// The (at most `limit`) lowest-index columns whose count is `target`,
-    /// the current minimum, in index order: descend to the leftmost leaf
-    /// holding it, then climb to the nearest right sibling that holds it
-    /// and descend again, so neighbouring leaves cost O(1) each.
-    fn lowest(&self, target: usize, limit: usize, out: &mut Vec<usize>) {
+    /// The (at most `limit`) lowest-index columns of minimum count, in
+    /// index order: descend to the leftmost leaf holding the minimum, then
+    /// climb to the nearest right sibling that holds it and descend again,
+    /// so neighbouring leaves cost O(1) each.
+    fn lowest(&self, limit: usize, out: &mut Vec<usize>) {
         out.clear();
-        let target = Self::key(target);
-        if self.node[1] != target {
-            return;
-        }
+        let target = self.min();
         let mut i = 1;
         loop {
             while i < self.leaves {
@@ -538,12 +520,11 @@ impl CountTree {
     }
 }
 
-/// The scratch of one rebuild, kept per thread and reused by every
-/// [`ForrestTomlinLu::refactor`] on that thread: the staged basis columns,
-/// the active submatrix, the column lists, the count tree and the merge
-/// buffers. Only its capacities outlive a rebuild, so a thread holds one
-/// workspace sized for the largest basis it has factored, however many
-/// factorizations (one per market in an exchange) it serves.
+/// The scratch of one rebuild: the staged basis columns, the active
+/// submatrix, the column lists, the count tree and the merge buffers, a
+/// fixed handful of flat buffers however large the basis. It is dropped
+/// with the rebuild: kept across rebuilds (per thread), it held about
+/// 4 MB through clear-physical's pivot loops and no rebuild got faster.
 #[derive(Debug, Default)]
 struct RefactorWork {
     /// The basis columns, back to back: position `c` owns
@@ -575,10 +556,6 @@ struct RefactorWork {
     merged: Vec<(usize, f64)>,
 }
 
-thread_local! {
-    static REFACTOR_WORK: std::cell::Cell<RefactorWork> = std::cell::Cell::new(RefactorWork::default());
-}
-
 /// Markowitz-ordered sparse LU factors with Forrest–Tomlin `U`-updates.
 ///
 /// The factorization pivots on `(row, column)` pairs chosen to minimize the
@@ -599,11 +576,11 @@ thread_local! {
 /// or one of its rows changes. The tie-break is fixed — lowest cost, then
 /// largest `|v|`, then the candidate met first in column-index order — so
 /// the factors do not depend on how the search is organised. The active
-/// submatrix, column lists, count tree and merge buffers live in a
-/// per-thread workspace reused by every rebuild on that thread. The
-/// factors are flat too: `L` column- and row-wise in one buffer each, and
-/// both mirrors of `U` in slot lists that the Forrest–Tomlin update edits
-/// in place, so a rebuild allocates nothing per row or column.
+/// submatrix and its column lists live in flat slot lists, and `L` is
+/// stored flat. `U` keeps one exactly sized `Vec` per row and column,
+/// because the Forrest–Tomlin update grows and frees them one at a time
+/// (a flat `U` kept the slots its growing lists left behind, and raised
+/// clear-physical's peak RSS by half).
 ///
 /// All vectors indexed "by basis position" refer to the slot `r` of the
 /// simplex basis (`basis[r]` is the member whose column occupies position
@@ -623,9 +600,9 @@ pub struct ForrestTomlinLu {
     /// Diagonal of `U` per column uid.
     diag: Vec<f64>,
     /// Off-diagonal entries of `U`, column-wise: `ucols[j]` = `(row uid, value)`.
-    ucols: SlotLists<(usize, f64)>,
+    ucols: Vec<Vec<(usize, f64)>>,
     /// The same entries row-wise: `urows[i]` = `(column uid, value)`.
-    urows: SlotLists<(usize, f64)>,
+    urows: Vec<Vec<(usize, f64)>>,
     /// Column uids in triangular order (entry `(i, j)` of `U` requires
     /// `pos[i] ≤ pos[j]`).
     order: Vec<usize>,
@@ -651,12 +628,10 @@ pub struct ForrestTomlinLu {
     /// `step_of_row[r]` = step (= uid) that pivoted original row `r`
     /// (inverse of `prow`); drives the hyper-sparse L-phase reachability.
     step_of_row: Vec<usize>,
-    /// Row-wise mirror of `L`, laid out the same way: row `r` owns
-    /// `l_row_entries[l_row_start[r]..l_row_start[r + 1]]`, its
-    /// `(step k, value)` entries in step order (the transposed-solve
-    /// adjacency for BTRAN).
-    l_row_start: Vec<usize>,
-    l_row_entries: Vec<(usize, f64)>,
+    /// Row-wise mirror of `L`: `l_rows[r]` = `(step k, value)` for every
+    /// entry of row `r`, in step order (the transposed-solve adjacency for
+    /// BTRAN).
+    l_rows: SlotLists<(usize, f64)>,
     /// Hyper-sparse solve workspaces: two value scratches with an all-zero
     /// invariant between calls, DFS marks/stack, per-phase reach lists, and
     /// a support buffer.
@@ -708,7 +683,7 @@ impl ForrestTomlinLu {
 
     /// Row `r` of `L` (original row): `(step, multiplier)` in step order.
     fn l_row(&self, r: usize) -> &[(usize, f64)] {
-        &self.l_row_entries[self.l_row_start[r]..self.l_row_start[r + 1]]
+        &self.l_rows[r]
     }
 
     /// Forward elimination `L⁻¹` (row permutation folded in) on the dense
@@ -795,8 +770,8 @@ impl ForrestTomlinLu {
         self.l_entries.clear();
         self.prow.clear();
         self.diag.clear();
-        self.ucols.reset(0);
-        self.urows.reset(0);
+        self.ucols.clear();
+        self.urows.clear();
         self.order.clear();
         self.pos.clear();
         self.slot_of_uid.clear();
@@ -804,8 +779,7 @@ impl ForrestTomlinLu {
         self.etas.clear();
         self.eta_entries = 0;
         self.step_of_row.clear();
-        self.l_row_start.clear();
-        self.l_row_entries.clear();
+        self.l_rows.reset(0);
     }
 
     /// Density cutoff for the hyper-sparse solves: once a symbolic reach
@@ -1072,7 +1046,8 @@ impl ForrestTomlinLu {
     /// first. Only when none of them holds an entry above `SINGULAR_TOL`
     /// does the search widen to every active column, in index order. A
     /// rebuild costs `O(nnz(B) + nnz(L + U))` plus `O(log m)` per
-    /// column-count change, and allocates nothing per row or column.
+    /// column-count change; its scratch is a fixed handful of flat
+    /// buffers.
     pub fn refactor(&mut self, m: usize, cols: &[SparseColumn]) -> bool {
         assert_eq!(cols.len(), m, "one column per basis position");
         self.refactor_columns(m, |c, out| out.extend_from_slice(&cols[c]))
@@ -1086,16 +1061,13 @@ impl ForrestTomlinLu {
         m: usize,
         mut column: impl FnMut(usize, &mut Vec<(usize, f64)>),
     ) -> bool {
-        let mut work = REFACTOR_WORK.with(std::cell::Cell::take);
-        work.col_start.clear();
-        work.col_entries.clear();
+        let mut work = RefactorWork::default();
         for c in 0..m {
             work.col_start.push(work.col_entries.len());
             column(c, &mut work.col_entries);
         }
         work.col_start.push(work.col_entries.len());
         let rebuilt = self.factorize(m, &mut work);
-        REFACTOR_WORK.with(|cell| cell.set(work));
         if !rebuilt {
             self.reset_to_empty();
         }
@@ -1181,11 +1153,10 @@ impl ForrestTomlinLu {
 
         for _ in 0..m {
             // --- Markowitz pivot search ---
-            let min_count = counts.min();
-            if min_count == 0 {
+            if counts.min() == 0 {
                 return false; // numerically empty column: singular
             }
-            counts.lowest(min_count, Self::SEARCH_COLS, cand);
+            counts.lowest(Self::SEARCH_COLS, cand);
             let mut best: Option<(usize, usize, f64, usize)> = None; // (r, c, v, cost)
             let mut consider = |c: usize, best: &mut Option<(usize, usize, f64, usize)>| {
                 if !col_best_fresh[c] {
@@ -1224,7 +1195,7 @@ impl ForrestTomlinLu {
             self.l_start.push(self.l_entries.len());
             active_row[p] = false;
             active_col[q] = false;
-            counts.remove(q);
+            counts.set(q, usize::MAX);
             // the pivot row's remaining entries become row k of U (they
             // stay in the row's slot, which no later step writes)
             pivot_row.clear();
@@ -1299,31 +1270,37 @@ impl ForrestTomlinLu {
         }
         self.l_start.push(self.l_entries.len());
 
-        // finalize: U rows (slot-indexed columns) to uid space, sized by a
-        // counting pass so both mirrors fill their slots exactly
+        // finalize: U rows (slot-indexed columns) to uid space, each U row
+        // and column sized exactly by a counting pass
         self.uid_of_slot.clear();
         self.uid_of_slot.resize(m, 0);
         for (uid, &slot) in self.slot_of_uid.iter().enumerate() {
             self.uid_of_slot[slot] = uid;
         }
-        self.ucols.reset(m);
-        self.urows.reset(m);
-        for (i, (&p, &q)) in self.prow.iter().zip(&self.slot_of_uid).enumerate() {
+        col_count.clear();
+        col_count.resize(m, 0);
+        for (&p, &q) in self.prow.iter().zip(&self.slot_of_uid) {
             for &(slot, _) in &rows[p] {
                 if slot != q {
-                    self.urows.cap[i] += 1;
-                    self.ucols.cap[self.uid_of_slot[slot]] += 1;
+                    col_count[self.uid_of_slot[slot]] += 1;
                 }
             }
         }
-        self.ucols.lay_out();
-        self.urows.lay_out();
+        self.ucols.clear();
+        self.ucols
+            .extend(col_count.iter().map(|&n| Vec::with_capacity(n)));
+        self.urows.clear();
+        self.urows.extend(
+            self.prow
+                .iter()
+                .map(|&p| Vec::with_capacity(rows[p].len() - 1)),
+        );
         for (i, (&p, &q)) in self.prow.iter().zip(&self.slot_of_uid).enumerate() {
             for &(slot, v) in &rows[p] {
                 if slot != q {
                     let j = self.uid_of_slot[slot];
-                    self.urows.push_in_place(i, (j, v));
-                    self.ucols.push_in_place(j, (i, v));
+                    self.urows[i].push((j, v));
+                    self.ucols[j].push((i, v));
                 }
             }
         }
@@ -1338,28 +1315,16 @@ impl ForrestTomlinLu {
         for (k, &r) in self.prow.iter().enumerate() {
             self.step_of_row[r] = k;
         }
-        // counting sort of the L entries by row, steps ascending within a
-        // row: l_row_start[r + 1] first counts row r, then serves as its
-        // fill cursor, then shifts down one place to become the row start
-        self.l_row_start.clear();
-        self.l_row_start.resize(m + 1, 0);
+        self.l_rows.reset(m);
         for &(r, _) in &self.l_entries {
-            self.l_row_start[r + 1] += 1;
+            self.l_rows.cap[r] += 1;
         }
-        for r in 0..m {
-            self.l_row_start[r + 1] += self.l_row_start[r];
-        }
-        self.l_row_entries.clear();
-        self.l_row_entries.resize(self.l_entries.len(), (0, 0.0));
+        self.l_rows.lay_out();
         for k in 0..m {
             for &(r, lv) in &self.l_entries[self.l_start[k]..self.l_start[k + 1]] {
-                let at = &mut self.l_row_start[r];
-                self.l_row_entries[*at] = (k, lv);
-                *at += 1;
+                self.l_rows.push_in_place(r, (k, lv));
             }
         }
-        self.l_row_start.copy_within(0..m, 1);
-        self.l_row_start[0] = 0;
         true
     }
 
@@ -1647,24 +1612,24 @@ impl ForrestTomlinLu {
         }
 
         // commit: drop the old row/column t from both mirrors, install the
-        // spike as the new column t, move t to the back of the order (the
-        // row and column buffers are cleared, not freed, so the next
-        // refactor reuses them)
-        for &(j, _) in &self.urows[t] {
-            self.ucols.retain(j, |&(i, _)| i != t);
+        // spike as the new column t, move t to the back of the order
+        let old_row = std::mem::take(&mut self.urows[t]);
+        for &(j, _) in &old_row {
+            self.ucols[j].retain(|&(i, _)| i != t);
         }
-        self.urows.clear_list(t);
-        for &(i, _) in &self.ucols[t] {
-            self.urows.retain(i, |&(j, _)| j != t);
+        let old_col = std::mem::take(&mut self.ucols[t]);
+        for &(i, _) in &old_col {
+            self.urows[i].retain(|&(j, _)| j != t);
         }
-        self.ucols.clear_list(t);
+        let mut newcol: Vec<(usize, f64)> = Vec::new();
         for i in support {
             let v = s[i];
             if i != t && v.abs() > Self::DROP_TOL {
-                self.ucols.push(t, (i, v));
-                self.urows.push(i, (t, v));
+                newcol.push((i, v));
+                self.urows[i].push((t, v));
             }
         }
+        self.ucols[t] = newcol;
         self.diag[t] = d;
         let p = self.pos[t];
         self.order.remove(p);

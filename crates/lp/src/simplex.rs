@@ -732,8 +732,8 @@ impl<'a> Revised<'a> {
 
     /// Rebuilds the factorization from the basis columns and recomputes
     /// `x_B`. Returns `false` if the basis matrix is numerically singular.
-    /// The columns are written straight into the column buffer of the
-    /// thread's reused refactorization workspace.
+    /// The columns are written straight into the rebuild's one column
+    /// buffer, not collected as a `Vec` per column.
     fn refactor(&mut self) -> bool {
         let (kind, cols, basis) = (&self.kind, &self.cols, &self.basis);
         let rebuilt = self.factor.refactor_columns(self.m, |c, out| {
