@@ -353,6 +353,13 @@ impl<T> std::ops::Index<usize> for SlotLists<T> {
 
 impl<T: Copy + Default> SlotLists<T> {
     /// `n` empty lists of capacity 0: set `cap`, then [`lay_out`](Self::lay_out).
+    fn new(n: usize) -> Self {
+        let mut lists = SlotLists::default();
+        lists.reset(n);
+        lists
+    }
+
+    /// Empties `self` into `n` lists of capacity 0, keeping the buffers.
     fn reset(&mut self, n: usize) {
         for v in [&mut self.start, &mut self.len, &mut self.cap] {
             v.clear();
@@ -448,21 +455,20 @@ impl SlotLists<(usize, f64)> {
 /// lowest-index columns of that count are the leftmost leaves holding it.
 /// A count change walks one leaf-to-root path, stopping where the minimum
 /// no longer changes.
-#[derive(Debug, Default)]
 struct CountTree {
     leaves: usize,
     node: Vec<usize>,
 }
 
 impl CountTree {
-    fn reset(&mut self, counts: &[usize]) {
-        self.leaves = counts.len().next_power_of_two();
-        self.node.clear();
-        self.node.resize(2 * self.leaves, usize::MAX);
-        self.node[self.leaves..self.leaves + counts.len()].copy_from_slice(counts);
-        for i in (1..self.leaves).rev() {
-            self.node[i] = self.node[2 * i].min(self.node[2 * i + 1]);
+    fn new(counts: &[usize]) -> Self {
+        let leaves = counts.len().next_power_of_two();
+        let mut node = vec![usize::MAX; 2 * leaves];
+        node[leaves..leaves + counts.len()].copy_from_slice(counts);
+        for i in (1..leaves).rev() {
+            node[i] = node[2 * i].min(node[2 * i + 1]);
         }
+        CountTree { leaves, node }
     }
 
     fn min(&self) -> usize {
@@ -518,42 +524,6 @@ impl CountTree {
             }
         }
     }
-}
-
-/// The scratch of one rebuild: the staged basis columns, the active
-/// submatrix, the column lists, the count tree and the merge buffers, a
-/// fixed handful of flat buffers however large the basis. It is dropped
-/// with the rebuild: kept across rebuilds (per thread), it held about
-/// 4 MB through clear-physical's pivot loops and no rebuild got faster.
-#[derive(Debug, Default)]
-struct RefactorWork {
-    /// The basis columns, back to back: position `c` owns
-    /// `col_entries[col_start[c]..col_start[c + 1]]`.
-    col_start: Vec<usize>,
-    col_entries: Vec<(usize, f64)>,
-    /// Active rows, `(column, value)` sorted by column.
-    rows: SlotLists<(usize, f64)>,
-    /// Candidate rows per column, with lazy deletion.
-    col_rows: SlotLists<usize>,
-    /// Active entries per column.
-    col_count: Vec<usize>,
-    active_row: Vec<bool>,
-    active_col: Vec<bool>,
-    counts: CountTree,
-    /// The minimum-count candidates of one pivot search, and the active
-    /// entries of the column being examined.
-    cand: Vec<usize>,
-    col_vals: Vec<(usize, f64)>,
-    /// Each column's last [`ForrestTomlinLu::best_in_col`] answer, reused
-    /// while `col_best_fresh` holds: an answer depends only on the
-    /// column's entries and count and on the lengths of its rows, so it
-    /// goes stale when the column is in a pivot row or one of its rows
-    /// changes length in a merge.
-    col_best: Vec<Option<(usize, f64, usize)>>,
-    col_best_fresh: Vec<bool>,
-    /// The pivot row without its pivot entry, and one merged row.
-    pivot_row: Vec<(usize, f64)>,
-    merged: Vec<(usize, f64)>,
 }
 
 /// Markowitz-ordered sparse LU factors with Forrest–Tomlin `U`-updates.
@@ -1061,13 +1031,16 @@ impl ForrestTomlinLu {
         m: usize,
         mut column: impl FnMut(usize, &mut Vec<(usize, f64)>),
     ) -> bool {
-        let mut work = RefactorWork::default();
+        // the basis columns, back to back: position `c` owns
+        // `entries[start[c]..start[c + 1]]`
+        let mut start = Vec::with_capacity(m + 1);
+        let mut entries = Vec::new();
         for c in 0..m {
-            work.col_start.push(work.col_entries.len());
-            column(c, &mut work.col_entries);
+            start.push(entries.len());
+            column(c, &mut entries);
         }
-        work.col_start.push(work.col_entries.len());
-        let rebuilt = self.factorize(m, &mut work);
+        start.push(entries.len());
+        let rebuilt = self.factorize(m, &start, &entries);
         if !rebuilt {
             self.reset_to_empty();
         }
@@ -1075,9 +1048,12 @@ impl ForrestTomlinLu {
     }
 
     /// The Markowitz elimination of [`refactor`](Self::refactor) over the
-    /// columns staged in `work`; `false` means singular (the caller empties
-    /// the factorization).
-    fn factorize(&mut self, m: usize, work: &mut RefactorWork) -> bool {
+    /// columns laid out as in [`refactor_columns`](Self::refactor_columns);
+    /// `false` means singular (the caller empties the factorization). Its
+    /// scratch is a fixed handful of flat buffers, dropped on return: kept
+    /// per thread across rebuilds, it held about 4 MB through
+    /// clear-physical's pivot loops and no rebuild got faster.
+    fn factorize(&mut self, m: usize, col_start: &[usize], col_entries: &[(usize, f64)]) -> bool {
         self.m = m;
         self.etas.clear();
         self.eta_entries = 0;
@@ -1086,28 +1062,12 @@ impl ForrestTomlinLu {
         self.slot_of_uid.clear();
         self.l_start.clear();
         self.l_entries.clear();
-        let RefactorWork {
-            col_start,
-            col_entries,
-            rows,
-            col_rows,
-            col_count,
-            active_row,
-            active_col,
-            counts,
-            cand,
-            col_vals,
-            col_best,
-            col_best_fresh,
-            pivot_row,
-            merged,
-        } = work;
 
         // Active rows hold (column, value) sorted by column: one pass sizes
         // each row's slot, a second fills it column by column, summing
         // entries that repeat a row within one column.
-        rows.reset(m);
-        for &(r, v) in col_entries.iter() {
+        let mut rows = SlotLists::new(m);
+        for &(r, v) in col_entries {
             if v != 0.0 {
                 rows.cap[r] += 1;
             }
@@ -1125,43 +1085,52 @@ impl ForrestTomlinLu {
         // use, and only rows that left the active submatrix are compacted
         // away, so the order of the valid entries is exactly their order
         // of arrival.
-        col_count.clear();
-        col_count.resize(m, 0);
+        let mut col_count = vec![0usize; m];
         for r in 0..m {
             rows.retain(r, |e| e.1 != 0.0);
             for &(c, _) in &rows[r] {
                 col_count[c] += 1;
             }
         }
-        col_rows.reset(m);
-        col_rows.cap.copy_from_slice(col_count);
+        let mut col_rows = SlotLists::new(m);
+        col_rows.cap.copy_from_slice(&col_count);
         col_rows.lay_out();
         for r in 0..m {
             for &(c, _) in &rows[r] {
                 col_rows.push_in_place(c, r);
             }
         }
-        active_row.clear();
-        active_row.resize(m, true);
-        active_col.clear();
-        active_col.resize(m, true);
-        col_best.clear();
-        col_best.resize(m, None);
-        col_best_fresh.clear();
-        col_best_fresh.resize(m, false);
-        counts.reset(col_count);
+        let mut active_row = vec![true; m];
+        let mut active_col = vec![true; m];
+        let mut counts = CountTree::new(&col_count);
+        // Each column's last best_in_col answer, reused while fresh: an
+        // answer depends only on the column's entries and count and on the
+        // lengths of its rows, so it goes stale when the column is in a
+        // pivot row or one of its rows changes length in a merge.
+        let mut col_best: Vec<Option<(usize, f64, usize)>> = vec![None; m];
+        let mut col_best_fresh = vec![false; m];
+        let mut cand = Vec::with_capacity(Self::SEARCH_COLS);
+        let mut col_vals = Vec::new(); // the active entries of one column
+        let mut pivot_row = Vec::new(); // without its pivot entry
+        let mut merged = Vec::new();
 
         for _ in 0..m {
             // --- Markowitz pivot search ---
             if counts.min() == 0 {
                 return false; // numerically empty column: singular
             }
-            counts.lowest(Self::SEARCH_COLS, cand);
+            counts.lowest(Self::SEARCH_COLS, &mut cand);
             let mut best: Option<(usize, usize, f64, usize)> = None; // (r, c, v, cost)
             let mut consider = |c: usize, best: &mut Option<(usize, usize, f64, usize)>| {
                 if !col_best_fresh[c] {
-                    col_best[c] =
-                        Self::best_in_col(rows, col_rows, active_row, col_count[c], c, col_vals);
+                    col_best[c] = Self::best_in_col(
+                        &rows,
+                        &col_rows,
+                        &active_row,
+                        col_count[c],
+                        c,
+                        &mut col_vals,
+                    );
                     col_best_fresh[c] = true;
                 }
                 if let Some((r, v, cost)) = col_best[c] {
@@ -1259,7 +1228,7 @@ impl ForrestTomlinLu {
                         col_best_fresh[c] = false;
                     }
                 }
-                rows.replace(r, merged);
+                rows.replace(r, &merged);
             }
             // only the pivot row's columns changed entries or count in this
             // step
