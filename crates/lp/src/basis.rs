@@ -1025,7 +1025,7 @@ impl ForrestTomlinLu {
 
     /// [`refactor`](Self::refactor) with the basis columns written by
     /// `column(c, out)`, which appends the `(row, value)` entries of the
-    /// member at position `c` to `out` (the workspace's one column buffer).
+    /// member at position `c` to `out` (one buffer for all positions).
     pub(crate) fn refactor_columns(
         &mut self,
         m: usize,
