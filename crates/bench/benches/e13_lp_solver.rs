@@ -21,10 +21,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssa_lp::basis::SparseColumn;
-use ssa_lp::column_generation::{ColumnGeneration, GeneratedColumn, MasterProblem};
-use ssa_lp::{
-    dense, solve, ForrestTomlinLu, LinearProgram, LpStatus, Relation, Sense, SimplexOptions,
-};
+use ssa_lp::column_generation::{GeneratedColumn, MasterProblem};
+use ssa_lp::{dense, solve, ForrestTomlinLu, LinearProgram, LpStatus, Relation, Sense};
 use std::time::Duration;
 
 /// Random sparse packing LP: `cols` variables, `cols / 2` coupling rows
@@ -106,20 +104,20 @@ impl KnapsackInstance {
 
     /// Column generation with warm-started master re-solves (the default).
     fn run_warm(&self) -> f64 {
-        let cg = ColumnGeneration::default();
         let mut master = self.master();
         let mut source = |duals: &[f64]| self.best_column(duals);
-        let result = cg.run(&mut master, &mut source).expect("cg failed");
+        let result = master
+            .generate_columns(&mut source, 200)
+            .expect("cg failed");
         result.solution.objective
     }
 
     /// The same pricing loop with every master re-solve from a cold start
     /// (the seed behavior).
     fn run_cold(&self) -> f64 {
-        let options = SimplexOptions::default();
         let mut master = self.master();
         loop {
-            let solution = master.solve(&options);
+            let solution = master.solve();
             assert_eq!(solution.status, LpStatus::Optimal);
             let mut added = false;
             for col in self.best_column(&solution.duals) {
@@ -138,8 +136,7 @@ fn bench_e13(c: &mut Criterion) {
     let mut group = c.benchmark_group("e13_lp_solver");
     for &n in &[50usize, 200, 800, 2000] {
         let lp = random_packing_lp(77 + n as u64, n);
-        let options = SimplexOptions::default();
-        let revised = solve(&lp, &options);
+        let revised = solve(&lp);
         assert_eq!(revised.status, LpStatus::Optimal, "grid LP must be bounded");
         // The counters make the (smoke) run prove which path executed: the
         // solve must record indexed solves with genuinely sparse results.
@@ -157,7 +154,7 @@ fn bench_e13(c: &mut Criterion) {
         // 1200 rows) a single solve would dominate the whole bench, so it is
         // checked and timed only up to n = 200.
         if n <= 200 {
-            let d = dense::solve(&lp, &options);
+            let d = dense::solve(&lp);
             assert_eq!(d.status, LpStatus::Optimal);
             assert!(
                 (d.objective - revised.objective).abs() < 1e-6 * (1.0 + revised.objective.abs()),
@@ -166,11 +163,11 @@ fn bench_e13(c: &mut Criterion) {
                 revised.objective
             );
             group.bench_with_input(BenchmarkId::new("dense", n), &lp, |b, lp| {
-                b.iter(|| dense::solve(lp, &options))
+                b.iter(|| dense::solve(lp))
             });
         }
         group.bench_with_input(BenchmarkId::new("revised", n), &lp, |b, lp| {
-            b.iter(|| solve(lp, &options))
+            b.iter(|| solve(lp))
         });
 
         if n >= 2000 {

@@ -19,9 +19,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssa_bench::table::Table;
-use ssa_lp::{
-    solve, solve_with_warm_start, LinearProgram, LpStatus, Relation, Sense, SimplexOptions,
-};
+use ssa_lp::{solve, solve_with_warm_start, LinearProgram, LpStatus, Relation, Sense};
 use std::time::Instant;
 
 const SEEDS: [u64; 5] = [77, 1234, 5150, 90210, 424242];
@@ -79,21 +77,20 @@ fn reopt_sweep(smoke: bool) -> Table {
         "warm solve after row additions vs cold re-solve (multi-seed medians)",
         &["n", "rows", "dual_ms", "cold_ms"],
     );
-    let options = SimplexOptions::default();
     for &(n, extra) in &cells {
         let mut dual_times = Vec::new();
         let mut cold_times = Vec::new();
         let mut dual_pivots = 0usize;
         for &seed in &SEEDS {
             let base = random_packing_lp(seed + n as u64, n);
-            let (first, state) = solve_with_warm_start(&base, &options, None);
+            let (first, state) = solve_with_warm_start(&base, None);
             assert_eq!(first.status, LpStatus::Optimal);
             let grown = with_extra_rows(&base, seed ^ 0x5a5a, extra);
             let t0 = Instant::now();
-            let cold = solve(&grown, &options);
+            let cold = solve(&grown);
             cold_times.push(t0.elapsed().as_secs_f64() * 1e3);
             let t0 = Instant::now();
-            let (re, _) = solve_with_warm_start(&grown, &options, Some(state));
+            let (re, _) = solve_with_warm_start(&grown, Some(state));
             dual_times.push(t0.elapsed().as_secs_f64() * 1e3);
             dual_pivots += re.stats.dual_pivots;
             assert_eq!(re.status, cold.status);

@@ -15,7 +15,7 @@
 
 use crate::allocation::Allocation;
 use crate::instance::AuctionInstance;
-use ssa_lp::{solve_with_warm_start, LinearProgram, Relation, Sense, SimplexOptions, WarmStart};
+use ssa_lp::{solve_with_warm_start, LinearProgram, Relation, Sense, WarmStart};
 
 /// Result of the edge-based LP baseline.
 #[derive(Clone, Debug)]
@@ -69,7 +69,7 @@ fn edge_lp_single_channel(
     // channel's columns, and rejects the basis entirely (cold start) when it
     // does not fit or is singular here.
     let seed = warm.map(WarmStart::into_basis_only);
-    let (sol, state) = solve_with_warm_start(&lp, &SimplexOptions::default(), seed);
+    let (sol, state) = solve_with_warm_start(&lp, seed);
     (sol.x, sol.objective, sol.stats.simplex_iterations, state)
 }
 

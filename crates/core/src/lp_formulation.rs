@@ -33,8 +33,7 @@ use crate::session::AuctionSession;
 use crate::solver::{SolveError, SolverBuilder};
 use serde::{Deserialize, Serialize};
 use ssa_lp::{
-    is_native_tag, GeneratedColumn, LpStatus, MasterProblem, Relation, Sense, SimplexOptions,
-    SolveStats,
+    is_native_tag, GeneratedColumn, LpStatus, MasterProblem, Relation, Sense, SolveStats,
 };
 
 /// Entries with `x` at or below this threshold are dropped from the
@@ -344,7 +343,7 @@ fn solve_enumerated(instance: &AuctionInstance) -> Result<FractionalAssignment, 
             }
         }
     }
-    let solution = master.solve(&SimplexOptions::default());
+    let solution = master.solve();
     let status = solution.status;
     let converged = status == LpStatus::Optimal;
     let info = RelaxationInfo::from_solution(&solution, 1, master.num_columns());
@@ -363,8 +362,8 @@ pub(crate) fn extract(
     let mut entries = Vec::new();
     let mut objective = 0.0;
     if solution.status == LpStatus::Optimal || solution.status == LpStatus::IterationLimit {
-        for (idx, col) in master.columns().iter().enumerate() {
-            if !is_native_tag(col.tag) {
+        for (idx, &tag) in master.tags().iter().enumerate() {
+            if !is_native_tag(tag) {
                 // Solver-internal columns assign nothing: relief columns
                 // carry deactivated rows, dead tombstones are departed
                 // bidders' retired bundles.
@@ -372,7 +371,7 @@ pub(crate) fn extract(
             }
             let x = solution.x.get(idx).copied().unwrap_or(0.0);
             if x > SUPPORT_TOLERANCE {
-                let (bidder, bundle) = decode_column_tag(col.tag);
+                let (bidder, bundle) = decode_column_tag(tag);
                 let value = instance.value(bidder, bundle);
                 objective += value * x;
                 entries.push(FractionalEntry {

@@ -55,8 +55,8 @@ use crate::valuation::Valuation;
 use serde::{Deserialize, Serialize};
 use ssa_conflict_graph::{ConflictGraph, VertexOrdering, WeightedConflictGraph};
 use ssa_lp::{
-    is_native_tag, ColumnGeneration, ColumnGenerationError, ColumnSource, GeneratedColumn,
-    MasterProblem, Relation, Sense, SimplexOptions,
+    is_native_tag, ColumnGenerationError, ColumnSource, GeneratedColumn, MasterProblem, Relation,
+    Sense,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -699,15 +699,15 @@ impl AuctionSession {
             // `(u − 1, T)` has been vacated by the time it is assigned.
             let mut to_fix: Vec<usize> = Vec::new();
             let mut retags: Vec<(usize, u64, u64)> = Vec::new();
-            for (idx, col) in master.columns().iter().enumerate() {
-                if !is_native_tag(col.tag) {
+            for (idx, &tag) in master.tags().iter().enumerate() {
+                if !is_native_tag(tag) {
                     continue;
                 }
-                let (u, bundle) = decode_column_tag(col.tag);
+                let (u, bundle) = decode_column_tag(tag);
                 if u == bidder {
                     to_fix.push(idx);
                 } else if u > bidder {
-                    retags.push((idx, col.tag, column_tag(u - 1, bundle)));
+                    retags.push((idx, tag, column_tag(u - 1, bundle)));
                 }
             }
             master.fix_columns(&to_fix);
@@ -809,14 +809,14 @@ impl AuctionSession {
                 .as_mut()
                 .expect("checked by can_grow_incrementally");
             let repriced: Vec<(usize, f64)> = master
-                .columns()
+                .tags()
                 .iter()
                 .enumerate()
-                .filter_map(|(idx, col)| {
-                    if !is_native_tag(col.tag) {
+                .filter_map(|(idx, &tag)| {
+                    if !is_native_tag(tag) {
                         return None;
                     }
-                    let (u, bundle) = decode_column_tag(col.tag);
+                    let (u, bundle) = decode_column_tag(tag);
                     changed
                         .contains(&u)
                         .then(|| (idx, self.instance.value(u, bundle)))
@@ -909,10 +909,10 @@ impl AuctionSession {
     fn invalidate_master(&mut self) {
         if let Some(master) = self.master.take() {
             self.seeds = master
-                .columns()
+                .tags()
                 .iter()
-                .filter(|c| is_native_tag(c.tag))
-                .map(|c| decode_column_tag(c.tag))
+                .filter(|&&tag| is_native_tag(tag))
+                .map(|&tag| decode_column_tag(tag))
                 .collect();
         }
         self.row_vj.clear();
@@ -942,11 +942,11 @@ impl AuctionSession {
             // future columns will carry their coefficients as usual. One
             // pass over the column list fills all k rows' coefficients.
             let mut per_channel: Vec<Vec<(usize, f64)>> = vec![Vec::new(); k];
-            for (idx, col) in master.columns().iter().enumerate() {
-                if !is_native_tag(col.tag) {
+            for (idx, &tag) in master.tags().iter().enumerate() {
+                if !is_native_tag(tag) {
                     continue; // relief / tombstoned columns assign nothing
                 }
-                let (u, bundle) = decode_column_tag(col.tag);
+                let (u, bundle) = decode_column_tag(tag);
                 for j in bundle.iter() {
                     let w = self.instance.conflicts.symmetric_weight(u, v, j);
                     if w > 0.0 {
@@ -1018,7 +1018,7 @@ impl AuctionSession {
                         // rows land.
                         self.stats.mixed_batch_repairs += 1;
                         let master = self.master.as_mut().expect("master exists on this path");
-                        let _ = master.solve_warm(&SimplexOptions::default());
+                        let _ = master.solve_warm();
                     }
                     self.materialize_staged_rows();
                     (self.run_column_generation()?, SessionPath::WarmRows)
@@ -1183,19 +1183,15 @@ impl AuctionSession {
             row_vj: &self.row_vj,
             row_bidder: &self.row_bidder,
         };
-        let cg = ColumnGeneration {
-            max_rounds: self.options.max_pricing_rounds,
-            ..Default::default()
-        };
         // Bundle-column count and churn attribution: dead tombstones and
         // relief columns are solver plumbing, not assignments.
         let native_columns =
-            |m: &MasterProblem| m.columns().iter().filter(|c| is_native_tag(c.tag)).count();
+            |m: &MasterProblem| m.tags().iter().filter(|&&tag| is_native_tag(tag)).count();
         let churn = |m: &MasterProblem, info: &mut RelaxationInfo| {
             info.rows_deactivated = m.rows_deactivated();
             info.compactions = m.compactions();
         };
-        let result = match cg.run(master, &mut oracle) {
+        let result = match master.generate_columns(&mut oracle, self.options.max_pricing_rounds) {
             Ok(result) => result,
             Err(ColumnGenerationError::IterationLimit { partial }) => {
                 let rounds = partial.rounds;

@@ -22,7 +22,6 @@ use crate::lp_formulation::{
 };
 use crate::rounding::{round_binary, round_weighted_partial, RoundingOptions, RoundingStats};
 use crate::session::AuctionSession;
-use ssa_lp::ColumnGeneration;
 
 /// Typed failure of the solving pipeline, returned by the fallible entry
 /// points: the session's [`AuctionSession::resolve`] and
@@ -99,10 +98,11 @@ impl std::error::Error for SolveError {}
 /// # let _ = solver;
 /// ```
 ///
-/// Everything else the pipeline reads is fixed: masters solve with
-/// `SimplexOptions::default()` and `ColumnGeneration::default()`'s
-/// reduced-cost tolerance, and the support tolerance and the session's
-/// compaction threshold are constants of the modules that read them.
+/// Everything else the pipeline reads is fixed: the LP engine's
+/// tolerances, stall threshold, refactor interval and pivot budget and the
+/// master's reduced-cost tolerance are constants of `ssa_lp`, and the
+/// support tolerance and the session's compaction threshold are constants
+/// of the modules that read them.
 #[derive(Clone, Debug)]
 pub struct SolverBuilder {
     pub(crate) rounding: RoundingOptions,
@@ -115,7 +115,7 @@ impl Default for SolverBuilder {
     fn default() -> Self {
         SolverBuilder {
             rounding: RoundingOptions::default(),
-            max_pricing_rounds: ColumnGeneration::default().max_rounds,
+            max_pricing_rounds: 200,
             seed_top_bundles: 4,
             enumerate_all_bundles: false,
         }
@@ -156,7 +156,7 @@ impl SolverBuilder {
     }
 
     /// Caps the number of column-generation pricing rounds per relaxation
-    /// solve.
+    /// solve (default 200).
     pub fn max_pricing_rounds(mut self, rounds: usize) -> Self {
         self.max_pricing_rounds = rounds;
         self

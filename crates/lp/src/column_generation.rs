@@ -10,7 +10,7 @@
 //! at the bidder-specific channel prices `p_{v,j} = Σ_{u : v ∈ Γπ(u)} y_{u,j}`
 //! derived from the dual (2) of the paper.
 //!
-//! The same loop ([`ColumnGeneration::run`]) drives the Lavi–Swamy
+//! The same loop ([`MasterProblem::generate_columns`]) drives the Lavi–Swamy
 //! decomposition (Section 5), whose master is a covering LP and whose
 //! pricing oracle is the approximation algorithm itself.
 //!
@@ -29,8 +29,7 @@
 use crate::basis::ForrestTomlinLu;
 use crate::problem::{LinearProgram, Relation, Sense};
 use crate::simplex::{
-    solve, solve_with_warm_start, BasisVar, LpSolution, LpStatus, SimplexOptions, SolveStats,
-    WarmStart,
+    solve_limited, BasisVar, Limits, LpSolution, LpStatus, SolveStats, WarmStart,
 };
 use serde::{Deserialize, Serialize};
 
@@ -61,6 +60,9 @@ pub fn is_relief_tag(tag: u64) -> bool {
     tag >= ROW_RELIEF_TAG_BASE
 }
 
+/// Reduced cost a generated column must beat to count as improving.
+const REDUCED_COST_TOLERANCE: f64 = 1e-7;
+
 /// A column produced by a pricing oracle.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct GeneratedColumn {
@@ -81,11 +83,11 @@ impl GeneratedColumn {
         self.objective - priced
     }
 
-    fn is_improving(&self, duals: &[f64], sense: Sense, tolerance: f64) -> bool {
+    fn is_improving(&self, duals: &[f64], sense: Sense) -> bool {
         let rc = self.reduced_cost(duals);
         match sense {
-            Sense::Maximize => rc > tolerance,
-            Sense::Minimize => rc < -tolerance,
+            Sense::Maximize => rc > REDUCED_COST_TOLERANCE,
+            Sense::Minimize => rc < -REDUCED_COST_TOLERANCE,
         }
     }
 }
@@ -111,13 +113,17 @@ where
 /// columns.
 #[derive(Clone, Debug)]
 pub struct MasterProblem {
-    rows: Vec<(Relation, f64)>,
-    columns: Vec<GeneratedColumn>,
-    seen_tags: std::collections::HashSet<u64>,
     /// The master LP, maintained incrementally: [`MasterProblem::add_column`]
     /// appends a variable and its coefficients instead of rebuilding the
-    /// whole program on every solve.
+    /// whole program on every solve. It is the master's only copy of its
+    /// rows and columns.
     lp: LinearProgram,
+    /// Tag per column (column index == variable index of `lp`).
+    tags: Vec<u64>,
+    seen_tags: std::collections::HashSet<u64>,
+    /// Pivot limits of every master solve; [`Limits::DEFAULT`] outside
+    /// this crate's tests.
+    limits: Limits,
     /// Basis of the most recent [`MasterProblem::solve_warm`]: columns are
     /// appended nonbasic and rows are appended after the recorded ones, so
     /// the previous optimal basis stays valid, as a row prefix once rows
@@ -154,14 +160,14 @@ impl MasterProblem {
     /// `(relation, rhs)`; initially it has no columns.
     pub fn new(sense: Sense, rows: Vec<(Relation, f64)>) -> Self {
         let mut lp = LinearProgram::new(sense);
-        for &(rel, rhs) in &rows {
+        for (rel, rhs) in rows {
             lp.add_constraint(Vec::new(), rel, rhs);
         }
         MasterProblem {
-            rows,
-            columns: Vec::new(),
-            seen_tags: std::collections::HashSet::new(),
             lp,
+            tags: Vec::new(),
+            seen_tags: std::collections::HashSet::new(),
+            limits: Limits::DEFAULT,
             warm: None,
             next_dead_tag: DEAD_COLUMN_TAG_BASE,
             next_relief_tag: ROW_RELIEF_TAG_BASE,
@@ -172,17 +178,12 @@ impl MasterProblem {
 
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// The rows `(relation, rhs)` this master was built with.
-    pub fn rows(&self) -> &[(Relation, f64)] {
-        &self.rows
+        self.lp.num_constraints()
     }
 
     /// Number of columns added so far.
     pub fn num_columns(&self) -> usize {
-        self.columns.len()
+        self.tags.len()
     }
 
     /// Whether a column with this tag has already been added.
@@ -190,10 +191,10 @@ impl MasterProblem {
         self.seen_tags.contains(&tag)
     }
 
-    /// The columns added so far, in insertion order (their index is the
+    /// The tag of each column, in column order (a column's index is its
     /// variable index in the solved LP).
-    pub fn columns(&self) -> &[GeneratedColumn] {
-        &self.columns
+    pub fn tags(&self) -> &[u64] {
+        &self.tags
     }
 
     /// Adds a column unless one with the same tag has already been added.
@@ -203,13 +204,13 @@ impl MasterProblem {
             return false;
         }
         for &(r, _) in &column.coeffs {
-            assert!(r < self.rows.len(), "column references unknown row {r}");
+            assert!(r < self.num_rows(), "column references unknown row {r}");
         }
         let var = self.lp.add_variable(column.objective);
         for &(r, a) in &column.coeffs {
             self.lp.add_coefficient(r, var, a);
         }
-        self.columns.push(column);
+        self.tags.push(column.tag);
         true
     }
 
@@ -227,7 +228,6 @@ impl MasterProblem {
     /// # Panics
     /// Panics if `index` is not an existing column.
     pub fn set_column_objective(&mut self, index: usize, objective: f64) {
-        self.columns[index].objective = objective;
         // column index == variable index by construction
         self.lp.set_objective_coefficient(index, objective);
     }
@@ -245,12 +245,10 @@ impl MasterProblem {
     /// scratch. Returns the new row's index.
     pub fn add_row(&mut self, relation: Relation, rhs: f64, coeffs: Vec<(usize, f64)>) -> usize {
         for &(c, _) in &coeffs {
-            assert!(c < self.columns.len(), "row references unknown column {c}");
+            assert!(c < self.tags.len(), "row references unknown column {c}");
         }
         // column index == variable index by construction
-        let row = self.lp.add_constraint(coeffs, relation, rhs);
-        self.rows.push((relation, rhs));
-        row
+        self.lp.add_constraint(coeffs, relation, rhs)
     }
 
     // -- row / column lifecycle --------------------------------------------
@@ -269,25 +267,12 @@ impl MasterProblem {
     /// Panics if a row does not exist, is already deactivated, or is an
     /// equality row.
     pub fn deactivate_rows(&mut self, rows: &[usize]) {
-        let relief = self.lp.deactivate_rows(rows);
-        for (&row, var) in rows.iter().zip(relief) {
-            debug_assert_eq!(var, self.columns.len(), "column/variable alignment");
-            // Mirror the exact coefficient the LP layer just appended (the
-            // relief variable has the highest index, so it sorts last)
-            // instead of re-deriving the sign convention here.
-            let &(relief_var, sign) = self.lp.constraints()[row]
-                .coeffs
-                .last()
-                .expect("the LP layer appended the relief coefficient");
-            debug_assert_eq!(relief_var, var, "relief coefficient sorts last");
+        for var in self.lp.deactivate_rows(rows) {
+            debug_assert_eq!(var, self.tags.len(), "column/variable alignment");
             let tag = self.next_relief_tag;
             self.next_relief_tag += 1;
             self.seen_tags.insert(tag);
-            self.columns.push(GeneratedColumn {
-                objective: 0.0,
-                coeffs: vec![(row, sign)],
-                tag,
-            });
+            self.tags.push(tag);
         }
         self.rows_deactivated += rows.len();
     }
@@ -308,21 +293,20 @@ impl MasterProblem {
     pub fn fix_columns(&mut self, cols: &[usize]) {
         for &idx in cols {
             assert!(
-                !is_relief_tag(self.columns[idx].tag),
+                !is_relief_tag(self.tags[idx]),
                 "column {idx} is the relief column of a deactivated row and cannot be fixed"
             );
         }
         self.lp.fix_variables_at_zero(cols);
         for &idx in cols {
-            let col = &mut self.columns[idx];
-            if col.tag >= DEAD_COLUMN_TAG_BASE {
+            let tag = &mut self.tags[idx];
+            if *tag >= DEAD_COLUMN_TAG_BASE {
                 continue; // already tombstoned
             }
-            self.seen_tags.remove(&col.tag);
-            col.objective = 0.0;
-            col.tag = self.next_dead_tag;
+            self.seen_tags.remove(tag);
+            *tag = self.next_dead_tag;
             self.next_dead_tag += 1;
-            self.seen_tags.insert(col.tag);
+            self.seen_tags.insert(*tag);
         }
     }
 
@@ -333,7 +317,7 @@ impl MasterProblem {
     /// Panics if the column does not exist or the new tag is already held
     /// by a different column.
     pub fn set_column_tag(&mut self, index: usize, tag: u64) {
-        let old = self.columns[index].tag;
+        let old = self.tags[index];
         if old == tag {
             return;
         }
@@ -343,7 +327,7 @@ impl MasterProblem {
         );
         self.seen_tags.remove(&old);
         self.seen_tags.insert(tag);
-        self.columns[index].tag = tag;
+        self.tags[index] = tag;
     }
 
     /// Whether master row `i` is still active.
@@ -370,9 +354,9 @@ impl MasterProblem {
     /// Fraction of the master occupied by deadweight: deactivated rows plus
     /// dead (fixed / relief) columns over all rows + columns.
     pub fn deadweight_fraction(&self) -> f64 {
-        let dead_rows = self.rows.len() - self.lp.num_active_rows();
+        let dead_rows = self.num_rows() - self.lp.num_active_rows();
         let dead_cols = self.lp.num_dead_variables();
-        let total = self.rows.len() + self.columns.len();
+        let total = self.num_rows() + self.num_columns();
         if total == 0 {
             0.0
         } else {
@@ -381,7 +365,7 @@ impl MasterProblem {
     }
 
     /// Physically removes deactivated rows and dead columns, remapping the
-    /// surviving columns' coefficients and — when every recorded basis
+    /// surviving columns' tags and — when every recorded basis
     /// member survives the remap — the warm-start basis (basis identities
     /// only; the factorization is rebuilt from the compacted matrix on the
     /// next solve, which validates it through the ordinary warm-start
@@ -390,37 +374,15 @@ impl MasterProblem {
     pub fn compact(&mut self) -> CompactionReport {
         let old_warm = self.warm.take();
         let maps = self.lp.compact();
-        let mut new_rows = Vec::with_capacity(self.lp.num_constraints());
-        for (i, &row) in self.rows.iter().enumerate() {
-            if maps.row_map[i].is_some() {
-                new_rows.push(row);
-            }
-        }
-        self.rows = new_rows;
-        let mut new_columns = Vec::with_capacity(self.lp.num_variables());
-        for (j, col) in self.columns.iter().enumerate() {
-            if maps.var_map[j].is_none() {
-                continue;
-            }
-            let coeffs: Vec<(usize, f64)> = col
-                .coeffs
-                .iter()
-                .filter_map(|&(r, a)| maps.row_map[r].map(|nr| (nr, a)))
-                .collect();
-            new_columns.push(GeneratedColumn {
-                objective: col.objective,
-                coeffs,
-                tag: col.tag,
-            });
-        }
-        self.columns = new_columns;
-        self.seen_tags = self.columns.iter().map(|c| c.tag).collect();
-        debug_assert_eq!(self.columns.len(), self.lp.num_variables());
-        debug_assert_eq!(self.rows.len(), self.lp.num_constraints());
+        self.tags = (self.tags.iter().zip(&maps.var_map))
+            .filter_map(|(&tag, new)| new.map(|_| tag))
+            .collect();
+        self.seen_tags = self.tags.iter().copied().collect();
+        debug_assert_eq!(self.tags.len(), self.lp.num_variables());
 
         let mut kept_basis = false;
         if let Some(w) = old_warm {
-            let mut basis = Vec::with_capacity(self.rows.len());
+            let mut basis = Vec::with_capacity(self.num_rows());
             for var in w.basis {
                 let mapped = match var {
                     BasisVar::Structural(j) => maps
@@ -449,7 +411,7 @@ impl MasterProblem {
                     basis.push(v);
                 }
             }
-            if basis.len() == self.rows.len() {
+            if basis.len() == self.num_rows() {
                 // Exactly one member vanished per removed row (the typical
                 // post-solve state: each deactivated row's relief or slack
                 // was basic): the remapped basis is handed back basis-only
@@ -479,8 +441,8 @@ impl MasterProblem {
     }
 
     /// Solves the current restricted master from a cold start.
-    pub fn solve(&self, options: &SimplexOptions) -> LpSolution {
-        solve(&self.lp, options)
+    pub fn solve(&self) -> LpSolution {
+        solve_limited(&self.lp, self.limits, None).0
     }
 
     /// Solves the current restricted master, resuming from the basis of the
@@ -491,8 +453,8 @@ impl MasterProblem {
     /// start from scratch. Rows added since then are absorbed by the dual
     /// row repair, which reports its pivots as
     /// [`SolveStats::dual_pivots`].
-    pub fn solve_warm(&mut self, options: &SimplexOptions) -> LpSolution {
-        let (solution, state) = solve_with_warm_start(&self.lp, options, self.warm.take());
+    pub fn solve_warm(&mut self) -> LpSolution {
+        let (solution, state) = solve_limited(&self.lp, self.limits, self.warm.take());
         self.warm = Some(state);
         solution
     }
@@ -557,64 +519,24 @@ impl std::fmt::Display for ColumnGenerationError {
 
 impl std::error::Error for ColumnGenerationError {}
 
-/// Driver for the restricted-master / pricing loop.
-#[derive(Clone, Debug)]
-pub struct ColumnGeneration {
-    /// Simplex options used for every master solve.
-    pub simplex: SimplexOptions,
-    /// Maximum number of pricing rounds.
-    pub max_rounds: usize,
-    /// Reduced-cost tolerance below which a column is not considered
-    /// improving.
-    pub reduced_cost_tolerance: f64,
-}
-
-impl Default for ColumnGeneration {
-    fn default() -> Self {
-        ColumnGeneration {
-            simplex: SimplexOptions::default(),
-            max_rounds: 200,
-            reduced_cost_tolerance: 1e-7,
-        }
-    }
-}
-
-/// Adds the improving columns among `cols` to the master. Returns how many
-/// the master actually adopted.
-fn adopt_improving(
-    master: &mut MasterProblem,
-    cols: Vec<GeneratedColumn>,
-    duals: &[f64],
-    sense: Sense,
-    tolerance: f64,
-) -> usize {
-    let mut added = 0usize;
-    for col in cols {
-        if col.is_improving(duals, sense, tolerance) && master.add_column(col) {
-            added += 1;
-        }
-    }
-    added
-}
-
-impl ColumnGeneration {
+impl MasterProblem {
     /// Runs column generation: repeatedly solve the restricted master
     /// (warm-started from the previous round's optimal basis), hand the
     /// duals to `source`, and add every returned column that has improving
     /// reduced cost. Terminates when no new improving column arrives or
-    /// `max_rounds` is reached.
+    /// after `max_rounds` pricing rounds.
     ///
     /// # Errors
     /// Returns [`ColumnGenerationError::IterationLimit`] when a master
     /// solve exhausts its pivot budget: the attached partial solution is a
     /// feasible but non-optimal basis whose duals cannot be trusted for
     /// pricing.
-    pub fn run(
-        &self,
-        master: &mut MasterProblem,
+    pub fn generate_columns(
+        &mut self,
         source: &mut dyn ColumnSource,
+        max_rounds: usize,
     ) -> Result<ColumnGenerationResult, ColumnGenerationError> {
-        let sense = master.lp.sense();
+        let sense = self.lp.sense();
         let mut rounds = 0usize;
         let mut pricing_rounds = 0usize;
         let mut columns_generated = 0usize;
@@ -624,7 +546,7 @@ impl ColumnGeneration {
         // `Ok(converged)` breaks the loop; the result is assembled on the
         // single exit path below.
         let (solution, outcome) = loop {
-            let solution = master.solve_warm(&self.simplex);
+            let solution = self.solve_warm();
             if rounds == 0 {
                 // Seeding with the first solve (rather than merging it into
                 // the default) keeps its density bit for bit.
@@ -637,7 +559,7 @@ impl ColumnGeneration {
             if solution.status == LpStatus::IterationLimit {
                 break (solution, Err(()));
             }
-            if rounds > self.max_rounds {
+            if rounds > max_rounds {
                 // `rounds` counts master solves actually performed, so the
                 // per-round iteration list stays one entry per round even on
                 // the truncated path.
@@ -648,13 +570,12 @@ impl ColumnGeneration {
                 break (solution, Ok(false));
             }
             pricing_rounds += 1;
-            let added = adopt_improving(
-                master,
-                source.generate(&solution.duals),
-                &solution.duals,
-                sense,
-                self.reduced_cost_tolerance,
-            );
+            let mut added = 0usize;
+            for col in source.generate(&solution.duals) {
+                if col.is_improving(&solution.duals, sense) && self.add_column(col) {
+                    added += 1;
+                }
+            }
             columns_per_round.push(added);
             columns_generated += added;
             if added == 0 {
@@ -722,9 +643,8 @@ mod tests {
             best.into_iter().collect()
         };
 
-        let cg = ColumnGeneration::default();
-        let result = cg
-            .run(&mut master, &mut source)
+        let result = master
+            .generate_columns(&mut source, 200)
             .expect("column generation failed");
         assert!(result.converged);
         assert_eq!(result.solution.status, LpStatus::Optimal);
@@ -743,9 +663,8 @@ mod tests {
     fn empty_master_with_no_columns_is_fine() {
         let mut master = MasterProblem::new(Sense::Maximize, vec![(Relation::Le, 1.0)]);
         let mut source = |_: &[f64]| Vec::<GeneratedColumn>::new();
-        let cg = ColumnGeneration::default();
-        let result = cg
-            .run(&mut master, &mut source)
+        let result = master
+            .generate_columns(&mut source, 200)
             .expect("column generation failed");
         assert!(result.converged);
         assert_eq!(result.solution.objective, 0.0);
@@ -779,9 +698,8 @@ mod tests {
                 tag: 0,
             }]
         };
-        let cg = ColumnGeneration::default();
-        let result = cg
-            .run(&mut master, &mut source)
+        let result = master
+            .generate_columns(&mut source, 200)
             .expect("column generation failed");
         assert!(result.converged);
         assert!(result.rounds <= 3);
@@ -831,23 +749,22 @@ mod tests {
             };
 
             // warm (the default run loop)
-            let cg = ColumnGeneration::default();
             let mut warm_master = build_master();
             let mut warm_source = make_source(values.clone(), weights.clone());
-            let warm = cg
-                .run(&mut warm_master, &mut warm_source)
+            let warm = warm_master
+                .generate_columns(&mut warm_source, 200)
                 .expect("warm run failed");
 
             // cold: identical pricing loop but every master solve from scratch
             let mut cold_master = build_master();
             let cold_source = make_source(values.clone(), weights.clone());
             let cold_solution = loop {
-                let solution = cold_master.solve(&cg.simplex);
+                let solution = cold_master.solve();
                 assert_eq!(solution.status, LpStatus::Optimal);
                 let candidates = cold_source(&solution.duals);
                 let mut added = false;
                 for col in candidates {
-                    if col.reduced_cost(&solution.duals) > cg.reduced_cost_tolerance
+                    if col.reduced_cost(&solution.duals) > REDUCED_COST_TOLERANCE
                         && cold_master.add_column(col)
                     {
                         added = true;
@@ -888,21 +805,20 @@ mod tests {
                 tag: i as u64,
             });
         }
-        let options = SimplexOptions::default();
-        let first = master.solve_warm(&options);
+        let first = master.solve_warm();
         assert_eq!(first.status, LpStatus::Optimal);
         assert!((first.objective - 5.0).abs() < 1e-7); // both columns at 1
         assert_eq!(first.stats.dual_pivots, 0);
 
         // a joint cap that cuts the optimum off
         master.add_row(Relation::Le, 1.0, vec![(0, 1.0), (1, 1.0)]);
-        let second = master.solve_warm(&options);
+        let second = master.solve_warm();
         assert_eq!(second.status, LpStatus::Optimal);
         assert!((second.objective - 3.0).abs() < 1e-7); // only column 0
         assert!(second.stats.dual_pivots > 0, "dual repair must have run");
 
         // a cold solve of the same grown master agrees
-        let cold = master.solve(&options);
+        let cold = master.solve();
         assert!((cold.objective - second.objective).abs() < 1e-9);
 
         // and the master keeps working for further column growth
@@ -911,7 +827,7 @@ mod tests {
             coeffs: vec![(0, 1.0)],
             tag: 99,
         });
-        let third = master.solve_warm(&options);
+        let third = master.solve_warm();
         assert_eq!(third.status, LpStatus::Optimal);
         assert!(third.objective > 3.0);
         assert_eq!(third.stats.dual_pivots, 0);
@@ -937,24 +853,23 @@ mod tests {
                 tag: i as u64,
             });
         }
-        let options = SimplexOptions::default();
-        let first = master.solve_warm(&options);
+        let first = master.solve_warm();
         assert_eq!(first.status, LpStatus::Optimal);
         assert!((first.objective - 6.0).abs() < 1e-7);
 
         // the cheap column becomes the valuable one and vice versa
         master.set_column_objective(0, 0.5);
         master.set_column_objective(1, 7.0);
-        let second = master.solve_warm(&options);
+        let second = master.solve_warm();
         assert_eq!(second.status, LpStatus::Optimal);
         assert!(
             (second.objective - 7.5).abs() < 1e-7,
             "{}",
             second.objective
         );
-        let cold = master.solve(&options);
+        let cold = master.solve();
         assert!((cold.objective - second.objective).abs() < 1e-9);
-        assert_eq!(master.columns()[1].objective, 7.0);
+        assert_eq!(master.lp.objective()[1], 7.0);
     }
 
     #[test]
@@ -977,15 +892,12 @@ mod tests {
                 tag: i as u64,
             });
         }
-        let cg = ColumnGeneration {
-            simplex: SimplexOptions {
-                max_iterations: 1,
-                ..Default::default()
-            },
-            ..Default::default()
+        master.limits = Limits {
+            max_iterations: Some(1),
+            ..Limits::DEFAULT
         };
         let mut source = |_: &[f64]| Vec::<GeneratedColumn>::new();
-        match cg.run(&mut master, &mut source) {
+        match master.generate_columns(&mut source, 200) {
             Err(ColumnGenerationError::IterationLimit { partial }) => {
                 assert_eq!(partial.solution.status, LpStatus::IterationLimit);
             }
@@ -1024,9 +936,8 @@ mod tests {
                 Vec::new()
             }
         };
-        let cg = ColumnGeneration::default();
-        let result = cg
-            .run(&mut master, &mut source)
+        let result = master
+            .generate_columns(&mut source, 200)
             .expect("column generation failed");
         assert!(result.converged);
         assert!((result.solution.objective - 1.0).abs() < 1e-6);
@@ -1054,8 +965,7 @@ mod tests {
                 tag: i as u64,
             });
         }
-        let options = SimplexOptions::default();
-        let first = master.solve_warm(&options);
+        let first = master.solve_warm();
         assert_eq!(first.status, LpStatus::Optimal);
         assert!((first.objective - 3.0).abs() < 1e-7); // capacity binds
 
@@ -1063,7 +973,7 @@ mod tests {
         assert_eq!(master.rows_deactivated(), 1);
         assert_eq!(master.num_active_rows(), 2);
         assert!(!master.is_row_active(0));
-        let second = master.solve_warm(&options);
+        let second = master.solve_warm();
         assert_eq!(second.status, LpStatus::Optimal);
         assert!(
             (second.objective - 5.0).abs() < 1e-7,
@@ -1078,9 +988,89 @@ mod tests {
         assert_eq!(report.row_map, vec![None, Some(0), Some(1)]);
         assert_eq!(master.num_rows(), 2);
         assert_eq!(master.num_columns(), 2); // relief column removed
-        let third = master.solve_warm(&options);
+        let third = master.solve_warm();
         assert_eq!(third.status, LpStatus::Optimal);
         assert!((third.objective - 5.0).abs() < 1e-7);
+    }
+
+    /// `tags()` must name each column at its current index through every
+    /// lifecycle step, and the warm optimum must put each tag's
+    /// hand-computed value at that index: four columns `x_c ≤ c + 1` under
+    /// a shared capacity `Σ x_c ≤ 1`, objectives 4, −1, 2, 1 (column 1 is
+    /// never served, so retiring it moves no other value).
+    #[test]
+    fn tags_follow_their_columns_through_the_lifecycle() {
+        let mut rows = vec![(Relation::Le, 1.0)];
+        rows.extend((0..4).map(|c| (Relation::Le, c as f64 + 1.0)));
+        let mut master = MasterProblem::new(Sense::Maximize, rows);
+        for (c, objective) in [4.0, -1.0, 2.0, 1.0].into_iter().enumerate() {
+            master.add_column(GeneratedColumn {
+                objective,
+                coeffs: vec![(0, 1.0), (c + 1, 1.0)],
+                tag: 10 + c as u64,
+            });
+        }
+        let check = |master: &mut MasterProblem, step: &str, want: &[(u64, f64)]| {
+            let tags: Vec<u64> = want.iter().map(|&(tag, _)| tag).collect();
+            assert_eq!(master.tags(), &tags[..], "{step}: tags");
+            let solution = master.solve_warm();
+            assert_eq!(solution.status, LpStatus::Optimal, "{step}");
+            for (idx, &(tag, x)) in want.iter().enumerate() {
+                assert!(
+                    (solution.x[idx] - x).abs() < 1e-9,
+                    "{step}: column {idx} (tag {tag:#x}) at {}, want {x}",
+                    solution.x[idx]
+                );
+            }
+        };
+        let relief = ROW_RELIEF_TAG_BASE;
+        let dead = DEAD_COLUMN_TAG_BASE;
+
+        // the capacity binds: only the most valuable column is served
+        check(
+            &mut master,
+            "added",
+            &[(10, 1.0), (11, 0.0), (12, 0.0), (13, 0.0)],
+        );
+        // relaxing the capacity appends its relief column, which absorbs
+        // the excess 1 + 3 + 4 − 1
+        master.deactivate_rows(&[0]);
+        check(
+            &mut master,
+            "deactivated",
+            &[(10, 1.0), (11, 0.0), (12, 3.0), (13, 4.0), (relief, 7.0)],
+        );
+        // retiring column 1 tombstones its tag and frees 11
+        master.fix_columns(&[1]);
+        assert!(!master.contains_tag(11));
+        check(
+            &mut master,
+            "fixed",
+            &[(10, 1.0), (dead, 0.0), (12, 3.0), (13, 4.0), (relief, 7.0)],
+        );
+        // re-keying column 3 onto the freed tag moves no value
+        master.set_column_tag(3, 11);
+        assert!(!master.contains_tag(13));
+        check(
+            &mut master,
+            "retagged",
+            &[(10, 1.0), (dead, 0.0), (12, 3.0), (11, 4.0), (relief, 7.0)],
+        );
+        // an appended row caps column 2 through the dual row repair
+        master.add_row(Relation::Le, 2.5, vec![(2, 1.0)]);
+        check(
+            &mut master,
+            "row added",
+            &[(10, 1.0), (dead, 0.0), (12, 2.5), (11, 4.0), (relief, 6.5)],
+        );
+        // compaction drops the capacity row, the dead and the relief column
+        let report = master.compact();
+        assert_eq!(
+            report.column_map,
+            vec![Some(0), None, Some(1), Some(2), None]
+        );
+        assert!(master.contains_tag(11) && !master.contains_tag(dead));
+        check(&mut master, "compacted", &[(10, 1.0), (12, 2.5), (11, 4.0)]);
     }
 
     /// Fixing a column at zero retires it even when it was basic at a
@@ -1097,8 +1087,7 @@ mod tests {
             coeffs: vec![(0, 1.0), (1, 1.0)],
             tag: 7,
         });
-        let options = SimplexOptions::default();
-        let first = master.solve_warm(&options);
+        let first = master.solve_warm();
         assert!((first.objective - 5.0).abs() < 1e-7);
 
         master.fix_columns(&[0]);
@@ -1109,7 +1098,7 @@ mod tests {
             coeffs: vec![(0, 1.0)],
             tag: 7,
         }));
-        let second = master.solve_warm(&options);
+        let second = master.solve_warm();
         assert_eq!(second.status, LpStatus::Optimal);
         assert!(
             (second.objective - 4.0).abs() < 1e-7,
@@ -1119,7 +1108,7 @@ mod tests {
         let report = master.compact();
         assert_eq!(report.column_map, vec![None, Some(0)]);
         assert_eq!(master.num_columns(), 1);
-        let third = master.solve_warm(&options);
+        let third = master.solve_warm();
         assert!((third.objective - 4.0).abs() < 1e-7);
     }
 
@@ -1234,21 +1223,20 @@ mod tests {
                 lp
             };
 
-            let options = &SimplexOptions::default();
             let label = format!("seed {seed}");
             let mut master = MasterProblem::new(Sense::Maximize, rows.clone());
             for c in 0..n_cols {
                 master.add_column(column(c));
             }
-            let first = master.solve_warm(options);
+            let first = master.solve_warm();
             assert_eq!(first.status, LpStatus::Optimal, "{label}");
 
             // deactivate + fix, then a warm primal resume
             master.fix_columns(&kill_cols);
             master.deactivate_rows(&kill_rows);
-            let warm = master.solve_warm(options);
+            let warm = master.solve_warm();
             assert_eq!(warm.status, LpStatus::Optimal, "{label}");
-            let oracle = dense::solve(&dense_survivor(None), &SimplexOptions::default());
+            let oracle = dense::solve(&dense_survivor(None));
             assert_eq!(oracle.status, LpStatus::Optimal, "{label}");
             assert!(
                 (warm.objective - oracle.objective).abs() < 1e-6,
@@ -1265,7 +1253,7 @@ mod tests {
             for &c in &kill_cols {
                 assert!(report.column_map[c].is_none(), "{label}");
             }
-            let compacted = master.solve_warm(options);
+            let compacted = master.solve_warm();
             assert_eq!(compacted.status, LpStatus::Optimal, "{label}");
             assert!(
                 (compacted.objective - oracle.objective).abs() < 1e-6,
@@ -1282,12 +1270,9 @@ mod tests {
                 coeffs: vec![(new_row, 1.0)],
                 tag: 4096,
             }));
-            let grown = master.solve_warm(options);
+            let grown = master.solve_warm();
             assert_eq!(grown.status, LpStatus::Optimal, "{label}");
-            let oracle_grown = dense::solve(
-                &dense_survivor(Some((extra_obj, vec![(2, 1.0)]))),
-                &SimplexOptions::default(),
-            );
+            let oracle_grown = dense::solve(&dense_survivor(Some((extra_obj, vec![(2, 1.0)]))));
             assert!(
                 (grown.objective - oracle_grown.objective).abs() < 1e-6,
                 "{label}: grown {} vs dense {}",
@@ -1317,18 +1302,17 @@ mod tests {
                 tag: i as u64,
             });
         }
-        let options = SimplexOptions::default();
-        let first = master.solve_warm(&options);
+        let first = master.solve_warm();
         assert_eq!(first.status, LpStatus::Optimal);
 
         // relax the shared capacity, resume, then tighten with a new row
         master.deactivate_rows(&[0]);
-        let relaxed = master.solve_warm(&options);
+        let relaxed = master.solve_warm();
         assert!((relaxed.objective - 5.0).abs() < 1e-7);
         master.add_row(Relation::Le, 0.5, vec![(1, 1.0)]);
-        let tightened = master.solve_warm(&options);
+        let tightened = master.solve_warm();
         assert_eq!(tightened.status, LpStatus::Optimal);
-        let cold = master.solve(&options);
+        let cold = master.solve();
         assert!(
             (tightened.objective - cold.objective).abs() < 1e-9,
             "warm {} vs cold {}",
@@ -1360,12 +1344,12 @@ mod tests {
             coeffs: vec![(0, -1.0), (1, 1.0)],
             tag: 1,
         });
-        let first = master.solve_warm(&SimplexOptions::default());
+        let first = master.solve_warm();
         assert_eq!(first.status, LpStatus::Optimal);
         assert!((first.objective - 2.5).abs() < 1e-6, "{}", first.objective);
         master.fix_columns(&[1]);
         master.add_row(Relation::Le, 5.0, vec![(0, 1.0)]);
-        let refixed = master.solve_warm(&SimplexOptions::default());
+        let refixed = master.solve_warm();
         assert_eq!(refixed.status, LpStatus::Optimal);
         assert!(
             (refixed.objective - 1.0).abs() < 1e-6,

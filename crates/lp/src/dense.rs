@@ -13,18 +13,16 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::problem::{LinearProgram, Relation, Sense};
-use crate::simplex::{LpSolution, LpStatus, SimplexOptions};
+use crate::simplex::{pivot_budget, LpSolution, LpStatus, STALL_THRESHOLD, TOLERANCE};
 
 /// Solves a linear program with the dense two-phase primal tableau simplex.
-pub fn solve(lp: &LinearProgram, options: &SimplexOptions) -> LpSolution {
-    Tableau::build(lp, options).solve()
+pub fn solve(lp: &LinearProgram) -> LpSolution {
+    Tableau::build(lp).solve()
 }
 
 struct Tableau<'a> {
     lp: &'a LinearProgram,
-    tol: f64,
     max_iterations: usize,
-    stall_threshold: usize,
     m: usize,
     /// total number of columns (original + slack + surplus + artificial)
     n_total: usize,
@@ -45,7 +43,7 @@ struct Tableau<'a> {
 }
 
 impl<'a> Tableau<'a> {
-    fn build(lp: &'a LinearProgram, options: &SimplexOptions) -> Self {
+    fn build(lp: &'a LinearProgram) -> Self {
         let m = lp.num_constraints();
         let n = lp.num_variables();
 
@@ -133,17 +131,9 @@ impl<'a> Tableau<'a> {
             cost[v] = sense_sign * c;
         }
 
-        let max_iterations = if options.max_iterations == 0 {
-            200 * (m + n_total) + 10_000
-        } else {
-            options.max_iterations
-        };
-
         Tableau {
             lp,
-            tol: options.tolerance,
-            max_iterations,
-            stall_threshold: options.stall_threshold,
+            max_iterations: pivot_budget(m, n_total),
             m,
             n_total,
             n_original: n,
@@ -187,8 +177,8 @@ impl<'a> Tableau<'a> {
             // y = c_B^T B^{-1} is implicit: reduced cost of column j is
             // cost[j] - sum_r cost[basis[r]] * t[r][j].
             let mut entering: Option<usize> = None;
-            let use_bland = stall >= self.stall_threshold;
-            let mut best_rc = self.tol;
+            let use_bland = stall >= STALL_THRESHOLD;
+            let mut best_rc = TOLERANCE;
             for j in 0..self.n_total {
                 if !allow_enter(j) {
                     continue;
@@ -200,7 +190,7 @@ impl<'a> Tableau<'a> {
                         rc -= cb * self.t[r * width + j];
                     }
                 }
-                if rc > self.tol {
+                if rc > TOLERANCE {
                     if use_bland {
                         entering = Some(j);
                         break;
@@ -220,10 +210,10 @@ impl<'a> Tableau<'a> {
             let mut best_ratio = f64::INFINITY;
             for r in 0..self.m {
                 let a = self.t[r * width + e];
-                if a > self.tol {
+                if a > TOLERANCE {
                     let ratio = self.t[r * width + self.n_total] / a;
-                    let better = ratio < best_ratio - self.tol
-                        || (ratio < best_ratio + self.tol
+                    let better = ratio < best_ratio - TOLERANCE
+                        || (ratio < best_ratio + TOLERANCE
                             && leaving
                                 .map(|l| self.basis[r] < self.basis[l])
                                 .unwrap_or(true));
@@ -241,7 +231,7 @@ impl<'a> Tableau<'a> {
             self.iterations += 1;
 
             let obj = self.objective_of_basis(cost);
-            if obj > last_obj + self.tol {
+            if obj > last_obj + TOLERANCE {
                 stall = 0;
             } else {
                 stall += 1;
@@ -323,7 +313,7 @@ impl<'a> Tableau<'a> {
                 // find any eligible non-artificial column with nonzero entry
                 let mut target = None;
                 for j in 0..self.first_artificial {
-                    if self.t[r * width + j].abs() > self.tol {
+                    if self.t[r * width + j].abs() > TOLERANCE {
                         target = Some(j);
                         break;
                     }
@@ -394,7 +384,7 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
         lp.add_constraint(vec![(y, 1.0)], Relation::Le, 3.0);
-        let sol = solve(&lp, &SimplexOptions::default());
+        let sol = solve(&lp);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.objective - 10.0).abs() < 1e-7);
     }

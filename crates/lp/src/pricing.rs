@@ -264,7 +264,7 @@ impl SteepestEdgePricing {
     /// against the freshly built factors).
     pub fn notify_refactor(&mut self, norm_sq: &dyn Fn(usize) -> f64) {
         // exact reset for the candidate set — bounded by the list length
-        // (≤ min_keep + chunk), amortized over refactor_interval pivots
+        // (≤ min_keep + chunk), amortized over the refactor interval
         let mut max_w = 1.0f64;
         for &j in &self.candidates {
             self.weights[j] = 1.0 + norm_sq(j);

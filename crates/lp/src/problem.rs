@@ -230,12 +230,6 @@ impl LinearProgram {
 
     // -- row lifecycle ------------------------------------------------------
 
-    /// Activation state per row (parallel to
-    /// [`constraints`](Self::constraints)).
-    pub fn row_states(&self) -> &[RowState] {
-        &self.row_state
-    }
-
     /// Whether row `i` is [`RowState::Active`].
     pub fn is_row_active(&self, i: usize) -> bool {
         self.row_state[i] == RowState::Active

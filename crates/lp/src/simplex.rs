@@ -6,12 +6,17 @@
 //! touched per pivot) the revised method keeps only a factorization of the
 //! basis, whose FTRAN/BTRAN cost is proportional to the factor sparsity
 //! rather than `m²`, and moves the entering column and the pivot row
-//! through it as indexed [`SparseVector`]s. After `stall_threshold` pivots without objective
+//! through it as indexed [`SparseVector`]s. After 64 pivots without objective
 //! improvement the core overrides steepest edge with Bland's rule (first
 //! improving index, smallest-ratio/smallest-index leaving row), which
 //! guarantees termination.
 //!
-//! **Refactorization**: every [`SimplexOptions::refactor_interval`] pivots
+//! The engine has no options. Its tolerance (1e-9), stall threshold (64),
+//! refactor interval (256) and pivot budget (`200 · (m + n_total) +
+//! 10 000`) are constants of this module, and [`crate::dense`] reads the
+//! same ones.
+//!
+//! **Refactorization**: every 256 pivots
 //! (and whenever the factorization declines an update or a warm-started
 //! basis looks inconsistent) the factorization is rebuilt from the basis
 //! columns and the basic solution is recomputed as `x_B = B⁻¹ b`. The
@@ -188,35 +193,42 @@ pub struct LpSolution {
     pub stats: SolveStats,
 }
 
-/// Solver options.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct SimplexOptions {
-    /// Numerical tolerance for feasibility, pricing and pivoting decisions.
-    pub tolerance: f64,
-    /// Maximum number of pivots across both phases. `0` means automatic:
-    /// `200 · (m + n_total) + 10_000`, recomputed from the problem actually
-    /// being solved — so in column generation the budget grows with the
-    /// restricted master's *current* column count rather than staying pinned
-    /// at the seed LP's size.
-    pub max_iterations: usize,
-    /// After this many consecutive pivots without objective improvement the
-    /// solver switches to Bland's rule to escape potential cycling.
-    pub stall_threshold: usize,
-    /// Rebuild the basis factorization after this many updates (numerical
-    /// hygiene). `0` disables periodic refactorization (the factorization
-    /// may still force one by declining an update).
-    pub refactor_interval: usize,
+/// Numerical tolerance for feasibility, pricing and pivoting decisions.
+pub(crate) const TOLERANCE: f64 = 1e-9;
+
+/// After this many consecutive pivots without objective improvement the
+/// engine switches to Bland's rule to escape potential cycling.
+pub(crate) const STALL_THRESHOLD: usize = 64;
+
+/// Basis updates between scheduled factorization rebuilds (numerical
+/// hygiene; the factorization may also force a rebuild by declining an
+/// update).
+const REFACTOR_INTERVAL: usize = 256;
+
+/// The automatic pivot budget of one solve, across both phases and the dual
+/// row repair: `200 · (m + n_total) + 10 000`, recomputed from the problem
+/// actually being solved — so in column generation it grows with the
+/// restricted master's *current* column count.
+pub(crate) fn pivot_budget(m: usize, n_total: usize) -> usize {
+    200 * (m + n_total) + 10_000
 }
 
-impl Default for SimplexOptions {
-    fn default() -> Self {
-        SimplexOptions {
-            tolerance: 1e-9,
-            max_iterations: 0,
-            stall_threshold: 64,
-            refactor_interval: 256,
-        }
-    }
+/// The pivot limits of one solve. Every public entry point solves with
+/// [`Limits::DEFAULT`]; only this crate's tests pass other values, to reach
+/// the anti-cycling override and the iteration-limit paths on small LPs.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Limits {
+    /// Pivot budget; `None` is the automatic [`pivot_budget`].
+    pub(crate) max_iterations: Option<usize>,
+    /// See [`STALL_THRESHOLD`].
+    pub(crate) stall_threshold: usize,
+}
+
+impl Limits {
+    pub(crate) const DEFAULT: Limits = Limits {
+        max_iterations: None,
+        stall_threshold: STALL_THRESHOLD,
+    };
 }
 
 /// Identity of a basis member, stable across re-solves of a problem whose
@@ -264,11 +276,6 @@ impl WarmStart {
         WarmStart { basis, factor }
     }
 
-    /// Number of rows this state was built for.
-    pub fn num_rows(&self) -> usize {
-        self.basis.len()
-    }
-
     /// Keeps the basis but drops the factorization, forcing the next solve
     /// to refactorize from the *target problem's* columns.
     ///
@@ -288,8 +295,8 @@ impl WarmStart {
 }
 
 /// Solves a linear program with the sparse revised simplex method.
-pub fn solve(lp: &LinearProgram, options: &SimplexOptions) -> LpSolution {
-    solve_with_warm_start(lp, options, None).0
+pub fn solve(lp: &LinearProgram) -> LpSolution {
+    solve_with_warm_start(lp, None).0
 }
 
 /// Solves a linear program, optionally resuming from the basis of a
@@ -312,10 +319,18 @@ pub fn solve(lp: &LinearProgram, options: &SimplexOptions) -> LpSolution {
 /// reported by the primal engine's phase 1.
 pub fn solve_with_warm_start(
     lp: &LinearProgram,
-    options: &SimplexOptions,
     warm: Option<WarmStart>,
 ) -> (LpSolution, WarmStart) {
-    let mut solver = Revised::build(lp, options);
+    solve_limited(lp, Limits::DEFAULT, warm)
+}
+
+/// [`solve_with_warm_start`] under explicit pivot [`Limits`].
+pub(crate) fn solve_limited(
+    lp: &LinearProgram,
+    limits: Limits,
+    warm: Option<WarmStart>,
+) -> (LpSolution, WarmStart) {
+    let mut solver = Revised::build(lp, limits);
     let status = solver.run(warm);
     let solution = solver.extract(status);
     let state = solver.into_warm_start();
@@ -348,10 +363,8 @@ enum Repair {
 
 struct Revised<'a> {
     lp: &'a LinearProgram,
-    tol: f64,
     max_iterations: usize,
     stall_threshold: usize,
-    refactor_interval: usize,
 
     m: usize,
     n: usize,
@@ -406,7 +419,7 @@ struct Revised<'a> {
 }
 
 impl<'a> Revised<'a> {
-    fn build(lp: &'a LinearProgram, options: &SimplexOptions) -> Self {
+    fn build(lp: &'a LinearProgram, limits: Limits) -> Self {
         let m = lp.num_constraints();
         let n = lp.num_variables();
 
@@ -481,18 +494,12 @@ impl<'a> Revised<'a> {
             *e = !lp.is_variable_fixed(v);
         }
 
-        let max_iterations = if options.max_iterations == 0 {
-            200 * (m + n_total) + 10_000
-        } else {
-            options.max_iterations
-        };
-
         Revised {
             lp,
-            tol: options.tolerance,
-            max_iterations,
-            stall_threshold: options.stall_threshold,
-            refactor_interval: options.refactor_interval,
+            max_iterations: limits
+                .max_iterations
+                .unwrap_or_else(|| pivot_budget(m, n_total)),
+            stall_threshold: limits.stall_threshold,
             m,
             n,
             n_total,
@@ -844,9 +851,7 @@ impl<'a> Revised<'a> {
             if self.iterations + self.dual_pivots >= self.max_iterations {
                 return Some(LpStatus::IterationLimit);
             }
-            if self.refactor_interval > 0
-                && self.factor.updates_since_refactor() >= self.refactor_interval
-            {
+            if self.factor.updates_since_refactor() >= REFACTOR_INTERVAL {
                 // Debug builds verify the update path against the rebuild it
                 // is about to be replaced by: the pivot-updated factors and
                 // a from-scratch refactorization must produce the same
@@ -910,9 +915,9 @@ impl<'a> Revised<'a> {
                     if use_bland {
                         // Anti-cycling override: Bland's rule instead of steepest
                         // edge (guaranteed to terminate).
-                        (0..this.n_total).find(|&j| eligible(j) && rc(j) > this.tol)
+                        (0..this.n_total).find(|&j| eligible(j) && rc(j) > TOLERANCE)
                     } else {
-                        pricer.select_entering(this.n_total, this.tol, &eligible, &rc)
+                        pricer.select_entering(this.n_total, TOLERANCE, &eligible, &rc)
                     }
                 };
             let e = match select(self, &y, pricer) {
@@ -955,10 +960,10 @@ impl<'a> Revised<'a> {
             if use_bland {
                 let mut best_ratio = f64::INFINITY;
                 w.for_each_nonzero(|r, a| {
-                    if a > self.tol {
+                    if a > TOLERANCE {
                         let ratio = self.xb[r] / a;
-                        let better = ratio < best_ratio - self.tol
-                            || (ratio < best_ratio + self.tol
+                        let better = ratio < best_ratio - TOLERANCE
+                            || (ratio < best_ratio + TOLERANCE
                                 && leaving
                                     .map(|l| self.basis[r] < self.basis[l])
                                     .unwrap_or(true));
@@ -969,10 +974,10 @@ impl<'a> Revised<'a> {
                     }
                 });
             } else {
-                let feas = self.tol.max(1e-9);
+                let feas = TOLERANCE;
                 let mut theta_max = f64::INFINITY;
                 w.for_each_nonzero(|r, a| {
-                    if a > self.tol {
+                    if a > TOLERANCE {
                         col_max = col_max.max(a);
                         let bound = (self.xb[r].max(0.0) + feas) / a;
                         if bound < theta_max {
@@ -983,7 +988,7 @@ impl<'a> Revised<'a> {
                 if theta_max.is_finite() {
                     let mut best_piv = 0.0f64;
                     w.for_each_nonzero(|r, a| {
-                        if a > self.tol && self.xb[r].max(0.0) / a <= theta_max {
+                        if a > TOLERANCE && self.xb[r].max(0.0) / a <= theta_max {
                             let better = a > best_piv
                                 || (a == best_piv
                                     && leaving
@@ -1032,7 +1037,7 @@ impl<'a> Revised<'a> {
                 continue;
             }
 
-            if self.xb[l] <= self.tol {
+            if self.xb[l] <= TOLERANCE {
                 self.degenerate_pivots += 1;
             }
 
@@ -1080,7 +1085,7 @@ impl<'a> Revised<'a> {
             }
 
             let obj = self.objective_of_basis(cost);
-            if obj > last_obj + self.tol {
+            if obj > last_obj + TOLERANCE {
                 stall = 0;
             } else {
                 stall += 1;
@@ -1155,7 +1160,7 @@ impl<'a> Revised<'a> {
         // value at the prior optimum, so rc ≤ 0 must hold for every column
         // that may enter. A violation means the state was not an optimal
         // basis of a row prefix of this LP.
-        let dual_tol = self.tol.max(1e-7);
+        let dual_tol = 1e-7;
         if (0..n_total).any(|j| !self.in_basis[j] && !barred[j] && rc[j] > dual_tol) {
             return Repair::Cold;
         }
@@ -1163,9 +1168,7 @@ impl<'a> Revised<'a> {
             if self.iterations + self.dual_pivots >= self.max_iterations {
                 return Repair::Stopped;
             }
-            if self.refactor_interval > 0
-                && self.factor.updates_since_refactor() >= self.refactor_interval
-            {
+            if self.factor.updates_since_refactor() >= REFACTOR_INTERVAL {
                 if !self.refactor() {
                     return Repair::Stopped;
                 }
@@ -1174,7 +1177,7 @@ impl<'a> Revised<'a> {
             }
 
             let use_bland = stall >= self.stall_threshold;
-            let infeas_tol = self.tol.max(1e-9);
+            let infeas_tol = TOLERANCE;
             let mut leaving: Option<usize> = None;
             let mut best_score = 0.0f64;
             for (r, &x) in self.xb.iter().enumerate() {
@@ -1248,8 +1251,8 @@ impl<'a> Revised<'a> {
                     }
                     // clamp tiny positive drift so ratios stay non-negative
                     let ratio = rc[j].min(0.0) / alpha;
-                    let better = ratio < best_ratio - self.tol
-                        || (ratio < best_ratio + self.tol
+                    let better = ratio < best_ratio - TOLERANCE
+                        || (ratio < best_ratio + TOLERANCE
                             && entering.map(|e| j < e).unwrap_or(true));
                     if better || entering.is_none() {
                         best_ratio = ratio;
@@ -1258,7 +1261,7 @@ impl<'a> Revised<'a> {
                     }
                 }
             } else {
-                let dual_feas = self.tol.max(1e-9);
+                let dual_feas = TOLERANCE;
                 let mut theta_max = f64::INFINITY;
                 for &j in &cand {
                     let alpha = alpha_ws[j];
@@ -1364,7 +1367,7 @@ impl<'a> Revised<'a> {
 
             // total primal infeasibility, the quantity the loop drives to 0
             let infeas: f64 = self.xb.iter().map(|&x| (-x).max(0.0)).sum();
-            if infeas < last_infeas - self.tol {
+            if infeas < last_infeas - TOLERANCE {
                 stall = 0;
             } else {
                 stall += 1;
@@ -1399,7 +1402,7 @@ impl<'a> Revised<'a> {
                 self.for_each_entry(j, |i, a| {
                     alpha += rho[i] * a;
                 });
-                if alpha.abs() > self.tol {
+                if alpha.abs() > TOLERANCE {
                     target = Some(j);
                     break;
                 }
@@ -1585,8 +1588,7 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
         lp.add_constraint(vec![(y, 1.0)], Relation::Le, 3.0);
-        let options = SimplexOptions::default();
-        let sol = solve(&lp, &options);
+        let sol = solve(&lp);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_close(sol.objective, 10.0, 1e-7); // x=2, y=2
         assert_close(sol.x[x], 2.0, 1e-7);
@@ -1664,8 +1666,7 @@ mod tests {
                 lp.add_constraint(vec![(v[i], 1.0), (v[j], 1.0)], Relation::Le, 1.0);
             }
         }
-        let options = SimplexOptions::default();
-        let sol = solve(&lp, &options);
+        let sol = solve(&lp);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_close(sol.objective, 1.5, 1e-7);
     }
@@ -1678,8 +1679,7 @@ mod tests {
         let y = lp.add_variable(3.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Ge, 4.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Ge, 1.0);
-        let options = SimplexOptions::default();
-        let sol = solve(&lp, &options);
+        let sol = solve(&lp);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_close(sol.objective, 8.0, 1e-7);
         assert_close(sol.x[x], 4.0, 1e-7);
@@ -1697,8 +1697,7 @@ mod tests {
         let y = lp.add_variable(2.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Eq, 3.0);
         lp.add_constraint(vec![(y, 1.0)], Relation::Le, 2.0);
-        let options = SimplexOptions::default();
-        let sol = solve(&lp, &options);
+        let sol = solve(&lp);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_close(sol.objective, 5.0, 1e-7);
         assert_close(sol.x[x], 1.0, 1e-7);
@@ -1712,8 +1711,7 @@ mod tests {
         let x = lp.add_variable(1.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 1.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Ge, 2.0);
-        let options = SimplexOptions::default();
-        let sol = solve(&lp, &options);
+        let sol = solve(&lp);
         assert_eq!(sol.status, LpStatus::Infeasible);
     }
 
@@ -1724,8 +1722,7 @@ mod tests {
         let y = lp.add_variable(0.0);
         lp.add_constraint(vec![(y, 1.0)], Relation::Le, 5.0);
         let _ = x;
-        let options = SimplexOptions::default();
-        let sol = solve(&lp, &options);
+        let sol = solve(&lp);
         assert_eq!(sol.status, LpStatus::Unbounded);
     }
 
@@ -1735,8 +1732,7 @@ mod tests {
         let mut lp = LinearProgram::new(Sense::Minimize);
         let x = lp.add_variable(1.0);
         lp.add_constraint(vec![(x, -1.0)], Relation::Le, -2.0);
-        let options = SimplexOptions::default();
-        let sol = solve(&lp, &options);
+        let sol = solve(&lp);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_close(sol.objective, 2.0, 1e-7);
     }
@@ -1746,8 +1742,7 @@ mod tests {
         // no constraints, maximize 0 over x >= 0: optimal 0
         let mut lp = LinearProgram::new(Sense::Maximize);
         lp.add_variable(0.0);
-        let options = SimplexOptions::default();
-        let sol = solve(&lp, &options);
+        let sol = solve(&lp);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_close(sol.objective, 0.0, 1e-9);
     }
@@ -1761,8 +1756,7 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 1.0);
         lp.add_constraint(vec![(y, 1.0)], Relation::Le, 1.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 5.0);
-        let options = SimplexOptions::default();
-        let sol = solve(&lp, &options);
+        let sol = solve(&lp);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_close(sol.duals[0], 1.0, 1e-7);
         assert_close(sol.duals[1], 1.0, 1e-7);
@@ -1777,12 +1771,11 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
         lp.add_constraint(vec![(y, 1.0)], Relation::Le, 3.0);
-        let options = SimplexOptions::default();
-        let (first, state) = solve_with_warm_start(&lp, &options, None);
+        let (first, state) = solve_with_warm_start(&lp, None);
         assert_eq!(first.status, LpStatus::Optimal);
         assert!(first.stats.simplex_iterations > 0);
         // Re-solving the unchanged LP from the optimal basis needs 0 pivots.
-        let (second, _) = solve_with_warm_start(&lp, &options, Some(state));
+        let (second, _) = solve_with_warm_start(&lp, Some(state));
         assert_eq!(second.status, LpStatus::Optimal);
         assert_eq!(second.stats.simplex_iterations, 0);
         assert_close(second.objective, first.objective, 1e-9);
@@ -1792,18 +1785,17 @@ mod tests {
     fn warm_start_after_adding_a_column() {
         // Solve, then add a new structural variable (as column generation
         // does) and resume: the old basis stays valid, the new column enters.
-        let options = SimplexOptions::default();
         let mut lp = LinearProgram::new(Sense::Maximize);
         let x = lp.add_variable(1.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-        let (first, state) = solve_with_warm_start(&lp, &options, None);
+        let (first, state) = solve_with_warm_start(&lp, None);
         assert_close(first.objective, 2.0, 1e-9);
 
         let mut grown = LinearProgram::new(Sense::Maximize);
         let x2 = grown.add_variable(1.0);
         let z = grown.add_variable(5.0);
         grown.add_constraint(vec![(x2, 1.0), (z, 1.0)], Relation::Le, 2.0);
-        let (second, _) = solve_with_warm_start(&grown, &options, Some(state));
+        let (second, _) = solve_with_warm_start(&grown, Some(state));
         assert_eq!(second.status, LpStatus::Optimal);
         assert_close(second.objective, 10.0, 1e-9);
         assert_close(second.x[z], 2.0, 1e-9);
@@ -1819,17 +1811,16 @@ mod tests {
         let y = lp.add_variable(2.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-        let options = SimplexOptions::default();
-        let (first, state) = solve_with_warm_start(&lp, &options, None);
+        let (first, state) = solve_with_warm_start(&lp, None);
         assert_eq!(first.status, LpStatus::Optimal);
-        let (second, state2) = solve_with_warm_start(&lp, &options, Some(state.into_basis_only()));
+        let (second, state2) = solve_with_warm_start(&lp, Some(state.into_basis_only()));
         assert_eq!(second.status, LpStatus::Optimal);
         assert_eq!(
             second.stats.simplex_iterations, 0,
             "optimal basis needs no pivots after the rebuild"
         );
         assert_close(second.objective, first.objective, 1e-9);
-        assert_eq!(state2.num_rows(), 2);
+        assert_eq!(state2.basis.len(), 2);
     }
 
     #[test]
@@ -1840,13 +1831,12 @@ mod tests {
         // B⁻¹ and could terminate "optimal" at a wrong vertex. The
         // residual check must detect the mismatch, refactorize, and still
         // reach the true optimum.
-        let options = SimplexOptions::default();
         let mut a = LinearProgram::new(Sense::Maximize);
         let ax = a.add_variable(1.0);
         let ay = a.add_variable(1.0);
         a.add_constraint(vec![(ax, 1.0)], Relation::Le, 1.0);
         a.add_constraint(vec![(ay, 1.0)], Relation::Le, 1.0);
-        let (first, state) = solve_with_warm_start(&a, &options, None);
+        let (first, state) = solve_with_warm_start(&a, None);
         assert_eq!(first.status, LpStatus::Optimal);
 
         let mut b = LinearProgram::new(Sense::Maximize);
@@ -1854,8 +1844,8 @@ mod tests {
         let by = b.add_variable(2.0);
         b.add_constraint(vec![(by, 1.0)], Relation::Le, 1.0);
         b.add_constraint(vec![(bx, 1.0), (by, 1.0)], Relation::Le, 1.0);
-        let cold = solve(&b, &options);
-        let (warmed, _) = solve_with_warm_start(&b, &options, Some(state));
+        let cold = solve(&b);
+        let (warmed, _) = solve_with_warm_start(&b, Some(state));
         assert_eq!(warmed.status, LpStatus::Optimal);
         assert_close(warmed.objective, cold.objective, 1e-7);
         assert!(b.is_feasible(&warmed.x, 1e-7));
@@ -1867,15 +1857,14 @@ mod tests {
         let x = a.add_variable(1.0);
         a.add_constraint(vec![(x, 1.0)], Relation::Le, 1.0);
         a.add_constraint(vec![(x, 1.0)], Relation::Le, 3.0);
-        let options = SimplexOptions::default();
-        let (_, state) = solve_with_warm_start(&a, &options, None);
+        let (_, state) = solve_with_warm_start(&a, None);
 
         // a state with more rows than the LP is no row prefix of it: it
         // must be rejected, not trusted
         let mut b = LinearProgram::new(Sense::Maximize);
         let u = b.add_variable(1.0);
         b.add_constraint(vec![(u, 1.0)], Relation::Le, 2.0);
-        let (sol, _) = solve_with_warm_start(&b, &options, Some(state));
+        let (sol, _) = solve_with_warm_start(&b, Some(state));
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_close(sol.objective, 2.0, 1e-9);
         assert_eq!(sol.stats.simplex_iterations, 1, "a cold start pivots x in");
@@ -1887,17 +1876,16 @@ mod tests {
     /// true fixed-at-zero optimum (the review repro for the unsound case).
     #[test]
     fn fixed_basic_columns_are_evicted_on_covering_lps() {
-        let options = SimplexOptions::default();
         let mut lp = LinearProgram::new(Sense::Minimize);
         let x1 = lp.add_variable(1.0);
         let x2 = lp.add_variable(2.0);
         lp.add_constraint(vec![(x1, 1.0), (x2, 1.0)], Relation::Ge, 1.0);
-        let (first, state) = solve_with_warm_start(&lp, &options, None);
+        let (first, state) = solve_with_warm_start(&lp, None);
         assert_eq!(first.status, LpStatus::Optimal);
         assert_close(first.objective, 1.0, 1e-7); // x1 = 1 basic
 
         lp.fix_variables_at_zero(&[x1]);
-        let (fixed, _) = solve_with_warm_start(&lp, &options, Some(state));
+        let (fixed, _) = solve_with_warm_start(&lp, Some(state));
         assert_eq!(fixed.status, LpStatus::Optimal);
         assert_close(fixed.objective, 2.0, 1e-7); // x2 = 1, not x1 for free
         assert_close(fixed.x[x1], 0.0, 1e-9);
@@ -1929,8 +1917,8 @@ mod tests {
             let n = 1 + (seed as usize % 12);
             let m = 1 + ((seed as usize * 7) % 10);
             let lp = random_packing_lp(seed, n, m);
-            let reference = dense::solve(&lp, &SimplexOptions::default());
-            let revised = solve(&lp, &SimplexOptions::default());
+            let reference = dense::solve(&lp);
+            let revised = solve(&lp);
             let label = format!("seed {seed}");
             assert_eq!(revised.status, reference.status, "{label}");
             if revised.status == LpStatus::Optimal {
@@ -1987,8 +1975,8 @@ mod tests {
             for j in 0..n {
                 lp.add_constraint(vec![(j, 1.0)], Relation::Le, 3.0);
             }
-            let reference = dense::solve(&lp, &SimplexOptions::default());
-            let sol = solve(&lp, &SimplexOptions::default());
+            let reference = dense::solve(&lp);
+            let sol = solve(&lp);
             let label = format!("seed {seed}");
             assert_eq!(sol.status, reference.status, "{label}");
             if sol.status == LpStatus::Optimal {
@@ -2024,7 +2012,7 @@ mod tests {
         lp
     }
 
-    /// With `stall_threshold: 0` every pivot takes the Bland override
+    /// With a stall threshold of 0 every pivot takes the Bland override
     /// (first improving column, smallest-index row), in the primal core and
     /// in the dual repair alike. That anti-cycling path must still reach the
     /// dense oracle's answer on random packing LPs and on the degenerate,
@@ -2032,12 +2020,12 @@ mod tests {
     /// duplicated tightening row is appended through the dual path.
     #[test]
     fn bland_override_matches_dense_on_primal_and_row_append_paths() {
-        let bland = SimplexOptions {
+        let bland = Limits {
             stall_threshold: 0,
-            ..Default::default()
+            ..Limits::DEFAULT
         };
         let check = |lp: &LinearProgram, sol: &LpSolution, label: &str| {
-            let reference = dense::solve(lp, &SimplexOptions::default());
+            let reference = dense::solve(lp);
             assert_eq!(sol.status, reference.status, "{label}");
             if sol.status == LpStatus::Optimal {
                 assert!(lp.is_feasible(&sol.x, 1e-7), "{label}");
@@ -2055,7 +2043,7 @@ mod tests {
         lps.push(degenerate_duplicated_lp());
         let mut dual_pivots = 0usize;
         for (k, lp) in lps.iter().enumerate() {
-            let (first, state) = solve_with_warm_start(lp, &bland, None);
+            let (first, state) = solve_limited(lp, bland, None);
             check(lp, &first, &format!("lp {k} primal"));
             // halve the largest primal value: the old optimum violates the
             // appended rows, so the dual repair has to pivot
@@ -2066,7 +2054,7 @@ mod tests {
             for _ in 0..2 {
                 grown.add_constraint(vec![(j, 1.0)], Relation::Le, first.x[j] / 2.0);
             }
-            let (appended, _) = solve_with_warm_start(&grown, &bland, Some(state));
+            let (appended, _) = solve_limited(&grown, bland, Some(state));
             check(&grown, &appended, &format!("lp {k} row append"));
             dual_pivots += appended.stats.dual_pivots;
         }
@@ -2111,13 +2099,12 @@ mod tests {
     fn tightening_row_is_repaired_by_the_dual_path() {
         // Adding x + y <= 1 cuts the optimum (2, 2) off: the dual repair
         // must land on the new optimum 3 (x = 1).
-        let options = SimplexOptions::default();
         let mut lp = tightening_lp();
-        let (first, state) = solve_with_warm_start(&lp, &options, None);
+        let (first, state) = solve_with_warm_start(&lp, None);
         assert_eq!(first.status, LpStatus::Optimal);
 
         lp.add_constraint(vec![(0, 1.0), (1, 1.0)], Relation::Le, 1.0);
-        let (re, _) = solve_with_warm_start(&lp, &options, Some(state));
+        let (re, _) = solve_with_warm_start(&lp, Some(state));
         assert_eq!(re.status, LpStatus::Optimal);
         assert!((re.objective - 3.0).abs() < 1e-7);
         assert!(
@@ -2128,25 +2115,25 @@ mod tests {
     }
 
     /// The row repair and primal phase 2 draw on one pivot budget: with
-    /// `max_iterations: 1` the repair spends the one pivot, reports it, and
+    /// a pivot budget of 1 the repair spends the one pivot, reports it, and
     /// stops, instead of handing the rest of the solve a fresh budget.
     #[test]
     fn row_append_repair_shares_the_pivot_budget() {
         let mut lp = tightening_lp();
-        let (_, state) = solve_with_warm_start(&lp, &SimplexOptions::default(), None);
+        let (_, state) = solve_with_warm_start(&lp, None);
         lp.add_constraint(vec![(0, 1.0), (1, 1.0)], Relation::Le, 1.0);
         lp.add_constraint(vec![(0, 1.0)], Relation::Le, 0.5);
-        let one = SimplexOptions {
-            max_iterations: 1,
-            ..Default::default()
+        let one = Limits {
+            max_iterations: Some(1),
+            ..Limits::DEFAULT
         };
-        let (re, _) = solve_with_warm_start(&lp, &one, Some(state.clone()));
+        let (re, _) = solve_limited(&lp, one, Some(state.clone()));
         assert_eq!(re.status, LpStatus::IterationLimit);
         assert!(re.stats.dual_pivots + re.stats.simplex_iterations <= 1);
         assert_eq!(re.stats.dual_pivots, 1);
 
         // the default budget finishes the repair: x = 0.5, y = 0.5
-        let (full, _) = solve_with_warm_start(&lp, &SimplexOptions::default(), Some(state));
+        let (full, _) = solve_with_warm_start(&lp, Some(state));
         assert_eq!(full.status, LpStatus::Optimal);
         assert_eq!(full.stats.dual_pivots, 2);
         assert_close(full.objective, 2.5, 1e-7);
@@ -2154,13 +2141,12 @@ mod tests {
 
     #[test]
     fn slack_row_addition_needs_no_pivots() {
-        let options = SimplexOptions::default();
         let mut lp = LinearProgram::new(Sense::Maximize);
         let x = lp.add_variable(1.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-        let (_, state) = solve_with_warm_start(&lp, &options, None);
+        let (_, state) = solve_with_warm_start(&lp, None);
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 10.0);
-        let (re, _) = solve_with_warm_start(&lp, &options, Some(state));
+        let (re, _) = solve_with_warm_start(&lp, Some(state));
         assert_eq!(re.status, LpStatus::Optimal);
         assert!((re.objective - 2.0).abs() < 1e-9);
         assert_eq!(re.stats.dual_pivots, 0, "non-binding row");
@@ -2173,26 +2159,24 @@ mod tests {
     #[test]
     fn infeasible_after_row_addition_is_detected() {
         // x <= 2 optimal at 2; adding x >= 5 makes the LP infeasible.
-        let options = SimplexOptions::default();
         let mut lp = LinearProgram::new(Sense::Maximize);
         let x = lp.add_variable(1.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-        let (_, state) = solve_with_warm_start(&lp, &options, None);
+        let (_, state) = solve_with_warm_start(&lp, None);
         lp.add_constraint(vec![(x, 1.0)], Relation::Ge, 5.0);
-        let (re, _) = solve_with_warm_start(&lp, &options, Some(state));
+        let (re, _) = solve_with_warm_start(&lp, Some(state));
         assert_eq!(re.status, LpStatus::Infeasible);
     }
 
     #[test]
     fn equality_rows_fall_back_to_the_primal_path() {
-        let options = SimplexOptions::default();
         let mut lp = LinearProgram::new(Sense::Maximize);
         let x = lp.add_variable(1.0);
         let y = lp.add_variable(2.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 3.0);
-        let (_, state) = solve_with_warm_start(&lp, &options, None);
+        let (_, state) = solve_with_warm_start(&lp, None);
         lp.add_constraint(vec![(y, 1.0)], Relation::Eq, 1.0);
-        let (re, _) = solve_with_warm_start(&lp, &options, Some(state));
+        let (re, _) = solve_with_warm_start(&lp, Some(state));
         assert_eq!(re.stats.dual_pivots, 0, "Eq rows are not dual-eligible");
         assert_eq!(re.status, LpStatus::Optimal);
         assert!((re.objective - 4.0).abs() < 1e-7); // x=2, y=1
@@ -2203,17 +2187,16 @@ mod tests {
         // A basis from an unrelated LP (different coefficients) read as a
         // row prefix: whether the install declines it or repairs it, the
         // answer must be this LP's optimum.
-        let options = SimplexOptions::default();
         let mut donor = LinearProgram::new(Sense::Maximize);
         let d = donor.add_variable(0.1);
         donor.add_constraint(vec![(d, 1.0)], Relation::Le, 1.0);
-        let (_, state) = solve_with_warm_start(&donor, &options, None);
+        let (_, state) = solve_with_warm_start(&donor, None);
 
         let mut lp = LinearProgram::new(Sense::Maximize);
         let x = lp.add_variable(5.0);
         lp.add_constraint(vec![(x, 2.0)], Relation::Le, 4.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 3.0);
-        let (re, _) = solve_with_warm_start(&lp, &options, Some(state));
+        let (re, _) = solve_with_warm_start(&lp, Some(state));
         assert_eq!(re.status, LpStatus::Optimal);
         assert!((re.objective - 10.0).abs() < 1e-7);
     }
@@ -2223,19 +2206,18 @@ mod tests {
         // add rows twice, repairing each time, then grow a column and a row
         // together — the warm state must stay coherent across the dual
         // repair and the primal resume.
-        let options = SimplexOptions::default();
         let mut lp = random_bounded_packing_lp(5, 6, 4);
-        let (first, state) = solve_with_warm_start(&lp, &options, None);
+        let (first, state) = solve_with_warm_start(&lp, None);
         assert_eq!(first.status, LpStatus::Optimal);
         lp.add_constraint(vec![(0, 1.0), (1, 1.0)], Relation::Le, 0.7);
-        let (re1, state1) = solve_with_warm_start(&lp, &options, Some(state));
+        let (re1, state1) = solve_with_warm_start(&lp, Some(state));
         // the first cut misses the optimum: the extended basis answers
         // without a pivot, where a cold start needs three
         assert_eq!(re1.stats.dual_pivots + re1.stats.simplex_iterations, 0);
         lp.add_constraint(vec![(2, 1.0), (3, 1.0)], Relation::Le, 0.5);
-        let (re2, state2) = solve_with_warm_start(&lp, &options, Some(state1));
+        let (re2, state2) = solve_with_warm_start(&lp, Some(state1));
         assert!(re2.stats.dual_pivots > 0, "the second cut binds");
-        let cold = solve(&lp, &options);
+        let cold = solve(&lp);
         assert!((re2.objective - cold.objective).abs() < 1e-6);
 
         // column growth on top of the dually repaired basis
@@ -2243,8 +2225,8 @@ mod tests {
         lp.add_constraint(vec![(z, 1.0)], Relation::Le, 0.25);
         // (new row referencing only the new column: the prior basis rows are
         // a prefix, so the dual path applies again)
-        let (re3, _) = solve_with_warm_start(&lp, &options, Some(state2));
-        let cold3 = solve(&lp, &options);
+        let (re3, _) = solve_with_warm_start(&lp, Some(state2));
+        let cold3 = solve(&lp);
         assert_eq!(re3.status, LpStatus::Optimal);
         assert!((re3.objective - cold3.objective).abs() < 1e-6);
     }
@@ -2270,7 +2252,7 @@ mod tests {
                 let coeffs: Vec<(usize, f64)> = (0..n).map(|j| (j, rows[i][j])).collect();
                 lp.add_constraint(coeffs, Relation::Le, rhs[i]);
             }
-            let sol = solve(&lp, &SimplexOptions::default());
+            let sol = solve(&lp);
             // packing LPs with x = 0 feasible are never infeasible
             prop_assert_ne!(sol.status, LpStatus::Infeasible);
             if sol.status == LpStatus::Optimal {
@@ -2286,7 +2268,7 @@ mod tests {
                     prop_assert!(lhs >= obj[j] - 1e-5);
                 }
                 // and the dense reference finds the same optimum
-                let reference = dense::solve(&lp, &SimplexOptions::default());
+                let reference = dense::solve(&lp);
                 prop_assert_eq!(reference.status, LpStatus::Optimal);
                 prop_assert!((sol.objective - reference.objective).abs() < 1e-6,
                     "{} vs dense {}", sol.objective, reference.objective);
@@ -2320,11 +2302,11 @@ mod tests {
             for j in 0..n {
                 lp.add_constraint(vec![(j, 1.0)], Relation::Le, 10.0);
             }
-            let sol = solve(&lp, &SimplexOptions::default());
+            let sol = solve(&lp);
             match sol.status {
                 LpStatus::Optimal => {
                     prop_assert!(lp.is_feasible(&sol.x, 1e-5));
-                    let reference = dense::solve(&lp, &SimplexOptions::default());
+                    let reference = dense::solve(&lp);
                     if reference.status == LpStatus::Optimal {
                         prop_assert!((sol.objective - reference.objective).abs()
                             < 1e-5 * (1.0 + sol.objective.abs()),
@@ -2333,7 +2315,7 @@ mod tests {
                 }
                 LpStatus::Infeasible => {
                     // the dense reference must agree that no point exists
-                    let reference = dense::solve(&lp, &SimplexOptions::default());
+                    let reference = dense::solve(&lp);
                     prop_assert_ne!(reference.status, LpStatus::Optimal);
                 }
                 LpStatus::Unbounded => prop_assert!(false, "bounded LP reported unbounded"),
@@ -2356,9 +2338,8 @@ mod tests {
             dup in any::<bool>(),
             mixed in any::<bool>(),
         ) {
-            let options = SimplexOptions::default();
             let mut lp = random_bounded_packing_lp(seed, n, m);
-            let (first, state) = solve_with_warm_start(&lp, &options, None);
+            let (first, state) = solve_with_warm_start(&lp, None);
             prop_assert_eq!(first.status, LpStatus::Optimal);
 
             let mut rng = StdRng::seed_from_u64(seed ^ 0xD00D);
@@ -2394,8 +2375,8 @@ mod tests {
                 lp.add_constraint(last_coeffs, last_relation, last_rhs);
             }
 
-            let (re, _) = solve_with_warm_start(&lp, &options, Some(state));
-            let reference = dense::solve(&lp, &SimplexOptions::default());
+            let (re, _) = solve_with_warm_start(&lp, Some(state));
+            let reference = dense::solve(&lp);
             prop_assert_eq!(re.status, reference.status);
             if re.status == LpStatus::Optimal {
                 prop_assert!(lp.is_feasible(&re.x, 1e-6));
@@ -2425,9 +2406,8 @@ mod tests {
             n in 2usize..6,
             m in 1usize..5,
         ) {
-            let options = SimplexOptions::default();
             let mut lp = random_bounded_packing_lp(seed, n, m);
-            let (first, state) = solve_with_warm_start(&lp, &options, None);
+            let (first, state) = solve_with_warm_start(&lp, None);
             prop_assert_eq!(first.status, LpStatus::Optimal);
             // every variable is bounded by its bound row, so demanding more
             // than the summed bounds is infeasible
@@ -2440,8 +2420,8 @@ mod tests {
             let coeffs: Vec<(usize, f64)> = (0..n).map(|j| (j, 1.0)).collect();
             lp.add_constraint(coeffs, Relation::Ge, total_bound + 5.0);
 
-            let (re, _) = solve_with_warm_start(&lp, &options, Some(state));
-            let reference = dense::solve(&lp, &SimplexOptions::default());
+            let (re, _) = solve_with_warm_start(&lp, Some(state));
+            let reference = dense::solve(&lp);
             prop_assert_eq!(reference.status, LpStatus::Infeasible);
             prop_assert_eq!(re.status, LpStatus::Infeasible);
         }

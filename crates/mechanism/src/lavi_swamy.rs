@@ -39,7 +39,7 @@ use ssa_core::session::AuctionSession;
 use ssa_core::solver::{SolveError, SolverBuilder, SpectrumAuctionSolver};
 use ssa_core::valuation::{TabularValuation, Valuation};
 use ssa_core::{AuctionInstance, ChannelSet};
-use ssa_lp::{ColumnGeneration, GeneratedColumn, MasterProblem, Relation, Sense, SimplexOptions};
+use ssa_lp::{GeneratedColumn, MasterProblem, Relation, Sense};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -184,10 +184,6 @@ pub fn decompose(
 
     // Column generation: duals = adjusted valuations; verifier = our solver.
     let solver = SpectrumAuctionSolver::new(verifier.clone());
-    let cg = ColumnGeneration {
-        max_rounds: MAX_ROUNDS,
-        ..Default::default()
-    };
     let support_for_pricing = support.clone();
     let support_index_for_pricing = support_index.clone();
     // next_tag is shared with the outer allocation list through a RefCell-free
@@ -269,7 +265,7 @@ pub fn decompose(
         // The decomposition master is seeded with the always-feasible
         // singleton columns, so even an iteration-limited run leaves a
         // usable cover; the final cold solve below recomputes the weights.
-        pricing_rounds = match cg.run(&mut master, &mut pricing) {
+        pricing_rounds = match master.generate_columns(&mut pricing, MAX_ROUNDS) {
             Ok(result) => result.rounds,
             Err(ssa_lp::ColumnGenerationError::IterationLimit { partial }) => partial.rounds,
         };
@@ -277,16 +273,16 @@ pub fn decompose(
     allocations.extend(produced);
 
     // Final solve of the master to get the cover weights.
-    let solution = master.solve(&SimplexOptions::default());
+    let solution = master.solve();
     let rounds = pricing_rounds;
 
     // Collect the distribution: weights of the master columns, normalized.
     let mut weighted: Vec<(f64, Allocation)> = Vec::new();
     let mut total = 0.0;
-    for (idx, col) in master.columns().iter().enumerate() {
+    for (idx, &tag) in master.tags().iter().enumerate() {
         let lambda = solution.x.get(idx).copied().unwrap_or(0.0);
         if lambda > PROBABILITY_TOLERANCE {
-            let allocation = allocations[col.tag as usize].clone();
+            let allocation = allocations[tag as usize].clone();
             weighted.push((lambda, allocation));
             total += lambda;
         }

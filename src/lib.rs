@@ -56,14 +56,16 @@
 //! settings — the rounding seed and trial count, the pricing-round cap,
 //! the seed depth and bundle enumeration. Every other value the pipeline
 //! reads has one value in use and is a constant of the module that reads
-//! it. Older configuration maps as follows:
+//! it, down to the LP crate, whose only settable value is the pricing-round
+//! cap of [`MasterProblem::generate_columns`](lp::MasterProblem::generate_columns).
+//! Older configuration maps as follows:
 //!
 //! | before | after |
 //! |---|---|
 //! | `SolverOptions { rounding: RoundingOptions { seed, trials }, .. }` | `SolverBuilder::new().rounding(seed, trials)` |
 //! | `SolverOptions` as a value (`SpectrumAuctionSolver::new`, `AuctionSession::new`, `SealedTranscript::options`, `AuctionSession::options()`) | removed: each takes or holds a `SolverBuilder` |
 //! | `LpFormulationOptions { seed_top_bundles, enumerate_all_bundles, column_generation: ColumnGeneration { max_rounds, .. }, .. }` | [`SolverBuilder::seed_top_bundles`](auction::solver::SolverBuilder::seed_top_bundles), [`enumerate_all_bundles`](auction::solver::SolverBuilder::enumerate_all_bundles), [`max_pricing_rounds`](auction::solver::SolverBuilder::max_pricing_rounds); `solve_relaxation` and `try_solve_relaxation` take `&SolverBuilder` |
-//! | `LpFormulationOptions { column_pool_capacity, compaction_threshold, support_tolerance, column_generation: ColumnGeneration { simplex, reduced_cost_tolerance, .. }, .. }` | `column_pool_capacity` went with the pool; the others are constants: the session's compaction threshold (0.25), the relaxation's support tolerance (1e-9); masters solve with `SimplexOptions::default()` and `ColumnGeneration::default()`'s reduced-cost tolerance |
+//! | `LpFormulationOptions { column_pool_capacity, compaction_threshold, support_tolerance, column_generation: ColumnGeneration { simplex, reduced_cost_tolerance, .. }, .. }` | `column_pool_capacity` went with the pool; the others are constants: the session's compaction threshold (0.25), the relaxation's support tolerance (1e-9); the LP engine's settings and the master's reduced-cost tolerance (1e-7) are constants of `ssa_lp` |
 //! | `SolverBuilder::options()` | removed: pass the builder itself |
 //! | `SolverBuilder::column_pool_capacity(n)` | removed (it had no caller), and the pool with it: a session's master is its only column store |
 //! | `TruthfulMechanism::new(TruthfulMechanismOptions { lp, decomposition })` | [`TruthfulMechanism::new(verifier)`](mechanism::TruthfulMechanism::new) with a `SolverBuilder`; the welfare and VCG LPs use the default relaxation |
@@ -74,7 +76,7 @@
 //! | n/a (one-shot only) | `SolverBuilder::new()…`[`.session(instance)`](auction::solver::SolverBuilder::session) |
 //! | `try_solve_relaxation_with_pool(instance, options, pool)` | a session's [`resolve_relaxation`](auction::session::AuctionSession::resolve_relaxation): it seeds each rebuild from the bundle columns of the master it replaces |
 //! | `LpFormulationOptions { deep_batch_rows, .. }` | removed: arrivals always take the dual-simplex row repair, and an exchange drain is one resolve |
-//! | `large_instance_simplex_options()` | removed: masters solve with `SimplexOptions::default()` |
+//! | `large_instance_simplex_options()` | removed: the LP engine has no options |
 //! | `ExchangeBuilder::coalescing(bool)` | removed: the exchange queues each market's events and applies them verbatim, in submission order |
 //! | `ExchangeBuilder::solver_options(options)` | removed: configure the sessions through [`ExchangeBuilder::solver`](exchange::ExchangeBuilder::solver) with a `SolverBuilder` |
 //! | `OutcomeSummary::new(instance, outcome)` | removed (it had no caller): read [`AuctionOutcome`](auction::solver::AuctionOutcome) and its `lp_info` directly |
@@ -88,10 +90,14 @@
 //! | `RelaxationInfo::{pool_hits, pool_evictions}` | removed with the pool; [`RelaxationInfo::columns_generated`](auction::lp_formulation::RelaxationInfo::columns_generated) counts the columns a resolve had to price in |
 //! | `MasterProblem::to_linear_program`, `MasterProblem::reset_warm_start` | removed (they had no caller) |
 //! | `ExchangeStats::lp: LpActivity` | [`ExchangeStats::lp`](exchange::ExchangeStats::lp) is a [`lp::SolveStats`] merged over every drained resolve; the per-market rounds and column counters stay on each resolve's `outcome.lp_info` |
-//! | `reoptimize_after_row_additions(lp, options, prior)` | [`lp::solve_with_warm_start`]`(lp, options, Some(prior))`: a state whose basis covers a row prefix of `lp` is extended by the appended rows' logicals and repaired by the engine's dual simplex loop |
+//! | `reoptimize_after_row_additions(lp, options, prior)` | [`lp::solve_with_warm_start`]`(lp, Some(prior))`: a state whose basis covers a row prefix of `lp` is extended by the appended rows' logicals and repaired by the engine's dual simplex loop |
 //! | `DualReoptimization { solution, warm, used_dual_path }` | the `(LpSolution, WarmStart)` pair that [`lp::solve_with_warm_start`] returns; read the repair's work from [`SolveStats::dual_pivots`](lp::SolveStats::dual_pivots) and `simplex_iterations` |
 //! | `MasterProblem::last_dual_pivots()` | the [`SolveStats::dual_pivots`](lp::SolveStats::dual_pivots) of the solution that [`MasterProblem::solve_warm`](lp::MasterProblem::solve_warm) returns |
 //! | `MasterProblem::warm_start()` | removed (only tests read it): the master keeps its recorded basis private |
+//! | `SimplexOptions { tolerance, max_iterations, stall_threshold, refactor_interval }`, the `options` argument of `lp::solve`, `lp::solve_with_warm_start`, `lp::dense::solve` and `MasterProblem::{solve, solve_warm}` | removed: every caller passed the defaults, which are now constants of `ssa_lp::simplex` (tolerance 1e-9, Bland's rule after 64 stalled pivots, a refactorization every 256 updates, a pivot budget of `200 · (m + n_total) + 10 000`) |
+//! | `ColumnGeneration { simplex, max_rounds, reduced_cost_tolerance }.run(master, source)` | [`master.generate_columns(source, max_rounds)`](lp::MasterProblem::generate_columns); the reduced-cost tolerance (1e-7) is a constant |
+//! | `MasterProblem::columns()` | [`MasterProblem::tags`](lp::MasterProblem::tags): the master keeps each column once, in its LP, and callers only read the tags |
+//! | `MasterProblem::rows()`, `LinearProgram::row_states()`, `WarmStart::num_rows()` | removed (they had no caller outside tests): read `basis.len()` for a state's row count |
 //! | `CscMatrix::row_major()` | removed: the dual ratio test walks [`LinearProgram::constraints`](lp::LinearProgram::constraints), which is row-major already |
 //!
 //! ## One master, and the seed depth
