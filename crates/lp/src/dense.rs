@@ -22,7 +22,6 @@ pub fn solve(lp: &LinearProgram) -> LpSolution {
 
 struct Tableau<'a> {
     lp: &'a LinearProgram,
-    max_iterations: usize,
     m: usize,
     /// total number of columns (original + slack + surplus + artificial)
     n_total: usize,
@@ -133,7 +132,6 @@ impl<'a> Tableau<'a> {
 
         Tableau {
             lp,
-            max_iterations: pivot_budget(m, n_total),
             m,
             n_total,
             n_original: n,
@@ -171,7 +169,7 @@ impl<'a> Tableau<'a> {
         let mut stall = 0usize;
         let mut last_obj = self.objective_of_basis(cost);
         loop {
-            if self.iterations >= self.max_iterations {
+            if self.iterations >= pivot_budget(self.m, self.n_total) {
                 return Some(LpStatus::IterationLimit);
             }
             // y = c_B^T B^{-1} is implicit: reduced cost of column j is
