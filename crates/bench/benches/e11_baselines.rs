@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ssa_core::edge_lp::edge_lp_baseline;
-use ssa_core::exact::solve_exact_default;
+use ssa_core::exact::solve_exact;
 use ssa_core::greedy::{greedy_by_bundle_value, greedy_channel_by_channel};
 use ssa_core::solver::SpectrumAuctionSolver;
 use ssa_workloads::{protocol_scenario, ScenarioConfig, ValuationProfile};
@@ -29,7 +29,7 @@ fn bench_e11(c: &mut Criterion) {
         b.iter(|| edge_lp_baseline(instance))
     });
     group.bench_function("exact_branch_and_bound", |b| {
-        b.iter(|| solve_exact_default(instance))
+        b.iter(|| solve_exact(instance))
     });
     group.finish();
 }

@@ -8,7 +8,7 @@ use crate::table::{fmt, Table};
 use rayon::prelude::*;
 use ssa_conflict_graph::ConflictGraph;
 use ssa_core::edge_lp::edge_lp_baseline;
-use ssa_core::exact::solve_exact_default;
+use ssa_core::exact::solve_exact;
 use ssa_core::greedy::{greedy_by_bundle_value, greedy_channel_by_channel};
 use ssa_core::hardness::{theorem_18_instance, theorem_18_optimum};
 use ssa_core::lp_formulation::solve_relaxation_oracle;
@@ -443,7 +443,7 @@ pub fn e9_asymmetric(quick: bool) -> Table {
         let config = ScenarioConfig::new(if quick { 10 } else { 16 }, k, 900 + k as u64);
         let generated = asymmetric_scenario(&config, 1.0);
         let exact = if generated.instance.num_bidders() <= 12 && k <= 2 {
-            solve_exact_default(&generated.instance).welfare
+            solve_exact(&generated.instance).welfare
         } else {
             f64::NAN
         };
@@ -557,7 +557,7 @@ pub fn e11_baselines(quick: bool) -> Table {
             config.valuations = ValuationProfile::Mixed;
             let generated = protocol_scenario(&config, 1.0);
             let instance = &generated.instance;
-            let exact = solve_exact_default(instance);
+            let exact = solve_exact(instance);
             exact_sum += exact.welfare;
             let solver = solver_with_trials(if quick { 16 } else { 64 }, seed);
             sums[0] += solver.solve(instance).welfare;
@@ -645,7 +645,6 @@ pub fn e12_scalability(quick: bool) -> Table {
     table
 }
 
-/// Runs every experiment and returns the tables in order.
 /// Runs the experiments whose ids appear in `selected` (all twelve when
 /// the list is empty). Experiments are built lazily, so selecting a
 /// subset — e.g. `experiments -- E12` to refresh the scalability
@@ -670,11 +669,6 @@ pub fn run_selected(quick: bool, selected: &[String]) -> Vec<Table> {
         .filter(|(id, _)| selected.is_empty() || selected.iter().any(|s| s == id))
         .map(|(_, build)| build(quick))
         .collect()
-}
-
-/// Runs every experiment (the full E1–E12 sweep).
-pub fn run_all(quick: bool) -> Vec<Table> {
-    run_selected(quick, &[])
 }
 
 #[cfg(test)]

@@ -96,11 +96,6 @@ impl BitSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Alias of [`BitSet::count`] matching the `u64::count_ones` naming.
-    pub fn count_ones(&self) -> usize {
-        self.count()
-    }
-
     /// The backing `u64` words (low bit of word 0 is element 0).
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -144,11 +139,6 @@ impl BitSet {
             .sum()
     }
 
-    /// Alias of [`BitSet::intersection_count`].
-    pub fn intersect_count(&self, other: &BitSet) -> usize {
-        self.intersection_count(other)
-    }
-
     /// Returns `true` if `self` and `other` share at least one element.
     pub fn intersects(&self, other: &BitSet) -> bool {
         self.words
@@ -176,26 +166,12 @@ impl BitSet {
         }
     }
 
-    /// In-place difference: removes all elements of `other` from `self`.
-    pub fn difference_with(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len);
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a &= !b;
-        }
-    }
-
     /// Returns `true` if every element of `self` is contained in `other`.
     pub fn is_subset_of(&self, other: &BitSet) -> bool {
         self.words
             .iter()
             .zip(other.words.iter())
             .all(|(a, b)| a & !b == 0)
-    }
-
-    /// Alias of [`BitSet::iter`]: walks set bits word by word with
-    /// `trailing_zeros`, never visiting empty words bit-by-bit.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.iter()
     }
 
     /// Collects the contents into a `Vec<usize>`.
@@ -248,24 +224,10 @@ mod tests {
         for len in [0usize, 1, 63, 64, 65, 127, 128, 129, 192] {
             let s = BitSet::full(len);
             assert_eq!(s.count(), len, "len {len}");
-            assert_eq!(s.count_ones(), len);
+            assert_eq!(s.words().len(), len.div_ceil(64));
             assert!(!s.contains(len));
             assert_eq!(s.to_vec(), (0..len).collect::<Vec<_>>());
-            // complement through difference must be empty
-            let mut d = s.clone();
-            d.difference_with(&BitSet::full(len));
-            assert!(d.is_empty());
         }
-    }
-
-    #[test]
-    fn word_level_count_aliases_agree() {
-        let a = BitSet::from_indices(200, [0, 63, 64, 127, 128, 199]);
-        let b = BitSet::from_indices(200, [63, 64, 150]);
-        assert_eq!(a.intersect_count(&b), a.intersection_count(&b));
-        assert_eq!(a.intersect_count(&b), 2);
-        assert_eq!(a.iter_ones().collect::<Vec<_>>(), a.to_vec());
-        assert_eq!(a.words().len(), 200usize.div_ceil(64));
     }
 
     #[test]
@@ -282,10 +244,6 @@ mod tests {
         let mut i = a.clone();
         i.intersect_with(&b);
         assert_eq!(i.to_vec(), vec![2, 3, 99]);
-
-        let mut d = a.clone();
-        d.difference_with(&b);
-        assert_eq!(d.to_vec(), vec![1, 50]);
 
         assert!(i.is_subset_of(&a));
         assert!(i.is_subset_of(&b));

@@ -340,7 +340,7 @@ mod tests {
         let b = certified_rho(&g, &VertexOrdering::identity(6));
         assert_eq!(b.rho, 1.0);
         assert!(b.is_exact);
-        let b2 = certified_rho(&g, &VertexOrdering::identity(6).reversed());
+        let b2 = certified_rho(&g, &VertexOrdering::from_order((0..6).rev().collect()));
         assert_eq!(b2.rho, 1.0);
     }
 

@@ -54,21 +54,9 @@ impl VertexOrdering {
         VertexOrdering { position, order }
     }
 
-    /// Builds an ordering by sorting vertices by a key, smallest key first.
+    /// Builds an ordering by sorting vertices by a key, largest key first.
     ///
     /// Ties are broken by vertex id, making the result deterministic.
-    pub fn by_key_ascending<K: PartialOrd>(n: usize, key: impl Fn(VertexId) -> K) -> Self {
-        let mut order: Vec<VertexId> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            key(a)
-                .partial_cmp(&key(b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        Self::from_order(order)
-    }
-
-    /// Builds an ordering by sorting vertices by a key, largest key first.
     pub fn by_key_descending<K: PartialOrd>(n: usize, key: impl Fn(VertexId) -> K) -> Self {
         let mut order: Vec<VertexId> = (0..n).collect();
         order.sort_by(|&a, &b| {
@@ -95,19 +83,9 @@ impl VertexOrdering {
         self.position[v]
     }
 
-    /// The vertex at position `pos`.
-    pub fn vertex_at(&self, pos: usize) -> VertexId {
-        self.order[pos]
-    }
-
     /// Vertices in order, first to last.
     pub fn as_order(&self) -> &[VertexId] {
         &self.order
-    }
-
-    /// Positions indexed by vertex.
-    pub fn as_positions(&self) -> &[usize] {
-        &self.position
     }
 
     /// Returns `true` if `u` precedes `v` in the ordering.
@@ -138,12 +116,6 @@ impl VertexOrdering {
             .map(|u| (u, g.symmetric_weight(u, v)))
             .collect()
     }
-
-    /// Returns the reversed ordering.
-    pub fn reversed(&self) -> Self {
-        let order: Vec<VertexId> = self.order.iter().rev().copied().collect();
-        Self::from_order(order)
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +129,7 @@ mod tests {
         assert_eq!(o.len(), 4);
         for v in 0..4 {
             assert_eq!(o.position(v), v);
-            assert_eq!(o.vertex_at(v), v);
+            assert_eq!(o.as_order()[v], v);
         }
         assert!(o.precedes(0, 3));
         assert!(!o.precedes(3, 0));
@@ -170,7 +142,7 @@ mod tests {
         assert_eq!(o.position(0), 1);
         assert_eq!(o.position(3), 2);
         assert_eq!(o.position(1), 3);
-        assert_eq!(o.vertex_at(0), 2);
+        assert_eq!(o.as_order()[0], 2);
         assert!(o.precedes(2, 1));
     }
 
@@ -183,8 +155,6 @@ mod tests {
     #[test]
     fn by_key_orderings() {
         let radii = [3.0, 1.0, 2.0, 5.0];
-        let asc = VertexOrdering::by_key_ascending(4, |v| radii[v]);
-        assert_eq!(asc.as_order(), &[1, 2, 0, 3]);
         let desc = VertexOrdering::by_key_descending(4, |v| radii[v]);
         assert_eq!(desc.as_order(), &[3, 0, 2, 1]);
     }
@@ -192,8 +162,6 @@ mod tests {
     #[test]
     fn ties_broken_by_vertex_id() {
         let keys = [1.0, 1.0, 0.5];
-        let asc = VertexOrdering::by_key_ascending(3, |v| keys[v]);
-        assert_eq!(asc.as_order(), &[2, 0, 1]);
         let desc = VertexOrdering::by_key_descending(3, |v| keys[v]);
         assert_eq!(desc.as_order(), &[0, 1, 2]);
     }
@@ -204,7 +172,7 @@ mod tests {
         let o = VertexOrdering::identity(4);
         assert_eq!(o.backward_neighborhood(&g, 0), Vec::<usize>::new());
         assert_eq!(o.backward_neighborhood(&g, 2), vec![1]);
-        let rev = o.reversed();
+        let rev = VertexOrdering::from_order(vec![3, 2, 1, 0]);
         assert_eq!(rev.backward_neighborhood(&g, 2), vec![3]);
     }
 
@@ -230,10 +198,10 @@ mod tests {
             idx.sort_by_key(|&i| (perm[i], i));
             let o = VertexOrdering::from_order(idx);
             for v in 0..n {
-                prop_assert_eq!(o.vertex_at(o.position(v)), v);
+                prop_assert_eq!(o.as_order()[o.position(v)], v);
             }
             for p in 0..n {
-                prop_assert_eq!(o.position(o.vertex_at(p)), p);
+                prop_assert_eq!(o.position(o.as_order()[p]), p);
             }
         }
 
@@ -243,7 +211,7 @@ mod tests {
             let mut idx: Vec<usize> = (0..n).collect();
             idx.sort_by_key(|&i| (perm[i], i));
             let o = VertexOrdering::from_order(idx);
-            let r = o.reversed();
+            let r = VertexOrdering::from_order(o.as_order().iter().rev().copied().collect());
             for u in 0..n {
                 for v in 0..n {
                     if u != v {

@@ -176,16 +176,6 @@ impl ConflictGraph {
         (0..self.n).map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
-    /// Average degree `d̄ = 2|E|/n`, the quantity appearing in the classical
-    /// `(d̄+1)/2` bound for the edge-based LP relaxation (Section 2.1).
-    pub fn average_degree(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            2.0 * self.num_edges as f64 / self.n as f64
-        }
-    }
-
     /// Iterator over all edges `(u, v)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
         (0..self.n).flat_map(move |u| {
@@ -208,14 +198,6 @@ impl ConflictGraph {
             }
         }
         true
-    }
-
-    /// Returns `true` if the members of the bit set form an independent set.
-    ///
-    /// Adjacency rows never contain the vertex itself, so it suffices to test
-    /// that no member's row intersects the set.
-    pub fn is_independent_bitset(&self, set: &BitSet) -> bool {
-        set.iter().all(|v| !self.adj_rows[v].intersects(set))
     }
 
     /// Builds the subgraph induced by `vertices`.
@@ -264,16 +246,6 @@ impl ConflictGraph {
         let keep: Vec<VertexId> = (0..self.n).filter(|&u| u != v).collect();
         self.induced_subgraph(&keep).0
     }
-
-    /// Restricts the members of `set` that are neighbors of `v` and precede
-    /// `v` in the ordering `order_pos` (i.e. lie in the backward neighborhood
-    /// `Γπ(v)`), returning how many there are.
-    pub fn backward_neighbors_in(&self, v: VertexId, order_pos: &[usize], set: &BitSet) -> usize {
-        self.neighbors[v]
-            .iter()
-            .filter(|&&u| order_pos[u] < order_pos[v] && set.contains(u))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -291,7 +263,6 @@ mod tests {
         let g = ConflictGraph::new(5);
         assert_eq!(g.num_edges(), 0);
         assert!(g.is_independent(&[0, 1, 2, 3, 4]));
-        assert_eq!(g.average_degree(), 0.0);
     }
 
     #[test]
@@ -322,7 +293,6 @@ mod tests {
         assert!(!g.is_independent(&[0, 1]));
         assert_eq!(g.degree(0), 1);
         assert_eq!(g.degree(2), 2);
-        assert_eq!(g.average_degree(), 2.0 * 4.0 / 5.0);
     }
 
     #[test]
@@ -343,15 +313,6 @@ mod tests {
         assert!(sub.has_edge(0, 1)); // 1-2
         assert!(!sub.has_edge(1, 2)); // 2-4 not an edge in g
         assert_eq!(sub.num_edges(), 1);
-    }
-
-    #[test]
-    fn bitset_independence_matches_slice_independence() {
-        let g = ConflictGraph::from_edges(5, &[(0, 1), (2, 3)]);
-        let ind = BitSet::from_indices(5, [0, 2, 4]);
-        let dep = BitSet::from_indices(5, [0, 1]);
-        assert!(g.is_independent_bitset(&ind));
-        assert!(!g.is_independent_bitset(&dep));
     }
 
     #[test]
@@ -446,17 +407,6 @@ mod tests {
             for v in 0..g.num_vertices() {
                 prop_assert!(g.is_independent(&[v]));
             }
-        }
-
-        #[test]
-        fn prop_bitset_and_slice_independence_agree(g in arb_graph(), picks in prop::collection::vec(0usize..30, 0..10)) {
-            let n = g.num_vertices();
-            let picks: Vec<usize> = picks.into_iter().filter(|&p| p < n).collect();
-            let mut dedup = picks.clone();
-            dedup.sort_unstable();
-            dedup.dedup();
-            let bs = BitSet::from_indices(n, dedup.iter().copied());
-            prop_assert_eq!(g.is_independent(&dedup), g.is_independent_bitset(&bs));
         }
     }
 }

@@ -270,23 +270,6 @@ impl WeightedConflictGraph {
         }
         g
     }
-
-    /// Thresholds the weighted graph into an unweighted conflict graph that
-    /// contains an edge wherever the symmetrized weight reaches `threshold`.
-    ///
-    /// This is a lossy view; it is used by baselines that only understand
-    /// binary conflicts.
-    pub fn threshold_graph(&self, threshold: f64) -> ConflictGraph {
-        let mut g = ConflictGraph::new(self.n);
-        for u in 0..self.n {
-            for &(v, _) in &self.out[u] {
-                if self.symmetric_weight(u, v) >= threshold {
-                    g.add_edge(u, v);
-                }
-            }
-        }
-        g
-    }
 }
 
 #[cfg(test)]
@@ -414,17 +397,6 @@ mod tests {
         for s in sets {
             assert_eq!(g.is_independent(&s), w.is_independent(&s), "set {s:?}");
         }
-    }
-
-    #[test]
-    fn threshold_graph_extracts_strong_conflicts() {
-        let mut g = WeightedConflictGraph::new(3);
-        g.set_weight(0, 1, 0.6);
-        g.set_weight(1, 0, 0.6);
-        g.set_weight(1, 2, 0.1);
-        let t = g.threshold_graph(1.0);
-        assert!(t.has_edge(0, 1));
-        assert!(!t.has_edge(1, 2));
     }
 
     #[test]

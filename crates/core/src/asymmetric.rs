@@ -11,12 +11,9 @@
 //!
 //! This module provides the glue used by the experiments: certifying a
 //! single ρ that is valid for *all* per-channel graphs under one common
-//! ordering, and assembling asymmetric instances.
+//! ordering.
 
-use crate::instance::{AuctionInstance, ConflictStructure};
-use crate::valuation::Valuation;
 use ssa_conflict_graph::{certified_rho, ConflictGraph, InductiveBound, VertexOrdering};
-use std::sync::Arc;
 
 /// The inductive independence number certified across all per-channel
 /// graphs for a common ordering: the maximum of the per-channel values.
@@ -40,40 +37,9 @@ pub fn certified_rho_across_channels(
     best
 }
 
-/// Builds an asymmetric-channel auction instance from per-channel conflict
-/// graphs, certifying ρ for the given ordering (clamped to at least 1 for
-/// the LP).
-pub fn build_asymmetric_instance(
-    graphs: Vec<ConflictGraph>,
-    bidders: Vec<Arc<dyn Valuation>>,
-    ordering: VertexOrdering,
-) -> AuctionInstance {
-    assert!(!graphs.is_empty(), "at least one channel graph required");
-    let k = graphs.len();
-    let rho = certified_rho_across_channels(&graphs, &ordering).rho_ceil();
-    AuctionInstance::new(
-        k,
-        bidders,
-        ConflictStructure::AsymmetricBinary(graphs),
-        ordering,
-        rho,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channels::ChannelSet;
-    use crate::valuation::XorValuation;
-
-    fn single_minded_all_channels(n: usize, k: usize, value: f64) -> Vec<Arc<dyn Valuation>> {
-        (0..n)
-            .map(|_| {
-                Arc::new(XorValuation::new(k, vec![(ChannelSet::full(k), value)]))
-                    as Arc<dyn Valuation>
-            })
-            .collect()
-    }
 
     #[test]
     fn rho_across_channels_is_the_maximum() {
@@ -84,19 +50,5 @@ mod tests {
         let b0 = certified_rho(&g0, &ordering);
         let b1 = certified_rho(&g1, &ordering);
         assert_eq!(bound.rho, b0.rho.max(b1.rho));
-    }
-
-    #[test]
-    fn build_asymmetric_instance_sets_rho_and_k() {
-        let g0 = ConflictGraph::from_edges(3, &[(0, 1), (1, 2)]);
-        let g1 = ConflictGraph::clique(3);
-        let inst = build_asymmetric_instance(
-            vec![g0, g1],
-            single_minded_all_channels(3, 2, 1.0),
-            VertexOrdering::identity(3),
-        );
-        assert_eq!(inst.num_channels, 2);
-        assert!(inst.conflicts.is_asymmetric());
-        assert!(inst.rho >= 1.0);
     }
 }

@@ -15,21 +15,9 @@ use crate::allocation::Allocation;
 use crate::channels::ChannelSet;
 use crate::instance::AuctionInstance;
 
-/// Options for the exact solver.
-#[derive(Clone, Copy, Debug)]
-pub struct ExactOptions {
-    /// Hard limit on the number of explored search nodes (safety valve; the
-    /// solver returns the best allocation found so far when it is hit).
-    pub node_limit: usize,
-}
-
-impl Default for ExactOptions {
-    fn default() -> Self {
-        ExactOptions {
-            node_limit: 5_000_000,
-        }
-    }
-}
+/// Hard limit on the number of explored search nodes (safety valve; the
+/// solver returns the best allocation found so far when it is hit).
+const NODE_LIMIT: usize = 5_000_000;
 
 /// Result of the exact solver.
 #[derive(Clone, Debug)]
@@ -51,7 +39,6 @@ struct Search<'a> {
     candidate_bundles: Vec<Vec<(ChannelSet, f64)>>,
     /// suffix_max[v] = sum over bidders >= v of their maximum bundle value
     suffix_max: Vec<f64>,
-    options: ExactOptions,
     best_welfare: f64,
     best_bundles: Vec<ChannelSet>,
     nodes: usize,
@@ -67,7 +54,7 @@ impl<'a> Search<'a> {
         welfare: f64,
     ) {
         self.nodes += 1;
-        if self.nodes > self.options.node_limit {
+        if self.nodes > NODE_LIMIT {
             self.truncated = true;
             return;
         }
@@ -117,7 +104,7 @@ impl<'a> Search<'a> {
 
 /// Computes the optimal allocation of a (small) instance by branch and
 /// bound.
-pub fn solve_exact(instance: &AuctionInstance, options: &ExactOptions) -> ExactOutcome {
+pub fn solve_exact(instance: &AuctionInstance) -> ExactOutcome {
     let n = instance.num_bidders();
     let k = instance.num_channels;
     assert!(
@@ -151,7 +138,6 @@ pub fn solve_exact(instance: &AuctionInstance, options: &ExactOptions) -> ExactO
         instance,
         candidate_bundles,
         suffix_max,
-        options: *options,
         best_welfare: 0.0,
         best_bundles: vec![ChannelSet::empty(); n],
         nodes: 0,
@@ -169,11 +155,6 @@ pub fn solve_exact(instance: &AuctionInstance, options: &ExactOptions) -> ExactO
         proven_optimal: !search.truncated,
         nodes: search.nodes,
     }
-}
-
-/// Convenience wrapper with default options.
-pub fn solve_exact_default(instance: &AuctionInstance) -> ExactOutcome {
-    solve_exact(instance, &ExactOptions::default())
 }
 
 #[cfg(test)]
@@ -208,7 +189,7 @@ mod tests {
             VertexOrdering::identity(3),
             1.0,
         );
-        let out = solve_exact_default(&inst);
+        let out = solve_exact(&inst);
         assert!(out.proven_optimal);
         assert!((out.welfare - 7.0).abs() < 1e-9);
         assert!(out.allocation.is_feasible(&inst));
@@ -227,7 +208,7 @@ mod tests {
             VertexOrdering::identity(4),
             1.0,
         );
-        let out = solve_exact_default(&inst);
+        let out = solve_exact(&inst);
         assert!((out.welfare - 4.0).abs() < 1e-9);
         assert_eq!(out.allocation.num_served(), 1);
     }
@@ -248,7 +229,7 @@ mod tests {
             VertexOrdering::identity(3),
             1.0,
         );
-        let out = solve_exact_default(&inst);
+        let out = solve_exact(&inst);
         assert!(
             (out.welfare - 6.0).abs() < 1e-9,
             "serving 0 and 2 beats serving 1"
@@ -273,7 +254,7 @@ mod tests {
             VertexOrdering::identity(4),
             1.0,
         );
-        let out = solve_exact_default(&inst);
+        let out = solve_exact(&inst);
         // serve bidder 3 plus one of the others = 11
         assert!((out.welfare - 11.0).abs() < 1e-9);
         assert!(out.allocation.is_feasible(&inst));
@@ -298,7 +279,7 @@ mod tests {
             VertexOrdering::identity(5),
             1.0,
         );
-        let exact = solve_exact_default(&inst);
+        let exact = solve_exact(&inst);
         let g1 = greedy_channel_by_channel(&inst).social_welfare(&inst);
         let g2 = greedy_by_bundle_value(&inst).social_welfare(&inst);
         assert!(exact.welfare >= g1 - 1e-9);

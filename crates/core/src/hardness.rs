@@ -139,7 +139,7 @@ pub fn theorem_18_optimum(base: &ConflictGraph) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::solve_exact_default;
+    use crate::exact::solve_exact;
     use crate::solver::SolverBuilder;
 
     #[test]
@@ -162,7 +162,7 @@ mod tests {
         let k = 4;
         let inst = clique_auction_instance(k);
         assert_eq!(inst.num_bidders(), k + 1);
-        let exact = solve_exact_default(&inst);
+        let exact = solve_exact(&inst);
         // the k singleton bidders together are worth k > sqrt(k) + 0.5
         assert!((exact.welfare - k as f64).abs() < 1e-9);
     }
@@ -174,7 +174,7 @@ mod tests {
         let optimum = theorem_18_optimum(&base);
         assert_eq!(optimum, 2.0);
         let inst = theorem_18_instance(&base, 2, 3);
-        let exact = solve_exact_default(&inst);
+        let exact = solve_exact(&inst);
         assert!(
             (exact.welfare - optimum).abs() < 1e-9,
             "auction optimum {} must equal the base independent-set optimum {}",

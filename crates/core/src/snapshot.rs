@@ -183,6 +183,34 @@ impl ValuationSnapshot {
         }
     }
 
+    /// Checks that the valuation fits a `k`-channel instance: it is defined
+    /// over `k` channels, and every bundle it names (a tabular entry, an
+    /// XOR bid, the single-minded desired bundle) lies in `[k]`. A bundle
+    /// past `k` would index past the price vector in a demand query.
+    pub fn check_channels(&self, k: usize) -> Result<(), String> {
+        if self.num_channels() != k {
+            return Err(format!(
+                "is defined over {} channels, expected {k}",
+                self.num_channels()
+            ));
+        }
+        let outside = if k >= MAX_CHANNELS { 0 } else { u64::MAX << k };
+        let fits = |bits: u64| bits & outside == 0;
+        let all_fit = match self {
+            ValuationSnapshot::Tabular { entries: pairs, .. }
+            | ValuationSnapshot::Xor { bids: pairs, .. } => {
+                pairs.iter().all(|&(bits, _)| fits(bits))
+            }
+            ValuationSnapshot::SingleMinded { desired, .. } => fits(*desired),
+            _ => true,
+        };
+        if all_fit {
+            Ok(())
+        } else {
+            Err(format!("names a bundle outside the {k} channels"))
+        }
+    }
+
     /// The canonical form: order-insensitive collections sorted so that
     /// semantically equal snapshots encode to identical bytes.
     pub fn canonical(&self) -> ValuationSnapshot {
@@ -554,16 +582,10 @@ impl InstanceSnapshot {
             ));
         }
         let n = self.bidders.len();
-        if let Some((v, b)) = self
-            .bidders
-            .iter()
-            .enumerate()
-            .find(|(_, b)| b.num_channels() != k)
-        {
-            return schema(format!(
-                "bidder {v} is defined over {} channels, the snapshot has {k}",
-                b.num_channels()
-            ));
+        for (v, b) in self.bidders.iter().enumerate() {
+            if let Err(message) = b.check_channels(k) {
+                return schema(format!("bidder {v} {message}"));
+            }
         }
         let mut seen = vec![false; n];
         if self.ordering.len() != n

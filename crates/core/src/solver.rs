@@ -362,7 +362,7 @@ impl SpectrumAuctionSolver {
 mod tests {
     use super::*;
     use crate::channels::ChannelSet;
-    use crate::exact::solve_exact_default;
+    use crate::exact::solve_exact;
     use crate::instance::ConflictStructure;
     use crate::valuation::{Valuation, XorValuation};
     use ssa_conflict_graph::{ConflictGraph, VertexOrdering, WeightedConflictGraph};
@@ -417,7 +417,7 @@ mod tests {
             outcome.lp_objective
         );
         // the LP objective upper-bounds the exact optimum
-        let exact = solve_exact_default(&inst);
+        let exact = solve_exact(&inst);
         assert!(outcome.lp_objective >= exact.welfare - 1e-6);
     }
 

@@ -20,7 +20,6 @@ use crate::channels::ChannelSet;
 use crate::snapshot::ValuationSnapshot;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// A bidder valuation over bundles of `k` channels, queried by value or by
 /// demand oracle.
@@ -93,9 +92,6 @@ pub trait Valuation: Send + Sync {
     }
 }
 
-/// A shared, heterogeneous collection of bidder valuations.
-pub type BidderList = Vec<Arc<dyn Valuation>>;
-
 /// Arbitrary valuations given explicitly for a list of bundles; every bundle
 /// not listed has value 0. Not necessarily monotone.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -115,11 +111,6 @@ impl TabularValuation {
             num_channels,
             table,
         }
-    }
-
-    /// The number of explicitly listed bundles.
-    pub fn num_entries(&self) -> usize {
-        self.table.len()
     }
 }
 

@@ -233,20 +233,6 @@ pub struct DrainReport {
     pub sealed: Vec<SealedRoundReport>,
 }
 
-impl DrainReport {
-    /// All resolve latencies of the drain, sorted ascending — feed for
-    /// percentile reporting.
-    pub fn sorted_latencies(&self) -> Vec<Duration> {
-        let mut all: Vec<Duration> = self
-            .resolves
-            .iter()
-            .flat_map(|r| r.latencies.iter().copied())
-            .collect();
-        all.sort_unstable();
-        all
-    }
-}
-
 /// Configures a [`SpectrumExchange`]: the solver for the per-market
 /// sessions and drain scheduling.
 #[derive(Clone, Debug)]
@@ -588,21 +574,6 @@ impl SpectrumExchange {
         let mut ids: Vec<MarketId> = self.sealed.keys().copied().collect();
         ids.sort_unstable_by_key(|id| id.0);
         ids
-    }
-
-    /// Runs `f` over a market's live sealed auction — the escape hatch for
-    /// protocol surfaces without an exchange method (notably the
-    /// adversary surface, so tests can stage attacks at this layer).
-    pub fn with_sealed_auction<R>(
-        &mut self,
-        id: MarketId,
-        f: impl FnOnce(&mut SealedBidAuction) -> R,
-    ) -> Result<R, ExchangeError> {
-        let round = self
-            .sealed
-            .get_mut(&id)
-            .ok_or(ExchangeError::NoSealedRound(id))?;
-        Ok(f(&mut round.auction))
     }
 
     /// Advances every live sealed round by one drain cycle; rounds whose

@@ -42,28 +42,6 @@ impl Disk {
     pub fn contains(&self, p: &Point2D) -> bool {
         self.center.distance_squared(p) <= self.radius * self.radius
     }
-
-    /// Returns `true` if `other` lies entirely inside `self`.
-    pub fn contains_disk(&self, other: &Disk) -> bool {
-        if other.radius > self.radius {
-            return false;
-        }
-        let slack = self.radius - other.radius;
-        self.center.distance_squared(&other.center) <= slack * slack
-    }
-
-    /// Area of the disk.
-    pub fn area(&self) -> f64 {
-        std::f64::consts::PI * self.radius * self.radius
-    }
-
-    /// Returns a disk with the same center and the radius scaled by `factor`.
-    ///
-    /// # Panics
-    /// Panics if `factor` is not strictly positive.
-    pub fn scaled(&self, factor: f64) -> Disk {
-        Disk::new(self.center, self.radius * factor)
-    }
 }
 
 #[cfg(test)]
@@ -87,24 +65,14 @@ mod tests {
     #[test]
     fn containment() {
         let big = Disk::new(Point2D::new(0.0, 0.0), 5.0);
-        let small = Disk::new(Point2D::new(1.0, 1.0), 1.0);
-        assert!(big.contains_disk(&small));
-        assert!(!small.contains_disk(&big));
         assert!(big.contains(&Point2D::new(3.0, 3.0)));
         assert!(!big.contains(&Point2D::new(4.0, 4.0)));
     }
 
     #[test]
-    fn scaling_changes_area_quadratically() {
-        let d = Disk::new(Point2D::origin(), 2.0);
-        let s = d.scaled(3.0);
-        assert!((s.area() / d.area() - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic]
     fn zero_radius_rejected() {
-        Disk::new(Point2D::origin(), 0.0);
+        Disk::new(Point2D::new(0.0, 0.0), 0.0);
     }
 
     proptest! {
@@ -121,17 +89,6 @@ mod tests {
             let a = Disk::new(Point2D::new(ax, ay), ar);
             prop_assert!(a.intersects(&a));
             prop_assert!(a.contains(&a.center));
-            prop_assert!(a.contains_disk(&a));
-        }
-
-        #[test]
-        fn prop_contained_disk_implies_intersection(ax in -50.0f64..50.0, ay in -50.0f64..50.0, ar in 1.0f64..20.0,
-                                                    dx in -0.5f64..0.5, dy in -0.5f64..0.5, br in 0.1f64..0.4) {
-            let a = Disk::new(Point2D::new(ax, ay), ar);
-            let b = Disk::new(Point2D::new(ax + dx, ay + dy), br);
-            if a.contains_disk(&b) {
-                prop_assert!(a.intersects(&b));
-            }
         }
     }
 }

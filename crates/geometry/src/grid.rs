@@ -76,20 +76,6 @@ impl SpatialGrid {
         out.sort_unstable();
         out
     }
-
-    /// Returns all pairs `(i, j)` with `i < j` whose points are within
-    /// distance `radius` of each other.
-    pub fn close_pairs(&self, radius: f64) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for i in 0..self.points.len() {
-            for j in self.within_radius(&self.points[i], radius) {
-                if j > i {
-                    out.push((i, j));
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -117,14 +103,6 @@ mod tests {
         let grid = SpatialGrid::new(&pts, 2.0);
         assert_eq!(grid.within_radius(&Point2D::new(9.0, 10.0), 1.5), vec![0]);
         assert!(grid.within_radius(&Point2D::new(0.0, 0.0), 1.5).is_empty());
-    }
-
-    #[test]
-    fn close_pairs_on_a_line() {
-        let pts: Vec<Point2D> = (0..5).map(|i| Point2D::new(i as f64, 0.0)).collect();
-        let grid = SpatialGrid::new(&pts, 1.0);
-        let pairs = grid.close_pairs(1.0);
-        assert_eq!(pairs, vec![(0, 1), (1, 2), (2, 3), (3, 4)]);
     }
 
     proptest! {

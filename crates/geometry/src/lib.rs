@@ -7,10 +7,9 @@
 //!   (disk graphs, distance-2 coloring),
 //! * communication requests are sender/receiver [`Link`]s (protocol model,
 //!   IEEE 802.11 model, distance-2 matching, SINR physical model),
-//! * the physical model is defined over an arbitrary [`Metric`]; the crate
-//!   provides Euclidean metrics backed by point sets and explicit
-//!   (distance-matrix) metrics, together with a doubling-dimension probe
-//!   used to distinguish "fading metrics" from general metrics,
+//! * the physical model reads its sender-to-receiver distances from a
+//!   [`LinkMetric`], built from Euclidean links or from an explicit
+//!   distance matrix (the general metrics of Theorem 17),
 //! * [`SpatialGrid`] accelerates neighborhood queries when building conflict
 //!   graphs over thousands of nodes,
 //! * [`CivilizedLayout`] models (r,s)-civilized node placements
@@ -29,5 +28,5 @@ pub use civilized::CivilizedLayout;
 pub use disk::Disk;
 pub use grid::SpatialGrid;
 pub use link::Link;
-pub use metric::{EuclideanMetric, ExplicitMetric, LinkMetric, Metric};
+pub use metric::LinkMetric;
 pub use point::Point2D;

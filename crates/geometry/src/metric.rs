@@ -1,173 +1,16 @@
-//! Metric spaces.
+//! Link distances for the physical model.
 //!
 //! The physical (SINR) model of Section 4.3 is defined over nodes "located
-//! in a metric space". Most experiments use the Euclidean plane, but the
+//! in a metric space", and the SINR constraint reads only the distances from
+//! senders to receivers. [`LinkMetric`] holds exactly those. Most
+//! experiments use the Euclidean plane ([`LinkMetric::from_links`]), but the
 //! approximation guarantee of Theorem 17 distinguishes *fading metrics*
-//! (doubling metrics, e.g. Euclidean space) from *general metrics*, so the
-//! crate also supports explicit distance matrices.
+//! (doubling metrics, e.g. Euclidean space) from *general metrics*, so a
+//! link metric can also be given as an explicit distance matrix
+//! ([`LinkMetric::from_matrix`]).
 
 use crate::link::Link;
-use crate::point::Point2D;
 use serde::{Deserialize, Serialize};
-
-/// A finite metric space over points `0..num_points()`.
-pub trait Metric {
-    /// Number of points in the space.
-    fn num_points(&self) -> usize;
-
-    /// Distance between points `a` and `b`.
-    ///
-    /// Implementations must be symmetric, non-negative and zero on the
-    /// diagonal; [`ExplicitMetric::validate`] checks the triangle inequality
-    /// for explicitly given matrices.
-    fn distance(&self, a: usize, b: usize) -> f64;
-}
-
-/// A Euclidean metric backed by a list of points in the plane.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct EuclideanMetric {
-    points: Vec<Point2D>,
-}
-
-impl EuclideanMetric {
-    /// Creates a Euclidean metric over the given points.
-    pub fn new(points: Vec<Point2D>) -> Self {
-        EuclideanMetric { points }
-    }
-
-    /// The underlying points.
-    pub fn points(&self) -> &[Point2D] {
-        &self.points
-    }
-}
-
-impl Metric for EuclideanMetric {
-    fn num_points(&self) -> usize {
-        self.points.len()
-    }
-
-    fn distance(&self, a: usize, b: usize) -> f64 {
-        self.points[a].distance(&self.points[b])
-    }
-}
-
-/// A metric given by an explicit (dense, symmetric) distance matrix.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ExplicitMetric {
-    n: usize,
-    /// Row-major `n × n` distances.
-    d: Vec<f64>,
-}
-
-impl ExplicitMetric {
-    /// Creates an explicit metric from a row-major `n × n` matrix.
-    ///
-    /// # Panics
-    /// Panics if `d.len() != n * n`.
-    pub fn new(n: usize, d: Vec<f64>) -> Self {
-        assert_eq!(d.len(), n * n, "distance matrix must be n × n");
-        ExplicitMetric { n, d }
-    }
-
-    /// Builds the explicit matrix of a Euclidean metric (useful for
-    /// perturbing it into a non-doubling general metric).
-    pub fn from_euclidean(m: &EuclideanMetric) -> Self {
-        let n = m.num_points();
-        let mut d = vec![0.0; n * n];
-        for a in 0..n {
-            for b in 0..n {
-                d[a * n + b] = m.distance(a, b);
-            }
-        }
-        ExplicitMetric { n, d }
-    }
-
-    /// Checks symmetry, non-negativity, a zero diagonal and the triangle
-    /// inequality. Returns a description of the first violation found.
-    pub fn validate(&self) -> Result<(), String> {
-        let n = self.n;
-        for a in 0..n {
-            if self.d[a * n + a] != 0.0 {
-                return Err(format!("d({a},{a}) = {} is not zero", self.d[a * n + a]));
-            }
-            for b in 0..n {
-                let dab = self.d[a * n + b];
-                if dab < 0.0 || !dab.is_finite() {
-                    return Err(format!("d({a},{b}) = {dab} is negative or not finite"));
-                }
-                let dba = self.d[b * n + a];
-                if (dab - dba).abs() > 1e-9 {
-                    return Err(format!(
-                        "asymmetric: d({a},{b}) = {dab}, d({b},{a}) = {dba}"
-                    ));
-                }
-            }
-        }
-        for a in 0..n {
-            for b in 0..n {
-                for c in 0..n {
-                    if self.d[a * n + c] > self.d[a * n + b] + self.d[b * n + c] + 1e-9 {
-                        return Err(format!("triangle inequality violated on ({a},{b},{c})"));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Mutable access to a single entry (keeps the matrix symmetric by
-    /// setting both `(a, b)` and `(b, a)`).
-    pub fn set_distance(&mut self, a: usize, b: usize, value: f64) {
-        self.d[a * self.n + b] = value;
-        self.d[b * self.n + a] = value;
-    }
-}
-
-impl Metric for ExplicitMetric {
-    fn num_points(&self) -> usize {
-        self.n
-    }
-
-    fn distance(&self, a: usize, b: usize) -> f64 {
-        self.d[a * self.n + b]
-    }
-}
-
-/// Estimates the doubling constant of a metric: the maximum, over all balls
-/// `B(x, r)` probed, of the number of balls of radius `r/2` needed to cover
-/// it (estimated greedily). Euclidean point sets give small constants;
-/// adversarial general metrics (e.g. uniform metrics) give constants that
-/// grow with `n`.
-pub fn doubling_constant_estimate<M: Metric>(metric: &M) -> usize {
-    let n = metric.num_points();
-    if n <= 1 {
-        return 1;
-    }
-    let mut worst = 1usize;
-    for x in 0..n {
-        // probe a few radii: the distances from x to all other points
-        let mut radii: Vec<f64> = (0..n)
-            .filter(|&y| y != x)
-            .map(|y| metric.distance(x, y))
-            .collect();
-        radii.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for &r in radii.iter().step_by((radii.len() / 4).max(1)) {
-            if r <= 0.0 {
-                continue;
-            }
-            let ball: Vec<usize> = (0..n).filter(|&y| metric.distance(x, y) <= r).collect();
-            // greedily cover `ball` with balls of radius r/2 centered at members
-            let mut uncovered: Vec<usize> = ball.clone();
-            let mut centers = 0usize;
-            while let Some(&c) = uncovered.first() {
-                centers += 1;
-                uncovered.retain(|&y| metric.distance(c, y) > r / 2.0);
-            }
-            worst = worst.max(centers);
-        }
-    }
-    worst
-}
 
 /// Distances between link endpoints, the exact inputs the SINR constraint
 /// needs: `sender_to_receiver(i, j) = d(s_i, r_j)` and
@@ -235,78 +78,8 @@ impl LinkMetric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::point::Point2D;
     use proptest::prelude::*;
-
-    #[test]
-    fn euclidean_metric_distances() {
-        let m = EuclideanMetric::new(vec![
-            Point2D::new(0.0, 0.0),
-            Point2D::new(3.0, 4.0),
-            Point2D::new(0.0, 8.0),
-        ]);
-        assert_eq!(m.num_points(), 3);
-        assert!((m.distance(0, 1) - 5.0).abs() < 1e-12);
-        assert!((m.distance(1, 2) - 5.0).abs() < 1e-12);
-        assert_eq!(m.distance(2, 2), 0.0);
-    }
-
-    #[test]
-    fn explicit_metric_validation_accepts_euclidean() {
-        let m = EuclideanMetric::new(vec![
-            Point2D::new(0.0, 0.0),
-            Point2D::new(1.0, 0.0),
-            Point2D::new(0.5, 2.0),
-            Point2D::new(-3.0, 1.0),
-        ]);
-        let e = ExplicitMetric::from_euclidean(&m);
-        assert!(e.validate().is_ok());
-    }
-
-    #[test]
-    fn explicit_metric_validation_catches_violations() {
-        // asymmetric
-        let mut e = ExplicitMetric::new(2, vec![0.0, 1.0, 2.0, 0.0]);
-        assert!(e.validate().is_err());
-        e.set_distance(0, 1, 1.0);
-        assert!(e.validate().is_ok());
-        // triangle inequality violation
-        let bad = ExplicitMetric::new(3, vec![0.0, 1.0, 10.0, 1.0, 0.0, 1.0, 10.0, 1.0, 0.0]);
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn doubling_constant_is_small_for_euclidean_grid() {
-        let mut pts = Vec::new();
-        for x in 0..6 {
-            for y in 0..6 {
-                pts.push(Point2D::new(x as f64, y as f64));
-            }
-        }
-        let m = EuclideanMetric::new(pts);
-        let c = doubling_constant_estimate(&m);
-        assert!(
-            c <= 30,
-            "Euclidean grids have bounded doubling constant, got {c}"
-        );
-    }
-
-    #[test]
-    fn doubling_constant_grows_for_uniform_metric() {
-        // uniform metric: all distances 1 -> a ball of radius 1 around any
-        // point needs n singleton balls of radius 1/2 to be covered.
-        let n = 24;
-        let mut d = vec![1.0; n * n];
-        for i in 0..n {
-            d[i * n + i] = 0.0;
-        }
-        let m = ExplicitMetric::new(n, d);
-        assert!(m.validate().is_ok());
-        let c = doubling_constant_estimate(&m);
-        assert!(
-            c >= n / 2,
-            "uniform metric should have doubling constant ~n, got {c}"
-        );
-    }
 
     #[test]
     fn link_metric_from_links() {
@@ -329,19 +102,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_euclidean_explicit_agree(coords in prop::collection::vec((-100.0f64..100.0, -100.0f64..100.0), 2..12)) {
-            let pts: Vec<Point2D> = coords.iter().map(|&(x, y)| Point2D::new(x, y)).collect();
-            let m = EuclideanMetric::new(pts);
-            let e = ExplicitMetric::from_euclidean(&m);
-            prop_assert!(e.validate().is_ok());
-            for a in 0..m.num_points() {
-                for b in 0..m.num_points() {
-                    prop_assert!((m.distance(a, b) - e.distance(a, b)).abs() < 1e-9);
-                }
-            }
-        }
-
         #[test]
         fn prop_link_metric_lengths_positive(coords in prop::collection::vec(
             (-100.0f64..100.0, -100.0f64..100.0, 0.1f64..5.0, 0.1f64..5.0), 1..10)) {

@@ -17,11 +17,6 @@ impl Point2D {
         Point2D { x, y }
     }
 
-    /// The origin `(0, 0)`.
-    pub fn origin() -> Self {
-        Point2D { x: 0.0, y: 0.0 }
-    }
-
     /// Euclidean distance to `other`.
     pub fn distance(&self, other: &Point2D) -> f64 {
         self.distance_squared(other).sqrt()
@@ -33,21 +28,6 @@ impl Point2D {
         let dx = self.x - other.x;
         let dy = self.y - other.y;
         dx * dx + dy * dy
-    }
-
-    /// The midpoint of `self` and `other`.
-    pub fn midpoint(&self, other: &Point2D) -> Point2D {
-        Point2D::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-    }
-
-    /// Translates the point by `(dx, dy)`.
-    pub fn translated(&self, dx: f64, dy: f64) -> Point2D {
-        Point2D::new(self.x + dx, self.y + dy)
-    }
-
-    /// Angle (in radians, in `[-π, π]`) of the vector from `self` to `other`.
-    pub fn angle_to(&self, other: &Point2D) -> f64 {
-        (other.y - self.y).atan2(other.x - self.x)
     }
 }
 
@@ -63,22 +43,6 @@ mod tests {
         assert!((a.distance(&b) - 5.0).abs() < 1e-12);
         assert!((a.distance_squared(&b) - 25.0).abs() < 1e-12);
         assert_eq!(a.distance(&a), 0.0);
-    }
-
-    #[test]
-    fn midpoint_and_translation() {
-        let a = Point2D::new(1.0, 1.0);
-        let b = Point2D::new(3.0, 5.0);
-        let m = a.midpoint(&b);
-        assert_eq!(m, Point2D::new(2.0, 3.0));
-        assert_eq!(a.translated(2.0, -1.0), Point2D::new(3.0, 0.0));
-    }
-
-    #[test]
-    fn angle_to_cardinal_directions() {
-        let o = Point2D::origin();
-        assert!((o.angle_to(&Point2D::new(1.0, 0.0)) - 0.0).abs() < 1e-12);
-        assert!((o.angle_to(&Point2D::new(0.0, 1.0)) - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
     }
 
     proptest! {

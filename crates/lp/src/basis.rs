@@ -86,16 +86,6 @@ impl SparseVector {
         self.sparse
     }
 
-    /// Upper bound on the number of non-zeros: the pattern length when
-    /// sparse, `m` when dense.
-    pub fn nnz_upper_bound(&self) -> usize {
-        if self.sparse {
-            self.pattern.len()
-        } else {
-            self.values.len()
-        }
-    }
-
     /// The dense view (always valid, length `m`).
     pub fn values(&self) -> &[f64] {
         &self.values

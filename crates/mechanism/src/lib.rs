@@ -30,10 +30,9 @@ pub mod vcg;
 
 pub use lavi_swamy::{decompose, Decomposition};
 pub use sealed_bid::{
-    audit, AuctioneerAdversary, AuditFinding, AuditReport, CollateralLedger, CollateralPolicy,
-    Commitment, CommitmentRecord, FalseBid, ForfeitReason, ForfeitureRecord, Opening,
-    ParticipantKind, ParticipantStatus, Phase, RevealStatus, SealedBidAuction, SealedBidError,
-    SealedBidOutcome, SealedTranscript,
+    audit, AuditFinding, AuditReport, CollateralLedger, CollateralPolicy, Commitment,
+    CommitmentRecord, ForfeitReason, ForfeitureRecord, Opening, ParticipantKind, ParticipantStatus,
+    Phase, RevealStatus, SealedBidAuction, SealedBidError, SealedBidOutcome, SealedTranscript,
 };
 pub use truthful::{MechanismOutcome, TruthfulMechanism};
 pub use vcg::{fractional_vcg, FractionalVcg};

@@ -231,7 +231,7 @@ pub fn audit(transcript: &SealedTranscript) -> AuditReport {
 
 fn opening_is_valid(opening: &Opening, record: &super::CommitmentRecord, k: usize) -> bool {
     opening.verify(&record.commitment)
-        && opening.valuation.num_channels() == k
+        && opening.valuation.check_channels(k).is_ok()
         && opening.valuation.build().max_value() <= record.declared_cap + 1e-9
 }
 
@@ -386,7 +386,7 @@ fn replay_events(
                     }
                 };
                 let built: Arc<dyn Valuation> = match valuation {
-                    Some(snapshot) if snapshot.num_channels() == k => snapshot.build(),
+                    Some(snapshot) if snapshot.check_channels(k).is_ok() => snapshot.build(),
                     Some(_) => return Err(malformed("arrival valuation channel mismatch")),
                     None => {
                         report
@@ -415,7 +415,7 @@ fn replay_events(
                         .push(AuditFinding::UnattributedRebid { bidder: *bidder }),
                 }
                 match valuation {
-                    Some(snapshot) if snapshot.num_channels() == k => {
+                    Some(snapshot) if snapshot.check_channels(k).is_ok() => {
                         session.update_valuation(*bidder, snapshot.build());
                     }
                     Some(_) => return Err(malformed("re-bid valuation channel mismatch")),

@@ -1,5 +1,5 @@
 //! Sealed-bid commit–reveal front-end over [`AuctionSession`], with
-//! collateral, an auctioneer adversary model, and an audit replay.
+//! collateral and an audit replay.
 //!
 //! The mechanism layer assumes bids arrive honestly; a production exchange
 //! cannot. This module makes bidding *credible* with the classic two-phase
@@ -28,16 +28,14 @@
 //!    shill arrivals, tampered bids, suppressed reveals, rigged outcomes,
 //!    wrong payments and fabricated forfeitures.
 //!
-//! The auctioneer adversary surface ([`SealedBidAuction::inject_shill`],
-//! [`SealedBidAuction::suppress_reveal`], [`adversary`]) exists precisely
-//! so tests can demonstrate the audit catching each attack.
+//! The auctioneer adversary surface ([`SealedBidAuction::inject_shill`]
+//! and [`SealedBidAuction::suppress_reveal`]) exists precisely so tests can
+//! demonstrate the audit catching each attack.
 
-pub mod adversary;
 pub mod audit;
 pub mod collateral;
 pub mod commitment;
 
-pub use adversary::{AuctioneerAdversary, FalseBid};
 pub use audit::{audit, AuditFinding, AuditReport};
 pub use collateral::{CollateralLedger, CollateralPolicy, ForfeitReason, ForfeitureRecord};
 pub use commitment::{commit_to, nonce_from_seed, sha256, Commitment, Opening};
@@ -439,10 +437,10 @@ impl SealedBidAuction {
     }
 
     /// **Adversary surface** — the auctioneer injects a bid that never
-    /// posted a commitment or collateral (the `FalseBid` shill of the
-    /// broadcast-DRA model). The arrival lands in the session event log
-    /// like any other, which is exactly how the audit catches it: an
-    /// arrival no commitment accounts for.
+    /// posted a commitment or collateral (the shill of the broadcast-DRA
+    /// model). The arrival lands in the session event log like any other,
+    /// which is exactly how the audit catches it: an arrival no commitment
+    /// accounts for.
     pub fn inject_shill(
         &mut self,
         valuation: Arc<dyn Valuation>,
@@ -572,9 +570,9 @@ impl SealedBidAuction {
     }
 }
 
-/// Checks an opening against its commitment record: preimage, channel
-/// count, and declared cap. Returns the valuation to apply, or the forfeit
-/// reason.
+/// Checks an opening against its commitment record: preimage, channels
+/// (the count, and every bundle within them), and declared cap. Returns the
+/// valuation to apply, or the forfeit reason.
 fn validate_opening(
     opening: &Opening,
     record: &CommitmentRecord,
@@ -583,7 +581,7 @@ fn validate_opening(
     if !opening.verify(&record.commitment) {
         return Err(ForfeitReason::BadOpening);
     }
-    if opening.valuation.num_channels() != num_channels {
+    if opening.valuation.check_channels(num_channels).is_err() {
         return Err(ForfeitReason::BadOpening);
     }
     let valuation = opening.valuation.build();

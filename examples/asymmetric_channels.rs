@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example asymmetric_channels`
 
-use spectrum_auctions::auction::exact::solve_exact_default;
+use spectrum_auctions::auction::exact::solve_exact;
 use spectrum_auctions::auction::hardness::{theorem_18_instance, theorem_18_optimum};
 use spectrum_auctions::auction::solver::SolverBuilder;
 use spectrum_auctions::conflict_graph::ConflictGraph;
@@ -45,7 +45,7 @@ fn main() {
     let k = 2;
     let hard = theorem_18_instance(&base, k, 5);
     let optimum = theorem_18_optimum(&base);
-    let exact = solve_exact_default(&hard);
+    let exact = solve_exact(&hard);
     let outcome_hard = solver.solve(&hard);
 
     println!(

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --example baseline_comparison`
 
 use spectrum_auctions::auction::edge_lp::edge_lp_baseline;
-use spectrum_auctions::auction::exact::solve_exact_default;
+use spectrum_auctions::auction::exact::solve_exact;
 use spectrum_auctions::auction::greedy::{greedy_by_bundle_value, greedy_channel_by_channel};
 use spectrum_auctions::auction::solver::SolverBuilder;
 use spectrum_auctions::workloads::{protocol_scenario, ScenarioConfig, ValuationProfile};
@@ -29,7 +29,7 @@ fn main() {
         let generated = protocol_scenario(&config, 1.0);
         let instance = &generated.instance;
 
-        let exact = solve_exact_default(instance);
+        let exact = solve_exact(instance);
         let solver = SolverBuilder::new().rounding(1, 64).build();
         let lp_round = solver.solve(instance);
         let greedy_channel = greedy_channel_by_channel(instance).social_welfare(instance);

@@ -99,6 +99,18 @@
 //! | `MasterProblem::columns()` | [`MasterProblem::tags`](lp::MasterProblem::tags): the master keeps each column once, in its LP, and callers only read the tags |
 //! | `MasterProblem::rows()`, `LinearProgram::row_states()`, `WarmStart::num_rows()` | removed (they had no caller outside tests): read `basis.len()` for a state's row count |
 //! | `CscMatrix::row_major()` | removed: the dual ratio test walks [`LinearProgram::constraints`](lp::LinearProgram::constraints), which is row-major already |
+//! | `ExactOptions { node_limit }`, `solve_exact(instance, &options)`, `solve_exact_default(instance)` | [`solve_exact(instance)`](auction::exact::solve_exact); the 5 000 000-node search limit is a constant |
+//! | `geometry::{Metric, EuclideanMetric, ExplicitMetric}`, `metric::doubling_constant_estimate` | removed (nothing outside their module used them): the physical model reads its distances from a [`LinkMetric`](geometry::LinkMetric), built from links or from an explicit matrix |
+//! | `Disk::{contains_disk, area, scaled}`, `SpatialGrid::close_pairs`, `Point2D::{origin, midpoint, translated, angle_to}` | removed (only their own tests called them); the origin is `Point2D::new(0.0, 0.0)` |
+//! | `BitSet::{count_ones, intersect_count, iter_ones}` | the originals they aliased: `count`, `intersection_count`, `iter` |
+//! | `BitSet::difference_with`, `ConflictGraph::{average_degree, is_independent_bitset, backward_neighbors_in}`, `WeightedConflictGraph::threshold_graph` | removed (only their own tests called them, or nothing did) |
+//! | `VertexOrdering::vertex_at(pos)`, `as_positions()` | `as_order()[pos]`; `position(v)` |
+//! | `VertexOrdering::{by_key_ascending, reversed}` | `by_key_descending`, or `from_order` over the vertex list in the wanted order |
+//! | `ChannelSet::EMPTY`, `ChannelSet::{intersection, difference}` | `ChannelSet::empty()`; `ChannelSet::from_bits` over `a.bits() & b.bits()` or `a.bits() & !b.bits()` |
+//! | `TabularValuation::num_entries`, `valuation::BidderList` | removed (no caller); the list type is `Vec<Arc<dyn Valuation>>` |
+//! | `asymmetric::build_asymmetric_instance(graphs, bidders, ordering)` | `AuctionInstance::new` with `ConflictStructure::AsymmetricBinary(graphs)` and the ρ of [`certified_rho_across_channels`](auction::asymmetric::certified_rho_across_channels) |
+//! | `SparseVector::nnz_upper_bound`, `DrainReport::sorted_latencies`, `bench::experiments::run_all` | removed (no caller); `run_all(quick)` is `run_selected(quick, &[])` |
+//! | `mechanism::{AuctioneerAdversary, FalseBid}` (`sealed_bid::adversary`), `SpectrumExchange::with_sealed_auction` | removed (no caller): tests stage attacks through [`SealedBidAuction::inject_shill`](mechanism::SealedBidAuction::inject_shill) and [`suppress_reveal`](mechanism::SealedBidAuction::suppress_reveal) |
 //!
 //! ## One master, and the seed depth
 //!
@@ -158,7 +170,7 @@
 //!
 //! * [`conflict_graph`] — conflict graphs, independent sets, inductive
 //!   independence number.
-//! * [`geometry`] — points, metrics, disks, links.
+//! * [`geometry`] — points, link metrics, disks, links.
 //! * [`interference`] — protocol / 802.11 / distance-2 / physical (SINR)
 //!   models producing conflict graphs with certified ρ.
 //! * [`lp`] — the LP engine (sparse revised simplex: steepest-edge pricing

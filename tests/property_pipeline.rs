@@ -1,7 +1,7 @@
 //! Property-based integration tests over randomly generated markets.
 
 use proptest::prelude::*;
-use spectrum_auctions::auction::exact::solve_exact_default;
+use spectrum_auctions::auction::exact::solve_exact;
 use spectrum_auctions::auction::greedy::{greedy_by_bundle_value, greedy_channel_by_channel};
 use spectrum_auctions::auction::solver::{SolverBuilder, SpectrumAuctionSolver};
 use spectrum_auctions::workloads::{
@@ -35,7 +35,7 @@ proptest! {
         let generated = protocol_scenario(&config(n, k, seed, mixed), delta);
         let instance = &generated.instance;
 
-        let exact = solve_exact_default(instance);
+        let exact = solve_exact(instance);
         prop_assert!(exact.proven_optimal);
         prop_assert!(exact.allocation.is_feasible(instance));
 

@@ -25,8 +25,8 @@ use spectrum_auctions::auction::{
 };
 use spectrum_auctions::conflict_graph::{ConflictGraph, VertexOrdering, WeightedConflictGraph};
 use spectrum_auctions::mechanism::sealed_bid::{
-    audit, commit_to, nonce_from_seed, AuditFinding, CollateralPolicy, Opening, ParticipantKind,
-    RevealStatus, SealedBidAuction, SealedBidError, SealedBidOutcome,
+    audit, commit_to, nonce_from_seed, AuditFinding, CollateralPolicy, ForfeitReason, Opening,
+    ParticipantKind, RevealStatus, SealedBidAuction, SealedBidError, SealedBidOutcome,
 };
 use spectrum_auctions::workloads::{
     colluding_clique_scenario, shill_stream_scenario, sniping_burst_scenario,
@@ -456,6 +456,57 @@ fn entrant_conflicts_are_checked_against_the_roster_at_commit() {
     let fine = BidderConflicts::Weighted(vec![(0, 0.5, 0.5)]);
     assert_eq!(commit(&mut weighted, fine).expect("weights accepted"), 0);
     weighted.close_commits().expect("close commits");
+}
+
+/// An opening that matches its commitment but bids on a channel past `k`
+/// cannot be priced in the market. It forfeits as a bad opening instead of
+/// crashing the round, and the round still resolves and audits clean.
+#[test]
+fn opening_with_a_bundle_past_k_forfeits_and_the_round_resolves() {
+    let k = 2;
+    let bidders: Vec<Arc<dyn Valuation>> = (0..2)
+        .map(|_| Arc::new(AdditiveValuation::new(vec![1.0; k])) as Arc<dyn Valuation>)
+        .collect();
+    let graph = ConflictGraph::from_edges(2, &[(0, 1)]);
+    let instance = AuctionInstance::new(
+        k,
+        bidders,
+        ConflictStructure::Binary(graph),
+        VertexOrdering::identity(2),
+        1.0,
+    );
+    let mut auction = SealedBidAuction::open(
+        SolverBuilder::new().session(instance),
+        CollateralPolicy::default(),
+    )
+    .expect("open sealed round");
+    let id = auction.next_participant_id();
+    let valuation = ValuationSnapshot::Xor {
+        num_channels: k,
+        bids: vec![(0b100, 3.0)],
+    };
+    let nonce = nonce_from_seed(id);
+    let entrant = ParticipantKind::Entrant {
+        conflicts: BidderConflicts::Binary(vec![0]),
+    };
+    auction
+        .submit_commitment(entrant, commit_to(id, &valuation, &nonce), 5.0)
+        .expect("commitment accepted");
+    auction.close_commits().expect("close commits");
+    let status = auction
+        .submit_opening(Opening {
+            participant: id,
+            valuation,
+            nonce,
+        })
+        .expect("opening processed");
+    assert_eq!(status, RevealStatus::Rejected(ForfeitReason::BadOpening));
+
+    let outcome = auction.resolve().expect("the round still resolves");
+    assert_eq!(outcome.forfeitures.len(), 1);
+    assert_eq!(outcome.payments.len(), 2, "the forfeiting entrant left");
+    let report = audit(&outcome.transcript);
+    assert!(report.clean(), "flagged {:?}", report.findings);
 }
 
 proptest! {

@@ -251,6 +251,29 @@ fn from_json_rejects_snapshots_that_cannot_restore() {
             "asymmetric graphs of different sizes",
             edit(&|s| s.conflicts = ConflictSnapshot::AsymmetricBinary(vec![graph(2), graph(3)])),
         ),
+        (
+            "XOR bid on a channel past k",
+            edit(&|s| s.bidders[1] = xor(0b100)),
+        ),
+        (
+            "tabular entry on a channel past k",
+            edit(&|s| {
+                s.bidders[1] = ValuationSnapshot::Tabular {
+                    num_channels: 2,
+                    entries: vec![(0b01, 1.0), (0b110, 2.0)],
+                }
+            }),
+        ),
+        (
+            "single-minded bundle past k",
+            edit(&|s| {
+                s.bidders[1] = ValuationSnapshot::SingleMinded {
+                    num_channels: 2,
+                    desired: 1 << 63,
+                    value: 2.0,
+                }
+            }),
+        ),
     ];
     for (label, json) in cases {
         assert_ne!(json, valid.to_json(), "{label}: the edit changed nothing");

@@ -1,7 +1,7 @@
 //! Integration tests validating the paper's stated bounds end to end
 //! (the same checks the experiment harness reports quantitatively).
 
-use spectrum_auctions::auction::exact::solve_exact_default;
+use spectrum_auctions::auction::exact::solve_exact;
 use spectrum_auctions::auction::lp_formulation::solve_relaxation_explicit;
 use spectrum_auctions::auction::rounding::{round_binary, RoundingOptions};
 use spectrum_auctions::auction::solver::{guarantee_factor, SolverBuilder};
@@ -76,7 +76,7 @@ fn lp_sandwiches_the_exact_optimum() {
         config.valuations = ValuationProfile::Mixed;
         let generated = protocol_scenario(&config, 1.5);
         let instance = &generated.instance;
-        let exact = solve_exact_default(instance);
+        let exact = solve_exact(instance);
         assert!(exact.proven_optimal);
         let solver = SolverBuilder::new().rounding(3, 64).build();
         let outcome = solver.solve(instance);
