@@ -80,11 +80,8 @@ pub struct RelaxationInfo {
     pub columns_generated: usize,
     /// Rows deactivated in place on the master over its lifetime (the
     /// session's basis-preserving departure path; always 0 on one-shot
-    /// solves).
+    /// solves). It counts per master: a rebuild starts again from 0.
     pub rows_deactivated: usize,
-    /// Master compactions over its lifetime (deadweight physically removed
-    /// once it passed the session's compaction threshold).
-    pub compactions: usize,
     /// Engine counters (pivots, refactorizations, hyper-sparse solves,
     /// result density) merged over every master re-solve.
     pub engine: SolveStats,

@@ -16,7 +16,7 @@
 //! |---|---|
 //! | none | the cached [`FractionalAssignment`] is returned as-is |
 //! | re-bids only ([`update_valuation`](AuctionSession::update_valuation)) | the bidders' master columns are **re-priced in place**; the recorded basis is still primal feasible (the constraint matrix is untouched), so the master resumes with ordinary primal pivots |
-//! | departures ([`remove_bidder`](AuctionSession::remove_bidder)), possibly mixed with re-bids | the departed bidder's columns are **fixed at zero** and its `k + 1` rows **deactivated in place** behind relief columns ([`MasterProblem::deactivate_rows`]); the surviving basis stays valid and primal feasible and resumes with primal pivots — accumulated deadweight is compacted away once it reaches a quarter of the master (`COMPACTION_THRESHOLD`) |
+//! | departures ([`remove_bidder`](AuctionSession::remove_bidder)), possibly mixed with re-bids | the departed bidder's columns are **fixed at zero** and its `k + 1` rows **deactivated in place** behind relief columns ([`MasterProblem::deactivate_rows`]); the surviving basis stays valid and primal feasible and resumes with primal pivots — a departure that leaves deadweight at a quarter of the master or more (`DEADWEIGHT_LIMIT`) drops the master instead, and the next resolve takes the seeded rebuild of the ρ row below |
 //! | arrivals ([`add_bidder`](AuctionSession::add_bidder)), possibly mixed with the above | the newcomer's `k + 1` rows are **staged** and materialized at resolve time via [`MasterProblem::add_row`]; if the same batch also re-bid or departed bidders (dirt that costs the recorded basis its dual feasibility), a primal resume first re-optimizes the mutated master, and only then do the staged rows land — so the warm solve's **dual simplex** row repair (`lp::solve_with_warm_start` on a row-prefix basis) always starts from a dual-feasible basis instead of declining into a cold solve |
 //! | ρ or channel changes | the master is rebuilt, **seeded from the master it replaces**: every bundle column of the old master is re-priced at the current valuations and seeded up front, so column generation starts near the previous optimum |
 //!
@@ -61,10 +61,12 @@ use ssa_lp::{
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Session masters compact (physically remove deactivated rows and dead
-/// columns, remapping the warm basis) once the deadweight fraction reaches
-/// this threshold.
-const COMPACTION_THRESHOLD: f64 = 0.25;
+/// A departure that leaves the master's
+/// [`deadweight_fraction`](MasterProblem::deadweight_fraction) (deactivated
+/// rows plus dead and relief columns) at or above this limit drops the
+/// master; the next resolve rebuilds it, seeded from the survivors'
+/// columns.
+const DEADWEIGHT_LIMIT: f64 = 0.25;
 
 /// Identifier of one regional market in a multi-market deployment (the key
 /// of an exchange's shard map). Plain newtype over `u64`: markets are
@@ -186,9 +188,11 @@ pub struct SessionStats {
     /// Resolves answered from the cached fractional solution (no pending
     /// mutations).
     pub cached_resolves: usize,
-    /// Resolves that rebuilt the master (first solve, ρ/channel changes, and
-    /// every resolve with bundle enumeration on) — seeded from the previous
-    /// master's bundles, not resumed from a recorded basis.
+    /// Resolves that rebuilt the master (first solve, ρ/channel changes,
+    /// the deadweight rebuild after a departure that crossed
+    /// `DEADWEIGHT_LIMIT`, and every resolve with bundle enumeration on) —
+    /// seeded from the previous master's bundles, not resumed from a
+    /// recorded basis.
     pub cold_resolves: usize,
     /// Resolves that absorbed appended bidder rows: the master's warm solve
     /// extended the recorded basis by the new rows' logicals and repaired it
@@ -440,10 +444,6 @@ pub struct AuctionSession {
     /// [`DualCertificate`]); `None` on the enumerated path and after failed
     /// solves.
     last_certificate: Option<DualCertificate>,
-    /// Raw master-row duals captured inside the most recent
-    /// column-generation run, remapped into `last_certificate` by
-    /// `resolve_relaxation` *before* any compaction can shift row indices.
-    pending_duals: Option<Vec<f64>>,
     /// The optional mutation/resolve history (see
     /// [`record_events`](Self::record_events)); `None` while recording is
     /// off.
@@ -473,7 +473,6 @@ impl AuctionSession {
             last: None,
             last_outcome: None,
             last_certificate: None,
-            pending_duals: None,
             log: None,
             stats: SessionStats::default(),
         }
@@ -663,8 +662,11 @@ impl AuctionSession {
     /// stays valid and primal feasible, so the next
     /// [`resolve`](Self::resolve) resumes with ordinary primal pivots —
     /// departures take the cheap re-pricing shape instead of a rebuild.
-    /// Deadweight is compacted away once it passes `COMPACTION_THRESHOLD`.
-    /// Sessions that enumerate every bundle re-solve from scratch.
+    /// A departure that leaves the deadweight at `DEADWEIGHT_LIMIT` or more
+    /// drops the master instead: the next resolve rebuilds it, seeded from
+    /// the survivors' re-tagged columns (the departed bidders' tombstones
+    /// are not native and do not seed). Sessions that enumerate every
+    /// bundle re-solve from scratch.
     ///
     /// # Panics
     /// Panics if `bidder` is out of range or it is the last bidder left.
@@ -726,8 +728,8 @@ impl AuctionSession {
             } else {
                 // Deactivate the departed bidder's k interference rows and
                 // its bidder row; surviving bidders' row indices are
-                // untouched (master rows never shift outside compaction),
-                // so the layout maps just drop the departed entry.
+                // untouched (master rows never shift), so the layout maps
+                // just drop the departed entry.
                 rows.push(bidder_row);
                 master.deactivate_rows(&rows);
                 self.staleness = self.staleness.max(Staleness::Deactivated);
@@ -738,7 +740,11 @@ impl AuctionSession {
                     *v -= 1;
                 }
             }
-            self.invalidate_solution_cache();
+            if master.deadweight_fraction() >= DEADWEIGHT_LIMIT {
+                self.invalidate_master();
+            } else {
+                self.invalidate_solution_cache();
+            }
         } else {
             self.invalidate_master();
             // Re-key the pending rebuild seeds the way the warm path
@@ -995,7 +1001,7 @@ impl AuctionSession {
             // solves it from scratch (every bundle is a column already, so
             // there is nothing to seed). No cached master means no duals
             // to certify with either.
-            self.pending_duals = None;
+            self.last_certificate = None;
             let fractional = try_solve_relaxation(&self.instance, &self.options)?;
             (fractional, SessionPath::Cold)
         } else {
@@ -1042,45 +1048,8 @@ impl AuctionSession {
         self.dirty_objectives = false;
         self.dirty_deactivations = false;
         self.last = Some(fractional.clone());
-        // Remap the captured master-row duals into the canonical layout
-        // *now*, before compaction below can shift row indices out from
-        // under the raw vector.
-        let certificate = self.pending_duals.take().map(|duals| DualCertificate {
-            vj: self
-                .row_vj
-                .iter()
-                .flat_map(|rows| rows.iter().map(|&r| duals[r]))
-                .collect(),
-            bidder: self.row_bidder.iter().map(|&r| duals[r]).collect(),
-        });
-        self.last_certificate = certificate;
         self.stats.resolves += 1;
-        // Departure deadweight (deactivated rows, fixed and relief columns)
-        // is swept out lazily once it passes the configured fraction; the
-        // row layout maps are remapped through the compaction report and
-        // the (remapped) warm basis survives when every member does.
-        self.maybe_compact_master();
         Ok(fractional)
-    }
-
-    /// Compacts the cached master once its deadweight fraction passes
-    /// `COMPACTION_THRESHOLD`, remapping the
-    /// session's row layout. Called only in the clean post-resolve state,
-    /// so every session-tracked row is active and survives.
-    fn maybe_compact_master(&mut self) {
-        let Some(master) = self.master.as_mut() else {
-            return;
-        };
-        if let Some(report) = master.maybe_compact(COMPACTION_THRESHOLD) {
-            for rows in &mut self.row_vj {
-                for r in rows.iter_mut() {
-                    *r = report.row_map[*r].expect("active session rows survive compaction");
-                }
-            }
-            for r in &mut self.row_bidder {
-                *r = report.row_map[*r].expect("active session rows survive compaction");
-            }
-        }
     }
 
     /// Runs the full pipeline on the current instance: the relaxation
@@ -1176,7 +1145,7 @@ impl AuctionSession {
     /// paths both end here; `solve_warm` inside the loop picks the primal
     /// resume or the dual-simplex row repair as appropriate).
     fn run_column_generation(&mut self) -> Result<FractionalAssignment, SolveError> {
-        self.pending_duals = None;
+        self.last_certificate = None;
         let master = self.master.as_mut().expect("master exists on this path");
         let mut oracle = SessionOracle {
             instance: &self.instance,
@@ -1189,7 +1158,6 @@ impl AuctionSession {
             |m: &MasterProblem| m.tags().iter().filter(|&&tag| is_native_tag(tag)).count();
         let churn = |m: &MasterProblem, info: &mut RelaxationInfo| {
             info.rows_deactivated = m.rows_deactivated();
-            info.compactions = m.compactions();
         };
         let result = match master.generate_columns(&mut oracle, self.options.max_pricing_rounds) {
             Ok(result) => result,
@@ -1206,7 +1174,13 @@ impl AuctionSession {
         };
         let status = result.solution.status;
         let converged = result.converged;
-        let duals = result.solution.duals.clone();
+        // Rows never move during a master's life, so the converged duals
+        // map straight into the canonical layout.
+        let duals = &result.solution.duals;
+        let certificate = converged.then(|| DualCertificate {
+            vj: self.row_vj.iter().flatten().map(|&r| duals[r]).collect(),
+            bidder: self.row_bidder.iter().map(|&r| duals[r]).collect(),
+        });
         let mut info = RelaxationInfo::from_cg(&result, native_columns(master));
         churn(master, &mut info);
         let fractional = extract(&self.instance, master, result.solution, converged, info);
@@ -1215,9 +1189,7 @@ impl AuctionSession {
         // truncation errors as IterationLimit, an infeasible master as
         // Infeasible).
         strict_status_error(status, &fractional)?;
-        if converged {
-            self.pending_duals = Some(duals);
-        }
+        self.last_certificate = certificate;
         Ok(fractional)
     }
 }
@@ -1435,7 +1407,9 @@ mod tests {
     /// Departures compose with every other warm mutation: depart → re-bid
     /// (one batch), depart → arrival (forces the dual path to validate a
     /// master that carries relief columns), and repeated departures that
-    /// push deadweight past the compaction threshold mid-session.
+    /// push deadweight past `DEADWEIGHT_LIMIT` mid-session, where the
+    /// master is rebuilt from exactly the survivors' columns plus the seed
+    /// bundles.
     #[test]
     fn departure_mutations_compose_with_other_warm_paths() {
         let mut session = SolverBuilder::new().session(path_instance(8, 2));
@@ -1446,6 +1420,8 @@ mod tests {
         session.update_valuation(0, xor_bidder(2, vec![(vec![0, 1], 9.5)]));
         assert_matches_scratch(&mut session);
         assert_eq!(session.stats().deactivated_resolves, 1);
+        let info = &session.last_fractional().expect("resolved").info;
+        assert_eq!(info.rows_deactivated, 3, "the departure's k + 1 rows");
 
         // batch: departure + arrival (rows added on a deactivated master)
         session.remove_bidder(4);
@@ -1455,18 +1431,54 @@ mod tests {
         );
         assert_matches_scratch(&mut session);
 
-        // drain the market until compaction triggers, re-solving each time
+        // drain the market, re-solving each time; the departures that
+        // cross the deadweight limit drop the master and rebuild it
+        let mut crossings = 0;
         while session.instance().num_bidders() > 2 {
+            // bidder 0's departure shifts every survivor down by one
+            let master = session.master.as_ref().expect("a clean warm session");
+            let survivors: Vec<(usize, ChannelSet)> = master
+                .tags()
+                .iter()
+                .filter(|&&tag| is_native_tag(tag))
+                .map(|&tag| decode_column_tag(tag))
+                .filter(|&(u, _)| u != 0)
+                .map(|(u, bundle)| (u - 1, bundle))
+                .collect();
+            let cold = session.stats().cold_resolves;
             session.remove_bidder(0);
+            let crossed = session.master.is_none();
+            if crossed {
+                assert_eq!(session.seeds, survivors, "rebuild seeds");
+            }
             assert_matches_scratch(&mut session);
+            assert_eq!(session.stats().cold_resolves, cold + usize::from(crossed));
+            if !crossed {
+                continue;
+            }
+            crossings += 1;
+            // the rebuilt master holds no tombstone or relief column, and
+            // its seeded prefix is the survivors' bundles followed by the
+            // bidders' seed bundles not already among them
+            let info = &session.last_fractional().expect("resolved").info;
+            let master = session.master.as_ref().expect("rebuilt");
+            assert!(master.tags().iter().all(|&tag| is_native_tag(tag)));
+            let mut want = survivors;
+            let seed_top = session.options.seed_top_bundles;
+            seed_columns(session.instance(), &[], seed_top, |v, bundle| {
+                if !want.contains(&(v, bundle)) {
+                    want.push((v, bundle));
+                }
+            });
+            let seeded = info.num_columns - info.columns_generated;
+            let got: Vec<(usize, ChannelSet)> = master.tags()[..seeded]
+                .iter()
+                .map(|&tag| decode_column_tag(tag))
+                .collect();
+            assert_eq!(got, want, "rebuilt master's seed columns");
         }
-        let info = &session.last_fractional().expect("resolved").info;
-        assert!(info.rows_deactivated > 0, "departures must be attributed");
-        assert!(
-            info.compactions > 0,
-            "sustained departures must have compacted the master"
-        );
-        // mutations keep working on the compacted master
+        assert!(crossings > 0, "the drain must cross the deadweight limit");
+        // mutations keep working on the rebuilt master
         session.add_bidder(
             xor_bidder(2, vec![(vec![0], 4.0)]),
             BidderConflicts::Binary(vec![0]),

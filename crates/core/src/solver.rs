@@ -101,8 +101,8 @@ impl std::error::Error for SolveError {}
 /// Everything else the pipeline reads is fixed: the LP engine's
 /// tolerances, stall threshold, refactor interval and pivot budget and the
 /// master's reduced-cost tolerance are constants of `ssa_lp`, and the
-/// support tolerance and the session's compaction threshold are constants
-/// of the modules that read them.
+/// support tolerance and the session's deadweight limit are constants of
+/// the modules that read them.
 #[derive(Clone, Debug)]
 pub struct SolverBuilder {
     pub(crate) rounding: RoundingOptions,

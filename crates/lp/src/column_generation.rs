@@ -17,20 +17,17 @@
 //! **Row lifecycle.** Masters are no longer append-only:
 //! [`MasterProblem::deactivate_rows`] relaxes rows in place (each gains a
 //! relief column; the recorded basis stays valid and primal feasible, so
-//! the next [`MasterProblem::solve_warm`] is a plain primal resume),
-//! [`MasterProblem::fix_columns`] retires columns at zero, and
-//! [`MasterProblem::compact`] physically removes the accumulated deadweight
-//! once [`MasterProblem::deadweight_fraction`] passes the caller's
-//! threshold, remapping the warm basis. This is what turns bidder
-//! *departures* into the cheap re-pricing shape instead of a rebuild; see
-//! [`crate::problem`] for the state machine and the basis-validity
-//! contract at the factorization seam.
+//! the next [`MasterProblem::solve_warm`] is a plain primal resume), and
+//! [`MasterProblem::fix_columns`] retires columns at zero. This is what
+//! turns bidder *departures* into the cheap re-pricing shape instead of a
+//! rebuild. Rows and columns never move during a master's life; once
+//! [`MasterProblem::deadweight_fraction`] passes the caller's limit, the
+//! caller drops the master and builds a fresh one from the surviving
+//! columns. See [`crate::problem`] for the state machine and the
+//! basis-validity contract at the factorization seam.
 
-use crate::basis::ForrestTomlinLu;
 use crate::problem::{LinearProgram, Relation, Sense};
-use crate::simplex::{
-    solve_limited, BasisVar, Limits, LpSolution, LpStatus, SolveStats, WarmStart,
-};
+use crate::simplex::{solve_limited, Limits, LpSolution, LpStatus, SolveStats, WarmStart};
 use serde::{Deserialize, Serialize};
 
 /// Column-tag address space. Native caller tags (in the auction:
@@ -133,26 +130,9 @@ pub struct MasterProblem {
     next_dead_tag: u64,
     /// Next tag for row-relief columns ([`ROW_RELIEF_TAG_BASE`]).
     next_relief_tag: u64,
-    /// Lifetime count of rows deactivated on this master (survives
-    /// compaction — it is churn attribution, not a size).
+    /// Lifetime count of rows deactivated on this master (churn
+    /// attribution, not a size).
     rows_deactivated: usize,
-    /// Lifetime count of [`MasterProblem::compact`] runs.
-    compactions: usize,
-}
-
-/// Index maps returned by [`MasterProblem::compact`]: `None` marks a
-/// removed row / column, `Some(new)` the post-compaction index. Callers
-/// that track master row or column indices (the session's row layout)
-/// must remap through this.
-#[derive(Clone, Debug)]
-pub struct CompactionReport {
-    /// Old master row index → new master row index.
-    pub row_map: Vec<Option<usize>>,
-    /// Old master column index → new master column index.
-    pub column_map: Vec<Option<usize>>,
-    /// Whether the recorded warm-start basis survived the remap (when
-    /// `false` the next solve is cold).
-    pub kept_basis: bool,
 }
 
 impl MasterProblem {
@@ -172,7 +152,6 @@ impl MasterProblem {
             next_dead_tag: DEAD_COLUMN_TAG_BASE,
             next_relief_tag: ROW_RELIEF_TAG_BASE,
             rows_deactivated: 0,
-            compactions: 0,
         }
     }
 
@@ -260,8 +239,8 @@ impl MasterProblem {
     /// basis stays valid *and primal feasible*); the next
     /// [`solve_warm`](Self::solve_warm) resumes with ordinary primal
     /// pivots, entering the relief columns of rows that were binding. Row
-    /// indices never shift — deactivated rows keep their slot until
-    /// [`compact`](Self::compact).
+    /// indices never shift — deactivated rows keep their slot for the
+    /// master's life.
     ///
     /// # Panics
     /// Panics if a row does not exist, is already deactivated, or is an
@@ -341,14 +320,9 @@ impl MasterProblem {
     }
 
     /// Lifetime count of rows deactivated on this master (churn
-    /// attribution; survives compaction).
+    /// attribution).
     pub fn rows_deactivated(&self) -> usize {
         self.rows_deactivated
-    }
-
-    /// Lifetime count of [`compact`](Self::compact) runs.
-    pub fn compactions(&self) -> usize {
-        self.compactions
     }
 
     /// Fraction of the master occupied by deadweight: deactivated rows plus
@@ -361,82 +335,6 @@ impl MasterProblem {
             0.0
         } else {
             (dead_rows + dead_cols) as f64 / total as f64
-        }
-    }
-
-    /// Physically removes deactivated rows and dead columns, remapping the
-    /// surviving columns' tags and — when every recorded basis
-    /// member survives the remap — the warm-start basis (basis identities
-    /// only; the factorization is rebuilt from the compacted matrix on the
-    /// next solve, which validates it through the ordinary warm-start
-    /// path). Callers that track master row/column indices must remap them
-    /// through the returned [`CompactionReport`].
-    pub fn compact(&mut self) -> CompactionReport {
-        let old_warm = self.warm.take();
-        let maps = self.lp.compact();
-        self.tags = (self.tags.iter().zip(&maps.var_map))
-            .filter_map(|(&tag, new)| new.map(|_| tag))
-            .collect();
-        self.seen_tags = self.tags.iter().copied().collect();
-        debug_assert_eq!(self.tags.len(), self.lp.num_variables());
-
-        let mut kept_basis = false;
-        if let Some(w) = old_warm {
-            let mut basis = Vec::with_capacity(self.num_rows());
-            for var in w.basis {
-                let mapped = match var {
-                    BasisVar::Structural(j) => maps
-                        .var_map
-                        .get(j)
-                        .copied()
-                        .flatten()
-                        .map(BasisVar::Structural),
-                    BasisVar::Slack(i) => {
-                        maps.row_map.get(i).copied().flatten().map(BasisVar::Slack)
-                    }
-                    BasisVar::Surplus(i) => maps
-                        .row_map
-                        .get(i)
-                        .copied()
-                        .flatten()
-                        .map(BasisVar::Surplus),
-                    BasisVar::Artificial(i) => maps
-                        .row_map
-                        .get(i)
-                        .copied()
-                        .flatten()
-                        .map(BasisVar::Artificial),
-                };
-                if let Some(v) = mapped {
-                    basis.push(v);
-                }
-            }
-            if basis.len() == self.num_rows() {
-                // Exactly one member vanished per removed row (the typical
-                // post-solve state: each deactivated row's relief or slack
-                // was basic): the remapped basis is handed back basis-only
-                // and refactorized from the compacted matrix on install.
-                self.warm = Some(WarmStart::from_parts(basis, ForrestTomlinLu::default()));
-                kept_basis = true;
-            }
-        }
-        self.compactions += 1;
-        CompactionReport {
-            row_map: maps.row_map,
-            column_map: maps.var_map,
-            kept_basis,
-        }
-    }
-
-    /// Compacts when the [`deadweight_fraction`](Self::deadweight_fraction)
-    /// has reached `threshold` (and there is any deadweight at all);
-    /// returns the report when a compaction ran.
-    pub fn maybe_compact(&mut self, threshold: f64) -> Option<CompactionReport> {
-        let f = self.deadweight_fraction();
-        if f > 0.0 && f >= threshold {
-            Some(self.compact())
-        } else {
-            None
         }
     }
 
@@ -946,8 +844,7 @@ mod tests {
 
     /// Deactivating the binding capacity row must free the optimum through
     /// the relief column on a plain warm resume — no rebuild, no row
-    /// renumbering — and a later compaction must physically remove the row
-    /// while preserving the optimum.
+    /// renumbering.
     #[test]
     fn deactivating_a_binding_row_relaxes_the_master_in_place() {
         let mut master = MasterProblem::new(
@@ -982,15 +879,6 @@ mod tests {
         );
         // the relaxed row's dual is (numerically) zero at the new optimum
         assert!(second.duals[0].abs() < 1e-6);
-
-        let report = master.compact();
-        assert_eq!(master.compactions(), 1);
-        assert_eq!(report.row_map, vec![None, Some(0), Some(1)]);
-        assert_eq!(master.num_rows(), 2);
-        assert_eq!(master.num_columns(), 2); // relief column removed
-        let third = master.solve_warm();
-        assert_eq!(third.status, LpStatus::Optimal);
-        assert!((third.objective - 5.0).abs() < 1e-7);
     }
 
     /// `tags()` must name each column at its current index through every
@@ -1063,19 +951,11 @@ mod tests {
             "row added",
             &[(10, 1.0), (dead, 0.0), (12, 2.5), (11, 4.0), (relief, 6.5)],
         );
-        // compaction drops the capacity row, the dead and the relief column
-        let report = master.compact();
-        assert_eq!(
-            report.column_map,
-            vec![Some(0), None, Some(1), Some(2), None]
-        );
-        assert!(master.contains_tag(11) && !master.contains_tag(dead));
-        check(&mut master, "compacted", &[(10, 1.0), (12, 2.5), (11, 4.0)]);
     }
 
     /// Fixing a column at zero retires it even when it was basic at a
-    /// positive value, tombstones its tag so the native tag can be re-used,
-    /// and compaction removes it physically.
+    /// positive value, and tombstones its tag so the native tag can be
+    /// re-used.
     #[test]
     fn fixed_columns_are_retired_and_their_tags_freed() {
         let mut master = MasterProblem::new(
@@ -1105,15 +985,10 @@ mod tests {
             "only the replacement column may carry value, got {}",
             second.objective
         );
-        let report = master.compact();
-        assert_eq!(report.column_map, vec![None, Some(0)]);
-        assert_eq!(master.num_columns(), 1);
-        let third = master.solve_warm();
-        assert!((third.objective - 4.0).abs() < 1e-7);
     }
 
-    /// The full lifecycle — deactivate → re-solve → compact → re-solve →
-    /// grow — must match `lp::dense` on the independently built survivor LP
+    /// The full lifecycle — deactivate → re-solve → grow → re-solve — must
+    /// match `lp::dense` on the independently built survivor LP
     /// at every step, including duplicated (degenerate / rank-deficient)
     /// rows.
     #[test]
@@ -1245,29 +1120,11 @@ mod tests {
                 oracle.objective
             );
 
-            // compact, re-solve, and compare again
-            let report = master.compact();
-            for &r in &kill_rows {
-                assert!(report.row_map[r].is_none(), "{label}");
-            }
-            for &c in &kill_cols {
-                assert!(report.column_map[c].is_none(), "{label}");
-            }
-            let compacted = master.solve_warm();
-            assert_eq!(compacted.status, LpStatus::Optimal, "{label}");
-            assert!(
-                (compacted.objective - oracle.objective).abs() < 1e-6,
-                "{label}: post-compaction {} vs dense survivor {}",
-                compacted.objective,
-                oracle.objective
-            );
-
-            // the master keeps working: grow a column on remapped rows
-            let new_row = report.row_map[2].expect("row 2 survives");
+            // the master keeps working: grow a column on a surviving row
             let extra_obj = 6.0;
             assert!(master.add_column(GeneratedColumn {
                 objective: extra_obj,
-                coeffs: vec![(new_row, 1.0)],
+                coeffs: vec![(2, 1.0)],
                 tag: 4096,
             }));
             let grown = master.solve_warm();

@@ -88,10 +88,10 @@ pub mod simplex;
 pub use basis::{ForrestTomlinLu, SparseVector, SparsityStats};
 pub use column_generation::{
     is_native_tag, is_relief_tag, ColumnGenerationError, ColumnGenerationResult, ColumnSource,
-    CompactionReport, GeneratedColumn, MasterProblem, DEAD_COLUMN_TAG_BASE, ROW_RELIEF_TAG_BASE,
+    GeneratedColumn, MasterProblem, DEAD_COLUMN_TAG_BASE, ROW_RELIEF_TAG_BASE,
 };
 pub use pricing::SteepestEdgePricing;
-pub use problem::{Compaction, Constraint, CscMatrix, LinearProgram, Relation, RowState, Sense};
+pub use problem::{Constraint, CscMatrix, LinearProgram, Relation, RowState, Sense};
 pub use simplex::{
     solve, solve_with_warm_start, BasisVar, LpSolution, LpStatus, SolveStats, WarmStart,
 };

@@ -7,9 +7,6 @@
 //! ```text
 //!            add_constraint                 deactivate_rows
 //!   (none) ────────────────▶ Active ────────────────────────▶ Deactivated
-//!                              │                                   │
-//!                              └──────────── compact ◀─────────────┘
-//!                                    (physically removed)
 //! ```
 //!
 //! * [`LinearProgram::deactivate_rows`] relaxes rows to non-binding **in
@@ -28,14 +25,13 @@
 //!   masters' packing shape); any other shape makes the engines reject
 //!   the warm start and cold-start, where fixed columns are exactly zero,
 //!   so the reported optimum is the fixed-at-zero optimum in every case.
-//! * [`LinearProgram::compact`] physically removes `Deactivated` rows,
-//!   fixed variables and relief variables once callers decide the
-//!   deadweight is worth a rebuild, returning index maps so basis
-//!   identities and caller bookkeeping can be remapped.
+//!
+//! Rows and variables never move: a deactivated row keeps its index and
+//! its relief variable for the life of the LP. Callers that want the
+//! deadweight gone build a fresh LP from the survivors.
 //!
 //! The factorization seam ([`crate::basis`]) never sees an invalid basis:
-//! deactivation only ever *adds* nonbasic columns, and compaction hands the
-//! remapped basis back through the ordinary warm-start validation path.
+//! deactivation only ever *adds* nonbasic columns.
 
 use serde::{Deserialize, Serialize};
 
@@ -78,20 +74,8 @@ pub enum RowState {
     /// before the lifecycle refactor).
     Active,
     /// The row has been relaxed to non-binding in place (its relief
-    /// variable absorbs any activity); it is physically removed by the next
-    /// [`LinearProgram::compact`].
+    /// variable absorbs any activity); it keeps its index.
     Deactivated,
-}
-
-/// Index maps returned by [`LinearProgram::compact`]: `None` marks a
-/// removed row / variable, `Some(new)` the post-compaction index.
-#[derive(Clone, Debug)]
-pub struct Compaction {
-    /// Old row index → new row index (`None` for deactivated rows).
-    pub row_map: Vec<Option<usize>>,
-    /// Old variable index → new variable index (`None` for fixed and
-    /// relief variables).
-    pub var_map: Vec<Option<usize>>,
 }
 
 /// A linear program over non-negative variables.
@@ -108,10 +92,9 @@ pub struct LinearProgram {
     row_state: Vec<RowState>,
     /// Variables fixed at zero (barred from entering any basis).
     var_fixed: Vec<bool>,
-    /// `Some(row)` for relief variables created by
-    /// [`deactivate_rows`](Self::deactivate_rows) (removed on compaction
-    /// together with their row).
-    var_relief: Vec<Option<usize>>,
+    /// Relief variables created by
+    /// [`deactivate_rows`](Self::deactivate_rows).
+    var_relief: Vec<bool>,
 }
 
 impl LinearProgram {
@@ -137,7 +120,7 @@ impl LinearProgram {
     pub fn add_variable(&mut self, objective_coefficient: f64) -> usize {
         self.objective.push(objective_coefficient);
         self.var_fixed.push(false);
-        self.var_relief.push(None);
+        self.var_relief.push(false);
         self.objective.len() - 1
     }
 
@@ -223,7 +206,7 @@ impl LinearProgram {
     }
 
     /// Number of constraints (active **and** deactivated — deactivated rows
-    /// keep their index until [`compact`](Self::compact)).
+    /// keep their index).
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
     }
@@ -252,15 +235,16 @@ impl LinearProgram {
 
     /// Whether variable `j` is a relief variable of a deactivated row.
     pub fn is_relief_variable(&self, j: usize) -> bool {
-        self.var_relief[j].is_some()
+        self.var_relief[j]
     }
 
-    /// Number of variables that compaction would remove (fixed + relief).
+    /// Number of dead variables: fixed at zero, or relief variables of
+    /// deactivated rows.
     pub fn num_dead_variables(&self) -> usize {
         self.var_fixed
             .iter()
-            .zip(self.var_relief.iter())
-            .filter(|&(&f, r)| f || r.is_some())
+            .zip(&self.var_relief)
+            .filter(|&(&f, &r)| f || r)
             .count()
     }
 
@@ -295,7 +279,7 @@ impl LinearProgram {
             };
             let var = self.add_variable(0.0);
             self.add_coefficient(i, var, sign);
-            self.var_relief[var] = Some(i);
+            self.var_relief[var] = true;
             self.row_state[i] = RowState::Deactivated;
             relief.push(var);
         }
@@ -342,58 +326,6 @@ impl LinearProgram {
                     a == 0.0 || (c.relation == Relation::Le && a >= 0.0 && c.rhs >= 0.0)
                 }
             })
-    }
-
-    /// Physically removes deactivated rows, fixed variables and relief
-    /// variables, remapping every surviving constraint's coefficients.
-    /// Returns the index maps callers need to remap basis identities and
-    /// their own row/column bookkeeping.
-    pub fn compact(&mut self) -> Compaction {
-        let mut var_map = vec![None; self.num_variables()];
-        let mut next = 0usize;
-        for (j, slot) in var_map.iter_mut().enumerate() {
-            if !self.var_fixed[j] && self.var_relief[j].is_none() {
-                *slot = Some(next);
-                next += 1;
-            }
-        }
-        let mut row_map = vec![None; self.constraints.len()];
-        let mut next_row = 0usize;
-        for (i, slot) in row_map.iter_mut().enumerate() {
-            if self.row_state[i] == RowState::Active {
-                *slot = Some(next_row);
-                next_row += 1;
-            }
-        }
-
-        let mut objective = Vec::with_capacity(next);
-        for (j, &keep) in var_map.iter().enumerate() {
-            if keep.is_some() {
-                objective.push(self.objective[j]);
-            }
-        }
-        let mut constraints = Vec::with_capacity(next_row);
-        for (i, c) in self.constraints.iter().enumerate() {
-            if row_map[i].is_none() {
-                continue;
-            }
-            let coeffs: Vec<(usize, f64)> = c
-                .coeffs
-                .iter()
-                .filter_map(|&(v, a)| var_map[v].map(|nv| (nv, a)))
-                .collect();
-            constraints.push(Constraint {
-                coeffs,
-                relation: c.relation,
-                rhs: c.rhs,
-            });
-        }
-        self.objective = objective;
-        self.constraints = constraints;
-        self.row_state = vec![RowState::Active; next_row];
-        self.var_fixed = vec![false; next];
-        self.var_relief = vec![None; next];
-        Compaction { row_map, var_map }
     }
 
     /// Evaluates the objective at a point.
@@ -627,35 +559,5 @@ mod tests {
         assert!(!lp.is_variable_fixed(y));
         assert_eq!(lp.objective()[x], 0.0);
         assert_eq!(lp.num_dead_variables(), 1);
-    }
-
-    #[test]
-    fn compact_removes_dead_rows_and_variables_with_maps() {
-        let mut lp = LinearProgram::new(Sense::Maximize);
-        let x = lp.add_variable(3.0);
-        let y = lp.add_variable(2.0);
-        let z = lp.add_variable(1.0);
-        let r0 = lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
-        let r1 = lp.add_constraint(vec![(y, 2.0), (z, 1.0)], Relation::Le, 3.0);
-        let r2 = lp.add_constraint(vec![(z, 1.0)], Relation::Le, 5.0);
-        lp.fix_variables_at_zero(&[y]);
-        lp.deactivate_rows(&[r1]);
-        let maps = lp.compact();
-        assert_eq!(maps.row_map, vec![Some(0), None, Some(1)]);
-        // y fixed and the relief variable dropped; x and z survive
-        assert_eq!(maps.var_map[x], Some(0));
-        assert_eq!(maps.var_map[y], None);
-        assert_eq!(maps.var_map[z], Some(1));
-        assert_eq!(maps.var_map.len(), 4);
-        assert_eq!(lp.num_variables(), 2);
-        assert_eq!(lp.num_constraints(), 2);
-        assert_eq!(lp.num_active_rows(), 2);
-        assert_eq!(lp.num_dead_variables(), 0);
-        // surviving rows reference remapped variables only
-        assert_eq!(lp.constraints()[0].coeffs, vec![(0, 1.0)]); // was r0: x
-        assert_eq!(lp.constraints()[1].coeffs, vec![(1, 1.0)]); // was r2: z
-        assert_eq!(lp.constraints()[1].rhs, 5.0);
-        let _ = r0;
-        let _ = r2;
     }
 }

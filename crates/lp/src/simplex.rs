@@ -268,14 +268,6 @@ pub struct WarmStart {
 }
 
 impl WarmStart {
-    /// Assembles a state from a basis and a matching factorization (a
-    /// default factorization makes it basis-only, as
-    /// [`MasterProblem::compact`](crate::MasterProblem::compact) hands back
-    /// its remapped basis).
-    pub(crate) fn from_parts(basis: Vec<BasisVar>, factor: ForrestTomlinLu) -> Self {
-        WarmStart { basis, factor }
-    }
-
     /// Keeps the basis but drops the factorization, forcing the next solve
     /// to refactorize from the *target problem's* columns.
     ///

@@ -65,7 +65,7 @@
 //! | `SolverOptions { rounding: RoundingOptions { seed, trials }, .. }` | `SolverBuilder::new().rounding(seed, trials)` |
 //! | `SolverOptions` as a value (`SpectrumAuctionSolver::new`, `AuctionSession::new`, `SealedTranscript::options`, `AuctionSession::options()`) | removed: each takes or holds a `SolverBuilder` |
 //! | `LpFormulationOptions { seed_top_bundles, enumerate_all_bundles, column_generation: ColumnGeneration { max_rounds, .. }, .. }` | [`SolverBuilder::seed_top_bundles`](auction::solver::SolverBuilder::seed_top_bundles), [`enumerate_all_bundles`](auction::solver::SolverBuilder::enumerate_all_bundles), [`max_pricing_rounds`](auction::solver::SolverBuilder::max_pricing_rounds); `solve_relaxation` and `try_solve_relaxation` take `&SolverBuilder` |
-//! | `LpFormulationOptions { column_pool_capacity, compaction_threshold, support_tolerance, column_generation: ColumnGeneration { simplex, reduced_cost_tolerance, .. }, .. }` | `column_pool_capacity` went with the pool; the others are constants: the session's compaction threshold (0.25), the relaxation's support tolerance (1e-9); the LP engine's settings and the master's reduced-cost tolerance (1e-7) are constants of `ssa_lp` |
+//! | `LpFormulationOptions { column_pool_capacity, compaction_threshold, support_tolerance, column_generation: ColumnGeneration { simplex, reduced_cost_tolerance, .. }, .. }` | `column_pool_capacity` went with the pool; the others are constants: the session's deadweight limit (0.25, which now triggers a seeded rebuild instead of a compaction), the relaxation's support tolerance (1e-9); the LP engine's settings and the master's reduced-cost tolerance (1e-7) are constants of `ssa_lp` |
 //! | `SolverBuilder::options()` | removed: pass the builder itself |
 //! | `SolverBuilder::column_pool_capacity(n)` | removed (it had no caller), and the pool with it: a session's master is its only column store |
 //! | `TruthfulMechanism::new(TruthfulMechanismOptions { lp, decomposition })` | [`TruthfulMechanism::new(verifier)`](mechanism::TruthfulMechanism::new) with a `SolverBuilder`; the welfare and VCG LPs use the default relaxation |
@@ -111,6 +111,9 @@
 //! | `asymmetric::build_asymmetric_instance(graphs, bidders, ordering)` | `AuctionInstance::new` with `ConflictStructure::AsymmetricBinary(graphs)` and the ρ of [`certified_rho_across_channels`](auction::asymmetric::certified_rho_across_channels) |
 //! | `SparseVector::nnz_upper_bound`, `DrainReport::sorted_latencies`, `bench::experiments::run_all` | removed (no caller); `run_all(quick)` is `run_selected(quick, &[])` |
 //! | `mechanism::{AuctioneerAdversary, FalseBid}` (`sealed_bid::adversary`), `SpectrumExchange::with_sealed_auction` | removed (no caller): tests stage attacks through [`SealedBidAuction::inject_shill`](mechanism::SealedBidAuction::inject_shill) and [`suppress_reveal`](mechanism::SealedBidAuction::suppress_reveal) |
+//! | `LinearProgram::compact` and the index maps it returned | removed: rows and variables never move during an LP's life; drop the LP and build a fresh one from the survivors |
+//! | `MasterProblem::compact`, its threshold variant and its run counter, and the report of row and column maps it returned | removed: a session drops a master whose [`deadweight_fraction`](lp::MasterProblem::deadweight_fraction) reaches 0.25 after a departure, and the next resolve rebuilds it seeded from the survivors' columns |
+//! | the compaction counter of `RelaxationInfo` | removed with compaction: [`SessionStats::cold_resolves`](auction::session::SessionStats::cold_resolves) counts the deadweight rebuilds with the other rebuilds, and [`RelaxationInfo::rows_deactivated`](auction::lp_formulation::RelaxationInfo::rows_deactivated) counts per master |
 //!
 //! ## One master, and the seed depth
 //!

@@ -15,6 +15,7 @@
 use spectrum_auctions::auction::lp_formulation::{
     solve_relaxation, solve_relaxation_explicit, try_solve_relaxation, RelaxationInfo,
 };
+use spectrum_auctions::auction::session::SessionStats;
 use spectrum_auctions::auction::solver::SolverBuilder;
 use spectrum_auctions::auction::AuctionInstance;
 use spectrum_auctions::interference::{PowerAssignment, SinrParameters};
@@ -23,7 +24,9 @@ use spectrum_auctions::workloads::{
     DynamicMarketConfig, ScenarioConfig, ValuationProfile,
 };
 
-fn run_stream(seed: u64, dynamics: &DynamicMarketConfig) {
+/// Runs one stream, checking every step, and returns the session's path
+/// counters.
+fn run_stream(seed: u64, dynamics: &DynamicMarketConfig) -> SessionStats {
     let mut config = ScenarioConfig::new(8, 2, seed);
     config.valuations = ValuationProfile::Mixed;
     let scenario = dynamic_market_scenario(&config, dynamics, 1.0);
@@ -59,6 +62,7 @@ fn run_stream(seed: u64, dynamics: &DynamicMarketConfig) {
             "seed {seed} step {step}: infeasible warm LP"
         );
     }
+    session.stats()
 }
 
 /// Mixed arrival/departure/re-bid streams.
@@ -98,12 +102,14 @@ fn session_matches_scratch_on_departure_streams() {
 
 /// Departure-heavy mixed streams: deactivations interleaved with arrivals
 /// (a master carrying relief columns must survive the dual row path or
-/// fall back soundly) and re-bids, with enough churn to cross the
-/// compaction threshold on longer runs.
+/// fall back soundly) and re-bids, with enough churn that a departure
+/// crosses the session's deadweight limit and the master is rebuilt from
+/// the survivors' columns.
 #[test]
 fn session_matches_scratch_on_departure_heavy_streams() {
+    let mut deadweight_rebuilds = 0;
     for seed in [73u64, 97] {
-        run_stream(
+        let stats = run_stream(
             seed,
             &DynamicMarketConfig {
                 num_events: 8,
@@ -112,7 +118,14 @@ fn session_matches_scratch_on_departure_heavy_streams() {
                 rebid_weight: 0.2,
             },
         );
+        // the streams change neither ρ nor the channels, so every rebuild
+        // after the first resolve is a deadweight rebuild
+        deadweight_rebuilds += stats.cold_resolves - 1;
     }
+    assert!(
+        deadweight_rebuilds > 0,
+        "the departure-heavy streams must cross the deadweight limit"
+    );
 }
 
 /// Every counter of a relaxation solve, with the float density as bits, so
@@ -129,7 +142,6 @@ fn trajectory(info: &RelaxationInfo) -> (Vec<usize>, Vec<usize>, Vec<usize>, u64
         info.engine.degenerate_pivots,
         info.engine.dual_pivots,
         info.rows_deactivated,
-        info.compactions,
         info.engine.ftran_sparse_hits,
         info.engine.ftran_dense_fallbacks,
         info.engine.btran_sparse_hits,
