@@ -7,9 +7,9 @@
 //!   the revised simplex (steepest edge over Forrest–Tomlin LU). The dense
 //!   tableau is timed only up to n = 200.
 //! * `cg_cold` vs `cg_warm` — the same column-generation run with every
-//!   master re-solve from scratch vs warm-started from the previous
-//!   round's optimal basis (the PR 1 warm-start win, kept as a regression
-//!   guard).
+//!   round solving a fresh master from scratch vs one live master resuming
+//!   the previous round's optimal basis (the warm-start win, kept as a
+//!   regression guard).
 //!
 //! A third group, `refactor`, times the basis refactorization
 //! ([`ForrestTomlinLu::refactor`]) on its own: master-shaped bases at
@@ -112,16 +112,21 @@ impl KnapsackInstance {
         result.solution.objective
     }
 
-    /// The same pricing loop with every master re-solve from a cold start
-    /// (the seed behavior).
+    /// The same pricing loop with every round solving a fresh master over
+    /// the columns found so far, from a cold start (the seed behavior).
     fn run_cold(&self) -> f64 {
-        let mut master = self.master();
+        let mut columns: Vec<GeneratedColumn> = Vec::new();
         loop {
+            let mut master = self.master();
+            for col in &columns {
+                master.add_column(col.clone());
+            }
             let solution = master.solve();
             assert_eq!(solution.status, LpStatus::Optimal);
             let mut added = false;
             for col in self.best_column(&solution.duals) {
-                if col.reduced_cost(&solution.duals) > 1e-7 && master.add_column(col) {
+                if col.reduced_cost(&solution.duals) > 1e-7 && !master.contains_tag(col.tag) {
+                    columns.push(col);
                     added = true;
                 }
             }

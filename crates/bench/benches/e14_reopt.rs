@@ -1,10 +1,10 @@
-//! E14: warm solve after row additions — re-solving a packing LP (the
-//! master shape) after a batch of appended rows with
-//! [`solve_with_warm_start`] resuming the recorded basis (a row prefix of
-//! the grown LP, repaired by the engine's dual simplex loop), vs a cold
-//! re-solve of the grown LP. Every cell asserts the two reach the same
-//! optimum before its time is recorded, and that the seeds' warm solves
-//! spent dual pivots between them.
+//! E14: warm solve after row additions — re-solving a packing master after
+//! a batch of rows appended through [`MasterProblem::add_row`], which
+//! resumes the recorded basis (a row prefix of the grown master, repaired
+//! by the engine's dual simplex loop), vs a cold solve of the grown LP.
+//! Every cell asserts the two reach the same optimum before its time is
+//! recorded, and that the seeds' warm solves spent dual pivots between
+//! them.
 //!
 //! A plain main, not Criterion: each cell is one solve per seed and the
 //! medians across seeds are the statistic. The smoke run
@@ -13,13 +13,11 @@
 //! ```bash
 //! cargo bench -p ssa-bench --bench e14_reopt
 //! ```
-//!
-//! [`solve_with_warm_start`]: ssa_lp::solve_with_warm_start
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssa_bench::table::Table;
-use ssa_lp::{solve, solve_with_warm_start, LinearProgram, LpStatus, Relation, Sense};
+use ssa_lp::{solve, GeneratedColumn, LinearProgram, LpStatus, MasterProblem, Relation, Sense};
 use std::time::Instant;
 
 const SEEDS: [u64; 5] = [77, 1234, 5150, 90210, 424242];
@@ -51,19 +49,42 @@ fn random_packing_lp(seed: u64, cols: usize) -> LinearProgram {
     lp
 }
 
-/// The same LP with `extra` additional random coupling rows appended.
-fn with_extra_rows(lp: &LinearProgram, seed: u64, extra: usize) -> LinearProgram {
+/// `extra` random coupling rows `(coeffs, rhs)` over `n` variables.
+fn extra_rows(n: usize, seed: u64, extra: usize) -> Vec<(Vec<(usize, f64)>, f64)> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let n = lp.num_variables();
-    let mut grown = lp.clone();
-    for _ in 0..extra {
-        let mut coeffs: Vec<(usize, f64)> = Vec::new();
-        for _ in 0..8.min(n) {
-            coeffs.push((rng.random_range(0..n), rng.random_range(0.2..2.0)));
+    (0..extra)
+        .map(|_| {
+            let mut coeffs: Vec<(usize, f64)> = Vec::new();
+            for _ in 0..8.min(n) {
+                coeffs.push((rng.random_range(0..n), rng.random_range(0.2..2.0)));
+            }
+            (coeffs, rng.random_range(1.0..6.0))
+        })
+        .collect()
+}
+
+/// The master with `lp`'s rows and columns (column `j` tagged `j`).
+fn master_of(lp: &LinearProgram) -> MasterProblem {
+    let rows = lp
+        .constraints()
+        .iter()
+        .map(|c| (c.relation, c.rhs))
+        .collect();
+    let mut master = MasterProblem::new(lp.sense(), rows);
+    let mut columns = vec![Vec::new(); lp.num_variables()];
+    for (i, c) in lp.constraints().iter().enumerate() {
+        for &(j, a) in &c.coeffs {
+            columns[j].push((i, a));
         }
-        grown.add_constraint(coeffs, Relation::Le, rng.random_range(1.0..6.0));
     }
-    grown
+    for (j, coeffs) in columns.into_iter().enumerate() {
+        master.add_column(GeneratedColumn {
+            objective: lp.objective()[j],
+            coeffs,
+            tag: j as u64,
+        });
+    }
+    master
 }
 
 fn reopt_sweep(smoke: bool) -> Table {
@@ -83,14 +104,22 @@ fn reopt_sweep(smoke: bool) -> Table {
         let mut dual_pivots = 0usize;
         for &seed in &SEEDS {
             let base = random_packing_lp(seed + n as u64, n);
-            let (first, state) = solve_with_warm_start(&base, None);
+            let mut master = master_of(&base);
+            let first = master.solve();
             assert_eq!(first.status, LpStatus::Optimal);
-            let grown = with_extra_rows(&base, seed ^ 0x5a5a, extra);
+            let rows = extra_rows(n, seed ^ 0x5a5a, extra);
+            let mut grown = base.clone();
+            for (coeffs, rhs) in &rows {
+                grown.add_constraint(coeffs.clone(), Relation::Le, *rhs);
+            }
             let t0 = Instant::now();
             let cold = solve(&grown);
             cold_times.push(t0.elapsed().as_secs_f64() * 1e3);
             let t0 = Instant::now();
-            let (re, _) = solve_with_warm_start(&grown, Some(state));
+            for (coeffs, rhs) in rows {
+                master.add_row(Relation::Le, rhs, coeffs);
+            }
+            let re = master.solve();
             dual_times.push(t0.elapsed().as_secs_f64() * 1e3);
             dual_pivots += re.stats.dual_pivots;
             assert_eq!(re.status, cold.status);

@@ -15,7 +15,7 @@
 
 use crate::allocation::Allocation;
 use crate::instance::AuctionInstance;
-use ssa_lp::{solve_with_warm_start, LinearProgram, Relation, Sense, WarmStart};
+use ssa_lp::{GeneratedColumn, MasterProblem, Relation, Sense};
 
 /// Result of the edge-based LP baseline.
 #[derive(Clone, Debug)]
@@ -30,59 +30,62 @@ pub struct EdgeLpOutcome {
     pub lp_objective: f64,
     /// Simplex pivots of each per-channel edge-LP solve. With symmetric
     /// channels the constraint rows are identical across channels, so every
-    /// channel after the first warm-starts from its predecessor's basis —
-    /// these counts make that cross-channel batching win measurable.
+    /// channel after the first re-prices its predecessor's master and
+    /// resumes from its optimal basis and factorization — these counts make
+    /// that cross-channel batching win measurable.
     pub per_channel_iterations: Vec<usize>,
 }
 
-/// The single-channel edge LP for the given per-bidder weights, returning
-/// the fractional values `x_v`, the optimum, the pivot count, and the basis
-/// for warm-starting the next channel.
-fn edge_lp_single_channel(
-    instance: &AuctionInstance,
-    channel: usize,
-    weights: &[f64],
-    warm: Option<WarmStart>,
-) -> (Vec<f64>, f64, usize, WarmStart) {
-    let n = instance.num_bidders();
-    let mut lp = LinearProgram::new(Sense::Maximize);
-    #[allow(clippy::needless_range_loop)]
-    for v in 0..n {
-        lp.add_variable(weights[v].max(0.0));
-    }
-    for v in 0..n {
-        lp.add_constraint(vec![(v, 1.0)], Relation::Le, 1.0);
-    }
-    for v in 0..n {
+/// The conflict edges `(v, u)`, `v < u`, of one channel's edge LP.
+fn channel_edges(instance: &AuctionInstance, channel: usize) -> Vec<(usize, usize)> {
+    let mut edges = Vec::new();
+    for v in 0..instance.num_bidders() {
         for u in instance.conflicts.interacting(v, channel) {
             if u > v && instance.conflicts.symmetric_weight(u, v, channel) >= 1.0 {
-                lp.add_constraint(vec![(u, 1.0), (v, 1.0)], Relation::Le, 1.0);
+                edges.push((v, u));
             }
         }
     }
-    // Per-channel LPs share rows (same bidders, and with symmetric conflict
-    // structures the same edges), so the previous channel's optimal basis is
-    // a valid — typically near-optimal — starting basis here even though the
-    // objective (the marginal weights) changed. Only the *basis* is seeded:
-    // with asymmetric channels the constraint matrix differs, so the donor's
-    // factorization must not be trusted — the engine refactorizes from this
-    // channel's columns, and rejects the basis entirely (cold start) when it
-    // does not fit or is singular here.
-    let seed = warm.map(WarmStart::into_basis_only);
-    let (sol, state) = solve_with_warm_start(&lp, seed);
-    (sol.x, sol.objective, sol.stats.simplex_iterations, state)
+    edges
+}
+
+/// The single-channel edge LP over `edges` as a master: one bound row
+/// `x_v ≤ 1` per bidder, then one row per edge, and one column per bidder
+/// (tagged by its index) with objective 0 until it is priced.
+fn edge_lp_master(n: usize, edges: &[(usize, usize)]) -> MasterProblem {
+    let rows = vec![(Relation::Le, 1.0); n + edges.len()];
+    let mut master = MasterProblem::new(Sense::Maximize, rows);
+    let mut coeffs: Vec<Vec<(usize, f64)>> = (0..n).map(|v| vec![(v, 1.0)]).collect();
+    for (e, &(v, u)) in edges.iter().enumerate() {
+        coeffs[v].push((n + e, 1.0));
+        coeffs[u].push((n + e, 1.0));
+    }
+    for (v, coeffs) in coeffs.into_iter().enumerate() {
+        master.add_column(GeneratedColumn {
+            objective: 0.0,
+            coeffs,
+            tag: v as u64,
+        });
+    }
+    master
 }
 
 /// Runs the edge-LP baseline: per channel, solve the edge LP on the bidders'
-/// marginal values for that channel (sharing one warm-start context across
-/// the channel sequence), then round greedily by decreasing fractional value
-/// subject to feasibility.
+/// marginal values for that channel, then round greedily by decreasing
+/// fractional value subject to feasibility.
+///
+/// Per-channel LPs share their bound rows, and with symmetric conflict
+/// structures their edge rows too. While the rows repeat, one master serves
+/// the channel sequence: only the objective (the marginal weights) changes,
+/// so each channel re-prices the master's columns and resumes from the
+/// previous channel's optimal basis and factorization. A channel whose
+/// edges differ gets a fresh master, solved cold.
 pub fn edge_lp_baseline(instance: &AuctionInstance) -> EdgeLpOutcome {
     let n = instance.num_bidders();
     let mut allocation = Allocation::empty(n);
     let mut lp_objective = 0.0;
     let mut per_channel_iterations = Vec::with_capacity(instance.num_channels);
-    let mut warm: Option<WarmStart> = None;
+    let mut shared: Option<(Vec<(usize, usize)>, MasterProblem)> = None;
     for j in 0..instance.num_channels {
         let weights: Vec<f64> = (0..n)
             .map(|v| {
@@ -90,11 +93,19 @@ pub fn edge_lp_baseline(instance: &AuctionInstance) -> EdgeLpOutcome {
                 instance.value(v, current.with(j)) - instance.value(v, current)
             })
             .collect();
-        let (x, obj, iterations, state) =
-            edge_lp_single_channel(instance, j, &weights, warm.take());
-        warm = Some(state);
-        per_channel_iterations.push(iterations);
-        lp_objective += obj;
+        let edges = channel_edges(instance, j);
+        if shared.as_ref().is_none_or(|(prev, _)| *prev != edges) {
+            let master = edge_lp_master(n, &edges);
+            shared = Some((edges, master));
+        }
+        let (_, master) = shared.as_mut().expect("a master for this channel");
+        for (v, &w) in weights.iter().enumerate() {
+            master.set_column_objective(v, w.max(0.0));
+        }
+        let solution = master.solve();
+        per_channel_iterations.push(solution.stats.simplex_iterations);
+        lp_objective += solution.objective;
+        let x = solution.x;
         // round: consider bidders by decreasing x_v * weight, add if feasible
         let mut order: Vec<usize> = (0..n)
             .filter(|&v| weights[v] > 0.0 && x[v] > 1e-9)
@@ -184,7 +195,7 @@ mod tests {
     /// A 6-cycle with single-channel bidders: the even bidders want channel
     /// 0 and the odd ones channel 1, so each channel's edge LP is optimal on
     /// an independent set — 1 + 2.4 + 3.8 on channel 0 and 1.7 + 3.1 + 4.5
-    /// on channel 1, which warm-starts from channel 0's basis.
+    /// on channel 1, which re-prices and resumes channel 0's master.
     #[test]
     fn baseline_matches_the_hand_computed_edge_lp_optimum() {
         let g = ConflictGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);

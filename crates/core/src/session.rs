@@ -17,7 +17,7 @@
 //! | none | the cached [`FractionalAssignment`] is returned as-is |
 //! | re-bids only ([`update_valuation`](AuctionSession::update_valuation)) | the bidders' master columns are **re-priced in place**; the recorded basis is still primal feasible (the constraint matrix is untouched), so the master resumes with ordinary primal pivots |
 //! | departures ([`remove_bidder`](AuctionSession::remove_bidder)), possibly mixed with re-bids | the departed bidder's columns are **fixed at zero** and its `k + 1` rows **deactivated in place** behind relief columns ([`MasterProblem::deactivate_rows`]); the surviving basis stays valid and primal feasible and resumes with primal pivots — a departure that leaves deadweight at a quarter of the master or more (`DEADWEIGHT_LIMIT`) drops the master instead, and the next resolve takes the seeded rebuild of the ρ row below |
-//! | arrivals ([`add_bidder`](AuctionSession::add_bidder)), possibly mixed with the above | the newcomer's `k + 1` rows are **staged** and materialized at resolve time via [`MasterProblem::add_row`]; if the same batch also re-bid or departed bidders (dirt that costs the recorded basis its dual feasibility), a primal resume first re-optimizes the mutated master, and only then do the staged rows land — so the warm solve's **dual simplex** row repair (`lp::solve_with_warm_start` on a row-prefix basis) always starts from a dual-feasible basis instead of declining into a cold solve |
+//! | arrivals ([`add_bidder`](AuctionSession::add_bidder)), possibly mixed with the above | the newcomer's `k + 1` rows are **staged** and materialized at resolve time via [`MasterProblem::add_row`]; if the same batch also re-bid or departed bidders (dirt that costs the recorded basis its dual feasibility), a primal resume first re-optimizes the mutated master, and only then do the staged rows land — so the next master solve's **dual simplex** row repair (the master's recorded basis, now a row prefix) always starts from a dual-feasible basis instead of declining into a cold solve |
 //! | ρ or channel changes | the master is rebuilt, **seeded from the master it replaces**: every bundle column of the old master is re-priced at the current valuations and seeded up front, so column generation starts near the previous optimum |
 //!
 //! Every warm answer is the exact LP optimum of the *current* instance —
@@ -1024,7 +1024,7 @@ impl AuctionSession {
                         // rows land.
                         self.stats.mixed_batch_repairs += 1;
                         let master = self.master.as_mut().expect("master exists on this path");
-                        let _ = master.solve_warm();
+                        let _ = master.solve();
                     }
                     self.materialize_staged_rows();
                     (self.run_column_generation()?, SessionPath::WarmRows)
@@ -1142,7 +1142,7 @@ impl AuctionSession {
     }
 
     /// Column generation on the cached master (the warm and freshly rebuilt
-    /// paths both end here; `solve_warm` inside the loop picks the primal
+    /// paths both end here; each master solve inside the loop picks the primal
     /// resume or the dual-simplex row repair as appropriate).
     fn run_column_generation(&mut self) -> Result<FractionalAssignment, SolveError> {
         self.last_certificate = None;
@@ -1484,6 +1484,62 @@ mod tests {
             BidderConflicts::Binary(vec![0]),
         );
         assert_matches_scratch(&mut session);
+    }
+
+    /// A session cloned mid-life (as the exchange detaches sessions into
+    /// sealed rounds and back) carries its master's live engine: the clone
+    /// and the original, given the same mutation batches, resolve to
+    /// bit-equal values, duals and engine counters.
+    #[test]
+    fn a_cloned_session_resolves_identically() {
+        let mut session = SolverBuilder::new().session(path_instance(8, 2));
+        session.resolve_relaxation().expect("first resolve");
+        session.update_valuation(3, xor_bidder(2, vec![(vec![0, 1], 12.0)]));
+        session.resolve_relaxation().expect("repriced resolve");
+
+        let mut twin = session.clone();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for batch in 0..3 {
+            for s in [&mut session, &mut twin] {
+                match batch {
+                    0 => {
+                        s.add_bidder(
+                            xor_bidder(2, vec![(vec![0], 9.0), (vec![0, 1], 11.0)]),
+                            BidderConflicts::Binary(vec![2, 6]),
+                        );
+                    }
+                    1 => {
+                        s.remove_bidder(4);
+                        s.update_valuation(0, xor_bidder(2, vec![(vec![1], 8.5)]));
+                    }
+                    _ => {
+                        s.update_valuation(5, xor_bidder(2, vec![(vec![0, 1], 3.0)]));
+                        s.add_bidder(
+                            xor_bidder(2, vec![(vec![1], 6.0)]),
+                            BidderConflicts::Binary(vec![0]),
+                        );
+                    }
+                }
+            }
+            let a = session.resolve_relaxation().expect("original resolve");
+            let b = twin.resolve_relaxation().expect("clone resolve");
+            assert_eq!(
+                a.objective.to_bits(),
+                b.objective.to_bits(),
+                "batch {batch}"
+            );
+            assert_eq!(a.entries, b.entries, "batch {batch}");
+            assert_eq!(a.info.engine, b.info.engine, "batch {batch}");
+            assert_eq!(a.info.per_round_iterations, b.info.per_round_iterations);
+            let (ya, yb) = (
+                session.last_certificate().expect("converged"),
+                twin.last_certificate().expect("converged"),
+            );
+            assert_eq!(bits(&ya.vj), bits(&yb.vj), "batch {batch}");
+            assert_eq!(bits(&ya.bidder), bits(&yb.bidder), "batch {batch}");
+        }
+        assert_eq!(session.stats().warm_row_resolves, 2);
+        assert_eq!(session.stats().mixed_batch_repairs, 1);
     }
 
     #[test]

@@ -1601,6 +1601,27 @@ impl ForrestTomlinLu {
         true
     }
 
+    /// Frees the solve workspaces (the next solve grows them again, zeroed):
+    /// a fleet keeps one factorization per market between its solves.
+    pub(crate) fn release_workspaces(&mut self) {
+        for v in [
+            &self.scratch_x,
+            &self.scratch_c,
+            &self.scratch_s,
+            &self.scratch_unit,
+        ] {
+            v.take();
+        }
+        for v in [&self.sp_x, &self.sp_z] {
+            v.take();
+        }
+        for v in [&self.sp_reach_a, &self.sp_reach_b, &self.sp_support] {
+            v.take();
+        }
+        self.sp_mark.take();
+        self.sp_stack.take();
+    }
+
     /// Number of successful [`update`](Self::update)s since the last
     /// [`refactor`](Self::refactor).
     pub fn updates_since_refactor(&self) -> usize {

@@ -17,7 +17,9 @@
 //! **Row lifecycle.** Masters are no longer append-only:
 //! [`MasterProblem::deactivate_rows`] relaxes rows in place (each gains a
 //! relief column; the recorded basis stays valid and primal feasible, so
-//! the next [`MasterProblem::solve_warm`] is a plain primal resume), and
+//! the next [`MasterProblem::solve`] is a plain primal resume),
+//! [`MasterProblem::add_row`] appends rows (the next solve repairs the
+//! recorded basis with the dual simplex), and
 //! [`MasterProblem::fix_columns`] retires columns at zero. This is what
 //! turns bidder *departures* into the cheap re-pricing shape instead of a
 //! rebuild. Rows and columns never move during a master's life; once
@@ -27,7 +29,7 @@
 //! basis-validity contract at the factorization seam.
 
 use crate::problem::{LinearProgram, Relation, Sense};
-use crate::simplex::{solve_limited, Limits, LpSolution, LpStatus, SolveStats, WarmStart};
+use crate::simplex::{LpSolution, LpStatus, Revised, SolveStats};
 use serde::{Deserialize, Serialize};
 
 /// Column-tag address space. Native caller tags (in the auction:
@@ -112,20 +114,15 @@ where
 pub struct MasterProblem {
     /// The master LP, maintained incrementally: [`MasterProblem::add_column`]
     /// appends a variable and its coefficients instead of rebuilding the
-    /// whole program on every solve. It is the master's only copy of its
-    /// rows and columns.
-    lp: LinearProgram,
+    /// whole program on every solve. It is the master's only row-major
+    /// copy of its rows and columns.
+    pub(crate) lp: LinearProgram,
     /// Tag per column (column index == variable index of `lp`).
     tags: Vec<u64>,
     seen_tags: std::collections::HashSet<u64>,
-    /// Pivot limits of every master solve; [`Limits::DEFAULT`] outside
-    /// this crate's tests.
-    limits: Limits,
-    /// Basis of the most recent [`MasterProblem::solve_warm`]: columns are
-    /// appended nonbasic and rows are appended after the recorded ones, so
-    /// the previous optimal basis stays valid, as a row prefix once rows
-    /// were added.
-    warm: Option<WarmStart>,
+    /// The simplex engine over `lp`, kept for the master's life: its basis
+    /// stays valid as columns (nonbasic) and rows (a row prefix) are added.
+    pub(crate) engine: Revised,
     /// Next tag for dead-column tombstones ([`DEAD_COLUMN_TAG_BASE`]).
     next_dead_tag: u64,
     /// Next tag for row-relief columns ([`ROW_RELIEF_TAG_BASE`]).
@@ -144,11 +141,10 @@ impl MasterProblem {
             lp.add_constraint(Vec::new(), rel, rhs);
         }
         MasterProblem {
+            engine: Revised::build(&lp),
             lp,
             tags: Vec::new(),
             seen_tags: std::collections::HashSet::new(),
-            limits: Limits::DEFAULT,
-            warm: None,
             next_dead_tag: DEAD_COLUMN_TAG_BASE,
             next_relief_tag: ROW_RELIEF_TAG_BASE,
             rows_deactivated: 0,
@@ -189,6 +185,8 @@ impl MasterProblem {
         for &(r, a) in &column.coeffs {
             self.lp.add_coefficient(r, var, a);
         }
+        self.engine
+            .append_column(&self.lp, column.coeffs.iter().map(|e| e.0));
         self.tags.push(column.tag);
         true
     }
@@ -197,18 +195,18 @@ impl MasterProblem {
     /// bidder re-bidding in a long-lived session: the column's bundle and
     /// constraint coefficients are unchanged, only its value moves).
     ///
-    /// The recorded warm-start basis stays **fully valid**: the constraint
-    /// matrix is untouched, so the basis is still primal feasible and its
+    /// The recorded basis stays **fully valid**: the constraint matrix is
+    /// untouched, so the basis is still primal feasible and its
     /// factorization still factors the same `B`. Only dual feasibility is
-    /// lost, which is exactly what the next
-    /// [`solve_warm`](Self::solve_warm) repairs with ordinary primal
-    /// pivots — no refactorization, no phase 1.
+    /// lost, which is exactly what the next [`solve`](Self::solve) repairs
+    /// with ordinary primal pivots — no refactorization, no phase 1.
     ///
     /// # Panics
     /// Panics if `index` is not an existing column.
     pub fn set_column_objective(&mut self, index: usize, objective: f64) {
         // column index == variable index by construction
         self.lp.set_objective_coefficient(index, objective);
+        self.engine.refresh_column(&self.lp, index);
     }
 
     /// Appends a constraint row (e.g. a newly discovered conflict, or the
@@ -217,10 +215,11 @@ impl MasterProblem {
     /// later receive their coefficient through
     /// [`GeneratedColumn::coeffs`] as usual.
     ///
-    /// The recorded warm-start basis stays valid as a *row prefix*: the next
-    /// [`solve_warm`](Self::solve_warm) extends it with the new rows'
-    /// logicals and repairs it with the engine's **dual simplex** loop
-    /// ([`crate::simplex::solve_with_warm_start`]) instead of re-solving from
+    /// The new row touches existing columns, so the next
+    /// [`solve`](Self::solve) rebuilds the engine's columns once. The
+    /// recorded basis stays valid as a *row prefix*: that solve extends it
+    /// with the new rows' logicals and repairs it with the engine's **dual
+    /// simplex** loop ([`crate::simplex`]) instead of re-solving from
     /// scratch. Returns the new row's index.
     pub fn add_row(&mut self, relation: Relation, rhs: f64, coeffs: Vec<(usize, f64)>) -> usize {
         for &(c, _) in &coeffs {
@@ -237,17 +236,18 @@ impl MasterProblem {
     /// zero-objective relief column (appended like any other column, so the
     /// `column index == variable index` invariant holds and the recorded
     /// basis stays valid *and primal feasible*); the next
-    /// [`solve_warm`](Self::solve_warm) resumes with ordinary primal
-    /// pivots, entering the relief columns of rows that were binding. Row
-    /// indices never shift — deactivated rows keep their slot for the
-    /// master's life.
+    /// [`solve`](Self::solve) resumes with ordinary primal pivots, entering
+    /// the relief columns of rows that were binding. Row indices never
+    /// shift — deactivated rows keep their slot for the master's life.
     ///
     /// # Panics
     /// Panics if a row does not exist, is already deactivated, or is an
     /// equality row.
     pub fn deactivate_rows(&mut self, rows: &[usize]) {
-        for var in self.lp.deactivate_rows(rows) {
+        for &row in rows {
+            let var = self.lp.deactivate_rows(&[row])[0];
             debug_assert_eq!(var, self.tags.len(), "column/variable alignment");
+            self.engine.append_column(&self.lp, std::iter::once(row));
             let tag = self.next_relief_tag;
             self.next_relief_tag += 1;
             self.seen_tags.insert(tag);
@@ -278,6 +278,7 @@ impl MasterProblem {
         }
         self.lp.fix_variables_at_zero(cols);
         for &idx in cols {
+            self.engine.refresh_column(&self.lp, idx);
             let tag = &mut self.tags[idx];
             if *tag >= DEAD_COLUMN_TAG_BASE {
                 continue; // already tombstoned
@@ -338,23 +339,12 @@ impl MasterProblem {
         }
     }
 
-    /// Solves the current restricted master from a cold start.
-    pub fn solve(&self) -> LpSolution {
-        solve_limited(&self.lp, self.limits, None).0
-    }
-
-    /// Solves the current restricted master, resuming from the basis of the
-    /// previous `solve_warm` call (if any) and recording the new basis for
-    /// the next round. Columns added since the last solve enter nonbasic,
-    /// so a re-solve typically needs only the handful of pivots that bring
-    /// the new columns in — instead of re-running phase 1 / the all-slack
-    /// start from scratch. Rows added since then are absorbed by the dual
-    /// row repair, which reports its pivots as
-    /// [`SolveStats::dual_pivots`].
-    pub fn solve_warm(&mut self) -> LpSolution {
-        let (solution, state) = solve_limited(&self.lp, self.limits, self.warm.take());
-        self.warm = Some(state);
-        solution
+    /// Solves the current restricted master on its live engine: a resume
+    /// of the previous solve, or cold on a fresh master (and after a
+    /// factorization collapse). New columns enter nonbasic; new rows are
+    /// absorbed by the dual row repair ([`SolveStats::dual_pivots`]).
+    pub fn solve(&mut self) -> LpSolution {
+        self.engine.solve(&self.lp)
     }
 }
 
@@ -444,7 +434,7 @@ impl MasterProblem {
         // `Ok(converged)` breaks the loop; the result is assembled on the
         // single exit path below.
         let (solution, outcome) = loop {
-            let solution = self.solve_warm();
+            let solution = self.solve();
             if rounds == 0 {
                 // Seeding with the first solve (rather than merging it into
                 // the default) keeps its density bit for bit.
@@ -502,6 +492,7 @@ impl MasterProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simplex::Limits;
 
     /// A knapsack-style LP solved by column generation over single-item
     /// columns: max Σ value_i x_i s.t. Σ weight_i x_i <= capacity, x_i <= 1.
@@ -657,7 +648,7 @@ mod tests {
             let mut cold_master = build_master();
             let cold_source = make_source(values.clone(), weights.clone());
             let cold_solution = loop {
-                let solution = cold_master.solve();
+                let solution = crate::simplex::solve(&cold_master.lp);
                 assert_eq!(solution.status, LpStatus::Optimal);
                 let candidates = cold_source(&solution.duals);
                 let mut added = false;
@@ -703,20 +694,20 @@ mod tests {
                 tag: i as u64,
             });
         }
-        let first = master.solve_warm();
+        let first = master.solve();
         assert_eq!(first.status, LpStatus::Optimal);
         assert!((first.objective - 5.0).abs() < 1e-7); // both columns at 1
         assert_eq!(first.stats.dual_pivots, 0);
 
         // a joint cap that cuts the optimum off
         master.add_row(Relation::Le, 1.0, vec![(0, 1.0), (1, 1.0)]);
-        let second = master.solve_warm();
+        let second = master.solve();
         assert_eq!(second.status, LpStatus::Optimal);
         assert!((second.objective - 3.0).abs() < 1e-7); // only column 0
         assert!(second.stats.dual_pivots > 0, "dual repair must have run");
 
         // a cold solve of the same grown master agrees
-        let cold = master.solve();
+        let cold = crate::simplex::solve(&master.lp);
         assert!((cold.objective - second.objective).abs() < 1e-9);
 
         // and the master keeps working for further column growth
@@ -725,7 +716,7 @@ mod tests {
             coeffs: vec![(0, 1.0)],
             tag: 99,
         });
-        let third = master.solve_warm();
+        let third = master.solve();
         assert_eq!(third.status, LpStatus::Optimal);
         assert!(third.objective > 3.0);
         assert_eq!(third.stats.dual_pivots, 0);
@@ -751,21 +742,21 @@ mod tests {
                 tag: i as u64,
             });
         }
-        let first = master.solve_warm();
+        let first = master.solve();
         assert_eq!(first.status, LpStatus::Optimal);
         assert!((first.objective - 6.0).abs() < 1e-7);
 
         // the cheap column becomes the valuable one and vice versa
         master.set_column_objective(0, 0.5);
         master.set_column_objective(1, 7.0);
-        let second = master.solve_warm();
+        let second = master.solve();
         assert_eq!(second.status, LpStatus::Optimal);
         assert!(
             (second.objective - 7.5).abs() < 1e-7,
             "{}",
             second.objective
         );
-        let cold = master.solve();
+        let cold = crate::simplex::solve(&master.lp);
         assert!((cold.objective - second.objective).abs() < 1e-9);
         assert_eq!(master.lp.objective()[1], 7.0);
     }
@@ -790,7 +781,7 @@ mod tests {
                 tag: i as u64,
             });
         }
-        master.limits = Limits {
+        master.engine.limits = Limits {
             max_iterations: Some(1),
             ..Limits::DEFAULT
         };
@@ -862,7 +853,7 @@ mod tests {
                 tag: i as u64,
             });
         }
-        let first = master.solve_warm();
+        let first = master.solve();
         assert_eq!(first.status, LpStatus::Optimal);
         assert!((first.objective - 3.0).abs() < 1e-7); // capacity binds
 
@@ -870,7 +861,7 @@ mod tests {
         assert_eq!(master.rows_deactivated(), 1);
         assert_eq!(master.num_active_rows(), 2);
         assert!(!master.is_row_active(0));
-        let second = master.solve_warm();
+        let second = master.solve();
         assert_eq!(second.status, LpStatus::Optimal);
         assert!(
             (second.objective - 5.0).abs() < 1e-7,
@@ -901,7 +892,7 @@ mod tests {
         let check = |master: &mut MasterProblem, step: &str, want: &[(u64, f64)]| {
             let tags: Vec<u64> = want.iter().map(|&(tag, _)| tag).collect();
             assert_eq!(master.tags(), &tags[..], "{step}: tags");
-            let solution = master.solve_warm();
+            let solution = master.solve();
             assert_eq!(solution.status, LpStatus::Optimal, "{step}");
             for (idx, &(tag, x)) in want.iter().enumerate() {
                 assert!(
@@ -967,7 +958,7 @@ mod tests {
             coeffs: vec![(0, 1.0), (1, 1.0)],
             tag: 7,
         });
-        let first = master.solve_warm();
+        let first = master.solve();
         assert!((first.objective - 5.0).abs() < 1e-7);
 
         master.fix_columns(&[0]);
@@ -978,7 +969,7 @@ mod tests {
             coeffs: vec![(0, 1.0)],
             tag: 7,
         }));
-        let second = master.solve_warm();
+        let second = master.solve();
         assert_eq!(second.status, LpStatus::Optimal);
         assert!(
             (second.objective - 4.0).abs() < 1e-7,
@@ -1103,13 +1094,13 @@ mod tests {
             for c in 0..n_cols {
                 master.add_column(column(c));
             }
-            let first = master.solve_warm();
+            let first = master.solve();
             assert_eq!(first.status, LpStatus::Optimal, "{label}");
 
             // deactivate + fix, then a warm primal resume
             master.fix_columns(&kill_cols);
             master.deactivate_rows(&kill_rows);
-            let warm = master.solve_warm();
+            let warm = master.solve();
             assert_eq!(warm.status, LpStatus::Optimal, "{label}");
             let oracle = dense::solve(&dense_survivor(None));
             assert_eq!(oracle.status, LpStatus::Optimal, "{label}");
@@ -1127,7 +1118,7 @@ mod tests {
                 coeffs: vec![(2, 1.0)],
                 tag: 4096,
             }));
-            let grown = master.solve_warm();
+            let grown = master.solve();
             assert_eq!(grown.status, LpStatus::Optimal, "{label}");
             let oracle_grown = dense::solve(&dense_survivor(Some((extra_obj, vec![(2, 1.0)]))));
             assert!(
@@ -1159,17 +1150,17 @@ mod tests {
                 tag: i as u64,
             });
         }
-        let first = master.solve_warm();
+        let first = master.solve();
         assert_eq!(first.status, LpStatus::Optimal);
 
         // relax the shared capacity, resume, then tighten with a new row
         master.deactivate_rows(&[0]);
-        let relaxed = master.solve_warm();
+        let relaxed = master.solve();
         assert!((relaxed.objective - 5.0).abs() < 1e-7);
         master.add_row(Relation::Le, 0.5, vec![(1, 1.0)]);
-        let tightened = master.solve_warm();
+        let tightened = master.solve();
         assert_eq!(tightened.status, LpStatus::Optimal);
-        let cold = master.solve();
+        let cold = crate::simplex::solve(&master.lp);
         assert!(
             (tightened.objective - cold.objective).abs() < 1e-9,
             "warm {} vs cold {}",
@@ -1177,6 +1168,67 @@ mod tests {
             cold.objective
         );
         assert!((tightened.objective - 3.5).abs() < 1e-7);
+    }
+
+    /// A master cloned mid-life carries its live engine with it: the clone
+    /// and the original, given the same mutations, run the same pivots to
+    /// bit-equal primal and dual values.
+    #[test]
+    fn a_cloned_master_resumes_identically() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(4242);
+        let rows: Vec<(Relation, f64)> = (0..8)
+            .map(|_| (Relation::Le, rng.random_range(1.0..4.0)))
+            .collect();
+        let mut column = |tag: u64| GeneratedColumn {
+            objective: rng.random_range(1.0..6.0),
+            coeffs: (0..3)
+                .map(|_| (rng.random_range(0..8), rng.random_range(0.2..2.0)))
+                .collect(),
+            tag,
+        };
+        let mut master = MasterProblem::new(Sense::Maximize, rows);
+        for tag in 0..10 {
+            master.add_column(column(tag));
+        }
+        master.solve();
+        master.set_column_objective(3, 9.0);
+        master.solve();
+
+        let mut twin = master.clone();
+        let mutations: Vec<GeneratedColumn> = (10..14).map(&mut column).collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut pivots = Vec::new();
+        for round in 0..3 {
+            for m in [&mut master, &mut twin] {
+                match round {
+                    0 => {
+                        for col in &mutations {
+                            m.add_column(col.clone());
+                        }
+                    }
+                    1 => {
+                        m.deactivate_rows(&[2]);
+                        m.fix_columns(&[0]);
+                    }
+                    _ => {
+                        m.add_row(Relation::Le, 0.5, vec![(3, 1.0), (11, 1.0)]);
+                    }
+                }
+            }
+            let (a, b) = (master.solve(), twin.solve());
+            assert_eq!(a.status, b.status, "round {round}");
+            assert_eq!(a.stats, b.stats, "round {round}");
+            assert_eq!(bits(&a.x), bits(&b.x), "round {round}");
+            assert_eq!(bits(&a.duals), bits(&b.duals), "round {round}");
+            pivots.push(a.stats.simplex_iterations + a.stats.dual_pivots);
+        }
+        assert!(
+            pivots.iter().any(|&p| p > 0),
+            "the resumes pivoted: {pivots:?}"
+        );
     }
 
     /// Regression: a column with a negative row coefficient that sits in
@@ -1201,12 +1253,12 @@ mod tests {
             coeffs: vec![(0, -1.0), (1, 1.0)],
             tag: 1,
         });
-        let first = master.solve_warm();
+        let first = master.solve();
         assert_eq!(first.status, LpStatus::Optimal);
         assert!((first.objective - 2.5).abs() < 1e-6, "{}", first.objective);
         master.fix_columns(&[1]);
         master.add_row(Relation::Le, 5.0, vec![(0, 1.0)]);
-        let refixed = master.solve_warm();
+        let refixed = master.solve();
         assert_eq!(refixed.status, LpStatus::Optimal);
         assert!(
             (refixed.objective - 1.0).abs() < 1e-6,

@@ -23,7 +23,7 @@
 //!   returns improving columns (in the auction: demand-oracle queries at the
 //!   prices `p_{v,j} = Σ_{u : v ∈ Γπ(u)} y_{u,j}`), which is the textbook
 //!   dual view of the paper's separation-based approach. Master re-solves
-//!   are **warm-started** from the previous round's optimal basis. This is
+//!   **resume** the previous round's optimal basis on one live engine. This is
 //!   the one way the auction solves its relaxation: a single master over
 //!   all `(v, j)` and bidder rows, priced by the bidders' demand oracles.
 //!   Rows appended to a solved master
@@ -92,6 +92,4 @@ pub use column_generation::{
 };
 pub use pricing::SteepestEdgePricing;
 pub use problem::{Constraint, CscMatrix, LinearProgram, Relation, RowState, Sense};
-pub use simplex::{
-    solve, solve_with_warm_start, BasisVar, LpSolution, LpStatus, SolveStats, WarmStart,
-};
+pub use simplex::{solve, LpSolution, LpStatus, SolveStats};

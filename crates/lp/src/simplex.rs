@@ -17,29 +17,28 @@
 //! same ones.
 //!
 //! **Refactorization**: every 256 pivots
-//! (and whenever the factorization declines an update or a warm-started
-//! basis looks inconsistent) the factorization is rebuilt from the basis
+//! (and whenever the factorization declines an update or a resumed basis
+//! looks inconsistent) the factorization is rebuilt from the basis
 //! columns and the basic solution is recomputed as `x_B = B⁻¹ b`. The
 //! number of refactorizations and degenerate pivots is reported in
 //! [`LpSolution::stats`] so benches can attribute time per stage.
 //!
-//! **Warm starts**: [`solve_with_warm_start`] accepts the [`WarmStart`]
-//! returned by a previous solve and resumes from that basis, skipping
-//! phase 1 entirely. Over the *same rows* the state carries the basis *and*
-//! its factorization (moved, not copied), so a warm re-solve pays no
-//! re-factorization. Column generation exploits this: new columns enter
-//! nonbasic, so each master re-solve continues from the previous optimum.
+//! **One live engine per master**: a [`crate::MasterProblem`] keeps its
+//! engine (columns, layout, costs, basis, factorization) for life and
+//! appends columns to it in place. New columns enter nonbasic, so each
+//! re-solve resumes the previous optimum over the factorization it left
+//! behind. The one-shot [`solve`] builds a throwaway engine, started cold.
 //!
-//! **Appended rows**: a state recorded before rows were appended covers a
-//! *row prefix*. The engine extends its basis by the appended rows'
-//! logicals, which keeps it dual feasible (the new rows' duals are zero,
-//! so no reduced cost moves) but leaves it primal infeasible wherever a new
-//! row cuts the old optimum off. A **dual simplex** loop on the same basis,
-//! factorization and `x_B` then restores `x_B ≥ 0` — dual steepest-edge row
-//! choice, a two-pass Harris dual ratio test over the sparse pivot row, and
-//! incrementally updated reduced costs — and the solve continues straight
-//! into primal phase 2. Dual pivots share the pivot budget with the primal
-//! ones and are reported as [`SolveStats::dual_pivots`].
+//! **Appended rows** touch existing columns, so the next solve rebuilds
+//! the columns once and extends the recorded basis (a *row prefix*) by the
+//! appended rows' logicals. That keeps it dual feasible (the new rows'
+//! duals are zero, so no reduced cost moves) but leaves it primal
+//! infeasible wherever a new row cuts the old optimum off. A **dual
+//! simplex** loop on the same basis, factorization and `x_B` then restores
+//! `x_B ≥ 0` — dual steepest-edge row choice, a two-pass Harris dual ratio
+//! test over the sparse pivot row, and incrementally updated reduced costs
+//! — and the solve continues straight into primal phase 2. Dual pivots
+//! share the pivot budget with the primal ones ([`SolveStats::dual_pivots`]).
 //!
 //! Packing LPs (all `≤` constraints with non-negative right-hand sides) are
 //! detected automatically and start from the all-slack basis, skipping
@@ -90,10 +89,10 @@ pub struct SolveStats {
     /// Pivots whose leaving variable was already at zero.
     pub degenerate_pivots: usize,
     /// Dual-simplex pivots that repaired primal feasibility after rows were
-    /// appended to a warm-started LP, before primal phase 2 resumed. They
+    /// appended to a solved master, before primal phase 2 resumed. They
     /// count against the same pivot budget as
     /// [`simplex_iterations`](Self::simplex_iterations); always 0 unless the
-    /// warm state covered a row prefix.
+    /// recorded basis covered a row prefix.
     pub dual_pivots: usize,
     /// FTRANs answered on the hyper-sparse (Gilbert–Peierls) path, whose
     /// cost was proportional to the solve graph reached from the RHS
@@ -130,19 +129,6 @@ impl Default for SolveStats {
 }
 
 impl SolveStats {
-    /// The hyper-sparse counters of a factorization's solves (every other
-    /// counter 0).
-    pub(crate) fn of_sparsity(sp: SparsityStats) -> Self {
-        SolveStats {
-            ftran_sparse_hits: sp.ftran_sparse as usize,
-            ftran_dense_fallbacks: sp.ftran_dense as usize,
-            btran_sparse_hits: sp.btran_sparse as usize,
-            btran_dense_fallbacks: sp.btran_dense as usize,
-            avg_result_density: sp.avg_density(),
-            ..SolveStats::default()
-        }
-    }
-
     /// FTRAN/BTRAN solves the sparsity counters tracked.
     pub fn tracked_solves(&self) -> usize {
         self.ftran_sparse_hits
@@ -231,13 +217,10 @@ impl Limits {
     };
 }
 
-/// Identity of a basis member, stable across re-solves of a problem whose
-/// rows are fixed but whose column set grows (the restricted master of
-/// column generation).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BasisVar {
-    /// Structural variable `j` of the [`LinearProgram`].
-    Structural(usize),
+/// What a logical column of the engine's layout is (global columns below
+/// `n` are the structurals).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Logical {
     /// Slack of row `i` (a `≤` row after rhs normalization).
     Slack(usize),
     /// Surplus of row `i` (a `≥` row after rhs normalization).
@@ -247,97 +230,19 @@ pub enum BasisVar {
     Artificial(usize),
 }
 
-/// Resumable solver state: the optimal basis of a previous solve together
-/// with its factorization.
-///
-/// Valid for re-solves of an LP with the **same constraint rows** (same
-/// relations and right-hand sides); the column set may have grown, because
-/// new columns start nonbasic and therefore do not touch `B`. This is
-/// exactly the restricted-master situation in column generation. It is
-/// also valid for an LP that **appends rows** to those: the state then
-/// covers a row prefix, and [`solve_with_warm_start`] repairs the extended
-/// basis with the dual simplex (an LP with equality rows cold-starts
-/// instead).
-#[derive(Clone, Debug)]
-pub struct WarmStart {
-    /// One basis member per row.
-    pub basis: Vec<BasisVar>,
-    /// The factorization matching `basis` (moved in and out of the solver,
-    /// never copied on the warm path).
-    factor: ForrestTomlinLu,
-}
-
-impl WarmStart {
-    /// Keeps the basis but drops the factorization, forcing the next solve
-    /// to refactorize from the *target problem's* columns.
-    ///
-    /// This is the sound way to seed a **different** problem (another
-    /// channel's master, the next edge LP in a sweep): the basis identities
-    /// carry over, but the stored `B⁻¹` was computed from the donor's
-    /// constraint matrix and silently priced the new problem wrong when the
-    /// matrices differ. Re-solving the *same* rows with grown columns (the
-    /// restricted-master path) should keep the factorization and not call
-    /// this.
-    pub fn into_basis_only(self) -> WarmStart {
-        WarmStart {
-            factor: ForrestTomlinLu::default(),
-            basis: self.basis,
-        }
-    }
-}
-
-/// Solves a linear program with the sparse revised simplex method.
+/// Solves a linear program with the sparse revised simplex method, on a
+/// throwaway engine built from `lp` and started cold.
 pub fn solve(lp: &LinearProgram) -> LpSolution {
-    solve_with_warm_start(lp, None).0
+    Revised::build(lp).solve(lp)
 }
 
-/// Solves a linear program, optionally resuming from the basis of a
-/// previous solve, and returns the solution together with the final basis
-/// for future warm starts.
-///
-/// The state is taken **by value**: its factorization is moved into the
-/// solver and moved back out, so a warm re-solve never copies it (at master
-/// sizes of ~10³ rows those copies would dominate the handful of pivots a
-/// warm re-solve actually needs). A basis-only state
-/// ([`WarmStart::into_basis_only`]) costs one refactorization from the
-/// basis columns.
-///
-/// A state recorded before rows were appended (its basis covers a **row
-/// prefix** of `lp`) is extended by the new rows' logicals, refactorized
-/// once, and repaired by the dual simplex until `x_B ≥ 0`; the solve then
-/// continues into primal phase 2. A prefix basis that is not dual feasible
-/// or holds a basic artificial, an LP with equality rows, and a dual
-/// infeasibility verdict all cold-start instead, so an infeasible LP is
-/// reported by the primal engine's phase 1.
-pub fn solve_with_warm_start(
-    lp: &LinearProgram,
-    warm: Option<WarmStart>,
-) -> (LpSolution, WarmStart) {
-    solve_limited(lp, Limits::DEFAULT, warm)
-}
-
-/// [`solve_with_warm_start`] under explicit pivot [`Limits`].
-pub(crate) fn solve_limited(
-    lp: &LinearProgram,
-    limits: Limits,
-    warm: Option<WarmStart>,
-) -> (LpSolution, WarmStart) {
-    let mut solver = Revised::build(lp, limits);
-    let status = solver.run(warm);
-    let solution = solver.extract(status);
-    let state = solver.into_warm_start();
-    (solution, state)
-}
-
-/// How [`Revised::try_warm_basis`] installed a warm-start state.
+/// How [`Revised::try_warm_basis`] installed the recorded basis.
 enum Install {
-    /// The state does not fit this problem: cold-start.
+    /// The basis cannot resume: cold-start.
     Rejected,
-    /// The state covers every row and its basic solution is feasible:
-    /// resume phase 2.
+    /// The basis covers every row and is feasible: resume phase 2.
     Resumed,
-    /// The state covers a row prefix: the basis was extended by the
-    /// appended rows' logicals, and [`Revised::dual_repair`] runs first.
+    /// The row prefix was extended: [`Revised::dual_repair`] runs first.
     RowsAppended,
 }
 
@@ -353,36 +258,38 @@ enum Repair {
     Stopped,
 }
 
-struct Revised<'a> {
-    lp: &'a LinearProgram,
+/// The engine state of one LP, kept across its solves and updated in place
+/// as columns, objectives and fixings change. Each solve is handed the LP
+/// itself (row-major rows, fixed and relief flags, sense).
+#[derive(Clone, Debug)]
+pub(crate) struct Revised {
+    /// pivot limits of every solve; [`Limits::DEFAULT`] outside this
+    /// crate's tests
+    pub(crate) limits: Limits,
+    /// this solve's pivot budget
     max_iterations: usize,
-    stall_threshold: usize,
 
     m: usize,
     n: usize,
     n_total: usize,
-    /// structural columns with row-normalization signs already applied
+    /// structural columns with the row signs ([`row_sign`]) applied
     cols: CscMatrix,
-    /// per-row sign applied to normalize rhs ≥ 0
-    row_sign: Vec<f64>,
-    /// normalized rhs (≥ 0)
+    /// normalized rhs (≥ 0); like `xb`, held only during a solve
     b: Vec<f64>,
-    /// layout of logical columns (index into the global column space)
-    slack_col: Vec<Option<usize>>,
-    surplus_col: Vec<Option<usize>>,
-    art_col: Vec<Option<usize>>,
-    /// inverse layout: what each global column is
-    kind: Vec<BasisVar>,
+    /// what each logical column `n + k` is (the layout, by kind:
+    /// [`Revised::logical_columns`] maps rows to their logicals)
+    logical: Vec<Logical>,
     first_artificial: usize,
     /// maximization costs per global column (original objective)
     cost: Vec<f64>,
     /// per global column: may it enter a basis? `false` for structural
     /// variables fixed at zero ([`LinearProgram::fix_variables_at_zero`]);
-    /// logical columns are always enterable. A fixed column arriving basic
-    /// through a warm start may stay basic until it leaves naturally.
+    /// logical columns are always enterable. A fixed column that is basic
+    /// when a solve resumes may stay basic until it leaves naturally.
     enterable: Vec<bool>,
 
-    /// basis member (global column index) per row
+    /// basis member (global column index) per row; empty before the first
+    /// solve, a row prefix once rows were appended since the last one
     basis: Vec<usize>,
     in_basis: Vec<bool>,
     factor: ForrestTomlinLu,
@@ -390,18 +297,13 @@ struct Revised<'a> {
     xb: Vec<f64>,
 
     /// Factorization sparsity counters at solve start (the factorization's
-    /// counters are monotone over its lifetime, which for a warm-started
-    /// solve began in a *previous* solve); [`Revised::extract`] reports the
-    /// delta since this snapshot.
+    /// counters are monotone over its lifetime, which for a resumed solve
+    /// began in a *previous* solve); [`Revised::extract`] reports the delta
+    /// since this snapshot.
     sparsity_baseline: SparsityStats,
 
-    iterations: usize,
-    /// pivots of the dual row repair; they share `max_iterations` with
-    /// `iterations`
-    dual_pivots: usize,
-    refactorizations: usize,
-    forced_refactorizations: usize,
-    degenerate_pivots: usize,
+    /// this solve's pivot and rebuild counters
+    counts: SolveStats,
     /// Set when a mid-solve refactorization found the current basis
     /// numerically singular (the factorization is then empty, per the
     /// [`ForrestTomlinLu::refactor`] contract). [`Revised::run`] answers
@@ -410,160 +312,223 @@ struct Revised<'a> {
     factor_failed: bool,
 }
 
-impl<'a> Revised<'a> {
-    fn build(lp: &'a LinearProgram, limits: Limits) -> Self {
+impl Revised {
+    /// A cold engine for `lp`: its columns, logical layout and costs, and no
+    /// basis yet.
+    pub(crate) fn build(lp: &LinearProgram) -> Self {
         let m = lp.num_constraints();
         let n = lp.num_variables();
 
-        let mut row_sign = vec![1.0f64; m];
-        let mut b = vec![0.0f64; m];
         let mut eff: Vec<Relation> = Vec::with_capacity(m);
         for (i, c) in lp.constraints().iter().enumerate() {
-            let (rel, sign) = if c.rhs < 0.0 {
-                let flipped = match c.relation {
-                    Relation::Le => Relation::Ge,
-                    Relation::Ge => Relation::Le,
-                    Relation::Eq => Relation::Eq,
-                };
-                (flipped, -1.0)
-            } else {
-                (c.relation, 1.0)
-            };
-            row_sign[i] = sign;
-            b[i] = sign * c.rhs;
-            eff.push(rel);
+            let sign = row_sign(lp, i);
+            eff.push(match c.relation {
+                Relation::Le if sign < 0.0 => Relation::Ge,
+                Relation::Ge if sign < 0.0 => Relation::Le,
+                rel => rel,
+            });
         }
 
         // Structural columns in CSC form with the row signs folded in.
         let mut cols = lp.to_csc();
         for (val, &row) in cols.values.iter_mut().zip(cols.row_idx.iter()) {
-            *val *= row_sign[row];
+            *val *= row_sign(lp, row);
         }
 
         // Logical column layout: slacks, then surpluses, then artificials —
         // the same index discipline as the dense solver, so Bland's rule
         // visits columns in the same order.
-        let mut slack_col = vec![None; m];
-        let mut surplus_col = vec![None; m];
-        let mut art_col = vec![None; m];
-        let mut kind: Vec<BasisVar> = (0..n).map(BasisVar::Structural).collect();
-        let mut next = n;
-        for (i, rel) in eff.iter().enumerate() {
-            if matches!(rel, Relation::Le) {
-                slack_col[i] = Some(next);
-                kind.push(BasisVar::Slack(i));
-                next += 1;
-            }
-        }
-        for (i, rel) in eff.iter().enumerate() {
-            if matches!(rel, Relation::Ge) {
-                surplus_col[i] = Some(next);
-                kind.push(BasisVar::Surplus(i));
-                next += 1;
-            }
-        }
-        let first_artificial = next;
-        for (i, rel) in eff.iter().enumerate() {
-            if matches!(rel, Relation::Ge | Relation::Eq) {
-                art_col[i] = Some(next);
-                kind.push(BasisVar::Artificial(i));
-                next += 1;
-            }
-        }
-        let n_total = next;
+        let eff = &eff;
+        let rows = |keep: fn(Relation) -> bool| (0..m).filter(move |&i| keep(eff[i]));
+        let mut logical: Vec<Logical> = rows(|r| r == Relation::Le).map(Logical::Slack).collect();
+        logical.extend(rows(|r| r == Relation::Ge).map(Logical::Surplus));
+        let first_artificial = n + logical.len();
+        logical.extend(rows(|r| r != Relation::Le).map(Logical::Artificial));
+        let n_total = n + logical.len();
 
-        let sense_sign = match lp.sense() {
-            Sense::Maximize => 1.0,
-            Sense::Minimize => -1.0,
-        };
-        let mut cost = vec![0.0f64; n_total];
-        for (v, &c) in lp.objective().iter().enumerate() {
-            cost[v] = sense_sign * c;
-        }
-
-        let mut enterable = vec![true; n_total];
-        for (v, e) in enterable.iter_mut().enumerate().take(n) {
-            *e = !lp.is_variable_fixed(v);
-        }
-
-        Revised {
-            lp,
-            max_iterations: limits
-                .max_iterations
-                .unwrap_or_else(|| pivot_budget(m, n_total)),
-            stall_threshold: limits.stall_threshold,
+        let mut engine = Revised {
+            max_iterations: 0,
+            limits: Limits::DEFAULT,
             m,
             n,
             n_total,
             cols,
-            row_sign,
-            b,
-            slack_col,
-            surplus_col,
-            art_col,
-            kind,
+            b: Vec::new(),
+            logical,
             first_artificial,
-            cost,
-            enterable,
+            cost: vec![0.0; n_total],
+            enterable: vec![true; n_total],
             basis: Vec::new(),
             in_basis: vec![false; n_total],
             factor: ForrestTomlinLu::default(),
             xb: Vec::new(),
             sparsity_baseline: SparsityStats::default(),
-            iterations: 0,
-            dual_pivots: 0,
-            refactorizations: 0,
-            forced_refactorizations: 0,
-            degenerate_pivots: 0,
+            counts: SolveStats::default(),
             factor_failed: false,
+        };
+        for v in 0..n {
+            engine.refresh_column(lp, v);
         }
+        engine
+    }
+
+    /// Appends `lp`'s newest variable, which touches `rows` (any order,
+    /// repeats allowed), to the column store: its entries close those rows
+    /// of `lp`, so the store stays bit-equal to [`LinearProgram::to_csc`].
+    /// A no-op while the next sync rebuilds anyway ([`stale`](Self::stale)).
+    pub(crate) fn append_column(&mut self, lp: &LinearProgram, rows: impl Iterator<Item = usize>) {
+        if self.stale(lp) {
+            return;
+        }
+        let mut rows: Vec<usize> = rows.collect();
+        rows.sort_unstable();
+        rows.dedup();
+        for r in rows {
+            let &(v, a) = lp.constraints()[r].coeffs.last().expect("the new entry");
+            debug_assert_eq!(v, lp.num_variables() - 1, "the newest variable");
+            self.cols.row_idx.push(r);
+            self.cols.values.push(a * row_sign(lp, r));
+        }
+        self.cols.col_ptr.push(self.cols.row_idx.len());
+    }
+
+    /// Re-reads structural `v`'s cost and entering flag from `lp` (a column
+    /// still waiting for [`sync`](Self::sync) reads them there).
+    pub(crate) fn refresh_column(&mut self, lp: &LinearProgram, v: usize) {
+        if v < self.n {
+            self.cost[v] = sense_sign(lp) * lp.objective()[v];
+            self.enterable[v] = !lp.is_variable_fixed(v);
+        }
+    }
+
+    /// Whether the next sync rebuilds the engine from `lp`: appended rows
+    /// touch existing columns, and a fresh engine (no basis yet) builds its
+    /// store once, exact-size, rather than column by column.
+    fn stale(&self, lp: &LinearProgram) -> bool {
+        self.m != lp.num_constraints() || self.basis.is_empty()
+    }
+
+    /// Brings the layout up to `lp`: appended columns are spliced in after
+    /// the structurals, shifting every logical index in one pass; a stale
+    /// engine is rebuilt from `lp`, keeping the basis as a row prefix.
+    pub(crate) fn sync(&mut self, lp: &LinearProgram) {
+        if self.stale(lp) {
+            let mut fresh = Revised::build(lp);
+            fresh.limits = self.limits;
+            let [slack, surplus, art] = fresh.logical_columns();
+            fresh.basis = self
+                .basis
+                .iter()
+                .map(|&c| {
+                    let (at, i) = match c.checked_sub(self.n).map(|k| self.logical[k]) {
+                        None => return c,
+                        Some(Logical::Slack(i)) => (&slack, i),
+                        Some(Logical::Surplus(i)) => (&surplus, i),
+                        Some(Logical::Artificial(i)) => (&art, i),
+                    };
+                    at[i].expect("an old row keeps its relation and logicals")
+                })
+                .collect();
+            *self = fresh;
+            return;
+        }
+        let (n, grown) = (self.n, self.cols.num_cols());
+        debug_assert_eq!(grown, lp.num_variables(), "every column reached the store");
+        if grown == n {
+            return;
+        }
+        let shift = grown - n;
+        self.cost
+            .splice(n..n, (n..grown).map(|v| sense_sign(lp) * lp.objective()[v]));
+        self.enterable
+            .splice(n..n, (n..grown).map(|v| !lp.is_variable_fixed(v)));
+        self.in_basis
+            .splice(n..n, std::iter::repeat_n(false, shift));
+        for c in self.basis.iter_mut().filter(|c| **c >= n) {
+            *c += shift;
+        }
+        self.first_artificial += shift;
+        self.n = grown;
+        self.n_total += shift;
+        // a fleet keeps one engine per market: drop the growth slack
+        self.cols.row_idx.shrink_to_fit();
+        self.cols.values.shrink_to_fit();
+        self.cols.col_ptr.shrink_to_fit();
+        self.cost.shrink_to_fit();
+        self.enterable.shrink_to_fit();
+        self.in_basis.shrink_to_fit();
+    }
+
+    /// Solves `lp`, resuming the recorded basis, or cold when there is none.
+    pub(crate) fn solve(&mut self, lp: &LinearProgram) -> LpSolution {
+        self.sync(lp);
+        let budget = pivot_budget(self.m, self.n_total);
+        self.max_iterations = self.limits.max_iterations.unwrap_or(budget);
+        self.counts = SolveStats::default();
+        self.factor_failed = false;
+        self.sparsity_baseline = self.factor.sparsity_stats();
+        let rhs = lp.constraints().iter().enumerate();
+        self.b = rhs.map(|(i, c)| row_sign(lp, i) * c.rhs).collect();
+        let status = self.run(lp);
+        let solution = self.extract(lp, status);
+        (self.b, self.xb) = (Vec::new(), Vec::new());
+        self.factor.release_workspaces();
+        solution
     }
 
     /// Visits the sparse entries of global column `j` (signs applied).
     #[inline]
     fn for_each_entry(&self, j: usize, f: impl FnMut(usize, f64)) {
-        Self::column_entries(&self.kind, &self.cols, j, f);
+        Self::column_entries(self.n, &self.logical, &self.cols, j, f);
     }
 
     /// [`for_each_entry`](Self::for_each_entry) on borrowed parts, so a
     /// caller can visit columns while it holds the factorization mutably.
     #[inline]
     fn column_entries(
-        kind: &[BasisVar],
+        n: usize,
+        logical: &[Logical],
         cols: &CscMatrix,
         j: usize,
         mut f: impl FnMut(usize, f64),
     ) {
-        match kind[j] {
-            BasisVar::Structural(v) => {
-                let (rows, vals) = cols.column(v);
-                for (&r, &a) in rows.iter().zip(vals.iter()) {
-                    if a != 0.0 {
-                        f(r, a);
-                    }
+        let Some(k) = j.checked_sub(n) else {
+            let (rows, vals) = cols.column(j);
+            for (&r, &a) in rows.iter().zip(vals.iter()) {
+                if a != 0.0 {
+                    f(r, a);
                 }
             }
-            BasisVar::Slack(i) | BasisVar::Artificial(i) => f(i, 1.0),
-            BasisVar::Surplus(i) => f(i, -1.0),
+            return;
+        };
+        match logical[k] {
+            Logical::Slack(i) | Logical::Artificial(i) => f(i, 1.0),
+            Logical::Surplus(i) => f(i, -1.0),
         }
     }
 
-    /// Maps a stable basis identity to the current global column index.
-    fn column_of(&self, var: BasisVar) -> Option<usize> {
-        match var {
-            BasisVar::Structural(j) => (j < self.n).then_some(j),
-            BasisVar::Slack(i) => self.slack_col.get(i).copied().flatten(),
-            BasisVar::Surplus(i) => self.surplus_col.get(i).copied().flatten(),
-            BasisVar::Artificial(i) => self.art_col.get(i).copied().flatten(),
+    /// Each row's logical column of each kind, `[slack, surplus,
+    /// artificial][row]`, from the layout.
+    fn logical_columns(&self) -> [Vec<Option<usize>>; 3] {
+        let mut at = [vec![None; self.m], vec![None; self.m], vec![None; self.m]];
+        for (k, &var) in self.logical.iter().enumerate() {
+            let (which, i) = match var {
+                Logical::Slack(i) => (0, i),
+                Logical::Surplus(i) => (1, i),
+                Logical::Artificial(i) => (2, i),
+            };
+            at[which][i] = Some(self.n + k);
         }
+        at
     }
 
     /// Installs the cold-start identity basis (slack or artificial per row).
     fn cold_basis(&mut self) {
+        let [slack, _, art] = self.logical_columns();
         self.basis = (0..self.m)
             .map(|i| {
-                self.slack_col[i]
-                    .or(self.art_col[i])
+                slack[i]
+                    .or(art[i])
                     .expect("every row creates an identity column")
             })
             .collect();
@@ -583,98 +548,63 @@ impl<'a> Revised<'a> {
     /// counters cover only rebuilds *during* the solve, and cold and warm
     /// solves of the same work read the same.
     fn uncounted<T>(&mut self, step: impl FnOnce(&mut Self) -> T) -> T {
-        let counted = (self.refactorizations, self.forced_refactorizations);
+        let counted = self.counts;
         let out = step(self);
-        (self.refactorizations, self.forced_refactorizations) = counted;
+        self.counts.refactorizations = counted.refactorizations;
+        self.counts.forced_refactorizations = counted.forced_refactorizations;
         out
     }
 
-    /// Installs a warm-start state. A state covering every row resumes as
-    /// is. A state covering a **row prefix** (rows were appended since it
-    /// was recorded) is extended by the appended rows' logicals for
-    /// [`Revised::dual_repair`]. A state that does not fit this problem is
-    /// rejected, and the caller cold-starts, overwriting any partial state
-    /// installed here.
-    fn try_warm_basis(&mut self, warm: WarmStart) -> Install {
-        let prefix = warm.basis.len();
-        if prefix > self.m {
-            return Install::Rejected;
-        }
-        let appended = prefix < self.m;
-        // The repair keeps one logical basic per appended row, which an
-        // equality row does not have, and a basic artificial (a redundant
-        // row of the prior solve) has no place in a dual-feasible start.
-        let artificial = warm
-            .basis
-            .iter()
-            .any(|v| matches!(v, BasisVar::Artificial(_)));
-        let equality = || {
-            self.lp
-                .constraints()
-                .iter()
-                .any(|c| c.relation == Relation::Eq)
-        };
-        if appended && (artificial || equality()) {
-            return Install::Rejected;
-        }
-        let mut basis = Vec::with_capacity(self.m);
-        for &var in &warm.basis {
-            match self.column_of(var) {
-                Some(c) => basis.push(c),
-                None => return Install::Rejected,
-            }
-        }
-        for i in prefix..self.m {
-            basis.push(
-                self.slack_col[i]
-                    .or(self.surplus_col[i])
-                    .expect("an inequality row has a slack or a surplus"),
-            );
-        }
-        let mut in_basis = vec![false; self.n_total];
-        for &c in &basis {
-            if in_basis[c] {
-                return Install::Rejected; // duplicated member: corrupt state
-            }
-            in_basis[c] = true;
-        }
-        self.basis = basis;
-        self.in_basis = in_basis;
-        if warm.factor.num_rows() == self.m {
-            // adopt the factorization without any rebuild. Its
-            // sparsity counters carry history from the donor solve — re-anchor
-            // the baseline so extract() reports only this solve's work.
-            self.factor = warm.factor;
-            self.sparsity_baseline = self.factor.sparsity_stats();
-            if !self.recompute_xb() {
+    /// Installs the recorded basis: as is over its factorization, or, as a
+    /// **row prefix**, extended by the appended rows' logicals and
+    /// refactorized once for [`Revised::dual_repair`]. On rejection the
+    /// caller cold-starts, overwriting any partial state installed here.
+    fn try_warm_basis(&mut self, lp: &LinearProgram) -> Install {
+        let appended = self.basis.len() < self.m;
+        if appended {
+            // The repair keeps one logical basic per appended row, which an
+            // equality row does not have, and a basic artificial (a
+            // redundant row of the prior solve) has no place in a
+            // dual-feasible start.
+            let artificial = self.basis.iter().any(|&c| c >= self.first_artificial);
+            if artificial || lp.constraints().iter().any(|c| c.relation == Relation::Eq) {
                 return Install::Rejected;
             }
-        } else if !self.refactor() {
-            // basis-only seed or row prefix: one rebuild from the basis
+            let [slack, surplus, _] = self.logical_columns();
+            let logicals = (self.basis.len()..self.m).map(|i| slack[i].or(surplus[i]));
+            self.basis
+                .extend(logicals.map(|c| c.expect("an inequality row has a logical")));
+            // the sync rebuild that left the prefix cleared `in_basis`
+            for &c in &self.basis {
+                self.in_basis[c] = true;
+            }
+            if !self.refactor() {
+                return Install::Rejected;
+            }
+        } else if self.factor.num_rows() != self.m || !self.recompute_xb() {
+            // a factorization that collapsed in the last solve: start cold
             return Install::Rejected;
         }
-        // A fixed column that arrived basic may only stay when that is
-        // provably harmless (it consumes ≤-row slack only — the packing
-        // shape). Otherwise reject the warm start: the cold start keeps
-        // every fixed variable at exactly 0, so covering and minimization
-        // shapes report the true fixed-at-zero optimum instead of letting
-        // a zero-cost basic column satisfy `≥` rows for free. The value
-        // does NOT matter: the `enterable` mask only bars *entering*, so
-        // even a fixed column basic at 0 would be free to grow as later
-        // pivots of other columns shift the basic solution — e.g. a fixed
-        // column with a −1 coefficient silently relaxing its row.
-        for &c in self.basis.iter() {
-            if let BasisVar::Structural(v) = self.kind[c] {
-                if self.lp.is_variable_fixed(v) && !self.lp.fixed_value_is_harmless(v) {
-                    return Install::Rejected;
-                }
+        // A fixed column that is basic may only stay when that is provably
+        // harmless (it consumes ≤-row slack only — the packing shape).
+        // Otherwise reject the basis: the cold start keeps every fixed
+        // variable at exactly 0, so covering and minimization shapes report
+        // the true fixed-at-zero optimum instead of letting a zero-cost
+        // basic column satisfy `≥` rows for free. The value does NOT
+        // matter: the `enterable` mask only bars *entering*, so even a
+        // fixed column basic at 0 would be free to grow as later pivots of
+        // other columns shift the basic solution — e.g. a fixed column with
+        // a −1 coefficient silently relaxing its row.
+        for &v in self.basis.iter().filter(|&&c| c < self.n) {
+            if lp.is_variable_fixed(v) && !lp.fixed_value_is_harmless(v) {
+                return Install::Rejected;
             }
         }
         if appended {
             return Install::RowsAppended;
         }
-        // The rows are supposed to be unchanged, so the previous basic
-        // solution must still be (near-)feasible.
+        // The rows are unchanged, so the previous basic solution must still
+        // be (near-)feasible.
         if !self.clamp_feasible_xb() {
             return Install::Rejected;
         }
@@ -682,10 +612,9 @@ impl<'a> Revised<'a> {
     }
 
     /// Recomputes `x_B = B⁻¹b` through the installed factorization and
-    /// validates it against *this* problem's basis columns: a state
-    /// recycled across different constraint matrices (same shape, different
-    /// coefficients) would price every reduced cost against a stale B⁻¹
-    /// and can terminate "optimal" at a wrong vertex. ‖B·x_B − b‖∞ is
+    /// validates it against the basis columns: a factorization that no
+    /// longer inverts `B` would price every reduced cost against a stale
+    /// B⁻¹ and can terminate "optimal" at a wrong vertex. ‖B·x_B − b‖∞ is
     /// O(nnz) and catches that; one refactorization repairs it. Returns
     /// `false` only if that rebuild fails.
     fn recompute_xb(&mut self) -> bool {
@@ -696,9 +625,8 @@ impl<'a> Revised<'a> {
     }
 
     /// Accepts the installed basic solution as primal feasible and clamps
-    /// its tiny negatives to 0. If it is not (near-)feasible — a caller
-    /// reused state across incompatible problems, or drift built up —
-    /// refactorize once, then give up (`false`).
+    /// its tiny negatives to 0. If it is not (near-)feasible — drift built
+    /// up — refactorize once, then give up (`false`).
     fn clamp_feasible_xb(&mut self) -> bool {
         if self.min_xb() < -1e-7 && !(self.refactor() && self.min_xb() >= -1e-7) {
             return false;
@@ -734,15 +662,15 @@ impl<'a> Revised<'a> {
     /// The columns are written straight into the rebuild's one column
     /// buffer, not collected as a `Vec` per column.
     fn refactor(&mut self) -> bool {
-        let (kind, cols, basis) = (&self.kind, &self.cols, &self.basis);
+        let (n, logical, cols, basis) = (self.n, &self.logical, &self.cols, &self.basis);
         let rebuilt = self.factor.refactor_columns(self.m, |c, out| {
-            Self::column_entries(kind, cols, basis[c], |r, v| out.push((r, v)))
+            Self::column_entries(n, logical, cols, basis[c], |r, v| out.push((r, v)))
         });
         if !rebuilt {
             self.factor_failed = true;
             return false;
         }
-        self.refactorizations += 1;
+        self.counts.refactorizations += 1;
         if self.xb.len() != self.m {
             self.xb = vec![0.0; self.m];
         }
@@ -801,7 +729,7 @@ impl<'a> Revised<'a> {
             // The factorization declined (unstable FT diagonal or a full
             // row-eta file): rebuild from the already-updated basis
             // columns. This is a stability-forced rebuild, not hygiene.
-            self.forced_refactorizations += 1;
+            self.counts.forced_refactorizations += 1;
             return self.refactor();
         }
         true
@@ -840,7 +768,7 @@ impl<'a> Revised<'a> {
         let mut y_valid = false;
         let mut y_fresh = false;
         loop {
-            if self.iterations + self.dual_pivots >= self.max_iterations {
+            if self.counts.simplex_iterations + self.counts.dual_pivots >= self.max_iterations {
                 return Some(LpStatus::IterationLimit);
             }
             if self.factor.updates_since_refactor() >= REFACTOR_INTERVAL {
@@ -899,7 +827,7 @@ impl<'a> Revised<'a> {
                 y_fresh = true;
             }
 
-            let use_bland = stall >= self.stall_threshold;
+            let use_bland = stall >= self.limits.stall_threshold;
             let select =
                 |this: &Self, y: &[f64], pricer: &mut SteepestEdgePricing| -> Option<usize> {
                     let rc = |j: usize| this.reduced_cost(cost, y, j);
@@ -1022,7 +950,7 @@ impl<'a> Revised<'a> {
             let pivot_floor = (1e-7 * col_max).max(1e-12);
             if wl_abs <= 1e-12 || (wl_abs < pivot_floor && self.factor.updates_since_refactor() > 0)
             {
-                self.forced_refactorizations += 1;
+                self.counts.forced_refactorizations += 1;
                 if !self.refactor() {
                     return Some(LpStatus::IterationLimit);
                 }
@@ -1030,7 +958,7 @@ impl<'a> Revised<'a> {
             }
 
             if self.xb[l] <= TOLERANCE {
-                self.degenerate_pivots += 1;
+                self.counts.degenerate_pivots += 1;
             }
 
             // The weight update needs the pivot row of the *outgoing* basis;
@@ -1046,7 +974,7 @@ impl<'a> Revised<'a> {
             if !self.pivot(l, e, &w) {
                 return Some(LpStatus::IterationLimit);
             }
-            self.iterations += 1;
+            self.counts.simplex_iterations += 1;
 
             {
                 let rho = &rho_buf;
@@ -1121,15 +1049,16 @@ impl<'a> Revised<'a> {
     /// never enter. A relief column legitimately has `rc > 0` when its row
     /// was binding at the prior optimum; it enters in phase 2, which
     /// re-prices every column.
-    fn dual_repair(&mut self) -> Repair {
+    fn dual_repair(&mut self, lp: &LinearProgram) -> Repair {
         let (m, n, n_total) = (self.m, self.n, self.n_total);
         let barred: Vec<bool> = (0..n_total)
             .map(|j| {
                 j >= self.first_artificial
                     || !self.enterable[j]
-                    || (j < n && self.lp.is_relief_variable(j))
+                    || (j < n && lp.is_relief_variable(j))
             })
             .collect();
+        let [slack_col, surplus_col, _] = self.logical_columns();
         let mut y = vec![0.0f64; m];
         let mut rho = SparseVector::zeros(m);
         let mut w = SparseVector::zeros(m);
@@ -1157,7 +1086,7 @@ impl<'a> Revised<'a> {
             return Repair::Cold;
         }
         loop {
-            if self.iterations + self.dual_pivots >= self.max_iterations {
+            if self.counts.simplex_iterations + self.counts.dual_pivots >= self.max_iterations {
                 return Repair::Stopped;
             }
             if self.factor.updates_since_refactor() >= REFACTOR_INTERVAL {
@@ -1168,7 +1097,7 @@ impl<'a> Revised<'a> {
                 self.recompute_reduced_costs(&mut rc, &mut y);
             }
 
-            let use_bland = stall >= self.stall_threshold;
+            let use_bland = stall >= self.limits.stall_threshold;
             let infeas_tol = TOLERANCE;
             let mut leaving: Option<usize> = None;
             let mut best_score = 0.0f64;
@@ -1201,10 +1130,10 @@ impl<'a> Revised<'a> {
             // candidate list is exact, including the Farkas verdict.
             cand.clear();
             {
-                let (lp, row_sign, in_basis) = (self.lp, &self.row_sign, &self.in_basis);
-                let (slack_col, surplus_col) = (&self.slack_col, &self.surplus_col);
+                let in_basis = &self.in_basis;
+                let (slack_col, surplus_col) = (&slack_col, &surplus_col);
                 rho.for_each_nonzero(|i, ri| {
-                    let sign = row_sign[i];
+                    let sign = row_sign(lp, i);
                     let logicals = [(slack_col[i], 1.0), (surplus_col[i], -1.0)]
                         .into_iter()
                         .filter_map(|(c, a)| c.map(|c| (c, a)));
@@ -1299,7 +1228,7 @@ impl<'a> Revised<'a> {
             let wl = w.value(l);
             if wl.abs() <= 1e-12 {
                 // drifted pivot row: rebuild and retry this iteration
-                self.forced_refactorizations += 1;
+                self.counts.forced_refactorizations += 1;
                 if !self.refactor() {
                     return Repair::Stopped;
                 }
@@ -1334,13 +1263,13 @@ impl<'a> Revised<'a> {
                 }
             }
             let leaving_col = self.basis[l];
-            let rebuilds = self.refactorizations;
+            let rebuilds = self.counts.refactorizations;
             if !self.pivot(l, e, &w) {
                 return Repair::Stopped;
             }
-            self.dual_pivots += 1;
+            self.counts.dual_pivots += 1;
 
-            if self.refactorizations > rebuilds {
+            if self.counts.refactorizations > rebuilds {
                 self.recompute_reduced_costs(&mut rc, &mut y);
             } else {
                 // Incremental dual update from the pivot row: `θ_d =
@@ -1377,7 +1306,7 @@ impl<'a> Revised<'a> {
         let mut col_scratch = SparseColumn::new();
         #[allow(clippy::needless_range_loop)] // r indexes basis, rho and w
         for r in 0..m {
-            if !matches!(self.kind[self.basis[r]], BasisVar::Artificial(_)) {
+            if self.basis[r] < self.first_artificial {
                 continue;
             }
             // Find a non-artificial, nonbasic column whose FTRAN has a
@@ -1422,8 +1351,8 @@ impl<'a> Revised<'a> {
         pricer.seed_reference_weights(self.n_total, &norm_sq);
     }
 
-    fn run(&mut self, warm: Option<WarmStart>) -> LpStatus {
-        let status = self.run_attempt(warm);
+    fn run(&mut self, lp: &LinearProgram) -> LpStatus {
+        let status = self.run_attempt(lp, true);
         if !self.factor_failed {
             return status;
         }
@@ -1438,19 +1367,22 @@ impl<'a> Revised<'a> {
         // collapsed basis). Counters accumulate across both attempts — the
         // discarded pivots were real work.
         self.factor_failed = false;
-        self.run_attempt(None)
+        self.run_attempt(lp, false)
     }
 
-    fn run_attempt(&mut self, warm: Option<WarmStart>) -> LpStatus {
+    /// One attempt at the solve: resumes the recorded basis when `resume`
+    /// holds and there is one, and starts cold otherwise.
+    fn run_attempt(&mut self, lp: &LinearProgram, resume: bool) -> LpStatus {
         let mut pricer = SteepestEdgePricing::default();
-        let install = match warm {
-            Some(state) => self.uncounted(|s| s.try_warm_basis(state)),
-            None => Install::Rejected,
+        let install = if resume && !self.basis.is_empty() {
+            self.uncounted(|s| s.try_warm_basis(lp))
+        } else {
+            Install::Rejected
         };
         let warm_ok = match install {
             Install::Rejected => false,
             Install::Resumed => true,
-            Install::RowsAppended => match self.dual_repair() {
+            Install::RowsAppended => match self.dual_repair(lp) {
                 // The dual → primal seam: recompute x_B from the factors
                 // and clamp it, exactly as a resumed state is installed.
                 Repair::Done => self.uncounted(|s| s.recompute_xb() && s.clamp_feasible_xb()),
@@ -1465,13 +1397,7 @@ impl<'a> Revised<'a> {
         if !warm_ok {
             self.cold_basis();
             basis_is_identity = true;
-            let has_artificials = self.first_artificial < self.n_total;
-            let needs_phase1 = has_artificials
-                && self
-                    .basis
-                    .iter()
-                    .any(|&c| matches!(self.kind[c], BasisVar::Artificial(_)));
-            if needs_phase1 {
+            if self.basis.iter().any(|&c| c >= self.first_artificial) {
                 let mut phase1_cost = vec![0.0f64; self.n_total];
                 for c in phase1_cost[self.first_artificial..].iter_mut() {
                     *c = -1.0;
@@ -1495,72 +1421,81 @@ impl<'a> Revised<'a> {
         }
 
         // Phase 2 with the original costs; artificials may not (re-)enter,
-        // and neither may fixed columns.
-        let cost = self.cost.clone();
+        // and neither may fixed columns. The loop reads both vectors only
+        // through its arguments, so they are lent out rather than copied.
+        let cost = std::mem::take(&mut self.cost);
         let first_artificial = self.first_artificial;
-        let enterable = self.enterable.clone();
+        let enterable = std::mem::take(&mut self.enterable);
         pricer.reset(self.n_total);
         if basis_is_identity {
             // packing LPs start phase 2 directly at the slack basis
             self.seed_identity_weights(&mut pricer);
         }
-        match self.iterate(&cost, |j| j < first_artificial && enterable[j], &mut pricer) {
-            None => LpStatus::Optimal,
-            Some(s) => s,
-        }
+        let status = self.iterate(&cost, |j| j < first_artificial && enterable[j], &mut pricer);
+        (self.cost, self.enterable) = (cost, enterable);
+        status.unwrap_or(LpStatus::Optimal)
     }
 
-    fn extract(&self, status: LpStatus) -> LpSolution {
+    fn extract(&self, lp: &LinearProgram, status: LpStatus) -> LpSolution {
         let mut x = vec![0.0f64; self.n];
         for (r, &c) in self.basis.iter().enumerate() {
-            if let BasisVar::Structural(j) = self.kind[c] {
-                x[j] = self.xb[r].max(0.0);
+            if c < self.n {
+                x[c] = self.xb[r].max(0.0);
             }
         }
-        let sense_sign = match self.lp.sense() {
-            Sense::Maximize => 1.0,
-            Sense::Minimize => -1.0,
-        };
+        let sense_sign = sense_sign(lp);
         // y = c_B B⁻¹ with the original maximization costs, then undo the
         // row normalization signs and the sense flip.
         let cb: Vec<f64> = (0..self.m).map(|r| self.cost[self.basis[r]]).collect();
         let mut y = vec![0.0f64; self.m];
         self.factor.btran(&cb, &mut y);
         let duals: Vec<f64> = (0..self.m)
-            .map(|i| sense_sign * self.row_sign[i] * y[i])
+            .map(|i| sense_sign * row_sign(lp, i) * y[i])
             .collect();
-        let objective = self.lp.objective_value(&x);
+        let objective = lp.objective_value(&x);
         let sp = self
             .factor
             .sparsity_stats()
             .delta_since(self.sparsity_baseline);
+        let stats = SolveStats {
+            ftran_sparse_hits: sp.ftran_sparse as usize,
+            ftran_dense_fallbacks: sp.ftran_dense as usize,
+            btran_sparse_hits: sp.btran_sparse as usize,
+            btran_dense_fallbacks: sp.btran_dense as usize,
+            avg_result_density: sp.avg_density(),
+            ..self.counts
+        };
         LpSolution {
             status,
             objective,
             x,
             duals,
-            stats: SolveStats {
-                simplex_iterations: self.iterations,
-                dual_pivots: self.dual_pivots,
-                refactorizations: self.refactorizations,
-                forced_refactorizations: self.forced_refactorizations,
-                degenerate_pivots: self.degenerate_pivots,
-                ..SolveStats::of_sparsity(sp)
-            },
+            stats,
         }
     }
+}
 
-    fn into_warm_start(self) -> WarmStart {
-        WarmStart {
-            basis: self.basis.iter().map(|&c| self.kind[c]).collect(),
-            factor: self.factor,
-        }
+/// The sign that normalizes row `i` of `lp` to a non-negative rhs.
+fn row_sign(lp: &LinearProgram, i: usize) -> f64 {
+    if lp.constraints()[i].rhs < 0.0 {
+        -1.0
+    } else {
+        1.0
+    }
+}
+
+/// `1` for a maximization, `−1` for a minimization: the engine maximizes.
+fn sense_sign(lp: &LinearProgram) -> f64 {
+    match lp.sense() {
+        Sense::Maximize => 1.0,
+        Sense::Minimize => -1.0,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column_generation::{GeneratedColumn, MasterProblem};
     use crate::dense;
     use crate::problem::{LinearProgram, Relation, Sense};
     use proptest::prelude::*;
@@ -1755,129 +1690,84 @@ mod tests {
         assert_close(sol.duals[2], 0.0, 1e-7);
     }
 
+    /// The master with `lp`'s rows and columns (column `j` tagged `j`).
+    fn master_of(lp: &LinearProgram) -> MasterProblem {
+        let rows = lp
+            .constraints()
+            .iter()
+            .map(|c| (c.relation, c.rhs))
+            .collect();
+        let mut master = MasterProblem::new(lp.sense(), rows);
+        let mut columns = vec![Vec::new(); lp.num_variables()];
+        for (i, c) in lp.constraints().iter().enumerate() {
+            for &(j, a) in &c.coeffs {
+                columns[j].push((i, a));
+            }
+        }
+        for (j, coeffs) in columns.into_iter().enumerate() {
+            master.add_column(GeneratedColumn {
+                objective: lp.objective()[j],
+                coeffs,
+                tag: j as u64,
+            });
+        }
+        master
+    }
+
     #[test]
     fn warm_start_resumes_without_pivots() {
-        let mut lp = LinearProgram::new(Sense::Maximize);
-        let x = lp.add_variable(3.0);
-        let y = lp.add_variable(2.0);
-        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
-        lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-        lp.add_constraint(vec![(y, 1.0)], Relation::Le, 3.0);
-        let (first, state) = solve_with_warm_start(&lp, None);
+        let mut master = master_of(&tightening_lp());
+        let first = master.solve();
         assert_eq!(first.status, LpStatus::Optimal);
         assert!(first.stats.simplex_iterations > 0);
-        // Re-solving the unchanged LP from the optimal basis needs 0 pivots.
-        let (second, _) = solve_with_warm_start(&lp, Some(state));
+        // Re-solving the unchanged master resumes its optimal basis and
+        // factorization: no pivot, no rebuild.
+        let second = master.solve();
         assert_eq!(second.status, LpStatus::Optimal);
         assert_eq!(second.stats.simplex_iterations, 0);
+        assert_eq!(second.stats.refactorizations, 0);
         assert_close(second.objective, first.objective, 1e-9);
     }
 
     #[test]
     fn warm_start_after_adding_a_column() {
-        // Solve, then add a new structural variable (as column generation
-        // does) and resume: the old basis stays valid, the new column enters.
+        // Solve, then add a new column (as column generation does) and
+        // resume: the old basis stays valid, the new column enters.
         let mut lp = LinearProgram::new(Sense::Maximize);
         let x = lp.add_variable(1.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-        let (first, state) = solve_with_warm_start(&lp, None);
+        let mut master = master_of(&lp);
+        let first = master.solve();
         assert_close(first.objective, 2.0, 1e-9);
 
-        let mut grown = LinearProgram::new(Sense::Maximize);
-        let x2 = grown.add_variable(1.0);
-        let z = grown.add_variable(5.0);
-        grown.add_constraint(vec![(x2, 1.0), (z, 1.0)], Relation::Le, 2.0);
-        let (second, _) = solve_with_warm_start(&grown, Some(state));
+        master.add_column(GeneratedColumn {
+            objective: 5.0,
+            coeffs: vec![(0, 1.0)],
+            tag: 1,
+        });
+        let second = master.solve();
         assert_eq!(second.status, LpStatus::Optimal);
         assert_close(second.objective, 10.0, 1e-9);
-        assert_close(second.x[z], 2.0, 1e-9);
-    }
-
-    #[test]
-    fn basis_only_warm_start_is_refactorized_once() {
-        // A basis-only state (the factorization dropped, as when seeding a
-        // different problem) resumes the optimal basis via a single
-        // refactorization from the basis columns.
-        let mut lp = LinearProgram::new(Sense::Maximize);
-        let x = lp.add_variable(3.0);
-        let y = lp.add_variable(2.0);
-        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
-        lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-        let (first, state) = solve_with_warm_start(&lp, None);
-        assert_eq!(first.status, LpStatus::Optimal);
-        let (second, state2) = solve_with_warm_start(&lp, Some(state.into_basis_only()));
-        assert_eq!(second.status, LpStatus::Optimal);
-        assert_eq!(
-            second.stats.simplex_iterations, 0,
-            "optimal basis needs no pivots after the rebuild"
-        );
-        assert_close(second.objective, first.objective, 1e-9);
-        assert_eq!(state2.basis.len(), 2);
-    }
-
-    #[test]
-    fn warm_start_across_different_matrices_is_repaired() {
-        // Two LPs with identical rows (same count, relations, rhs) but
-        // different coefficient patterns: adopting the first solve's
-        // factorization verbatim would price the second LP against a stale
-        // B⁻¹ and could terminate "optimal" at a wrong vertex. The
-        // residual check must detect the mismatch, refactorize, and still
-        // reach the true optimum.
-        let mut a = LinearProgram::new(Sense::Maximize);
-        let ax = a.add_variable(1.0);
-        let ay = a.add_variable(1.0);
-        a.add_constraint(vec![(ax, 1.0)], Relation::Le, 1.0);
-        a.add_constraint(vec![(ay, 1.0)], Relation::Le, 1.0);
-        let (first, state) = solve_with_warm_start(&a, None);
-        assert_eq!(first.status, LpStatus::Optimal);
-
-        let mut b = LinearProgram::new(Sense::Maximize);
-        let bx = b.add_variable(4.0);
-        let by = b.add_variable(2.0);
-        b.add_constraint(vec![(by, 1.0)], Relation::Le, 1.0);
-        b.add_constraint(vec![(bx, 1.0), (by, 1.0)], Relation::Le, 1.0);
-        let cold = solve(&b);
-        let (warmed, _) = solve_with_warm_start(&b, Some(state));
-        assert_eq!(warmed.status, LpStatus::Optimal);
-        assert_close(warmed.objective, cold.objective, 1e-7);
-        assert!(b.is_feasible(&warmed.x, 1e-7));
-    }
-
-    #[test]
-    fn mismatched_warm_start_falls_back_to_cold() {
-        let mut a = LinearProgram::new(Sense::Maximize);
-        let x = a.add_variable(1.0);
-        a.add_constraint(vec![(x, 1.0)], Relation::Le, 1.0);
-        a.add_constraint(vec![(x, 1.0)], Relation::Le, 3.0);
-        let (_, state) = solve_with_warm_start(&a, None);
-
-        // a state with more rows than the LP is no row prefix of it: it
-        // must be rejected, not trusted
-        let mut b = LinearProgram::new(Sense::Maximize);
-        let u = b.add_variable(1.0);
-        b.add_constraint(vec![(u, 1.0)], Relation::Le, 2.0);
-        let (sol, _) = solve_with_warm_start(&b, Some(state));
-        assert_eq!(sol.status, LpStatus::Optimal);
-        assert_close(sol.objective, 2.0, 1e-9);
-        assert_eq!(sol.stats.simplex_iterations, 1, "a cold start pivots x in");
+        assert_close(second.x[1], 2.0, 1e-9);
     }
 
     /// Fixing a column that is basic in a **covering** (minimize / `≥`) LP
     /// must not let its lingering value satisfy the rows for free: the
-    /// warm-start screen rejects the basis and the cold start reports the
-    /// true fixed-at-zero optimum (the review repro for the unsound case).
+    /// resume screen rejects the basis and the cold start reports the true
+    /// fixed-at-zero optimum (the review repro for the unsound case).
     #[test]
     fn fixed_basic_columns_are_evicted_on_covering_lps() {
         let mut lp = LinearProgram::new(Sense::Minimize);
         let x1 = lp.add_variable(1.0);
         let x2 = lp.add_variable(2.0);
         lp.add_constraint(vec![(x1, 1.0), (x2, 1.0)], Relation::Ge, 1.0);
-        let (first, state) = solve_with_warm_start(&lp, None);
+        let mut master = master_of(&lp);
+        let first = master.solve();
         assert_eq!(first.status, LpStatus::Optimal);
         assert_close(first.objective, 1.0, 1e-7); // x1 = 1 basic
 
-        lp.fix_variables_at_zero(&[x1]);
-        let (fixed, _) = solve_with_warm_start(&lp, Some(state));
+        master.fix_columns(&[x1]);
+        let fixed = master.solve();
         assert_eq!(fixed.status, LpStatus::Optimal);
         assert_close(fixed.objective, 2.0, 1e-7); // x2 = 1, not x1 for free
         assert_close(fixed.x[x1], 0.0, 1e-9);
@@ -2035,19 +1925,20 @@ mod tests {
         lps.push(degenerate_duplicated_lp());
         let mut dual_pivots = 0usize;
         for (k, lp) in lps.iter().enumerate() {
-            let (first, state) = solve_limited(lp, bland, None);
+            let mut master = master_of(lp);
+            master.engine.limits = bland;
+            let first = master.solve();
             check(lp, &first, &format!("lp {k} primal"));
             // halve the largest primal value: the old optimum violates the
             // appended rows, so the dual repair has to pivot
             let j = (0..first.x.len())
                 .max_by(|&a, &b| first.x[a].total_cmp(&first.x[b]))
                 .expect("every test LP has variables");
-            let mut grown = lp.clone();
             for _ in 0..2 {
-                grown.add_constraint(vec![(j, 1.0)], Relation::Le, first.x[j] / 2.0);
+                master.add_row(Relation::Le, first.x[j] / 2.0, vec![(j, 1.0)]);
             }
-            let (appended, _) = solve_limited(&grown, bland, Some(state));
-            check(&grown, &appended, &format!("lp {k} row append"));
+            let appended = master.solve();
+            check(&master.lp, &appended, &format!("lp {k} row append"));
             dual_pivots += appended.stats.dual_pivots;
         }
         assert!(dual_pivots > 0, "the dual repair never pivoted");
@@ -2091,19 +1982,19 @@ mod tests {
     fn tightening_row_is_repaired_by_the_dual_path() {
         // Adding x + y <= 1 cuts the optimum (2, 2) off: the dual repair
         // must land on the new optimum 3 (x = 1).
-        let mut lp = tightening_lp();
-        let (first, state) = solve_with_warm_start(&lp, None);
+        let mut master = master_of(&tightening_lp());
+        let first = master.solve();
         assert_eq!(first.status, LpStatus::Optimal);
 
-        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], Relation::Le, 1.0);
-        let (re, _) = solve_with_warm_start(&lp, Some(state));
+        master.add_row(Relation::Le, 1.0, vec![(0, 1.0), (1, 1.0)]);
+        let re = master.solve();
         assert_eq!(re.status, LpStatus::Optimal);
         assert!((re.objective - 3.0).abs() < 1e-7);
         assert!(
             re.stats.dual_pivots > 0,
             "packing rows must take the dual path"
         );
-        assert!(lp.is_feasible(&re.x, 1e-7));
+        assert!(master.lp.is_feasible(&re.x, 1e-7));
     }
 
     /// The row repair and primal phase 2 draw on one pivot budget: with
@@ -2111,21 +2002,22 @@ mod tests {
     /// stops, instead of handing the rest of the solve a fresh budget.
     #[test]
     fn row_append_repair_shares_the_pivot_budget() {
-        let mut lp = tightening_lp();
-        let (_, state) = solve_with_warm_start(&lp, None);
-        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], Relation::Le, 1.0);
-        lp.add_constraint(vec![(0, 1.0)], Relation::Le, 0.5);
-        let one = Limits {
+        let mut master = master_of(&tightening_lp());
+        master.solve();
+        master.add_row(Relation::Le, 1.0, vec![(0, 1.0), (1, 1.0)]);
+        master.add_row(Relation::Le, 0.5, vec![(0, 1.0)]);
+        let mut limited = master.clone();
+        limited.engine.limits = Limits {
             max_iterations: Some(1),
             ..Limits::DEFAULT
         };
-        let (re, _) = solve_limited(&lp, one, Some(state.clone()));
+        let re = limited.solve();
         assert_eq!(re.status, LpStatus::IterationLimit);
         assert!(re.stats.dual_pivots + re.stats.simplex_iterations <= 1);
         assert_eq!(re.stats.dual_pivots, 1);
 
         // the default budget finishes the repair: x = 0.5, y = 0.5
-        let (full, _) = solve_with_warm_start(&lp, Some(state));
+        let full = master.solve();
         assert_eq!(full.status, LpStatus::Optimal);
         assert_eq!(full.stats.dual_pivots, 2);
         assert_close(full.objective, 2.5, 1e-7);
@@ -2136,9 +2028,10 @@ mod tests {
         let mut lp = LinearProgram::new(Sense::Maximize);
         let x = lp.add_variable(1.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-        let (_, state) = solve_with_warm_start(&lp, None);
-        lp.add_constraint(vec![(x, 1.0)], Relation::Le, 10.0);
-        let (re, _) = solve_with_warm_start(&lp, Some(state));
+        let mut master = master_of(&lp);
+        master.solve();
+        master.add_row(Relation::Le, 10.0, vec![(x, 1.0)]);
+        let re = master.solve();
         assert_eq!(re.status, LpStatus::Optimal);
         assert!((re.objective - 2.0).abs() < 1e-9);
         assert_eq!(re.stats.dual_pivots, 0, "non-binding row");
@@ -2154,9 +2047,10 @@ mod tests {
         let mut lp = LinearProgram::new(Sense::Maximize);
         let x = lp.add_variable(1.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-        let (_, state) = solve_with_warm_start(&lp, None);
-        lp.add_constraint(vec![(x, 1.0)], Relation::Ge, 5.0);
-        let (re, _) = solve_with_warm_start(&lp, Some(state));
+        let mut master = master_of(&lp);
+        master.solve();
+        master.add_row(Relation::Ge, 5.0, vec![(x, 1.0)]);
+        let re = master.solve();
         assert_eq!(re.status, LpStatus::Infeasible);
     }
 
@@ -2166,61 +2060,158 @@ mod tests {
         let x = lp.add_variable(1.0);
         let y = lp.add_variable(2.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 3.0);
-        let (_, state) = solve_with_warm_start(&lp, None);
-        lp.add_constraint(vec![(y, 1.0)], Relation::Eq, 1.0);
-        let (re, _) = solve_with_warm_start(&lp, Some(state));
+        let mut master = master_of(&lp);
+        master.solve();
+        master.add_row(Relation::Eq, 1.0, vec![(y, 1.0)]);
+        let re = master.solve();
         assert_eq!(re.stats.dual_pivots, 0, "Eq rows are not dual-eligible");
         assert_eq!(re.status, LpStatus::Optimal);
         assert!((re.objective - 4.0).abs() < 1e-7); // x=2, y=1
     }
 
     #[test]
-    fn foreign_warm_start_falls_back_and_still_solves() {
-        // A basis from an unrelated LP (different coefficients) read as a
-        // row prefix: whether the install declines it or repairs it, the
-        // answer must be this LP's optimum.
-        let mut donor = LinearProgram::new(Sense::Maximize);
-        let d = donor.add_variable(0.1);
-        donor.add_constraint(vec![(d, 1.0)], Relation::Le, 1.0);
-        let (_, state) = solve_with_warm_start(&donor, None);
-
-        let mut lp = LinearProgram::new(Sense::Maximize);
-        let x = lp.add_variable(5.0);
-        lp.add_constraint(vec![(x, 2.0)], Relation::Le, 4.0);
-        lp.add_constraint(vec![(x, 1.0)], Relation::Le, 3.0);
-        let (re, _) = solve_with_warm_start(&lp, Some(state));
-        assert_eq!(re.status, LpStatus::Optimal);
-        assert!((re.objective - 10.0).abs() < 1e-7);
-    }
-
-    #[test]
     fn repaired_state_keeps_working_for_further_rounds() {
         // add rows twice, repairing each time, then grow a column and a row
-        // together — the warm state must stay coherent across the dual
-        // repair and the primal resume.
-        let mut lp = random_bounded_packing_lp(5, 6, 4);
-        let (first, state) = solve_with_warm_start(&lp, None);
+        // together — the engine must stay coherent across the dual repair
+        // and the primal resume.
+        let mut master = master_of(&random_bounded_packing_lp(5, 6, 4));
+        let first = master.solve();
         assert_eq!(first.status, LpStatus::Optimal);
-        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], Relation::Le, 0.7);
-        let (re1, state1) = solve_with_warm_start(&lp, Some(state));
+        master.add_row(Relation::Le, 0.7, vec![(0, 1.0), (1, 1.0)]);
+        let re1 = master.solve();
         // the first cut misses the optimum: the extended basis answers
         // without a pivot, where a cold start needs three
         assert_eq!(re1.stats.dual_pivots + re1.stats.simplex_iterations, 0);
-        lp.add_constraint(vec![(2, 1.0), (3, 1.0)], Relation::Le, 0.5);
-        let (re2, state2) = solve_with_warm_start(&lp, Some(state1));
+        master.add_row(Relation::Le, 0.5, vec![(2, 1.0), (3, 1.0)]);
+        let re2 = master.solve();
         assert!(re2.stats.dual_pivots > 0, "the second cut binds");
-        let cold = solve(&lp);
+        let cold = solve(&master.lp);
         assert!((re2.objective - cold.objective).abs() < 1e-6);
 
         // column growth on top of the dually repaired basis
-        let z = lp.add_variable(100.0);
-        lp.add_constraint(vec![(z, 1.0)], Relation::Le, 0.25);
+        let z = master.num_columns();
+        master.add_column(GeneratedColumn {
+            objective: 100.0,
+            coeffs: Vec::new(),
+            tag: z as u64,
+        });
         // (new row referencing only the new column: the prior basis rows are
         // a prefix, so the dual path applies again)
-        let (re3, _) = solve_with_warm_start(&lp, Some(state2));
-        let cold3 = solve(&lp);
+        master.add_row(Relation::Le, 0.25, vec![(z, 1.0)]);
+        let re3 = master.solve();
+        let cold3 = solve(&master.lp);
         assert_eq!(re3.status, LpStatus::Optimal);
         assert!((re3.objective - cold3.objective).abs() < 1e-6);
+    }
+
+    /// The engine's column store and layout must equal a fresh build over
+    /// the master's LP, bit for bit: before the next solve's sync for the
+    /// columns appended in place (unless the engine is stale), and after it
+    /// for the whole layout.
+    fn assert_engine_matches_lp(master: &mut MasterProblem, step: &str) {
+        let fresh = Revised::build(&master.lp);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let same_columns = |engine: &Revised, when: &str| {
+            assert_eq!(engine.cols.col_ptr, fresh.cols.col_ptr, "{step} {when}");
+            assert_eq!(engine.cols.row_idx, fresh.cols.row_idx, "{step} {when}");
+            assert_eq!(
+                bits(&engine.cols.values),
+                bits(&fresh.cols.values),
+                "{step} {when}"
+            );
+        };
+        if !master.engine.stale(&master.lp) {
+            same_columns(&master.engine, "in place");
+        }
+        master.engine.sync(&master.lp);
+        let engine = &master.engine;
+        same_columns(engine, "synced");
+        assert_eq!(
+            (engine.m, engine.n, engine.n_total, engine.first_artificial),
+            (fresh.m, fresh.n, fresh.n_total, fresh.first_artificial),
+            "{step}"
+        );
+        assert_eq!(engine.logical, fresh.logical, "{step}");
+        assert_eq!(engine.logical_columns(), fresh.logical_columns(), "{step}");
+        assert_eq!(bits(&engine.cost), bits(&fresh.cost), "{step}");
+        assert_eq!(engine.enterable, fresh.enterable, "{step}");
+        let in_basis: Vec<usize> = (0..engine.n_total)
+            .filter(|&c| engine.in_basis[c])
+            .collect();
+        if engine.basis.len() == engine.m {
+            let mut basis = engine.basis.clone();
+            basis.sort_unstable();
+            assert_eq!(in_basis, basis, "{step}: in_basis marks the basis");
+        }
+    }
+
+    /// A seeded random master lifecycle — columns with unsorted and
+    /// repeated row entries, deactivations, fixings, re-pricings, appended
+    /// rows and solves in between, over `≤` rows, `≥` rows and `≤` rows
+    /// with a negative rhs (row signs folded in) — keeps the in-place
+    /// column store equal to a fresh `to_csc` of the master's LP after
+    /// every step.
+    #[test]
+    fn in_place_column_store_matches_a_fresh_build() {
+        use crate::column_generation::is_relief_tag;
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(7100 + seed);
+            let rows: Vec<(Relation, f64)> = (0..6)
+                .map(|i| match i % 3 {
+                    0 => (Relation::Le, rng.random_range(1.0..6.0)),
+                    1 => (Relation::Ge, rng.random_range(0.0..0.5)),
+                    _ => (Relation::Le, rng.random_range(-0.5..3.0)),
+                })
+                .collect();
+            let mut master = MasterProblem::new(Sense::Maximize, rows);
+            let mut next_tag = 0u64;
+            for step in 0..60 {
+                let m = master.num_rows();
+                let n = master.num_columns();
+                let label = format!("seed {seed} step {step}");
+                match rng.random_range(0..7) {
+                    0 | 1 => {
+                        let entries: Vec<(usize, f64)> = (0..rng.random_range(1..7))
+                            .map(|_| (rng.random_range(0..m), rng.random_range(-1.0..3.0)))
+                            .collect();
+                        master.add_column(GeneratedColumn {
+                            objective: rng.random_range(-1.0..5.0),
+                            coeffs: entries,
+                            tag: next_tag,
+                        });
+                        next_tag += 1;
+                    }
+                    2 => {
+                        let active: Vec<usize> =
+                            (0..m).filter(|&i| master.is_row_active(i)).collect();
+                        if !active.is_empty() {
+                            let row = active[rng.random_range(0..active.len())];
+                            master.deactivate_rows(&[row]);
+                        }
+                    }
+                    3 if n > 0 => {
+                        let c = rng.random_range(0..n);
+                        if !is_relief_tag(master.tags()[c]) {
+                            master.fix_columns(&[c]);
+                        }
+                    }
+                    4 if n > 0 => {
+                        let c = rng.random_range(0..n);
+                        master.set_column_objective(c, rng.random_range(0.0..4.0));
+                    }
+                    5 if n > 0 => {
+                        let coeffs: Vec<(usize, f64)> = (0..rng.random_range(1..4))
+                            .map(|_| (rng.random_range(0..n), rng.random_range(0.1..2.0)))
+                            .collect();
+                        master.add_row(Relation::Le, rng.random_range(0.5..4.0), coeffs);
+                    }
+                    _ => {
+                        master.solve();
+                    }
+                }
+                assert_engine_matches_lp(&mut master, &label);
+            }
+        }
     }
 
     // Random packing LPs: the solution must be feasible, match the dense
@@ -2330,8 +2321,8 @@ mod tests {
             dup in any::<bool>(),
             mixed in any::<bool>(),
         ) {
-            let mut lp = random_bounded_packing_lp(seed, n, m);
-            let (first, state) = solve_with_warm_start(&lp, None);
+            let mut master = master_of(&random_bounded_packing_lp(seed, n, m));
+            let first = master.solve();
             prop_assert_eq!(first.status, LpStatus::Optimal);
 
             let mut rng = StdRng::seed_from_u64(seed ^ 0xD00D);
@@ -2358,17 +2349,18 @@ mod tests {
                         _ => (Relation::Le, rng.random_range(-1.0..-0.05)),
                     }
                 };
-                lp.add_constraint(coeffs.clone(), relation, rhs);
+                master.add_row(relation, rhs, coeffs.clone());
                 last_coeffs = coeffs;
                 (last_relation, last_rhs) = (relation, rhs);
             }
             if dup && !last_coeffs.is_empty() {
                 // an exactly repeated row: the repaired basis is degenerate
-                lp.add_constraint(last_coeffs, last_relation, last_rhs);
+                master.add_row(last_relation, last_rhs, last_coeffs);
             }
 
-            let (re, _) = solve_with_warm_start(&lp, Some(state));
-            let reference = dense::solve(&lp);
+            let re = master.solve();
+            let lp = &master.lp;
+            let reference = dense::solve(lp);
             prop_assert_eq!(re.status, reference.status);
             if re.status == LpStatus::Optimal {
                 prop_assert!(lp.is_feasible(&re.x, 1e-6));
@@ -2398,22 +2390,23 @@ mod tests {
             n in 2usize..6,
             m in 1usize..5,
         ) {
-            let mut lp = random_bounded_packing_lp(seed, n, m);
-            let (first, state) = solve_with_warm_start(&lp, None);
+            let mut master = master_of(&random_bounded_packing_lp(seed, n, m));
+            let first = master.solve();
             prop_assert_eq!(first.status, LpStatus::Optimal);
             // every variable is bounded by its bound row, so demanding more
             // than the summed bounds is infeasible
-            let total_bound: f64 = lp
+            let total_bound: f64 = master
+                .lp
                 .constraints()
                 .iter()
                 .filter(|c| c.coeffs.len() == 1 && c.coeffs[0].1 == 1.0)
                 .map(|c| c.rhs)
                 .sum();
             let coeffs: Vec<(usize, f64)> = (0..n).map(|j| (j, 1.0)).collect();
-            lp.add_constraint(coeffs, Relation::Ge, total_bound + 5.0);
+            master.add_row(Relation::Ge, total_bound + 5.0, coeffs);
 
-            let (re, _) = solve_with_warm_start(&lp, Some(state));
-            let reference = dense::solve(&lp);
+            let re = master.solve();
+            let reference = dense::solve(&master.lp);
             prop_assert_eq!(reference.status, LpStatus::Infeasible);
             prop_assert_eq!(re.status, LpStatus::Infeasible);
         }

@@ -109,7 +109,7 @@ fn singleton_allocation(n: usize, bidder: usize, bundle: ChannelSet) -> Allocati
     a
 }
 
-fn column_of_allocation(
+fn allocation_column(
     allocation: &Allocation,
     support_index: &HashMap<(usize, u64), usize>,
     tag: u64,
@@ -177,7 +177,7 @@ pub fn decompose(
     for &(bidder, bundle, _) in &support {
         let allocation = singleton_allocation(n, bidder, bundle);
         let tag = allocations.len() as u64;
-        let column = column_of_allocation(&allocation, &support_index, tag);
+        let column = allocation_column(&allocation, &support_index, tag);
         master.add_column(column);
         allocations.push(allocation);
     }
@@ -258,13 +258,14 @@ pub fn decompose(
                 }
             }
             let tag = base_tag + produced_ref.len() as u64;
-            let column = column_of_allocation(&allocation, &support_index_for_pricing, tag);
+            let column = allocation_column(&allocation, &support_index_for_pricing, tag);
             produced_ref.push(allocation);
             vec![column]
         };
         // The decomposition master is seeded with the always-feasible
         // singleton columns, so even an iteration-limited run leaves a
-        // usable cover; the final cold solve below recomputes the weights.
+        // usable cover; the final solve below resumes from where the run
+        // stopped and finishes the weights.
         pricing_rounds = match master.generate_columns(&mut pricing, MAX_ROUNDS) {
             Ok(result) => result.rounds,
             Err(ssa_lp::ColumnGenerationError::IterationLimit { partial }) => partial.rounds,
@@ -272,7 +273,8 @@ pub fn decompose(
     }
     allocations.extend(produced);
 
-    // Final solve of the master to get the cover weights.
+    // Final solve of the master to get the cover weights: a resume, which
+    // takes no pivot after a converged run.
     let solution = master.solve();
     let rounds = pricing_rounds;
 

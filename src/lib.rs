@@ -90,14 +90,14 @@
 //! | `RelaxationInfo::{pool_hits, pool_evictions}` | removed with the pool; [`RelaxationInfo::columns_generated`](auction::lp_formulation::RelaxationInfo::columns_generated) counts the columns a resolve had to price in |
 //! | `MasterProblem::to_linear_program`, `MasterProblem::reset_warm_start` | removed (they had no caller) |
 //! | `ExchangeStats::lp: LpActivity` | [`ExchangeStats::lp`](exchange::ExchangeStats::lp) is a [`lp::SolveStats`] merged over every drained resolve; the per-market rounds and column counters stay on each resolve's `outcome.lp_info` |
-//! | `reoptimize_after_row_additions(lp, options, prior)` | [`lp::solve_with_warm_start`]`(lp, Some(prior))`: a state whose basis covers a row prefix of `lp` is extended by the appended rows' logicals and repaired by the engine's dual simplex loop |
-//! | `DualReoptimization { solution, warm, used_dual_path }` | the `(LpSolution, WarmStart)` pair that [`lp::solve_with_warm_start`] returns; read the repair's work from [`SolveStats::dual_pivots`](lp::SolveStats::dual_pivots) and `simplex_iterations` |
-//! | `MasterProblem::last_dual_pivots()` | the [`SolveStats::dual_pivots`](lp::SolveStats::dual_pivots) of the solution that [`MasterProblem::solve_warm`](lp::MasterProblem::solve_warm) returns |
+//! | `reoptimize_after_row_additions(lp, options, prior)` | append the rows to a solved master with [`MasterProblem::add_row`](lp::MasterProblem::add_row) and call [`MasterProblem::solve`](lp::MasterProblem::solve): the recorded basis, now a row prefix, is extended by the appended rows' logicals and repaired by the engine's dual simplex loop |
+//! | `DualReoptimization { solution, warm, used_dual_path }` | the [`LpSolution`](lp::LpSolution) that [`MasterProblem::solve`](lp::MasterProblem::solve) returns; read the repair's work from [`SolveStats::dual_pivots`](lp::SolveStats::dual_pivots) and `simplex_iterations` |
+//! | `MasterProblem::last_dual_pivots()` | the [`SolveStats::dual_pivots`](lp::SolveStats::dual_pivots) of the solution that [`MasterProblem::solve`](lp::MasterProblem::solve) returns |
 //! | `MasterProblem::warm_start()` | removed (only tests read it): the master keeps its recorded basis private |
-//! | `SimplexOptions { tolerance, max_iterations, stall_threshold, refactor_interval }`, the `options` argument of `lp::solve`, `lp::solve_with_warm_start`, `lp::dense::solve` and `MasterProblem::{solve, solve_warm}` | removed: every caller passed the defaults, which are now constants of `ssa_lp::simplex` (tolerance 1e-9, Bland's rule after 64 stalled pivots, a refactorization every 256 updates, a pivot budget of `200 · (m + n_total) + 10 000`) |
+//! | `SimplexOptions { tolerance, max_iterations, stall_threshold, refactor_interval }`, the `options` argument of `lp::solve`, the warm-start solve, `lp::dense::solve` and the master's cold and warm solves | removed: every caller passed the defaults, which are now constants of `ssa_lp::simplex` (tolerance 1e-9, Bland's rule after 64 stalled pivots, a refactorization every 256 updates, a pivot budget of `200 · (m + n_total) + 10 000`) |
 //! | `ColumnGeneration { simplex, max_rounds, reduced_cost_tolerance }.run(master, source)` | [`master.generate_columns(source, max_rounds)`](lp::MasterProblem::generate_columns); the reduced-cost tolerance (1e-7) is a constant |
 //! | `MasterProblem::columns()` | [`MasterProblem::tags`](lp::MasterProblem::tags): the master keeps each column once, in its LP, and callers only read the tags |
-//! | `MasterProblem::rows()`, `LinearProgram::row_states()`, `WarmStart::num_rows()` | removed (they had no caller outside tests): read `basis.len()` for a state's row count |
+//! | `MasterProblem::rows()`, `LinearProgram::row_states()`, the row count of the warm-start state | removed (they had no caller outside tests) |
 //! | `CscMatrix::row_major()` | removed: the dual ratio test walks [`LinearProgram::constraints`](lp::LinearProgram::constraints), which is row-major already |
 //! | `ExactOptions { node_limit }`, `solve_exact(instance, &options)`, `solve_exact_default(instance)` | [`solve_exact(instance)`](auction::exact::solve_exact); the 5 000 000-node search limit is a constant |
 //! | `geometry::{Metric, EuclideanMetric, ExplicitMetric}`, `metric::doubling_constant_estimate` | removed (nothing outside their module used them): the physical model reads its distances from a [`LinkMetric`](geometry::LinkMetric), built from links or from an explicit matrix |
@@ -114,6 +114,9 @@
 //! | `LinearProgram::compact` and the index maps it returned | removed: rows and variables never move during an LP's life; drop the LP and build a fresh one from the survivors |
 //! | `MasterProblem::compact`, its threshold variant and its run counter, and the report of row and column maps it returned | removed: a session drops a master whose [`deadweight_fraction`](lp::MasterProblem::deadweight_fraction) reaches 0.25 after a departure, and the next resolve rebuilds it seeded from the survivors' columns |
 //! | the compaction counter of `RelaxationInfo` | removed with compaction: [`SessionStats::cold_resolves`](auction::session::SessionStats::cold_resolves) counts the deadweight rebuilds with the other rebuilds, and [`RelaxationInfo::rows_deactivated`](auction::lp_formulation::RelaxationInfo::rows_deactivated) counts per master |
+//! | `lp::WarmStart`, `lp::BasisVar`, `lp::solve_with_warm_start(lp, warm)` | removed: a [`MasterProblem`](lp::MasterProblem) keeps one live simplex engine for its whole life and resumes it on every [`solve`](lp::MasterProblem::solve); build a master over the LP's rows and columns instead of carrying a state between one-shot solves, and use [`lp::solve`] for a cold one-shot solve |
+//! | `WarmStart::into_basis_only()` | removed with the state type: to re-price a problem with the same rows, change its objective on the same master with [`MasterProblem::set_column_objective`](lp::MasterProblem::set_column_objective) and solve again; a problem with other rows gets a fresh master |
+//! | `MasterProblem::solve_warm()` and the cold `MasterProblem::solve(&self)` | one [`MasterProblem::solve(&mut self)`](lp::MasterProblem::solve): it resumes the master's own engine, and starts cold on a fresh master or after a factorization collapse; for a cold solve of the same LP build a fresh master |
 //!
 //! ## One master, and the seed depth
 //!
