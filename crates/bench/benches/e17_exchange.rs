@@ -2,21 +2,17 @@
 //! resolve-latency percentiles on a [`SpectrumExchange`] fleet.
 //!
 //! A Zipf-skewed event stream (hot markets take most of the traffic) is
-//! submitted in batches and drained; the grid crosses
-//!
-//! * fleet shape: `M ∈ {256, 1024}` markets at `n = 50` bidders, plus
-//!   `M = 256` at `n = 200`,
-//! * drain scheduling: [`DrainMode::Sequential`] vs [`DrainMode::Pooled`]
-//!   (the persistent work-stealing pool behind the `rayon` shim).
+//! submitted in batches and drained on the persistent work-stealing pool
+//! behind the `rayon` shim. The fleet shapes are `M ∈ {256, 1024}` markets
+//! at `n = 50` bidders, plus `M = 256` at `n = 200`, and one burst cell.
 //!
 //! Every session's cold first solve is primed *outside* the timed window
 //! (a self-re-bid per market), so the numbers are the steady-state warm
 //! path the exchange actually runs. The measured phase times submit +
 //! drain together; latencies are per-shard resolve times from
-//! [`DrainReport`]. Numbers are recorded honestly even where a
-//! configuration loses — on a single-core host the pooled drain cannot
-//! beat sequential (the `cores` field in `BENCH_e17.json` keys the
-//! interpretation; `SSA_POOL_THREADS` overrides the worker count).
+//! [`DrainReport`]. `BENCH_e17.json` records the host's `cores` and the
+//! `pool_threads` the drains ran on (`SSA_POOL_THREADS` overrides it; at
+//! 1 the drains run inline on the calling thread).
 //!
 //! Not a Criterion bench: one pass per cell is the measurement (each cell
 //! is thousands of LP resolves — plenty of samples internally), and the
@@ -24,14 +20,12 @@
 //! tracking.
 //!
 //! [`SpectrumExchange`]: ssa_exchange::SpectrumExchange
-//! [`DrainMode::Sequential`]: ssa_exchange::DrainMode::Sequential
-//! [`DrainMode::Pooled`]: ssa_exchange::DrainMode::Pooled
 //! [`DrainReport`]: ssa_exchange::DrainReport
 
 use ssa_bench::table::Table;
 use ssa_core::session::MarketEvent;
 use ssa_core::solver::SolverBuilder;
-use ssa_exchange::{DrainMode, SpectrumExchange};
+use ssa_exchange::SpectrumExchange;
 use ssa_workloads::{multi_market_scenario, MultiMarketConfig, MultiMarketScenario};
 use std::time::{Duration, Instant};
 
@@ -52,7 +46,6 @@ struct Record {
     markets: usize,
     bidders: usize,
     batches: usize,
-    drain: &'static str,
     events: usize,
     wall: Duration,
     events_per_sec: f64,
@@ -72,10 +65,9 @@ fn fmt_us(d: Duration) -> String {
     format!("{:.0}", d.as_secs_f64() * 1e6)
 }
 
-fn run_cell(cell: &Cell, scenario: &MultiMarketScenario, drain: DrainMode) -> Record {
+fn run_cell(cell: &Cell, scenario: &MultiMarketScenario) -> Record {
     let mut exchange = SpectrumExchange::builder()
         .solver(SolverBuilder::new().rounding(17, TRIALS))
-        .drain_mode(drain)
         .build();
     for (id, generated) in &scenario.markets {
         exchange
@@ -122,10 +114,6 @@ fn run_cell(cell: &Cell, scenario: &MultiMarketScenario, drain: DrainMode) -> Re
         markets: cell.markets,
         bidders: cell.bidders,
         batches: cell.batches,
-        drain: match drain {
-            DrainMode::Sequential => "seq",
-            DrainMode::Pooled => "pooled",
-        },
         events,
         wall,
         events_per_sec: events as f64 / wall.as_secs_f64(),
@@ -134,24 +122,24 @@ fn run_cell(cell: &Cell, scenario: &MultiMarketScenario, drain: DrainMode) -> Re
     }
 }
 
-fn json_snapshot(records: &[Record], cores: usize, smoke: bool) -> String {
+fn json_snapshot(records: &[Record], cores: usize, pool_threads: usize, smoke: bool) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"e17_exchange\",\n");
     out.push_str(&format!("  \"cores\": {cores},\n"));
+    out.push_str(&format!("  \"pool_threads\": {pool_threads},\n"));
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
     out.push_str("  \"records\": [\n");
     let rows: Vec<String> = records
         .iter()
         .map(|r| {
             format!(
-                "    {{\"markets\": {}, \"bidders\": {}, \"batches\": {}, \"drain\": \"{}\", \
+                "    {{\"markets\": {}, \"bidders\": {}, \"batches\": {}, \
                  \"events\": {}, \"wall_s\": {:.3}, \
                  \"events_per_sec\": {:.1}, \"p50_us\": {:.0}, \"p99_us\": {:.0}}}",
                 r.markets,
                 r.bidders,
                 r.batches,
-                r.drain,
                 r.events,
                 r.wall.as_secs_f64(),
                 r.events_per_sec,
@@ -169,12 +157,12 @@ fn json_snapshot(records: &[Record], cores: usize, smoke: bool) -> String {
 
 fn main() {
     let smoke = std::env::var_os("SSA_BENCH_SMOKE").is_some_and(|v| v != "0");
-    let cores = rayon::current_num_threads();
-    println!("e17_exchange: {cores} pool worker(s) (set SSA_POOL_THREADS to override)");
-    if cores < 2 {
-        println!("  single-core host: pooled drains cannot beat sequential here;");
-        println!("  numbers below are recorded honestly for this configuration.");
-    }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let pool_threads = rayon::current_num_threads();
+    println!(
+        "e17_exchange: {cores} core(s), {pool_threads} pool worker(s) \
+         (set SSA_POOL_THREADS to override)"
+    );
 
     let cells: Vec<Cell> = if smoke {
         vec![Cell {
@@ -217,57 +205,38 @@ fn main() {
     let mut table = Table::new(
         "E17",
         "multi-market exchange: events/sec and resolve latency (batched drains)",
-        &[
-            "M", "n", "drains", "drain", "events", "ev/s", "p50us", "p99us",
-        ],
+        &["M", "n", "drains", "events", "ev/s", "p50us", "p99us"],
     );
     let mut records: Vec<Record> = Vec::new();
     for cell in &cells {
         let config = MultiMarketConfig::new(cell.markets, cell.bidders, K, cell.events, 1700);
         let scenario = multi_market_scenario(&config, 1.0);
-        for drain in [DrainMode::Sequential, DrainMode::Pooled] {
-            if !smoke {
-                // throwaway pass: each run builds its own exchange, so
-                // repeating is valid — the kept run sees warm caches
-                // instead of first-touch noise.
-                run_cell(cell, &scenario, drain);
-            }
-            let record = run_cell(cell, &scenario, drain);
-            table.push_row(vec![
-                record.markets.to_string(),
-                record.bidders.to_string(),
-                record.batches.to_string(),
-                record.drain.to_string(),
-                record.events.to_string(),
-                format!("{:.0}", record.events_per_sec),
-                fmt_us(record.p50),
-                fmt_us(record.p99),
-            ]);
-            records.push(record);
+        if !smoke {
+            // throwaway pass: each run builds its own exchange, so
+            // repeating is valid — the kept run sees warm caches instead
+            // of first-touch noise.
+            run_cell(cell, &scenario);
         }
+        let record = run_cell(cell, &scenario);
+        table.push_row(vec![
+            record.markets.to_string(),
+            record.bidders.to_string(),
+            record.batches.to_string(),
+            record.events.to_string(),
+            format!("{:.0}", record.events_per_sec),
+            fmt_us(record.p50),
+            fmt_us(record.p99),
+        ]);
+        records.push(record);
     }
     print!("{}", table.render());
-
-    // headline ratios, paired within each fleet shape
-    for pair in records.chunks(2) {
-        if let [seq, pooled] = pair {
-            println!(
-                "M={} n={} drains={}: pooled/seq speedup {:.2}x ({} core(s))",
-                seq.markets,
-                seq.bidders,
-                seq.batches,
-                pooled.events_per_sec / seq.events_per_sec,
-                cores,
-            );
-        }
-    }
 
     // `cargo bench` runs with the package dir as cwd — anchor the snapshot
     // at the workspace root next to BENCH_e12.json. Smoke runs (CI) never
     // overwrite the committed full-grid numbers.
     if !smoke {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e17.json");
-        let snapshot = json_snapshot(&records, cores, smoke);
+        let snapshot = json_snapshot(&records, cores, pool_threads, smoke);
         if std::fs::write(path, &snapshot).is_ok() {
             println!("(exchange snapshot written to BENCH_e17.json)");
         }

@@ -232,11 +232,9 @@ pub(crate) fn master_rows(instance: &AuctionInstance) -> Vec<(Relation, f64)> {
 /// point: an interrupted solve degrades into its non-converged partial
 /// result instead of an error).
 ///
-/// By default this is the cold resolve of a throwaway [`AuctionSession`]
-/// over a clone of the instance: column generation through the bidders'
-/// demand oracles on the session's master. With
-/// [`SolverBuilder::enumerate_all_bundles`] all `2^k` bundles per bidder
-/// are materialized up front instead (ground truth for small `k`).
+/// This is the cold resolve of a throwaway [`AuctionSession`] over a clone
+/// of the instance: column generation through the bidders' demand oracles
+/// on the session's master.
 pub fn solve_relaxation(
     instance: &AuctionInstance,
     builder: &SolverBuilder,
@@ -263,9 +261,6 @@ pub fn try_solve_relaxation(
     instance: &AuctionInstance,
     builder: &SolverBuilder,
 ) -> Result<FractionalAssignment, SolveError> {
-    if builder.enumerate_all_bundles {
-        return solve_enumerated(instance);
-    }
     AuctionSession::new(instance.clone(), builder.clone()).resolve_relaxation()
 }
 
@@ -327,11 +322,13 @@ pub(crate) fn seed_columns(
     }
 }
 
-/// The enumerated master: every positive-value bundle of every bidder as a
-/// column of the canonical layout, solved once. Independent of the
-/// session's column-generation master, which makes it the reference the
-/// tests check that master against.
-fn solve_enumerated(instance: &AuctionInstance) -> Result<FractionalAssignment, SolveError> {
+/// Solves the relaxation on the enumerated master: every positive-value
+/// bundle of every bidder as a column of the canonical layout, solved once
+/// (exact LP optimum; exponential in `k`). Independent of the session's
+/// column-generation master, which makes it the reference the tests check
+/// that master against. Like [`solve_relaxation`], an interrupted solve
+/// degrades into its non-converged partial result.
+pub fn solve_relaxation_explicit(instance: &AuctionInstance) -> FractionalAssignment {
     let mut master = MasterProblem::new(Sense::Maximize, master_rows(instance));
     for bidder in 0..instance.num_bidders() {
         for bundle in ChannelSet::all_bundles(instance.num_channels) {
@@ -342,11 +339,13 @@ fn solve_enumerated(instance: &AuctionInstance) -> Result<FractionalAssignment, 
     }
     let solution = master.solve();
     let status = solution.status;
+    assert!(
+        matches!(status, LpStatus::Optimal | LpStatus::IterationLimit),
+        "x = 0 is feasible and the bidder rows bound x, so the enumerated master has an optimum"
+    );
     let converged = status == LpStatus::Optimal;
     let info = RelaxationInfo::from_solution(&solution, 1, master.num_columns());
-    let fractional = extract(instance, &master, solution, converged, info);
-    strict_status_error(status, &fractional)?;
-    Ok(fractional)
+    extract(instance, &master, solution, converged, info)
 }
 
 pub(crate) fn extract(
@@ -388,12 +387,6 @@ pub(crate) fn extract(
         num_columns: info.num_columns,
         info,
     }
-}
-
-/// Convenience: solve the relaxation with exhaustive bundle enumeration
-/// (exact LP optimum; exponential in `k`).
-pub fn solve_relaxation_explicit(instance: &AuctionInstance) -> FractionalAssignment {
-    solve_relaxation(instance, &SolverBuilder::new().enumerate_all_bundles(true))
 }
 
 /// Convenience: default column-generation solve.

@@ -47,7 +47,7 @@ use crate::channels::ChannelSet;
 use crate::instance::{AuctionInstance, ConflictStructure};
 use crate::lp_formulation::{
     column_tag, decode_column_tag, extract, master_rows, seed_columns, strict_status_error,
-    try_solve_relaxation, FractionalAssignment, RelaxationInfo,
+    FractionalAssignment, RelaxationInfo,
 };
 use crate::snapshot::ValuationSnapshot;
 use crate::solver::{AuctionOutcome, SolveError, SolverBuilder, SpectrumAuctionSolver};
@@ -189,10 +189,9 @@ pub struct SessionStats {
     /// mutations).
     pub cached_resolves: usize,
     /// Resolves that rebuilt the master (first solve, ρ/channel changes,
-    /// the deadweight rebuild after a departure that crossed
-    /// `DEADWEIGHT_LIMIT`, and every resolve with bundle enumeration on) —
-    /// seeded from the previous master's bundles, not resumed from a
-    /// recorded basis.
+    /// and the deadweight rebuild after a departure that crossed
+    /// `DEADWEIGHT_LIMIT`) — seeded from the previous master's bundles, not
+    /// resumed from a recorded basis.
     pub cold_resolves: usize,
     /// Resolves that absorbed appended bidder rows: the master's warm solve
     /// extended the recorded basis by the new rows' logicals and repaired it
@@ -441,8 +440,7 @@ pub struct AuctionSession {
     /// clean re-resolve skips the (deterministic) rounding stage too.
     last_outcome: Option<AuctionOutcome>,
     /// Canonical-layout duals of the most recent converged resolve (see
-    /// [`DualCertificate`]); `None` on the enumerated path and after failed
-    /// solves.
+    /// [`DualCertificate`]); `None` after failed solves.
     last_certificate: Option<DualCertificate>,
     /// The optional mutation/resolve history (see
     /// [`record_events`](Self::record_events)); `None` while recording is
@@ -499,9 +497,9 @@ impl AuctionSession {
     }
 
     /// Canonical-layout dual prices of the most recent resolve — valid only
-    /// while the session is clean (no mutations since). `None` on the
-    /// enumerate-all-bundles path, where the session holds no master to
-    /// read duals from; auditors fall back to a re-solve there.
+    /// while the session is clean (no mutations since). `None` until a
+    /// resolve converges; an auditor handed no certificate falls back to a
+    /// re-solve.
     pub fn last_certificate(&self) -> Option<&DualCertificate> {
         if self.staleness == Staleness::Clean {
             self.last_certificate.as_ref()
@@ -546,9 +544,7 @@ impl AuctionSession {
     }
 
     fn can_grow_incrementally(&self) -> bool {
-        !self.options.enumerate_all_bundles
-            && self.staleness != Staleness::Rebuild
-            && self.master.is_some()
+        self.staleness != Staleness::Rebuild && self.master.is_some()
     }
 
     // -- mutations ---------------------------------------------------------
@@ -665,8 +661,7 @@ impl AuctionSession {
     /// A departure that leaves the deadweight at `DEADWEIGHT_LIMIT` or more
     /// drops the master instead: the next resolve rebuilds it, seeded from
     /// the survivors' re-tagged columns (the departed bidders' tombstones
-    /// are not native and do not seed). Sessions that enumerate every
-    /// bundle re-solve from scratch.
+    /// are not native and do not seed).
     ///
     /// # Panics
     /// Panics if `bidder` is out of range or it is the last bidder left.
@@ -910,8 +905,8 @@ impl AuctionSession {
     }
 
     /// Drops the cached master. Its bundle columns, in column order, become
-    /// the seeds of the next rebuild; with no master (already invalidated,
-    /// or the enumerated path) the pending seeds are kept.
+    /// the seeds of the next rebuild; with no master (already invalidated)
+    /// the pending seeds are kept.
     fn invalidate_master(&mut self) {
         if let Some(master) = self.master.take() {
             self.seeds = master
@@ -996,46 +991,33 @@ impl AuctionSession {
         // The per-path counter is picked here but only bumped after the
         // solve succeeds, so failed attempts (pivot budgets) don't skew the
         // accounting the tests and the e15 bench assert on.
-        let (fractional, path_counter) = if self.options.enumerate_all_bundles {
-            // No incremental path for the enumerated master: every resolve
-            // solves it from scratch (every bundle is a column already, so
-            // there is nothing to seed). No cached master means no duals
-            // to certify with either.
-            self.last_certificate = None;
-            let fractional = try_solve_relaxation(&self.instance, &self.options)?;
-            (fractional, SessionPath::Cold)
-        } else {
-            match (self.master.is_some(), self.staleness) {
-                (true, Staleness::Repriced) => {
-                    (self.run_column_generation()?, SessionPath::Repriced)
+        let (fractional, path_counter) = match (self.master.is_some(), self.staleness) {
+            (true, Staleness::Repriced) => (self.run_column_generation()?, SessionPath::Repriced),
+            (true, Staleness::Deactivated) => {
+                (self.run_column_generation()?, SessionPath::Deactivated)
+            }
+            (true, Staleness::RowsAdded) => {
+                if self.dirty_objectives || self.dirty_deactivations {
+                    // Mixed batch: re-bids/departures from the same batch
+                    // left the recorded basis primal feasible but not dual
+                    // feasible, which is exactly the state the dual row
+                    // repair cannot start from. One primal resume (cheap:
+                    // the basis is near the new optimum) restores
+                    // optimality — and with it dual feasibility — before
+                    // the staged arrival rows land.
+                    self.stats.mixed_batch_repairs += 1;
+                    let master = self.master.as_mut().expect("master exists on this path");
+                    let _ = master.solve();
                 }
-                (true, Staleness::Deactivated) => {
-                    (self.run_column_generation()?, SessionPath::Deactivated)
-                }
-                (true, Staleness::RowsAdded) => {
-                    if self.dirty_objectives || self.dirty_deactivations {
-                        // Mixed batch: re-bids/departures from the same
-                        // batch left the recorded basis primal feasible
-                        // but not dual feasible, which is exactly the
-                        // state the dual row repair cannot start from.
-                        // One primal resume (cheap: the basis is near the
-                        // new optimum) restores optimality — and with it
-                        // dual feasibility — before the staged arrival
-                        // rows land.
-                        self.stats.mixed_batch_repairs += 1;
-                        let master = self.master.as_mut().expect("master exists on this path");
-                        let _ = master.solve();
-                    }
-                    self.materialize_staged_rows();
-                    (self.run_column_generation()?, SessionPath::WarmRows)
-                }
-                // Clean sessions answered from the cache above; every
-                // mutation that leaves the master in place raises staleness.
-                (_, Staleness::Clean) => unreachable!("clean resolves are served from cache"),
-                _ => {
-                    self.rebuild_master();
-                    (self.run_column_generation()?, SessionPath::Cold)
-                }
+                self.materialize_staged_rows();
+                (self.run_column_generation()?, SessionPath::WarmRows)
+            }
+            // Clean sessions answered from the cache above; every mutation
+            // that leaves the master in place raises staleness.
+            (_, Staleness::Clean) => unreachable!("clean resolves are served from cache"),
+            _ => {
+                self.rebuild_master();
+                (self.run_column_generation()?, SessionPath::Cold)
             }
         };
         match path_counter {
@@ -1197,7 +1179,7 @@ impl AuctionSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lp_formulation::solve_relaxation;
+    use crate::lp_formulation::{solve_relaxation, solve_relaxation_explicit};
     use crate::valuation::XorValuation;
     use ssa_conflict_graph::ConflictGraph;
 
@@ -1635,26 +1617,6 @@ mod tests {
     }
 
     #[test]
-    fn enumerated_sessions_solve_pool_seeded() {
-        let mut session = SolverBuilder::new()
-            .enumerate_all_bundles(true)
-            .session(path_instance(5, 2));
-        assert_matches_scratch(&mut session);
-        session.update_valuation(1, xor_bidder(2, vec![(vec![0], 12.0)]));
-        assert_matches_scratch(&mut session);
-        session.add_bidder(
-            xor_bidder(2, vec![(vec![1], 8.0)]),
-            BidderConflicts::Binary(vec![0, 2]),
-        );
-        assert_matches_scratch(&mut session);
-        // every enumerated resolve solves the enumerated master from
-        // scratch and carries no certificate (there is no cached master to
-        // read duals from)
-        assert_eq!(session.stats().cold_resolves, 3);
-        assert!(session.last_certificate().is_none());
-    }
-
-    #[test]
     fn weighted_sessions_support_all_mutations() {
         let n = 5;
         let mut g = WeightedConflictGraph::new(n);
@@ -1695,10 +1657,7 @@ mod tests {
         );
         session.update_valuation(2, xor_bidder(2, vec![(vec![1], 8.0)]));
         let warm = session.resolve_relaxation().expect("resolve failed");
-        let explicit = solve_relaxation(
-            session.instance(),
-            &SolverBuilder::new().enumerate_all_bundles(true),
-        );
+        let explicit = solve_relaxation_explicit(session.instance());
         assert!(
             (warm.objective - explicit.objective).abs() <= 1e-5 * (1.0 + explicit.objective),
             "warm {} vs explicit {}",

@@ -108,7 +108,6 @@ pub struct SolverBuilder {
     pub(crate) rounding: RoundingOptions,
     pub(crate) max_pricing_rounds: usize,
     pub(crate) seed_top_bundles: usize,
-    pub(crate) enumerate_all_bundles: bool,
 }
 
 impl Default for SolverBuilder {
@@ -117,7 +116,6 @@ impl Default for SolverBuilder {
             rounding: RoundingOptions::default(),
             max_pricing_rounds: 200,
             seed_top_bundles: 4,
-            enumerate_all_bundles: false,
         }
     }
 }
@@ -159,14 +157,6 @@ impl SolverBuilder {
     /// solve (default 200).
     pub fn max_pricing_rounds(mut self, rounds: usize) -> Self {
         self.max_pricing_rounds = rounds;
-        self
-    }
-
-    /// Enumerates **all** bundles with positive value up front instead of
-    /// generating columns through the demand oracles (exponential in `k`;
-    /// ground truth for small instances).
-    pub fn enumerate_all_bundles(mut self, enumerate: bool) -> Self {
-        self.enumerate_all_bundles = enumerate;
         self
     }
 

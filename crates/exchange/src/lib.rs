@@ -14,7 +14,7 @@
 //!  submit(market, event) ──▶ per-market PendingQueue (validated FIFO)
 //!                                      │
 //!  resolve_dirty() ──▶ dirty shards ──▶ queued events ──▶ AuctionSession
-//!                      (sequential or pooled par_iter)       warm resolve
+//!                          (pooled par_iter)            warm resolve
 //!                                      │
 //!                            DrainReport + ExchangeStats rollup
 //! ```
@@ -28,11 +28,11 @@
 //!   event-by-event session reaches. The queue validates each index against
 //!   the roster the pending stream implies and rejects a departure that
 //!   would empty the market.
-//! * **Pooled drain** — [`DrainMode::Pooled`] fans dirty shards across the
-//!   persistent work-stealing pool behind the `rayon` shim (`min_len 1`:
-//!   every shard is one LP resolve, expensive enough to schedule
-//!   individually). [`DrainMode::Sequential`] drains inline — the honest
-//!   baseline the `e17_exchange` bench compares against.
+//! * **Pooled drain** — a drain fans dirty shards across the persistent
+//!   work-stealing pool behind the `rayon` shim (`min_len 1`: every shard
+//!   is one LP resolve, expensive enough to schedule individually). On a
+//!   one-worker pool (`SSA_POOL_THREADS=1`) the shim runs the drain inline
+//!   on the calling thread.
 //! * **Stats rollup** — [`ExchangeStats`] aggregates the per-session warm
 //!   path counters ([`SessionStats`]), the LP engine counters of every
 //!   drained resolve (one [`SolveStats`] merged with
@@ -82,16 +82,6 @@ use std::time::{Duration, Instant};
 
 pub use queue::InvalidEvent;
 pub use sealed::{SealedAck, SealedRoundConfig, SealedRoundReport, SealedSubmission};
-
-/// How [`SpectrumExchange::resolve_dirty`] schedules dirty shards.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DrainMode {
-    /// Drain shards one after another on the calling thread.
-    Sequential,
-    /// Fan dirty shards across the persistent work-stealing pool (each
-    /// shard is one chunk; the submitting thread participates).
-    Pooled,
-}
 
 /// Errors of the exchange layer.
 #[derive(Debug)]
@@ -234,24 +224,14 @@ pub struct DrainReport {
 }
 
 /// Configures a [`SpectrumExchange`]: the solver for the per-market
-/// sessions and drain scheduling.
-#[derive(Clone, Debug)]
+/// sessions.
+#[derive(Clone, Debug, Default)]
 pub struct ExchangeBuilder {
     options: SolverBuilder,
-    drain: DrainMode,
-}
-
-impl Default for ExchangeBuilder {
-    fn default() -> Self {
-        ExchangeBuilder {
-            options: SolverBuilder::new(),
-            drain: DrainMode::Pooled,
-        }
-    }
 }
 
 impl ExchangeBuilder {
-    /// Starts from the defaults: the default solver and pooled drains.
+    /// Starts from the defaults: the default solver.
     pub fn new() -> Self {
         ExchangeBuilder::default()
     }
@@ -263,17 +243,10 @@ impl ExchangeBuilder {
         self
     }
 
-    /// Selects how dirty shards are scheduled at drain time.
-    pub fn drain_mode(mut self, mode: DrainMode) -> Self {
-        self.drain = mode;
-        self
-    }
-
     /// Builds the exchange (no markets yet).
     pub fn build(self) -> SpectrumExchange {
         SpectrumExchange {
             options: self.options,
-            drain: self.drain,
             shards: Vec::new(),
             index: HashMap::new(),
             dirty: Vec::new(),
@@ -308,7 +281,6 @@ struct ShardSlot {
 /// event queues. See the [module docs](self) for the architecture.
 pub struct SpectrumExchange {
     options: SolverBuilder,
-    drain: DrainMode,
     shards: Vec<ShardSlot>,
     index: HashMap<MarketId, usize>,
     /// Slots with a non-empty queue, in first-dirtied order.
@@ -325,8 +297,7 @@ impl Default for SpectrumExchange {
 }
 
 impl SpectrumExchange {
-    /// An exchange with the default configuration (default solver, pooled
-    /// drains).
+    /// An exchange with the default configuration (the default solver).
     pub fn new() -> Self {
         ExchangeBuilder::new().build()
     }
@@ -454,8 +425,8 @@ impl SpectrumExchange {
 
     /// Drains every dirty shard: applies each market's pending events to
     /// its session in submission order and resolves once (the full
-    /// pipeline including rounding). Shards are scheduled per the
-    /// configured [`DrainMode`]. Returns per-market outcomes and resolve
+    /// pipeline including rounding). Shards fan out across the
+    /// work-stealing pool. Returns per-market outcomes and resolve
     /// latencies; stops at the first failed shard.
     pub fn resolve_dirty(&mut self) -> Result<DrainReport, ExchangeError> {
         let mut report = DrainReport::default();
@@ -470,10 +441,8 @@ impl SpectrumExchange {
             let mut shard = holder.cell.lock().unwrap();
             drain_shard(&mut shard, holder.id)
         };
-        let results: Vec<Result<ShardDrain, (MarketId, SolveError)>> = match self.drain {
-            DrainMode::Sequential => dirty.iter().map(run).collect(),
-            DrainMode::Pooled => dirty.par_iter().with_min_len(1).map(run).collect(),
-        };
+        let results: Vec<Result<ShardDrain, (MarketId, SolveError)>> =
+            dirty.par_iter().with_min_len(1).map(run).collect();
 
         self.stats.drains += 1;
         for result in results {
@@ -739,43 +708,41 @@ mod tests {
 
     #[test]
     fn fleet_lp_counters_are_the_merge_of_every_drained_resolve() {
-        for mode in [DrainMode::Sequential, DrainMode::Pooled] {
-            let mut ex = SpectrumExchange::builder().drain_mode(mode).build();
-            for m in 0..3u64 {
-                ex.open_market(MarketId(m), instance(6 + m as usize, 20 + m))
-                    .unwrap();
-            }
-            let mut expected = SolveStats::default();
-            for drain in 0..2 {
-                for m in 0..3u64 {
-                    ex.submit(
-                        MarketId(m),
-                        MarketEvent::Arrival {
-                            valuation: val(3.0 + m as f64),
-                            neighbors: vec![0, 1],
-                        },
-                    )
-                    .unwrap();
-                    ex.submit(
-                        MarketId(m),
-                        MarketEvent::Rebid {
-                            bidder: drain,
-                            valuation: val(5.0 + drain as f64),
-                        },
-                    )
-                    .unwrap();
-                }
-                let report = ex.resolve_dirty().unwrap();
-                assert_eq!(report.resolves.len(), 3);
-                for resolve in &report.resolves {
-                    expected.merge(&resolve.outcome.lp_info.engine);
-                }
-            }
-            let lp = ex.stats().lp;
-            assert!(lp.simplex_iterations > 0, "{mode:?}");
-            assert!(lp.tracked_solves() > 0, "{mode:?}");
-            assert_eq!(lp, expected, "{mode:?}");
+        let mut ex = SpectrumExchange::new();
+        for m in 0..3u64 {
+            ex.open_market(MarketId(m), instance(6 + m as usize, 20 + m))
+                .unwrap();
         }
+        let mut expected = SolveStats::default();
+        for drain in 0..2 {
+            for m in 0..3u64 {
+                ex.submit(
+                    MarketId(m),
+                    MarketEvent::Arrival {
+                        valuation: val(3.0 + m as f64),
+                        neighbors: vec![0, 1],
+                    },
+                )
+                .unwrap();
+                ex.submit(
+                    MarketId(m),
+                    MarketEvent::Rebid {
+                        bidder: drain,
+                        valuation: val(5.0 + drain as f64),
+                    },
+                )
+                .unwrap();
+            }
+            let report = ex.resolve_dirty().unwrap();
+            assert_eq!(report.resolves.len(), 3);
+            for resolve in &report.resolves {
+                expected.merge(&resolve.outcome.lp_info.engine);
+            }
+        }
+        let lp = ex.stats().lp;
+        assert!(lp.simplex_iterations > 0);
+        assert!(lp.tracked_solves() > 0);
+        assert_eq!(lp, expected);
     }
 
     #[test]
@@ -796,37 +763,6 @@ mod tests {
         assert!(ex
             .submit(MarketId(0), MarketEvent::Departure { bidder: 3 })
             .is_err());
-    }
-
-    #[test]
-    fn sequential_and_pooled_drains_agree() {
-        let build = |mode: DrainMode| {
-            let mut ex = SpectrumExchange::builder()
-                .solver(SolverBuilder::new().rounding(7, 4))
-                .drain_mode(mode)
-                .build();
-            for m in 0..4u64 {
-                ex.open_market(MarketId(m), instance(6 + m as usize, 10 + m))
-                    .unwrap();
-                ex.submit(
-                    MarketId(m),
-                    MarketEvent::Arrival {
-                        valuation: val(3.0 + m as f64),
-                        neighbors: vec![0],
-                    },
-                )
-                .unwrap();
-            }
-            ex
-        };
-        let seq = build(DrainMode::Sequential).resolve_dirty().unwrap();
-        let pooled = build(DrainMode::Pooled).resolve_dirty().unwrap();
-        assert_eq!(seq.resolves.len(), pooled.resolves.len());
-        for (a, b) in seq.resolves.iter().zip(&pooled.resolves) {
-            assert_eq!(a.market, b.market);
-            assert!((a.outcome.lp_objective - b.outcome.lp_objective).abs() < 1e-9);
-            assert!((a.outcome.welfare - b.outcome.welfare).abs() < 1e-9);
-        }
     }
 
     #[test]
@@ -920,7 +856,6 @@ mod tests {
 
         let mut ex = SpectrumExchange::builder()
             .solver(SolverBuilder::new().rounding(7, 8))
-            .drain_mode(DrainMode::Sequential)
             .build();
         ex.open_market(MarketId(0), instance(6, 3)).unwrap();
         ex.open_sealed_round(MarketId(0), SealedRoundConfig::default())
@@ -1026,9 +961,7 @@ mod tests {
         use ssa_core::snapshot::ValuationSnapshot;
         use ssa_mechanism::sealed_bid::{commit_to, nonce_from_seed, ParticipantKind};
 
-        let mut ex = SpectrumExchange::builder()
-            .drain_mode(DrainMode::Sequential)
-            .build();
+        let mut ex = SpectrumExchange::new();
         ex.open_market(MarketId(5), instance(6, 11)).unwrap();
         // a round over a market with pending traffic is rejected
         ex.submit(

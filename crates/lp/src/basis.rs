@@ -23,7 +23,11 @@
 //! FTRAN of a sparse right-hand side and the pivot-row BTRAN run
 //! hyper-sparse (Gilbert–Peierls) into a [`SparseVector`] and fall back to
 //! the dense kernels by themselves once the reach passes a density cutoff;
-//! [`SparsityStats`] counts both outcomes. The property tests check the
+//! [`SparseVector::is_sparse`] tells the two outcomes apart, and the
+//! simplex engine counts them into its [`SolveStats`](crate::SolveStats).
+//! Every solve reads the factorization through `&self` and works in a
+//! caller-owned [`SolveScratch`], so one factorization can be shared
+//! across threads, each with its own scratch. The property tests check the
 //! factorization by its residuals and the simplex built on it against the
 //! dense oracle ([`crate::dense`]).
 //!
@@ -149,96 +153,38 @@ impl SparseVector {
     }
 }
 
-/// Cumulative hyper-sparse solve counters of one factorization (monotone
-/// over its lifetime; take deltas across a solve to attribute per-solve
-/// work). Only the sparse-capable entry points
-/// ([`ForrestTomlinLu::ftran_sparse_into`] /
-/// [`ForrestTomlinLu::btran_unit_into`]) are tracked: `*_sparse +
-/// *_dense` is the number of tracked solves, and the density sums cover
-/// both (a dense fallback counts `m / m`).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct SparsityStats {
-    /// FTRAN solves answered by the hyper-sparse (Gilbert–Peierls) path.
-    pub ftran_sparse: u64,
-    /// FTRAN solves that fell back to the dense kernel (reach exceeded the
-    /// density cutoff).
-    pub ftran_dense: u64,
-    /// Pivot-row BTRANs answered by the hyper-sparse path.
-    pub btran_sparse: u64,
-    /// Pivot-row BTRANs that fell back to the dense kernel.
-    pub btran_dense: u64,
-    /// Summed result pattern sizes over all tracked solves.
-    pub result_nnz: u64,
-    /// Summed result lengths (`m`) over all tracked solves.
-    pub result_len: u64,
-}
-
-impl SparsityStats {
-    /// Field-wise difference against an earlier snapshot of the same
-    /// factorization (saturating, so a factorization swap never underflows).
-    pub fn delta_since(self, baseline: SparsityStats) -> SparsityStats {
-        SparsityStats {
-            ftran_sparse: self.ftran_sparse.saturating_sub(baseline.ftran_sparse),
-            ftran_dense: self.ftran_dense.saturating_sub(baseline.ftran_dense),
-            btran_sparse: self.btran_sparse.saturating_sub(baseline.btran_sparse),
-            btran_dense: self.btran_dense.saturating_sub(baseline.btran_dense),
-            result_nnz: self.result_nnz.saturating_sub(baseline.result_nnz),
-            result_len: self.result_len.saturating_sub(baseline.result_len),
-        }
-    }
-
-    /// Average result density (`nnz / m`) over the tracked solves, `1.0`
-    /// when nothing was tracked.
-    pub fn avg_density(self) -> f64 {
-        if self.result_len > 0 {
-            self.result_nnz as f64 / self.result_len as f64
-        } else {
-            1.0
-        }
-    }
-}
-
-/// Interior-mutability counters behind [`SparsityStats`]: the solve methods
-/// take `&self`, so the factorizations count through `Cell`s.
+/// The caller-owned workspaces of the [`ForrestTomlinLu`] solves. A solve
+/// only reads the factorization, so threads that share one factorization
+/// each bring their own scratch. The buffers grow to `m` on first use and
+/// are reused after; the hyper-sparse ones are all zero (marks all unset)
+/// between calls.
 #[derive(Clone, Debug, Default)]
-struct SparsityCounters {
-    ftran_sparse: std::cell::Cell<u64>,
-    ftran_dense: std::cell::Cell<u64>,
-    btran_sparse: std::cell::Cell<u64>,
-    btran_dense: std::cell::Cell<u64>,
-    result_nnz: std::cell::Cell<u64>,
-    result_len: std::cell::Cell<u64>,
+pub struct SolveScratch {
+    /// Dense kernels: FTRAN rhs, BTRAN cost, the permuted solution, and
+    /// the unit cost of `btran_unit` (separate, because it calls `btran`).
+    x: Vec<f64>,
+    c: Vec<f64>,
+    s: Vec<f64>,
+    unit: Vec<f64>,
+    /// Hyper-sparse kernels: two value scratches, DFS marks and stack,
+    /// per-phase reach lists, and a support buffer.
+    sp_x: Vec<f64>,
+    sp_z: Vec<f64>,
+    mark: Vec<bool>,
+    stack: Vec<(usize, usize)>,
+    reach_a: Vec<usize>,
+    reach_b: Vec<usize>,
+    support: Vec<usize>,
 }
 
-impl SparsityCounters {
-    fn record_ftran(&self, sparse: bool, nnz: usize, m: usize) {
-        if sparse {
-            self.ftran_sparse.set(self.ftran_sparse.get() + 1);
-        } else {
-            self.ftran_dense.set(self.ftran_dense.get() + 1);
-        }
-        self.result_nnz.set(self.result_nnz.get() + nnz as u64);
-        self.result_len.set(self.result_len.get() + m as u64);
-    }
-
-    fn record_btran(&self, sparse: bool, nnz: usize, m: usize) {
-        if sparse {
-            self.btran_sparse.set(self.btran_sparse.get() + 1);
-        } else {
-            self.btran_dense.set(self.btran_dense.get() + 1);
-        }
-        self.result_nnz.set(self.result_nnz.get() + nnz as u64);
-        self.result_len.set(self.result_len.get() + m as u64);
-    }
-
-    fn snapshot(&self) -> SparsityStats {
-        SparsityStats {
-            ftran_sparse: self.ftran_sparse.get(),
-            ftran_dense: self.ftran_dense.get(),
-            btran_sparse: self.btran_sparse.get(),
-            btran_dense: self.btran_dense.get(),
-            result_nnz: self.result_nnz.get(),
-            result_len: self.result_len.get(),
+impl SolveScratch {
+    /// Grows the hyper-sparse value scratches and marks to `m` (they grow
+    /// together, and growing keeps them all zero).
+    fn grow_sparse(&mut self, m: usize) {
+        if self.sp_x.len() < m {
+            self.sp_x.resize(m, 0.0);
+            self.sp_z.resize(m, 0.0);
+            self.mark.resize(m, false);
         }
     }
 }
@@ -576,15 +522,6 @@ pub struct ForrestTomlinLu {
     etas: Vec<RowEta>,
     /// Total entries across the row etas (bounds FTRAN/BTRAN cost).
     eta_entries: usize,
-    /// Reusable solve workspaces (FTRAN rhs / BTRAN cost / permuted
-    /// solution / unit-cost vector): the solve methods take `&self` and run
-    /// once per pivot, so these avoid a heap allocation per call.
-    /// `scratch_unit` is separate because `btran_unit` calls `btran`, which
-    /// borrows the other two.
-    scratch_x: std::cell::RefCell<Vec<f64>>,
-    scratch_c: std::cell::RefCell<Vec<f64>>,
-    scratch_s: std::cell::RefCell<Vec<f64>>,
-    scratch_unit: std::cell::RefCell<Vec<f64>>,
     /// `step_of_row[r]` = step (= uid) that pivoted original row `r`
     /// (inverse of `prow`); drives the hyper-sparse L-phase reachability.
     step_of_row: Vec<usize>,
@@ -592,18 +529,6 @@ pub struct ForrestTomlinLu {
     /// entry of row `r`, in step order (the transposed-solve adjacency for
     /// BTRAN).
     l_rows: SlotLists<(usize, f64)>,
-    /// Hyper-sparse solve workspaces: two value scratches with an all-zero
-    /// invariant between calls, DFS marks/stack, per-phase reach lists, and
-    /// a support buffer.
-    sp_x: std::cell::RefCell<Vec<f64>>,
-    sp_z: std::cell::RefCell<Vec<f64>>,
-    sp_mark: std::cell::RefCell<Vec<bool>>,
-    sp_stack: std::cell::RefCell<Vec<(usize, usize)>>,
-    sp_reach_a: std::cell::RefCell<Vec<usize>>,
-    sp_reach_b: std::cell::RefCell<Vec<usize>>,
-    sp_support: std::cell::RefCell<Vec<usize>>,
-    /// Hyper-sparse solve counters (monotone over the lifetime).
-    counters: SparsityCounters,
 }
 
 impl ForrestTomlinLu {
@@ -703,7 +628,7 @@ impl ForrestTomlinLu {
         }
     }
 
-    fn lu_solve_into(&self, x: &mut [f64], w: &mut [f64]) {
+    fn lu_solve_into(&self, x: &mut [f64], w: &mut [f64], z: &mut Vec<f64>) {
         if self.m == 0 {
             // empty state (failed refactor): solves write zeros
             w.fill(0.0);
@@ -711,11 +636,10 @@ impl ForrestTomlinLu {
         }
         self.forward(x);
         // move to uid (= step) space: z_k lives at x[prow[k]]
-        let mut z = self.scratch_s.borrow_mut();
         z.clear();
         z.extend(self.prow.iter().map(|&r| x[r]));
-        self.apply_etas_ftran(&mut z);
-        self.backward(&mut z, w);
+        self.apply_etas_ftran(z);
+        self.backward(z, w);
     }
 
     /// Clears every factor structure: the state promised by a failed
@@ -752,36 +676,37 @@ impl ForrestTomlinLu {
     /// Gilbert–Peierls FTRAN into an indexed result; `false` means the
     /// reach exceeded the density cutoff and the caller should run the
     /// dense kernel instead.
-    fn ftran_hyper_sparse(&self, entries: &[(usize, f64)], w: &mut SparseVector) -> bool {
+    fn ftran_hyper_sparse(
+        &self,
+        entries: &[(usize, f64)],
+        w: &mut SparseVector,
+        scratch: &mut SolveScratch,
+    ) -> bool {
         let m = self.m;
         let cap = self.sparse_cap();
         if entries.len() > cap {
             return false;
         }
-        let mut x = self.sp_x.borrow_mut(); // original-row space
-        if x.len() < m {
-            x.resize(m, 0.0);
-        }
-        let mut z = self.sp_z.borrow_mut(); // uid space
-        if z.len() < m {
-            z.resize(m, 0.0);
-        }
-        let mut mark = self.sp_mark.borrow_mut();
-        if mark.len() < m {
-            mark.resize(m, false);
-        }
-        let mut stack = self.sp_stack.borrow_mut();
-        let mut reach_l = self.sp_reach_a.borrow_mut();
-        let mut reach_u = self.sp_reach_b.borrow_mut();
-        let mut zpat = self.sp_support.borrow_mut();
+        scratch.grow_sparse(m);
+        // x in original-row space, z in uid space
+        let SolveScratch {
+            sp_x: x,
+            sp_z: z,
+            mark,
+            stack,
+            reach_a: reach_l,
+            reach_b: reach_u,
+            support: zpat,
+            ..
+        } = scratch;
 
         // --- L phase (original-row space) ---
         let ok = symbolic_reach(
             entries.iter().filter(|e| e.1 != 0.0).map(|e| e.0),
             |r, i| self.l_col(self.step_of_row[r]).get(i).map(|e| e.0),
-            &mut mark,
-            &mut stack,
-            &mut reach_l,
+            mark,
+            stack,
+            reach_l,
             cap,
         );
         if !ok {
@@ -838,9 +763,9 @@ impl ForrestTomlinLu {
         let ok = symbolic_reach(
             zpat.iter().copied(),
             |j, idx| self.ucols[j].get(idx).map(|e| e.0),
-            &mut mark,
-            &mut stack,
-            &mut reach_u,
+            mark,
+            stack,
+            reach_u,
             cap,
         );
         if !ok {
@@ -872,25 +797,26 @@ impl ForrestTomlinLu {
     /// Gilbert–Peierls pivot-row BTRAN into an indexed result; same
     /// bail-to-dense contract as
     /// [`ftran_hyper_sparse`](Self::ftran_hyper_sparse).
-    fn btran_unit_hyper_sparse(&self, r: usize, y: &mut SparseVector) -> bool {
+    fn btran_unit_hyper_sparse(
+        &self,
+        r: usize,
+        y: &mut SparseVector,
+        scratch: &mut SolveScratch,
+    ) -> bool {
         let m = self.m;
         let cap = self.sparse_cap();
-        let mut c = self.sp_x.borrow_mut(); // uid space (cost image)
-        if c.len() < m {
-            c.resize(m, 0.0);
-        }
-        let mut s = self.sp_z.borrow_mut(); // uid space (Uᵀ solution)
-        if s.len() < m {
-            s.resize(m, 0.0);
-        }
-        let mut mark = self.sp_mark.borrow_mut();
-        if mark.len() < m {
-            mark.resize(m, false);
-        }
-        let mut stack = self.sp_stack.borrow_mut();
-        let mut reach_u = self.sp_reach_a.borrow_mut();
-        let mut reach_lt = self.sp_reach_b.borrow_mut();
-        let mut spat = self.sp_support.borrow_mut();
+        scratch.grow_sparse(m);
+        // both in uid space: c the cost image, s the Uᵀ solution
+        let SolveScratch {
+            sp_x: c,
+            sp_z: s,
+            mark,
+            stack,
+            reach_a: reach_u,
+            reach_b: reach_lt,
+            support: spat,
+            ..
+        } = scratch;
 
         // --- Uᵀ phase (uid space): the unit cost vector has a single
         // nonzero at the uid occupying slot r; value flows i → j along
@@ -900,9 +826,9 @@ impl ForrestTomlinLu {
         let ok = symbolic_reach(
             std::iter::once(t0),
             |i, idx| self.urows[i].get(idx).map(|e| e.0),
-            &mut mark,
-            &mut stack,
-            &mut reach_u,
+            mark,
+            stack,
+            reach_u,
             cap,
         );
         if !ok {
@@ -946,9 +872,9 @@ impl ForrestTomlinLu {
         let ok = symbolic_reach(
             spat.iter().copied(),
             |j, idx| self.l_row(self.prow[j]).get(idx).map(|e| e.0),
-            &mut mark,
-            &mut stack,
-            &mut reach_lt,
+            mark,
+            stack,
+            reach_lt,
             cap,
         );
         if !ok {
@@ -1335,39 +1261,42 @@ impl ForrestTomlinLu {
     /// FTRAN with a sparse right-hand side: `w = B⁻¹ a` where `a` is given
     /// as `(row, value)` entries. `w` (length `m`) is indexed by basis
     /// position.
-    pub fn ftran_sparse(&self, entries: &[(usize, f64)], w: &mut [f64]) {
+    pub fn ftran_sparse(
+        &self,
+        entries: &[(usize, f64)],
+        w: &mut [f64],
+        scratch: &mut SolveScratch,
+    ) {
         if self.m == 0 {
             w.fill(0.0);
             return;
         }
-        let mut x = self.scratch_x.borrow_mut();
+        let x = &mut scratch.x;
         x.clear();
         x.resize(self.m, 0.0);
         for &(i, a) in entries {
             x[i] += a;
         }
-        self.lu_solve_into(&mut x, w);
+        self.lu_solve_into(x, w, &mut scratch.s);
     }
 
     /// FTRAN with a dense right-hand side (used to recompute `x_B = B⁻¹ b`).
-    pub fn ftran_dense(&self, rhs: &[f64], w: &mut [f64]) {
-        let mut x = self.scratch_x.borrow_mut();
-        x.clear();
-        x.extend_from_slice(rhs);
-        self.lu_solve_into(&mut x, w);
+    pub fn ftran_dense(&self, rhs: &[f64], w: &mut [f64], scratch: &mut SolveScratch) {
+        scratch.x.clear();
+        scratch.x.extend_from_slice(rhs);
+        self.lu_solve_into(&mut scratch.x, w, &mut scratch.s);
     }
 
     /// BTRAN: `y = cᵦ B⁻¹` for the basic cost vector `cb` (indexed by basis
     /// position); `y` (length `m`) is indexed by original row.
-    pub fn btran(&self, cb: &[f64], y: &mut [f64]) {
+    pub fn btran(&self, cb: &[f64], y: &mut [f64], scratch: &mut SolveScratch) {
         // y = cᵦ B⁻¹ in uid space: solve Uᵀ s = ĉ over ascending positions,
         // apply the transposed row etas in reverse, then the transposed
         // forward elimination back in original-row space.
         let m = self.m;
-        let mut c = self.scratch_c.borrow_mut();
+        let SolveScratch { c, s, .. } = scratch;
         c.clear();
         c.extend(self.slot_of_uid.iter().map(|&slot| cb[slot]));
-        let mut s = self.scratch_s.borrow_mut();
         s.clear();
         s.resize(m, 0.0);
         for p in 0..m {
@@ -1378,7 +1307,7 @@ impl ForrestTomlinLu {
             }
             s[j] = v / self.diag[j];
         }
-        self.apply_etas_btran(&mut s);
+        self.apply_etas_btran(s);
         for v in y.iter_mut() {
             *v = 0.0;
         }
@@ -1396,54 +1325,52 @@ impl ForrestTomlinLu {
 
     /// Row `r` of `B⁻¹` (`rho = eᵣᵀ B⁻¹`, indexed by original row): the
     /// dense pivot row, used to drive artificials out.
-    pub fn btran_unit(&self, r: usize, rho: &mut [f64]) {
+    pub fn btran_unit(&self, r: usize, rho: &mut [f64], scratch: &mut SolveScratch) {
         if self.m == 0 {
             rho.fill(0.0);
             return;
         }
-        let mut cb = self.scratch_unit.borrow_mut();
+        let mut cb = std::mem::take(&mut scratch.unit);
         cb.clear();
         cb.resize(self.m, 0.0);
         cb[r] = 1.0;
-        self.btran(&cb, rho);
+        self.btran(&cb, rho, scratch);
+        scratch.unit = cb;
     }
 
     /// FTRAN with a sparse right-hand side into an indexed result: the
     /// hyper-sparse (Gilbert–Peierls) path while the reach stays below the
-    /// density cutoff, the dense kernel (with `w` marked dense) otherwise.
-    /// `w` keeps its current length when the factorization is empty.
-    pub fn ftran_sparse_into(&self, entries: &[(usize, f64)], w: &mut SparseVector) {
+    /// density cutoff, the dense kernel (with `w` marked dense) otherwise;
+    /// [`SparseVector::is_sparse`] tells which answered. `w` keeps its
+    /// current length, all zero and sparse, when the factorization is
+    /// empty.
+    pub fn ftran_sparse_into(
+        &self,
+        entries: &[(usize, f64)],
+        w: &mut SparseVector,
+        scratch: &mut SolveScratch,
+    ) {
         let m = self.m;
         if m == 0 {
             let keep = w.len();
             w.begin(keep);
-            return;
-        }
-        if self.ftran_hyper_sparse(entries, w) {
-            self.counters.record_ftran(true, w.pattern.len(), m);
-        } else {
+        } else if !self.ftran_hyper_sparse(entries, w, scratch) {
             w.begin_dense(m);
-            self.ftran_sparse(entries, &mut w.values);
-            self.counters.record_ftran(false, m, m);
+            self.ftran_sparse(entries, &mut w.values, scratch);
         }
     }
 
     /// Pivot-row BTRAN (`rho = eᵣᵀ B⁻¹`) into an indexed result; same
     /// sparse-or-dense contract as
     /// [`ftran_sparse_into`](Self::ftran_sparse_into).
-    pub fn btran_unit_into(&self, r: usize, rho: &mut SparseVector) {
+    pub fn btran_unit_into(&self, r: usize, rho: &mut SparseVector, scratch: &mut SolveScratch) {
         let m = self.m;
         if m == 0 {
             let keep = rho.len();
             rho.begin(keep);
-            return;
-        }
-        if self.btran_unit_hyper_sparse(r, rho) {
-            self.counters.record_btran(true, rho.pattern.len(), m);
-        } else {
+        } else if !self.btran_unit_hyper_sparse(r, rho, scratch) {
             rho.begin_dense(m);
-            self.btran_unit(r, &mut rho.values);
-            self.counters.record_btran(false, m, m);
+            self.btran_unit(r, &mut rho.values, scratch);
         }
     }
 
@@ -1481,12 +1408,6 @@ impl ForrestTomlinLu {
         spat.sort_unstable();
         spat.dedup();
         self.eliminate_and_commit(t, &s, spat.iter().copied())
-    }
-
-    /// Cumulative hyper-sparse solve counters over this factorization's
-    /// lifetime.
-    pub fn sparsity_stats(&self) -> SparsityStats {
-        self.counters.snapshot()
     }
 
     /// Applies the pivot that replaces the basis column at position `l` by
@@ -1601,27 +1522,6 @@ impl ForrestTomlinLu {
         true
     }
 
-    /// Frees the solve workspaces (the next solve grows them again, zeroed):
-    /// a fleet keeps one factorization per market between its solves.
-    pub(crate) fn release_workspaces(&mut self) {
-        for v in [
-            &self.scratch_x,
-            &self.scratch_c,
-            &self.scratch_s,
-            &self.scratch_unit,
-        ] {
-            v.take();
-        }
-        for v in [&self.sp_x, &self.sp_z] {
-            v.take();
-        }
-        for v in [&self.sp_reach_a, &self.sp_reach_b, &self.sp_support] {
-            v.take();
-        }
-        self.sp_mark.take();
-        self.sp_stack.take();
-    }
-
     /// Number of successful [`update`](Self::update)s since the last
     /// [`refactor`](Self::refactor).
     pub fn updates_since_refactor(&self) -> usize {
@@ -1666,6 +1566,7 @@ mod tests {
     fn check_roundtrip(factor: &mut ForrestTomlinLu, seed: u64, m: usize) {
         let cols = random_basis(seed, m);
         assert!(factor.refactor(m, &cols), "random basis must factorize");
+        let mut sc = SolveScratch::default();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
 
         // FTRAN: B w = a
@@ -1676,7 +1577,7 @@ mod tests {
             }
         }
         let mut w = vec![0.0f64; m];
-        factor.ftran_sparse(&a, &mut w);
+        factor.ftran_sparse(&a, &mut w, &mut sc);
         let bw = apply_b(m, &cols, &w);
         let mut dense_a = vec![0.0f64; m];
         for &(r, v) in &a {
@@ -1694,7 +1595,7 @@ mod tests {
         // BTRAN: y B = cb, i.e. y · (column c) = cb[c]
         let cb: Vec<f64> = (0..m).map(|_| rng.random_range(-3.0..3.0)).collect();
         let mut y = vec![0.0f64; m];
-        factor.btran(&cb, &mut y);
+        factor.btran(&cb, &mut y, &mut sc);
         for (c, col) in cols.iter().enumerate() {
             let dot: f64 = col.iter().map(|&(r, v)| y[r] * v).sum();
             assert!(
@@ -1707,11 +1608,11 @@ mod tests {
         // btran_unit row r agrees with btran on e_r
         let r = m / 2;
         let mut rho = vec![0.0f64; m];
-        factor.btran_unit(r, &mut rho);
+        factor.btran_unit(r, &mut rho, &mut sc);
         let mut er = vec![0.0f64; m];
         er[r] = 1.0;
         let mut yr = vec![0.0f64; m];
-        factor.btran(&er, &mut yr);
+        factor.btran(&er, &mut yr, &mut sc);
         for i in 0..m {
             assert!((rho[i] - yr[i]).abs() < 1e-10);
         }
@@ -1736,6 +1637,7 @@ mod tests {
         assert!(ft.refactor(m, &cols));
         let mut rng = StdRng::seed_from_u64(4242);
         let mut applied = 0usize;
+        let mut sc = SolveScratch::default();
         for _ in 0..8 {
             // a random replacement column
             let mut e: SparseColumn = Vec::new();
@@ -1746,7 +1648,7 @@ mod tests {
             }
             e.push((rng.random_range(0..m), 3.0));
             let mut w = vec![0.0f64; m];
-            ft.ftran_sparse(&e, &mut w);
+            ft.ftran_sparse(&e, &mut w, &mut sc);
             let bw = apply_b(m, &cols, &w);
             let mut dense_e = vec![0.0f64; m];
             for &(r, v) in &e {
@@ -1768,7 +1670,7 @@ mod tests {
             // the duals of the updated basis: y · (column c) = cb[c]
             let cb: Vec<f64> = (0..m).map(|_| rng.random_range(-1.0..1.0)).collect();
             let mut y = vec![0.0f64; m];
-            ft.btran(&cb, &mut y);
+            ft.btran(&cb, &mut y, &mut sc);
             for (c, col) in cols.iter().enumerate() {
                 let dot: f64 = col.iter().map(|&(r, v)| y[r] * v).sum();
                 assert!((dot - cb[c]).abs() < 1e-6, "btran residual at {c}");
@@ -1806,25 +1708,26 @@ mod tests {
         assert_eq!(factor.num_rows(), 0, "empty after failure");
 
         // every solve entry point is callable and writes zeros
+        let mut sc = SolveScratch::default();
         let cb = vec![1.0f64; m];
         let mut y = vec![f64::NAN; m];
-        factor.btran(&cb, &mut y);
+        factor.btran(&cb, &mut y, &mut sc);
         assert!(y.iter().all(|&v| v == 0.0), "btran zeros");
         let mut rho = vec![f64::NAN; m];
-        factor.btran_unit(2, &mut rho);
+        factor.btran_unit(2, &mut rho, &mut sc);
         assert!(rho.iter().all(|&v| v == 0.0), "btran_unit zeros");
         let mut w = vec![f64::NAN; m];
-        factor.ftran_dense(&cb, &mut w);
+        factor.ftran_dense(&cb, &mut w, &mut sc);
         assert!(w.iter().all(|&v| v == 0.0), "ftran_dense zeros");
         let mut w2 = vec![f64::NAN; m];
-        factor.ftran_sparse(&[(1, 1.0)], &mut w2);
+        factor.ftran_sparse(&[(1, 1.0)], &mut w2, &mut sc);
         assert!(w2.iter().all(|&v| v == 0.0), "ftran_sparse zeros");
 
         // and the factorization recovers on the next successful refactor
         assert!(factor.refactor(m, &good), "recovers");
         assert_eq!(factor.num_rows(), m);
         let mut w3 = vec![0.0f64; m];
-        factor.ftran_dense(&cb, &mut w3);
+        factor.ftran_dense(&cb, &mut w3, &mut sc);
         let bw = apply_b(m, &good, &w3);
         for r in 0..m {
             assert!((bw[r] - cb[r]).abs() < 1e-8, "row {r}");
@@ -1844,6 +1747,7 @@ mod tests {
             assert!(ft.refactor(m, &cols));
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
             let mut applied = 0usize;
+            let mut sc = SolveScratch::default();
             let mut w = vec![0.0f64; m];
             while applied < 40 {
                 let mut e: SparseColumn = Vec::new();
@@ -1853,7 +1757,7 @@ mod tests {
                     }
                 }
                 e.push((rng.random_range(0..m), 2.5));
-                ft.ftran_sparse(&e, &mut w);
+                ft.ftran_sparse(&e, &mut w, &mut sc);
                 let l = (0..m)
                     .max_by(|&a, &b| w[a].abs().partial_cmp(&w[b].abs()).unwrap())
                     .unwrap();
@@ -1869,8 +1773,8 @@ mod tests {
                     let rhs: Vec<f64> = (0..m).map(|_| rng.random_range(-2.0..2.0)).collect();
                     let mut w_upd = vec![0.0f64; m];
                     let mut w_fresh = vec![0.0f64; m];
-                    ft.ftran_dense(&rhs, &mut w_upd);
-                    fresh.ftran_dense(&rhs, &mut w_fresh);
+                    ft.ftran_dense(&rhs, &mut w_upd, &mut sc);
+                    fresh.ftran_dense(&rhs, &mut w_fresh, &mut sc);
                     for i in 0..m {
                         assert!(
                             (w_upd[i] - w_fresh[i]).abs() < 1e-6,
@@ -1880,8 +1784,8 @@ mod tests {
                     }
                     let mut y_upd = vec![0.0f64; m];
                     let mut y_fresh = vec![0.0f64; m];
-                    ft.btran(&rhs, &mut y_upd);
-                    fresh.btran(&rhs, &mut y_fresh);
+                    ft.btran(&rhs, &mut y_upd, &mut sc);
+                    fresh.btran(&rhs, &mut y_fresh, &mut sc);
                     for i in 0..m {
                         assert!(
                             (y_upd[i] - y_fresh[i]).abs() < 1e-6,
@@ -1962,6 +1866,19 @@ mod tests {
             let mut w_sv = SparseVector::zeros(m);
             let mut rho_sv = SparseVector::zeros(m);
             let mut pivots = 0usize;
+            let mut sc = SolveScratch::default();
+            // sparse FTRAN and BTRAN answers, and the summed result nnz and
+            // length (a dense answer counts its full length)
+            let (mut ftran_hits, mut btran_hits, mut nnz, mut len) = (0, 0, 0, 0);
+            let mut count = |v: &SparseVector| {
+                nnz += if v.is_sparse() {
+                    v.pattern().len()
+                } else {
+                    v.len()
+                };
+                len += v.len();
+                v.is_sparse()
+            };
             for round in 0..30 {
                 // block-local sparse rhs (1–3 entries) so the hyper-sparse
                 // path is actually the one exercised
@@ -1976,15 +1893,17 @@ mod tests {
                     }
                 }
                 let mut w_dense = vec![f64::NAN; m];
-                factor.ftran_sparse(&e, &mut w_dense);
-                factor.ftran_sparse_into(&e, &mut w_sv);
+                factor.ftran_sparse(&e, &mut w_dense, &mut sc);
+                factor.ftran_sparse_into(&e, &mut w_sv, &mut sc);
                 assert_sv_matches(&w_sv, &w_dense, 1e-7, &format!("ftran r{round}"));
+                ftran_hits += usize::from(count(&w_sv));
 
                 let r = rng.random_range(0..m);
                 let mut rho_dense = vec![f64::NAN; m];
-                factor.btran_unit(r, &mut rho_dense);
-                factor.btran_unit_into(r, &mut rho_sv);
+                factor.btran_unit(r, &mut rho_dense, &mut sc);
+                factor.btran_unit_into(r, &mut rho_sv, &mut sc);
                 assert_sv_matches(&rho_sv, &rho_dense, 1e-7, &format!("btran r{round}"));
+                btran_hits += usize::from(count(&rho_sv));
 
                 // pivot through the indexed update every few rounds so the
                 // spike path gets covered too
@@ -2004,21 +1923,17 @@ mod tests {
                 }
             }
             assert!(pivots > 0, "seed {seed}: sequence never pivoted");
-            let stats = factor.sparsity_stats();
             assert!(
-                stats.ftran_sparse > 0 && stats.btran_sparse > 0,
-                "seed {seed}: hyper-sparse path never taken: {stats:?}"
+                ftran_hits > 0 && btran_hits > 0,
+                "seed {seed}: hyper-sparse path never taken: {ftran_hits} {btran_hits}"
             );
-            assert!(
-                stats.avg_density() < 1.0,
-                "seed {seed}: density not tracked"
-            );
+            assert!(nnz < len, "seed {seed}: no result was sparse");
             // refactor from the updated columns and re-check once more
             assert!(factor.refactor(m, &cols), "seed {seed}: re-refactor");
             let e = vec![(m / 2, 1.0)];
             let mut w_dense = vec![f64::NAN; m];
-            factor.ftran_sparse(&e, &mut w_dense);
-            factor.ftran_sparse_into(&e, &mut w_sv);
+            factor.ftran_sparse(&e, &mut w_dense, &mut sc);
+            factor.ftran_sparse_into(&e, &mut w_sv, &mut sc);
             assert_sv_matches(&w_sv, &w_dense, 1e-7, "post-refactor");
         }
     }
@@ -2032,14 +1947,13 @@ mod tests {
         let mut ft = ForrestTomlinLu::default();
         assert!(ft.refactor(m, &cols));
         let e: SparseColumn = (0..m).map(|r| (r, 1.0 + 0.01 * r as f64)).collect();
+        let mut sc = SolveScratch::default();
         let mut w_dense = vec![f64::NAN; m];
-        ft.ftran_sparse(&e, &mut w_dense);
+        ft.ftran_sparse(&e, &mut w_dense, &mut sc);
         let mut w_sv = SparseVector::zeros(m);
-        ft.ftran_sparse_into(&e, &mut w_sv);
+        ft.ftran_sparse_into(&e, &mut w_sv, &mut sc);
         assert!(!w_sv.is_sparse(), "a full rhs must take the dense fallback");
         assert_sv_matches(&w_sv, &w_dense, 1e-9, "dense fallback");
-        let stats = ft.sparsity_stats();
-        assert!(stats.ftran_dense > 0, "fallback must be counted: {stats:?}");
     }
 
     /// The empty state (failed refactor) answers the indexed entry points
@@ -2051,13 +1965,77 @@ mod tests {
         singular[3] = singular[4].clone();
         let mut factor = ForrestTomlinLu::default();
         assert!(!factor.refactor(m, &singular));
+        let mut sc = SolveScratch::default();
         let mut w = SparseVector::zeros(m);
-        factor.ftran_sparse_into(&[(1, 1.0)], &mut w);
+        factor.ftran_sparse_into(&[(1, 1.0)], &mut w, &mut sc);
         assert_eq!(w.len(), m, "keeps length");
         assert!(w.values().iter().all(|&v| v == 0.0), "zeros");
         let mut rho = SparseVector::zeros(m);
-        factor.btran_unit_into(2, &mut rho);
+        factor.btran_unit_into(2, &mut rho, &mut sc);
         assert!(rho.values().iter().all(|&v| v == 0.0), "zeros");
+    }
+
+    /// Solves read the factorization and write only caller-owned scratch,
+    /// so a factorization can be shared across threads.
+    #[test]
+    fn factorization_is_send_and_sync() {
+        fn shared<T: Send + Sync>() {}
+        shared::<ForrestTomlinLu>();
+    }
+
+    /// Two threads share one updated factorization, each with its own
+    /// scratch, and get bit for bit the answers of one thread alone, on the
+    /// hyper-sparse and the dense paths.
+    #[test]
+    fn threads_sharing_a_factorization_match_one_thread() {
+        let m = 48;
+        let mut factor = ForrestTomlinLu::default();
+        assert!(factor.refactor(m, &block_basis(13, m)));
+        let mut sc = SolveScratch::default();
+        let mut w = SparseVector::zeros(m);
+        for r in [3, 20, 41] {
+            factor.ftran_sparse_into(&[(r, 2.5), ((r + 1) % m, 0.5)], &mut w, &mut sc);
+            assert!(factor.update_sparse(r, &w), "update at {r}");
+        }
+        // block-local right-hand sides (hyper-sparse) and one full one
+        // (dense fallback)
+        let mut rhs: Vec<SparseColumn> = (0..m)
+            .map(|r| vec![(r, 1.0), (r - r % BLOCK, 0.5)])
+            .collect();
+        rhs.push((0..m).map(|r| (r, 1.0 + 0.01 * r as f64)).collect());
+        let solve_all = |factor: &ForrestTomlinLu| -> Vec<Vec<u64>> {
+            let mut sc = SolveScratch::default();
+            let (mut w, mut rho) = (SparseVector::zeros(m), SparseVector::zeros(m));
+            let mut y = vec![0.0f64; m];
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            let mut out = Vec::new();
+            for (r, e) in rhs.iter().enumerate() {
+                factor.ftran_sparse_into(e, &mut w, &mut sc);
+                factor.btran_unit_into(r % m, &mut rho, &mut sc);
+                factor.btran(w.values(), &mut y, &mut sc);
+                out.extend([bits(w.values()), bits(rho.values()), bits(&y)]);
+            }
+            out
+        };
+        let alone = solve_all(&factor);
+        // both threads start solving together, so their solves overlap
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let threads: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        solve_all(&factor)
+                    })
+                })
+                .collect();
+            for thread in threads {
+                assert!(
+                    thread.join().expect("solver thread") == alone,
+                    "a thread's answers differ"
+                );
+            }
+        });
     }
 
     /// Sparse FT updates (spike built from the image's support) must track a
@@ -2072,6 +2050,7 @@ mod tests {
             assert!(ft.refactor(m, &cols));
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
             let mut applied = 0usize;
+            let mut sc = SolveScratch::default();
             let mut w = SparseVector::zeros(m);
             let mut guard = 0usize;
             while applied < 40 {
@@ -2087,7 +2066,7 @@ mod tests {
                         e.push((r, rng.random_range(-2.0..2.0)));
                     }
                 }
-                ft.ftran_sparse_into(&e, &mut w);
+                ft.ftran_sparse_into(&e, &mut w, &mut sc);
                 let l = (0..m)
                     .max_by(|&a, &b| w.value(a).abs().partial_cmp(&w.value(b).abs()).unwrap())
                     .unwrap();
@@ -2102,8 +2081,8 @@ mod tests {
                     let rhs: Vec<f64> = (0..m).map(|_| rng.random_range(-2.0..2.0)).collect();
                     let mut w_upd = vec![0.0f64; m];
                     let mut w_fresh = vec![0.0f64; m];
-                    ft.ftran_dense(&rhs, &mut w_upd);
-                    fresh.ftran_dense(&rhs, &mut w_fresh);
+                    ft.ftran_dense(&rhs, &mut w_upd, &mut sc);
+                    fresh.ftran_dense(&rhs, &mut w_fresh, &mut sc);
                     for i in 0..m {
                         assert!(
                             (w_upd[i] - w_fresh[i]).abs() < 1e-6,
@@ -2115,9 +2094,9 @@ mod tests {
                     // dense ones
                     let r = rng.random_range(0..m);
                     let mut rho_dense = vec![0.0f64; m];
-                    ft.btran_unit(r, &mut rho_dense);
+                    ft.btran_unit(r, &mut rho_dense, &mut sc);
                     let mut rho_sv = SparseVector::zeros(m);
-                    ft.btran_unit_into(r, &mut rho_sv);
+                    ft.btran_unit_into(r, &mut rho_sv, &mut sc);
                     assert_sv_matches(&rho_sv, &rho_dense, 1e-7, "mid-sequence btran");
                 }
             }
@@ -2481,16 +2460,17 @@ mod tests {
             let mut y = vec![f64::NAN; m];
             let mut w_sv = SparseVector::zeros(m);
             let mut rho_sv = SparseVector::zeros(m);
-            factor.ftran_sparse(&a, &mut w);
-            factor.btran(&cb, &mut y);
-            factor.ftran_sparse_into(&a, &mut w_sv);
-            factor.btran_unit_into(r, &mut rho_sv);
+            let mut sc = SolveScratch::default();
+            factor.ftran_sparse(&a, &mut w, &mut sc);
+            factor.btran(&cb, &mut y, &mut sc);
+            factor.ftran_sparse_into(&a, &mut w_sv, &mut sc);
+            factor.btran_unit_into(r, &mut rho_sv, &mut sc);
             if !ok {
                 proptest::prop_assert_eq!(factor.num_rows(), 0);
                 let mut w_dense = vec![f64::NAN; m];
-                factor.ftran_dense(&cb, &mut w_dense);
+                factor.ftran_dense(&cb, &mut w_dense, &mut sc);
                 let mut rho = vec![f64::NAN; m];
-                factor.btran_unit(r, &mut rho);
+                factor.btran_unit(r, &mut rho, &mut sc);
                 for v in [&w, &y, &w_dense, &rho, w_sv.values(), rho_sv.values()] {
                     proptest::prop_assert!(v.iter().all(|&x| x == 0.0), "a failed rebuild must solve to zeros");
                 }

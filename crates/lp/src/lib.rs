@@ -85,7 +85,7 @@ pub mod pricing;
 pub mod problem;
 pub mod simplex;
 
-pub use basis::{ForrestTomlinLu, SparseVector, SparsityStats};
+pub use basis::{ForrestTomlinLu, SolveScratch, SparseVector};
 pub use column_generation::{
     is_native_tag, is_relief_tag, ColumnGenerationError, ColumnGenerationResult, ColumnSource,
     GeneratedColumn, MasterProblem, DEAD_COLUMN_TAG_BASE, ROW_RELIEF_TAG_BASE,

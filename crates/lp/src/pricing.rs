@@ -262,7 +262,7 @@ impl SteepestEdgePricing {
     /// Notifies the rule of a scheduled refactorization; `norm_sq(j)`
     /// computes the exact `‖B⁻¹a_j‖²` for one column (one sparse FTRAN
     /// against the freshly built factors).
-    pub fn notify_refactor(&mut self, norm_sq: &dyn Fn(usize) -> f64) {
+    pub fn notify_refactor(&mut self, norm_sq: &mut dyn FnMut(usize) -> f64) {
         // exact reset for the candidate set — bounded by the list length
         // (≤ min_keep + chunk), amortized over the refactor interval
         let mut max_w = 1.0f64;
@@ -325,7 +325,7 @@ mod tests {
         // populate the candidate list
         let _ = p.select_entering(rc.len(), 1e-9, &|_| true, &|j| rc[j]);
         assert!(!p.candidates.is_empty());
-        p.notify_refactor(&|j| (j as f64) * 10.0);
+        p.notify_refactor(&mut |j| (j as f64) * 10.0);
         for &j in &p.candidates {
             assert!((p.weights[j] - (1.0 + j as f64 * 10.0)).abs() < 1e-12);
         }

@@ -47,7 +47,7 @@
 //! [`crate::dense`]; property tests assert the engine agrees with it to
 //! 1e-6.
 
-use crate::basis::{ForrestTomlinLu, SparseColumn, SparseVector, SparsityStats};
+use crate::basis::{ForrestTomlinLu, SolveScratch, SparseColumn, SparseVector};
 use crate::pricing::SteepestEdgePricing;
 use crate::problem::{CscMatrix, LinearProgram, Relation, Sense};
 use serde::{Deserialize, Serialize};
@@ -295,15 +295,15 @@ pub(crate) struct Revised {
     factor: ForrestTomlinLu,
     /// current basic solution B⁻¹ b
     xb: Vec<f64>,
+    /// the factorization's solve workspaces, held only during a solve
+    scratch: SolveScratch,
 
-    /// Factorization sparsity counters at solve start (the factorization's
-    /// counters are monotone over its lifetime, which for a resumed solve
-    /// began in a *previous* solve); [`Revised::extract`] reports the delta
-    /// since this snapshot.
-    sparsity_baseline: SparsityStats,
-
-    /// this solve's pivot and rebuild counters
+    /// this solve's counters
     counts: SolveStats,
+    /// summed pattern sizes and lengths of this solve's indexed
+    /// FTRAN/BTRAN results ([`Revised::count_solve`])
+    result_nnz: usize,
+    result_len: usize,
     /// Set when a mid-solve refactorization found the current basis
     /// numerically singular (the factorization is then empty, per the
     /// [`ForrestTomlinLu::refactor`] contract). [`Revised::run`] answers
@@ -362,8 +362,10 @@ impl Revised {
             in_basis: vec![false; n_total],
             factor: ForrestTomlinLu::default(),
             xb: Vec::new(),
-            sparsity_baseline: SparsityStats::default(),
+            scratch: SolveScratch::default(),
             counts: SolveStats::default(),
+            result_nnz: 0,
+            result_len: 0,
             factor_failed: false,
         };
         for v in 0..n {
@@ -465,14 +467,14 @@ impl Revised {
         let budget = pivot_budget(self.m, self.n_total);
         self.max_iterations = self.limits.max_iterations.unwrap_or(budget);
         self.counts = SolveStats::default();
+        (self.result_nnz, self.result_len) = (0, 0);
         self.factor_failed = false;
-        self.sparsity_baseline = self.factor.sparsity_stats();
         let rhs = lp.constraints().iter().enumerate();
         self.b = rhs.map(|(i, c)| row_sign(lp, i) * c.rhs).collect();
         let status = self.run(lp);
         let solution = self.extract(lp, status);
         (self.b, self.xb) = (Vec::new(), Vec::new());
-        self.factor.release_workspaces();
+        self.scratch = SolveScratch::default();
         solution
     }
 
@@ -619,8 +621,8 @@ impl Revised {
     /// `false` only if that rebuild fails.
     fn recompute_xb(&mut self) -> bool {
         self.xb = vec![0.0; self.m];
-        let (factor, xb) = (&self.factor, &mut self.xb);
-        factor.ftran_dense(&self.b, xb);
+        self.factor
+            .ftran_dense(&self.b, &mut self.xb, &mut self.scratch);
         self.residual_inf_norm() <= 1e-6 || self.refactor()
     }
 
@@ -674,17 +676,48 @@ impl Revised {
         if self.xb.len() != self.m {
             self.xb = vec![0.0; self.m];
         }
-        let (factor, xb) = (&self.factor, &mut self.xb);
-        factor.ftran_dense(&self.b, xb);
+        self.factor
+            .ftran_dense(&self.b, &mut self.xb, &mut self.scratch);
         true
     }
 
     /// FTRAN of global column `j` into a [`SparseVector`] (indexed below
-    /// the factorization's density cutoff, dense above it).
-    fn ftran_into(&self, j: usize, w: &mut SparseVector, scratch: &mut SparseColumn) {
-        scratch.clear();
-        self.for_each_entry(j, |r, v| scratch.push((r, v)));
-        self.factor.ftran_sparse_into(scratch, w);
+    /// the factorization's density cutoff, dense above it), counted.
+    fn ftran_into(&mut self, j: usize, w: &mut SparseVector, col: &mut SparseColumn) {
+        col.clear();
+        self.for_each_entry(j, |r, v| col.push((r, v)));
+        self.factor.ftran_sparse_into(col, w, &mut self.scratch);
+        self.count_solve(true, w);
+    }
+
+    /// Pivot-row BTRAN (`ρ = e_l B⁻¹`) into a [`SparseVector`], counted.
+    fn btran_row_into(&mut self, l: usize, rho: &mut SparseVector) {
+        self.factor.btran_unit_into(l, rho, &mut self.scratch);
+        self.count_solve(false, rho);
+    }
+
+    /// Counts one indexed FTRAN (`ftran`) or pivot-row BTRAN result `v`
+    /// into this solve's counters. A dense fallback counts `m` result
+    /// entries; an empty factorization answered nothing and counts nothing.
+    fn count_solve(&mut self, ftran: bool, v: &SparseVector) {
+        let m = self.factor.num_rows();
+        if m == 0 {
+            return;
+        }
+        let c = &mut self.counts;
+        let (hits, fallbacks) = if ftran {
+            (&mut c.ftran_sparse_hits, &mut c.ftran_dense_fallbacks)
+        } else {
+            (&mut c.btran_sparse_hits, &mut c.btran_dense_fallbacks)
+        };
+        if v.is_sparse() {
+            *hits += 1;
+            self.result_nnz += v.pattern().len();
+        } else {
+            *fallbacks += 1;
+            self.result_nnz += m;
+        }
+        self.result_len += m;
     }
 
     /// Reduced cost of column `j` at duals `y`.
@@ -780,7 +813,7 @@ impl Revised {
                 #[cfg(debug_assertions)]
                 let xb_updated: Vec<f64> = {
                     let mut v = vec![0.0f64; m];
-                    self.factor.ftran_dense(&self.b, &mut v);
+                    self.factor.ftran_dense(&self.b, &mut v, &mut self.scratch);
                     v
                 };
                 if !self.refactor() {
@@ -802,27 +835,21 @@ impl Revised {
                 // the rebuild resets accumulated drift; so should the duals
                 y_valid = false;
                 // steepest edge resets its candidate weights to exact norms
-                // against the fresh factors (one sparse FTRAN per candidate)
-                {
-                    let this = &*self;
-                    let scratch =
-                        std::cell::RefCell::new((SparseVector::zeros(m), SparseColumn::new()));
-                    let exact = |j: usize| -> f64 {
-                        let (w, cs) = &mut *scratch.borrow_mut();
-                        this.ftran_into(j, w, cs);
-                        let mut s = 0.0;
-                        w.for_each_nonzero(|_, v| s += v * v);
-                        s
-                    };
-                    pricer.notify_refactor(&exact);
-                }
+                // against the fresh factors (one sparse FTRAN per candidate,
+                // in `w`, which holds nothing until the entering FTRAN)
+                pricer.notify_refactor(&mut |j| {
+                    self.ftran_into(j, &mut w, &mut col_scratch);
+                    let mut s = 0.0;
+                    w.for_each_nonzero(|_, v| s += v * v);
+                    s
+                });
             }
 
             if !y_valid {
                 for (r, c) in cb.iter_mut().enumerate() {
                     *c = cost[self.basis[r]];
                 }
-                self.factor.btran(&cb, &mut y);
+                self.factor.btran(&cb, &mut y, &mut self.scratch);
                 y_valid = true;
                 y_fresh = true;
             }
@@ -849,7 +876,7 @@ impl Revised {
                     for (r, c) in cb.iter_mut().enumerate() {
                         *c = cost[self.basis[r]];
                     }
-                    self.factor.btran(&cb, &mut y);
+                    self.factor.btran(&cb, &mut y, &mut self.scratch);
                     y_fresh = true;
                     select(self, &y, pricer)?
                 }
@@ -931,7 +958,7 @@ impl Revised {
                     for (r, c) in cb.iter_mut().enumerate() {
                         *c = cost[self.basis[r]];
                     }
-                    self.factor.btran(&cb, &mut y);
+                    self.factor.btran(&cb, &mut y, &mut self.scratch);
                     y_fresh = true;
                     continue;
                 }
@@ -966,7 +993,7 @@ impl Revised {
             // asked.
             let rho_valid = pricer.wants_pivot_row();
             if rho_valid {
-                self.factor.btran_unit_into(l, &mut rho_buf);
+                self.btran_row_into(l, &mut rho_buf);
             }
             let leaving_col = self.basis[l];
             let wl = w.value(l);
@@ -1016,9 +1043,9 @@ impl Revised {
 
     /// Recomputes the nonbasic reduced costs `rc_j = c_j − y·a_j` from fresh
     /// duals `y = c_B B⁻¹` (one BTRAN plus `O(nnz)`); basic columns read 0.
-    fn recompute_reduced_costs(&self, rc: &mut [f64], y: &mut [f64]) {
+    fn recompute_reduced_costs(&mut self, rc: &mut [f64], y: &mut [f64]) {
         let cb: Vec<f64> = self.basis.iter().map(|&c| self.cost[c]).collect();
-        self.factor.btran(&cb, y);
+        self.factor.btran(&cb, y, &mut self.scratch);
         for (j, r) in rc.iter_mut().enumerate() {
             *r = if self.in_basis[j] {
                 0.0
@@ -1119,7 +1146,7 @@ impl Revised {
             };
 
             // Pivot row of the outgoing basis.
-            self.factor.btran_unit_into(l, &mut rho);
+            self.btran_row_into(l, &mut rho);
 
             // Scatter the pivot row into the columns it touches: for every
             // support row `i`, walk its logicals and its structural entries
@@ -1313,7 +1340,7 @@ impl Revised {
             // non-zero pivot element in row r. The pivot element alone is
             // (row r of B⁻¹) · a_j — one BTRAN-unit, then O(nnz) per
             // candidate.
-            self.factor.btran_unit(r, &mut rho);
+            self.factor.btran_unit(r, &mut rho, &mut self.scratch);
             let mut target = None;
             for j in 0..self.first_artificial {
                 if self.in_basis[j] || !self.enterable[j] {
@@ -1436,7 +1463,7 @@ impl Revised {
         status.unwrap_or(LpStatus::Optimal)
     }
 
-    fn extract(&self, lp: &LinearProgram, status: LpStatus) -> LpSolution {
+    fn extract(&mut self, lp: &LinearProgram, status: LpStatus) -> LpSolution {
         let mut x = vec![0.0f64; self.n];
         for (r, &c) in self.basis.iter().enumerate() {
             if c < self.n {
@@ -1448,29 +1475,20 @@ impl Revised {
         // row normalization signs and the sense flip.
         let cb: Vec<f64> = (0..self.m).map(|r| self.cost[self.basis[r]]).collect();
         let mut y = vec![0.0f64; self.m];
-        self.factor.btran(&cb, &mut y);
+        self.factor.btran(&cb, &mut y, &mut self.scratch);
         let duals: Vec<f64> = (0..self.m)
             .map(|i| sense_sign * row_sign(lp, i) * y[i])
             .collect();
         let objective = lp.objective_value(&x);
-        let sp = self
-            .factor
-            .sparsity_stats()
-            .delta_since(self.sparsity_baseline);
-        let stats = SolveStats {
-            ftran_sparse_hits: sp.ftran_sparse as usize,
-            ftran_dense_fallbacks: sp.ftran_dense as usize,
-            btran_sparse_hits: sp.btran_sparse as usize,
-            btran_dense_fallbacks: sp.btran_dense as usize,
-            avg_result_density: sp.avg_density(),
-            ..self.counts
-        };
+        if self.result_len > 0 {
+            self.counts.avg_result_density = self.result_nnz as f64 / self.result_len as f64;
+        }
         LpSolution {
             status,
             objective,
             x,
             duals,
-            stats,
+            stats: self.counts,
         }
     }
 }

@@ -14,8 +14,8 @@
 //! * the claimed fractional optimum is checked by **certificate**, not by
 //!   re-solving: primal feasibility, dual nonnegativity, strong duality,
 //!   and one demand-oracle sweep proving no bundle has positive reduced
-//!   cost (transcripts without a certificate — sessions that enumerate
-//!   every bundle — fall back to a from-scratch re-solve);
+//!   cost (a transcript is outside input, so one without a certificate
+//!   falls back to a from-scratch re-solve);
 //! * the claimed allocation is checked by **deterministic rounding
 //!   replay**: the rounding stage is a pure function of (instance,
 //!   fractional, options), so running it again must reproduce the claimed

@@ -214,9 +214,8 @@ pub struct SealedTranscript {
     pub roster: Vec<(u64, usize)>,
     /// The claimed LP optimum.
     pub fractional: FractionalAssignment,
-    /// The claimed optimality certificate (canonical-layout duals); `None`
-    /// on solver configurations without a cached master (bundle
-    /// enumeration), where the audit falls back to a from-scratch re-solve.
+    /// The claimed optimality certificate (canonical-layout duals); the
+    /// audit falls back to a from-scratch re-solve when it is `None`.
     pub certificate: Option<DualCertificate>,
     /// The claimed allocation (bundle per final bidder index).
     pub allocation: Vec<ChannelSet>,

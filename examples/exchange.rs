@@ -15,7 +15,7 @@
 //! [`ExchangeStats`]: spectrum_auctions::exchange::ExchangeStats
 
 use spectrum_auctions::auction::solver::SolverBuilder;
-use spectrum_auctions::exchange::{DrainMode, SpectrumExchange};
+use spectrum_auctions::exchange::SpectrumExchange;
 use spectrum_auctions::workloads::{multi_market_scenario, MultiMarketConfig};
 
 fn main() {
@@ -25,10 +25,9 @@ fn main() {
     let scenario = multi_market_scenario(&config, 1.0);
 
     // 2. The exchange: per-market sessions configured through the same
-    //    SolverBuilder as everywhere else; pooled drains.
+    //    SolverBuilder as everywhere else; drains run on the pool.
     let mut exchange = SpectrumExchange::builder()
         .solver(SolverBuilder::new().rounding(7, 8))
-        .drain_mode(DrainMode::Pooled)
         .build();
     for (id, generated) in &scenario.markets {
         exchange

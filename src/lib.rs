@@ -52,9 +52,9 @@
 //!
 //! The builder is the one configuration value: the one-shot solver,
 //! sessions, the exchange, sealed-bid transcripts and the truthful
-//! mechanism's verifier all hold a `SolverBuilder`. It carries five
-//! settings — the rounding seed and trial count, the pricing-round cap,
-//! the seed depth and bundle enumeration. Every other value the pipeline
+//! mechanism's verifier all hold a `SolverBuilder`. It carries four
+//! settings — the rounding seed and trial count, the pricing-round cap
+//! and the seed depth. Every other value the pipeline
 //! reads has one value in use and is a constant of the module that reads
 //! it, down to the LP crate, whose only settable value is the pricing-round
 //! cap of [`MasterProblem::generate_columns`](lp::MasterProblem::generate_columns).
@@ -64,7 +64,7 @@
 //! |---|---|
 //! | `SolverOptions { rounding: RoundingOptions { seed, trials }, .. }` | `SolverBuilder::new().rounding(seed, trials)` |
 //! | `SolverOptions` as a value (`SpectrumAuctionSolver::new`, `AuctionSession::new`, `SealedTranscript::options`, `AuctionSession::options()`) | removed: each takes or holds a `SolverBuilder` |
-//! | `LpFormulationOptions { seed_top_bundles, enumerate_all_bundles, column_generation: ColumnGeneration { max_rounds, .. }, .. }` | [`SolverBuilder::seed_top_bundles`](auction::solver::SolverBuilder::seed_top_bundles), [`enumerate_all_bundles`](auction::solver::SolverBuilder::enumerate_all_bundles), [`max_pricing_rounds`](auction::solver::SolverBuilder::max_pricing_rounds); `solve_relaxation` and `try_solve_relaxation` take `&SolverBuilder` |
+//! | `LpFormulationOptions { seed_top_bundles, enumerate_all_bundles, column_generation: ColumnGeneration { max_rounds, .. }, .. }` | [`SolverBuilder::seed_top_bundles`](auction::solver::SolverBuilder::seed_top_bundles), `enumerate_all_bundles` (removed since; see below), [`max_pricing_rounds`](auction::solver::SolverBuilder::max_pricing_rounds); `solve_relaxation` and `try_solve_relaxation` take `&SolverBuilder` |
 //! | `LpFormulationOptions { column_pool_capacity, compaction_threshold, support_tolerance, column_generation: ColumnGeneration { simplex, reduced_cost_tolerance, .. }, .. }` | `column_pool_capacity` went with the pool; the others are constants: the session's deadweight limit (0.25, which now triggers a seeded rebuild instead of a compaction), the relaxation's support tolerance (1e-9); the LP engine's settings and the master's reduced-cost tolerance (1e-7) are constants of `ssa_lp` |
 //! | `SolverBuilder::options()` | removed: pass the builder itself |
 //! | `SolverBuilder::column_pool_capacity(n)` | removed (it had no caller), and the pool with it: a session's master is its only column store |
@@ -116,6 +116,10 @@
 //! | the compaction counter of `RelaxationInfo` | removed with compaction: [`SessionStats::cold_resolves`](auction::session::SessionStats::cold_resolves) counts the deadweight rebuilds with the other rebuilds, and [`RelaxationInfo::rows_deactivated`](auction::lp_formulation::RelaxationInfo::rows_deactivated) counts per master |
 //! | `lp::WarmStart`, `lp::BasisVar`, `lp::solve_with_warm_start(lp, warm)` | removed: a [`MasterProblem`](lp::MasterProblem) keeps one live simplex engine for its whole life and resumes it on every [`solve`](lp::MasterProblem::solve); build a master over the LP's rows and columns instead of carrying a state between one-shot solves, and use [`lp::solve`] for a cold one-shot solve |
 //! | `WarmStart::into_basis_only()` | removed with the state type: to re-price a problem with the same rows, change its objective on the same master with [`MasterProblem::set_column_objective`](lp::MasterProblem::set_column_objective) and solve again; a problem with other rows gets a fresh master |
+//! | `SolverBuilder::enumerate_all_bundles(true)` | removed: a session always prices columns through the demand oracles and carries a dual certificate; the enumerated master is [`solve_relaxation_explicit(instance)`](auction::lp_formulation::solve_relaxation_explicit), the reference the tests check sessions against |
+//! | `exchange::DrainMode`, `ExchangeBuilder::drain_mode(mode)` | removed: a drain always fans its shards across the work-stealing pool, and `SSA_POOL_THREADS=1` runs it inline on the calling thread, as `DrainMode::Sequential` did |
+//! | `lp::SparsityStats`, `ForrestTomlinLu::sparsity_stats()` | removed: the engine counts each indexed FTRAN/BTRAN into its [`lp::SolveStats`]; a direct caller of the factorization reads [`SparseVector::is_sparse`](lp::SparseVector::is_sparse) and `pattern().len()` of each result |
+//! | `ForrestTomlinLu::{ftran_sparse, ftran_dense, btran, btran_unit, ftran_sparse_into, btran_unit_into}(.., out)` | the same calls with a trailing `&mut` [`lp::SolveScratch`]: the factorization keeps no solve workspaces, so threads can share one factorization, each with its own scratch |
 //! | `MasterProblem::solve_warm()` and the cold `MasterProblem::solve(&self)` | one [`MasterProblem::solve(&mut self)`](lp::MasterProblem::solve): it resumes the master's own engine, and starts cold on a fresh master or after a factorization collapse; for a cold solve of the same LP build a fresh master |
 //!
 //! ## One master, and the seed depth

@@ -14,7 +14,7 @@ use spectrum_auctions::auction::session::MarketEvent;
 use spectrum_auctions::auction::session::{apply_event, AuctionSession, MarketId};
 use spectrum_auctions::auction::solver::SolverBuilder;
 use spectrum_auctions::auction::{ChannelSet, XorValuation};
-use spectrum_auctions::exchange::{DrainMode, SpectrumExchange};
+use spectrum_auctions::exchange::SpectrumExchange;
 use spectrum_auctions::workloads::{
     multi_market_scenario, protocol_scenario, MultiMarketConfig, ScenarioConfig,
 };
@@ -28,10 +28,7 @@ fn run_stream(num_batches: usize) {
     let scenario = multi_market_scenario(&config, 1.0);
 
     let solver = || SolverBuilder::new().rounding(5, 4);
-    let mut exchange = SpectrumExchange::builder()
-        .solver(solver())
-        .drain_mode(DrainMode::Pooled)
-        .build();
+    let mut exchange = SpectrumExchange::builder().solver(solver()).build();
     let mut reference: HashMap<MarketId, AuctionSession> = HashMap::new();
     for (id, generated) in &scenario.markets {
         exchange

@@ -9,9 +9,10 @@
 //!   ([`AuditFinding::ShillArrival`]), selective reveal suppression
 //!   ([`AuditFinding::RevealSuppressed`]), and any single post-hoc mutation
 //!   of a revealed bid, a payment entry, or a forfeiture entry.
-//! * Both hold for a column-generation session and for a
-//!   bundle-enumerating session whose transcripts carry no dual certificate
-//!   (the audit re-solves from scratch there).
+//! * A transcript is outside input, so the audit must also work without
+//!   its dual certificate. Every audit here runs twice: on the transcript
+//!   as sealed, and with the certificate stripped, where the audit
+//!   re-solves from scratch and must reach the same findings.
 //!
 //! [`AuctionSession`]: spectrum_auctions::auction::session::AuctionSession
 
@@ -25,8 +26,9 @@ use spectrum_auctions::auction::{
 };
 use spectrum_auctions::conflict_graph::{ConflictGraph, VertexOrdering, WeightedConflictGraph};
 use spectrum_auctions::mechanism::sealed_bid::{
-    audit, commit_to, nonce_from_seed, AuditFinding, CollateralPolicy, ForfeitReason, Opening,
-    ParticipantKind, RevealStatus, SealedBidAuction, SealedBidError, SealedBidOutcome,
+    audit, commit_to, nonce_from_seed, AuditFinding, AuditReport, CollateralPolicy, ForfeitReason,
+    Opening, ParticipantKind, RevealStatus, SealedBidAuction, SealedBidError, SealedBidOutcome,
+    SealedTranscript,
 };
 use spectrum_auctions::workloads::{
     colluding_clique_scenario, shill_stream_scenario, sniping_burst_scenario,
@@ -34,21 +36,13 @@ use spectrum_auctions::workloads::{
 };
 use std::sync::Arc;
 
-/// Solver combos as `enumerate_all_bundles`: the default column-generation
-/// session, and an enumerating session that keeps no master, so its
-/// transcripts carry no dual certificate and the audit falls back to a
-/// from-scratch re-solve.
-const COMBOS: [bool; 2] = [false, true];
-
 const ROUNDING_SEED: u64 = 9;
 const ROUNDING_TRIALS: usize = 16;
 
 fn sealed_session(
     market: &AdversarialSealedMarket,
-    enumerate: bool,
 ) -> spectrum_auctions::auction::session::AuctionSession {
     SolverBuilder::new()
-        .enumerate_all_bundles(enumerate)
         .rounding(ROUNDING_SEED, ROUNDING_TRIALS)
         .session(market.initial.instance.clone())
 }
@@ -56,12 +50,8 @@ fn sealed_session(
 /// Runs the commit–reveal protocol over `market`'s specs: every participant
 /// commits, the revealers open, and (optionally) the auctioneer injects the
 /// market's shill plan during the reveal phase.
-fn drive(
-    market: &AdversarialSealedMarket,
-    enumerate: bool,
-    inject_shills: bool,
-) -> SealedBidOutcome {
-    let session = sealed_session(market, enumerate);
+fn drive(market: &AdversarialSealedMarket, inject_shills: bool) -> SealedBidOutcome {
+    let session = sealed_session(market);
     let mut auction =
         SealedBidAuction::open(session, CollateralPolicy::default()).expect("open sealed round");
     let mut ids = Vec::with_capacity(market.participants.len());
@@ -106,8 +96,8 @@ fn drive(
 /// Submits the same revealed bids directly to a plain session — no
 /// commitments, no placeholders — resolves under identical options, and
 /// computes the first-price payments the revealed bids imply.
-fn direct(market: &AdversarialSealedMarket, enumerate: bool) -> (AuctionOutcome, Vec<f64>) {
-    let mut session = sealed_session(market, enumerate);
+fn direct(market: &AdversarialSealedMarket) -> (AuctionOutcome, Vec<f64>) {
+    let mut session = sealed_session(market);
     for spec in &market.participants {
         assert!(spec.reveals, "direct comparison needs an all-revealing run");
         match &spec.kind {
@@ -134,11 +124,39 @@ fn direct(market: &AdversarialSealedMarket, enumerate: bool) -> (AuctionOutcome,
     (outcome, payments)
 }
 
-fn expect_finding(
-    report: &spectrum_auctions::mechanism::sealed_bid::AuditReport,
-    context: &str,
-    predicate: impl Fn(&AuditFinding) -> bool,
-) {
+/// Audits `transcript` as sealed, then once more with its dual certificate
+/// stripped: that audit must re-solve from scratch and flag the same kinds
+/// of finding in the same order (a `NotOptimal` slack is measured by the
+/// dual bound in one audit and by the re-solve in the other, so only its
+/// kind is compared). Returns the first report.
+fn audit_twice(transcript: &SealedTranscript) -> AuditReport {
+    let report = audit(transcript);
+    let uncertified = SealedTranscript {
+        certificate: None,
+        ..transcript.clone()
+    };
+    let resolved = audit(&uncertified);
+    assert!(
+        resolved.resolved_from_scratch,
+        "an audit without a certificate re-solves from scratch"
+    );
+    let kinds = |r: &AuditReport| {
+        r.findings
+            .iter()
+            .map(std::mem::discriminant)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        kinds(&resolved),
+        kinds(&report),
+        "the certificate and the re-solve disagree: {:?} vs {:?}",
+        report.findings,
+        resolved.findings
+    );
+    report
+}
+
+fn expect_finding(report: &AuditReport, context: &str, predicate: impl Fn(&AuditFinding) -> bool) {
     assert!(
         report.findings.iter().any(predicate),
         "{context}: expected finding missing, got {:?}",
@@ -156,125 +174,110 @@ fn honest_commit_reveal_equals_direct_submission() {
     let mut clustered = ScenarioConfig::new(12, 2, 72);
     clustered.clustered = true;
     let rebids = colluding_clique_scenario(&clustered, 1.0, 3, 0.4);
-    for market in [&entrants, &rebids] {
-        for enumerate in COMBOS {
-            let context = format!("enumerate={enumerate}");
-            let sealed = drive(market, enumerate, false);
-            let (plain, plain_payments) = direct(market, enumerate);
-            assert_eq!(
-                sealed.outcome.allocation.bundles(),
-                plain.allocation.bundles(),
-                "{context}: sealed and direct allocations diverge"
-            );
+    for (context, market) in [("entrants", &entrants), ("rebids", &rebids)] {
+        let sealed = drive(market, false);
+        let (plain, plain_payments) = direct(market);
+        assert_eq!(
+            sealed.outcome.allocation.bundles(),
+            plain.allocation.bundles(),
+            "{context}: sealed and direct allocations diverge"
+        );
+        assert!(
+            (sealed.outcome.welfare - plain.welfare).abs() <= 1e-9,
+            "{context}: welfare {} vs {}",
+            sealed.outcome.welfare,
+            plain.welfare
+        );
+        assert!(
+            (sealed.outcome.lp_objective - plain.lp_objective).abs() <= 1e-9,
+            "{context}: LP objective diverges"
+        );
+        assert!(
+            sealed.forfeitures.is_empty(),
+            "{context}: honest run forfeited"
+        );
+        assert_eq!(sealed.payments.len(), plain_payments.len());
+        for (v, (&got, &want)) in sealed.payments.iter().zip(&plain_payments).enumerate() {
             assert!(
-                (sealed.outcome.welfare - plain.welfare).abs() <= 1e-9,
-                "{context}: welfare {} vs {}",
-                sealed.outcome.welfare,
-                plain.welfare
-            );
-            assert!(
-                (sealed.outcome.lp_objective - plain.lp_objective).abs() <= 1e-9,
-                "{context}: LP objective diverges"
-            );
-            assert!(
-                sealed.forfeitures.is_empty(),
-                "{context}: honest run forfeited"
-            );
-            assert_eq!(sealed.payments.len(), plain_payments.len());
-            for (v, (&got, &want)) in sealed.payments.iter().zip(&plain_payments).enumerate() {
-                assert!(
-                    (got - want).abs() <= 1e-9,
-                    "{context}: payment {v} is {got}, direct first price is {want}"
-                );
-            }
-            let report = audit(&sealed.transcript);
-            assert!(
-                report.clean(),
-                "{context}: honest run flagged {:?}",
-                report.findings
+                (got - want).abs() <= 1e-9,
+                "{context}: payment {v} is {got}, direct first price is {want}"
             );
         }
+        let report = audit_twice(&sealed.transcript);
+        assert!(
+            report.clean(),
+            "{context}: honest run flagged {:?}",
+            report.findings
+        );
     }
 }
 
-/// Shill injection is flagged on every solver combo, and the same market
-/// run honestly audits clean — with the certificate path on cached masters
-/// and the re-solve fallback on the enumerating session.
+/// Shill injection is flagged, and the same market run honestly audits
+/// clean — by certificate, and by re-solve once the certificate is
+/// stripped.
 #[test]
 fn shill_injection_is_flagged_across_engine_combos() {
     for seed in [81u64, 82] {
         let config = ScenarioConfig::new(10, 2, seed);
         let market = shill_stream_scenario(&config, 1.0, 3, 2, 4.0);
-        for enumerate in COMBOS {
-            let context = format!("seed {seed} enumerate={enumerate}");
-            let honest = drive(&market, enumerate, false);
-            let report = audit(&honest.transcript);
-            assert!(
-                report.clean(),
-                "{context}: honest run flagged {:?}",
-                report.findings
-            );
-            if enumerate {
-                assert!(
-                    report.resolved_from_scratch,
-                    "{context}: an audit without a certificate should re-solve from scratch"
-                );
-            } else {
-                assert!(
-                    report.certificate_checked,
-                    "{context}: audit skipped the certificate"
-                );
-            }
+        let context = format!("seed {seed}");
+        let honest = drive(&market, false);
+        let report = audit_twice(&honest.transcript);
+        assert!(
+            report.clean(),
+            "{context}: honest run flagged {:?}",
+            report.findings
+        );
+        assert!(
+            report.certificate_checked,
+            "{context}: audit skipped the certificate"
+        );
 
-            let attacked = drive(&market, enumerate, true);
-            let report = audit(&attacked.transcript);
-            expect_finding(&report, &context, |f| {
-                matches!(f, AuditFinding::ShillArrival { .. })
-            });
-            let shill_flags = report
-                .findings
-                .iter()
-                .filter(|f| matches!(f, AuditFinding::ShillArrival { .. }))
-                .count();
-            assert_eq!(
-                shill_flags,
-                market.shills.len(),
-                "{context}: every injected shill is flagged exactly once"
-            );
-        }
+        let attacked = drive(&market, true);
+        let report = audit_twice(&attacked.transcript);
+        expect_finding(&report, &context, |f| {
+            matches!(f, AuditFinding::ShillArrival { .. })
+        });
+        let shill_flags = report
+            .findings
+            .iter()
+            .filter(|f| matches!(f, AuditFinding::ShillArrival { .. }))
+            .count();
+        assert_eq!(
+            shill_flags,
+            market.shills.len(),
+            "{context}: every injected shill is flagged exactly once"
+        );
     }
 }
 
-/// A single tampered payment entry is detected on random markets across
-/// solver combos.
+/// A single tampered payment entry is detected on random markets.
 #[test]
 fn single_tampered_payment_is_flagged_across_engine_combos() {
     for seed in [91u64, 92] {
         let config = ScenarioConfig::new(9, 2, seed);
         let market = shill_stream_scenario(&config, 1.0, 3, 0, 1.0);
-        for enumerate in COMBOS {
-            let context = format!("seed {seed} enumerate={enumerate}");
-            let outcome = drive(&market, enumerate, false);
-            assert!(
-                audit(&outcome.transcript).clean(),
-                "{context}: dirty baseline"
-            );
-            // Tamper a winner's entry if there is one, else any entry.
-            let target = outcome
-                .transcript
-                .payments
-                .iter()
-                .position(|&p| p > 0.0)
-                .unwrap_or(0);
-            let mut tampered = outcome.transcript.clone();
-            tampered.payments[target] += 1.0;
-            let report = audit(&tampered);
-            expect_finding(
-                &report,
-                &context,
-                |f| matches!(f, AuditFinding::PaymentMismatch { bidder, .. } if *bidder == target),
-            );
-        }
+        let context = format!("seed {seed}");
+        let outcome = drive(&market, false);
+        assert!(
+            audit_twice(&outcome.transcript).clean(),
+            "{context}: dirty baseline"
+        );
+        // Tamper a winner's entry if there is one, else any entry.
+        let target = outcome
+            .transcript
+            .payments
+            .iter()
+            .position(|&p| p > 0.0)
+            .unwrap_or(0);
+        let mut tampered = outcome.transcript.clone();
+        tampered.payments[target] += 1.0;
+        let report = audit_twice(&tampered);
+        expect_finding(
+            &report,
+            &context,
+            |f| matches!(f, AuditFinding::PaymentMismatch { bidder, .. } if *bidder == target),
+        );
     }
 }
 
@@ -285,9 +288,8 @@ fn single_tampered_revealed_bid_is_flagged() {
     let mut config = ScenarioConfig::new(12, 2, 93);
     config.clustered = true;
     let market = colluding_clique_scenario(&config, 1.0, 3, 0.4);
-    let enumerate = COMBOS[0];
-    let outcome = drive(&market, enumerate, false);
-    assert!(audit(&outcome.transcript).clean());
+    let outcome = drive(&market, false);
+    assert!(audit_twice(&outcome.transcript).clean());
 
     let mut tampered = outcome.transcript.clone();
     let rebid = tampered
@@ -301,7 +303,7 @@ fn single_tampered_revealed_bid_is_flagged() {
     *rebid = ValuationSnapshot::Additive {
         channel_values: vec![123.0; market.initial.instance.num_channels],
     };
-    let report = audit(&tampered);
+    let report = audit_twice(&tampered);
     expect_finding(&report, "tampered re-bid", |f| {
         matches!(f, AuditFinding::TamperedBid { .. })
     });
@@ -312,14 +314,13 @@ fn single_tampered_revealed_bid_is_flagged() {
 fn single_tampered_forfeiture_entry_is_flagged() {
     let config = ScenarioConfig::new(9, 2, 94);
     let market = sniping_burst_scenario(&config, 1.0, 4, 2, 3.0);
-    let enumerate = COMBOS[0];
-    let outcome = drive(&market, enumerate, false);
-    assert!(audit(&outcome.transcript).clean());
+    let outcome = drive(&market, false);
+    assert!(audit_twice(&outcome.transcript).clean());
     assert_eq!(outcome.forfeitures.len(), 2, "both snipers forfeit");
 
     let mut tampered = outcome.transcript.clone();
     tampered.forfeitures[0].amount += 0.5;
-    let report = audit(&tampered);
+    let report = audit_twice(&tampered);
     let target = tampered.forfeitures[0].participant;
     expect_finding(
         &report,
@@ -335,8 +336,7 @@ fn single_tampered_forfeiture_entry_is_flagged() {
 fn suppressed_reveal_is_flagged() {
     let config = ScenarioConfig::new(10, 2, 95);
     let market = shill_stream_scenario(&config, 1.0, 3, 0, 1.0);
-    let enumerate = COMBOS[0];
-    let session = sealed_session(&market, enumerate);
+    let session = sealed_session(&market);
     let mut auction =
         SealedBidAuction::open(session, CollateralPolicy::default()).expect("open sealed round");
     let mut ids = Vec::new();
@@ -386,7 +386,7 @@ fn suppressed_reveal_is_flagged() {
             .any(|f| f.participant == suppressed),
         "the suppressed participant was booked as a non-revealer"
     );
-    let report = audit(&outcome.transcript);
+    let report = audit_twice(&outcome.transcript);
     expect_finding(
         &report,
         "suppressed reveal",
@@ -505,7 +505,7 @@ fn opening_with_a_bundle_past_k_forfeits_and_the_round_resolves() {
     let outcome = auction.resolve().expect("the round still resolves");
     assert_eq!(outcome.forfeitures.len(), 1);
     assert_eq!(outcome.payments.len(), 2, "the forfeiting entrant left");
-    let report = audit(&outcome.transcript);
+    let report = audit_twice(&outcome.transcript);
     assert!(report.clean(), "flagged {:?}", report.findings);
 }
 
@@ -528,10 +528,9 @@ proptest! {
     ) {
         let config = ScenarioConfig::new(n, 2, seed);
         let market = sniping_burst_scenario(&config, 1.0, burst, snipers, 2.0);
-        let enumerate = COMBOS[(seed % COMBOS.len() as u64) as usize];
-        let outcome = drive(&market, enumerate, false);
+        let outcome = drive(&market, false);
 
-        let report = audit(&outcome.transcript);
+        let report = audit_twice(&outcome.transcript);
         prop_assert!(
             report.clean(),
             "honest run with {snipers} snipers flagged: {:?}",
@@ -544,7 +543,7 @@ proptest! {
             0 => {
                 let target = pick % tampered.payments.len();
                 tampered.payments[target] += 1.0;
-                let report = audit(&tampered);
+                let report = audit_twice(&tampered);
                 report.findings.iter().any(|f| {
                     matches!(f, AuditFinding::PaymentMismatch { bidder, .. } if *bidder == target)
                 })
@@ -565,7 +564,7 @@ proptest! {
                 *valuation = Some(ValuationSnapshot::Additive {
                     channel_values: vec![77.0; config.num_channels],
                 });
-                let report = audit(&tampered);
+                let report = audit_twice(&tampered);
                 report
                     .findings
                     .iter()
@@ -574,7 +573,7 @@ proptest! {
             _ => {
                 let target = pick % tampered.forfeitures.len();
                 tampered.forfeitures[target].amount *= 0.5;
-                let report = audit(&tampered);
+                let report = audit_twice(&tampered);
                 let id = tampered.forfeitures[target].participant;
                 report.findings.iter().any(|f| {
                     matches!(
