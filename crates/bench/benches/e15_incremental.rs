@@ -106,8 +106,8 @@ fn bench_e15(c: &mut Criterion) {
         let scenario = dynamic_market_scenario(&config, &DynamicMarketConfig::rebids_only(4), 1.0);
         bench_case(&mut group, "rebid4", n, &scenario);
         // departure batch: since PR 5 this rides the basis-preserving
-        // deactivation path (columns fixed at zero + relief rows, primal
-        // resume) — e16_churn measures it at depth; kept here for
+        // deactivation path (columns retired at objective 0 + relief
+        // columns, primal resume) — e16_churn measures it at depth; kept here for
         // continuity with the PR 4 numbers
         let scenario =
             dynamic_market_scenario(&config, &DynamicMarketConfig::departures_only(4), 1.0);

@@ -2,11 +2,11 @@
 //! long-lived [`AuctionSession`] vs one-shot cold solves.
 //!
 //! PR 5's row-lifecycle refactor routes **departures** through in-place
-//! row deactivation (the departed bidder's columns are fixed at zero, its
-//! `k + 1` rows are relaxed behind relief columns, and the surviving basis
-//! resumes with primal pivots) instead of the seeded master rebuild that
-//! made e15's departure numbers an honest wash (1.02×/1.08×). This bench
-//! measures that path directly:
+//! row deactivation (the departed bidder's columns are retired at objective
+//! 0, its `k + 1` rows are relaxed behind relief columns, and the surviving
+//! basis resumes with primal pivots) instead of the seeded master rebuild
+//! that made e15's departure numbers an honest wash (1.02×/1.08×). This
+//! bench measures that path directly:
 //!
 //! * `warm_resolve` / `cold_solve` / `session_clone` — same protocol as
 //!   e15 (the warm side pays one deep session clone + the mutation batch +

@@ -161,10 +161,11 @@ impl<'a> Tableau<'a> {
             .sum()
     }
 
-    /// Runs simplex iterations with the given cost vector and a predicate for
-    /// columns allowed to enter the basis. Returns `None` on success (optimal
-    /// for this cost) or `Some(status)` if unbounded / iteration limit.
-    fn iterate(&mut self, cost: &[f64], allow_enter: impl Fn(usize) -> bool) -> Option<LpStatus> {
+    /// Runs simplex iterations with the given cost vector; only columns
+    /// below `enter_bound` may enter the basis. Returns `None` on success
+    /// (optimal for this cost) or `Some(status)` if unbounded / iteration
+    /// limit.
+    fn iterate(&mut self, cost: &[f64], enter_bound: usize) -> Option<LpStatus> {
         let width = self.width();
         let mut stall = 0usize;
         let mut last_obj = self.objective_of_basis(cost);
@@ -177,10 +178,7 @@ impl<'a> Tableau<'a> {
             let mut entering: Option<usize> = None;
             let use_bland = stall >= STALL_THRESHOLD;
             let mut best_rc = TOLERANCE;
-            for j in 0..self.n_total {
-                if !allow_enter(j) {
-                    continue;
-                }
+            for j in 0..enter_bound {
                 let mut rc = cost[j];
                 for r in 0..self.m {
                     let cb = cost[self.basis[r]];
@@ -268,19 +266,13 @@ impl<'a> Tableau<'a> {
     fn solve(mut self) -> LpSolution {
         let has_artificials = self.first_artificial < self.n_total;
 
-        // Structural variables fixed at zero may never enter a basis (same
-        // contract as the revised engine, so the oracle stays comparable).
-        let n = self.n_original;
-        let fixed: Vec<bool> = (0..n).map(|j| self.lp.is_variable_fixed(j)).collect();
-        let allow = move |j: usize| j >= n || !fixed[j];
-
         if has_artificials {
             // Phase 1: maximize -(sum of artificials).
             let mut phase1_cost = vec![0.0; self.n_total];
             for j in self.first_artificial..self.n_total {
                 phase1_cost[j] = -1.0;
             }
-            if let Some(status) = self.iterate(&phase1_cost, &allow) {
+            if let Some(status) = self.iterate(&phase1_cost, self.n_total) {
                 // Unbounded cannot happen in phase 1 (objective bounded by 0),
                 // so this is an iteration limit.
                 return self.extract(status);
@@ -294,8 +286,7 @@ impl<'a> Tableau<'a> {
 
         // Phase 2 with the original costs; artificial columns may not enter.
         let cost = self.cost.clone();
-        let first_artificial = self.first_artificial;
-        let status = match self.iterate(&cost, move |j| j < first_artificial && allow(j)) {
+        let status = match self.iterate(&cost, self.first_artificial) {
             None => LpStatus::Optimal,
             Some(s) => s,
         };

@@ -91,5 +91,5 @@ pub use column_generation::{
     GeneratedColumn, MasterProblem, DEAD_COLUMN_TAG_BASE, ROW_RELIEF_TAG_BASE,
 };
 pub use pricing::SteepestEdgePricing;
-pub use problem::{Constraint, CscMatrix, LinearProgram, Relation, RowState, Sense};
+pub use problem::{Constraint, CscMatrix, LinearProgram, Relation, Sense};
 pub use simplex::{solve, LpSolution, LpStatus, SolveStats};

@@ -1,37 +1,10 @@
-//! Sparse linear-program models with a managed **row lifecycle**.
+//! Sparse linear-program models: a sense, an objective and constraints over
+//! non-negative variables, nothing else.
 //!
-//! Rows used to be append-only; dynamic markets (bidders leaving as often
-//! as they arrive) need the inverse primitive too. A row now carries a
-//! [`RowState`]:
-//!
-//! ```text
-//!            add_constraint                 deactivate_rows
-//!   (none) ────────────────▶ Active ────────────────────────▶ Deactivated
-//! ```
-//!
-//! * [`LinearProgram::deactivate_rows`] relaxes rows to non-binding **in
-//!   place**, without touching any existing column or invalidating a
-//!   recorded basis: each deactivated `≤`/`≥` row gains a zero-objective
-//!   **relief variable** (`−1` for `≤`, `+1` for `≥`) whose growth absorbs
-//!   the constraint (`a·x − t ≤ rhs` with `t ≥ 0` unbounded is no
-//!   constraint at all). New columns enter nonbasic, so a warm basis stays
-//!   valid and primal feasible and the next solve resumes with ordinary
-//!   primal pivots — the basis-preserving departure path.
-//! * [`LinearProgram::fix_variables_at_zero`] retires columns: the
-//!   objective coefficient drops to zero and every engine (revised, dense,
-//!   dual) bars the column from entering a basis. A fixed column arriving
-//!   *basic* through a warm start keeps its value only when that is
-//!   provably harmless (pure `≤`-row slack consumption — the auction
-//!   masters' packing shape); any other shape makes the engines reject
-//!   the warm start and cold-start, where fixed columns are exactly zero,
-//!   so the reported optimum is the fixed-at-zero optimum in every case.
-//!
-//! Rows and variables never move: a deactivated row keeps its index and
-//! its relief variable for the life of the LP. Callers that want the
-//! deadweight gone build a fresh LP from the survivors.
-//!
-//! The factorization seam ([`crate::basis`]) never sees an invalid basis:
-//! deactivation only ever *adds* nonbasic columns.
+//! Rows and variables only ever grow. What a departure leaves behind in an
+//! auction master (relief columns on relaxed rows, zero-priced retired
+//! columns) is plain LP data here; the tags that tell those columns apart
+//! live in [`crate::column_generation::MasterProblem`].
 
 use serde::{Deserialize, Serialize};
 
@@ -66,18 +39,6 @@ pub struct Constraint {
     pub rhs: f64,
 }
 
-/// Activation state of a constraint row (see the [module docs](self) for
-/// the lifecycle diagram).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RowState {
-    /// The row constrains the feasible region (the only state rows had
-    /// before the lifecycle refactor).
-    Active,
-    /// The row has been relaxed to non-binding in place (its relief
-    /// variable absorbs any activity); it keeps its index.
-    Deactivated,
-}
-
 /// A linear program over non-negative variables.
 ///
 /// All variables implicitly satisfy `x ≥ 0`; upper bounds (e.g. `x ≤ 1`)
@@ -88,13 +49,6 @@ pub struct LinearProgram {
     sense: Sense,
     objective: Vec<f64>,
     constraints: Vec<Constraint>,
-    /// Activation state per row (parallel to `constraints`).
-    row_state: Vec<RowState>,
-    /// Variables fixed at zero (barred from entering any basis).
-    var_fixed: Vec<bool>,
-    /// Relief variables created by
-    /// [`deactivate_rows`](Self::deactivate_rows).
-    var_relief: Vec<bool>,
 }
 
 impl LinearProgram {
@@ -104,9 +58,6 @@ impl LinearProgram {
             sense,
             objective: Vec::new(),
             constraints: Vec::new(),
-            row_state: Vec::new(),
-            var_fixed: Vec::new(),
-            var_relief: Vec::new(),
         }
     }
 
@@ -119,8 +70,6 @@ impl LinearProgram {
     /// index.
     pub fn add_variable(&mut self, objective_coefficient: f64) -> usize {
         self.objective.push(objective_coefficient);
-        self.var_fixed.push(false);
-        self.var_relief.push(false);
         self.objective.len() - 1
     }
 
@@ -174,7 +123,6 @@ impl LinearProgram {
             relation,
             rhs,
         });
-        self.row_state.push(RowState::Active);
         self.constraints.len() - 1
     }
 
@@ -205,127 +153,9 @@ impl LinearProgram {
         &self.constraints
     }
 
-    /// Number of constraints (active **and** deactivated — deactivated rows
-    /// keep their index).
+    /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
-    }
-
-    // -- row lifecycle ------------------------------------------------------
-
-    /// Whether row `i` is [`RowState::Active`].
-    pub fn is_row_active(&self, i: usize) -> bool {
-        self.row_state[i] == RowState::Active
-    }
-
-    /// Number of rows still [`RowState::Active`].
-    pub fn num_active_rows(&self) -> usize {
-        self.row_state
-            .iter()
-            .filter(|&&s| s == RowState::Active)
-            .count()
-    }
-
-    /// Whether variable `j` has been fixed at zero. Relief variables are
-    /// **not** fixed (they must stay enterable to do their job); test them
-    /// with [`is_relief_variable`](Self::is_relief_variable).
-    pub fn is_variable_fixed(&self, j: usize) -> bool {
-        self.var_fixed[j]
-    }
-
-    /// Whether variable `j` is a relief variable of a deactivated row.
-    pub fn is_relief_variable(&self, j: usize) -> bool {
-        self.var_relief[j]
-    }
-
-    /// Number of dead variables: fixed at zero, or relief variables of
-    /// deactivated rows.
-    pub fn num_dead_variables(&self) -> usize {
-        self.var_fixed
-            .iter()
-            .zip(&self.var_relief)
-            .filter(|&(&f, &r)| f || r)
-            .count()
-    }
-
-    /// Relaxes the given rows to non-binding **in place**, keeping every
-    /// recorded basis over this LP valid (see the [module docs](self)):
-    /// each row gains a fresh zero-objective relief variable (`−1` on a `≤`
-    /// row, `+1` on a `≥` row) and moves to [`RowState::Deactivated`]. The
-    /// relief variables are returned in row order; they start nonbasic, so
-    /// a subsequent warm-started solve resumes with primal pivots (the
-    /// relief column enters exactly when the deactivated row was binding).
-    ///
-    /// At any later optimum the deactivated row's dual is (numerically)
-    /// zero: the relief column's reduced cost is `±y_i`, so optimality
-    /// forces `y_i ≈ 0` — pricing oracles need no special casing.
-    ///
-    /// # Panics
-    /// Panics if a row does not exist, is already deactivated, or is an
-    /// equality row (`=` rows would need a *free* relief variable, which
-    /// the engines do not model; the stack only deactivates packing rows).
-    pub fn deactivate_rows(&mut self, rows: &[usize]) -> Vec<usize> {
-        let mut relief = Vec::with_capacity(rows.len());
-        for &i in rows {
-            assert!(i < self.constraints.len(), "row {i} does not exist");
-            assert!(
-                self.row_state[i] == RowState::Active,
-                "row {i} is already deactivated"
-            );
-            let sign = match self.constraints[i].relation {
-                Relation::Le => -1.0,
-                Relation::Ge => 1.0,
-                Relation::Eq => panic!("equality rows cannot be deactivated in place"),
-            };
-            let var = self.add_variable(0.0);
-            self.add_coefficient(i, var, sign);
-            self.var_relief[var] = true;
-            self.row_state[i] = RowState::Deactivated;
-            relief.push(var);
-        }
-        relief
-    }
-
-    /// Fixes the given variables at zero: their objective coefficient is
-    /// cleared and every engine bars them from entering a basis. A fixed
-    /// variable that arrives *basic* through a warm start may keep its
-    /// value only when that is provably harmless
-    /// ([`fixed_value_is_harmless`](Self::fixed_value_is_harmless): the
-    /// column only consumes `≤`-row slack — the packing shape of the
-    /// auction masters, where zeroing a zero-objective column never
-    /// changes the optimum); otherwise the engines reject the warm start
-    /// and cold-start, which keeps every fixed variable at exactly 0, so
-    /// the reported optimum is the fixed-at-zero optimum in **all** cases
-    /// (covering/minimization included).
-    ///
-    /// # Panics
-    /// Panics if a variable does not exist.
-    pub fn fix_variables_at_zero(&mut self, vars: &[usize]) {
-        for &j in vars {
-            assert!(j < self.num_variables(), "variable {j} does not exist");
-            self.objective[j] = 0.0;
-            self.var_fixed[j] = true;
-        }
-    }
-
-    /// Whether a fixed variable retaining a positive basic value cannot
-    /// change the fixed-at-zero optimum: every coefficient is non-negative
-    /// on a `≤` row with non-negative right-hand side (so the lingering
-    /// value only consumes slack — zeroing it stays feasible and, since
-    /// the objective coefficient is 0, leaves the objective unchanged).
-    /// Covering (`≥`/`=`) participation is *not* harmless: a zero-cost
-    /// basic column could satisfy a covering row for free and report an
-    /// objective below the true fixed-at-zero optimum.
-    pub fn fixed_value_is_harmless(&self, j: usize) -> bool {
-        self.constraints
-            .iter()
-            .all(|c| match c.coeffs.binary_search_by_key(&j, |&(v, _)| v) {
-                Err(_) => true,
-                Ok(pos) => {
-                    let a = c.coeffs[pos].1;
-                    a == 0.0 || (c.relation == Relation::Le && a >= 0.0 && c.rhs >= 0.0)
-                }
-            })
     }
 
     /// Evaluates the objective at a point.
@@ -501,63 +331,5 @@ mod tests {
     fn unknown_variable_rejected() {
         let mut lp = LinearProgram::new(Sense::Maximize);
         lp.add_constraint(vec![(0, 1.0)], Relation::Le, 1.0);
-    }
-
-    #[test]
-    fn deactivation_adds_relief_variables_and_flips_state() {
-        let mut lp = LinearProgram::new(Sense::Maximize);
-        let x = lp.add_variable(1.0);
-        let r0 = lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-        let r1 = lp.add_constraint(vec![(x, 1.0)], Relation::Ge, 1.0);
-        let relief = lp.deactivate_rows(&[r0, r1]);
-        assert_eq!(relief.len(), 2);
-        assert!(!lp.is_row_active(r0) && !lp.is_row_active(r1));
-        assert_eq!(lp.num_active_rows(), 0);
-        assert!(lp.is_relief_variable(relief[0]));
-        assert_eq!(lp.objective()[relief[0]], 0.0);
-        // relief signs: −1 on the ≤ row, +1 on the ≥ row
-        assert_eq!(lp.constraints()[r0].coeffs.last(), Some(&(relief[0], -1.0)));
-        assert_eq!(lp.constraints()[r1].coeffs.last(), Some(&(relief[1], 1.0)));
-        // the rows are now satisfiable at any x: big relief values absorb it
-        assert!(lp.is_feasible(&[50.0, 48.0, 0.0], 1e-9));
-    }
-
-    #[test]
-    #[should_panic]
-    fn equality_rows_cannot_be_deactivated() {
-        let mut lp = LinearProgram::new(Sense::Maximize);
-        let x = lp.add_variable(1.0);
-        let r = lp.add_constraint(vec![(x, 1.0)], Relation::Eq, 1.0);
-        lp.deactivate_rows(&[r]);
-    }
-
-    #[test]
-    fn fixed_value_harmlessness_distinguishes_packing_from_covering() {
-        let mut lp = LinearProgram::new(Sense::Minimize);
-        let x = lp.add_variable(1.0);
-        let y = lp.add_variable(2.0);
-        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Ge, 1.0);
-        lp.fix_variables_at_zero(&[x]);
-        // x participates in a covering row: a lingering basic value would
-        // satisfy the row for free — not harmless
-        assert!(!lp.fixed_value_is_harmless(x));
-
-        let mut packing = LinearProgram::new(Sense::Maximize);
-        let p = packing.add_variable(1.0);
-        packing.add_constraint(vec![(p, 1.0)], Relation::Le, 2.0);
-        packing.fix_variables_at_zero(&[p]);
-        assert!(packing.fixed_value_is_harmless(p));
-    }
-
-    #[test]
-    fn fixing_clears_the_objective_and_marks_the_variable() {
-        let mut lp = LinearProgram::new(Sense::Maximize);
-        let x = lp.add_variable(3.0);
-        let y = lp.add_variable(2.0);
-        lp.fix_variables_at_zero(&[x]);
-        assert!(lp.is_variable_fixed(x));
-        assert!(!lp.is_variable_fixed(y));
-        assert_eq!(lp.objective()[x], 0.0);
-        assert_eq!(lp.num_dead_variables(), 1);
     }
 }

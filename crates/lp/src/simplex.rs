@@ -259,8 +259,9 @@ enum Repair {
 }
 
 /// The engine state of one LP, kept across its solves and updated in place
-/// as columns, objectives and fixings change. Each solve is handed the LP
-/// itself (row-major rows, fixed and relief flags, sense).
+/// as columns and objectives change. Each solve is handed the LP itself
+/// (row-major rows, sense). Every structural and logical column may enter
+/// a basis; artificials enter only in phase 1.
 #[derive(Clone, Debug)]
 pub(crate) struct Revised {
     /// pivot limits of every solve; [`Limits::DEFAULT`] outside this
@@ -282,11 +283,6 @@ pub(crate) struct Revised {
     first_artificial: usize,
     /// maximization costs per global column (original objective)
     cost: Vec<f64>,
-    /// per global column: may it enter a basis? `false` for structural
-    /// variables fixed at zero ([`LinearProgram::fix_variables_at_zero`]);
-    /// logical columns are always enterable. A fixed column that is basic
-    /// when a solve resumes may stay basic until it leaves naturally.
-    enterable: Vec<bool>,
 
     /// basis member (global column index) per row; empty before the first
     /// solve, a row prefix once rows were appended since the last one
@@ -357,7 +353,6 @@ impl Revised {
             logical,
             first_artificial,
             cost: vec![0.0; n_total],
-            enterable: vec![true; n_total],
             basis: Vec::new(),
             in_basis: vec![false; n_total],
             factor: ForrestTomlinLu::default(),
@@ -394,12 +389,11 @@ impl Revised {
         self.cols.col_ptr.push(self.cols.row_idx.len());
     }
 
-    /// Re-reads structural `v`'s cost and entering flag from `lp` (a column
-    /// still waiting for [`sync`](Self::sync) reads them there).
+    /// Re-reads structural `v`'s cost from `lp` (a column still waiting for
+    /// [`sync`](Self::sync) reads it there).
     pub(crate) fn refresh_column(&mut self, lp: &LinearProgram, v: usize) {
         if v < self.n {
             self.cost[v] = sense_sign(lp) * lp.objective()[v];
-            self.enterable[v] = !lp.is_variable_fixed(v);
         }
     }
 
@@ -442,8 +436,6 @@ impl Revised {
         let shift = grown - n;
         self.cost
             .splice(n..n, (n..grown).map(|v| sense_sign(lp) * lp.objective()[v]));
-        self.enterable
-            .splice(n..n, (n..grown).map(|v| !lp.is_variable_fixed(v)));
         self.in_basis
             .splice(n..n, std::iter::repeat_n(false, shift));
         for c in self.basis.iter_mut().filter(|c| **c >= n) {
@@ -457,7 +449,6 @@ impl Revised {
         self.cols.values.shrink_to_fit();
         self.cols.col_ptr.shrink_to_fit();
         self.cost.shrink_to_fit();
-        self.enterable.shrink_to_fit();
         self.in_basis.shrink_to_fit();
     }
 
@@ -586,21 +577,6 @@ impl Revised {
         } else if self.factor.num_rows() != self.m || !self.recompute_xb() {
             // a factorization that collapsed in the last solve: start cold
             return Install::Rejected;
-        }
-        // A fixed column that is basic may only stay when that is provably
-        // harmless (it consumes ≤-row slack only — the packing shape).
-        // Otherwise reject the basis: the cold start keeps every fixed
-        // variable at exactly 0, so covering and minimization shapes report
-        // the true fixed-at-zero optimum instead of letting a zero-cost
-        // basic column satisfy `≥` rows for free. The value does NOT
-        // matter: the `enterable` mask only bars *entering*, so even a
-        // fixed column basic at 0 would be free to grow as later pivots of
-        // other columns shift the basic solution — e.g. a fixed column with
-        // a −1 coefficient silently relaxing its row.
-        for &v in self.basis.iter().filter(|&&c| c < self.n) {
-            if lp.is_variable_fixed(v) && !lp.fixed_value_is_harmless(v) {
-                return Install::Rejected;
-            }
         }
         if appended {
             return Install::RowsAppended;
@@ -768,9 +744,9 @@ impl Revised {
         true
     }
 
-    /// Runs simplex iterations with the given cost vector and entering
-    /// filter. Returns `None` when optimal for this cost, or a terminal
-    /// status.
+    /// Runs simplex iterations with the given cost vector; only columns
+    /// below `enter_bound` may enter. Returns `None` when optimal for this
+    /// cost, or a terminal status.
     ///
     /// The duals `y = c_B B⁻¹` are maintained **incrementally** whenever the
     /// pivot row `ρ = e_l B⁻¹` is available (`y' = y + (rc_e / w_l)·ρ`, the
@@ -784,7 +760,7 @@ impl Revised {
     fn iterate(
         &mut self,
         cost: &[f64],
-        allow_enter: impl Fn(usize) -> bool,
+        enter_bound: usize,
         pricer: &mut SteepestEdgePricing,
     ) -> Option<LpStatus> {
         let m = self.m;
@@ -858,7 +834,7 @@ impl Revised {
             let select =
                 |this: &Self, y: &[f64], pricer: &mut SteepestEdgePricing| -> Option<usize> {
                     let rc = |j: usize| this.reduced_cost(cost, y, j);
-                    let eligible = |j: usize| !this.in_basis[j] && allow_enter(j);
+                    let eligible = |j: usize| !this.in_basis[j] && j < enter_bound;
                     if use_bland {
                         // Anti-cycling override: Bland's rule instead of steepest
                         // edge (guaranteed to terminate).
@@ -1072,19 +1048,12 @@ impl Revised {
     ///    from the pivot row the ratio test already formed, so a dual pivot
     ///    pays one BTRAN and one FTRAN, like a primal one.
     ///
-    /// Fixed columns, relief columns of deactivated rows and artificials
-    /// never enter. A relief column legitimately has `rc > 0` when its row
-    /// was binding at the prior optimum; it enters in phase 2, which
-    /// re-prices every column.
+    /// Artificials never enter. The repair starts from an optimal basis of
+    /// the row prefix, so every other column must have `rc ≤ 0`; a column
+    /// priced or appended since that optimum (a relief column whose row was
+    /// binding, say) can break that, and the solve then starts cold.
     fn dual_repair(&mut self, lp: &LinearProgram) -> Repair {
-        let (m, n, n_total) = (self.m, self.n, self.n_total);
-        let barred: Vec<bool> = (0..n_total)
-            .map(|j| {
-                j >= self.first_artificial
-                    || !self.enterable[j]
-                    || (j < n && lp.is_relief_variable(j))
-            })
-            .collect();
+        let (m, n_total, first_artificial) = (self.m, self.n_total, self.first_artificial);
         let [slack_col, surplus_col, _] = self.logical_columns();
         let mut y = vec![0.0f64; m];
         let mut rho = SparseVector::zeros(m);
@@ -1109,7 +1078,7 @@ impl Revised {
         // that may enter. A violation means the state was not an optimal
         // basis of a row prefix of this LP.
         let dual_tol = 1e-7;
-        if (0..n_total).any(|j| !self.in_basis[j] && !barred[j] && rc[j] > dual_tol) {
+        if (0..first_artificial).any(|j| !self.in_basis[j] && rc[j] > dual_tol) {
             return Repair::Cold;
         }
         loop {
@@ -1169,7 +1138,7 @@ impl Revised {
                         .iter()
                         .map(|&(j, a)| (j, sign * a));
                     for (j, a) in logicals.chain(structurals) {
-                        if a == 0.0 || in_basis[j] || barred[j] {
+                        if a == 0.0 || in_basis[j] || j >= first_artificial {
                             continue;
                         }
                         if !in_cand[j] {
@@ -1343,7 +1312,7 @@ impl Revised {
             self.factor.btran_unit(r, &mut rho, &mut self.scratch);
             let mut target = None;
             for j in 0..self.first_artificial {
-                if self.in_basis[j] || !self.enterable[j] {
+                if self.in_basis[j] {
                     continue;
                 }
                 let mut alpha = 0.0;
@@ -1429,11 +1398,10 @@ impl Revised {
                 for c in phase1_cost[self.first_artificial..].iter_mut() {
                     *c = -1.0;
                 }
-                let enterable = self.enterable.clone();
                 pricer.reset(self.n_total);
                 self.seed_identity_weights(&mut pricer);
                 basis_is_identity = false; // phase 1 moves the basis off I
-                if let Some(status) = self.iterate(&phase1_cost, |j| enterable[j], &mut pricer) {
+                if let Some(status) = self.iterate(&phase1_cost, self.n_total, &mut pricer) {
                     // Phase 1 is bounded by 0, so this is an iteration limit.
                     return status;
                 }
@@ -1447,19 +1415,17 @@ impl Revised {
             }
         }
 
-        // Phase 2 with the original costs; artificials may not (re-)enter,
-        // and neither may fixed columns. The loop reads both vectors only
-        // through its arguments, so they are lent out rather than copied.
+        // Phase 2 with the original costs; artificials may not (re-)enter.
+        // The loop reads the costs only through its argument, so they are
+        // lent out rather than copied.
         let cost = std::mem::take(&mut self.cost);
-        let first_artificial = self.first_artificial;
-        let enterable = std::mem::take(&mut self.enterable);
         pricer.reset(self.n_total);
         if basis_is_identity {
             // packing LPs start phase 2 directly at the slack basis
             self.seed_identity_weights(&mut pricer);
         }
-        let status = self.iterate(&cost, |j| j < first_artificial && enterable[j], &mut pricer);
-        (self.cost, self.enterable) = (cost, enterable);
+        let status = self.iterate(&cost, self.first_artificial, &mut pricer);
+        self.cost = cost;
         status.unwrap_or(LpStatus::Optimal)
     }
 
@@ -1767,28 +1733,6 @@ mod tests {
         assert_eq!(second.status, LpStatus::Optimal);
         assert_close(second.objective, 10.0, 1e-9);
         assert_close(second.x[1], 2.0, 1e-9);
-    }
-
-    /// Fixing a column that is basic in a **covering** (minimize / `≥`) LP
-    /// must not let its lingering value satisfy the rows for free: the
-    /// resume screen rejects the basis and the cold start reports the true
-    /// fixed-at-zero optimum (the review repro for the unsound case).
-    #[test]
-    fn fixed_basic_columns_are_evicted_on_covering_lps() {
-        let mut lp = LinearProgram::new(Sense::Minimize);
-        let x1 = lp.add_variable(1.0);
-        let x2 = lp.add_variable(2.0);
-        lp.add_constraint(vec![(x1, 1.0), (x2, 1.0)], Relation::Ge, 1.0);
-        let mut master = master_of(&lp);
-        let first = master.solve();
-        assert_eq!(first.status, LpStatus::Optimal);
-        assert_close(first.objective, 1.0, 1e-7); // x1 = 1 basic
-
-        master.fix_columns(&[x1]);
-        let fixed = master.solve();
-        assert_eq!(fixed.status, LpStatus::Optimal);
-        assert_close(fixed.objective, 2.0, 1e-7); // x2 = 1, not x1 for free
-        assert_close(fixed.x[x1], 0.0, 1e-9);
     }
 
     /// Deterministic seeded random packing LP used by the
@@ -2152,7 +2096,6 @@ mod tests {
         assert_eq!(engine.logical, fresh.logical, "{step}");
         assert_eq!(engine.logical_columns(), fresh.logical_columns(), "{step}");
         assert_eq!(bits(&engine.cost), bits(&fresh.cost), "{step}");
-        assert_eq!(engine.enterable, fresh.enterable, "{step}");
         let in_basis: Vec<usize> = (0..engine.n_total)
             .filter(|&c| engine.in_basis[c])
             .collect();
@@ -2164,14 +2107,13 @@ mod tests {
     }
 
     /// A seeded random master lifecycle — columns with unsorted and
-    /// repeated row entries, deactivations, fixings, re-pricings, appended
+    /// repeated row entries, deactivations, retirements, re-pricings, appended
     /// rows and solves in between, over `≤` rows, `≥` rows and `≤` rows
     /// with a negative rhs (row signs folded in) — keeps the in-place
     /// column store equal to a fresh `to_csc` of the master's LP after
     /// every step.
     #[test]
     fn in_place_column_store_matches_a_fresh_build() {
-        use crate::column_generation::is_relief_tag;
         for seed in 0..4u64 {
             let mut rng = StdRng::seed_from_u64(7100 + seed);
             let rows: Vec<(Relation, f64)> = (0..6)
@@ -2208,9 +2150,12 @@ mod tests {
                         }
                     }
                     3 if n > 0 => {
+                        // retire packing columns, zero-price the others
                         let c = rng.random_range(0..n);
-                        if !is_relief_tag(master.tags()[c]) {
-                            master.fix_columns(&[c]);
+                        if master.is_packing_column(c) {
+                            master.retire_columns(&[c]);
+                        } else {
+                            master.set_column_objective(c, 0.0);
                         }
                     }
                     4 if n > 0 => {

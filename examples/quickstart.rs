@@ -129,9 +129,9 @@ fn main() {
 
     // 7. Markets shrink too: station 2 hands back its license. The session
     //    absorbs the departure in place — the departed operator's LP
-    //    columns are fixed at zero and its rows deactivated behind relief
-    //    columns, so the surviving basis resumes with a few primal pivots
-    //    instead of rebuilding the master.
+    //    columns are retired at objective 0 and its rows deactivated behind
+    //    relief columns, so the surviving basis resumes with a few primal
+    //    pivots instead of rebuilding the master.
     session.remove_bidder(2);
     let shrunk = session.resolve().expect("departure resolve");
     println!(

@@ -121,6 +121,10 @@
 //! | `lp::SparsityStats`, `ForrestTomlinLu::sparsity_stats()` | removed: the engine counts each indexed FTRAN/BTRAN into its [`lp::SolveStats`]; a direct caller of the factorization reads [`SparseVector::is_sparse`](lp::SparseVector::is_sparse) and `pattern().len()` of each result |
 //! | `ForrestTomlinLu::{ftran_sparse, ftran_dense, btran, btran_unit, ftran_sparse_into, btran_unit_into}(.., out)` | the same calls with a trailing `&mut` [`lp::SolveScratch`]: the factorization keeps no solve workspaces, so threads can share one factorization, each with its own scratch |
 //! | `MasterProblem::solve_warm()` and the cold `MasterProblem::solve(&self)` | one [`MasterProblem::solve(&mut self)`](lp::MasterProblem::solve): it resumes the master's own engine, and starts cold on a fresh master or after a factorization collapse; for a cold solve of the same LP build a fresh master |
+//! | `lp::RowState`, `LinearProgram::{deactivate_rows, is_row_active, num_active_rows}` | removed: a [`LinearProgram`](lp::LinearProgram) holds only its sense, objective and constraints; [`MasterProblem::deactivate_rows`](lp::MasterProblem::deactivate_rows) appends each row's relief column itself, and [`MasterProblem::is_row_active`](lp::MasterProblem::is_row_active) reads the relief tags |
+//! | `LinearProgram::{fix_variables_at_zero, is_variable_fixed, fixed_value_is_harmless, is_relief_variable, num_dead_variables}` | removed: no engine bars a column from entering a basis. Zero-price it with [`LinearProgram::set_objective_coefficient`](lp::LinearProgram::set_objective_coefficient), which cannot change the optimum of a packing LP, or retire it on a master |
+//! | `MasterProblem::fix_columns(cols)` | [`MasterProblem::retire_columns(cols)`](lp::MasterProblem::retire_columns): objective 0 plus a tombstoned tag, for packing columns only (it panics on any other); a retired column may enter or stay basic |
+//! | `MasterProblem::num_active_rows()` | `num_rows() - rows_deactivated()`: [`MasterProblem::rows_deactivated`](lp::MasterProblem::rows_deactivated) counts the relief columns |
 //!
 //! ## One master, and the seed depth
 //!

@@ -92,8 +92,8 @@ fn session_matches_scratch_on_rebid_streams() {
 }
 
 /// Pure departure streams exercise the basis-preserving removal path
-/// (columns fixed at zero + rows deactivated behind relief columns, primal
-/// resume) specifically — every resolve is debug-recertified against a
+/// (columns retired at objective 0 + rows deactivated behind relief
+/// columns, primal resume) specifically — every resolve is debug-recertified against a
 /// from-scratch solve.
 #[test]
 fn session_matches_scratch_on_departure_streams() {
