@@ -967,8 +967,38 @@ mod tests {
     }
 
     /// Retiring a column zero-prices it even when it was basic at a
-    /// positive value, tombstones its tag so the native tag can be re-used,
-    /// and counts it as deadweight.
+    /// positive value, moves its tag out of the native range and counts it
+    /// as deadweight; a second retirement of the same column is a no-op.
+    #[test]
+    fn retiring_clears_the_objective_and_marks_the_column() {
+        let mut master = MasterProblem::new(
+            Sense::Maximize,
+            vec![(Relation::Le, 2.0), (Relation::Le, 1.0)],
+        );
+        master.add_column(GeneratedColumn {
+            objective: 5.0,
+            coeffs: vec![(0, 1.0), (1, 1.0)],
+            tag: 7,
+        });
+        let first = master.solve();
+        assert!((first.x[0] - 1.0).abs() < 1e-7, "the column starts basic");
+
+        master.retire_columns(&[0]);
+        assert_eq!(master.lp.objective()[0], 0.0);
+        assert!(!is_native_tag(master.tags()[0]));
+        assert!(!is_relief_tag(master.tags()[0]));
+        assert_eq!(master.rows_deactivated(), 0);
+        // one retired column of one, over two rows
+        assert!((master.deadweight_fraction() - 1.0 / 3.0).abs() < 1e-12);
+
+        let tombstone = master.tags()[0];
+        master.retire_columns(&[0]);
+        assert_eq!(master.tags()[0], tombstone, "retiring twice keeps the tag");
+        assert!((master.deadweight_fraction() - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    /// A retired column's native tag is freed for a different column, and
+    /// only that replacement carries value afterwards.
     #[test]
     fn fixed_columns_are_retired_and_their_tags_freed() {
         let mut master = MasterProblem::new(
@@ -985,10 +1015,6 @@ mod tests {
 
         master.retire_columns(&[0]);
         assert!(!master.contains_tag(7), "the native tag must be freed");
-        assert_eq!(master.lp.objective()[0], 0.0);
-        assert!(!is_native_tag(master.tags()[0]));
-        // one retired column of one, over two rows
-        assert!((master.deadweight_fraction() - 1.0 / 3.0).abs() < 1e-12);
         // the freed tag can be re-used by a different column
         assert!(master.add_column(GeneratedColumn {
             objective: 2.0,
