@@ -4,7 +4,8 @@
 //! `par_iter` surface the workspace uses:
 //!
 //! * `(a..b).into_par_iter().map(f).collect::<Vec<_>>()` / `.for_each(f)`
-//! * `slice.par_iter().map(f).collect::<Vec<_>>()` / `.for_each(f)`
+//! * `slice.par_iter().map(f).collect::<Vec<_>>()` / `.for_each(f)`, and
+//!   `.collect_into_vec(&mut buf)` into a reused buffer
 //! * [`join`] for two-way fork-join
 //! * [`with_min_len`](ParRange::with_min_len) to override the sequential
 //!   cutoff for call sites whose per-item work is known to be heavy
@@ -30,8 +31,6 @@
 //! `SSA_POOL_THREADS` environment variable (see the `pool` module).
 
 mod pool;
-
-use std::mem::{ManuallyDrop, MaybeUninit};
 
 /// The number of worker threads parallel calls may use (the configured pool
 /// size; the pool itself spawns lazily on first parallel use). Mirrors
@@ -61,12 +60,26 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    let mut out = Vec::new();
+    run_indexed_into(len, min_len, f, &mut out);
+    out
+}
+
+/// Writes `f(0), …, f(len − 1)` into `out` (cleared first) in index order,
+/// reusing its allocation.
+fn run_indexed_into<T, F>(len: usize, min_len: usize, f: F, out: &mut Vec<T>)
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    out.clear();
     let min_len = min_len.max(1);
     let workers = pool::configured_workers();
     // Sequential fast path: tiny inputs and single-core hosts never engage
     // the pool (no locks, no wakeups, no chunk bookkeeping).
     if workers < 2 || len < min_len.saturating_mul(2) {
-        return (0..len).map(f).collect();
+        out.extend((0..len).map(f));
+        return;
     }
     // Oversubscribe ~4 chunks per participating thread (the submitter works
     // too) and let threads claim chunks dynamically: a thread that drew a
@@ -76,25 +89,22 @@ where
     let num_chunks = (threads * 4).min(len.div_ceil(min_len)).max(1);
     let chunk = len.div_ceil(num_chunks);
 
-    let mut out: Vec<MaybeUninit<T>> = Vec::with_capacity(len);
-    // SAFETY: MaybeUninit needs no initialization; every slot is written
-    // exactly once below before the buffer is read.
-    unsafe { out.set_len(len) };
+    out.reserve(len);
     let out_ptr = SendPtr(out.as_mut_ptr());
     let body = |lo: usize, hi: usize| {
         let p = out_ptr;
         for i in lo..hi {
             let v = f(i);
-            // SAFETY: chunks cover disjoint ranges of 0..len.
-            unsafe { p.0.add(i).write(MaybeUninit::new(v)) };
+            // SAFETY: chunks cover disjoint ranges of 0..len, all within the
+            // reserved capacity.
+            unsafe { p.0.add(i).write(v) };
         }
     };
     pool::global().run(len, chunk, &body);
     // SAFETY: pool.run returned without re-throwing a panic, so every index
-    // in 0..len was written exactly once. (On the panic path `out` is
-    // dropped as MaybeUninit, leaking any initialized elements — safe.)
-    let mut out = ManuallyDrop::new(out);
-    unsafe { Vec::from_raw_parts(out.as_mut_ptr() as *mut T, len, out.capacity()) }
+    // in 0..len was written exactly once. (On the panic path `out` keeps
+    // length 0, leaking any written elements — safe.)
+    unsafe { out.set_len(len) };
 }
 
 /// Two-way fork-join: runs both closures, the second on a scoped thread.
@@ -296,6 +306,14 @@ impl<'a, T: Sync, U: Send, F: Fn(&'a T) -> U + Sync> ParSliceMap<'a, T, F> {
         C::from(run_indexed_min(slice.len(), self.min_len, |i| f(&slice[i])))
     }
 
+    /// Executes in parallel into `target` (cleared first), in input order,
+    /// reusing its allocation. Mirrors
+    /// `rayon::iter::IndexedParallelIterator::collect_into_vec`.
+    pub fn collect_into_vec(self, target: &mut Vec<U>) {
+        let (slice, f) = (self.slice, self.f);
+        run_indexed_into(slice.len(), self.min_len, |i| f(&slice[i]), target);
+    }
+
     /// Sums the mapped values.
     pub fn sum<S: std::iter::Sum<U> + Send>(self) -> S {
         let (slice, f) = (self.slice, self.f);
@@ -378,6 +396,21 @@ mod tests {
     fn small_inputs_run_serially_and_correctly() {
         let v: Vec<usize> = (0..3).into_par_iter().map(|i| i).collect();
         assert_eq!(v, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn collect_into_vec_reuses_the_buffer_in_input_order() {
+        let data: Vec<usize> = (0..1000).collect();
+        let mut out = vec![7usize; 3];
+        data.par_iter().map(|&x| x * 3).collect_into_vec(&mut out);
+        assert!(out.iter().enumerate().all(|(i, &x)| x == 3 * i));
+        let capacity = out.capacity();
+        data[..10]
+            .par_iter()
+            .map(|&x| x + 1)
+            .collect_into_vec(&mut out);
+        assert_eq!(out, (1..11).collect::<Vec<_>>());
+        assert_eq!(out.capacity(), capacity);
     }
 
     #[test]

@@ -44,6 +44,9 @@
 //! `R = I − e_t μᵀ`, the new diagonal is `d = s_t − Σ_j μ_j s_j`, and the
 //! spike entries become column `t` of the updated `U`.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 /// A sparse column of the basis matrix: `(row index, value)` pairs.
 pub type SparseColumn = Vec<(usize, f64)>;
 
@@ -153,11 +156,11 @@ impl SparseVector {
     }
 }
 
-/// The caller-owned workspaces of the [`ForrestTomlinLu`] solves. A solve
-/// only reads the factorization, so threads that share one factorization
-/// each bring their own scratch. The buffers grow to `m` on first use and
-/// are reused after; the hyper-sparse ones are all zero (marks all unset)
-/// between calls.
+/// The caller-owned workspaces of the [`ForrestTomlinLu`] solves and
+/// updates. A solve only reads the factorization, so threads that share one
+/// factorization each bring their own scratch. The buffers grow to `m` on
+/// first use and are reused after; the hyper-sparse and update ones are all
+/// zero (marks all unset, heap empty) between calls.
 #[derive(Clone, Debug, Default)]
 pub struct SolveScratch {
     /// Dense kernels: FTRAN rhs, BTRAN cost, the permuted solution, and
@@ -175,6 +178,12 @@ pub struct SolveScratch {
     reach_a: Vec<usize>,
     reach_b: Vec<usize>,
     support: Vec<usize>,
+    /// Forrest–Tomlin updates: the spike `s = U ŵ` and its pattern, the
+    /// displaced row's values, and the elimination's position heap.
+    spike: Vec<f64>,
+    spike_pattern: Vec<usize>,
+    rowval: Vec<f64>,
+    heap: BinaryHeap<Reverse<(usize, usize)>>,
 }
 
 impl SolveScratch {
@@ -185,6 +194,15 @@ impl SolveScratch {
             self.sp_x.resize(m, 0.0);
             self.sp_z.resize(m, 0.0);
             self.mark.resize(m, false);
+        }
+    }
+
+    /// Grows the update's value scratches to `m` (growing keeps them all
+    /// zero).
+    fn grow_update(&mut self, m: usize) {
+        if self.spike.len() < m {
+            self.spike.resize(m, 0.0);
+            self.rowval.resize(m, 0.0);
         }
     }
 }
@@ -963,6 +981,26 @@ impl ForrestTomlinLu {
         rebuilt
     }
 
+    /// Installs the factorization of the `m × m` identity, with basis
+    /// position `c` holding `e_c`, directly: `L` empty, unit diagonal, `U`
+    /// without off-diagonal entries, no row etas. That is the state a
+    /// [`refactor`](Self::refactor) of `I` builds, without its elimination.
+    pub(crate) fn install_identity(&mut self, m: usize) {
+        self.reset_to_empty();
+        self.m = m;
+        self.l_start.resize(m + 1, 0);
+        self.prow.extend(0..m);
+        self.diag.resize(m, 1.0);
+        self.ucols.resize_with(m, Vec::new);
+        self.urows.resize_with(m, Vec::new);
+        self.order.extend(0..m);
+        self.pos.extend(0..m);
+        self.slot_of_uid.extend(0..m);
+        self.uid_of_slot.extend(0..m);
+        self.step_of_row.extend(0..m);
+        self.l_rows.reset(m);
+    }
+
     /// The Markowitz elimination of [`refactor`](Self::refactor) over the
     /// columns laid out as in [`refactor_columns`](Self::refactor_columns);
     /// `false` means singular (the caller empties the factorization). Its
@@ -1376,9 +1414,14 @@ impl ForrestTomlinLu {
 
     /// [`update`](Self::update) from an indexed FTRAN image: the spike is
     /// built from the image's pattern instead of an `O(m)` scan.
-    pub fn update_sparse(&mut self, l: usize, w: &SparseVector) -> bool {
+    pub fn update_sparse(
+        &mut self,
+        l: usize,
+        w: &SparseVector,
+        scratch: &mut SolveScratch,
+    ) -> bool {
         if !w.is_sparse() {
-            return self.update(l, w.values());
+            return self.update(l, w.values(), scratch);
         }
         let m = self.m;
         if m == 0 {
@@ -1390,8 +1433,10 @@ impl ForrestTomlinLu {
         // only; the pattern is collected by value transitions and deduped by
         // the sort, so the commit visits it in the dense scan's ascending
         // index order.
-        let mut s = vec![0.0f64; m];
-        let mut spat: Vec<usize> = Vec::with_capacity(2 * w.pattern.len() + 8);
+        scratch.grow_update(m);
+        let mut s = std::mem::take(&mut scratch.spike);
+        let mut spat = std::mem::take(&mut scratch.spike_pattern);
+        spat.clear();
         w.for_each_nonzero(|slot, v| {
             let j = self.uid_of_slot[slot];
             if s[j] == 0.0 {
@@ -1407,7 +1452,12 @@ impl ForrestTomlinLu {
         });
         spat.sort_unstable();
         spat.dedup();
-        self.eliminate_and_commit(t, &s, spat.iter().copied())
+        let committed = self.eliminate_and_commit(t, &s, spat.iter().copied(), scratch);
+        for &i in &spat {
+            s[i] = 0.0;
+        }
+        (scratch.spike, scratch.spike_pattern) = (s, spat);
+        committed
     }
 
     /// Applies the pivot that replaces the basis column at position `l` by
@@ -1417,7 +1467,7 @@ impl ForrestTomlinLu {
     /// capacity reasons — the caller must then refactor from the (already
     /// updated) basis columns; the factorization state is unspecified until
     /// it does.
-    pub fn update(&mut self, l: usize, w: &[f64]) -> bool {
+    pub fn update(&mut self, l: usize, w: &[f64], scratch: &mut SolveScratch) -> bool {
         let m = self.m;
         if m == 0 {
             return false;
@@ -1425,7 +1475,8 @@ impl ForrestTomlinLu {
         let t = self.uid_of_slot[l];
 
         // spike s = U ŵ, where ŵ is the FTRAN image mapped to uid space
-        let mut s = vec![0.0f64; m];
+        scratch.grow_update(m);
+        let mut s = std::mem::take(&mut scratch.spike);
         for j in 0..m {
             let v = w[self.slot_of_uid[j]];
             if v != 0.0 {
@@ -1435,28 +1486,33 @@ impl ForrestTomlinLu {
                 }
             }
         }
-        self.eliminate_and_commit(t, &s, 0..m)
+        let committed = self.eliminate_and_commit(t, &s, 0..m, scratch);
+        s[..m].fill(0.0);
+        scratch.spike = s;
+        committed
     }
 
     /// The second half of both updates: eliminates the displaced row `t`
     /// against the spike `s` and, when the new diagonal passes the
     /// stability and capacity gates, installs `s` as column `t`. `support`
     /// lists, in ascending order, every index where `s` may be non-zero.
+    /// The elimination leaves `scratch`'s row values all zero and its heap
+    /// empty, on both outcomes.
     fn eliminate_and_commit(
         &mut self,
         t: usize,
         s: &[f64],
         support: impl Iterator<Item = usize> + Clone,
+        scratch: &mut SolveScratch,
     ) -> bool {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
         let s_inf = support.clone().fold(0.0f64, |acc, j| acc.max(s[j].abs()));
 
         // Eliminate the displaced row t left to right (ascending triangular
         // position); fill only spreads rightward, so each column is popped
-        // at most once after its value is final.
-        let mut rowval = vec![0.0f64; self.m];
-        let mut heap: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::new();
+        // at most once after its value is final, and every entry written
+        // is zeroed again when it pops.
+        let SolveScratch { rowval, heap, .. } = scratch;
+        debug_assert!(heap.is_empty());
         for &(j, v) in &self.urows[t] {
             rowval[j] = v;
             heap.push(Reverse((self.pos[j], j)));
@@ -1664,7 +1720,7 @@ mod tests {
             if w[l].abs() < 1e-6 {
                 continue;
             }
-            assert!(ft.update(l, &w));
+            assert!(ft.update(l, &w, &mut sc));
             cols[l] = e;
             applied += 1;
             // the duals of the updated basis: y · (column c) = cb[c]
@@ -1761,7 +1817,7 @@ mod tests {
                 let l = (0..m)
                     .max_by(|&a, &b| w[a].abs().partial_cmp(&w[b].abs()).unwrap())
                     .unwrap();
-                if w[l].abs() < 1e-4 || !ft.update(l, &w) {
+                if w[l].abs() < 1e-4 || !ft.update(l, &w, &mut sc) {
                     continue;
                 }
                 cols[l] = e;
@@ -1916,7 +1972,7 @@ mod tests {
                                 .unwrap()
                         })
                         .unwrap();
-                    if w_sv.value(l).abs() > 1e-4 && factor.update_sparse(l, &w_sv) {
+                    if w_sv.value(l).abs() > 1e-4 && factor.update_sparse(l, &w_sv, &mut sc) {
                         cols[l] = e;
                         pivots += 1;
                     }
@@ -1995,7 +2051,7 @@ mod tests {
         let mut w = SparseVector::zeros(m);
         for r in [3, 20, 41] {
             factor.ftran_sparse_into(&[(r, 2.5), ((r + 1) % m, 0.5)], &mut w, &mut sc);
-            assert!(factor.update_sparse(r, &w), "update at {r}");
+            assert!(factor.update_sparse(r, &w, &mut sc), "update at {r}");
         }
         // block-local right-hand sides (hyper-sparse) and one full one
         // (dense fallback)
@@ -2070,7 +2126,7 @@ mod tests {
                 let l = (0..m)
                     .max_by(|&a, &b| w.value(a).abs().partial_cmp(&w.value(b).abs()).unwrap())
                     .unwrap();
-                if w.value(l).abs() < 1e-4 || !ft.update_sparse(l, &w) {
+                if w.value(l).abs() < 1e-4 || !ft.update_sparse(l, &w, &mut sc) {
                     continue;
                 }
                 cols[l] = e;
@@ -2102,6 +2158,77 @@ mod tests {
             }
             assert_eq!(ft.updates_since_refactor(), 40);
         }
+    }
+
+    /// The directly installed identity answers every FTRAN, BTRAN and
+    /// Forrest–Tomlin update bit for bit like a `refactor` of `I`, through
+    /// a pivot sequence that replaces unit columns by master-shaped ones.
+    #[test]
+    fn installed_identity_matches_a_refactored_identity() {
+        let m = 40;
+        let identity: Vec<SparseColumn> = (0..m).map(|r| vec![(r, 1.0)]).collect();
+        let mut refactored = ForrestTomlinLu::default();
+        assert!(refactored.refactor(m, &identity));
+        let mut installed = ForrestTomlinLu::default();
+        // over a factorization that held something else before
+        assert!(installed.refactor(m, &master_basis(5, m, 12)));
+        installed.install_identity(m);
+        assert_eq!(
+            factor_fingerprint(&installed),
+            factor_fingerprint(&refactored)
+        );
+
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(0x1D);
+        let (mut sc_r, mut sc_i) = (SolveScratch::default(), SolveScratch::default());
+        let (mut w_r, mut w_i) = (SparseVector::zeros(m), SparseVector::zeros(m));
+        let (mut rho_r, mut rho_i) = (SparseVector::zeros(m), SparseVector::zeros(m));
+        let mut applied = 0usize;
+        for step in 0..200 {
+            if applied == 24 {
+                break;
+            }
+            let replacement = &master_basis(100 + step, m, 1);
+            let Some((_, col)) = replacement
+                .iter()
+                .enumerate()
+                .find(|(r, c)| c.len() > 1 || c[0].0 != *r)
+            else {
+                continue;
+            };
+            refactored.ftran_sparse_into(col, &mut w_r, &mut sc_r);
+            installed.ftran_sparse_into(col, &mut w_i, &mut sc_i);
+            assert_eq!(bits(w_r.values()), bits(w_i.values()), "ftran at {step}");
+            let r = rng.random_range(0..m);
+            refactored.btran_unit_into(r, &mut rho_r, &mut sc_r);
+            installed.btran_unit_into(r, &mut rho_i, &mut sc_i);
+            assert_eq!(
+                bits(rho_r.values()),
+                bits(rho_i.values()),
+                "btran at {step}"
+            );
+            let cb: Vec<f64> = (0..m).map(|_| rng.random_range(-2.0..2.0)).collect();
+            let (mut y_r, mut y_i) = (vec![0.0; m], vec![0.0; m]);
+            refactored.btran(&cb, &mut y_r, &mut sc_r);
+            installed.btran(&cb, &mut y_i, &mut sc_i);
+            assert_eq!(bits(&y_r), bits(&y_i), "dense btran at {step}");
+            let l = (0..m)
+                .max_by(|&a, &b| w_r.value(a).abs().total_cmp(&w_r.value(b).abs()))
+                .unwrap();
+            let (ok_r, ok_i) = (
+                refactored.update_sparse(l, &w_r, &mut sc_r),
+                installed.update_sparse(l, &w_i, &mut sc_i),
+            );
+            assert_eq!(ok_r, ok_i, "update at {step}");
+            assert!(ok_r, "update at {step}");
+            assert_eq!(
+                factor_fingerprint(&installed),
+                factor_fingerprint(&refactored)
+            );
+            applied += 1;
+        }
+        assert_eq!(applied, 24);
+        assert_eq!(installed.updates_since_refactor(), 24);
     }
 
     /// A master-shaped basis: unit slack columns, `bundles` of them replaced

@@ -15,10 +15,36 @@
 //! nothing improving.
 //!
 //! The simplex core owns the reduced-cost computation and hands it to the
-//! rule as a closure, so the rule never sees the basis factorization. After
+//! rule as closures, so the rule never sees the basis factorization. After
 //! `stall_threshold` pivots without objective improvement the core bypasses
 //! the rule with Bland's first-improving-index choice, which guarantees
 //! termination.
+//!
+//! ## One walk per candidate column per pivot
+//!
+//! The weight update needs `α_j = ρ·a_j` for every list member, and the
+//! next [`select_entering`](SteepestEdgePricing::select_entering) needs
+//! `rc_j = c_j − y'·a_j` for the same members under the updated duals.
+//! Both are dot products over column `j`'s entries, so the core updates
+//! `y` before the weight pass and hands
+//! [`notify_pivot`](SteepestEdgePricing::notify_pivot) one closure that
+//! returns `(α_j, rc_j)` from a single walk of the column, in the entry
+//! order and with the operations of the core's own reduced-cost closure
+//! (so the value is bit-equal to what that closure would return). The rule
+//! stores the pass per list member and the next `select_entering` reads the
+//! stored reduced costs instead of walking the list's columns again; only
+//! the refill scan calls `rc(j)`.
+//!
+//! The stored values are valid from a fused pass (a [`CandidatePass`] other
+//! than [`CandidatePass::AlphaOnly`]) until the next `select_entering`,
+//! which consumes them, and the core drops them
+//! ([`invalidate_reduced_costs`](SteepestEdgePricing::invalidate_reduced_costs))
+//! whenever it recomputes `y` by a full BTRAN. A non-fused pivot leaves
+//! none. Under `debug_assertions` `select_entering` checks every stored
+//! value against a fresh `rc(j)` bit for bit. A long list of dense columns
+//! is mapped through the work-stealing pool ([`CandidatePass::Pooled`]);
+//! the weight update still reads the pass in list order, so weights and
+//! ties do not depend on the pool size.
 //!
 //! ## Steepest-edge weight updates in formulas
 //!
@@ -37,6 +63,24 @@
 //! cross term (which would need a second BTRAN per pivot) but never
 //! *under*-estimates a norm that the update touches, and the periodic exact
 //! reset at refactorization stops long-run drift.
+
+use rayon::prelude::*;
+
+/// Which values the closure handed to
+/// [`SteepestEdgePricing::notify_pivot`] returns, and where the pass runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CandidatePass {
+    /// Only `α_j` is meaningful (the Bland override, or no pivot row): the
+    /// pass runs inline and stores no reduced costs.
+    AlphaOnly,
+    /// `(α_j, rc_j)` with `rc_j` the reduced cost the next
+    /// [`SteepestEdgePricing::select_entering`] would compute; the pass runs
+    /// inline.
+    Fused,
+    /// As [`Fused`](Self::Fused), with the list mapped through the
+    /// work-stealing pool.
+    Pooled,
+}
 
 /// Primal steepest-edge pricing with a candidate list.
 ///
@@ -74,6 +118,14 @@ pub struct SteepestEdgePricing {
     entering_norm: f64,
     /// Which column `entering_norm` belongs to.
     entering_col: usize,
+    /// The last pivot's pass, `(α_j, rc_j)` per list member in list order.
+    pass: Vec<(f64, f64)>,
+    /// Whether `pass` holds the reduced costs the next
+    /// [`select_entering`](Self::select_entering) would compute.
+    rc_valid: bool,
+    /// The list's second buffer: `select_entering` writes the kept members
+    /// here and swaps it with `candidates`.
+    spare: Vec<usize>,
 }
 
 impl SteepestEdgePricing {
@@ -106,6 +158,15 @@ impl SteepestEdgePricing {
         self.max_weight = 1.0;
         self.entering_norm = 1.0;
         self.entering_col = usize::MAX;
+        self.pass.clear();
+        self.rc_valid = false;
+    }
+
+    /// Drops the reduced costs stored by the last fused
+    /// [`notify_pivot`](Self::notify_pivot): the core calls this whenever it
+    /// recomputes the duals from scratch.
+    pub fn invalidate_reduced_costs(&mut self) {
+        self.rc_valid = false;
     }
 
     /// Chooses the entering column, or `None` when provably optimal.
@@ -115,6 +176,10 @@ impl SteepestEdgePricing {
     /// current duals (maximization convention: improving means `rc > tol`).
     /// `None` is returned **only** when no eligible column is improving —
     /// the simplex core takes it as proof of optimality for the phase.
+    ///
+    /// The list pass reads the reduced costs stored by the last fused
+    /// [`notify_pivot`](Self::notify_pivot) while they are valid, and
+    /// consumes them; the refill scan always calls `rc(j)`.
     pub fn select_entering(
         &mut self,
         n_total: usize,
@@ -126,14 +191,26 @@ impl SteepestEdgePricing {
             self.weights.resize(n_total, 1.0);
             self.in_list.resize(n_total, false);
         }
+        let stored = std::mem::take(&mut self.rc_valid);
         let mut best: Option<(usize, f64)> = None;
-        let mut kept = Vec::with_capacity(self.candidates.len());
-        for &j in &self.candidates {
+        let mut kept = std::mem::take(&mut self.spare);
+        kept.clear();
+        for (i, &j) in self.candidates.iter().enumerate() {
             if !eligible(j) {
                 self.in_list[j] = false;
                 continue;
             }
-            let r = rc(j);
+            let r = if stored {
+                let r = self.pass[i].1;
+                debug_assert_eq!(
+                    r.to_bits(),
+                    rc(j).to_bits(),
+                    "stored reduced cost of column {j} is stale"
+                );
+                r
+            } else {
+                rc(j)
+            };
             if r > tol {
                 let score = r * r / self.weights[j];
                 if best.as_ref().map(|&(_, s)| score > s).unwrap_or(true) {
@@ -144,7 +221,7 @@ impl SteepestEdgePricing {
                 self.in_list[j] = false;
             }
         }
-        self.candidates = kept;
+        self.spare = std::mem::replace(&mut self.candidates, kept);
 
         // refill from the rotating cursor when the list runs thin; a full
         // wrap with nothing improving proves optimality
@@ -174,6 +251,11 @@ impl SteepestEdgePricing {
         best.map(|(j, _)| j)
     }
 
+    /// Members of the candidate list.
+    pub fn list_len(&self) -> usize {
+        self.candidates.len()
+    }
+
     /// Whether [`notify_pivot`](Self::notify_pivot) needs the pivot row:
     /// it only feeds candidate weight updates, so the core skips the BTRAN
     /// that produces it while the list is empty.
@@ -182,20 +264,41 @@ impl SteepestEdgePricing {
     }
 
     /// Observes a pivot: column `entering` replaced `leaving` (now
-    /// nonbasic); `alpha_entering` is the pivot element and `alpha(j)`
-    /// evaluates the pivot row `(eᵣᵀ B⁻¹ A)_j` at other columns. The
-    /// closure dots column `j` against the core's indexed BTRAN image, so
-    /// each evaluation costs `O(nnz(A_j))` however dense `eᵣᵀ B⁻¹` came out.
+    /// nonbasic), and `alpha_entering` is the pivot element.
+    ///
+    /// `pass(j)` walks column `j` once and returns `(α_j, rc_j)`: the pivot
+    /// row `(eᵣᵀ B⁻¹ A)_j` of the outgoing basis and, unless `mode` is
+    /// [`CandidatePass::AlphaOnly`], the reduced cost under the duals the
+    /// core has already updated for this pivot. The core dots column `j`
+    /// against its indexed BTRAN image, so each call costs `O(nnz(A_j))`
+    /// however dense `eᵣᵀ B⁻¹` came out. The pass covers every list member
+    /// but `entering`, inline or on the pool as `mode` says, and is stored
+    /// in list order; the weight update then reads it sequentially, and the
+    /// next [`select_entering`](Self::select_entering) reads its reduced
+    /// costs if `mode` fused them.
     pub fn notify_pivot(
         &mut self,
         entering: usize,
         leaving: usize,
         alpha_entering: f64,
-        alpha: &dyn Fn(usize) -> f64,
+        mode: CandidatePass,
+        pass: &(dyn Fn(usize) -> (f64, f64) + Sync),
     ) {
+        self.rc_valid = false;
         if alpha_entering.abs() <= 1e-12 {
             return;
         }
+        let walk = |&j: &usize| if j == entering { (0.0, 0.0) } else { pass(j) };
+        if mode == CandidatePass::Pooled {
+            self.candidates
+                .par_iter()
+                .map(walk)
+                .collect_into_vec(&mut self.pass);
+        } else {
+            self.pass.clear();
+            self.pass.extend(self.candidates.iter().map(walk));
+        }
+        self.rc_valid = mode != CandidatePass::AlphaOnly;
         // exact γ_q when the core observed this column's FTRAN, else the
         // stored reference weight
         let gq = if self.entering_col == entering {
@@ -204,12 +307,10 @@ impl SteepestEdgePricing {
             self.weights.get(entering).copied().unwrap_or(1.0).max(1.0)
         };
         let inv_aq2 = 1.0 / (alpha_entering * alpha_entering);
-        for i in 0..self.candidates.len() {
-            let j = self.candidates[i];
+        for (&j, &(aj, _)) in self.candidates.iter().zip(&self.pass) {
             if j == entering {
                 continue;
             }
-            let aj = alpha(j);
             if aj != 0.0 {
                 let cand = aj * aj * inv_aq2 * gq;
                 if cand > self.weights[j] {
@@ -225,7 +326,11 @@ impl SteepestEdgePricing {
         }
         if entering < self.in_list.len() && self.in_list[entering] {
             self.in_list[entering] = false;
-            self.candidates.retain(|&j| j != entering);
+            // a column is listed at most once; its pass entry goes with it
+            if let Some(i) = self.candidates.iter().position(|&j| j == entering) {
+                self.candidates.remove(i);
+                self.pass.remove(i);
+            }
         }
         if self.max_weight > Self::WEIGHT_RESET {
             for w in &mut self.weights {
@@ -305,14 +410,18 @@ mod tests {
         p.observe_entering(0, 3.0);
         // pivot: α_0 = 2, pivot row α = [2, 1, 0]; leaving slot maps to
         // column 1's weight slot via the leaving id
-        p.notify_pivot(0, 1, 2.0, &|j| [2.0, 1.0, 0.0][j]);
+        p.notify_pivot(0, 1, 2.0, CandidatePass::AlphaOnly, &|j| {
+            ([2.0, 1.0, 0.0][j], 0.0)
+        });
         // candidate 2 was in the list with α_2 = 0 → untouched (weight 1);
         // candidate 1: α_1 = 1 → max(1, (1/2)²·4) = 1 (no increase beyond 1)
         // leaving weight: max(γ_q/α_q², 1) = max(4/4, 1) = 1
         assert!((p.weights[1] - 1.0).abs() < 1e-12);
         // now a pivot with a stronger row: α_entering = 0.5
         p.observe_entering(2, 15.0); // γ_2 = 16
-        p.notify_pivot(2, 0, 0.5, &|j| [0.0, 1.0, 0.5][j]);
+        p.notify_pivot(2, 0, 0.5, CandidatePass::AlphaOnly, &|j| {
+            ([0.0, 1.0, 0.5][j], 0.0)
+        });
         // leaving weight for column 0: max(16/0.25, 1) = 64
         assert!((p.weights[0] - 64.0).abs() < 1e-12);
     }
@@ -340,6 +449,73 @@ mod tests {
             p.select_entering(rc.len(), 1e-9, &|_| true, &|j| rc[j]),
             None
         );
+    }
+
+    /// The stored reduced costs live from a fused pivot to the next
+    /// select: that select, the invalidation call and a non-fused pivot
+    /// each drop them.
+    #[test]
+    fn stored_reduced_costs_live_from_a_fused_pivot_to_the_next_select() {
+        // columns 0–3 are improving; column 4 is the basic leaving column
+        let rc = [3.0, 1.0, 2.0, 0.5, -1.0];
+        let next = [0.0, 0.25, 1.5, 0.75, -2.0];
+        let pass = |j: usize| (0.5, next[j]);
+        let listed = || {
+            let mut p = SteepestEdgePricing::default();
+            p.reset(rc.len());
+            assert_eq!(
+                p.select_entering(rc.len(), 1e-9, &|j| j != 4, &|j| rc[j]),
+                Some(0)
+            );
+            assert_eq!(p.candidates, vec![0, 1, 2, 3]);
+            assert!(!p.rc_valid);
+            p
+        };
+
+        // a fused pivot, inline or pooled, stores (α_j, rc_j) per remaining
+        // member in list order, and drops the entering column's entry
+        for mode in [CandidatePass::Fused, CandidatePass::Pooled] {
+            let mut p = listed();
+            p.notify_pivot(0, 4, 1.0, mode, &pass);
+            assert!(p.rc_valid, "{mode:?}");
+            assert_eq!(p.candidates, vec![1, 2, 3], "{mode:?}");
+            assert_eq!(p.pass, vec![(0.5, 0.25), (0.5, 1.5), (0.5, 0.75)]);
+        }
+
+        // the next select consumes them (and agrees with `rc` on them)
+        let mut p = listed();
+        p.notify_pivot(0, 4, 1.0, CandidatePass::Fused, &pass);
+        let pick = p.select_entering(rc.len(), 1e-9, &|j| j > 0 && j != 4, &|j| next[j]);
+        assert_eq!(pick, Some(2));
+        assert!(!p.rc_valid);
+
+        // the invalidation call drops them
+        p.notify_pivot(2, 4, 1.0, CandidatePass::Fused, &pass);
+        assert!(p.rc_valid);
+        p.invalidate_reduced_costs();
+        assert!(!p.rc_valid);
+
+        // and so does a pivot whose pass fused no reduced costs
+        p.notify_pivot(1, 4, 1.0, CandidatePass::Fused, &pass);
+        assert!(p.rc_valid);
+        p.notify_pivot(3, 4, 1.0, CandidatePass::AlphaOnly, &pass);
+        assert!(!p.rc_valid);
+    }
+
+    /// Debug builds check every stored reduced cost against a fresh `rc(j)`.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "is stale")]
+    fn a_stale_stored_reduced_cost_fails_the_debug_check() {
+        let rc = [3.0, 1.0, 2.0];
+        let mut p = SteepestEdgePricing::default();
+        p.reset(rc.len());
+        assert_eq!(p.select_entering(3, 1e-9, &|_| true, &|j| rc[j]), Some(0));
+        // the pass reports 7.0 for column 1, but `rc` says 1.0
+        p.notify_pivot(0, 2, 1.0, CandidatePass::Fused, &|j| {
+            (0.5, [0.0, 7.0, 2.0][j])
+        });
+        let _ = p.select_entering(3, 1e-9, &|j| j != 0, &|j| rc[j]);
     }
 
     fn rcs() -> Vec<f64> {

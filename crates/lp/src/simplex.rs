@@ -48,7 +48,7 @@
 //! 1e-6.
 
 use crate::basis::{ForrestTomlinLu, SolveScratch, SparseColumn, SparseVector};
-use crate::pricing::SteepestEdgePricing;
+use crate::pricing::{CandidatePass, SteepestEdgePricing};
 use crate::problem::{CscMatrix, LinearProgram, Relation, Sense};
 use serde::{Deserialize, Serialize};
 
@@ -191,6 +191,12 @@ pub(crate) const STALL_THRESHOLD: usize = 64;
 /// update).
 const REFACTOR_INTERVAL: usize = 256;
 
+/// Entries the fused candidate pass of a pivot walks (mean structural
+/// column nnz times the candidate-list length) from which it is mapped
+/// through the work-stealing pool ([`CandidatePass::Pooled`]); shorter
+/// passes run inline. Exchange-day's small masters never reach it.
+const POOL_PASS_ENTRIES: usize = 1 << 16;
+
 /// The automatic pivot budget of one solve, across both phases and the dual
 /// row repair: `200 · (m + n_total) + 10 000`, recomputed from the problem
 /// actually being solved — so in column generation it grows with the
@@ -208,12 +214,15 @@ pub(crate) struct Limits {
     pub(crate) max_iterations: Option<usize>,
     /// See [`STALL_THRESHOLD`].
     pub(crate) stall_threshold: usize,
+    /// See [`POOL_PASS_ENTRIES`].
+    pub(crate) pool_pass_entries: usize,
 }
 
 impl Limits {
     pub(crate) const DEFAULT: Limits = Limits {
         max_iterations: None,
         stall_threshold: STALL_THRESHOLD,
+        pool_pass_entries: POOL_PASS_ENTRIES,
     };
 }
 
@@ -529,10 +538,9 @@ impl Revised {
         for &c in &self.basis {
             self.in_basis[c] = true;
         }
-        // Identity-creating columns are exactly e_i, so B = I; factorizing
-        // it is trivial for every representation.
-        let ok = self.uncounted(Self::refactor);
-        debug_assert!(ok, "the identity basis cannot be singular");
+        // Identity-creating columns are exactly e_i, so B = I: its unit
+        // factors are installed directly, and x_B = b.
+        self.factor.install_identity(self.m);
         self.xb = self.b.clone();
     }
 
@@ -734,7 +742,7 @@ impl Revised {
         self.in_basis[e] = true;
         self.basis[l] = e;
 
-        if !self.factor.update_sparse(l, w) {
+        if !self.factor.update_sparse(l, w, &mut self.scratch) {
             // The factorization declined (unstable FT diagonal or a full
             // row-eta file): rebuild from the already-updated basis
             // columns. This is a stability-forced rebuild, not hygiene.
@@ -757,6 +765,13 @@ impl Revised {
     /// is recomputed from scratch, and optimality claimed under
     /// incrementally updated duals is always re-certified against freshly
     /// computed ones before being returned.
+    ///
+    /// The dual update runs **before** the steepest-edge weight pass, so
+    /// that pass walks each candidate column once for both its pivot-row
+    /// entry `α_j` and its next reduced cost `c_j − y'·a_j` (the fused pass
+    /// of [`crate::pricing`]), on the pool once the list's columns hold
+    /// [`POOL_PASS_ENTRIES`] entries. Every full BTRAN of `y` drops the
+    /// stored reduced costs.
     fn iterate(
         &mut self,
         cost: &[f64],
@@ -826,6 +841,7 @@ impl Revised {
                     *c = cost[self.basis[r]];
                 }
                 self.factor.btran(&cb, &mut y, &mut self.scratch);
+                pricer.invalidate_reduced_costs();
                 y_valid = true;
                 y_fresh = true;
             }
@@ -853,6 +869,7 @@ impl Revised {
                         *c = cost[self.basis[r]];
                     }
                     self.factor.btran(&cb, &mut y, &mut self.scratch);
+                    pricer.invalidate_reduced_costs();
                     y_fresh = true;
                     select(self, &y, pricer)?
                 }
@@ -935,6 +952,7 @@ impl Revised {
                         *c = cost[self.basis[r]];
                     }
                     self.factor.btran(&cb, &mut y, &mut self.scratch);
+                    pricer.invalidate_reduced_costs();
                     y_fresh = true;
                     continue;
                 }
@@ -979,19 +997,6 @@ impl Revised {
             }
             self.counts.simplex_iterations += 1;
 
-            {
-                let rho = &rho_buf;
-                let alpha = |j: usize| -> f64 {
-                    if !rho_valid {
-                        return 0.0;
-                    }
-                    let mut a = 0.0;
-                    self.for_each_entry(j, |i, v| a += rho.value(i) * v);
-                    a
-                };
-                pricer.notify_pivot(e, leaving_col, wl, &alpha);
-            }
-
             if rho_valid {
                 // The pivot row was already paid for (weight update):
                 // reuse it for the textbook dual update
@@ -1005,6 +1010,36 @@ impl Revised {
                 y_fresh = false;
             } else {
                 y_valid = false;
+            }
+
+            {
+                // One walk of column j for both α_j = ρ·a_j and the next
+                // reduced cost under y', in `reduced_cost`'s entry order and
+                // arithmetic, so the stored value is bit-equal to the one
+                // the next `select_entering` would compute.
+                let (rho, y) = (&rho_buf, &y);
+                let this = &*self;
+                let pass = |j: usize| -> (f64, f64) {
+                    if !rho_valid {
+                        return (0.0, 0.0);
+                    }
+                    let (mut a, mut rc) = (0.0, cost[j]);
+                    this.for_each_entry(j, |i, v| {
+                        a += rho.value(i) * v;
+                        rc -= y[i] * v;
+                    });
+                    (a, rc)
+                };
+                let mean_nnz = self.cols.nnz() as f64 / self.n.max(1) as f64;
+                let entries = mean_nnz * pricer.list_len() as f64;
+                let mode = if use_bland || !rho_valid {
+                    CandidatePass::AlphaOnly
+                } else if entries >= self.limits.pool_pass_entries as f64 {
+                    CandidatePass::Pooled
+                } else {
+                    CandidatePass::Fused
+                };
+                pricer.notify_pivot(e, leaving_col, wl, mode, &pass);
             }
 
             let obj = self.objective_of_basis(cost);
@@ -1753,6 +1788,43 @@ mod tests {
             lp.add_constraint(coeffs, Relation::Le, rng.random_range(1.0..20.0));
         }
         lp
+    }
+
+    /// The fused candidate pass gives the same trajectory inline and on
+    /// the pool: a dense packing LP whose candidate passes reach
+    /// [`POOL_PASS_ENTRIES`] solves to bit-identical primal values, duals
+    /// and counters with the default cutoff, with every pass pooled and
+    /// with every pass inline.
+    #[test]
+    fn pooled_candidate_pass_matches_the_inline_pass_bit_for_bit() {
+        let lp = random_packing_lp(17, 800, 250);
+        let nnz = lp.to_csc().nnz();
+        // mean column nnz times the refill chunk (half the columns)
+        assert!(nnz / 800 * (800 + 250) / 2 >= POOL_PASS_ENTRIES);
+        let solve_with = |pool_pass_entries: usize| {
+            let mut engine = Revised::build(&lp);
+            engine.limits = Limits {
+                pool_pass_entries,
+                ..Limits::DEFAULT
+            };
+            engine.solve(&lp)
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let inline = solve_with(usize::MAX);
+        assert_eq!(inline.status, LpStatus::Optimal);
+        assert!(inline.stats.simplex_iterations > 0);
+        for (label, cutoff) in [("default", POOL_PASS_ENTRIES), ("always pooled", 0)] {
+            let pooled = solve_with(cutoff);
+            assert_eq!(pooled.status, inline.status, "{label}");
+            assert_eq!(bits(&pooled.x), bits(&inline.x), "{label}: x");
+            assert_eq!(bits(&pooled.duals), bits(&inline.duals), "{label}: duals");
+            assert_eq!(pooled.stats, inline.stats, "{label}: stats");
+            assert_eq!(
+                pooled.objective.to_bits(),
+                inline.objective.to_bits(),
+                "{label}"
+            );
+        }
     }
 
     #[test]
