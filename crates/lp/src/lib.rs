@@ -90,6 +90,6 @@ pub use column_generation::{
     is_native_tag, is_relief_tag, ColumnGenerationError, ColumnGenerationResult, ColumnSource,
     GeneratedColumn, MasterProblem, DEAD_COLUMN_TAG_BASE, ROW_RELIEF_TAG_BASE,
 };
-pub use pricing::{CandidatePass, SteepestEdgePricing};
+pub use pricing::SteepestEdgePricing;
 pub use problem::{Constraint, CscMatrix, LinearProgram, Relation, Sense};
 pub use simplex::{solve, LpSolution, LpStatus, SolveStats};

@@ -35,16 +35,17 @@
 //! stored reduced costs instead of walking the list's columns again; only
 //! the refill scan calls `rc(j)`.
 //!
-//! The stored values are valid from a fused pass (a [`CandidatePass`] other
-//! than [`CandidatePass::AlphaOnly`]) until the next `select_entering`,
-//! which consumes them, and the core drops them
+//! The stored values are valid from a fused pass (`fused` true in
+//! `notify_pivot`) until the next `select_entering`, which consumes them,
+//! and the core drops them
 //! ([`invalidate_reduced_costs`](SteepestEdgePricing::invalidate_reduced_costs))
 //! whenever it recomputes `y` by a full BTRAN. A non-fused pivot leaves
 //! none. Under `debug_assertions` `select_entering` checks every stored
-//! value against a fresh `rc(j)` bit for bit. A long list of dense columns
-//! is mapped through the work-stealing pool ([`CandidatePass::Pooled`]);
-//! the weight update still reads the pass in list order, so weights and
-//! ties do not depend on the pool size.
+//! value against a fresh `rc(j)` bit for bit. The pass is mapped through
+//! the work-stealing pool in chunks of at least the `min_len` members the
+//! core asks for, so only a long list of dense columns leaves the calling
+//! thread; the weight update still reads the pass in list order, so weights
+//! and ties do not depend on the pool size.
 //!
 //! ## Steepest-edge weight updates in formulas
 //!
@@ -65,22 +66,6 @@
 //! reset at refactorization stops long-run drift.
 
 use rayon::prelude::*;
-
-/// Which values the closure handed to
-/// [`SteepestEdgePricing::notify_pivot`] returns, and where the pass runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CandidatePass {
-    /// Only `α_j` is meaningful (the Bland override, or no pivot row): the
-    /// pass runs inline and stores no reduced costs.
-    AlphaOnly,
-    /// `(α_j, rc_j)` with `rc_j` the reduced cost the next
-    /// [`SteepestEdgePricing::select_entering`] would compute; the pass runs
-    /// inline.
-    Fused,
-    /// As [`Fused`](Self::Fused), with the list mapped through the
-    /// work-stealing pool.
-    Pooled,
-}
 
 /// Primal steepest-edge pricing with a candidate list.
 ///
@@ -251,11 +236,6 @@ impl SteepestEdgePricing {
         best.map(|(j, _)| j)
     }
 
-    /// Members of the candidate list.
-    pub fn list_len(&self) -> usize {
-        self.candidates.len()
-    }
-
     /// Whether [`notify_pivot`](Self::notify_pivot) needs the pivot row:
     /// it only feeds candidate weight updates, so the core skips the BTRAN
     /// that produces it while the list is empty.
@@ -267,38 +247,35 @@ impl SteepestEdgePricing {
     /// nonbasic), and `alpha_entering` is the pivot element.
     ///
     /// `pass(j)` walks column `j` once and returns `(α_j, rc_j)`: the pivot
-    /// row `(eᵣᵀ B⁻¹ A)_j` of the outgoing basis and, unless `mode` is
-    /// [`CandidatePass::AlphaOnly`], the reduced cost under the duals the
-    /// core has already updated for this pivot. The core dots column `j`
+    /// row `(eᵣᵀ B⁻¹ A)_j` of the outgoing basis and, when `fused`, the
+    /// reduced cost under the duals the core has already updated for this
+    /// pivot (otherwise `rc_j` is meaningless). The core dots column `j`
     /// against its indexed BTRAN image, so each call costs `O(nnz(A_j))`
     /// however dense `eᵣᵀ B⁻¹` came out. The pass covers every list member
-    /// but `entering`, inline or on the pool as `mode` says, and is stored
-    /// in list order; the weight update then reads it sequentially, and the
-    /// next [`select_entering`](Self::select_entering) reads its reduced
-    /// costs if `mode` fused them.
+    /// but `entering` and is mapped through the work-stealing pool in chunks
+    /// of at least `min_len` members (a shorter list runs inline), into a
+    /// buffer in list order; the weight update then reads it sequentially,
+    /// and the next [`select_entering`](Self::select_entering) reads its
+    /// reduced costs if `fused`.
     pub fn notify_pivot(
         &mut self,
         entering: usize,
         leaving: usize,
         alpha_entering: f64,
-        mode: CandidatePass,
+        fused: bool,
+        min_len: usize,
         pass: &(dyn Fn(usize) -> (f64, f64) + Sync),
     ) {
         self.rc_valid = false;
         if alpha_entering.abs() <= 1e-12 {
             return;
         }
-        let walk = |&j: &usize| if j == entering { (0.0, 0.0) } else { pass(j) };
-        if mode == CandidatePass::Pooled {
-            self.candidates
-                .par_iter()
-                .map(walk)
-                .collect_into_vec(&mut self.pass);
-        } else {
-            self.pass.clear();
-            self.pass.extend(self.candidates.iter().map(walk));
-        }
-        self.rc_valid = mode != CandidatePass::AlphaOnly;
+        self.candidates
+            .par_iter()
+            .with_min_len(min_len)
+            .map(|&j| if j == entering { (0.0, 0.0) } else { pass(j) })
+            .collect_into_vec(&mut self.pass);
+        self.rc_valid = fused;
         // exact γ_q when the core observed this column's FTRAN, else the
         // stored reference weight
         let gq = if self.entering_col == entering {
@@ -410,18 +387,14 @@ mod tests {
         p.observe_entering(0, 3.0);
         // pivot: α_0 = 2, pivot row α = [2, 1, 0]; leaving slot maps to
         // column 1's weight slot via the leaving id
-        p.notify_pivot(0, 1, 2.0, CandidatePass::AlphaOnly, &|j| {
-            ([2.0, 1.0, 0.0][j], 0.0)
-        });
+        p.notify_pivot(0, 1, 2.0, false, 1, &|j| ([2.0, 1.0, 0.0][j], 0.0));
         // candidate 2 was in the list with α_2 = 0 → untouched (weight 1);
         // candidate 1: α_1 = 1 → max(1, (1/2)²·4) = 1 (no increase beyond 1)
         // leaving weight: max(γ_q/α_q², 1) = max(4/4, 1) = 1
         assert!((p.weights[1] - 1.0).abs() < 1e-12);
         // now a pivot with a stronger row: α_entering = 0.5
         p.observe_entering(2, 15.0); // γ_2 = 16
-        p.notify_pivot(2, 0, 0.5, CandidatePass::AlphaOnly, &|j| {
-            ([0.0, 1.0, 0.5][j], 0.0)
-        });
+        p.notify_pivot(2, 0, 0.5, false, 1, &|j| ([0.0, 1.0, 0.5][j], 0.0));
         // leaving weight for column 0: max(16/0.25, 1) = 64
         assert!((p.weights[0] - 64.0).abs() < 1e-12);
     }
@@ -472,33 +445,34 @@ mod tests {
             p
         };
 
-        // a fused pivot, inline or pooled, stores (α_j, rc_j) per remaining
-        // member in list order, and drops the entering column's entry
-        for mode in [CandidatePass::Fused, CandidatePass::Pooled] {
+        // a fused pivot, inline or on the pool, stores (α_j, rc_j) per
+        // remaining member in list order, and drops the entering column's
+        // entry
+        for min_len in [usize::MAX, 1] {
             let mut p = listed();
-            p.notify_pivot(0, 4, 1.0, mode, &pass);
-            assert!(p.rc_valid, "{mode:?}");
-            assert_eq!(p.candidates, vec![1, 2, 3], "{mode:?}");
+            p.notify_pivot(0, 4, 1.0, true, min_len, &pass);
+            assert!(p.rc_valid, "min_len {min_len}");
+            assert_eq!(p.candidates, vec![1, 2, 3], "min_len {min_len}");
             assert_eq!(p.pass, vec![(0.5, 0.25), (0.5, 1.5), (0.5, 0.75)]);
         }
 
         // the next select consumes them (and agrees with `rc` on them)
         let mut p = listed();
-        p.notify_pivot(0, 4, 1.0, CandidatePass::Fused, &pass);
+        p.notify_pivot(0, 4, 1.0, true, 1, &pass);
         let pick = p.select_entering(rc.len(), 1e-9, &|j| j > 0 && j != 4, &|j| next[j]);
         assert_eq!(pick, Some(2));
         assert!(!p.rc_valid);
 
         // the invalidation call drops them
-        p.notify_pivot(2, 4, 1.0, CandidatePass::Fused, &pass);
+        p.notify_pivot(2, 4, 1.0, true, 1, &pass);
         assert!(p.rc_valid);
         p.invalidate_reduced_costs();
         assert!(!p.rc_valid);
 
         // and so does a pivot whose pass fused no reduced costs
-        p.notify_pivot(1, 4, 1.0, CandidatePass::Fused, &pass);
+        p.notify_pivot(1, 4, 1.0, true, 1, &pass);
         assert!(p.rc_valid);
-        p.notify_pivot(3, 4, 1.0, CandidatePass::AlphaOnly, &pass);
+        p.notify_pivot(3, 4, 1.0, false, 1, &pass);
         assert!(!p.rc_valid);
     }
 
@@ -512,9 +486,7 @@ mod tests {
         p.reset(rc.len());
         assert_eq!(p.select_entering(3, 1e-9, &|_| true, &|j| rc[j]), Some(0));
         // the pass reports 7.0 for column 1, but `rc` says 1.0
-        p.notify_pivot(0, 2, 1.0, CandidatePass::Fused, &|j| {
-            (0.5, [0.0, 7.0, 2.0][j])
-        });
+        p.notify_pivot(0, 2, 1.0, true, 1, &|j| (0.5, [0.0, 7.0, 2.0][j]));
         let _ = p.select_entering(3, 1e-9, &|j| j != 0, &|j| rc[j]);
     }
 

@@ -48,7 +48,7 @@
 //! 1e-6.
 
 use crate::basis::{ForrestTomlinLu, SolveScratch, SparseColumn, SparseVector};
-use crate::pricing::{CandidatePass, SteepestEdgePricing};
+use crate::pricing::SteepestEdgePricing;
 use crate::problem::{CscMatrix, LinearProgram, Relation, Sense};
 use serde::{Deserialize, Serialize};
 
@@ -191,11 +191,15 @@ pub(crate) const STALL_THRESHOLD: usize = 64;
 /// update).
 const REFACTOR_INTERVAL: usize = 256;
 
-/// Entries the fused candidate pass of a pivot walks (mean structural
-/// column nnz times the candidate-list length) from which it is mapped
-/// through the work-stealing pool ([`CandidatePass::Pooled`]); shorter
-/// passes run inline. Exchange-day's small masters never reach it.
-const POOL_PASS_ENTRIES: usize = 1 << 16;
+/// Column entries (mean structural column nnz times members) one pool
+/// chunk of a pivot's candidate pass walks at least: the pass is mapped
+/// through the work-stealing pool once the list fills two such chunks, and
+/// runs inline on the calling thread below that. Swept from 2¹³ to 2¹⁸ on
+/// a 2-core host: on the dense physical-model masters 2¹³ pooled 94% of the
+/// passes and read fastest; the protocol model's sparse masters pool a
+/// third of theirs at 2¹³ without slowing, and the exchange's small masters
+/// pool none. Values below 2¹³ were not tried.
+const POOL_CHUNK_ENTRIES: usize = 1 << 13;
 
 /// The automatic pivot budget of one solve, across both phases and the dual
 /// row repair: `200 · (m + n_total) + 10 000`, recomputed from the problem
@@ -214,15 +218,15 @@ pub(crate) struct Limits {
     pub(crate) max_iterations: Option<usize>,
     /// See [`STALL_THRESHOLD`].
     pub(crate) stall_threshold: usize,
-    /// See [`POOL_PASS_ENTRIES`].
-    pub(crate) pool_pass_entries: usize,
+    /// See [`POOL_CHUNK_ENTRIES`].
+    pub(crate) pool_chunk_entries: usize,
 }
 
 impl Limits {
     pub(crate) const DEFAULT: Limits = Limits {
         max_iterations: None,
         stall_threshold: STALL_THRESHOLD,
-        pool_pass_entries: POOL_PASS_ENTRIES,
+        pool_chunk_entries: POOL_CHUNK_ENTRIES,
     };
 }
 
@@ -769,9 +773,9 @@ impl Revised {
     /// The dual update runs **before** the steepest-edge weight pass, so
     /// that pass walks each candidate column once for both its pivot-row
     /// entry `α_j` and its next reduced cost `c_j − y'·a_j` (the fused pass
-    /// of [`crate::pricing`]), on the pool once the list's columns hold
-    /// [`POOL_PASS_ENTRIES`] entries. Every full BTRAN of `y` drops the
-    /// stored reduced costs.
+    /// of [`crate::pricing`]), on the pool once the list's columns fill two
+    /// chunks of [`POOL_CHUNK_ENTRIES`] entries. Every full BTRAN of `y`
+    /// drops the stored reduced costs.
     fn iterate(
         &mut self,
         cost: &[f64],
@@ -1017,29 +1021,28 @@ impl Revised {
                 // reduced cost under y', in `reduced_cost`'s entry order and
                 // arithmetic, so the stored value is bit-equal to the one
                 // the next `select_entering` would compute.
+                // Under the Bland override the pass skips the reduced costs:
+                // the next pick most likely takes the override too and does
+                // not read the list, and if it does not, it prices the list
+                // itself.
+                let fused = rho_valid && !use_bland;
                 let (rho, y) = (&rho_buf, &y);
                 let this = &*self;
                 let pass = |j: usize| -> (f64, f64) {
-                    if !rho_valid {
-                        return (0.0, 0.0);
-                    }
                     let (mut a, mut rc) = (0.0, cost[j]);
-                    this.for_each_entry(j, |i, v| {
-                        a += rho.value(i) * v;
-                        rc -= y[i] * v;
-                    });
+                    if fused {
+                        this.for_each_entry(j, |i, v| {
+                            a += rho.value(i) * v;
+                            rc -= y[i] * v;
+                        });
+                    } else if rho_valid {
+                        this.for_each_entry(j, |i, v| a += rho.value(i) * v);
+                    }
                     (a, rc)
                 };
-                let mean_nnz = self.cols.nnz() as f64 / self.n.max(1) as f64;
-                let entries = mean_nnz * pricer.list_len() as f64;
-                let mode = if use_bland || !rho_valid {
-                    CandidatePass::AlphaOnly
-                } else if entries >= self.limits.pool_pass_entries as f64 {
-                    CandidatePass::Pooled
-                } else {
-                    CandidatePass::Fused
-                };
-                pricer.notify_pivot(e, leaving_col, wl, mode, &pass);
+                let mean_nnz = self.cols.nnz().div_ceil(self.n.max(1)).max(1);
+                let min_len = self.limits.pool_chunk_entries / mean_nnz;
+                pricer.notify_pivot(e, leaving_col, wl, fused, min_len, &pass);
             }
 
             let obj = self.objective_of_basis(cost);
@@ -1791,20 +1794,16 @@ mod tests {
     }
 
     /// The fused candidate pass gives the same trajectory inline and on
-    /// the pool: a dense packing LP whose candidate passes reach
-    /// [`POOL_PASS_ENTRIES`] solves to bit-identical primal values, duals
-    /// and counters with the default cutoff, with every pass pooled and
-    /// with every pass inline.
+    /// the pool: a dense packing LP solves to bit-identical primal values,
+    /// duals and counters with every pass inline and with every pass
+    /// mapped through the pool (which fans out once it has two workers).
     #[test]
     fn pooled_candidate_pass_matches_the_inline_pass_bit_for_bit() {
         let lp = random_packing_lp(17, 800, 250);
-        let nnz = lp.to_csc().nnz();
-        // mean column nnz times the refill chunk (half the columns)
-        assert!(nnz / 800 * (800 + 250) / 2 >= POOL_PASS_ENTRIES);
-        let solve_with = |pool_pass_entries: usize| {
+        let solve_with = |pool_chunk_entries: usize| {
             let mut engine = Revised::build(&lp);
             engine.limits = Limits {
-                pool_pass_entries,
+                pool_chunk_entries,
                 ..Limits::DEFAULT
             };
             engine.solve(&lp)
@@ -1813,18 +1812,12 @@ mod tests {
         let inline = solve_with(usize::MAX);
         assert_eq!(inline.status, LpStatus::Optimal);
         assert!(inline.stats.simplex_iterations > 0);
-        for (label, cutoff) in [("default", POOL_PASS_ENTRIES), ("always pooled", 0)] {
-            let pooled = solve_with(cutoff);
-            assert_eq!(pooled.status, inline.status, "{label}");
-            assert_eq!(bits(&pooled.x), bits(&inline.x), "{label}: x");
-            assert_eq!(bits(&pooled.duals), bits(&inline.duals), "{label}: duals");
-            assert_eq!(pooled.stats, inline.stats, "{label}: stats");
-            assert_eq!(
-                pooled.objective.to_bits(),
-                inline.objective.to_bits(),
-                "{label}"
-            );
-        }
+        let pooled = solve_with(0);
+        assert_eq!(pooled.status, inline.status);
+        assert_eq!(bits(&pooled.x), bits(&inline.x), "x");
+        assert_eq!(bits(&pooled.duals), bits(&inline.duals), "duals");
+        assert_eq!(pooled.stats, inline.stats, "stats");
+        assert_eq!(pooled.objective.to_bits(), inline.objective.to_bits());
     }
 
     #[test]

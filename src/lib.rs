@@ -126,7 +126,7 @@
 //! | `MasterProblem::fix_columns(cols)` | [`MasterProblem::retire_columns(cols)`](lp::MasterProblem::retire_columns): objective 0 plus a tombstoned tag, for packing columns only (it panics on any other); a retired column may enter or stay basic |
 //! | `MasterProblem::num_active_rows()` | `num_rows() - rows_deactivated()`: [`MasterProblem::rows_deactivated`](lp::MasterProblem::rows_deactivated) counts the relief columns |
 //! | `ForrestTomlinLu::{update, update_sparse}(l, w)` | the same calls with a trailing `&mut` [`lp::SolveScratch`], which now also holds the Forrest–Tomlin update's spike, row and heap buffers |
-//! | `SteepestEdgePricing::notify_pivot(entering, leaving, alpha_entering, alpha)` | `notify_pivot(entering, leaving, alpha_entering, mode, pass)`: `pass(j)` returns `(α_j, rc_j)` from one walk of column `j`, and [`lp::CandidatePass`] says whether `rc_j` is the next reduced cost and whether the pass runs on the pool |
+//! | `SteepestEdgePricing::notify_pivot(entering, leaving, alpha_entering, alpha)` | `notify_pivot(entering, leaving, alpha_entering, fused, min_len, pass)`: `pass(j)` returns `(α_j, rc_j)` from one walk of column `j`, `fused` says whether `rc_j` is the next reduced cost, and `min_len` is the least list members per pool chunk |
 //!
 //! ## One master, and the seed depth
 //!
